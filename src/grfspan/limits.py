@@ -22,9 +22,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algorithms import GsaSpec, InfoView
-from .assembly import flatten_history, joint_blocks, residual_variance
+from .assembly import SpanState, residual_variance
+from .assembly import joint_blocks  # not called here: bench/layers.py wraps this name
 from .errors import CoincidentPointsError, DegenerateKernelError, RankStallError
-from .gaussianops import DEFAULT_POLICY, ConditionPolicy, condition
+from .gaussianops import DEFAULT_POLICY, ConditionPolicy
+from .gaussianops import condition  # not called here: bench/layers.py wraps this name
 from .kernels import KernelModel
 
 #: residual variance at or below this is treated as a span-dimension stall
@@ -119,13 +121,18 @@ def limiting_info(curve: LimitCurve, n: int) -> InfoView:
     )
 
 
-def limit_step(curve: LimitCurve, kernel: KernelModel, gsa: GsaSpec, *,
-               on_rank_stall: str = "error",
-               policy: ConditionPolicy = DEFAULT_POLICY) -> LimitCurve:
-    """Extend the limit curve by one step of the span recursion."""
+def limit_step(curve: LimitCurve, state: SpanState, gsa: GsaSpec, *,
+               on_rank_stall: str = "error") -> LimitCurve:
+    """Extend the limit curve by one step of the span recursion.
+
+    ``state`` holds the conditioning history of ``curve``'s points and is
+    extended in place.
+    """
     if on_rank_stall not in ("error", "freeze"):
         raise ValueError(f"on_rank_stall must be 'error' or 'freeze', got {on_rank_stall!r}")
     n = curve.steps + 1
+    if state.points != n:
+        raise ValueError(f"state holds {state.points} points, curve has {n}")
     d_n = curve.gamma_width(n - 1)
 
     row = gsa.row(n, limiting_info(curve, n - 1))
@@ -133,16 +140,19 @@ def limit_step(curve: LimitCurve, kernel: KernelModel, gsa: GsaSpec, *,
     y_new = gam_hist.T @ row.h_g
     y_new[0] += row.h_x * curve.lam
 
-    reps_hist = curve.y_reps[:n, :d_n]
-    blocks = joint_blocks(kernel, reps_hist, y_new)
-    observed = flatten_history(curve.f_limit, gam_hist)
-    res = condition(blocks.mean_hist, blocks.mean_new, blocks.S_hh, blocks.S_hn,
-                    blocks.S_nn, observed, policy=policy)
-    f_n = float(res.cond_mean[0])
-    gamma_body = res.cond_mean[1:1 + d_n]
+    dists = np.linalg.norm(curve.y_reps[:n, :d_n] - y_new, axis=1)
+    too_close = np.nonzero(dists <= COINCIDENT_TOL)[0]
+    if too_close.size:
+        raise CoincidentPointsError(
+            f"step {n} revisits step {too_close[0]}: limiting points coincide "
+            f"(distance {dists[too_close[0]]:.3e})")
 
-    sigma_sq = residual_variance(kernel, np.vstack([reps_hist, y_new[None, :]]),
-                                 policy=policy)
+    Y = np.vstack([curve.y_reps[:n, :d_n], y_new])
+    block = state.extend(Y)
+    f_n = float(block[0])
+    gamma_body = block[1:]
+
+    sigma_sq = residual_variance(state.kernel, Y, policy=state.policy)
     frozen = curve.frozen_steps
     if sigma_sq <= RANK_STALL_TOL:
         if on_rank_stall == "error":
@@ -155,6 +165,7 @@ def limit_step(curve: LimitCurve, kernel: KernelModel, gsa: GsaSpec, *,
     else:
         sigma_val = math.sqrt(sigma_sq)
         gamma_new = np.append(gamma_body, sigma_val)
+        state.open_direction(sigma_val)
 
     width = max(curve.gamma.shape[1], len(gamma_new), len(y_new))
     gamma = np.zeros((n + 1, width))
@@ -166,13 +177,7 @@ def limit_step(curve: LimitCurve, kernel: KernelModel, gsa: GsaSpec, *,
 
     rho = np.zeros((n + 1, n + 1))
     rho[:n, :n] = curve.rho
-    dists = np.linalg.norm(y_reps[:n] - y_reps[n], axis=1)
     rho[n, :n] = rho[:n, n] = dists
-    too_close = np.nonzero(dists <= COINCIDENT_TOL)[0]
-    if too_close.size:
-        raise CoincidentPointsError(
-            f"step {n} revisits step {too_close[0]}: limiting points coincide "
-            f"(distance {dists[too_close[0]]:.3e})")
 
     return LimitCurve(
         f_limit=np.append(curve.f_limit, f_n),
@@ -187,6 +192,19 @@ def limit_step(curve: LimitCurve, kernel: KernelModel, gsa: GsaSpec, *,
     )
 
 
+def limit_state(curve: LimitCurve, kernel: KernelModel,
+                policy: ConditionPolicy = DEFAULT_POLICY) -> SpanState:
+    """Conditioning state of a step-0 curve from ``limit_init``.
+
+    Step 0 conditions on nothing, so its rows are observed at their mean,
+    which is where ``limit_init`` put f_0 and the body of γ_0.
+    """
+    state = SpanState(kernel, policy)
+    state.extend(curve.y_reps[:1, :curve.dims[0]])
+    state.open_direction(curve.sigma_w[0])
+    return state
+
+
 def predict(kernel: KernelModel, gsa: GsaSpec, lam: float, steps: int, *,
             on_rank_stall: str = "error",
             policy: ConditionPolicy = DEFAULT_POLICY) -> LimitCurve:
@@ -194,9 +212,9 @@ def predict(kernel: KernelModel, gsa: GsaSpec, lam: float, steps: int, *,
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
     curve = limit_init(kernel, lam)
+    state = limit_state(curve, kernel, policy)
     for _ in range(steps):
-        curve = limit_step(curve, kernel, gsa, on_rank_stall=on_rank_stall,
-                           policy=policy)
+        curve = limit_step(curve, state, gsa, on_rank_stall=on_rank_stall)
     return curve
 
 

@@ -24,6 +24,7 @@ import numpy as np
 
 from .algorithms import GsaSpec, InfoView
 from .assembly import (
+    SpanState,
     cov_block,
     coordinate_inner_products,
     flatten_history,
@@ -99,58 +100,42 @@ def simulate_info_path(kernel: KernelModel, gsa: GsaSpec, lam: float, N: int,
         raise ValueError(f"need N > steps + 2, got N={N}, steps={steps}")
     rng = make_rng(master_seed, stream_id)
 
-    d0 = 1 if lam > 0 else 0
-    width = steps + 1 + d0          # final span dimension d_{T+1}
+    d = 1 if lam > 0 else 0
+    width = steps + 1 + d           # final span dimension d_{T+1}
     f_values = np.empty(steps + 1)
     G = np.zeros((steps + 1, width))
     x_coords = np.zeros((steps + 1, width))
     dims = np.empty(steps + 1, dtype=int)
+    x_coords[0, 0] = lam            # x₀ = λ·v₀; step 0 conditions on nothing
+    state = SpanState(kernel, policy)
 
-    # step 0: unconditional draw at x₀ = λ·v₀
-    s0 = lam * lam / 2.0
-    k3_here = float(kernel.k3(s0, s0, lam * lam))
-    if k3_here <= 0:
-        raise DegenerateKernelError(
-            f"κ₃ = {k3_here:g} at the start point; no gradient mass outside the span")
-    x_coords[0, 0] = lam
-    Y0 = x_coords[0:1, :d0]
-    s_vec, ip = coordinate_inner_products(Y0)
-    M = cov_block(kernel, Y0, s_vec, ip, [0], [0])
-    mu = mean_block(kernel, Y0, s_vec, [0])
-    z = sample_mvn(mu, M / N, rng, policy)
-    f_values[0] = z[0]
-    G[0, :d0] = z[1:]
-    G[0, d0] = math.sqrt((k3_here / N) * sample_chi_square(N - d0, rng))
-    dims[0] = d0
-    d = d0 + 1
+    for n in range(steps + 1):
+        if n > 0:
+            info = _realized_info(lam, f_values[:n], G[:n, :d])
+            row = gsa.row(n, info)
+            x_new = G[:n, :d].T @ row.h_g
+            x_new[0] += row.h_x * lam
+            x_coords[n, :d] = x_new
+        Y = x_coords[:n + 1, :d]
 
-    for n in range(1, steps + 1):
-        info = _realized_info(lam, f_values[:n], G[:n, :d])
-        row = gsa.row(n, info)
-        x_new = G[:n, :d].T @ row.h_g
-        x_new[0] += row.h_x * lam
-        x_coords[n, :d] = x_new
-
-        blocks = joint_blocks(kernel, x_coords[:n, :d], x_new)
-        observed = flatten_history(f_values[:n], G[:n, :d])
-        res = condition(blocks.mean_hist, blocks.mean_new, blocks.S_hh,
-                        blocks.S_hn, blocks.S_nn, observed, policy=policy)
-        v_block = sample_mvn(res.cond_mean, res.cond_cov / N, rng, policy)
-        f_values[n] = v_block[0]
-        G[n, :d] = v_block[1:]
-
-        s_new = float(x_new @ x_new) / 2.0
+        s_new = float(x_coords[n] @ x_coords[n]) / 2.0
         k3_here = float(kernel.k3(s_new, s_new, 2.0 * s_new))
         if k3_here <= 0:
             raise DegenerateKernelError(
-                f"step {n}: κ₃ = {k3_here:g} at the new point")
-        sigma_sq = residual_variance(kernel, x_coords[:n + 1, :d], policy=policy)
+                f"step {n}: κ₃ = {k3_here:g} at the new point; no gradient mass "
+                "outside the span")
+        v_block = state.extend(Y, rng, N)
+        f_values[n] = v_block[0]
+        G[n, :d] = v_block[1:]
+
+        sigma_sq = residual_variance(kernel, Y, policy=policy)
         if sigma_sq < NEGATIVE_RESIDUAL_TOL:
             raise ConsistencyError(
                 f"step {n}: plug-in residual variance {sigma_sq:.3e} < "
                 f"{NEGATIVE_RESIDUAL_TOL:g}")
         sigma_sq = max(sigma_sq, 0.0)
         G[n, d] = math.sqrt((sigma_sq / N) * sample_chi_square(N - d, rng))
+        state.open_direction(G[n, d])
         dims[n] = d
         d += 1
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from grfspan.assembly import (
+    SpanState,
     coordinate_inner_products,
     cov_block,
     flatten_history,
@@ -14,6 +15,7 @@ from grfspan.assembly import (
     split_new_block,
 )
 from grfspan.errors import KernelDomainError
+from grfspan.gaussianops import ConditionPolicy, condition, make_rng, sample_mvn
 from grfspan.kernels import (
     SchoenbergMixture,
     SpinGlassMixture,
@@ -143,3 +145,24 @@ def test_residual_variance_single_point():
     kernel = KERNELS[0]
     val = residual_variance(kernel, np.array([[1.0, 0.0]]))
     assert val == pytest.approx(float(kernel.k3(0.5, 0.5, 1.0)))
+
+
+def test_span_state_pseudo_inverse_conditions_and_draws():
+    # revisiting point 0 makes the history singular; with no jitter ladder
+    # every later solve goes through the pseudo-inverse of the stored S
+    kernel = KERNELS[0]
+    policy = ConditionPolicy(jitter_start=None, pseudo_fallback=True)
+    state = SpanState(kernel, policy)
+    state.extend([[0.8]])
+    state.open_direction(0.9)
+    Y = np.array([[0.8, 0.0], [0.8, 0.0], [0.3, 0.5]])
+    np.testing.assert_allclose(state.extend(Y[:2]), [0.0, 0.0, 0.9], atol=1e-12)
+    assert state.pseudo
+
+    draw = state.extend(Y, make_rng(4, 0), 64)
+    blocks = joint_blocks(kernel, Y[:2], Y[2])
+    res = condition(blocks.mean_hist, blocks.mean_new, blocks.S_hh, blocks.S_hn, blocks.S_nn,
+                    flatten_history([0.0, 0.0], [[0.0, 0.9], [0.0, 0.9]]), policy=policy)
+    assert res.rank_deficient
+    reference = sample_mvn(res.cond_mean, res.cond_cov / 64, make_rng(4, 0), policy)
+    np.testing.assert_allclose(draw, reference, rtol=0, atol=1e-10)

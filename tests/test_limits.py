@@ -5,8 +5,19 @@ import math
 import numpy as np
 import pytest
 
-from grfspan.algorithms import GsaSpec, PrefactorRow, fr_cg, gd, heavy_ball, nesterov, with_sphere_projection
-from grfspan.errors import CoincidentPointsError, DegenerateKernelError, RankStallError
+from grfspan.algorithms import (
+    GsaSpec,
+    InfoView,
+    PrefactorRow,
+    fr_cg,
+    gd,
+    heavy_ball,
+    nesterov,
+    with_sphere_projection,
+)
+from grfspan.assembly import flatten_history, joint_blocks, k3_matrix
+from grfspan.errors import CoincidentPointsError, DegenerateKernelError, NotPsdError, RankStallError
+from grfspan.gaussianops import DEFAULT_POLICY, ConditionPolicy, condition
 from grfspan.kernels import (
     SchoenbergMixture,
     SpinGlassMixture,
@@ -15,7 +26,14 @@ from grfspan.kernels import (
     spin_glass_kernel,
     stationary_direct,
 )
-from grfspan.limits import halting_times, limit_init, limiting_info, predict
+from grfspan.limits import (
+    halting_times,
+    limit_init,
+    limit_state,
+    limit_step,
+    limiting_info,
+    predict,
+)
 
 SE_MIX = SchoenbergMixture(atoms=((1.0, 1.0),))
 
@@ -235,3 +253,140 @@ def test_halting_on_synthetic_diagonal():
                        rho=np.zeros((3, 3)), lam=1.0)
     tau, tau_plus = halting_times(curve, 0.6)
     assert tau == 1 and tau_plus == 1
+
+
+# ---------------------------------------------------------------------------
+# the incremental conditioning state against from-scratch conditioning
+# ---------------------------------------------------------------------------
+
+def scratch_predict(kernel, gsa, lam, steps, policy=DEFAULT_POLICY):
+    """The recursion with the whole history re-assembled and re-conditioned
+    at every step; returns (f_limit, gamma, sigma_w)."""
+    start = limit_init(kernel, lam)
+    d = start.gamma.shape[1]
+    width = d + steps
+    f = np.zeros(steps + 1)
+    G = np.zeros((steps + 1, width))
+    Y = np.zeros((steps + 1, width))
+    sigma = np.zeros(steps + 1)
+    f[0], sigma[0] = start.f_limit[0], start.sigma_w[0]
+    G[0, :d] = start.gamma[0]
+    Y[0, :start.y_reps.shape[1]] = start.y_reps[0]
+    for n in range(1, steps + 1):
+        info = InfoView(f_values=f[:n], grad_gram=G[:n] @ G[:n].T,
+                        x0_grad=lam * G[:n, 0], x0_norm_sq=lam * lam)
+        row = gsa.row(n, info)
+        Y[n, :d] = G[:n, :d].T @ row.h_g
+        Y[n, 0] += row.h_x * lam
+        blocks = joint_blocks(kernel, Y[:n, :d], Y[n, :d])
+        res = condition(blocks.mean_hist, blocks.mean_new, blocks.S_hh, blocks.S_hn,
+                        blocks.S_nn, flatten_history(f[:n], G[:n, :d]), policy=policy)
+        f[n], G[n, :d] = res.cond_mean[0], res.cond_mean[1:]
+        K = k3_matrix(kernel, Y[:n + 1, :d])
+        sigma[n] = math.sqrt(K[n, n] - K[n, :n] @ np.linalg.solve(K[:n, :n], K[:n, n]))
+        G[n, d] = sigma[n]
+        d += 1
+    return f, G, sigma
+
+
+def drive(kernel, gsa, lam, steps, policy=DEFAULT_POLICY, **kw):
+    """Yield (curve, state) after limit_init and after every limit_step."""
+    curve = limit_init(kernel, lam)
+    state = limit_state(curve, kernel, policy)
+    yield curve, state
+    for _ in range(steps):
+        curve = limit_step(curve, state, gsa, **kw)
+        yield curve, state
+
+
+@pytest.mark.parametrize("gsa", [gd(0.4), heavy_ball(0.4, 0.5), fr_cg(0.3)],
+                         ids=lambda g: g.name)
+@pytest.mark.parametrize("atoms", [((1.0, 1.0),), ((0.7, 0.5), (0.3, 2.0))])
+def test_predict_matches_from_scratch_conditioning(gsa, atoms):
+    kernel = lift_stationary(SchoenbergMixture(atoms=atoms))
+    curve = predict(kernel, gsa, 1.0, 10)
+    f, G, sigma = scratch_predict(kernel, gsa, 1.0, 10)
+    np.testing.assert_allclose(curve.f_limit, f, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(curve.gamma, G, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(curve.sigma_w, sigma, rtol=0, atol=1e-9)
+
+
+STATE_CASES = {
+    "se-gd": (lift_stationary(SE_MIX), gd(0.4), {}),
+    "se-heavy-ball": (lift_stationary(SE_MIX), heavy_ball(0.4, 0.5), {}),
+    "spin-glass-sphere": (spin_glass_kernel(SpinGlassMixture(coeffs=(0.0, 0.3, 0.7))),
+                          with_sphere_projection(gd(0.4), 1.0), {}),
+    "quadratic": (quadratic_kernel(1.0, 0.5, 1.0), gd(0.3), {"on_rank_stall": "freeze"}),
+}
+
+
+@pytest.mark.parametrize("lam", [1.0, 0.0])
+@pytest.mark.parametrize("case", STATE_CASES)
+def test_state_is_permuted_history_block(case, lam):
+    # the stored arrival-order S is the row-major history block of the next
+    # step, rows and columns permuted: old entries never change
+    kernel, gsa, kw = STATE_CASES[case]
+    for curve, state in drive(kernel, gsa, lam, 6, **kw):
+        n = curve.steps + 1
+        d = curve.gamma_width(n - 1)
+        S_hh = joint_blocks(kernel, curve.y_reps[:n, :d], np.zeros(d)).S_hh
+        types, at = state.labels
+        order = types * n + at
+        np.testing.assert_array_equal(np.sort(order), np.arange(len(S_hh)))
+        np.testing.assert_allclose(state.covariance(), S_hh[np.ix_(order, order)],
+                                   rtol=0, atol=1e-13)
+
+
+def test_state_escalates_once_and_matches_refactored_conditioning():
+    kernel, gsa = lift_stationary(SE_MIX), heavy_ball(0.4, 0.5)
+    jitters = []
+    for curve, state in drive(kernel, gsa, 1.0, 20):
+        jitters.append(state.jitter)
+    assert jitters[0] == 0.0 and jitters[-1] == 1e-12
+    assert sum(a != b for a, b in zip(jitters, jitters[1:])) == 1
+    S = state.covariance()
+    L = state.factor()
+    assert np.all(L == np.tril(L))
+    np.testing.assert_allclose(L @ L.T, S + 1e-12 * np.eye(len(S)), rtol=0, atol=1e-13)
+    # the same regularised matrices, solved from scratch each step; at T = 20
+    # that route's lifted and direct kernels already disagree by about 1e-7
+    f, G, sigma = scratch_predict(kernel, gsa, 1.0, 20,
+                                  ConditionPolicy(jitter_start=1e-12, jitter_max=1e-12))
+    np.testing.assert_allclose(curve.f_limit, f, rtol=0, atol=1e-6)
+    np.testing.assert_allclose(curve.gamma, G, rtol=0, atol=1e-6)
+
+
+def test_frozen_steps_append_no_direction():
+    kernel = quadratic_kernel(1.0, 0.0, 1.0)
+    for curve, state in drive(kernel, gd(0.3), 1.0, 5, on_rank_stall="freeze"):
+        pass
+    assert curve.frozen_steps == (1, 2, 3, 4, 5)
+    types, at = state.labels
+    # step 0: (f, D_{v_0}) then D_{v_1}; every later step only (f, D_{v_0}, D_{v_1})
+    np.testing.assert_array_equal(types, [0, 1, 2] + [0, 1, 2] * 5)
+    np.testing.assert_array_equal(at, [0, 0, 0] + [k for k in range(1, 6) for _ in range(3)])
+    np.testing.assert_allclose(curve.f_limit, quadratic_gd_oracle(0.3, 5), atol=1e-8)
+
+
+def test_exhausted_ladder_switches_to_pseudo_inverse():
+    kernel = quadratic_kernel(1.0, 0.0, 1.0)
+    policy = ConditionPolicy(jitter_start=None, pseudo_fallback=True)
+    for curve, state in drive(kernel, gd(0.3), 1.0, 20, policy=policy,
+                              on_rank_stall="freeze"):
+        pass
+    assert state.pseudo and state.jitter == math.inf
+    with pytest.raises(ValueError):
+        state.factor()
+    np.testing.assert_allclose(curve.f_limit, quadratic_gd_oracle(0.3, 20), atol=1e-8)
+    with pytest.raises(NotPsdError):
+        predict(kernel, gd(0.3), 1.0, 2, on_rank_stall="freeze",
+                policy=ConditionPolicy(jitter_start=None))
+
+
+def test_limit_step_rejects_state_of_another_curve():
+    kernel = lift_stationary(SE_MIX)
+    curve = limit_init(kernel, 1.0)
+    state = limit_state(curve, kernel)
+    limit_step(curve, state, gd(0.4))
+    with pytest.raises(ValueError):
+        limit_step(curve, state, gd(0.4))
