@@ -81,20 +81,15 @@ class PrefactorRow:
 
 @dataclass(frozen=True)
 class GsaSpec:
-    """An optimizer: a pure prefactor function plus structural flags.
+    """An optimizer: a name, its parameters and a pure prefactor function.
 
     ``prefactors(n, info)`` must return the PrefactorRow for iterate n ≥ 1
-    given the information through step n−1.  ``x0_agnostic`` promises that
-    h_x ≡ 1 and that the function reads only f_values / grad_gram — the
-    property that makes limit curves independent of the starting norm for
-    stationary fields.
+    given the information through step n−1.
     """
 
     name: str
     parameters: dict = field(default_factory=dict)
     prefactors: object = None
-    x0_agnostic: bool = True
-    uses_latest_gradient: bool = True
 
     def row(self, n: int, info: InfoView) -> PrefactorRow:
         if n < 1:
@@ -243,9 +238,7 @@ def _projected(inner: GsaSpec, radius: float, mode: str) -> GsaSpec:
 
     return GsaSpec(name=f"{inner.name}+{mode}",
                    parameters={**inner.parameters, "radius": r},
-                   prefactors=prefactors,
-                   x0_agnostic=False,
-                   uses_latest_gradient=inner.uses_latest_gradient)
+                   prefactors=prefactors)
 
 
 def with_sphere_projection(inner: GsaSpec, radius: float) -> GsaSpec:

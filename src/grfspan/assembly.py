@@ -137,12 +137,6 @@ def flatten_history(values, coord_rows):
     return np.concatenate([np.asarray(values, dtype=float), coord_rows.T.ravel()])
 
 
-def split_new_block(vec, D):
-    """Inverse layout for a single point: (f, derivative coordinates)."""
-    vec = np.asarray(vec, dtype=float)
-    return float(vec[0]), vec[1:1 + D]
-
-
 def k3_matrix(kernel, reps):
     """Matrix of κ₃(s_k, s_l, ⟨y_k, y_l⟩) over all point pairs."""
     reps = np.atleast_2d(np.asarray(reps, dtype=float))

@@ -44,13 +44,11 @@ from .kernels import (
     quadratic_kernel,
     spin_glass_kernel,
 )
-from .limits import LimitCurve, halting_times, predict
+from .limits import LimitCurve, first_halting_step, predict
 from .trajectories import simulate_info_path
 
 WORKERS_ENV = "GRFSPAN_WORKERS"
 FLOAT_FMT = "%.17g"
-
-MODES = ("predict", "simulate", "verify", "two_init", "halting", "barrier")
 
 _KERNEL_TYPES = ("stationary_schoenberg", "spin_glass", "quadratic")
 _KERNEL_KEYS = {
@@ -66,7 +64,7 @@ _KERNEL_REQUIRED = {
 _ALG_TYPES = ("gd", "heavy_ball", "nesterov", "fr_cg")
 _ALG_MOMENTUM = ("heavy_ball", "nesterov")
 _RUN_KEYS = {"lambda", "N_list", "steps", "replications", "epsilons",
-             "master_seed", "out", "mode", "rank_stall", "pseudo_inverse"}
+             "master_seed", "out", "rank_stall", "pseudo_inverse"}
 
 #: epsilon thresholds are moved at least this relative distance away from
 #: every limiting gradient-diagonal value before halting times are compared
@@ -94,7 +92,6 @@ class ExperimentConfig:
     epsilons: tuple = ()
     master_seed: int = 0
     out: str | None = None
-    mode: str | None = None
     rank_stall: str = "error"
     pseudo_inverse: bool = False
 
@@ -271,10 +268,6 @@ def load_config(path) -> ExperimentConfig:
             fields["master_seed"] = _as_int("run", "master_seed", items["master_seed"])
         if "out" in items:
             fields["out"] = items["out"]
-        if "mode" in items:
-            if items["mode"] not in MODES:
-                raise ConfigError(f"[run] mode must be one of {MODES}, got {items['mode']!r}")
-            fields["mode"] = items["mode"]
         if "rank_stall" in items:
             if items["rank_stall"] not in ("error", "freeze"):
                 raise ConfigError("[run] rank_stall must be 'error' or 'freeze'")
@@ -348,30 +341,21 @@ def worker_count() -> int:
 
 
 def _trajectory_task(task):
-    (kernel_spec, algorithm_spec, lam, N, steps, stream, seed, pseudo) = task
-    kernel = build_kernel(kernel_spec)
-    gsa = build_gsa(algorithm_spec)
-    policy = ConditionPolicy(pseudo_fallback=True) if pseudo else DEFAULT_POLICY
-    record = simulate_info_path(kernel, gsa, lam, N, steps, stream, seed,
-                                policy=policy)
+    config, N, stream = task
+    record = simulate_info_path(build_kernel(config.kernel), build_gsa(config.algorithm),
+                                config.lam, N, config.steps, stream, config.master_seed,
+                                policy=config.policy())
     return record.f_values, np.diagonal(record.grad_gram).copy()
 
 
-def _collect_trajectories(config: ExperimentConfig, reps_per_n: int,
-                          stream_of) -> tuple[np.ndarray, np.ndarray]:
-    """Run reps_per_n trajectories for every N; returns value and gradient
-    arrays of shape (len(N_list), reps_per_n, steps+1).
-
-    stream_of(n_index, replication) must be injective — it is the only
-    source of randomness variation between trajectories.
-    """
+def _collect_trajectories(config: ExperimentConfig,
+                          reps_per_n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Run reps_per_n trajectories for every N, the rep-th at N_list[i] on
+    stream i·reps_per_n + rep; returns value and gradient arrays of shape
+    (len(N_list), reps_per_n, steps+1)."""
     steps = config.steps
-    tasks = [
-        (config.kernel, config.algorithm, config.lam, N, steps,
-         stream_of(i, rep), config.master_seed, config.pseudo_inverse)
-        for i, N in enumerate(config.N_list)
-        for rep in range(reps_per_n)
-    ]
+    tasks = [(config, N, i * reps_per_n + rep)
+             for i, N in enumerate(config.N_list) for rep in range(reps_per_n)]
     workers = min(worker_count(), len(tasks))
     if workers > 1 and len(tasks) >= 16:
         chunk = max(1, len(tasks) // (workers * 8))
@@ -417,41 +401,75 @@ def _limit_curve(config: ExperimentConfig) -> LimitCurve:
 
 
 # ---------------------------------------------------------------------------
-# CSV plumbing
+# CSV tables
 # ---------------------------------------------------------------------------
 
-def _fmt(x) -> str:
-    return FLOAT_FMT % float(x)
+def _write_table(handle, comment, columns):
+    """An optional ``# comment`` line, the column names, then one row per
+    cell of the index grid, the last axis fastest.
+
+    ``columns`` is a list of (name, array) pairs whose arrays broadcast to
+    the grid.  Every cell prints with FLOAT_FMT, which writes the integer
+    columns (N, step, dim, pair, counts, 0/1 flags) exactly as str(int).
+    """
+    if comment:
+        handle.write(f"# {comment}\n")
+    handle.write(",".join(name for name, _ in columns) + "\n")
+    cells = np.broadcast_arrays(*(np.asarray(a, dtype=float) for _, a in columns))
+    for row in np.stack([c.ravel() for c in cells], axis=1):
+        handle.write(",".join(FLOAT_FMT % x for x in row) + "\n")
 
 
-def _write_rows(handle, header_comment, columns, rows):
-    if header_comment:
-        handle.write(f"# {header_comment}\n")
-    handle.write(",".join(columns) + "\n")
-    for row in rows:
-        handle.write(",".join(row) + "\n")
+def _read_table(path, header_for, index) -> dict:
+    """Every column of a ``_write_table`` file, reshaped to its index grid.
 
-
-def _read_rows(path):
-    """CSV rows as string lists, comment lines skipped."""
+    ``header_for(width)`` is the report's own header for a file of that many
+    columns.  ``index`` names the grid axes, outermost first; the outermost
+    carries values (N), each inner one counts 0, 1, ….  A foreign header or
+    rows that do not cover the grid exactly once, in write order, raise
+    ConfigError.
+    """
     with open(path, "r", encoding="utf-8", newline="") as handle:
         lines = [line.rstrip("\n") for line in handle if not line.startswith("#")]
-    if not lines:
-        raise ConfigError(f"{path}: empty report file")
-    header = lines[0].split(",")
-    return header, [line.split(",") for line in lines[1:] if line]
+    header = lines[0].split(",") if lines else []
+    if header != header_for(len(header)):
+        raise ConfigError(f"{path}: columns {header}, expected {header_for(len(header))}")
+    cells = [line.split(",") for line in lines[1:] if line]
+    if any(len(row) != len(header) for row in cells):
+        raise ConfigError(f"{path}: a row does not have {len(header)} cells")
+    try:
+        rows = np.array(cells, dtype=float).reshape(-1, len(header))
+    except ValueError:
+        raise ConfigError(f"{path}: a cell is not a number") from None
+    keys = [rows[:, header.index(name)] for name in index]
+    axes = [np.array(list(dict.fromkeys(key))) for key in keys]
+    grid = np.meshgrid(*axes, indexing="ij")
+    if (not len(rows) or len(rows) != grid[0].size
+            or any(not np.array_equal(a, np.arange(len(a))) for a in axes[1:])
+            or any(not np.array_equal(g.ravel(), key) for g, key in zip(grid, keys))):
+        raise ConfigError(f"{path}: rows do not cover the {' x '.join(index)} grid "
+                          "exactly once, in order")
+    return {name: rows[:, k].reshape(grid[0].shape) for k, name in enumerate(header)}
+
+
+class _Report:
+    """A report written as one CSV table; subclasses give ``_table()``,
+    the comment line and the (name, array) columns."""
+
+    def to_csv(self, path):
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            self.write(handle)
+
+    def write(self, handle):
+        _write_table(handle, *self._table())
 
 
 def write_limit_curve(curve: LimitCurve, handle):
     """CSV with columns step,f_limit,grad_norm_sq_limit,sigma_w,dim."""
-    diag = np.diagonal(curve.grad_gram_limit)
-    rows = [
-        [str(n), _fmt(curve.f_limit[n]), _fmt(diag[n]),
-         _fmt(curve.sigma_w[n]), str(int(curve.dims[n]))]
-        for n in range(curve.steps + 1)
-    ]
-    _write_rows(handle, "", ["step", "f_limit", "grad_norm_sq_limit", "sigma_w", "dim"],
-                rows)
+    _write_table(handle, "", [
+        ("step", np.arange(curve.steps + 1)), ("f_limit", curve.f_limit),
+        ("grad_norm_sq_limit", np.diagonal(curve.grad_gram_limit)),
+        ("sigma_w", curve.sigma_w), ("dim", curve.dims)])
 
 
 # ---------------------------------------------------------------------------
@@ -461,13 +479,18 @@ def write_limit_curve(curve: LimitCurve, handle):
 VERIFY_THRESHOLDS = ("gap pass: |mean - limit| <= 3*se + 2/sqrt(N); "
                      "sd log-log slope target -0.5; ks significance 1e-3")
 
-_VERIFY_COLUMNS = ["N", "step", "mean_f", "sd_f", "se_f",
-                   "mean_grad_norm_sq", "sd_grad_norm_sq", "se_grad_norm_sq",
-                   "f_limit", "grad_norm_sq_limit", "gap_f", "gap_grad_norm_sq"]
+#: verify CSV columns after N and step, with the report field each holds;
+#: all but the two gaps are raw statistics
+_VERIFY_FIELDS = (("mean_f", "mean_f"), ("sd_f", "sd_f"), ("se_f", "se_f"),
+                  ("mean_grad_norm_sq", "mean_grad"), ("sd_grad_norm_sq", "sd_grad"),
+                  ("se_grad_norm_sq", "se_grad"), ("f_limit", "f_limit"),
+                  ("grad_norm_sq_limit", "grad_limit"), ("gap_f", "gap_f"),
+                  ("gap_grad_norm_sq", "gap_grad"))
+_VERIFY_COLUMNS = ["N", "step"] + [name for name, _ in _VERIFY_FIELDS]
 
 
 @dataclass
-class ConvergenceReport:
+class ConvergenceReport(_Report):
     """Per-(N, step) statistics of simulated runs against the limit curve.
 
     Arrays are shaped (len(N_list), steps+1) except the limits (steps+1,)
@@ -501,51 +524,25 @@ class ConvergenceReport:
         root = np.sqrt(np.asarray(self.N_list, dtype=float))[:, None]
         return 3.0 * self.se_f + 2.0 / root
 
-    def to_csv(self, path):
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            self.write(handle)
+    #: an own class attribute, not only inherited: bench/layers.py wraps it
+    #: here, and bench/test_tracer.py looks it up in this class's __dict__
+    to_csv = _Report.to_csv
 
-    def write(self, handle):
-        rows = []
-        for i, N in enumerate(self.N_list):
-            for n in range(self.steps + 1):
-                rows.append([
-                    str(N), str(n),
-                    _fmt(self.mean_f[i, n]), _fmt(self.sd_f[i, n]), _fmt(self.se_f[i, n]),
-                    _fmt(self.mean_grad[i, n]), _fmt(self.sd_grad[i, n]),
-                    _fmt(self.se_grad[i, n]),
-                    _fmt(self.f_limit[n]), _fmt(self.grad_limit[n]),
-                    _fmt(self.gap_f[i, n]), _fmt(self.gap_grad[i, n]),
-                ])
-        _write_rows(handle, f"thresholds: {VERIFY_THRESHOLDS}", _VERIFY_COLUMNS, rows)
+    def _table(self):
+        index = [("N", np.asarray(self.N_list)[:, None]),
+                 ("step", np.arange(self.steps + 1))]
+        return (f"thresholds: {VERIFY_THRESHOLDS}",
+                index + [(name, getattr(self, attr)) for name, attr in _VERIFY_FIELDS])
 
     @classmethod
     def from_csv(cls, path) -> "ConvergenceReport":
         """Rebuild a report from its own CSV; gaps and slopes are recomputed
         from the stored raw statistics, not read back."""
-        header, rows = _read_rows(path)
-        if header != _VERIFY_COLUMNS:
-            raise ConfigError(f"{path}: unexpected columns {header}")
-        by_n = {}
-        for row in rows:
-            by_n.setdefault(int(row[0]), []).append(row)
-        N_list = tuple(sorted(by_n))
-        steps = len(by_n[N_list[0]]) - 1
-        shape = (len(N_list), steps + 1)
-        data = {name: np.empty(shape) for name in
-                ("mean_f", "sd_f", "se_f", "mean_grad", "sd_grad", "se_grad")}
-        f_limit = np.empty(steps + 1)
-        grad_limit = np.empty(steps + 1)
-        for i, N in enumerate(N_list):
-            for row in by_n[N]:
-                n = int(row[1])
-                (data["mean_f"][i, n], data["sd_f"][i, n], data["se_f"][i, n],
-                 data["mean_grad"][i, n], data["sd_grad"][i, n],
-                 data["se_grad"][i, n]) = map(float, row[2:8])
-                f_limit[n] = float(row[8])
-                grad_limit[n] = float(row[9])
-        return cls(N_list=N_list, steps=steps, f_limit=f_limit,
-                   grad_limit=grad_limit, **data)
+        cells = _read_table(path, lambda width: _VERIFY_COLUMNS, ("N", "step"))
+        raw = {attr: cells[name] for name, attr in _VERIFY_FIELDS[:-2]}
+        raw["f_limit"], raw["grad_limit"] = raw["f_limit"][0], raw["grad_limit"][0]
+        return cls(N_list=tuple(int(N) for N in cells["N"][:, 0]),
+                   steps=cells["step"].shape[1] - 1, **raw)
 
 
 def _loglog_slopes(N_list, sd) -> np.ndarray:
@@ -578,8 +575,7 @@ def run_verify(config: ExperimentConfig) -> ConvergenceReport:
     _require(config, "algorithm", "N_list", "steps", "replications")
     curve = _limit_curve(config)
     M = config.replications
-    f_vals, grad_diag = _collect_trajectories(
-        config, M, lambda i, rep: i * M + rep)
+    f_vals, grad_diag = _collect_trajectories(config, M)
     root_m = math.sqrt(M)
     report = ConvergenceReport(
         N_list=config.N_list, steps=config.steps,
@@ -605,7 +601,7 @@ TWO_INIT_THRESHOLDS = "median max-gap must not increase with N"
 
 
 @dataclass
-class TwoInitReport:
+class TwoInitReport(_Report):
     """Gaps between paired trajectories started from independent streams.
 
     step_gaps: (len(N_list), pairs, steps+1) absolute value differences;
@@ -622,35 +618,24 @@ class TwoInitReport:
         self.max_gaps = self.step_gaps.max(axis=2)
         self.medians = np.median(self.max_gaps, axis=1)
 
-    def to_csv(self, path):
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            self.write(handle)
+    @staticmethod
+    def _columns(steps):
+        return ["N", "pair"] + [f"gap_step_{n}" for n in range(steps + 1)] + ["max_gap"]
 
-    def write(self, handle):
-        columns = (["N", "pair"]
-                   + [f"gap_step_{n}" for n in range(self.steps + 1)]
-                   + ["max_gap"])
-        rows = []
-        for i, N in enumerate(self.N_list):
-            for pair in range(self.step_gaps.shape[1]):
-                rows.append([str(N), str(pair)]
-                            + [_fmt(g) for g in self.step_gaps[i, pair]]
-                            + [_fmt(self.max_gaps[i, pair])])
-        _write_rows(handle, f"thresholds: {TWO_INIT_THRESHOLDS}", columns, rows)
+    def _table(self):
+        arrays = [np.asarray(self.N_list)[:, None], np.arange(self.step_gaps.shape[1]),
+                  *np.moveaxis(self.step_gaps, -1, 0), self.max_gaps]
+        return (f"thresholds: {TWO_INIT_THRESHOLDS}",
+                list(zip(self._columns(self.steps), arrays)))
 
     @classmethod
     def from_csv(cls, path) -> "TwoInitReport":
-        header, rows = _read_rows(path)
-        by_n = {}
-        for row in rows:
-            by_n.setdefault(int(row[0]), []).append(row)
-        N_list = tuple(sorted(by_n))
-        steps = len(header) - 4       # N, pair, gap_step_0..T, max_gap
-        gaps = np.empty((len(N_list), len(by_n[N_list[0]]), steps + 1))
-        for i, N in enumerate(N_list):
-            for row in by_n[N]:
-                gaps[i, int(row[1])] = [float(v) for v in row[2:-1]]
-        return cls(N_list=N_list, steps=steps, step_gaps=gaps)
+        cells = _read_table(path, lambda width: cls._columns(max(width - 4, 0)),
+                           ("N", "pair"))
+        steps = len(cells) - 4
+        gaps = np.stack([cells[f"gap_step_{n}"] for n in range(steps + 1)], axis=-1)
+        return cls(N_list=tuple(int(N) for N in cells["N"][:, 0]), steps=steps,
+                   step_gaps=gaps)
 
 
 def run_two_init(config: ExperimentConfig) -> TwoInitReport:
@@ -658,8 +643,7 @@ def run_two_init(config: ExperimentConfig) -> TwoInitReport:
     N grows (replications counts pairs)."""
     _require(config, "algorithm", "N_list", "steps", "replications")
     M = config.replications
-    f_vals, _ = _collect_trajectories(
-        config, 2 * M, lambda i, rep: i * 2 * M + rep)
+    f_vals, _ = _collect_trajectories(config, 2 * M)
     gaps = np.abs(f_vals[:, 0::2, :] - f_vals[:, 1::2, :])
     report = TwoInitReport(N_list=config.N_list, steps=config.steps,
                            step_gaps=gaps)
@@ -698,7 +682,7 @@ def adjust_epsilons(epsilons, diag) -> tuple:
 
 
 @dataclass
-class HaltingReport:
+class HaltingReport(_Report):
     """Empirical halting-time agreement with the predicted halting step.
 
     tau_limit[j] is the predicted halting step for epsilons[j] (inf when the
@@ -713,23 +697,17 @@ class HaltingReport:
     frequencies: np.ndarray
     replications: int
 
-    def to_csv(self, path):
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            self.write(handle)
-
-    def write(self, handle):
-        columns = ["N", "epsilon", "tau_limit", "frequency", "replications"]
-        rows = []
-        for i, N in enumerate(self.N_list):
-            for j, eps in enumerate(self.epsilons):
-                rows.append([str(N), _fmt(eps), _fmt(self.tau_limit[j]),
-                             _fmt(self.frequencies[i, j]), str(self.replications)])
-        _write_rows(handle, f"thresholds: {HALTING_THRESHOLDS}", columns, rows)
+    def _table(self):
+        return (f"thresholds: {HALTING_THRESHOLDS}",
+                [("N", np.asarray(self.N_list)[:, None]), ("epsilon", self.epsilons),
+                 ("tau_limit", self.tau_limit), ("frequency", self.frequencies),
+                 ("replications", self.replications)])
 
 
-def _first_step_at_or_below(diag_row, eps) -> float:
-    hits = np.nonzero(diag_row[1:] <= eps)[0]
-    return float(hits[0] + 1) if len(hits) else math.inf
+def _halting_steps(grad_diag, eps) -> np.ndarray:
+    """first_halting_step of every (len(N_list), M, steps+1) trajectory."""
+    return np.array([[first_halting_step(row, eps) for row in rows]
+                     for rows in grad_diag], dtype=float)
 
 
 def run_halting(config: ExperimentConfig) -> HaltingReport:
@@ -738,18 +716,12 @@ def run_halting(config: ExperimentConfig) -> HaltingReport:
     curve = _limit_curve(config)
     diag = np.diagonal(curve.grad_gram_limit)
     epsilons = adjust_epsilons(config.epsilons, diag)
-    tau_limit = tuple(float(halting_times(curve, eps)[0]) for eps in epsilons)
+    tau_limit = tuple(float(first_halting_step(diag, eps)) for eps in epsilons)
 
     M = config.replications
-    _, grad_diag = _collect_trajectories(config, M, lambda i, rep: i * M + rep)
-    freq = np.empty((len(config.N_list), len(epsilons)))
-    for i in range(len(config.N_list)):
-        for j, eps in enumerate(epsilons):
-            empirical = np.array([
-                _first_step_at_or_below(grad_diag[i, rep], eps)
-                for rep in range(M)
-            ])
-            freq[i, j] = np.mean(empirical == tau_limit[j])
+    _, grad_diag = _collect_trajectories(config, M)
+    freq = np.stack([np.mean(_halting_steps(grad_diag, eps) == tau, axis=1)
+                     for eps, tau in zip(epsilons, tau_limit)], axis=1)
     report = HaltingReport(
         N_list=config.N_list, epsilons=epsilons,
         requested_epsilons=config.epsilons, tau_limit=tau_limit,
@@ -764,7 +736,7 @@ def run_halting(config: ExperimentConfig) -> HaltingReport:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class SimulationTable:
+class SimulationTable(_Report):
     """Raw per-step trajectory dump with halting flags per threshold."""
 
     N_list: tuple
@@ -773,38 +745,24 @@ class SimulationTable:
     f_values: np.ndarray          # (len(N_list), M, steps+1)
     grad_diag: np.ndarray
 
-    def to_csv(self, path):
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            self.write(handle)
-
-    def write(self, handle):
-        columns = ["replication", "N", "step", "f_value", "grad_norm_sq"]
-        columns += [f"halted_eps_{j}" for j in range(len(self.epsilons))]
+    def _table(self):
+        step = np.arange(self.steps + 1)
+        columns = [("replication", np.arange(self.f_values.shape[1])[:, None]),
+                   ("N", np.asarray(self.N_list)[:, None, None]), ("step", step),
+                   ("f_value", self.f_values), ("grad_norm_sq", self.grad_diag)]
+        columns += [(f"halted_eps_{j}", step >= _halting_steps(self.grad_diag, eps)[..., None])
+                    for j, eps in enumerate(self.epsilons)]
         comment = ("halted_eps_j: 1 once grad_norm_sq first dipped to eps_j; "
-                   + "; ".join(f"eps_{j} = {_fmt(e)}"
+                   + "; ".join(f"eps_{j} = {FLOAT_FMT % e}"
                                for j, e in enumerate(self.epsilons)))
-        rows = []
-        for i, N in enumerate(self.N_list):
-            for rep in range(self.f_values.shape[1]):
-                halt_steps = [
-                    _first_step_at_or_below(self.grad_diag[i, rep], eps)
-                    for eps in self.epsilons
-                ]
-                for n in range(self.steps + 1):
-                    row = [str(rep), str(N), str(n),
-                           _fmt(self.f_values[i, rep, n]),
-                           _fmt(self.grad_diag[i, rep, n])]
-                    row += ["1" if n >= h else "0" for h in halt_steps]
-                    rows.append(row)
-        _write_rows(handle, comment, columns, rows)
+        return comment, columns
 
 
 def run_simulate(config: ExperimentConfig) -> SimulationTable:
     """Dump M trajectories per N as flat per-step rows."""
     _require(config, "algorithm", "N_list", "steps", "replications")
     M = config.replications
-    f_vals, grad_diag = _collect_trajectories(
-        config, M, lambda i, rep: i * M + rep)
+    f_vals, grad_diag = _collect_trajectories(config, M)
     table = SimulationTable(N_list=config.N_list, steps=config.steps,
                             epsilons=config.epsilons, f_values=f_vals,
                             grad_diag=grad_diag)

@@ -8,7 +8,7 @@ with λ₁ = ‖x‖²/2, λ₂ = ‖y‖²/2, λ₃ = ⟨x, y⟩.  The kernel d
 
 Derivative covariances reduce to bilinear forms in inner products:
 
-    N·E[D_v f(x)]              = μ′(λ₁)⟨x,v⟩ · N        (mean_df, without N)
+    N·E[D_v f(x)]              = μ′(λ₁)⟨x,v⟩ · N        (mean_prime, without N)
     N·Cov(D_v f(x), f(y))      = κ₁⟨x,v⟩ + κ₃⟨y,v⟩
     N·Cov(D_v f(x), D_w f(y))  = κ₁₂⟨x,v⟩⟨y,w⟩ + κ₁₃⟨x,v⟩⟨x,w⟩
                                + κ₂₃⟨y,v⟩⟨y,w⟩ + κ₃₃⟨y,v⟩⟨x,w⟩ + κ₃⟨v,w⟩
@@ -137,8 +137,7 @@ class KernelModel:
     convention and safe to share across threads/trajectories.
     """
 
-    def __init__(self, mean, mean_prime, kappa, partials, *,
-                 stationary=False, spin_glass=False, label=""):
+    def __init__(self, mean, mean_prime, kappa, partials, *, label=""):
         if set(partials) != set(PARTIAL_NAMES):
             missing = set(PARTIAL_NAMES) - set(partials)
             raise ValueError(f"partials must supply exactly {PARTIAL_NAMES}, missing {sorted(missing)}")
@@ -152,8 +151,6 @@ class KernelModel:
         self.k13 = partials["k13"]
         self.k23 = partials["k23"]
         self.k33 = partials["k33"]
-        self.stationary = bool(stationary)
-        self.spin_glass = bool(spin_glass)
         self.label = label
 
     def __repr__(self):
@@ -195,7 +192,7 @@ class _DirectStationaryModel(KernelModel):
         model = lift_stationary(mixture, mean_level)
         super().__init__(model.mean, model.mean_prime, model.kappa,
                          {name: getattr(model, name) for name in PARTIAL_NAMES},
-                         stationary=True, label="stationary-direct")
+                         label="stationary-direct")
 
     def cov_ff(self, s_x, s_y, ip_xy):
         return self._mixture.value(s_x + s_y - ip_xy)
@@ -237,7 +234,6 @@ def lift_stationary(mixture: SchoenbergMixture, mean_level: float = 0.0) -> Kern
             "k23": lambda l1, l2, l3: -Cpp(l1 + l2 - l3),
             "k33": lambda l1, l2, l3: Cpp(l1 + l2 - l3),
         },
-        stationary=True,
         label="stationary-lift",
     )
 
@@ -263,7 +259,6 @@ def spin_glass_kernel(mix: SpinGlassMixture) -> KernelModel:
             "k23": zero3,
             "k33": lambda l1, l2, l3: mix.xi_double_prime(l3),
         },
-        spin_glass=True,
         label="spin-glass",
     )
 
@@ -301,7 +296,7 @@ def quadratic_kernel(sigma_A: float, sigma_eta: float, R: float) -> KernelModel:
 
 
 # ---------------------------------------------------------------------------
-# covariance operations (domain-checked public surface)
+# kernel domain
 # ---------------------------------------------------------------------------
 
 def check_domain(s_x, s_y, ip_xy):
@@ -320,34 +315,6 @@ def check_domain(s_x, s_y, ip_xy):
         raise KernelDomainError(
             f"inner product outside kernel domain by {worst:.3e} "
             "(|λ₃| ≤ 2√(λ₁λ₂) violated)")
-
-
-def cov_f_f(kernel: KernelModel, s_x, s_y, ip_xy):
-    """N·Cov(f(x), f(y)) = κ(s_x, s_y, ⟨x,y⟩)."""
-    check_domain(s_x, s_y, ip_xy)
-    return kernel.cov_ff(s_x, s_y, ip_xy)
-
-
-def cov_df_f(kernel: KernelModel, s_x, s_y, ip_xy, ip_xv, ip_yv):
-    """N·Cov(D_v f(x), f(y)) where v is the direction of differentiation at x."""
-    check_domain(s_x, s_y, ip_xy)
-    return kernel.cov_df_f(s_x, s_y, ip_xy, ip_xv, ip_yv)
-
-
-def cov_df_df(kernel: KernelModel, s_x, s_y, ip_xy, ip_xv, ip_yv, ip_xw, ip_yw, ip_vw):
-    """N·Cov(D_v f(x), D_w f(y)); v differentiates at x, w at y."""
-    check_domain(s_x, s_y, ip_xy)
-    return kernel.cov_df_df(s_x, s_y, ip_xy, ip_xv, ip_yv, ip_xw, ip_yw, ip_vw)
-
-
-def mean_f(kernel: KernelModel, s_x):
-    """E[f(x)] = μ(‖x‖²/2)."""
-    return kernel.mean(s_x)
-
-
-def mean_df(kernel: KernelModel, s_x, ip_xv):
-    """E[D_v f(x)] = μ′(‖x‖²/2)·⟨x,v⟩."""
-    return kernel.mean_prime(s_x) * ip_xv
 
 
 # ---------------------------------------------------------------------------

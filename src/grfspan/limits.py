@@ -218,6 +218,13 @@ def predict(kernel: KernelModel, gsa: GsaSpec, lam: float, steps: int, *,
     return curve
 
 
+def first_halting_step(diag, epsilon):
+    """The halting rule: the first n ≥ 1 with diag[n] ≤ epsilon, where diag
+    holds squared gradient norms of steps 0..T; math.inf if there is none."""
+    hits = np.flatnonzero(np.asarray(diag)[1:] <= epsilon)
+    return int(hits[0]) + 1 if hits.size else math.inf
+
+
 def halting_times(curve: LimitCurve, epsilon: float):
     """First steps where the limiting gradient norm² drops to/below epsilon.
 
@@ -225,6 +232,6 @@ def halting_times(curve: LimitCurve, epsilon: float):
     math.inf when the threshold is never reached on the computed horizon.
     """
     diag = np.diagonal(curve.grad_gram_limit)
-    tau = next((s for s in range(1, len(diag)) if diag[s] <= epsilon), math.inf)
-    tau_plus = next((s for s in range(1, len(diag)) if diag[s] < epsilon), math.inf)
-    return tau, tau_plus
+    # x < epsilon exactly when x ≤ the largest float below epsilon
+    return (first_halting_step(diag, epsilon),
+            first_halting_step(diag, math.nextafter(epsilon, -math.inf)))

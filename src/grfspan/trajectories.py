@@ -42,6 +42,7 @@ from .gaussianops import (
     sample_mvn,
 )
 from .kernels import KernelModel
+from .limits import first_halting_step
 
 #: plug-in residual variance below this is a numerical inconsistency
 NEGATIVE_RESIDUAL_TOL = -1e-10
@@ -203,5 +204,4 @@ def brute_force_path(kernel: KernelModel, gsa: GsaSpec, x0, steps: int,
 
 def empirical_halting_time(record: TrajectoryRecord, epsilon: float):
     """First step n > 0 with ‖∇f(X_n)‖² ≤ epsilon, or math.inf."""
-    diag = np.diagonal(record.grad_gram)
-    return next((n for n in range(1, len(diag)) if diag[n] <= epsilon), math.inf)
+    return first_halting_step(np.diagonal(record.grad_gram), epsilon)

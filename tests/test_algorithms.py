@@ -78,7 +78,6 @@ def test_nesterov_literals():
     info2 = make_info(np.zeros(2), np.zeros((2, 2)), [0.0] * 2)
     np.testing.assert_allclose(spec.row(2, info2).h_g,
                                [-a * (1 + b + b * b), -a * (1 + b)], atol=1e-15)
-    assert spec.uses_latest_gradient
 
 
 def test_nesterov_beta_zero_is_gd():
@@ -242,7 +241,6 @@ class SpyInfo:
 @pytest.mark.parametrize("spec", [gd(0.2), heavy_ball(0.2, 0.5),
                                   nesterov(0.2, 0.5), fr_cg(0.2)])
 def test_x0_agnostic_specs_read_only_reduced_info(spec):
-    assert spec.x0_agnostic
     rng = np.random.default_rng(0)
     grads = rng.standard_normal((4, 5))
     info = make_info(rng.standard_normal(5), grads, rng.standard_normal(4))
@@ -254,7 +252,6 @@ def test_x0_agnostic_specs_read_only_reduced_info(spec):
 
 def test_projection_reads_x0_information():
     spec = with_sphere_projection(gd(0.2), 1.0)
-    assert not spec.x0_agnostic
     rng = np.random.default_rng(1)
     info = make_info(rng.standard_normal(5), rng.standard_normal((2, 5)),
                      rng.standard_normal(2))
@@ -300,15 +297,13 @@ def test_ball_projection_identity_inside():
 def test_ball_projection_clips_outside():
     x0 = np.array([4.0, 0.0])
     info = make_info(x0, np.zeros((1, 2)), [0.0])
-    inner = GsaSpec(name="hold", prefactors=lambda n, info: PrefactorRow(1.0, np.zeros(n)),
-                    x0_agnostic=False)
+    inner = GsaSpec(name="hold", prefactors=lambda n, info: PrefactorRow(1.0, np.zeros(n)))
     row = with_ball_projection(inner, 1.0).row(1, info)
     assert row.h_x == pytest.approx(0.25)   # ‖x̃‖ = 4, radius 1
 
 
 def test_sphere_projection_degenerate():
     info = InfoView(f_values=[0.0], grad_gram=[[0.0]], x0_grad=[0.0], x0_norm_sq=0.0)
-    inner = GsaSpec(name="zero", prefactors=lambda n, info: PrefactorRow(0.0, np.zeros(n)),
-                    x0_agnostic=False)
+    inner = GsaSpec(name="zero", prefactors=lambda n, info: PrefactorRow(0.0, np.zeros(n)))
     with pytest.raises(DegenerateProjectionError):
         with_sphere_projection(inner, 1.0).row(1, info)

@@ -12,16 +12,12 @@ from grfspan.assembly import (
     k3_matrix,
     mean_block,
     residual_variance,
-    split_new_block,
 )
 from grfspan.errors import KernelDomainError
 from grfspan.gaussianops import ConditionPolicy, condition, make_rng, sample_mvn
 from grfspan.kernels import (
     SchoenbergMixture,
     SpinGlassMixture,
-    cov_df_df,
-    cov_df_f,
-    cov_f_f,
     lift_stationary,
     quadratic_kernel,
     spin_glass_kernel,
@@ -40,18 +36,18 @@ def naive_blocks(kernel, Y, A, B):
             for r2 in range(D + 1):
                 for bi, b in enumerate(B):
                     if r1 == 0 and r2 == 0:
-                        val = cov_f_f(kernel, s[a], s[b], ip[a, b])
+                        val = kernel.cov_ff(s[a], s[b], ip[a, b])
                     elif r2 == 0:
                         i = r1 - 1
-                        val = cov_df_f(kernel, s[a], s[b], ip[a, b], Y[a, i], Y[b, i])
+                        val = kernel.cov_df_f(s[a], s[b], ip[a, b], Y[a, i], Y[b, i])
                     elif r1 == 0:
                         j = r2 - 1
-                        val = cov_df_f(kernel, s[b], s[a], ip[b, a], Y[b, j], Y[a, j])
+                        val = kernel.cov_df_f(s[b], s[a], ip[b, a], Y[b, j], Y[a, j])
                     else:
                         i, j = r1 - 1, r2 - 1
-                        val = cov_df_df(kernel, s[a], s[b], ip[a, b],
-                                        Y[a, i], Y[b, i], Y[a, j], Y[b, j],
-                                        1.0 if i == j else 0.0)
+                        val = kernel.cov_df_df(s[a], s[b], ip[a, b],
+                                               Y[a, i], Y[b, i], Y[a, j], Y[b, j],
+                                               1.0 if i == j else 0.0)
                     M[r1 * len(A) + ai, r2 * len(B) + bi] = val
     return M
 
@@ -119,9 +115,6 @@ def test_joint_blocks_rejects_non_finite_geometry():
 def test_flatten_history_layout():
     obs = flatten_history([10.0, 20.0], [[1.0, 2.0], [3.0, 4.0]])
     np.testing.assert_array_equal(obs, [10.0, 20.0, 1.0, 3.0, 2.0, 4.0])
-    f, coords = split_new_block(np.array([5.0, 7.0, 8.0]), 2)
-    assert f == 5.0
-    np.testing.assert_array_equal(coords, [7.0, 8.0])
 
 
 def test_k3_matrix_and_residual_variance():

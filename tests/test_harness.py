@@ -1,5 +1,6 @@
 """Tests for config parsing, the experiment runners, and the CLI."""
 
+import io
 import math
 from dataclasses import replace
 
@@ -10,6 +11,8 @@ from grfspan import cli, harness
 from grfspan.errors import ConfigError
 from grfspan.harness import (
     ConvergenceReport,
+    HaltingReport,
+    SimulationTable,
     TwoInitReport,
     adjust_epsilons,
     build_gsa,
@@ -19,7 +22,9 @@ from grfspan.harness import (
     run_simulate,
     run_two_init,
     run_verify,
+    write_limit_curve,
 )
+from grfspan.limits import LimitCurve
 from grfspan.trajectories import simulate_info_path
 
 BASE_CONFIG = """\
@@ -92,7 +97,6 @@ steps = 3
 replications = 2
 master_seed = 1
 out = report.csv
-mode = verify
 rank_stall = freeze
 pseudo_inverse = true
 """)
@@ -100,7 +104,7 @@ pseudo_inverse = true
     assert config.kernel["sigma_A"] == 1.0 and config.kernel["R"] == 2.0
     assert config.algorithm["beta"] == 0.5
     assert config.algorithm["projection"] == "ball"
-    assert config.out == "report.csv" and config.mode == "verify"
+    assert config.out == "report.csv"
     assert config.rank_stall == "freeze" and config.pseudo_inverse
     assert config.policy().pseudo_fallback
 
@@ -122,6 +126,7 @@ pseudo_inverse = true
     ("replications = 6", "replications = 1"),
     ("epsilons = [0.5]", "epsilons = [-0.5]"),
     ("master_seed = 11", "master_seed = 11\nmode = dance"),
+    ("master_seed = 11", "master_seed = 11\nmode = verify"),    # the subcommand picks it
     ("master_seed = 11", "master_seed = 11\nrank_stall = panic"),
     ("master_seed = 11", "master_seed = 11\npseudo_inverse = maybe"),
     ("master_seed = 11", "master_seed = 11\nworkers = 4"),  # unknown run key
@@ -147,7 +152,8 @@ def test_kernel_section_required(tmp_path):
 
 def test_build_factories_roundtrip(base_config):
     kernel = build_kernel(base_config.kernel)
-    assert kernel.stationary
+    assert kernel.label == "stationary-lift"
+    assert float(kernel.cov_ff(0.5, 0.5, 1.0)) == 1.0     # C(0) of exp(-r)
     gsa = build_gsa(base_config.algorithm)
     assert gsa.name == "gd"
 
@@ -156,7 +162,8 @@ def test_build_gsa_projection(base_config):
     spec = dict(base_config.algorithm)
     spec.update(projection="sphere", radius=1.5)
     gsa = build_gsa(spec)
-    assert not gsa.x0_agnostic
+    assert gsa.name == "gd+sphere"
+    assert gsa.parameters == {"alpha": 0.4, "radius": 1.5}
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +291,7 @@ def test_run_two_init_report(tmp_path, base_config):
     out = tmp_path / "pairs.csv"
     report.to_csv(out)
     again = TwoInitReport.from_csv(out)
+    assert again.N_list == report.N_list and again.steps == report.steps
     np.testing.assert_array_equal(report.step_gaps, again.step_gaps)
     np.testing.assert_array_equal(report.medians, again.medians)
 
@@ -369,6 +377,148 @@ def test_run_simulate_table(tmp_path, base_config):
         rep, n_val, step = map(int, line.split(",")[:3])
         keys.append((n_val, rep, step))
     assert keys == sorted(keys)
+
+
+# ---------------------------------------------------------------------------
+# exact report text, from hand-made arrays (nothing simulated)
+# ---------------------------------------------------------------------------
+
+def _text(write, obj):
+    handle = io.StringIO()
+    write(obj, handle)
+    return handle.getvalue()
+
+
+def test_limit_curve_text():
+    curve = LimitCurve(f_limit=np.array([0.0, -0.5, -0.75]), gamma=np.zeros((3, 3)),
+                       y_reps=np.zeros((3, 3)), sigma_w=np.array([1.0, 0.1, 0.25]),
+                       dims=np.array([1, 2, 3]), grad_gram_limit=np.diag([1.0, 0.5, 0.2]),
+                       rho=np.zeros((3, 3)), lam=1.0)
+    assert _text(write_limit_curve, curve) == """\
+step,f_limit,grad_norm_sq_limit,sigma_w,dim
+0,0,1,1,1
+1,-0.5,0.5,0.10000000000000001,2
+2,-0.75,0.20000000000000001,0.25,3
+"""
+
+
+def test_convergence_report_text():
+    report = ConvergenceReport(
+        N_list=(64, 10**9), steps=1,
+        mean_f=np.array([[0.0, -0.5], [0.125, -0.375]]),
+        sd_f=np.array([[0.5, 0.25], [0.0, 1e-5]]),
+        se_f=np.array([[0.25, 0.125], [0.0, 5e-6]]),
+        mean_grad=np.array([[1.0, 0.5], [1.0, 0.3]]),
+        sd_grad=np.array([[0.2, 0.1], [1e-4, 3e-5]]),
+        se_grad=np.array([[0.1, 0.05], [5e-5, 1.5e-5]]),
+        f_limit=np.array([0.0, -0.4]), grad_limit=np.array([1.0, 0.4]))
+    assert _text(ConvergenceReport.write, report) == """\
+# thresholds: gap pass: |mean - limit| <= 3*se + 2/sqrt(N); sd log-log slope target -0.5; ks significance 1e-3
+N,step,mean_f,sd_f,se_f,mean_grad_norm_sq,sd_grad_norm_sq,se_grad_norm_sq,f_limit,grad_norm_sq_limit,gap_f,gap_grad_norm_sq
+64,0,0,0.5,0.25,1,0.20000000000000001,0.10000000000000001,0,1,0,0
+64,1,-0.5,0.25,0.125,0.5,0.10000000000000001,0.050000000000000003,-0.40000000000000002,0.40000000000000002,0.099999999999999978,0.099999999999999978
+1000000000,0,0.125,0,0,1,0.0001,5.0000000000000002e-05,0,1,0.125,0
+1000000000,1,-0.375,1.0000000000000001e-05,5.0000000000000004e-06,0.29999999999999999,3.0000000000000001e-05,1.5e-05,-0.40000000000000002,0.40000000000000002,0.025000000000000022,0.10000000000000003
+"""
+
+
+def test_two_init_report_text():
+    report = TwoInitReport(N_list=(16, 10**9), steps=2, step_gaps=np.array([
+        [[0.0, 0.5, 0.25], [0.1, 0.0, 0.3]],
+        [[0.0, 1e-9, 2e-9], [0.0, 0.0, 0.0]]]))
+    assert _text(TwoInitReport.write, report) == """\
+# thresholds: median max-gap must not increase with N
+N,pair,gap_step_0,gap_step_1,gap_step_2,max_gap
+16,0,0,0.5,0.25,0.5
+16,1,0.10000000000000001,0,0.29999999999999999,0.29999999999999999
+1000000000,0,0,1.0000000000000001e-09,2.0000000000000001e-09,2.0000000000000001e-09
+1000000000,1,0,0,0,0
+"""
+
+
+def test_halting_report_text():
+    report = HaltingReport(N_list=(64, 10**9), epsilons=(0.5, 0.05),
+                           requested_epsilons=(0.5, 0.05), tau_limit=(2.0, math.inf),
+                           frequencies=np.array([[0.25, 1.0], [1.0, 1.0]]),
+                           replications=4)
+    assert _text(HaltingReport.write, report) == """\
+# thresholds: epsilons adjusted >= 1% relative from the limiting gradient diagonal; pass: frequency -> 1 as N grows
+N,epsilon,tau_limit,frequency,replications
+64,0.5,2,0.25,4
+64,0.050000000000000003,inf,1,4
+1000000000,0.5,2,1,4
+1000000000,0.050000000000000003,inf,1,4
+"""
+
+
+def test_simulation_table_text():
+    # step 0 never halts; flags flip at the first later step at or below eps
+    table = SimulationTable(
+        N_list=(64, 10**9), steps=2, epsilons=(0.5, 0.05),
+        f_values=np.array([[[0.0, -0.5, -0.75], [0.125, -0.25, -0.5]],
+                           [[0.0, -0.375, -0.625], [-0.125, -0.5, -0.875]]]),
+        grad_diag=np.array([[[1.0, 0.75, 0.5], [0.25, 0.75, 0.625]],
+                            [[1.0, 0.5, 0.0625], [1.0, 0.25, 0.03125]]]))
+    assert _text(SimulationTable.write, table) == """\
+# halted_eps_j: 1 once grad_norm_sq first dipped to eps_j; eps_0 = 0.5; eps_1 = 0.050000000000000003
+replication,N,step,f_value,grad_norm_sq,halted_eps_0,halted_eps_1
+0,64,0,0,1,0,0
+0,64,1,-0.5,0.75,0,0
+0,64,2,-0.75,0.5,1,0
+1,64,0,0.125,0.25,0,0
+1,64,1,-0.25,0.75,0,0
+1,64,2,-0.5,0.625,0,0
+0,1000000000,0,0,1,0,0
+0,1000000000,1,-0.375,0.5,1,0
+0,1000000000,2,-0.625,0.0625,1,0
+1,1000000000,0,-0.125,1,0,0
+1,1000000000,1,-0.5,0.25,1,0
+1,1000000000,2,-0.875,0.03125,1,1
+"""
+
+
+def _small_convergence_report():
+    rng = np.random.default_rng(5)
+    stats = {name: rng.random((2, 4)) for name in
+             ("mean_f", "sd_f", "se_f", "mean_grad", "sd_grad", "se_grad")}
+    return ConvergenceReport(N_list=(16, 32), steps=3, f_limit=rng.random(4),
+                             grad_limit=rng.random(4), **stats)
+
+
+def test_two_init_reader_rejects_a_verify_csv(tmp_path):
+    out = tmp_path / "verify.csv"
+    _small_convergence_report().to_csv(out)
+    with pytest.raises(ConfigError):
+        TwoInitReport.from_csv(out)
+
+
+def test_verify_reader_rejects_a_truncated_csv(tmp_path):
+    out = tmp_path / "verify.csv"
+    _small_convergence_report().to_csv(out)
+    lines = out.read_text().splitlines(keepends=True)
+    out.write_text("".join(lines[:-1]))
+    with pytest.raises(ConfigError):
+        ConvergenceReport.from_csv(out)
+
+
+@pytest.mark.parametrize("edit", ["repeat", "swap", "header", "empty", "short"])
+def test_verify_reader_rejects_rows_off_the_grid(tmp_path, edit):
+    out = tmp_path / "verify.csv"
+    _small_convergence_report().to_csv(out)
+    comment, header, *rows = out.read_text().splitlines(keepends=True)
+    if edit == "repeat":
+        rows[-1] = rows[-2]
+    elif edit == "swap":
+        rows[0], rows[1] = rows[1], rows[0]
+    elif edit == "header":
+        header = header.replace("mean_f", "mean_value")
+    elif edit == "short":
+        rows[0] = rows[0].rsplit(",", 1)[0] + "\n"
+    else:
+        rows = []
+    out.write_text(comment + header + "".join(rows))
+    with pytest.raises(ConfigError):
+        ConvergenceReport.from_csv(out)
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,8 @@ from grfspan.kernels import (
     SpinGlassMixture,
     alg_barrier,
     check_domain,
-    cov_df_df,
-    cov_df_f,
-    cov_f_f,
     default_validation_grid,
     lift_stationary,
-    mean_df,
-    mean_f,
     quadratic_kernel,
     spin_glass_kernel,
     stationary_direct,
@@ -110,44 +105,44 @@ def test_quadratic_spot_values():
 # ---------------------------------------------------------------------------
 
 def test_cov_f_f_spot_values():
-    assert float(cov_f_f(lift_stationary(SE), 0.5, 0.5, 1.0)) == pytest.approx(1.0)
-    assert float(cov_f_f(spin_glass_kernel(TWO_SPIN), 0.5, 0.5, 0.0)) == pytest.approx(0.0)
-    assert float(cov_f_f(quadratic_kernel(1.0, 0.0, 1.0), 0.5, 0.5, 0.3)) == pytest.approx(0.3)
+    assert float(lift_stationary(SE).cov_ff(0.5, 0.5, 1.0)) == pytest.approx(1.0)
+    assert float(spin_glass_kernel(TWO_SPIN).cov_ff(0.5, 0.5, 0.0)) == pytest.approx(0.0)
+    assert float(quadratic_kernel(1.0, 0.0, 1.0).cov_ff(0.5, 0.5, 0.3)) == pytest.approx(0.3)
 
 
 def test_cov_df_f_spot_values():
     k = lift_stationary(SE)
     # v orthogonal to both points
-    assert float(cov_df_f(k, 0.5, 0.8, 0.4, 0.0, 0.0)) == 0.0
+    assert float(k.cov_df_f(0.5, 0.8, 0.4, 0.0, 0.0)) == 0.0
     # x = y: the two terms cancel for stationary kernels
-    assert float(cov_df_f(k, 0.5, 0.5, 1.0, 1.0, 1.0)) == pytest.approx(0.0, abs=1e-15)
+    assert float(k.cov_df_f(0.5, 0.5, 1.0, 1.0, 1.0)) == pytest.approx(0.0, abs=1e-15)
     kq = quadratic_kernel(1.0, 0.0, 1.0)
-    assert float(cov_df_f(kq, 0.5, 0.5, 0.3, 0.2, 0.7)) == pytest.approx(0.7)
+    assert float(kq.cov_df_f(0.5, 0.5, 0.3, 0.2, 0.7)) == pytest.approx(0.7)
 
 
 def test_cov_df_df_spot_values():
     k = lift_stationary(SE)
     # same point, v = w orthogonal to x: only the kappa_3 <v,w> term survives
-    val = cov_df_df(k, 0.5, 0.5, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0)
+    val = k.cov_df_df(0.5, 0.5, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0)
     assert float(val) == pytest.approx(1.0, abs=1e-15)
     # v ⊥ w, both orthogonal to x
-    assert float(cov_df_df(k, 0.5, 0.5, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0)) == 0.0
+    assert float(k.cov_df_df(0.5, 0.5, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0)) == 0.0
 
 
 def test_mean_ops():
-    assert float(mean_df(lift_stationary(SE), 0.5, 3.0)) == 0.0
+    # E[D_v f(x)] = μ′(‖x‖²/2)·⟨x,v⟩ and E[f(x)] = μ(‖x‖²/2)
+    assert float(lift_stationary(SE).mean_prime(0.5) * 3.0) == 0.0
     kq = quadratic_kernel(1.0, 0.0, 1.0)
-    assert float(mean_df(kq, 0.5, 1.0)) == pytest.approx(1.0)
+    assert float(kq.mean_prime(0.5) * 1.0) == pytest.approx(1.0)
     kq2 = quadratic_kernel(1.0, 1.0, 1.0)
-    assert float(mean_f(kq2, 0.0)) == pytest.approx(1.0)
+    assert float(kq2.mean(0.0)) == pytest.approx(1.0)
 
 
 def test_domain_check():
-    k = lift_stationary(SE)
     with pytest.raises(KernelDomainError):
-        cov_f_f(k, 0.5, 0.5, 1.1)
+        check_domain(0.5, 0.5, 1.1)
     with pytest.raises(KernelDomainError):
-        cov_f_f(k, -0.1, 0.5, 0.0)
+        check_domain(-0.1, 0.5, 0.0)
     # exactly on the Cauchy-Schwarz boundary is fine
     check_domain(0.5, 0.5, 1.0)
     check_domain(0.0, 0.5, 0.0)
@@ -177,13 +172,13 @@ def test_stationary_reduction(seed):
         d = x - y
         r = d @ d / 2.0
 
-        lifted_ff = float(cov_f_f(k, p["s_x"], p["s_y"], p["ip_xy"]))
+        lifted_ff = float(k.cov_ff(p["s_x"], p["s_y"], p["ip_xy"]))
         assert lifted_ff == pytest.approx(float(mix.value(r)), rel=1e-12, abs=1e-12)
 
-        lifted_df = float(cov_df_f(k, p["s_x"], p["s_y"], p["ip_xy"], p["ip_xv"], p["ip_yv"]))
+        lifted_df = float(k.cov_df_f(p["s_x"], p["s_y"], p["ip_xy"], p["ip_xv"], p["ip_yv"]))
         assert lifted_df == pytest.approx(float(mix.deriv(r)) * (d @ v), rel=1e-12, abs=1e-12)
 
-        lifted_dd = float(cov_df_df(k, **p))
+        lifted_dd = float(k.cov_df_df(**p))
         direct = -(float(mix.deriv2(r)) * (d @ v) * (d @ w) + float(mix.deriv(r)) * (v @ w))
         assert lifted_dd == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
@@ -220,7 +215,7 @@ def test_swap_symmetry_of_derivative_covariance(make):
         x, y, v, w = rng.standard_normal((4, 3)) * 0.6
         p = _inner_products(x, y, v, w)
         q = _inner_products(y, x, w, v)
-        assert float(cov_df_df(k, **p)) == pytest.approx(float(cov_df_df(k, **q)), rel=1e-13, abs=1e-14)
+        assert float(k.cov_df_df(**p)) == pytest.approx(float(k.cov_df_df(**q)), rel=1e-13, abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -252,14 +247,14 @@ def test_assembled_covariance_is_psd(make):
             xb = pts[b]
             s_a, s_b, ip = xa @ xa / 2, xb @ xb / 2, xa @ xb
             if ti == "f" and tj == "f":
-                M[i, j] = cov_f_f(k, s_a, s_b, ip)
+                M[i, j] = k.cov_ff(s_a, s_b, ip)
             elif ti == "d" and tj == "f":
-                M[i, j] = cov_df_f(k, s_a, s_b, ip, xa @ va, xb @ va)
+                M[i, j] = k.cov_df_f(s_a, s_b, ip, xa @ va, xb @ va)
             elif ti == "f" and tj == "d":
-                M[i, j] = cov_df_f(k, s_b, s_a, xb @ xa, xb @ vb, xa @ vb)
+                M[i, j] = k.cov_df_f(s_b, s_a, xb @ xa, xb @ vb, xa @ vb)
             else:
-                M[i, j] = cov_df_df(k, s_a, s_b, ip, xa @ va, xb @ va,
-                                    xa @ vb, xb @ vb, va @ vb)
+                M[i, j] = k.cov_df_df(s_a, s_b, ip, xa @ va, xb @ va,
+                                      xa @ vb, xb @ vb, va @ vb)
     np.testing.assert_allclose(M, M.T, atol=1e-12)
     eigs = np.linalg.eigvalsh(0.5 * (M + M.T))
     assert eigs.min() >= -1e-10
@@ -315,7 +310,7 @@ def test_validate_partials_catches_corrupted_partial():
     base = lift_stationary(SE)
     partials = {name: getattr(base, name) for name in PARTIAL_NAMES}
     partials["k33"] = lambda l1, l2, l3: base.k33(l1, l2, l3) + 0.1
-    bad = KernelModel(base.mean, base.mean_prime, base.kappa, partials, stationary=True)
+    bad = KernelModel(base.mean, base.mean_prime, base.kappa, partials)
     report = validate_partials(bad, tol=1e-6)
     assert not report.passed
     assert report.max_rel_err["k33"] > 0.05
