@@ -9,7 +9,8 @@ random objective in very high dimension:
   the dimension N goes to infinity;
 * what a single finite-N run looks like — ``simulate_info_path`` draws one
   exactly, in coordinates whose size does not depend on N, so N = 10⁹ costs
-  the same as N = 100.
+  the same as N = 100, and ``simulate_info_paths`` steps a batch of such
+  runs together.
 
 ``brute_force_path`` cross-checks the sampler with explicit ambient
 coordinates at small N, and the harness/CLI layer turns both into seeded,
@@ -68,6 +69,7 @@ from .trajectories import (
     brute_force_path,
     empirical_halting_time,
     simulate_info_path,
+    simulate_info_paths,
 )
 
 __version__ = "0.1.0"
@@ -81,7 +83,7 @@ __all__ = [
     "quadratic_kernel", "alg_barrier", "validate_partials",
     "ConditionPolicy", "DEFAULT_POLICY",
     "LimitCurve", "predict", "halting_times",
-    "TrajectoryRecord", "simulate_info_path", "brute_force_path",
+    "TrajectoryRecord", "simulate_info_path", "simulate_info_paths", "brute_force_path",
     "empirical_halting_time",
     "ExperimentConfig", "load_config", "ConvergenceReport", "TwoInitReport",
     "HaltingReport", "run_predict", "run_verify", "run_two_init",

@@ -13,6 +13,13 @@ both the N→∞ limit recursion and the dimension-free sampler possible.
 Built-ins: plain gradient descent, heavy-ball momentum, Nesterov momentum in
 its look-ahead form, and Fletcher–Reeves conjugate gradient with a fixed step
 size, plus sphere/ball projection wrappers.
+
+The information and the rows may carry a leading batch axis, one entry per
+run of a batch stepped together: an ``InfoView`` of f_values (B, n+1),
+grad_gram (B, n+1, n+1) and x0_grad (B, n+1) gives rows whose h_x is a float
+or (B,) and whose h_g is (n,) — an information-free row shared by every run —
+or (B, n).  Each run's row is computed with the same arithmetic as a lone
+run's.
 """
 
 from __future__ import annotations
@@ -35,7 +42,10 @@ class InfoView:
         f_values: f(x₀), …, f(x_n).
         grad_gram: matrix of ⟨∇f(x_k), ∇f(x_l)⟩ for k, l ≤ n.
         x0_grad: ⟨x₀, ∇f(x_k)⟩ for k ≤ n.
-        x0_norm_sq: ‖x₀‖².
+        x0_norm_sq: ‖x₀‖², shared by every run of a batch.
+
+    The arrays may carry a leading batch axis; every check then holds for
+    every run.
     """
 
     f_values: np.ndarray
@@ -49,11 +59,11 @@ class InfoView:
         object.__setattr__(self, "x0_grad", np.asarray(self.x0_grad, dtype=float))
         object.__setattr__(self, "x0_norm_sq", float(self.x0_norm_sq))
         g = self.grad_gram
-        if g.shape[0] != g.shape[1] or g.shape[0] != self.x0_grad.shape[0]:
+        if g.shape[-1] != g.shape[-2] or g.shape[:-1] != self.x0_grad.shape:
             raise ValueError("inconsistent information sizes")
-        if not np.allclose(g, g.T, atol=1e-9):
+        if not np.allclose(g, np.swapaxes(g, -1, -2), atol=1e-9):
             raise ValueError("gradient Gram matrix must be symmetric")
-        diag = np.diagonal(g)
+        diag = np.diagonal(g, axis1=-2, axis2=-1)
         if np.any(diag < -1e-12):
             raise ValueError("gradient Gram diagonal must be nonnegative")
         # Cauchy–Schwarz with slack for rounding
@@ -64,18 +74,22 @@ class InfoView:
     @property
     def steps(self) -> int:
         """Largest step index n recorded in this view."""
-        return len(self.x0_grad) - 1
+        return self.x0_grad.shape[-1] - 1
 
 
 @dataclass(frozen=True)
 class PrefactorRow:
-    """Span coefficients of one iterate: x_n = h_x·x₀ + Σ h_g[k]·∇f(x_k)."""
+    """Span coefficients of one iterate: x_n = h_x·x₀ + Σ h_g[k]·∇f(x_k).
 
-    h_x: float
+    For a batch, h_x is a float or one per run and h_g is (n,) or (B, n).
+    """
+
+    h_x: float | np.ndarray
     h_g: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "h_x", float(self.h_x))
+        h_x = float(self.h_x) if np.ndim(self.h_x) == 0 else np.asarray(self.h_x, dtype=float)
+        object.__setattr__(self, "h_x", h_x)
         object.__setattr__(self, "h_g", np.asarray(self.h_g, dtype=float))
 
 
@@ -84,7 +98,7 @@ class GsaSpec:
     """An optimizer: a name, its parameters and a pure prefactor function.
 
     ``prefactors(n, info)`` must return the PrefactorRow for iterate n ≥ 1
-    given the information through step n−1.
+    given the information through step n−1, for a single run or a batch.
     """
 
     name: str
@@ -95,10 +109,10 @@ class GsaSpec:
         if n < 1:
             raise ValueError(f"prefactors are defined for steps n >= 1, got {n}")
         row = self.prefactors(n, info)
-        if len(row.h_g) != n:
+        if row.h_g.shape[-1:] != (n,):
             raise ValueError(
-                f"{self.name}: step {n} emitted {len(row.h_g)} gradient "
-                "coefficients, expected one per past gradient")
+                f"{self.name}: step {n} emitted gradient coefficients of shape "
+                f"{row.h_g.shape}, expected one per past gradient")
         return row
 
 
@@ -194,19 +208,17 @@ def fr_cg(alpha: float) -> GsaSpec:
     a = float(alpha)
 
     def prefactors(n, info):
-        diag = np.diagonal(info.grad_gram)
-        total = np.zeros(n)       # Σ_{j<n} d_j as gradient coefficients
-        d = np.zeros(n)           # current d_j
-        for j in range(n):
-            if j == 0:
-                d[0] = -1.0
-            else:
-                prev = diag[j - 1]
-                beta_j = 0.0 if prev < CG_RESTART_TOL else diag[j] / prev
-                d = beta_j * d
-                d[j] = d[j] - 1.0
-            total = total + d
-        return PrefactorRow(1.0, a * total)
+        diag = np.diagonal(info.grad_gram, axis1=-2, axis2=-1)
+        prev = diag[..., :n - 1]
+        restart = prev < CG_RESTART_TOL
+        beta = np.where(restart, 0.0, diag[..., 1:n] / np.where(restart, 1.0, prev))
+        # d_j = β_j·d_{j−1} − ∇f(x_j): row j of D holds d_j as gradient
+        # coefficients, D[j, k] = −β_{k+1}·…·β_j for k ≤ j and 0 above the
+        # diagonal; the running product and sum accumulate in step order
+        j, k = np.arange(n)[:, None], np.arange(n)
+        beta_j = np.concatenate([np.ones(beta.shape[:-1] + (1,)), beta], axis=-1)[..., None]
+        D = np.where(j >= k, -np.cumprod(np.where(j > k, beta_j, 1.0), axis=-2), 0.0)
+        return PrefactorRow(1.0, a * np.cumsum(D, axis=-2)[..., -1, :])
 
     return GsaSpec(name="fr_cg", parameters={"alpha": a}, prefactors=prefactors)
 
@@ -223,18 +235,19 @@ def _projected(inner: GsaSpec, radius: float, mode: str) -> GsaSpec:
     def prefactors(n, info):
         row = inner.row(n, info)
         h_x, h_g = row.h_x, row.h_g
-        gram = info.grad_gram[:n, :n]
+        gram = info.grad_gram[..., :n, :n]
+        h_row = h_g[..., None, :]
         norm_sq = (h_x * h_x * info.x0_norm_sq
-                   + 2.0 * h_x * float(h_g @ info.x0_grad[:n])
-                   + float(h_g @ gram @ h_g))
+                   + 2.0 * h_x * (h_row @ info.x0_grad[..., :n, None])[..., 0, 0]
+                   + (h_row @ gram @ np.swapaxes(h_row, -1, -2))[..., 0, 0])
         if mode == "sphere":
-            if norm_sq < 1e-20:
+            if np.any(norm_sq < 1e-20):
                 raise DegenerateProjectionError(
-                    f"step {n}: iterate norm² = {norm_sq:.3e}, cannot project to sphere")
+                    f"step {n}: iterate norm² = {np.min(norm_sq):.3e}, cannot project to sphere")
             scale = r / np.sqrt(norm_sq)
         else:
-            scale = r / max(np.sqrt(max(norm_sq, 0.0)), r)
-        return PrefactorRow(h_x * scale, h_g * scale)
+            scale = r / np.maximum(np.sqrt(np.maximum(norm_sq, 0.0)), r)
+        return PrefactorRow(h_x * scale, h_g * scale[..., None])
 
     return GsaSpec(name=f"{inner.name}+{mode}",
                    parameters={**inner.parameters, "radius": r},

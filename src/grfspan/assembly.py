@@ -12,7 +12,9 @@ v_{D−1}: a point with coordinate row y has ⟨y, v_i⟩ = y[i], ⟨y, y'⟩ = 
 and ⟨v_i, v_j⟩ = δ_ij.  ``cov_block``/``mean_block`` lay rows out row-major
 over derivative type then point: the flattened vector reads (f at all points,
 D_{v_0} at all points, …, D_{v_{D−1}} at all points).  All outputs are on the
-dimension-free scale; the 1/N covariance factor is applied by callers.
+dimension-free scale; the 1/N covariance factor is applied by callers.  The
+coordinate rows may carry leading batch axes, one entry per path, and every
+output then carries them too.
 
 ``SpanState`` keeps the history in arrival order instead: every visited point
 has a zero coordinate along each direction opened after it, so the history
@@ -21,7 +23,8 @@ appends rows — the new point's (f, D_{v_0..D−1}) rows, then the D_{v_D} rows
 of the newly opened direction at every point, which are uncorrelated with all
 older rows.  Extending the Cholesky factor by k rows costs O(m²k) for m
 history rows, where re-assembling and re-factoring the history would cost
-O(m³).
+O(m³).  One state steps a batch of B paths that share this row structure —
+the same number of points and directions — as stacked (B, ·, ·) arrays.
 """
 
 from __future__ import annotations
@@ -39,58 +42,64 @@ from .gaussianops import DEFAULT_POLICY, ConditionPolicy, condition, sample_mvn
 def coordinate_inner_products(reps):
     """Norm-halves s_k = ‖y_k‖²/2 and the Gram ⟨y_k, y_l⟩ of coordinate rows."""
     Y = np.atleast_2d(np.asarray(reps, dtype=float))
-    ip = Y @ Y.T
-    return 0.5 * np.diagonal(ip).copy(), ip
+    ip = Y @ np.swapaxes(Y, -1, -2)
+    return 0.5 * np.diagonal(ip, axis1=-2, axis2=-1).copy(), ip
 
 
 def cov_block(kernel, Y, s, ip, A, B):
     """Covariance between the (f, D_{v_0..D−1}) rows at points A and points B.
 
     Y holds coordinate rows for all points; s, ip their norm-halves and Gram.
-    Returns shape ((D+1)·|A|, (D+1)·|B|) in the row-major layout.
+    Returns shape ((D+1)·|A|, (D+1)·|B|) in the row-major layout, after the
+    leading batch axes of Y.
     """
     A = np.asarray(A, dtype=int)
     B = np.asarray(B, dtype=int)
-    D = Y.shape[1]
+    D = Y.shape[-1]
     na, nb = len(A), len(B)
-    s_a = s[A][:, None]                       # (na, 1)
-    s_b = s[B][None, :]                       # (1, nb)
-    ip_ab = ip[np.ix_(A, B)]                  # (na, nb)
+    s_a = s[..., A][..., :, None]             # (…, na, 1)
+    s_b = s[..., B][..., None, :]             # (…, 1, nb)
+    ip_ab = ip[..., A[:, None], B[None, :]]   # (…, na, nb)
 
-    T = np.empty((D + 1, na, D + 1, nb))
-    T[0, :, 0, :] = kernel.cov_ff(s_a, s_b, ip_ab)
+    T = np.empty(Y.shape[:-2] + (D + 1, na, D + 1, nb))
+    T[..., 0, :, 0, :] = kernel.cov_ff(s_a, s_b, ip_ab)
 
     if D > 0:
-        Ya = Y[A]                             # (na, D)
-        Yb = Y[B]                             # (nb, D)
-        # D_{v_i} at a against f at b: (i, a, b)
-        T[1:, :, 0, :] = kernel.cov_df_f(
-            s_a[None], s_b[None], ip_ab[None],
-            Ya.T[:, :, None], Yb.T[:, None, :])
-        # f at a against D_{v_j} at b: differentiate at b — (j, b, a) transposed
+        Ya = Y[..., A, :]                     # (…, na, D)
+        YaT = np.swapaxes(Ya, -1, -2)         # (…, D, na)
+        YbT = np.swapaxes(Y[..., B, :], -1, -2)
+        # D_{v_i} at a against f at b: (…, i, a, b)
+        T[..., 1:, :, 0, :] = kernel.cov_df_f(
+            s_a[..., None, :, :], s_b[..., None, :, :], ip_ab[..., None, :, :],
+            YaT[..., :, :, None], YbT[..., :, None, :])
+        # f at a against D_{v_j} at b: differentiate at b — (…, j, b, a) transposed
         f_df = kernel.cov_df_f(
-            s_b.T[None], s_a.T[None], ip_ab.T[None],
-            Yb.T[:, :, None], Ya.T[:, None, :])
-        T[0, :, 1:, :] = np.moveaxis(f_df, [0, 1, 2], [1, 2, 0])
-        # D_{v_i} at a against D_{v_j} at b: axes (i, a, j, b)
+            np.swapaxes(s_b, -1, -2)[..., None, :, :],
+            np.swapaxes(s_a, -1, -2)[..., None, :, :],
+            np.swapaxes(ip_ab, -1, -2)[..., None, :, :],
+            YbT[..., :, :, None], YaT[..., :, None, :])
+        T[..., 0, :, 1:, :] = np.moveaxis(f_df, [-3, -2, -1], [-2, -1, -3])
+        # D_{v_i} at a against D_{v_j} at b: axes (…, i, a, j, b)
         eye = np.eye(D)[:, None, :, None]
-        T[1:, :, 1:, :] = kernel.cov_df_df(
-            s_a[None, :, None, :], s_b[None, :, None, :], ip_ab[None, :, None, :],
-            Ya.T[:, :, None, None], Yb.T[:, None, None, :],
-            Ya[None, :, :, None], Yb.T[None, None, :, :],
+        T[..., 1:, :, 1:, :] = kernel.cov_df_df(
+            s_a[..., None, :, None, :], s_b[..., None, :, None, :],
+            ip_ab[..., None, :, None, :],
+            YaT[..., :, :, None, None], YbT[..., :, None, None, :],
+            Ya[..., None, :, :, None], YbT[..., None, None, :, :],
             eye)
-    return T.reshape((D + 1) * na, (D + 1) * nb)
+    return T.reshape(Y.shape[:-2] + ((D + 1) * na, (D + 1) * nb))
 
 
 def mean_block(kernel, Y, s, A):
     """Mean of the flattened (f, D_{v_i}) rows at points A."""
     A = np.asarray(A, dtype=int)
-    D = Y.shape[1]
-    m = np.empty((D + 1, len(A)))
-    m[0] = kernel.mean(s[A])
+    D = Y.shape[-1]
+    m = np.empty(Y.shape[:-2] + (D + 1, len(A)))
+    m[..., 0, :] = kernel.mean(s[..., A])
     if D > 0:
-        m[1:] = kernel.mean_prime(s[A])[None, :] * Y[A].T
-    return m.ravel()
+        m[..., 1:, :] = (kernel.mean_prime(s[..., A])[..., None, :]
+                         * np.swapaxes(Y[..., A, :], -1, -2))
+    return m.reshape(Y.shape[:-2] + ((D + 1) * len(A),))
 
 
 @dataclass
@@ -141,8 +150,8 @@ def k3_matrix(kernel, reps):
     """Matrix of κ₃(s_k, s_l, ⟨y_k, y_l⟩) over all point pairs."""
     reps = np.atleast_2d(np.asarray(reps, dtype=float))
     s, ip = coordinate_inner_products(reps)
-    kernels.check_domain(s[:, None], s[None, :], ip)
-    return kernel.k3(s[:, None], s[None, :], ip)
+    kernels.check_domain(s[..., :, None], s[..., None, :], ip)
+    return kernel.k3(s[..., :, None], s[..., None, :], ip)
 
 
 def residual_variance(kernel, reps, policy=DEFAULT_POLICY):
@@ -152,75 +161,108 @@ def residual_variance(kernel, reps, policy=DEFAULT_POLICY):
     κ₃(new, new) minus the quadratic form of the history κ₃ block — the
     Schur complement of the newest entry in the κ₃ matrix.
     """
-    W = k3_matrix(kernel, reps)
-    n = W.shape[0] - 1
+    return float(_last_schur(k3_matrix(kernel, reps)[None], policy)[0])
+
+
+def _last_schur(W, policy):
+    """Schur complement of the last diagonal entry of each (B, P, P) matrix.
+
+    The arithmetic is ``condition``'s: Cholesky picks the jitter, then a
+    solve.  When every history block factors without jitter, as it does
+    almost always, the batch takes that route as stacked arrays; otherwise
+    every member goes through ``condition`` and its own jitter ladder.
+    """
+    n = W.shape[-1] - 1
     if n == 0:
-        return float(W[0, 0])
-    res = condition(mu1=np.zeros(n), mu2=np.zeros(1),
-                    S11=W[:n, :n], S12=W[:n, n:], S22=W[n:, n:],
-                    observed=np.zeros(n), policy=policy)
-    return float(res.cond_cov[0, 0])
+        return W[:, 0, 0].copy()
+    S11, S12, S22 = W[:, :n, :n], W[:, :n, n:], W[:, n:, n:]
+    if not (np.all(np.isfinite(W)) and _factors(S11)):
+        return np.array([
+            condition(mu1=np.zeros(n), mu2=np.zeros(1), S11=S11[b], S12=S12[b],
+                      S22=S22[b], observed=np.zeros(n), policy=policy).cond_cov[0, 0]
+            for b in range(len(W))])
+    X = np.linalg.solve(S11, np.concatenate([np.zeros((len(W), n, 1)), S12], axis=2))
+    cov = S22 - np.swapaxes(S12, 1, 2) @ X[:, :, 1:]
+    var = (0.5 * (cov + np.swapaxes(cov, 1, 2)))[:, 0, 0]
+    var[(var < 0.0) & (var >= -1e-12)] = 0.0
+    return var
+
+
+def _factors(S) -> bool:
+    """Whether every matrix of the stack S has a Cholesky factor."""
+    try:
+        np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 @dataclass
 class _Arrival:
-    """One block of rows appended to a ``SpanState``.
+    """One block of rows appended to a ``SpanState``, stacked over the batch.
 
     ``S`` and ``L`` hold the block's rows of the history covariance and of
-    its factor, from column ``start − left`` through the block's own
-    diagonal columns.  A block uncorrelated with every older row stores no
-    left part (left = 0).  ``inv`` inverts the factor's diagonal block.
-    ``L`` and ``inv`` are None once solves have switched to the pseudo-inverse.
+    its factor, (B, k, left + k), from column ``start − left`` through the
+    block's own diagonal columns.  A block uncorrelated with every older row
+    stores no left part (left = 0).  ``inv`` (B, k, k) inverts the factor's
+    diagonal block.  The ``L`` and ``inv`` slices of a member whose solves
+    have switched to the pseudo-inverse are stale and never read.
     """
 
     start: int
     S: np.ndarray
-    L: np.ndarray | None = None
-    inv: np.ndarray | None = None
+    L: np.ndarray
+    inv: np.ndarray
 
     @property
     def stop(self) -> int:
-        return self.start + self.S.shape[0]
+        return self.start + self.S.shape[1]
 
     @property
     def left(self) -> int:
-        return self.S.shape[1] - self.S.shape[0]
+        return self.S.shape[2] - self.S.shape[1]
 
 
 class SpanState:
-    """Conditioning state of one path: the history covariance S with rows in
-    arrival order, its lower factor L = chol(S + j·I), and the whitened
-    innovation z = L⁻¹·(observed − mean).
+    """Conditioning state of a batch of B paths: the history covariance S
+    with rows in arrival order, its lower factor L = chol(S + j·I), and the
+    whitened innovation z = L⁻¹·(observed − mean), each stacked over the
+    batch.  Every path of a batch has the same rows; only their values
+    differ.
 
-    Each step calls ``extend`` with the new point, then ``open_direction``
-    unless the span did not grow.  L is extended by block forward
-    substitution, one arrival block at a time, inverting only the small
-    diagonal blocks.  The jitter j climbs the policy's ladder only when a
-    new diagonal block fails to factor, and S is then re-factored from
-    scratch; it never needs to come down, because each step's history is a
-    leading block of the next one's.  Past the last rung the run raises
-    NotPsdError, or with ``pseudo_fallback`` switches every later solve to
-    the eigenvalue-thresholded pseudo-inverse of the stored S.
+    Each step calls ``extend`` with the new points, then ``residual_variance``
+    and ``open_direction`` unless the span did not grow.  L is extended by
+    block forward substitution, one arrival block at a time, inverting only
+    the small diagonal blocks.  Each member's jitter j climbs the policy's
+    ladder only when one of its new diagonal blocks fails to factor, and its
+    S is then re-factored from scratch; it never needs to come down, because
+    each step's history is a leading block of the next one's.  Past the last
+    rung the run raises NotPsdError, or with ``pseudo_fallback`` switches
+    every later solve of that member to the eigenvalue-thresholded
+    pseudo-inverse of its stored S.  A member's results are bitwise those of
+    the same path stepped alone.
     """
 
-    def __init__(self, kernel, policy: ConditionPolicy = DEFAULT_POLICY):
+    def __init__(self, kernel, policy: ConditionPolicy = DEFAULT_POLICY, batch: int = 1):
         self.kernel = kernel
         self.policy = policy
+        self.batch = batch
         self.points = 0
-        self.pseudo = False
-        self._ladder = list(policy.ladder())
-        self._rung = 0
+        self.pseudo = np.zeros(batch, dtype=bool)
+        self._ladder = np.array(list(policy.ladder()))
+        self._rung = np.zeros(batch, dtype=int)
         self._blocks: list[_Arrival] = []
         self._types = np.empty(0, dtype=int)    # 0 for f, i + 1 for D_{v_i}
         self._at = np.empty(0, dtype=int)       # point of each row
-        self._resid = np.empty(0)               # observed − mean
-        self._z = np.empty(0)
+        self._resid = np.empty((batch, 0))      # observed − mean
+        self._z = np.empty((batch, 0))
         self._Y = None                          # rows of the last extend
+        self._K = None                          # their κ₃ matrix, once built
 
     @property
-    def jitter(self) -> float:
-        """Diagonal jitter j of the factor; +inf after the pseudo switch."""
-        return math.inf if self.pseudo else self._ladder[self._rung]
+    def jitter(self) -> np.ndarray:
+        """Diagonal jitter j of each member's factor; +inf after its pseudo switch."""
+        return np.where(self.pseudo, math.inf, self._ladder[self._rung])
 
     @property
     def labels(self):
@@ -229,150 +271,204 @@ class SpanState:
         return self._types.copy(), self._at.copy()
 
     def covariance(self) -> np.ndarray:
-        """The history covariance S, rows and columns in arrival order."""
-        S = self._dense("S")
-        return np.tril(S) + np.tril(S, -1).T
+        """The history covariances S, (B, m, m), rows and columns in arrival order."""
+        return self._covariance(slice(None))
 
     def factor(self) -> np.ndarray:
-        """The lower factor L of S + j·I in arrival order."""
-        if self.pseudo:
+        """The lower factors L of S + j·I, (B, m, m), in arrival order."""
+        if self.pseudo.any():
             raise ValueError("no factor: solves use the pseudo-inverse")
-        return self._dense("L")
+        return self._dense("L", slice(None))
 
-    def extend(self, Y, rng=None, N=None) -> np.ndarray:
-        """Condition the (f, D_{v_0..D−1}) rows of the point Y[-1] on the
-        history and append them; Y holds the history points' coordinate rows
-        followed by the new point's.
+    def extend(self, Y, rngs=None, N=None) -> np.ndarray:
+        """Condition the (f, D_{v_0..D−1}) rows of the points Y[:, -1] on the
+        history and append them; Y (B, n+1, D) holds the history points'
+        coordinate rows followed by the new point's.
 
-        The rows are observed at their conditional mean, or, given ``rng``
-        and ``N``, at cond_mean + L_nn·ξ/√N with ξ = rng.standard_normal(D+1)
-        and L_nn the new diagonal block of the factor.  A conditional
-        covariance of exactly zero draws nothing.  Returns the observed rows.
+        The rows are observed at their conditional mean, or, given ``rngs``
+        (one generator per member) and ``N``, at cond_mean + L_nn·ξ/√N with
+        ξ = rng.standard_normal(D+1) and L_nn the new diagonal block of the
+        member's factor.  A conditional covariance of exactly zero draws
+        nothing.  Returns the observed rows, (B, D+1).
         """
-        Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        n, D = Y.shape[0] - 1, Y.shape[1]
+        Y = np.asarray(Y, dtype=float)
+        n, D = Y.shape[1] - 1, Y.shape[2]
+        if Y.shape[0] != self.batch:
+            raise ValueError(f"state steps {self.batch} paths, got {Y.shape[0]}")
         if n != self.points:
             raise ValueError(f"state holds {self.points} points, got {n} history rows")
         s, ip = coordinate_inner_products(Y)
-        kernels.check_domain(s[n], s, ip[n])
+        kernels.check_domain(s[:, n:], s, ip[:, n])
         col = cov_block(self.kernel, Y, s, ip, np.arange(n + 1), [n])
         mean = mean_block(self.kernel, Y, s, [n])
         if not (np.all(np.isfinite(col)) and np.all(np.isfinite(mean))):
             raise ValueError("non-finite entries in the new point's covariance or mean")
-        S_hn = col[self._types * (n + 1) + self._at]
-        S_nn = col[np.arange(D + 1) * (n + 1) + n]
-        S_rows = np.hstack([S_hn.T, S_nn])
-        types, at = np.arange(D + 1), np.full(D + 1, n)
-        self._Y = Y
+        S_hn = col[:, self._types * (n + 1) + self._at]
+        S_nn = col[:, np.arange(D + 1) * (n + 1) + n]
+        S_rows = np.concatenate([np.swapaxes(S_hn, 1, 2), S_nn], axis=2)
+        self._Y, self._K = Y, None
 
-        while not self.pseudo:
-            W = self._forward(S_hn)
-            cond_mean = mean + W.T @ self._z
-            cond_cov = S_nn - W.T @ W
-            L_nn = self._factor(cond_cov)
-            if L_nn is None:
-                self._escalate()
-                continue
-            value = cond_mean
-            if rng is not None and np.any(cond_cov):
-                value = cond_mean + L_nn @ rng.standard_normal(D + 1) / math.sqrt(N)
-            self._append(S_rows, value - mean, types, at,
-                         np.hstack([W.T, L_nn]), value - cond_mean)
-            self.points += 1
-            return value
+        while True:
+            live = self._live()
+            W = self._forward(S_hn[live], live)
+            Wt = np.swapaxes(W, 1, 2)
+            cond_mean = mean[live] + (Wt @ self._z[live][:, :, None])[:, :, 0]
+            cond_cov = S_nn[live] - Wt @ W
+            L_nn = self._factor(cond_cov, live)
+            if L_nn is not None:
+                break
+        observed = cond_mean
+        if rngs is not None:
+            drawn = np.any(cond_cov, axis=(1, 2))
+            members = np.arange(self.batch)[live]
+            xi = np.zeros(cond_mean.shape)
+            for k in np.flatnonzero(drawn):
+                xi[k] = rngs[members[k]].standard_normal(D + 1)
+            noise = (L_nn @ xi[:, :, None])[:, :, 0] / math.sqrt(N)
+            observed = np.where(drawn[:, None], cond_mean + noise, cond_mean)
+        value = self._scatter(live, observed)
 
-        res = condition(np.zeros(len(self._resid)), mean, self.covariance(), S_hn, S_nn,
-                        self._resid, policy=replace(self.policy, jitter_start=None))
-        value = res.cond_mean
-        if rng is not None:
-            value = sample_mvn(res.cond_mean, res.cond_cov / N, rng, self.policy)
-        self._append(S_rows, value - mean, types, at)
+        for b in np.flatnonzero(self.pseudo):
+            res = condition(np.zeros(self._resid.shape[1]), mean[b], self._covariance(b),
+                            S_hn[b], S_nn[b], self._resid[b],
+                            policy=replace(self.policy, jitter_start=None))
+            value[b] = res.cond_mean
+            if rngs is not None:
+                value[b] = sample_mvn(res.cond_mean, res.cond_cov / N, rngs[b], self.policy)
+
+        self._append(S_rows, value - mean, np.arange(D + 1), np.full(D + 1, n),
+                     live, np.concatenate([Wt, L_nn], axis=2), observed - cond_mean)
         self.points += 1
         return value
 
-    def open_direction(self, value: float):
+    def residual_variance(self) -> np.ndarray:
+        """Variance of each new point's gradient component outside the
+        visited span, (B,): the Schur complement of the newest entry in the
+        κ₃ matrix of the last extended points.  That matrix is built once
+        per step and is the covariance ``open_direction`` appends."""
+        return _last_schur(self._k3(), self.policy)
+
+    def open_direction(self, values):
         """Append D_{v_D} at every point so far, where v_D is the direction
-        the last extended point's gradient opened and ``value`` that
-        gradient's coordinate along it (older points read exactly 0).
+        the last extended points' gradients opened and ``values`` (B,) those
+        gradients' coordinates along it (older points read exactly 0).
 
         These rows are uncorrelated with every older row and have the κ₃
         matrix as covariance.  A step whose span did not grow skips this.
         """
         if self._Y is None:
             raise ValueError("open_direction needs a preceding extend")
-        Y, self._Y = self._Y, None
-        K = k3_matrix(self.kernel, Y)
-        observed = np.zeros(self.points)
-        observed[-1] = value
-        types, at = np.full(self.points, Y.shape[1] + 1), np.arange(self.points)
-        while not self.pseudo:
-            L_k = self._factor(K)
-            if L_k is None:
-                self._escalate()
-                continue
-            self._append(K, observed, types, at, L_k, observed)
-            return
-        self._append(K, observed, types, at)
+        K, D = self._k3(), self._Y.shape[2]
+        self._Y = self._K = None
+        observed = np.zeros((self.batch, self.points))
+        observed[:, -1] = values
+        while True:
+            live = self._live()
+            L_k = self._factor(K[live], live)
+            if L_k is not None:
+                break
+        self._append(K, observed, np.full(self.points, D + 1), np.arange(self.points),
+                     live, L_k, observed[live])
 
     # -- factor maintenance ---------------------------------------------------
 
-    def _append(self, S_rows, resid, types, at, L_rows=None, innovation=None):
-        block = _Arrival(start=len(self._resid), S=S_rows)
-        if L_rows is not None:
-            block.L = L_rows
-            block.inv = np.linalg.inv(L_rows[:, block.left:])
-            self._z = np.concatenate([self._z, block.inv @ innovation])
-        self._blocks.append(block)
-        self._resid = np.concatenate([self._resid, resid])
+    def _k3(self):
+        if self._K is None:
+            if self._Y is None:
+                raise ValueError("no extended points: call extend first")
+            self._K = k3_matrix(self.kernel, self._Y)
+        return self._K
+
+    def _live(self):
+        """Index of the members that still solve with their factor."""
+        return slice(None) if not self.pseudo.any() else np.flatnonzero(~self.pseudo)
+
+    def _scatter(self, live, rows):
+        """A (B, …) array holding ``rows`` at the live members, zero elsewhere."""
+        if isinstance(live, slice):
+            return rows
+        out = np.zeros((self.batch,) + rows.shape[1:])
+        out[live] = rows
+        return out
+
+    def _append(self, S_rows, resid, types, at, live, L_rows, innovation):
+        """Append a block of rows; ``L_rows`` and ``innovation`` hold the
+        factor rows and the innovations of the ``live`` members."""
+        inv = np.linalg.inv(L_rows[:, :, S_rows.shape[2] - S_rows.shape[1]:])
+        z = (inv @ innovation[:, :, None])[:, :, 0]
+        self._blocks.append(_Arrival(start=self._resid.shape[1], S=S_rows,
+                                     L=self._scatter(live, L_rows),
+                                     inv=self._scatter(live, inv)))
+        self._z = np.concatenate([self._z, self._scatter(live, z)], axis=1)
+        self._resid = np.concatenate([self._resid, resid], axis=1)
         self._types = np.concatenate([self._types, types])
         self._at = np.concatenate([self._at, at])
 
-    def _forward(self, B):
-        """L⁻¹·B by block forward substitution."""
+    def _forward(self, B, members):
+        """L⁻¹·B of the given members by block forward substitution."""
         X = np.empty(B.shape)
         for blk in self._blocks:
             a, b, left = blk.start, blk.stop, blk.left
-            rhs = B[a:b] if left == 0 else B[a:b] - blk.L[:, :left] @ X[a - left:a]
-            X[a:b] = blk.inv @ rhs
+            rhs = B[:, a:b]
+            if left:
+                rhs = rhs - blk.L[members][:, :, :left] @ X[:, a - left:a]
+            X[:, a:b] = blk.inv[members] @ rhs
         return X
 
-    def _factor(self, C):
-        """chol(C + j·I) at the current rung, or None if it fails."""
-        j = self._ladder[self._rung]
-        try:
-            return np.linalg.cholesky(C if j == 0.0 else C + j * np.eye(len(C)))
-        except np.linalg.LinAlgError:
-            return None
+    def _factor(self, C, live):
+        """chol(C + j·I) of the live members, each at its own rung.
 
-    def _escalate(self):
-        """Re-factor the history at the next ladder rung that succeeds."""
+        Returns None when some member fails to factor, after escalating every
+        member that failed; the caller then repeats the step.
+        """
+        rung = self._rung[live]
+        A = C
+        if rung.any():
+            j = self._ladder[rung][:, None, None]
+            A = np.where(j > 0.0, C + j * np.eye(C.shape[1]), C)
+        try:
+            return np.linalg.cholesky(A)
+        except np.linalg.LinAlgError:
+            pass
+        for b, slab in zip(np.arange(self.batch)[live], A):
+            try:
+                np.linalg.cholesky(slab)
+            except np.linalg.LinAlgError:
+                self._escalate(b)
+        return None
+
+    def _escalate(self, b):
+        """Re-factor member b's history at the next ladder rung that succeeds."""
+        m = self._resid.shape[1]
         while True:
-            self._rung += 1
-            if self._rung == len(self._ladder):
+            if self._rung[b] + 1 == len(self._ladder):
                 if not self.policy.pseudo_fallback:
                     raise NotPsdError(
-                        f"history of {len(self._resid)} rows not positive definite within "
+                        f"history of {m} rows not positive definite within "
                         f"jitter ladder (start={self.policy.jitter_start}, "
                         f"max={self.policy.jitter_max})")
-                self.pseudo = True
-                for blk in self._blocks:
-                    blk.L = blk.inv = None
+                self.pseudo[b] = True
                 return
-            m = len(self._resid)
+            self._rung[b] += 1
             try:
-                L = np.linalg.cholesky(self.covariance() + self.jitter * np.eye(m))
+                L = np.linalg.cholesky(self._covariance(b)
+                                       + self._ladder[self._rung[b]] * np.eye(m))
             except np.linalg.LinAlgError:
                 continue
             for blk in self._blocks:
-                a, b = blk.start, blk.stop
-                blk.L = L[a:b, a - blk.left:b].copy()
-                blk.inv = np.linalg.inv(L[a:b, a:b])
-            self._z = self._forward(self._resid[:, None])[:, 0]
+                lo, hi = blk.start, blk.stop
+                blk.L[b] = L[lo:hi, lo - blk.left:hi]
+                blk.inv[b] = np.linalg.inv(L[lo:hi, lo:hi])
+            self._z[b] = self._forward(self._resid[[b], :, None], [b])[0, :, 0]
             return
 
-    def _dense(self, name):
-        m = len(self._resid)
-        out = np.zeros((m, m))
+    def _covariance(self, members):
+        S = self._dense("S", members)
+        return np.tril(S) + np.swapaxes(np.tril(S, -1), -1, -2)
+
+    def _dense(self, name, members):
+        out = np.zeros(self._resid[members].shape[:-1] + (self._resid.shape[1],) * 2)
         for blk in self._blocks:
-            out[blk.start:blk.stop, blk.start - blk.left:blk.stop] = getattr(blk, name)
+            out[..., blk.start:blk.stop, blk.start - blk.left:blk.stop] = \
+                getattr(blk, name)[members]
         return out

@@ -60,7 +60,7 @@ def _run(command: str, config: harness.ExperimentConfig) -> None:
         print(f"{value:.6f}")
         if config.out:
             with open(config.out, "w", encoding="utf-8", newline="") as handle:
-                handle.write(f"barrier\n{harness.FLOAT_FMT % value}\n")
+                harness._write_table(handle, "", [("barrier", value)])
     elif command == "check-kernel":
         report = validate_partials(harness.build_kernel(config.kernel))
         print(report)

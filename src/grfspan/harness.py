@@ -7,11 +7,14 @@ being run.  Reports are flat CSV — the columns carry enough raw statistics
 that every derived quantity (gaps, slopes, medians, frequencies) can be
 recomputed from the file alone.
 
-Trajectory replications fan out over a process pool sized by the
-GRFSPAN_WORKERS environment variable (default: all available cores).
-Aggregation is order-independent: results are keyed by (N, replication),
-and identical config + master seed produce byte-identical CSV files
-regardless of worker count.
+Trajectory replications run in batches: a batch is a run of consecutive
+streams of one N, of a fixed size, stepped together by
+``simulate_info_paths``.  The batches fan out over a process pool sized by
+the GRFSPAN_WORKERS environment variable (default: all available cores).
+Neither the batch a stream lands in nor the worker that runs it changes a
+stream's bits, and results are keyed by (N, replication), so identical
+config + master seed produce byte-identical CSV files regardless of worker
+count.
 """
 
 from __future__ import annotations
@@ -45,7 +48,8 @@ from .kernels import (
     spin_glass_kernel,
 )
 from .limits import LimitCurve, first_halting_step, predict
-from .trajectories import simulate_info_path
+from .trajectories import simulate_info_paths
+from .trajectories import simulate_info_path  # not called here: bench/layers.py wraps this name
 
 WORKERS_ENV = "GRFSPAN_WORKERS"
 FLOAT_FMT = "%.17g"
@@ -340,38 +344,40 @@ def worker_count() -> int:
     return workers
 
 
-def _trajectory_task(task):
-    config, N, stream = task
-    record = simulate_info_path(build_kernel(config.kernel), build_gsa(config.algorithm),
-                                config.lam, N, config.steps, stream, config.master_seed,
-                                policy=config.policy())
-    return record.f_values, np.diagonal(record.grad_gram).copy()
+#: streams per pool task.  A constant, not a setting: it trades the work per
+#: task against the memory of a worker's stacked arrays, and changes no bits
+_BATCH = 25
+
+
+def _batch_task(task):
+    """Values and squared gradient norms, (len(streams), steps+1) each, of a
+    batch of streams at one N."""
+    config, N, streams = task
+    records = simulate_info_paths(build_kernel(config.kernel), build_gsa(config.algorithm),
+                                  config.lam, N, config.steps, streams, config.master_seed,
+                                  policy=config.policy())
+    return (np.array([r.f_values for r in records]),
+            np.array([np.diagonal(r.grad_gram) for r in records]))
 
 
 def _collect_trajectories(config: ExperimentConfig,
                           reps_per_n: int) -> tuple[np.ndarray, np.ndarray]:
     """Run reps_per_n trajectories for every N, the rep-th at N_list[i] on
-    stream i·reps_per_n + rep; returns value and gradient arrays of shape
-    (len(N_list), reps_per_n, steps+1)."""
-    steps = config.steps
-    tasks = [(config, N, i * reps_per_n + rep)
-             for i, N in enumerate(config.N_list) for rep in range(reps_per_n)]
+    stream i·reps_per_n + rep, in batches of consecutive streams; returns
+    value and gradient arrays of shape (len(N_list), reps_per_n, steps+1)."""
+    tasks = [(config, N, range(i * reps_per_n + start,
+                               i * reps_per_n + min(start + _BATCH, reps_per_n)))
+             for i, N in enumerate(config.N_list) for start in range(0, reps_per_n, _BATCH)]
     workers = min(worker_count(), len(tasks))
-    if workers > 1 and len(tasks) >= 16:
-        chunk = max(1, len(tasks) // (workers * 8))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_trajectory_task, tasks, chunksize=chunk))
+            results = list(pool.map(_batch_task, tasks))
     else:
-        results = [_trajectory_task(task) for task in tasks]
+        results = [_batch_task(task) for task in tasks]
 
-    shape = (len(config.N_list), reps_per_n, steps + 1)
-    f_vals = np.empty(shape)
-    grad_diag = np.empty(shape)
-    for flat, (f_row, g_row) in enumerate(results):
-        i, rep = divmod(flat, reps_per_n)
-        f_vals[i, rep] = f_row
-        grad_diag[i, rep] = g_row
-    return f_vals, grad_diag
+    shape = (len(config.N_list), reps_per_n, config.steps + 1)
+    return (np.concatenate([f for f, _ in results]).reshape(shape),
+            np.concatenate([g for _, g in results]).reshape(shape))
 
 
 def _require(config: ExperimentConfig, *names):
@@ -704,12 +710,6 @@ class HaltingReport(_Report):
                  ("replications", self.replications)])
 
 
-def _halting_steps(grad_diag, eps) -> np.ndarray:
-    """first_halting_step of every (len(N_list), M, steps+1) trajectory."""
-    return np.array([[first_halting_step(row, eps) for row in rows]
-                     for rows in grad_diag], dtype=float)
-
-
 def run_halting(config: ExperimentConfig) -> HaltingReport:
     """Frequency with which finite-N halting matches the predicted step."""
     _require(config, "algorithm", "N_list", "steps", "replications", "epsilons")
@@ -720,7 +720,7 @@ def run_halting(config: ExperimentConfig) -> HaltingReport:
 
     M = config.replications
     _, grad_diag = _collect_trajectories(config, M)
-    freq = np.stack([np.mean(_halting_steps(grad_diag, eps) == tau, axis=1)
+    freq = np.stack([np.mean(first_halting_step(grad_diag, eps) == tau, axis=1)
                      for eps, tau in zip(epsilons, tau_limit)], axis=1)
     report = HaltingReport(
         N_list=config.N_list, epsilons=epsilons,
@@ -750,7 +750,7 @@ class SimulationTable(_Report):
         columns = [("replication", np.arange(self.f_values.shape[1])[:, None]),
                    ("N", np.asarray(self.N_list)[:, None, None]), ("step", step),
                    ("f_value", self.f_values), ("grad_norm_sq", self.grad_diag)]
-        columns += [(f"halted_eps_{j}", step >= _halting_steps(self.grad_diag, eps)[..., None])
+        columns += [(f"halted_eps_{j}", step >= first_halting_step(self.grad_diag, eps)[..., None])
                     for j, eps in enumerate(self.epsilons)]
         comment = ("halted_eps_j: 1 once grad_norm_sq first dipped to eps_j; "
                    + "; ".join(f"eps_{j} = {FLOAT_FMT % e}"

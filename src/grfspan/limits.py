@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algorithms import GsaSpec, InfoView
-from .assembly import SpanState, residual_variance
-from .assembly import joint_blocks  # not called here: bench/layers.py wraps this name
+from .assembly import SpanState
+from .assembly import joint_blocks, residual_variance  # not called here: bench/layers.py wraps these names
 from .errors import CoincidentPointsError, DegenerateKernelError, RankStallError
 from .gaussianops import DEFAULT_POLICY, ConditionPolicy
 from .gaussianops import condition  # not called here: bench/layers.py wraps this name
@@ -125,8 +125,8 @@ def limit_step(curve: LimitCurve, state: SpanState, gsa: GsaSpec, *,
                on_rank_stall: str = "error") -> LimitCurve:
     """Extend the limit curve by one step of the span recursion.
 
-    ``state`` holds the conditioning history of ``curve``'s points and is
-    extended in place.
+    ``state`` holds the conditioning history of ``curve``'s points, as a
+    batch of one, and is extended in place.
     """
     if on_rank_stall not in ("error", "freeze"):
         raise ValueError(f"on_rank_stall must be 'error' or 'freeze', got {on_rank_stall!r}")
@@ -148,11 +148,11 @@ def limit_step(curve: LimitCurve, state: SpanState, gsa: GsaSpec, *,
             f"(distance {dists[too_close[0]]:.3e})")
 
     Y = np.vstack([curve.y_reps[:n, :d_n], y_new])
-    block = state.extend(Y)
+    block = state.extend(Y[None])[0]
     f_n = float(block[0])
     gamma_body = block[1:]
 
-    sigma_sq = residual_variance(state.kernel, Y, policy=state.policy)
+    sigma_sq = float(state.residual_variance()[0])
     frozen = curve.frozen_steps
     if sigma_sq <= RANK_STALL_TOL:
         if on_rank_stall == "error":
@@ -165,7 +165,7 @@ def limit_step(curve: LimitCurve, state: SpanState, gsa: GsaSpec, *,
     else:
         sigma_val = math.sqrt(sigma_sq)
         gamma_new = np.append(gamma_body, sigma_val)
-        state.open_direction(sigma_val)
+        state.open_direction([sigma_val])
 
     width = max(curve.gamma.shape[1], len(gamma_new), len(y_new))
     gamma = np.zeros((n + 1, width))
@@ -194,14 +194,14 @@ def limit_step(curve: LimitCurve, state: SpanState, gsa: GsaSpec, *,
 
 def limit_state(curve: LimitCurve, kernel: KernelModel,
                 policy: ConditionPolicy = DEFAULT_POLICY) -> SpanState:
-    """Conditioning state of a step-0 curve from ``limit_init``.
+    """Conditioning state (a batch of one) of a step-0 curve from ``limit_init``.
 
     Step 0 conditions on nothing, so its rows are observed at their mean,
     which is where ``limit_init`` put f_0 and the body of γ_0.
     """
     state = SpanState(kernel, policy)
-    state.extend(curve.y_reps[:1, :curve.dims[0]])
-    state.open_direction(curve.sigma_w[0])
+    state.extend(curve.y_reps[None, :1, :curve.dims[0]])
+    state.open_direction(curve.sigma_w[:1])
     return state
 
 
@@ -219,10 +219,16 @@ def predict(kernel: KernelModel, gsa: GsaSpec, lam: float, steps: int, *,
 
 
 def first_halting_step(diag, epsilon):
-    """The halting rule: the first n ≥ 1 with diag[n] ≤ epsilon, where diag
-    holds squared gradient norms of steps 0..T; math.inf if there is none."""
-    hits = np.flatnonzero(np.asarray(diag)[1:] <= epsilon)
-    return int(hits[0]) + 1 if hits.size else math.inf
+    """The halting rule: the first n ≥ 1 with diag[..., n] ≤ epsilon, where
+    the last axis of diag holds squared gradient norms of steps 0..T;
+    math.inf if there is none.  A 1-D diag gives an int (or math.inf), more
+    axes a float array of one step per leading index."""
+    hit = np.asarray(diag)[..., 1:] <= epsilon
+    steps = np.where(hit, np.arange(1, hit.shape[-1] + 1), math.inf)
+    first = steps.min(axis=-1, initial=math.inf)
+    if first.ndim:
+        return first
+    return int(first) if first < math.inf else math.inf
 
 
 def halting_times(curve: LimitCurve, epsilon: float):

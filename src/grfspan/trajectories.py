@@ -10,6 +10,11 @@ orthonormal basis built step by step from x₀ and the observed gradients, so
 the cost is polynomial in the number of steps and free of N; an N = 10⁹ run
 is as cheap (and as exact) as N = 100.
 
+``simulate_info_paths`` steps a batch of runs that share (N, λ, steps)
+together, as stacked arrays through one ``SpanState``; each run keeps its own
+random stream, drawn in the order a lone run draws it, so its record is
+bitwise the same in every batch.  ``simulate_info_path`` is its batch of one.
+
 ``brute_force_path`` is the independent oracle: it maintains explicit
 coordinates in ℝ^N and samples the full (N+1)-dimensional blocks, feasible
 only for small N.  The two must agree in distribution.
@@ -30,9 +35,9 @@ from .assembly import (
     flatten_history,
     joint_blocks,
     mean_block,
-    residual_variance,
 )
-from .errors import ConsistencyError, DegenerateKernelError
+from .assembly import residual_variance  # not called here: bench/layers.py wraps this name
+from .errors import ConsistencyError, DegenerateKernelError, NumericalError
 from .gaussianops import (
     DEFAULT_POLICY,
     ConditionPolicy,
@@ -75,11 +80,11 @@ class TrajectoryRecord:
 
 
 def _realized_info(lam, f_values, G):
-    G = np.asarray(G)
+    """The InfoView of a batch: f_values (B, n), G (B, n, d)."""
     return InfoView(
-        f_values=np.asarray(f_values, dtype=float),
-        grad_gram=G @ G.T,
-        x0_grad=lam * G[:, 0] if lam > 0 else np.zeros(len(G)),
+        f_values=f_values,
+        grad_gram=G @ np.swapaxes(G, 1, 2),
+        x0_grad=lam * G[:, :, 0] if lam > 0 else np.zeros(G.shape[:2]),
         x0_norm_sq=lam * lam,
     )
 
@@ -92,6 +97,21 @@ def simulate_info_path(kernel: KernelModel, gsa: GsaSpec, lam: float, N: int,
     Identical (master_seed, stream_id) and arguments reproduce the record
     bit for bit.
     """
+    return simulate_info_paths(kernel, gsa, lam, N, steps, [stream_id], master_seed,
+                               policy=policy)[0]
+
+
+def simulate_info_paths(kernel: KernelModel, gsa: GsaSpec, lam: float, N: int,
+                        steps: int, stream_ids, master_seed: int, *,
+                        policy: ConditionPolicy = DEFAULT_POLICY) -> list[TrajectoryRecord]:
+    """Sample one exact finite-N trajectory per stream, stepped as a batch.
+
+    Run b draws from make_rng(master_seed, stream_ids[b]) — the normals of
+    its new block, then the chi-square of its new direction, step by step —
+    and its record is bitwise that of ``simulate_info_path`` on the same
+    stream, whatever else is in the batch.  A numerical failure names the
+    stream it happened on.
+    """
     lam = float(lam)
     if lam < 0:
         raise ValueError(f"starting norm must be nonnegative, got {lam}")
@@ -99,52 +119,74 @@ def simulate_info_path(kernel: KernelModel, gsa: GsaSpec, lam: float, N: int,
         raise ValueError(f"steps must be nonnegative, got {steps}")
     if N <= steps + 2:
         raise ValueError(f"need N > steps + 2, got N={N}, steps={steps}")
-    rng = make_rng(master_seed, stream_id)
+    stream_ids = [int(sid) for sid in stream_ids]
+    B = len(stream_ids)
+    rngs = [make_rng(master_seed, sid) for sid in stream_ids]
 
     d = 1 if lam > 0 else 0
     width = steps + 1 + d           # final span dimension d_{T+1}
-    f_values = np.empty(steps + 1)
-    G = np.zeros((steps + 1, width))
-    x_coords = np.zeros((steps + 1, width))
+    f_values = np.empty((B, steps + 1))
+    G = np.zeros((B, steps + 1, width))
+    x_coords = np.zeros((B, steps + 1, width))
     dims = np.empty(steps + 1, dtype=int)
-    x_coords[0, 0] = lam            # x₀ = λ·v₀; step 0 conditions on nothing
-    state = SpanState(kernel, policy)
+    x_coords[:, 0, 0] = lam         # x₀ = λ·v₀; step 0 conditions on nothing
+    state = SpanState(kernel, policy, B)
 
-    for n in range(steps + 1):
-        if n > 0:
-            info = _realized_info(lam, f_values[:n], G[:n, :d])
-            row = gsa.row(n, info)
-            x_new = G[:n, :d].T @ row.h_g
-            x_new[0] += row.h_x * lam
-            x_coords[n, :d] = x_new
-        Y = x_coords[:n + 1, :d]
+    try:
+        for n in range(steps + 1):
+            if n > 0:
+                row = gsa.row(n, _realized_info(lam, f_values[:, :n], G[:, :n, :d]))
+                x_new = (np.swapaxes(G[:, :n, :d], 1, 2) @ row.h_g[..., None])[:, :, 0]
+                x_new[:, 0] += row.h_x * lam
+                x_coords[:, n, :d] = x_new
+            Y = x_coords[:, :n + 1, :d]
 
-        s_new = float(x_coords[n] @ x_coords[n]) / 2.0
-        k3_here = float(kernel.k3(s_new, s_new, 2.0 * s_new))
-        if k3_here <= 0:
-            raise DegenerateKernelError(
-                f"step {n}: κ₃ = {k3_here:g} at the new point; no gradient mass "
-                "outside the span")
-        v_block = state.extend(Y, rng, N)
-        f_values[n] = v_block[0]
-        G[n, :d] = v_block[1:]
+            s_new = 0.5 * np.sum(x_coords[:, n] ** 2, axis=1)
+            k3_here = kernel.k3(s_new, s_new, 2.0 * s_new)
+            if np.any(k3_here <= 0):
+                raise DegenerateKernelError(
+                    f"step {n}: κ₃ = {np.min(k3_here):g} at the new point; no gradient "
+                    "mass outside the span")
+            v_block = state.extend(Y, rngs, N)
+            f_values[:, n] = v_block[:, 0]
+            G[:, n, :d] = v_block[:, 1:]
 
-        sigma_sq = residual_variance(kernel, Y, policy=policy)
-        if sigma_sq < NEGATIVE_RESIDUAL_TOL:
-            raise ConsistencyError(
-                f"step {n}: plug-in residual variance {sigma_sq:.3e} < "
-                f"{NEGATIVE_RESIDUAL_TOL:g}")
-        sigma_sq = max(sigma_sq, 0.0)
-        G[n, d] = math.sqrt((sigma_sq / N) * sample_chi_square(N - d, rng))
-        state.open_direction(G[n, d])
-        dims[n] = d
-        d += 1
+            sigma_sq = state.residual_variance()
+            if np.any(sigma_sq < NEGATIVE_RESIDUAL_TOL):
+                raise ConsistencyError(
+                    f"step {n}: plug-in residual variance {np.min(sigma_sq):.3e} < "
+                    f"{NEGATIVE_RESIDUAL_TOL:g}")
+            chi = np.array([sample_chi_square(N - d, rng) for rng in rngs])
+            G[:, n, d] = np.sqrt((np.maximum(sigma_sq, 0.0) / N) * chi)
+            state.open_direction(G[:, n, d])
+            dims[n] = d
+            d += 1
+    except (NumericalError, ValueError) as exc:
+        raise _blame(exc, kernel, gsa, lam, N, n, stream_ids, master_seed, policy) from exc
 
-    return TrajectoryRecord(
-        N=N, lam=lam, f_values=f_values, grad_gram=G @ G.T,
-        x0_grad=lam * G[:, 0] if lam > 0 else np.zeros(steps + 1),
-        x0_norm_sq=lam * lam, master_seed=master_seed, stream_id=stream_id,
-        G=G, x_coords=x_coords, dims=dims)
+    grad_gram = G @ np.swapaxes(G, 1, 2)
+    return [TrajectoryRecord(
+        N=N, lam=lam, f_values=f_values[b], grad_gram=grad_gram[b],
+        x0_grad=lam * G[b, :, 0] if lam > 0 else np.zeros(steps + 1),
+        x0_norm_sq=lam * lam, master_seed=master_seed, stream_id=sid,
+        G=G[b], x_coords=x_coords[b], dims=dims.copy())
+        for b, sid in enumerate(stream_ids)]
+
+
+def _blame(exc, kernel, gsa, lam, N, step, stream_ids, master_seed, policy):
+    """The error of a batch that failed at ``step``, naming its stream.
+
+    Runs do not interact, so the stream that broke the batch fails at that
+    step when run alone; the first such stream is rerun to name it.
+    """
+    if len(stream_ids) == 1:
+        return type(exc)(f"stream {stream_ids[0]}: {exc}")
+    for sid in stream_ids:
+        try:
+            simulate_info_paths(kernel, gsa, lam, N, step, [sid], master_seed, policy=policy)
+        except (NumericalError, ValueError) as alone:
+            return alone
+    return exc
 
 
 def brute_force_path(kernel: KernelModel, gsa: GsaSpec, x0, steps: int,

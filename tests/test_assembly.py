@@ -146,13 +146,13 @@ def test_span_state_pseudo_inverse_conditions_and_draws():
     kernel = KERNELS[0]
     policy = ConditionPolicy(jitter_start=None, pseudo_fallback=True)
     state = SpanState(kernel, policy)
-    state.extend([[0.8]])
-    state.open_direction(0.9)
+    state.extend([[[0.8]]])
+    state.open_direction([0.9])
     Y = np.array([[0.8, 0.0], [0.8, 0.0], [0.3, 0.5]])
-    np.testing.assert_allclose(state.extend(Y[:2]), [0.0, 0.0, 0.9], atol=1e-12)
-    assert state.pseudo
+    np.testing.assert_allclose(state.extend(Y[None, :2])[0], [0.0, 0.0, 0.9], atol=1e-12)
+    assert state.pseudo[0]
 
-    draw = state.extend(Y, make_rng(4, 0), 64)
+    (draw,) = state.extend(Y[None], [make_rng(4, 0)], 64)
     blocks = joint_blocks(kernel, Y[:2], Y[2])
     res = condition(blocks.mean_hist, blocks.mean_new, blocks.S_hh, blocks.S_hn, blocks.S_nn,
                     flatten_history([0.0, 0.0], [[0.0, 0.9], [0.0, 0.9]]), policy=policy)

@@ -24,6 +24,7 @@ from grfspan.harness import (
     run_verify,
     write_limit_curve,
 )
+from grfspan.kernels import SpinGlassMixture, alg_barrier
 from grfspan.limits import LimitCurve
 from grfspan.trajectories import simulate_info_path
 
@@ -254,15 +255,17 @@ def test_different_seed_different_result(tmp_path, base_config):
 
 
 def test_worker_count_does_not_change_bytes(tmp_path, monkeypatch):
-    path = _write(tmp_path, BASE_CONFIG.replace("replications = 6",
-                                                "replications = 10"))
-    outputs = []
-    for workers in ("1", "2"):
-        monkeypatch.setenv(harness.WORKERS_ENV, workers)
-        out = tmp_path / f"w{workers}.csv"
-        run_verify(load_config(path)).to_csv(out)
-        outputs.append(out.read_bytes())
-    assert outputs[0] == outputs[1]
+    # the second case ends every N with a ragged batch of 3 streams
+    for replications in (10, harness._BATCH + 3):
+        path = _write(tmp_path, BASE_CONFIG.replace("replications = 6",
+                                                    f"replications = {replications}"))
+        outputs = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv(harness.WORKERS_ENV, workers)
+            out = tmp_path / f"w{workers}.csv"
+            run_verify(load_config(path)).to_csv(out)
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 def test_worker_env_validation(monkeypatch):
@@ -591,6 +594,15 @@ def test_cli_seed_override(tmp_path, monkeypatch):
 def test_cli_barrier_value(tmp_path, capsys):
     path = _write(tmp_path, "[kernel]\ntype = spin_glass\ncoeffs = [0, 0, 1.0]\n")
     assert cli.main(["barrier", "--config", str(path)]) == 0
+    assert capsys.readouterr().out.strip() == "1.414214"
+
+
+def test_cli_barrier_out_file_bytes(tmp_path, capsys):
+    path = _write(tmp_path, "[kernel]\ntype = spin_glass\ncoeffs = [0, 0, 1.0]\n")
+    out = tmp_path / "barrier.csv"
+    assert cli.main(["barrier", "--config", str(path), "--out", str(out)]) == 0
+    value = alg_barrier(SpinGlassMixture(coeffs=(0.0, 0.0, 1.0)))
+    assert out.read_bytes() == b"barrier\n" + (b"%.17g" % value) + b"\n"
     assert capsys.readouterr().out.strip() == "1.414214"
 
 

@@ -27,6 +27,7 @@ from grfspan.kernels import (
     stationary_direct,
 )
 from grfspan.limits import (
+    first_halting_step,
     halting_times,
     limit_init,
     limit_state,
@@ -255,6 +256,19 @@ def test_halting_on_synthetic_diagonal():
     assert tau == 1 and tau_plus == 1
 
 
+def test_first_halting_step_over_the_last_axis():
+    diag = np.array([[[0.1, 0.9, 0.4, 0.2], [0.8, 0.7, 0.6, 0.5]],
+                     [[0.3, 0.3, 0.9, 0.1], [0.1, 0.9, 0.9, 0.9]]])
+    steps = first_halting_step(diag, 0.3)
+    assert steps.shape == (2, 2)
+    np.testing.assert_array_equal(steps, [[3, math.inf], [1, math.inf]])
+    for index in np.ndindex(steps.shape):
+        lone = first_halting_step(diag[index], 0.3)
+        assert lone == steps[index] and isinstance(lone, (int, float))
+    assert first_halting_step(diag[0, 0], 0.3) == 3
+    assert first_halting_step(np.zeros((3, 1)), 1.0).tolist() == [math.inf] * 3
+
+
 # ---------------------------------------------------------------------------
 # the incremental conditioning state against from-scratch conditioning
 # ---------------------------------------------------------------------------
@@ -333,7 +347,7 @@ def test_state_is_permuted_history_block(case, lam):
         types, at = state.labels
         order = types * n + at
         np.testing.assert_array_equal(np.sort(order), np.arange(len(S_hh)))
-        np.testing.assert_allclose(state.covariance(), S_hh[np.ix_(order, order)],
+        np.testing.assert_allclose(state.covariance()[0], S_hh[np.ix_(order, order)],
                                    rtol=0, atol=1e-13)
 
 
@@ -341,11 +355,11 @@ def test_state_escalates_once_and_matches_refactored_conditioning():
     kernel, gsa = lift_stationary(SE_MIX), heavy_ball(0.4, 0.5)
     jitters = []
     for curve, state in drive(kernel, gsa, 1.0, 20):
-        jitters.append(state.jitter)
+        jitters.append(state.jitter[0])
     assert jitters[0] == 0.0 and jitters[-1] == 1e-12
     assert sum(a != b for a, b in zip(jitters, jitters[1:])) == 1
-    S = state.covariance()
-    L = state.factor()
+    (S,) = state.covariance()
+    (L,) = state.factor()
     assert np.all(L == np.tril(L))
     np.testing.assert_allclose(L @ L.T, S + 1e-12 * np.eye(len(S)), rtol=0, atol=1e-13)
     # the same regularised matrices, solved from scratch each step; at T = 20
@@ -374,7 +388,7 @@ def test_exhausted_ladder_switches_to_pseudo_inverse():
     for curve, state in drive(kernel, gd(0.3), 1.0, 20, policy=policy,
                               on_rank_stall="freeze"):
         pass
-    assert state.pseudo and state.jitter == math.inf
+    assert state.pseudo[0] and state.jitter[0] == math.inf
     with pytest.raises(ValueError):
         state.factor()
     np.testing.assert_allclose(curve.f_limit, quadratic_gd_oracle(0.3, 20), atol=1e-8)

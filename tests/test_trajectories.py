@@ -5,7 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from grfspan.algorithms import gd, heavy_ball, with_sphere_projection
+from grfspan.algorithms import (
+    GsaSpec,
+    PrefactorRow,
+    fr_cg,
+    gd,
+    heavy_ball,
+    nesterov,
+    with_sphere_projection,
+)
+from grfspan.assembly import SpanState
+from grfspan.errors import KernelDomainError
+from grfspan.gaussianops import ConditionPolicy
 from grfspan.kernels import (
     SchoenbergMixture,
     SpinGlassMixture,
@@ -18,6 +29,7 @@ from grfspan.trajectories import (
     brute_force_path,
     empirical_halting_time,
     simulate_info_path,
+    simulate_info_paths,
 )
 
 SE = lift_stationary(SchoenbergMixture(atoms=((1.0, 1.0),)))   # C(r) = e^{-r}
@@ -89,6 +101,116 @@ def test_lam_zero_start():
     assert np.all(r.x0_grad == 0.0)
     assert r.x0_norm_sq == 0.0
     assert np.isfinite(r.f_values).all()
+
+
+# ---------------------------------------------------------------------------
+# batches
+# ---------------------------------------------------------------------------
+
+RECORD_ARRAYS = ("f_values", "grad_gram", "x0_grad", "G", "x_coords", "dims")
+SPIN = spin_glass_kernel(SpinGlassMixture(coeffs=(0.0, 0.0, 1.0, 0.6)))
+
+
+def assert_same_record(a, b):
+    assert (a.N, a.lam, a.stream_id, a.master_seed) == (b.N, b.lam, b.stream_id, b.master_seed)
+    for name in RECORD_ARRAYS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.shape == y.shape and np.array_equal(x, y), name
+        assert np.array_equal(np.signbit(x), np.signbit(y)), name
+
+
+@pytest.fixture
+def escalations(monkeypatch):
+    """(member, history rows, pseudo afterwards) of every jitter escalation."""
+    seen = []
+    escalate = SpanState._escalate
+
+    def spy(self, b):
+        rows = self._resid.shape[1]
+        escalate(self, b)
+        seen.append((self.batch, int(b), rows, bool(self.pseudo[b])))
+
+    monkeypatch.setattr(SpanState, "_escalate", spy)
+    return seen
+
+
+BATCH_CASES = {
+    "gd": (SE, gd(0.4), 1.0, 64, 6),
+    "heavy-ball": (SE, HB, 1.0, 256, 8),
+    "fr_cg": (SE, fr_cg(0.3), 1.0, 10 ** 9, 8),
+    "nesterov+sphere": (SPIN, with_sphere_projection(nesterov(0.2, 0.5), 1.0), 1.0, 64, 5),
+    "gd-from-origin": (SE, gd(0.4), 0.0, 64, 5),
+}
+
+
+@pytest.mark.parametrize("case", BATCH_CASES)
+def test_batch_members_equal_lone_runs(case):
+    kernel, gsa, lam, N, steps = BATCH_CASES[case]
+    streams = [3, 4, 5, 6, 7, 40, 41]
+    batch = simulate_info_paths(kernel, gsa, lam, N, steps, streams, 9)
+    assert [r.stream_id for r in batch] == streams
+    for record, stream in zip(batch, streams):
+        assert_same_record(record, simulate_info_path(kernel, gsa, lam, N, steps, stream, 9))
+    assert simulate_info_paths(kernel, gsa, lam, N, steps, [], 9) == []
+
+
+@pytest.mark.parametrize("case", ["heavy-ball", "nesterov+sphere"])
+def test_stream_bits_do_not_depend_on_batch_composition(case):
+    kernel, gsa, lam, N, steps = BATCH_CASES[case]
+    wide = simulate_info_paths(kernel, gsa, lam, N, steps, range(60), 9)
+    other = simulate_info_paths(kernel, gsa, lam, N, steps, [57, 12, 30, 200, 5], 9)
+    for record in other[:3] + other[4:]:
+        assert_same_record(record, wide[record.stream_id])
+
+
+def test_members_escalating_at_different_steps_match_lone_runs(escalations):
+    streams = range(8)
+    batch = simulate_info_paths(SE, HB, 1.0, 64, 20, streams, 3)
+    in_batch = [(b, rows) for size, b, rows, _ in escalations if size == len(streams)]
+    # some members escalate, at different steps, and some never do
+    assert len({rows for _, rows in in_batch}) >= 2
+    assert {b for b, _ in in_batch} < set(streams)
+    for record in batch:
+        assert_same_record(record, simulate_info_path(SE, HB, 1.0, 64, 20,
+                                                      record.stream_id, 3))
+
+
+def _stall_at_first_step(n, info):
+    """gd(0.4), except that a run whose first value is positive repeats x₀
+    at step 1, which makes its history singular."""
+    h_g = np.full(info.f_values.shape[:-1] + (n,), -0.4)
+    if n == 1:
+        h_g[info.f_values[..., 0] > 0] = 0.0
+    return PrefactorRow(1.0, h_g)
+
+
+def test_pseudo_inverse_member_inside_a_batch(escalations):
+    gsa = GsaSpec(name="stall", prefactors=_stall_at_first_step)
+    policy = ConditionPolicy(jitter_start=None, pseudo_fallback=True)
+    batch = simulate_info_paths(SE, gsa, 1.0, 64, 4, range(8), 3, policy=policy)
+    stalled = {b for b, record in enumerate(batch) if record.f_values[0] > 0}
+    switched = {b for size, b, _, pseudo in escalations if size == 8 and pseudo}
+    assert switched == stalled and 0 < len(stalled) < 8
+    for record in batch:
+        assert np.all(np.isfinite(record.f_values)) and np.all(np.isfinite(record.G))
+        assert_same_record(record, simulate_info_path(SE, gsa, 1.0, 64, 4, record.stream_id, 3,
+                                                      policy=policy))
+
+
+def test_error_inside_a_batch_names_its_stream():
+    # runs whose first value is below the threshold step to a non-finite point
+    def prefactors(n, info):
+        h_g = np.full(info.f_values.shape[:-1] + (n,), -0.4)
+        h_g[info.f_values[..., 0] < -0.05] = np.nan
+        return PrefactorRow(1.0, h_g)
+
+    gsa = GsaSpec(name="broken", prefactors=prefactors)
+    streams = list(range(20, 40))
+    first = [simulate_info_path(SE, gd(0.4), 1.0, 64, 0, s, 3).f_values[0] for s in streams]
+    bad = [s for s, f in zip(streams, first) if f < -0.05]
+    assert bad and bad[0] != streams[0]
+    with pytest.raises(KernelDomainError, match=rf"^stream {bad[0]}: "):
+        simulate_info_paths(SE, gsa, 1.0, 64, 3, streams, 3)
 
 
 # ---------------------------------------------------------------------------
