@@ -135,12 +135,23 @@ def condition(mu1, mu2, S11, S12, S22, observed,
 
 
 def sample_mvn(mean, cov, rng, policy: ConditionPolicy = DEFAULT_POLICY):
-    """Draw mean + L·z with LLᵀ = cov; cov = 0 returns the mean exactly."""
+    """Draw mean + L·z with LLᵀ = cov; cov = 0 returns the mean exactly.
+
+    L is the jittered Cholesky factor, or with ``pseudo_fallback`` after the
+    ladder fails, V·√max(w, 0) from the eigenpairs (w, V) of the symmetrised
+    cov, so a rank-deficient cov draws along its range from the same z.
+    """
     mean = np.asarray(mean, dtype=float)
     cov = np.asarray(cov, dtype=float)
     if not np.any(cov):
         return mean.copy()
-    L, _ = cholesky_psd(cov, policy)
+    try:
+        L, _ = cholesky_psd(cov, policy)
+    except NotPsdError:
+        if not policy.pseudo_fallback:
+            raise
+        w, V = np.linalg.eigh(0.5 * (cov + cov.T))
+        L = V * np.sqrt(np.maximum(w, 0.0))
     return mean + L @ rng.standard_normal(mean.shape[0])
 
 

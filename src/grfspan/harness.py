@@ -10,11 +10,11 @@ recomputed from the file alone.
 Trajectory replications run in batches: a batch is a run of consecutive
 streams of one N, of a fixed size, stepped together by
 ``simulate_info_paths``.  The batches fan out over a process pool sized by
-the GRFSPAN_WORKERS environment variable (default: all available cores).
-Neither the batch a stream lands in nor the worker that runs it changes a
-stream's bits, and results are keyed by (N, replication), so identical
-config + master seed produce byte-identical CSV files regardless of worker
-count.
+the GRFSPAN_WORKERS environment variable (default: the CPUs the process may
+run on).  Neither the batch a stream lands in nor the worker that runs it
+changes a stream's bits, and results are keyed by (N, replication), so
+identical config + master seed produce byte-identical CSV files regardless
+of worker count.
 """
 
 from __future__ import annotations
@@ -332,8 +332,11 @@ def build_gsa(spec: dict) -> GsaSpec:
 # ---------------------------------------------------------------------------
 
 def worker_count() -> int:
+    """GRFSPAN_WORKERS, else the number of CPUs this process may run on."""
     raw = os.environ.get(WORKERS_ENV)
     if raw is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     try:
         workers = int(raw)

@@ -75,16 +75,16 @@ class SchoenbergMixture:
         """C(0) = Σ wⱼ, the stationary variance scale."""
         return sum(w for w, _ in self.atoms)
 
-    def value(self, r):
-        return sum(w * np.exp(-t * t * np.asarray(r, dtype=float)) for w, t in self.atoms)
-
-    def deriv(self, r):
+    def derivatives(self, r):
+        """C(r), C′(r) and C″(r), from one exponential per atom."""
         r = np.asarray(r, dtype=float)
-        return sum(-w * t * t * np.exp(-t * t * r) for w, t in self.atoms)
-
-    def deriv2(self, r):
-        r = np.asarray(r, dtype=float)
-        return sum(w * t ** 4 * np.exp(-t * t * r) for w, t in self.atoms)
+        c = dc = ddc = 0
+        for w, t in self.atoms:
+            e = np.exp(-t * t * r)
+            c = c + w * e
+            dc = dc + -w * t * t * e
+            ddc = ddc + w * t ** 4 * e
+        return c, dc, ddc
 
 
 @dataclass(frozen=True)
@@ -101,29 +101,20 @@ class SpinGlassMixture:
             raise ValueError("spin coefficients must be nonnegative")
         object.__setattr__(self, "coeffs", coeffs)
 
-    def xi(self, s):
+    def derivatives(self, s):
+        """ξ(s), ξ′(s) and ξ″(s), from one pass over the coefficients."""
         s = np.asarray(s, dtype=float)
-        out = np.zeros_like(s)
+        xi, d1, d2 = np.zeros_like(s), np.zeros_like(s), np.zeros_like(s)
         for p, c in enumerate(self.coeffs):
-            if c != 0.0:
-                out = out + c * c * s ** p
-        return out
-
-    def xi_prime(self, s):
-        s = np.asarray(s, dtype=float)
-        out = np.zeros_like(s)
-        for p, c in enumerate(self.coeffs):
-            if c != 0.0 and p >= 1:
-                out = out + c * c * p * s ** (p - 1)
-        return out
-
-    def xi_double_prime(self, s):
-        s = np.asarray(s, dtype=float)
-        out = np.zeros_like(s)
-        for p, c in enumerate(self.coeffs):
-            if c != 0.0 and p >= 2:
-                out = out + c * c * p * (p - 1) * s ** (p - 2)
-        return out
+            if c == 0.0:
+                continue
+            w = c * c
+            xi = xi + w * s ** p
+            if p >= 1:
+                d1 = d1 + w * p * s ** (p - 1)
+            if p >= 2:
+                d2 = d2 + w * p * (p - 1) * s ** (p - 2)
+        return xi, d1, d2
 
 
 # ---------------------------------------------------------------------------
@@ -133,28 +124,30 @@ class SpinGlassMixture:
 class KernelModel:
     """Mean profile, kernel and its seven partials, plus covariance rules.
 
-    All callables accept scalars or numpy arrays.  Instances are immutable by
-    convention and safe to share across threads/trajectories.
+    ``partials(λ₁, λ₂, λ₃)`` returns (κ₁, κ₂, κ₃, κ₁₂, κ₁₃, κ₂₃, κ₃₃) — the
+    ``PARTIAL_NAMES`` order — from one call, so a family shares the work its
+    partials have in common.  All callables accept scalars or numpy arrays.
+    Instances are immutable by convention and safe to share across
+    threads/trajectories.
     """
 
     def __init__(self, mean, mean_prime, kappa, partials, *, label=""):
-        if set(partials) != set(PARTIAL_NAMES):
-            missing = set(PARTIAL_NAMES) - set(partials)
-            raise ValueError(f"partials must supply exactly {PARTIAL_NAMES}, missing {sorted(missing)}")
+        count = len(partials(1.0, 1.0, 0.0))
+        if count != len(PARTIAL_NAMES):
+            raise ValueError(f"partials must return the {len(PARTIAL_NAMES)} values "
+                             f"{PARTIAL_NAMES}, got {count}")
         self.mean = mean
         self.mean_prime = mean_prime
         self.kappa = kappa
-        self.k1 = partials["k1"]
-        self.k2 = partials["k2"]
-        self.k3 = partials["k3"]
-        self.k12 = partials["k12"]
-        self.k13 = partials["k13"]
-        self.k23 = partials["k23"]
-        self.k33 = partials["k33"]
+        self.partials = partials
         self.label = label
 
     def __repr__(self):
         return f"<KernelModel {self.label or 'custom'}>"
+
+    def k3(self, s_x, s_y, ip_xy):
+        """κ₃, the coefficient of ⟨v, w⟩ in Cov(D_v f(x), D_w f(y))."""
+        return self.partials(s_x, s_y, ip_xy)[2]
 
     # -- covariance rules in inner-product form (no domain checks here) -----
 
@@ -162,16 +155,16 @@ class KernelModel:
         return self.kappa(s_x, s_y, ip_xy)
 
     def cov_df_f(self, s_x, s_y, ip_xy, ip_xv, ip_yv):
-        return (self.k1(s_x, s_y, ip_xy) * ip_xv
-                + self.k3(s_x, s_y, ip_xy) * ip_yv)
+        k1, _, k3, *_ = self.partials(s_x, s_y, ip_xy)
+        return k1 * ip_xv + k3 * ip_yv
 
     def cov_df_df(self, s_x, s_y, ip_xy, ip_xv, ip_yv, ip_xw, ip_yw, ip_vw):
-        a = (s_x, s_y, ip_xy)
-        return (self.k12(*a) * ip_xv * ip_yw
-                + self.k13(*a) * ip_xv * ip_xw
-                + self.k23(*a) * ip_yv * ip_yw
-                + self.k33(*a) * ip_yv * ip_xw
-                + self.k3(*a) * ip_vw)
+        _, _, k3, k12, k13, k23, k33 = self.partials(s_x, s_y, ip_xy)
+        return (k12 * ip_xv * ip_yw
+                + k13 * ip_xv * ip_xw
+                + k23 * ip_yv * ip_yw
+                + k33 * ip_yv * ip_xw
+                + k3 * ip_vw)
 
 
 class _DirectStationaryModel(KernelModel):
@@ -190,22 +183,21 @@ class _DirectStationaryModel(KernelModel):
     def __init__(self, mixture: SchoenbergMixture, mean_level: float):
         self._mixture = mixture
         model = lift_stationary(mixture, mean_level)
-        super().__init__(model.mean, model.mean_prime, model.kappa,
-                         {name: getattr(model, name) for name in PARTIAL_NAMES},
+        super().__init__(model.mean, model.mean_prime, model.kappa, model.partials,
                          label="stationary-direct")
 
     def cov_ff(self, s_x, s_y, ip_xy):
-        return self._mixture.value(s_x + s_y - ip_xy)
+        return self._mixture.derivatives(s_x + s_y - ip_xy)[0]
 
     def cov_df_f(self, s_x, s_y, ip_xy, ip_xv, ip_yv):
-        r = s_x + s_y - ip_xy
-        return self._mixture.deriv(r) * (ip_xv - ip_yv)
+        _, dc, _ = self._mixture.derivatives(s_x + s_y - ip_xy)
+        return dc * (ip_xv - ip_yv)
 
     def cov_df_df(self, s_x, s_y, ip_xy, ip_xv, ip_yv, ip_xw, ip_yw, ip_vw):
-        r = s_x + s_y - ip_xy
+        _, dc, ddc = self._mixture.derivatives(s_x + s_y - ip_xy)
         dv = ip_xv - ip_yv
         dw = ip_xw - ip_yw
-        return -(self._mixture.deriv2(r) * dv * dw + self._mixture.deriv(r) * ip_vw)
+        return -(ddc * dv * dw + dc * ip_vw)
 
 
 # ---------------------------------------------------------------------------
@@ -218,22 +210,17 @@ def lift_stationary(mixture: SchoenbergMixture, mean_level: float = 0.0) -> Kern
     Partials follow by the chain rule: κ₁ = κ₂ = C′, κ₃ = −C′,
     κ₁₂ = κ₃₃ = C″, κ₁₃ = κ₂₃ = −C″, all at r = λ₁+λ₂−λ₃.
     """
-    C, Cp, Cpp = mixture.value, mixture.deriv, mixture.deriv2
     level = float(mean_level)
-    zero_like = lambda s: np.zeros_like(np.asarray(s, dtype=float))
+
+    def partials(l1, l2, l3):
+        _, dc, ddc = mixture.derivatives(l1 + l2 - l3)
+        return dc, dc, -dc, ddc, -ddc, -ddc, ddc
+
     return KernelModel(
         mean=lambda s: np.full_like(np.asarray(s, dtype=float), level),
-        mean_prime=zero_like,
-        kappa=lambda l1, l2, l3: C(l1 + l2 - l3),
-        partials={
-            "k1": lambda l1, l2, l3: Cp(l1 + l2 - l3),
-            "k2": lambda l1, l2, l3: Cp(l1 + l2 - l3),
-            "k3": lambda l1, l2, l3: -Cp(l1 + l2 - l3),
-            "k12": lambda l1, l2, l3: Cpp(l1 + l2 - l3),
-            "k13": lambda l1, l2, l3: -Cpp(l1 + l2 - l3),
-            "k23": lambda l1, l2, l3: -Cpp(l1 + l2 - l3),
-            "k33": lambda l1, l2, l3: Cpp(l1 + l2 - l3),
-        },
+        mean_prime=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
+        kappa=lambda l1, l2, l3: mixture.derivatives(l1 + l2 - l3)[0],
+        partials=partials,
         label="stationary-lift",
     )
 
@@ -245,20 +232,17 @@ def stationary_direct(mixture: SchoenbergMixture, mean_level: float = 0.0) -> Ke
 
 def spin_glass_kernel(mix: SpinGlassMixture) -> KernelModel:
     """Mixed p-spin kernel κ(λ₁,λ₂,λ₃) = ξ(λ₃) with zero mean."""
-    zero3 = lambda l1, l2, l3: np.zeros_like(np.asarray(l3, dtype=float))
+
+    def partials(l1, l2, l3):
+        _, d1, d2 = mix.derivatives(l3)
+        zero = np.zeros_like(np.asarray(l3, dtype=float))
+        return zero, zero, d1, zero, zero, zero, d2
+
     return KernelModel(
         mean=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
         mean_prime=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
-        kappa=lambda l1, l2, l3: mix.xi(l3),
-        partials={
-            "k1": zero3,
-            "k2": zero3,
-            "k3": lambda l1, l2, l3: mix.xi_prime(l3),
-            "k12": zero3,
-            "k13": zero3,
-            "k23": zero3,
-            "k33": lambda l1, l2, l3: mix.xi_double_prime(l3),
-        },
+        kappa=lambda l1, l2, l3: mix.derivatives(l3)[0],
+        partials=partials,
         label="spin-glass",
     )
 
@@ -277,20 +261,17 @@ def quadratic_kernel(sigma_A: float, sigma_eta: float, R: float) -> KernelModel:
     sa2 = float(sigma_A) ** 2
     k3_const = sa2 * sa2 * float(R) ** 2
     offset = float(sigma_eta) ** 2 / 2.0 + sa2 * float(R) ** 2 / 2.0
-    zero3 = lambda l1, l2, l3: np.zeros_like(np.asarray(l3, dtype=float))
+
+    def partials(l1, l2, l3):
+        l3 = np.asarray(l3, dtype=float)
+        zero = np.zeros_like(l3)
+        return zero, zero, np.full_like(l3, k3_const), zero, zero, zero, zero
+
     return KernelModel(
         mean=lambda s: offset + sa2 * np.asarray(s, dtype=float),
         mean_prime=lambda s: np.full_like(np.asarray(s, dtype=float), sa2),
         kappa=lambda l1, l2, l3: k3_const * np.asarray(l3, dtype=float),
-        partials={
-            "k1": zero3,
-            "k2": zero3,
-            "k3": lambda l1, l2, l3: np.full_like(np.asarray(l3, dtype=float), k3_const),
-            "k12": zero3,
-            "k13": zero3,
-            "k23": zero3,
-            "k33": zero3,
-        },
+        partials=partials,
         label="quadratic",
     )
 
@@ -344,12 +325,12 @@ def alg_barrier(mix: SpinGlassMixture, quadrature_points: int = 32, tol: float =
     """
     if quadrature_points < 1:
         raise ValueError("quadrature_points must be >= 1")
-    probe = mix.xi_double_prime(np.linspace(0.0, 1.0, 257))
+    probe = mix.derivatives(np.linspace(0.0, 1.0, 257))[2]
     if np.any(probe < -1e-12):
         raise ValueError("mixture has negative curvature ξ″ on [0,1]; not a valid mix")
 
     def f(s):
-        return math.sqrt(max(float(mix.xi_double_prime(s)), 0.0))
+        return math.sqrt(max(float(mix.derivatives(s)[2]), 0.0))
 
     edges = np.linspace(0.0, 1.0, quadrature_points + 1)
     total = 0.0
@@ -412,23 +393,24 @@ def validate_partials(kernel: KernelModel, grid=None, tol: float = 1e-6) -> Part
     def rel(analytic, fd):
         return abs(analytic - fd) / max(1.0, abs(analytic))
 
+    k, p = kernel.kappa, kernel.partials
     for (l1, l2, l3) in grid:
         h1 = 1e-5 * max(1.0, abs(l1))
         h2 = 1e-5 * max(1.0, abs(l2))
         h3 = 1e-5 * max(1.0, abs(l3))
-        k = kernel.kappa
-        fd = {
-            "k1": (k(l1 + h1, l2, l3) - k(l1 - h1, l2, l3)) / (2 * h1),
-            "k2": (k(l1, l2 + h2, l3) - k(l1, l2 - h2, l3)) / (2 * h2),
-            "k3": (k(l1, l2, l3 + h3) - k(l1, l2, l3 - h3)) / (2 * h3),
-            "k12": (kernel.k1(l1, l2 + h2, l3) - kernel.k1(l1, l2 - h2, l3)) / (2 * h2),
-            "k13": (kernel.k1(l1, l2, l3 + h3) - kernel.k1(l1, l2, l3 - h3)) / (2 * h3),
-            "k23": (kernel.k2(l1, l2, l3 + h3) - kernel.k2(l1, l2, l3 - h3)) / (2 * h3),
-            "k33": (kernel.k3(l1, l2, l3 + h3) - kernel.k3(l1, l2, l3 - h3)) / (2 * h3),
-        }
-        for name in PARTIAL_NAMES:
-            analytic = float(getattr(kernel, name)(l1, l2, l3))
-            err = rel(analytic, float(fd[name]))
+        up2, dn2 = p(l1, l2 + h2, l3), p(l1, l2 - h2, l3)
+        up3, dn3 = p(l1, l2, l3 + h3), p(l1, l2, l3 - h3)
+        fd = (
+            (k(l1 + h1, l2, l3) - k(l1 - h1, l2, l3)) / (2 * h1),
+            (k(l1, l2 + h2, l3) - k(l1, l2 - h2, l3)) / (2 * h2),
+            (k(l1, l2, l3 + h3) - k(l1, l2, l3 - h3)) / (2 * h3),
+            (up2[0] - dn2[0]) / (2 * h2),   # κ₁₂ = ∂₂κ₁
+            (up3[0] - dn3[0]) / (2 * h3),   # κ₁₃ = ∂₃κ₁
+            (up3[1] - dn3[1]) / (2 * h3),   # κ₂₃ = ∂₃κ₂
+            (up3[2] - dn3[2]) / (2 * h3),   # κ₃₃ = ∂₃κ₃
+        )
+        for name, analytic, diff in zip(PARTIAL_NAMES, p(l1, l2, l3), fd):
+            err = rel(float(analytic), float(diff))
             if err > worst[name]:
                 worst[name] = err
     return PartialsReport(max_rel_err=worst, tol=tol)

@@ -127,7 +127,7 @@ def test_k3_matrix_and_residual_variance():
     for k in range(3):
         for l in range(3):
             r = s[k] + s[l] - ip[k, l]
-            assert W[k, l] == pytest.approx(-float(mix.deriv(r)), rel=1e-14)
+            assert W[k, l] == pytest.approx(-float(mix.derivatives(r)[1]), rel=1e-14)
     sigma_sq = residual_variance(kernel, reps)
     direct = W[2, 2] - W[2, :2] @ np.linalg.solve(W[:2, :2], W[:2, 2])
     assert sigma_sq == pytest.approx(direct, rel=1e-10)

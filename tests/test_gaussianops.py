@@ -153,6 +153,18 @@ def test_sample_mvn_identity_moments():
     assert abs(emp_cov[0, 1]) < se
 
 
+def test_sample_mvn_rank_deficient_draws_along_the_range():
+    cov = np.array([[1.0, 1.0], [1.0, 1.0]])
+    policy = ConditionPolicy(jitter_start=None, pseudo_fallback=True)
+    rng = make_rng(5, 0)
+    draws = np.array([sample_mvn(np.zeros(2), cov, rng, policy) for _ in range(20_000)])
+    np.testing.assert_allclose(draws[:, 0], draws[:, 1], rtol=0.0, atol=1e-12)
+    se = 4.0 * math.sqrt(2.0 / 20_000)
+    assert abs(np.var(draws[:, 0]) - 1.0) < se
+    with pytest.raises(NotPsdError):
+        sample_mvn(np.zeros(2), cov, rng, ConditionPolicy(jitter_start=None))
+
+
 @pytest.mark.parametrize("dof", [3.0, 997.5, 1e9])
 def test_chi_square_moments(dof):
     rng = make_rng(7, 42)

@@ -2,6 +2,7 @@
 
 import io
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -277,6 +278,17 @@ def test_worker_env_validation(monkeypatch):
         harness.worker_count()
     monkeypatch.setenv(harness.WORKERS_ENV, "3")
     assert harness.worker_count() == 3
+
+
+def test_default_worker_count_follows_cpu_affinity(monkeypatch):
+    monkeypatch.delenv(harness.WORKERS_ENV, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert harness.worker_count() == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert harness.worker_count() == 2
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert harness.worker_count() == 1
 
 
 # ---------------------------------------------------------------------------

@@ -48,8 +48,9 @@ def test_schoenberg_validation():
 def test_schoenberg_derivative_is_negative():
     mix = SchoenbergMixture(atoms=((0.7, 0.5), (0.3, 2.0)))
     r = np.linspace(0.0, 5.0, 41)
-    assert np.all(mix.deriv(r) < 0)
-    assert np.all(mix.deriv2(r) > 0)
+    _, dc, ddc = mix.derivatives(r)
+    assert np.all(dc < 0)
+    assert np.all(ddc > 0)
     assert mix.c0 == pytest.approx(1.0)
 
 
@@ -58,6 +59,99 @@ def test_spin_glass_validation():
         SpinGlassMixture(coeffs=())
     with pytest.raises(ValueError):
         SpinGlassMixture(coeffs=(0.0, -1.0))
+
+
+def test_schoenberg_derivatives_are_the_atom_sums():
+    mix = SchoenbergMixture(atoms=((0.7, 0.5), (0.3, 2.0), (0.2, 0.0)))
+    r = np.linspace(0.0, 5.0, 41)
+    c, dc, ddc = mix.derivatives(r)
+    assert np.array_equal(c, sum(w * np.exp(-t * t * r) for w, t in mix.atoms))
+    assert np.array_equal(dc, sum(-w * t * t * np.exp(-t * t * r) for w, t in mix.atoms))
+    assert np.array_equal(ddc, sum(w * t ** 4 * np.exp(-t * t * r) for w, t in mix.atoms))
+
+
+def test_schoenberg_derivatives_take_one_exponential_per_atom(monkeypatch):
+    mix = SchoenbergMixture(atoms=((0.7, 0.5), (0.3, 2.0)))
+    calls = []
+    exp = np.exp
+    monkeypatch.setattr(np, "exp", lambda x: calls.append(1) or exp(x))
+    mix.derivatives(np.linspace(0.0, 5.0, 41))
+    assert len(calls) == len(mix.atoms)
+
+
+def test_spin_glass_derivatives_are_the_coefficient_sums():
+    mix = SpinGlassMixture(coeffs=(0.2, 0.0, 0.5, 0.4, 0.3))
+    s = np.linspace(-1.0, 1.0, 41)
+    terms = [(p, c * c) for p, c in enumerate(mix.coeffs) if c != 0.0]
+    xi, d1, d2 = mix.derivatives(s)
+    assert np.array_equal(xi, sum(w * s ** p for p, w in terms))
+    assert np.array_equal(d1, sum(w * p * s ** (p - 1) for p, w in terms if p >= 1))
+    assert np.array_equal(d2, sum(w * p * (p - 1) * s ** (p - 2) for p, w in terms if p >= 2))
+
+
+def test_spin_glass_derivatives_of_a_constant_are_zero():
+    xi, d1, d2 = SpinGlassMixture(coeffs=(2.0,)).derivatives(np.array([0.0, 0.5]))
+    assert np.array_equal(xi, [4.0, 4.0])
+    assert np.array_equal(d1, [0.0, 0.0])
+    assert np.array_equal(d2, [0.0, 0.0])
+
+
+# ---------------------------------------------------------------------------
+# the partials contract
+# ---------------------------------------------------------------------------
+
+def _domain_points(n=30):
+    rng = np.random.default_rng(5)
+    return tuple(np.array(col) for col in zip(*(random_domain_point(rng) for _ in range(n))))
+
+
+def _assert_partials(kernel, expected, l1, l2, l3):
+    got = kernel.partials(l1, l2, l3)
+    assert len(got) == len(PARTIAL_NAMES)
+    for name, a, b in zip(PARTIAL_NAMES, got, expected):
+        assert np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("make", [lift_stationary, stationary_direct])
+def test_stationary_partials_closed_form(make):
+    mix = SchoenbergMixture(atoms=((0.6, 0.8), (0.4, 1.7)))
+    l1, l2, l3 = _domain_points()
+    _, dc, ddc = mix.derivatives(l1 + l2 - l3)
+    _assert_partials(make(mix), (dc, dc, -dc, ddc, -ddc, -ddc, ddc), l1, l2, l3)
+
+
+def test_spin_glass_partials_closed_form():
+    mix = SpinGlassMixture(coeffs=(0.1, 0.4, 0.6, 0.2))
+    l1, l2, l3 = _domain_points()
+    _, d1, d2 = mix.derivatives(l3)
+    zero = np.zeros_like(l3)
+    _assert_partials(spin_glass_kernel(mix), (zero, zero, d1, zero, zero, zero, d2),
+                     l1, l2, l3)
+
+
+def test_quadratic_partials_closed_form():
+    l1, l2, l3 = _domain_points()
+    zero = np.zeros_like(l3)
+    sa2 = 0.8 ** 2
+    k3 = np.full_like(l3, sa2 * sa2 * 1.5 ** 2)   # σ_A⁴R²
+    _assert_partials(quadratic_kernel(0.8, 0.3, 1.5), (zero, zero, k3, zero, zero, zero, zero),
+                     l1, l2, l3)
+
+
+def test_k3_is_the_third_partial():
+    k = lift_stationary(SchoenbergMixture(atoms=((0.6, 0.8), (0.4, 1.7))))
+    l1, l2, l3 = _domain_points()
+    assert np.array_equal(k.k3(l1, l2, l3), k.partials(l1, l2, l3)[2])
+
+
+def test_partials_of_the_wrong_length_are_rejected():
+    base = lift_stationary(SE)
+    with pytest.raises(ValueError, match="7 values"):
+        KernelModel(base.mean, base.mean_prime, base.kappa,
+                    lambda l1, l2, l3: base.partials(l1, l2, l3)[:6])
+    with pytest.raises(ValueError, match="7 values"):
+        KernelModel(base.mean, base.mean_prime, base.kappa,
+                    lambda l1, l2, l3: (*base.partials(l1, l2, l3), 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -84,16 +178,17 @@ def test_stationary_lift_exchange_symmetry():
 def test_spin_glass_spot_values():
     k = spin_glass_kernel(TWO_SPIN)
     assert float(k.k3(0.3, 0.9, 0.5)) == pytest.approx(1.0, abs=1e-15)   # xi'(0.5) = 2*0.5
-    assert float(k.k1(0.3, 0.9, 0.5)) == 0.0
+    assert float(k.partials(0.3, 0.9, 0.5)[0]) == 0.0   # κ₁
     k3spin = spin_glass_kernel(THREE_SPIN)
-    assert float(k3spin.k33(0.5, 0.5, 1.0)) == pytest.approx(6.0, abs=1e-14)  # xi''(1) = 6
+    k33 = k3spin.partials(0.5, 0.5, 1.0)[6]
+    assert float(k33) == pytest.approx(6.0, abs=1e-14)  # xi''(1) = 6
 
 
 def test_quadratic_spot_values():
     k = quadratic_kernel(sigma_A=1.0, sigma_eta=0.0, R=1.0)
     assert float(k.mean(0.5)) == pytest.approx(1.0, abs=1e-15)
     assert float(k.k3(0.2, 0.2, 0.1)) == pytest.approx(1.0, abs=1e-15)
-    assert float(k.k33(0.2, 0.2, 0.1)) == 0.0
+    assert float(k.partials(0.2, 0.2, 0.1)[6]) == 0.0   # κ₃₃
     with pytest.raises(ValueError):
         quadratic_kernel(sigma_A=0.0, sigma_eta=1.0, R=1.0)
     with pytest.raises(ValueError):
@@ -172,14 +267,16 @@ def test_stationary_reduction(seed):
         d = x - y
         r = d @ d / 2.0
 
+        c, dc, ddc = (float(val) for val in mix.derivatives(r))
+
         lifted_ff = float(k.cov_ff(p["s_x"], p["s_y"], p["ip_xy"]))
-        assert lifted_ff == pytest.approx(float(mix.value(r)), rel=1e-12, abs=1e-12)
+        assert lifted_ff == pytest.approx(c, rel=1e-12, abs=1e-12)
 
         lifted_df = float(k.cov_df_f(p["s_x"], p["s_y"], p["ip_xy"], p["ip_xv"], p["ip_yv"]))
-        assert lifted_df == pytest.approx(float(mix.deriv(r)) * (d @ v), rel=1e-12, abs=1e-12)
+        assert lifted_df == pytest.approx(dc * (d @ v), rel=1e-12, abs=1e-12)
 
         lifted_dd = float(k.cov_df_df(**p))
-        direct = -(float(mix.deriv2(r)) * (d @ v) * (d @ w) + float(mix.deriv(r)) * (v @ w))
+        direct = -(ddc * (d @ v) * (d @ w) + dc * (v @ w))
         assert lifted_dd == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
 
@@ -279,14 +376,15 @@ def test_alg_barrier_constant_mixture():
 def test_alg_barrier_against_quad():
     scipy = pytest.importorskip("scipy.integrate")
     mix = SpinGlassMixture(coeffs=(0.0, 0.0, 0.5, 0.3))
-    expected, _ = scipy.quad(lambda s: math.sqrt(float(mix.xi_double_prime(s))), 0.0, 1.0)
+    expected, _ = scipy.quad(lambda s: math.sqrt(float(mix.derivatives(s)[2])), 0.0, 1.0)
     assert alg_barrier(mix) == pytest.approx(expected, abs=1e-7)
 
 
 def test_alg_barrier_rejects_negative_curvature():
     class FakeMix:
-        def xi_double_prime(self, s):
-            return np.asarray(s, dtype=float) - 0.5
+        def derivatives(self, s):
+            s = np.asarray(s, dtype=float)
+            return s, s, s - 0.5
 
     with pytest.raises(ValueError, match="negative curvature"):
         alg_barrier(FakeMix())
@@ -308,8 +406,11 @@ def test_validate_partials_passes_for_builtins(make):
 
 def test_validate_partials_catches_corrupted_partial():
     base = lift_stationary(SE)
-    partials = {name: getattr(base, name) for name in PARTIAL_NAMES}
-    partials["k33"] = lambda l1, l2, l3: base.k33(l1, l2, l3) + 0.1
+
+    def partials(l1, l2, l3):
+        *rest, k33 = base.partials(l1, l2, l3)
+        return (*rest, k33 + 0.1)
+
     bad = KernelModel(base.mean, base.mean_prime, base.kappa, partials)
     report = validate_partials(bad, tol=1e-6)
     assert not report.passed

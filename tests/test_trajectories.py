@@ -197,6 +197,17 @@ def test_pseudo_inverse_member_inside_a_batch(escalations):
                                                       policy=policy))
 
 
+def test_pseudo_inverse_run_draws_past_a_singular_history():
+    # heavy-ball on the SE kernel drives the unjittered history singular; the
+    # draw's conditional covariance is then rank-deficient as well
+    policy = ConditionPolicy(jitter_start=None, pseudo_fallback=True)
+    record = simulate_info_path(SE, HB, 1.0, 64, 20, 3, 3, policy=policy)
+    assert np.all(np.isfinite(record.f_values)) and np.all(np.isfinite(record.G))
+    assert np.all(np.isfinite(record.x_coords))
+    batch = simulate_info_paths(SE, HB, 1.0, 64, 20, [1, 2, 3, 4], 3, policy=policy)
+    assert_same_record(batch[2], record)
+
+
 def test_error_inside_a_batch_names_its_stream():
     # runs whose first value is below the threshold step to a non-finite point
     def prefactors(n, info):
