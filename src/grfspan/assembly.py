@@ -36,7 +36,7 @@ import numpy as np
 
 from . import kernels
 from .errors import NotPsdError
-from .gaussianops import DEFAULT_POLICY, ConditionPolicy, condition, sample_mvn
+from .gaussianops import DEFAULT_POLICY, ConditionPolicy, cholesky_psd, condition, sample_mvn
 
 
 def coordinate_inner_products(reps):
@@ -161,40 +161,15 @@ def residual_variance(kernel, reps, policy=DEFAULT_POLICY):
     κ₃(new, new) minus the quadratic form of the history κ₃ block — the
     Schur complement of the newest entry in the κ₃ matrix.
     """
-    return float(_last_schur(k3_matrix(kernel, reps)[None], policy)[0])
+    return float(_last_schur(k3_matrix(kernel, reps), policy))
 
 
 def _last_schur(W, policy):
-    """Schur complement of the last diagonal entry of each (B, P, P) matrix.
-
-    The arithmetic is ``condition``'s: Cholesky picks the jitter, then a
-    solve.  When every history block factors without jitter, as it does
-    almost always, the batch takes that route as stacked arrays; otherwise
-    every member goes through ``condition`` and its own jitter ladder.
-    """
+    """Schur complement of the last diagonal entry of each matrix of the stack W."""
     n = W.shape[-1] - 1
-    if n == 0:
-        return W[:, 0, 0].copy()
-    S11, S12, S22 = W[:, :n, :n], W[:, :n, n:], W[:, n:, n:]
-    if not (np.all(np.isfinite(W)) and _factors(S11)):
-        return np.array([
-            condition(mu1=np.zeros(n), mu2=np.zeros(1), S11=S11[b], S12=S12[b],
-                      S22=S22[b], observed=np.zeros(n), policy=policy).cond_cov[0, 0]
-            for b in range(len(W))])
-    X = np.linalg.solve(S11, np.concatenate([np.zeros((len(W), n, 1)), S12], axis=2))
-    cov = S22 - np.swapaxes(S12, 1, 2) @ X[:, :, 1:]
-    var = (0.5 * (cov + np.swapaxes(cov, 1, 2)))[:, 0, 0]
-    var[(var < 0.0) & (var >= -1e-12)] = 0.0
-    return var
-
-
-def _factors(S) -> bool:
-    """Whether every matrix of the stack S has a Cholesky factor."""
-    try:
-        np.linalg.cholesky(S)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    zeros = np.zeros(W.shape[:-2] + (n + 1,))
+    return condition(zeros[..., :n], zeros[..., n:], W[..., :n, :n], W[..., :n, n:],
+                     W[..., n:, n:], zeros[..., :n], policy).cond_cov[..., 0, 0]
 
 
 @dataclass
@@ -233,14 +208,15 @@ class SpanState:
     Each step calls ``extend`` with the new points, then ``residual_variance``
     and ``open_direction`` unless the span did not grow.  L is extended by
     block forward substitution, one arrival block at a time, inverting only
-    the small diagonal blocks.  Each member's jitter j climbs the policy's
-    ladder only when one of its new diagonal blocks fails to factor, and its
-    S is then re-factored from scratch; it never needs to come down, because
-    each step's history is a leading block of the next one's.  Past the last
-    rung the run raises NotPsdError, or with ``pseudo_fallback`` switches
-    every later solve of that member to the eigenvalue-thresholded
-    pseudo-inverse of its stored S.  A member's results are bitwise those of
-    the same path stepped alone.
+    the small diagonal blocks.  Each member's jitter j (``jitter``) climbs
+    the policy's ladder only when one of its new diagonal blocks fails to
+    factor, and its S is then re-factored from scratch by ``cholesky_psd``
+    from the first rung above j; it never needs to come down, because each
+    step's history is a leading block of the next one's.  Past the last rung
+    the run raises NotPsdError, or with ``pseudo_fallback`` sets j = +inf and
+    conditions every later step of that member through ``condition`` on the
+    eigenvalue-thresholded pseudo-inverse of its stored S.  A member's
+    results are bitwise those of the same path stepped alone.
     """
 
     def __init__(self, kernel, policy: ConditionPolicy = DEFAULT_POLICY, batch: int = 1):
@@ -248,9 +224,7 @@ class SpanState:
         self.policy = policy
         self.batch = batch
         self.points = 0
-        self.pseudo = np.zeros(batch, dtype=bool)
-        self._ladder = np.array(list(policy.ladder()))
-        self._rung = np.zeros(batch, dtype=int)
+        self.jitter = np.zeros(batch)           # +inf after a pseudo switch
         self._blocks: list[_Arrival] = []
         self._types = np.empty(0, dtype=int)    # 0 for f, i + 1 for D_{v_i}
         self._at = np.empty(0, dtype=int)       # point of each row
@@ -260,9 +234,9 @@ class SpanState:
         self._K = None                          # their κ₃ matrix, once built
 
     @property
-    def jitter(self) -> np.ndarray:
-        """Diagonal jitter j of each member's factor; +inf after its pseudo switch."""
-        return np.where(self.pseudo, math.inf, self._ladder[self._rung])
+    def pseudo(self) -> np.ndarray:
+        """Whether each member's solves have switched to the pseudo-inverse."""
+        return np.isinf(self.jitter)
 
     @property
     def labels(self):
@@ -328,13 +302,14 @@ class SpanState:
             observed = np.where(drawn[:, None], cond_mean + noise, cond_mean)
         value = self._scatter(live, observed)
 
-        for b in np.flatnonzero(self.pseudo):
-            res = condition(np.zeros(self._resid.shape[1]), mean[b], self._covariance(b),
-                            S_hn[b], S_nn[b], self._resid[b],
-                            policy=replace(self.policy, jitter_start=None))
-            value[b] = res.cond_mean
-            if rngs is not None:
-                value[b] = sample_mvn(res.cond_mean, res.cond_cov / N, rngs[b], self.policy)
+        pseudo = np.flatnonzero(self.pseudo)
+        if pseudo.size:
+            res = condition(np.zeros(self._resid[pseudo].shape), mean[pseudo],
+                            self._covariance(pseudo), S_hn[pseudo], S_nn[pseudo],
+                            self._resid[pseudo], policy=replace(self.policy, jitter_start=None))
+            value[pseudo] = res.cond_mean if rngs is None else [
+                sample_mvn(mean_b, cov_b / N, rngs[b], self.policy)
+                for b, mean_b, cov_b in zip(pseudo, res.cond_mean, res.cond_cov)]
 
         self._append(S_rows, value - mean, np.arange(D + 1), np.full(D + 1, n),
                      live, np.concatenate([Wt, L_nn], axis=2), observed - cond_mean)
@@ -416,15 +391,15 @@ class SpanState:
         return X
 
     def _factor(self, C, live):
-        """chol(C + j·I) of the live members, each at its own rung.
+        """chol(C + j·I) of the live members, each at its own jitter j.
 
         Returns None when some member fails to factor, after escalating every
         member that failed; the caller then repeats the step.
         """
-        rung = self._rung[live]
+        j = self.jitter[live]
         A = C
-        if rung.any():
-            j = self._ladder[rung][:, None, None]
+        if j.any():
+            j = j[:, None, None]
             A = np.where(j > 0.0, C + j * np.eye(C.shape[1]), C)
         try:
             return np.linalg.cholesky(A)
@@ -438,29 +413,20 @@ class SpanState:
         return None
 
     def _escalate(self, b):
-        """Re-factor member b's history at the next ladder rung that succeeds."""
-        m = self._resid.shape[1]
-        while True:
-            if self._rung[b] + 1 == len(self._ladder):
-                if not self.policy.pseudo_fallback:
-                    raise NotPsdError(
-                        f"history of {m} rows not positive definite within "
-                        f"jitter ladder (start={self.policy.jitter_start}, "
-                        f"max={self.policy.jitter_max})")
-                self.pseudo[b] = True
-                return
-            self._rung[b] += 1
-            try:
-                L = np.linalg.cholesky(self._covariance(b)
-                                       + self._ladder[self._rung[b]] * np.eye(m))
-            except np.linalg.LinAlgError:
-                continue
-            for blk in self._blocks:
-                lo, hi = blk.start, blk.stop
-                blk.L[b] = L[lo:hi, lo - blk.left:hi]
-                blk.inv[b] = np.linalg.inv(L[lo:hi, lo:hi])
-            self._z[b] = self._forward(self._resid[[b], :, None], [b])[0, :, 0]
+        """Re-factor member b's history at the next ladder jitter that succeeds."""
+        try:
+            L, self.jitter[b] = cholesky_psd(self._covariance(b), self.policy,
+                                             above=self.jitter[b])
+        except NotPsdError:
+            if not self.policy.pseudo_fallback:
+                raise
+            self.jitter[b] = math.inf
             return
+        for blk in self._blocks:
+            lo, hi = blk.start, blk.stop
+            blk.L[b] = L[lo:hi, lo - blk.left:hi]
+            blk.inv[b] = np.linalg.inv(L[lo:hi, lo:hi])
+        self._z[b] = self._forward(self._resid[[b], :, None], [b])[0, :, 0]
 
     def _covariance(self, members):
         S = self._dense("S", members)

@@ -51,7 +51,10 @@ class ConditioningResult:
 
     ``log_jitter_used`` is log10 of the diagonal jitter that made S11
     factorizable: −inf if none was needed, +inf if escalation failed and the
-    pseudo-inverse path was taken.
+    pseudo-inverse path was taken.  For a stack, cond_mean and cond_cov carry
+    the stack's leading axes, one law per member, while ``log_jitter_used``
+    is the largest over the members and ``rank_deficient`` says whether any
+    member took the pseudo-inverse; both stay Python scalars.
     """
 
     cond_mean: np.ndarray
@@ -60,14 +63,17 @@ class ConditioningResult:
     rank_deficient: bool
 
 
-def cholesky_psd(A, policy: ConditionPolicy = DEFAULT_POLICY):
-    """Lower-triangular L with LLᵀ = A + jI for the smallest ladder jitter j.
+def cholesky_psd(A, policy: ConditionPolicy = DEFAULT_POLICY, above: float = -math.inf):
+    """Lower-triangular L with LLᵀ = A + jI for the smallest ladder jitter
+    j > ``above``; the one place that walks the policy's ladder.
 
-    Returns (L, j).  Raises NotPsdError when every ladder entry fails.
+    Returns (L, j).  Raises NotPsdError when every such ladder entry fails.
     """
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
     for j in policy.ladder():
+        if j <= above:
+            continue
         try:
             L = np.linalg.cholesky(A if j == 0.0 else A + j * np.eye(n))
             return L, j
@@ -79,11 +85,12 @@ def cholesky_psd(A, policy: ConditionPolicy = DEFAULT_POLICY):
 
 
 def _pseudo_solve(S11, B):
-    """Solve S11·X = B through an eigenvalue-thresholded pseudo-inverse."""
+    """Solve S11·X = B through an eigenvalue-thresholded pseudo-inverse,
+    for each matrix of a stack."""
     w, V = np.linalg.eigh(S11)
-    threshold = 1e-10 * float(np.max(np.abs(w))) if w.size else 0.0
+    threshold = 1e-10 * np.max(np.abs(w), axis=-1, keepdims=True, initial=0.0)
     inv_w = np.where(w > threshold, 1.0 / np.where(w > threshold, w, 1.0), 0.0)
-    return V @ (inv_w[:, None] * (V.T @ B))
+    return V @ (inv_w[..., None] * (V.swapaxes(-1, -2) @ B))
 
 
 def condition(mu1, mu2, S11, S12, S22, observed,
@@ -93,45 +100,53 @@ def condition(mu1, mu2, S11, S12, S22, observed,
     cond_mean = mu2 + S12ᵀ·S11⁻¹·(observed − mu1)
     cond_cov  = S22 − S12ᵀ·S11⁻¹·S12
 
-    The solve uses Cholesky with the policy's jitter ladder; on exhaustion it
-    either raises NotPsdError or (with ``pseudo_fallback``) switches to the
-    thresholded pseudo-inverse.  cond_cov is symmetrized and diagonal entries
-    in [−1e−12, 0) are clamped to zero.
+    All six arguments may carry the same leading batch axes, one problem per
+    member of a stack.  The whole stack is factored and solved at once when
+    every S11 has a Cholesky factor; otherwise each member picks its jitter
+    from the policy's ladder alone, and on exhaustion either raises
+    NotPsdError or (with ``pseudo_fallback``) switches to the thresholded
+    pseudo-inverse.  A member's result is bitwise the one it gets conditioned
+    alone.  cond_cov is symmetrized and diagonal entries in [−1e−12, 0) are
+    clamped to zero.
     """
-    mu1 = np.asarray(mu1, dtype=float)
-    mu2 = np.asarray(mu2, dtype=float)
-    S11 = np.asarray(S11, dtype=float)
-    S12 = np.asarray(S12, dtype=float)
-    S22 = np.asarray(S22, dtype=float)
-    observed = np.asarray(observed, dtype=float)
-    for name, arr in (("mu1", mu1), ("mu2", mu2), ("S11", S11), ("S12", S12),
-                      ("S22", S22), ("observed", observed)):
-        if not np.all(np.isfinite(arr)):
+    names = ("mu1", "mu2", "S11", "S12", "S22", "observed")
+    arrays = [np.asarray(a, dtype=float) for a in (mu1, mu2, S11, S12, S22, observed)]
+    for name, arr in zip(names, arrays):
+        if not np.isfinite(arr).all():
             raise ValueError(f"non-finite entries in {name}")
+    mu1, mu2, S11, S12, S22, observed = arrays
 
     # one solve covers both the innovation and S12
-    B = np.concatenate([(observed - mu1)[:, None], S12], axis=1)
-    rank_deficient = False
+    B = np.concatenate([(observed - mu1)[..., None], S12], axis=-1)
     try:
-        L, jitter = cholesky_psd(S11, policy)
-        n = S11.shape[0]
-        X = np.linalg.solve(S11 if jitter == 0.0 else S11 + jitter * np.eye(n), B)
-        log_jitter = math.log10(jitter) if jitter > 0.0 else -math.inf
-    except NotPsdError:
-        if not policy.pseudo_fallback:
-            raise
-        X = _pseudo_solve(S11, B)
-        rank_deficient = True
-        log_jitter = math.inf
+        np.linalg.cholesky(S11)
+        X, top = np.linalg.solve(S11, B), 0.0
+    except np.linalg.LinAlgError:
+        jitter = np.empty(S11.shape[:-2])       # +inf for a pseudo-inverse member
+        for b in np.ndindex(jitter.shape):
+            try:
+                jitter[b] = cholesky_psd(S11[b], policy)[1]
+            except NotPsdError:
+                if not policy.pseudo_fallback:
+                    raise
+                jitter[b] = math.inf
+        ok = np.isfinite(jitter)
+        j, A = jitter[ok][:, None, None], S11[ok]
+        X = np.empty(B.shape)
+        X[ok] = np.linalg.solve(np.where(j > 0.0, A + j * np.eye(A.shape[-1]), A), B[ok])
+        X[~ok] = _pseudo_solve(S11[~ok], B[~ok])
+        top = float(jitter.max())
 
-    cond_mean = mu2 + S12.T @ X[:, 0]
-    cond_cov = S22 - S12.T @ X[:, 1:]
-    cond_cov = 0.5 * (cond_cov + cond_cov.T)
-    d = np.diagonal(cond_cov).copy()
+    S21 = S12.swapaxes(-1, -2)
+    cond_mean = mu2 + (S21 @ X[..., :1])[..., 0]
+    cond_cov = S22 - S21 @ X[..., 1:]
+    cond_cov = 0.5 * (cond_cov + cond_cov.swapaxes(-1, -2))
+    k = cond_cov.shape[-1]
+    d = cond_cov.reshape(cond_cov.shape[:-2] + (k * k,))[..., ::k + 1]   # diagonals, a view
     d[(d < 0.0) & (d >= -1e-12)] = 0.0
-    np.fill_diagonal(cond_cov, d)
     return ConditioningResult(cond_mean=cond_mean, cond_cov=cond_cov,
-                              log_jitter_used=log_jitter, rank_deficient=rank_deficient)
+                              log_jitter_used=math.log10(top) if top > 0.0 else -math.inf,
+                              rank_deficient=top == math.inf)
 
 
 def sample_mvn(mean, cov, rng, policy: ConditionPolicy = DEFAULT_POLICY):

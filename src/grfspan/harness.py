@@ -138,6 +138,11 @@ def _as_json_list(section, key, raw):
     return value
 
 
+def _is_number(value) -> bool:
+    """Whether a JSON value is a number; JSON true/false load as bool, an int subclass."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _parse_kernel(items):
     if "type" not in items:
         raise ConfigError("[kernel] missing required key 'type'")
@@ -158,13 +163,16 @@ def _parse_kernel(items):
     if kind == "stationary_schoenberg":
         atoms = _as_json_list("kernel", "atoms", items["atoms"])
         for entry in atoms:
-            if not (isinstance(entry, list) and len(entry) == 2):
-                raise ConfigError("[kernel] atoms entries must be [weight, rate] pairs")
+            if not (isinstance(entry, list) and len(entry) == 2
+                    and all(_is_number(x) for x in entry)):
+                raise ConfigError("[kernel] atoms entries must be [weight, rate] number pairs")
         spec["atoms"] = tuple((float(w), float(t)) for w, t in atoms)
         spec["mean_level"] = _as_float("kernel", "mean_level",
                                        items.get("mean_level", "0"))
     elif kind == "spin_glass":
         coeffs = _as_json_list("kernel", "coeffs", items["coeffs"])
+        if not all(_is_number(c) for c in coeffs):
+            raise ConfigError("[kernel] coeffs must be numbers")
         spec["coeffs"] = tuple(float(c) for c in coeffs)
     else:
         for key in ("sigma_A", "sigma_eta", "R"):
@@ -248,7 +256,7 @@ def load_config(path) -> ExperimentConfig:
                 raise ConfigError("[run] lambda must be nonnegative")
         if "N_list" in items:
             ns = _as_json_list("run", "N_list", items["N_list"])
-            if not ns or any(not isinstance(n, int) or n < 1 for n in ns):
+            if not ns or any(type(n) is not int or n < 1 for n in ns):
                 raise ConfigError("[run] N_list must be a nonempty list of positive integers")
             if any(b <= a for a, b in zip(ns, ns[1:])):
                 raise ConfigError("[run] N_list must be strictly increasing")
@@ -265,7 +273,7 @@ def load_config(path) -> ExperimentConfig:
             fields["replications"] = m
         if "epsilons" in items:
             eps = _as_json_list("run", "epsilons", items["epsilons"])
-            if any(not isinstance(e, (int, float)) or e <= 0 for e in eps):
+            if any(not _is_number(e) or e <= 0 for e in eps):
                 raise ConfigError("[run] epsilons must be positive numbers")
             fields["epsilons"] = tuple(float(e) for e in eps)
         if "master_seed" in items:

@@ -33,7 +33,7 @@ from grfspan.kernels import (
     validate_partials,
 )
 from grfspan.limits import predict
-from grfspan.trajectories import brute_force_path, simulate_info_path
+from grfspan.trajectories import brute_force_path, simulate_info_path, simulate_info_paths
 from test_limits import quadratic_gd_oracle
 
 MASTER_SEED = 20240817
@@ -129,13 +129,12 @@ def test_dimension_free_sampler_matches_brute_force():
     alg = gd(0.4)
     x0 = np.zeros(N)
     x0[0] = 1.0
-    f_sim = np.empty(M)
+    sim = simulate_info_paths(SE, alg, 1.0, N, steps, range(M), 501)
+    f_sim = np.array([rec.f_values[steps] for rec in sim])
+    g_sim = np.array([rec.grad_gram[steps, steps] for rec in sim])
     f_ora = np.empty(M)
-    g_sim = np.empty(M)
     g_ora = np.empty(M)
     for i in range(M):
-        rec = simulate_info_path(SE, alg, 1.0, N, steps, i, 501)
-        f_sim[i], g_sim[i] = rec.f_values[steps], rec.grad_gram[steps, steps]
         ora = brute_force_path(SE, alg, x0, steps, i, 502)
         f_ora[i], g_ora[i] = ora.f_values[steps], ora.grad_gram[steps, steps]
 

@@ -127,6 +127,12 @@ pseudo_inverse = true
     ("steps = 2", "steps = 0"),
     ("replications = 6", "replications = 1"),
     ("epsilons = [0.5]", "epsilons = [-0.5]"),
+    ("epsilons = [0.5]", "epsilons = [true]"),              # JSON booleans are not numbers
+    ("N_list = [16, 32]", "N_list = [true, 300]"),
+    ("atoms = [[1.0, 1.0]]", "atoms = [[true, 1.0]]"),
+    ("atoms = [[1.0, 1.0]]", "atoms = [[0.5, false]]"),
+    ("type = stationary_schoenberg\natoms = [[1.0, 1.0]]",
+     "type = spin_glass\ncoeffs = [0.0, true]"),
     ("master_seed = 11", "master_seed = 11\nmode = dance"),
     ("master_seed = 11", "master_seed = 11\nmode = verify"),    # the subcommand picks it
     ("master_seed = 11", "master_seed = 11\nrank_stall = panic"),

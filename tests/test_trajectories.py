@@ -231,10 +231,8 @@ def test_error_inside_a_batch_names_its_stream():
 def test_value_marginal_step0():
     # f(x0) ~ N(0, C(0)/N) exactly for the centered stationary field
     M, N = 8000, 100
-    vals = np.array([
-        simulate_info_path(SE, GD, 1.0, N, 0, i, 2024).f_values[0]
-        for i in range(M)
-    ])
+    records = simulate_info_paths(SE, GD, 1.0, N, 0, range(M), 2024)
+    vals = np.array([r.f_values[0] for r in records])
     se_mean = math.sqrt(1.0 / (N * M))
     assert abs(vals.mean()) < 4 * se_mean
     assert abs(vals.var() - 1.0 / N) < 0.05 / N
@@ -244,10 +242,8 @@ def test_value_concentration_gaussian_rate():
     # tail frequencies sit under the dimension-scaled Gaussian bound
     # 2 exp(-N t^2 / (2 C(0)))
     M, N = 2000, 256
-    vals = np.array([
-        simulate_info_path(SE, GD, 1.0, N, 0, i, 55).f_values[0]
-        for i in range(M)
-    ])
+    records = simulate_info_paths(SE, GD, 1.0, N, 0, range(M), 55)
+    vals = np.array([r.f_values[0] for r in records])
     for t in (0.05, 0.1, 0.2):
         freq = np.mean(np.abs(vals) >= t)
         assert freq <= 2.0 * math.exp(-N * t * t / 2.0)
@@ -257,10 +253,8 @@ def test_corner_chi_square_moments():
     # out-of-span gradient mass at step 0 is (kappa3/N) * chi2(N-1);
     # for this kernel kappa3 = 1 at the start point
     M, N = 4000, 64
-    sq = np.array([
-        simulate_info_path(SE, GD, 1.0, N, 0, i, 77).G[0, 1] ** 2
-        for i in range(M)
-    ])
+    records = simulate_info_paths(SE, GD, 1.0, N, 0, range(M), 77)
+    sq = np.array([r.G[0, 1] ** 2 for r in records])
     want = (N - 1) / N
     se = math.sqrt(2 * (N - 1)) / N / math.sqrt(M)
     assert abs(sq.mean() - want) < 4 * se
@@ -306,15 +300,14 @@ def test_two_samplers_agree_on_means():
     M, N, steps = 600, 16, 2
     x0 = np.zeros(N)
     x0[0] = 1.0
-    f_sim = np.empty(M)
+    sim = simulate_info_paths(SE, GD, 1.0, N, steps, range(M), 101)
+    f_sim = np.array([r.f_values[steps] for r in sim])
+    g_sim = np.array([r.grad_gram[steps, steps] for r in sim])
     f_bf = np.empty(M)
-    g_sim = np.empty(M)
     g_bf = np.empty(M)
     for i in range(M):
-        r = simulate_info_path(SE, GD, 1.0, N, steps, i, 101)
         b = brute_force_path(SE, GD, x0, steps, i, 202)
-        f_sim[i], f_bf[i] = r.f_values[steps], b.f_values[steps]
-        g_sim[i], g_bf[i] = r.grad_gram[steps, steps], b.grad_gram[steps, steps]
+        f_bf[i], g_bf[i] = b.f_values[steps], b.grad_gram[steps, steps]
     for a, b in ((f_sim, f_bf), (g_sim, g_bf)):
         pooled = math.sqrt((a.var(ddof=1) + b.var(ddof=1)) / M)
         assert abs(a.mean() - b.mean()) < 5 * pooled
