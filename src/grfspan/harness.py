@@ -23,6 +23,7 @@ import configparser
 import json
 import math
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -107,9 +108,12 @@ class ExperimentConfig:
 
 def _as_float(section, key, raw):
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
-        raise ConfigError(f"[{section}] {key}: expected a number, got {raw!r}") from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key}: expected a finite number, got {raw!r}")
+    return value
 
 
 def _as_int(section, key, raw):
@@ -139,8 +143,10 @@ def _as_json_list(section, key, raw):
 
 
 def _is_number(value) -> bool:
-    """Whether a JSON value is a number; JSON true/false load as bool, an int subclass."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """Whether a JSON value is a finite number; JSON true/false load as bool,
+    an int subclass, and NaN/Infinity as non-finite floats."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def _parse_kernel(items):
@@ -256,8 +262,9 @@ def load_config(path) -> ExperimentConfig:
                 raise ConfigError("[run] lambda must be nonnegative")
         if "N_list" in items:
             ns = _as_json_list("run", "N_list", items["N_list"])
-            if not ns or any(type(n) is not int or n < 1 for n in ns):
-                raise ConfigError("[run] N_list must be a nonempty list of positive integers")
+            if not ns or any(type(n) is not int or not 1 <= n <= sys.float_info.max for n in ns):
+                raise ConfigError("[run] N_list must be a nonempty list of positive integers "
+                                  "within float range")
             if any(b <= a for a, b in zip(ns, ns[1:])):
                 raise ConfigError("[run] N_list must be strictly increasing")
             fields["N_list"] = tuple(ns)

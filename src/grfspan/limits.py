@@ -1,18 +1,17 @@
-"""Deterministic N→∞ limit of a gradient span algorithm's progress.
+"""The span recursion of a gradient span algorithm and its N→∞ limit.
 
-As the ambient dimension grows, the scalar information a span-based optimizer
-sees — function values, gradient inner products — stops being random.  This
-module computes those limits by the constructive recursion: represent each
-visited point and gradient in a growing orthonormal coordinate system, get
-the next step's span coefficients from the algorithm, condition the new
-point's (value, derivative) block on everything already pinned down, and take
-the conditional mean.  The conditional covariance carries a 1/N factor and
-vanishes in the limit, so the recursion is fully deterministic; the only
-genuinely new randomness per step collapses to the residual standard
-deviation σ_w, which becomes the corner coordinate of the new gradient.
-
-Everything here is exact linear algebra on small matrices — no sampling, no
-ambient dimension."""
+A run only ever observes scalars — function values and gradient inner
+products — so it is stepped in an orthonormal coordinate system built from x₀
+and the gradients, not in ℝ^N: the algorithm places the next point, its
+(value, derivative) block is conditioned on everything observed, and its
+gradient's component outside the span opens a new direction whose coordinate
+is the corner.  ``limit_step`` takes one such step of a ``SpanWalk`` batch.
+Given a generator per run and N it is the exact finite-N sampler of
+``trajectories``: the block is drawn with its conditional covariance over N
+and the corner is √(σ²_w·χ²_{N−d}/N).  Without them it is the N→∞ member of
+the same recursion: the covariance vanishes, the block is observed at its
+conditional mean, and χ²_{N−d}/N → 1 leaves σ_w as the corner.  ``predict``
+steps a batch of one that way, from step 0, and reads off the limit curve."""
 
 from __future__ import annotations
 
@@ -21,10 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import gaussianops
 from .algorithms import GsaSpec, InfoView
 from .assembly import SpanState
 from .assembly import joint_blocks, residual_variance  # not called here: bench/layers.py wraps these names
-from .errors import CoincidentPointsError, DegenerateKernelError, RankStallError
+from .errors import CoincidentPointsError, ConsistencyError, DegenerateKernelError, RankStallError
 from .gaussianops import DEFAULT_POLICY, ConditionPolicy
 from .gaussianops import condition  # not called here: bench/layers.py wraps this name
 from .kernels import KernelModel
@@ -33,6 +33,8 @@ from .kernels import KernelModel
 RANK_STALL_TOL = 1e-12
 #: limiting evaluation points closer than this violate the distinctness claim
 COINCIDENT_TOL = 1e-10
+#: plug-in residual variance below this is a numerical inconsistency
+NEGATIVE_RESIDUAL_TOL = -1e-10
 
 
 @dataclass(frozen=True)
@@ -74,148 +76,125 @@ class LimitCurve:
         return int(self.dims[k]) + (0 if k in self.frozen_steps else 1)
 
 
-def limit_init(kernel: KernelModel, lam: float) -> LimitCurve:
-    """Step-0 limit: the start point's value, gradient coordinates, corner."""
-    lam = float(lam)
-    if lam < 0:
-        raise ValueError(f"starting norm must be nonnegative, got {lam}")
-    s0 = lam * lam / 2.0
-    f0 = float(kernel.mean(s0))
-    k3_start = float(kernel.k3(s0, s0, lam * lam))
-    if k3_start <= 0:
-        raise DegenerateKernelError(
-            f"κ₃ = {k3_start:g} at the start point; gradient has no "
-            "span-orthogonal component there")
-    corner = math.sqrt(k3_start)
-    if lam > 0:
-        d0 = 1
-        gamma0 = [float(kernel.mean_prime(s0)) * lam, corner]
-        y0 = [lam, 0.0]
-    else:
-        d0 = 0
-        gamma0 = [corner]
-        y0 = [0.0]
-    gamma = np.array([gamma0])
-    return LimitCurve(
-        f_limit=np.array([f0]),
-        gamma=gamma,
-        y_reps=np.array([y0]),
-        sigma_w=np.array([corner]),
-        dims=np.array([d0]),
-        grad_gram_limit=gamma @ gamma.T,
-        rho=np.zeros((1, 1)),
-        lam=lam,
-    )
+class SpanWalk:
+    """B runs of the span recursion through step T; rows 0..n−1 of the
+    (B, T+1, …) arrays hold the steps taken: ``f`` the values, ``X`` and
+    ``G`` the iterates' and gradients' coordinates along v_0..v_{W−1},
+    W = T + 1 + d_0, ``sigma_w`` the residual standard deviations.  ``d`` is
+    the span dimension now, ``dims[k]`` the one before step k's gradient,
+    ``state`` the conditioning history; ``rho`` and ``frozen`` hold the
+    limit's point distances and frozen steps."""
+
+    def __init__(self, kernel: KernelModel, lam: float, steps: int,
+                 policy: ConditionPolicy = DEFAULT_POLICY, batch: int = 1):
+        lam = float(lam)
+        if lam < 0:
+            raise ValueError(f"starting norm must be nonnegative, got {lam}")
+        if steps < 0:
+            raise ValueError(f"steps must be nonnegative, got {steps}")
+        self.lam, self.steps, self.n = lam, steps, 0
+        self.d = 1 if lam > 0 else 0
+        self.f = np.empty((batch, steps + 1))
+        self.G = np.zeros((batch, steps + 1, steps + 1 + self.d))
+        self.X = np.zeros(self.G.shape)
+        self.X[:, 0, 0] = lam           # x₀ = λ·v₀
+        self.sigma_w = np.empty((batch, steps + 1))
+        self.dims = np.empty(steps + 1, dtype=int)
+        self.rho = np.zeros((steps + 1, steps + 1))
+        self.frozen = []
+        self.state = SpanState(kernel, policy, batch)
+
+    def info(self) -> InfoView:
+        """Every run's information through the last step taken."""
+        G = self.G[:, :self.n, :self.d]
+        return InfoView(f_values=self.f[:, :self.n], grad_gram=G @ np.swapaxes(G, 1, 2),
+                        x0_grad=self.lam * G[:, :, 0] if self.lam > 0 else np.zeros(G.shape[:2]),
+                        x0_norm_sq=self.lam * self.lam)
+
+    def curve(self) -> LimitCurve:
+        """Run 0's steps so far as a limit curve."""
+        n, d = self.n, self.d
+        gamma = self.G[0, :n, :d].copy()
+        return LimitCurve(f_limit=self.f[0, :n].copy(), gamma=gamma,
+                          y_reps=self.X[0, :n, :d].copy(), sigma_w=self.sigma_w[0, :n].copy(),
+                          dims=self.dims[:n].copy(), grad_gram_limit=gamma @ gamma.T,
+                          rho=self.rho[:n, :n].copy(), lam=self.lam, frozen_steps=tuple(self.frozen))
 
 
-def limiting_info(curve: LimitCurve, n: int) -> InfoView:
-    """The deterministic information vector after limiting step n."""
-    if n > curve.steps:
-        raise ValueError(f"curve has steps 0..{curve.steps}, requested {n}")
-    m = n + 1
-    return InfoView(
-        f_values=curve.f_limit[:m],
-        grad_gram=curve.grad_gram_limit[:m, :m],
-        x0_grad=curve.lam * curve.gamma[:m, 0] if curve.lam > 0 else np.zeros(m),
-        x0_norm_sq=curve.lam ** 2,
-    )
+def limit_step(walk: SpanWalk, gsa: GsaSpec, rngs=None, N=None, *,
+               on_rank_stall: str = "error") -> None:
+    """Take the next step n of every run of ``walk``, in place.
 
-
-def limit_step(curve: LimitCurve, state: SpanState, gsa: GsaSpec, *,
-               on_rank_stall: str = "error") -> LimitCurve:
-    """Extend the limit curve by one step of the span recursion.
-
-    ``state`` holds the conditioning history of ``curve``'s points, as a
-    batch of one, and is extended in place.
+    Given a generator per run and N, the new point's rows are drawn with the
+    conditional covariance over N, then the corner √(σ²_w·χ²_{N−d}/N).
+    Without them (the N→∞ limit, a batch of one) the rows are observed at
+    their conditional mean and the corner is σ_w; only the limit rejects
+    coincident points and applies the rank-stall rule: σ²_w ≤ RANK_STALL_TOL
+    raises RankStallError, or under "freeze" opens no direction.
     """
     if on_rank_stall not in ("error", "freeze"):
         raise ValueError(f"on_rank_stall must be 'error' or 'freeze', got {on_rank_stall!r}")
-    n = curve.steps + 1
-    if state.points != n:
-        raise ValueError(f"state holds {state.points} points, curve has {n}")
-    d_n = curve.gamma_width(n - 1)
+    n, d, X = walk.n, walk.d, walk.X
+    if n > walk.steps:
+        raise ValueError(f"walk has steps 0..{walk.steps}, all taken")
+    if n > 0:
+        row = gsa.row(n, walk.info())
+        # a contiguous copy keeps the product's bits independent of the width W
+        G = np.ascontiguousarray(walk.G[:, :n, :d])
+        X[:, n, :d] = (np.swapaxes(G, 1, 2) @ row.h_g[..., None])[:, :, 0]
+        X[:, n, 0] += row.h_x * walk.lam
+    if rngs is None:
+        dists = np.linalg.norm(X[0, :n, :d] - X[0, n, :d], axis=1)
+        too_close = np.nonzero(dists <= COINCIDENT_TOL)[0]
+        if too_close.size:
+            raise CoincidentPointsError(
+                f"step {n} revisits step {too_close[0]}: limiting points coincide "
+                f"(distance {dists[too_close[0]]:.3e})")
+        walk.rho[n, :n] = walk.rho[:n, n] = dists
 
-    row = gsa.row(n, limiting_info(curve, n - 1))
-    gam_hist = curve.gamma[:n, :d_n]
-    y_new = gam_hist.T @ row.h_g
-    y_new[0] += row.h_x * curve.lam
+    s_new = 0.5 * np.sum(X[:, n] ** 2, axis=1)
+    k3_here = walk.state.kernel.k3(s_new, s_new, 2.0 * s_new)
+    if np.any(k3_here <= 0):
+        raise DegenerateKernelError(
+            f"step {n}: κ₃ = {np.min(k3_here):g} at the new point; no gradient "
+            "mass outside the span")
+    block = walk.state.extend(X[:, :n + 1, :d], rngs, N)
+    walk.f[:, n] = block[:, 0]
+    walk.G[:, n, :d] = block[:, 1:]
+    walk.dims[n] = d
+    walk.n += 1
 
-    dists = np.linalg.norm(curve.y_reps[:n, :d_n] - y_new, axis=1)
-    too_close = np.nonzero(dists <= COINCIDENT_TOL)[0]
-    if too_close.size:
-        raise CoincidentPointsError(
-            f"step {n} revisits step {too_close[0]}: limiting points coincide "
-            f"(distance {dists[too_close[0]]:.3e})")
-
-    Y = np.vstack([curve.y_reps[:n, :d_n], y_new])
-    block = state.extend(Y[None])[0]
-    f_n = float(block[0])
-    gamma_body = block[1:]
-
-    sigma_sq = float(state.residual_variance()[0])
-    frozen = curve.frozen_steps
-    if sigma_sq <= RANK_STALL_TOL:
-        if on_rank_stall == "error":
-            raise RankStallError(
-                f"step {n}: residual variance σ²_w = {sigma_sq:.3e} ≤ "
-                f"{RANK_STALL_TOL:g}; gradient span stopped growing")
-        sigma_val = math.sqrt(max(sigma_sq, 0.0))
-        gamma_new = gamma_body
-        frozen = frozen + (n,)
+    sigma_sq = walk.state.residual_variance()
+    walk.sigma_w[:, n] = np.sqrt(np.maximum(sigma_sq, 0.0))
+    if rngs is None:
+        if sigma_sq[0] <= RANK_STALL_TOL:
+            if on_rank_stall == "error":
+                raise RankStallError(
+                    f"step {n}: residual variance σ²_w = {sigma_sq[0]:.3e} ≤ "
+                    f"{RANK_STALL_TOL:g}; gradient span stopped growing")
+            walk.frozen.append(n)
+            return
+        corner = walk.sigma_w[:, n]
     else:
-        sigma_val = math.sqrt(sigma_sq)
-        gamma_new = np.append(gamma_body, sigma_val)
-        state.open_direction([sigma_val])
-
-    width = max(curve.gamma.shape[1], len(gamma_new), len(y_new))
-    gamma = np.zeros((n + 1, width))
-    gamma[:n, :curve.gamma.shape[1]] = curve.gamma
-    gamma[n, :len(gamma_new)] = gamma_new
-    y_reps = np.zeros((n + 1, width))
-    y_reps[:n, :curve.y_reps.shape[1]] = curve.y_reps
-    y_reps[n, :len(y_new)] = y_new
-
-    rho = np.zeros((n + 1, n + 1))
-    rho[:n, :n] = curve.rho
-    rho[n, :n] = rho[:n, n] = dists
-
-    return LimitCurve(
-        f_limit=np.append(curve.f_limit, f_n),
-        gamma=gamma,
-        y_reps=y_reps,
-        sigma_w=np.append(curve.sigma_w, sigma_val),
-        dims=np.append(curve.dims, d_n),
-        grad_gram_limit=gamma @ gamma.T,
-        rho=rho,
-        lam=curve.lam,
-        frozen_steps=frozen,
-    )
-
-
-def limit_state(curve: LimitCurve, kernel: KernelModel,
-                policy: ConditionPolicy = DEFAULT_POLICY) -> SpanState:
-    """Conditioning state (a batch of one) of a step-0 curve from ``limit_init``.
-
-    Step 0 conditions on nothing, so its rows are observed at their mean,
-    which is where ``limit_init`` put f_0 and the body of γ_0.
-    """
-    state = SpanState(kernel, policy)
-    state.extend(curve.y_reps[None, :1, :curve.dims[0]])
-    state.open_direction(curve.sigma_w[:1])
-    return state
+        if np.any(sigma_sq < NEGATIVE_RESIDUAL_TOL):
+            raise ConsistencyError(
+                f"step {n}: plug-in residual variance {np.min(sigma_sq):.3e} < "
+                f"{NEGATIVE_RESIDUAL_TOL:g}")
+        chi = np.array([gaussianops.sample_chi_square(N - d, rng) for rng in rngs])
+        corner = np.sqrt((np.maximum(sigma_sq, 0.0) / N) * chi)
+    walk.G[:, n, d] = corner
+    walk.state.open_direction(corner)
+    walk.d += 1
 
 
 def predict(kernel: KernelModel, gsa: GsaSpec, lam: float, steps: int, *,
             on_rank_stall: str = "error",
             policy: ConditionPolicy = DEFAULT_POLICY) -> LimitCurve:
     """Limit curve of `steps` optimizer steps from a start of norm `lam`."""
-    if steps < 0:
-        raise ValueError(f"steps must be nonnegative, got {steps}")
-    curve = limit_init(kernel, lam)
-    state = limit_state(curve, kernel, policy)
-    for _ in range(steps):
-        curve = limit_step(curve, state, gsa, on_rank_stall=on_rank_stall)
-    return curve
+    walk = SpanWalk(kernel, lam, steps, policy)
+    for _ in range(steps + 1):
+        limit_step(walk, gsa, on_rank_stall=on_rank_stall)
+    return walk.curve()
 
 
 def first_halting_step(diag, epsilon):

@@ -11,9 +11,10 @@ the cost is polynomial in the number of steps and free of N; an N = 10⁹ run
 is as cheap (and as exact) as N = 100.
 
 ``simulate_info_paths`` steps a batch of runs that share (N, λ, steps)
-together, as stacked arrays through one ``SpanState``; each run keeps its own
-random stream, drawn in the order a lone run draws it, so its record is
-bitwise the same in every batch.  ``simulate_info_path`` is its batch of one.
+together through ``limits.limit_step``, the one span recursion, whose N→∞
+member without draws is ``predict``; each run keeps its own random stream,
+drawn in the order a lone run draws it, so its record is bitwise the same in
+every batch.  ``simulate_info_path`` is its batch of one.
 
 ``brute_force_path`` is the independent oracle: it maintains explicit
 coordinates in ℝ^N and samples the full (N+1)-dimensional blocks, feasible
@@ -22,14 +23,12 @@ only for small N.  The two must agree in distribution.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algorithms import GsaSpec, InfoView
 from .assembly import (
-    SpanState,
     cov_block,
     coordinate_inner_products,
     flatten_history,
@@ -37,20 +36,17 @@ from .assembly import (
     mean_block,
 )
 from .assembly import residual_variance  # not called here: bench/layers.py wraps this name
-from .errors import ConsistencyError, DegenerateKernelError, NumericalError
+from .errors import NumericalError
 from .gaussianops import (
     DEFAULT_POLICY,
     ConditionPolicy,
     condition,
     make_rng,
-    sample_chi_square,
     sample_mvn,
 )
+from .gaussianops import sample_chi_square  # not called here: bench/layers.py wraps this name
 from .kernels import KernelModel
-from .limits import first_halting_step
-
-#: plug-in residual variance below this is a numerical inconsistency
-NEGATIVE_RESIDUAL_TOL = -1e-10
+from .limits import SpanWalk, first_halting_step, limit_step
 
 
 @dataclass(frozen=True)
@@ -79,16 +75,6 @@ class TrajectoryRecord:
         return len(self.f_values) - 1
 
 
-def _realized_info(lam, f_values, G):
-    """The InfoView of a batch: f_values (B, n), G (B, n, d)."""
-    return InfoView(
-        f_values=f_values,
-        grad_gram=G @ np.swapaxes(G, 1, 2),
-        x0_grad=lam * G[:, :, 0] if lam > 0 else np.zeros(G.shape[:2]),
-        x0_norm_sq=lam * lam,
-    )
-
-
 def simulate_info_path(kernel: KernelModel, gsa: GsaSpec, lam: float, N: int,
                        steps: int, stream_id: int, master_seed: int, *,
                        policy: ConditionPolicy = DEFAULT_POLICY) -> TrajectoryRecord:
@@ -112,64 +98,24 @@ def simulate_info_paths(kernel: KernelModel, gsa: GsaSpec, lam: float, N: int,
     stream, whatever else is in the batch.  A numerical failure names the
     stream it happened on.
     """
-    lam = float(lam)
-    if lam < 0:
-        raise ValueError(f"starting norm must be nonnegative, got {lam}")
-    if steps < 0:
-        raise ValueError(f"steps must be nonnegative, got {steps}")
+    stream_ids = [int(sid) for sid in stream_ids]
+    walk = SpanWalk(kernel, lam, steps, policy, len(stream_ids))
     if N <= steps + 2:
         raise ValueError(f"need N > steps + 2, got N={N}, steps={steps}")
-    stream_ids = [int(sid) for sid in stream_ids]
-    B = len(stream_ids)
     rngs = [make_rng(master_seed, sid) for sid in stream_ids]
-
-    d = 1 if lam > 0 else 0
-    width = steps + 1 + d           # final span dimension d_{T+1}
-    f_values = np.empty((B, steps + 1))
-    G = np.zeros((B, steps + 1, width))
-    x_coords = np.zeros((B, steps + 1, width))
-    dims = np.empty(steps + 1, dtype=int)
-    x_coords[:, 0, 0] = lam         # x₀ = λ·v₀; step 0 conditions on nothing
-    state = SpanState(kernel, policy, B)
-
     try:
         for n in range(steps + 1):
-            if n > 0:
-                row = gsa.row(n, _realized_info(lam, f_values[:, :n], G[:, :n, :d]))
-                x_new = (np.swapaxes(G[:, :n, :d], 1, 2) @ row.h_g[..., None])[:, :, 0]
-                x_new[:, 0] += row.h_x * lam
-                x_coords[:, n, :d] = x_new
-            Y = x_coords[:, :n + 1, :d]
-
-            s_new = 0.5 * np.sum(x_coords[:, n] ** 2, axis=1)
-            k3_here = kernel.k3(s_new, s_new, 2.0 * s_new)
-            if np.any(k3_here <= 0):
-                raise DegenerateKernelError(
-                    f"step {n}: κ₃ = {np.min(k3_here):g} at the new point; no gradient "
-                    "mass outside the span")
-            v_block = state.extend(Y, rngs, N)
-            f_values[:, n] = v_block[:, 0]
-            G[:, n, :d] = v_block[:, 1:]
-
-            sigma_sq = state.residual_variance()
-            if np.any(sigma_sq < NEGATIVE_RESIDUAL_TOL):
-                raise ConsistencyError(
-                    f"step {n}: plug-in residual variance {np.min(sigma_sq):.3e} < "
-                    f"{NEGATIVE_RESIDUAL_TOL:g}")
-            chi = np.array([sample_chi_square(N - d, rng) for rng in rngs])
-            G[:, n, d] = np.sqrt((np.maximum(sigma_sq, 0.0) / N) * chi)
-            state.open_direction(G[:, n, d])
-            dims[n] = d
-            d += 1
+            limit_step(walk, gsa, rngs, N)
     except (NumericalError, ValueError) as exc:
-        raise _blame(exc, kernel, gsa, lam, N, n, stream_ids, master_seed, policy) from exc
+        raise _blame(exc, kernel, gsa, walk.lam, N, n, stream_ids, master_seed, policy) from exc
 
+    lam, G = walk.lam, walk.G
     grad_gram = G @ np.swapaxes(G, 1, 2)
     return [TrajectoryRecord(
-        N=N, lam=lam, f_values=f_values[b], grad_gram=grad_gram[b],
+        N=N, lam=lam, f_values=walk.f[b], grad_gram=grad_gram[b],
         x0_grad=lam * G[b, :, 0] if lam > 0 else np.zeros(steps + 1),
         x0_norm_sq=lam * lam, master_seed=master_seed, stream_id=sid,
-        G=G[b], x_coords=x_coords[b], dims=dims.copy())
+        G=G[b], x_coords=walk.X[b], dims=walk.dims.copy())
         for b, sid in enumerate(stream_ids)]
 
 

@@ -138,6 +138,19 @@ pseudo_inverse = true
     ("master_seed = 11", "master_seed = 11\nrank_stall = panic"),
     ("master_seed = 11", "master_seed = 11\npseudo_inverse = maybe"),
     ("master_seed = 11", "master_seed = 11\nworkers = 4"),  # unknown run key
+    ("alpha = 0.4", "alpha = nan"),                         # non-finite numbers
+    ("lambda = 1.0", "lambda = nan"),
+    ("lambda = 1.0", "lambda = inf"),
+    ("atoms = [[1.0, 1.0]]", "atoms = [[1.0, 1.0]]\nmean_level = inf"),
+    ("atoms = [[1.0, 1.0]]", "atoms = [[NaN, 1.0]]"),
+    ("type = stationary_schoenberg\natoms = [[1.0, 1.0]]",
+     "type = quadratic\nsigma_A = nan\nsigma_eta = 0.5\nR = 1.0"),
+    ("type = stationary_schoenberg\natoms = [[1.0, 1.0]]",
+     "type = spin_glass\ncoeffs = [0.0, Infinity]"),
+    ("epsilons = [0.5]", "epsilons = [NaN]"),
+    ("epsilons = [0.5]", "epsilons = [1e400]"),             # JSON reads it as inf
+    ("epsilons = [0.5]", "epsilons = [1" + "0" * 400 + "]"),  # an int past every float
+    ("N_list = [16, 32]", "N_list = [16, 1" + "0" * 400 + "]"),
 ], ids=lambda m: m[1].replace("\n", ";")[:34])
 def test_load_config_rejects(tmp_path, mutation):
     old, new = mutation

@@ -28,11 +28,9 @@ from grfspan.kernels import (
 )
 from grfspan.limits import (
     first_halting_step,
+    SpanWalk,
     halting_times,
-    limit_init,
-    limit_state,
     limit_step,
-    limiting_info,
     predict,
 )
 
@@ -56,7 +54,7 @@ def quadratic_gd_oracle(alpha, steps):
 # ---------------------------------------------------------------------------
 
 def test_init_stationary_se():
-    curve = limit_init(lift_stationary(SE_MIX), 1.0)
+    curve = predict(lift_stationary(SE_MIX), gd(0.4), 1.0, steps=0)
     assert curve.f_limit[0] == 0.0
     np.testing.assert_allclose(curve.gamma[0], [0.0, 1.0], atol=1e-15)
     assert curve.grad_gram_limit[0, 0] == pytest.approx(1.0, abs=1e-15)
@@ -66,7 +64,7 @@ def test_init_stationary_se():
 
 
 def test_init_quadratic():
-    curve = limit_init(quadratic_kernel(1.0, 0.0, 1.0), 1.0)
+    curve = predict(quadratic_kernel(1.0, 0.0, 1.0), gd(0.4), 1.0, steps=0)
     assert curve.f_limit[0] == pytest.approx(1.0, abs=1e-15)
     assert curve.gamma[0, 0] == pytest.approx(1.0)   # μ′(0.5)·λ
     assert curve.gamma[0, 1] == pytest.approx(1.0)   # √κ₃
@@ -74,7 +72,7 @@ def test_init_quadratic():
 
 
 def test_init_at_origin():
-    curve = limit_init(lift_stationary(SE_MIX), 0.0)
+    curve = predict(lift_stationary(SE_MIX), gd(0.4), 0.0, steps=0)
     assert curve.dims[0] == 0
     assert curve.gamma.shape == (1, 1)
     assert curve.gamma[0, 0] == pytest.approx(1.0)
@@ -83,12 +81,12 @@ def test_init_at_origin():
 def test_init_degenerate_two_spin_at_origin():
     kernel = spin_glass_kernel(SpinGlassMixture(coeffs=(0.0, 0.0, 1.0)))
     with pytest.raises(DegenerateKernelError):
-        limit_init(kernel, 0.0)
+        predict(kernel, gd(0.4), 0.0, steps=0)
 
 
 def test_init_rejects_negative_lambda():
     with pytest.raises(ValueError):
-        limit_init(lift_stationary(SE_MIX), -1.0)
+        predict(lift_stationary(SE_MIX), gd(0.4), -1.0, steps=0)
 
 
 # ---------------------------------------------------------------------------
@@ -216,17 +214,29 @@ def test_sphere_projected_spin_glass_runs():
 # limiting information and halting
 # ---------------------------------------------------------------------------
 
+def walk_to(kernel, gsa, lam, steps, policy=DEFAULT_POLICY, **kw):
+    """A limit walk after steps 0..steps."""
+    walk = SpanWalk(kernel, lam, steps, policy)
+    for _ in range(steps + 1):
+        limit_step(walk, gsa, **kw)
+    return walk
+
+
 def test_limiting_info_contents():
-    curve = predict(lift_stationary(SE_MIX), gd(0.4), 1.0, 4)
-    info = limiting_info(curve, 0)
-    assert info.grad_gram[0, 0] == pytest.approx(1.0)
-    info4 = limiting_info(curve, 4)
-    assert info4.f_values.shape == (5,)
-    np.testing.assert_allclose(info4.x0_grad, curve.lam * curve.gamma[:5, 0])
-    origin = predict(lift_stationary(SE_MIX), gd(0.4), 0.0, 3)
-    assert np.all(limiting_info(origin, 3).x0_grad == 0.0)
+    kernel = lift_stationary(SE_MIX)
+    info = walk_to(kernel, gd(0.4), 1.0, 0).info()
+    assert info.grad_gram[0, 0, 0] == pytest.approx(1.0)
+    walk = walk_to(kernel, gd(0.4), 1.0, 4)
+    curve, info4 = walk.curve(), walk.info()
+    assert info4.f_values.shape == (1, 5)
+    np.testing.assert_array_equal(info4.f_values[0], curve.f_limit)
+    np.testing.assert_array_equal(info4.grad_gram[0], curve.grad_gram_limit)
+    np.testing.assert_allclose(info4.x0_grad[0], curve.lam * curve.gamma[:5, 0])
+    assert info4.x0_norm_sq == curve.lam ** 2
+    origin = walk_to(kernel, gd(0.4), 0.0, 3)
+    assert np.all(origin.info().x0_grad == 0.0)
     with pytest.raises(ValueError):
-        limiting_info(curve, 9)
+        limit_step(walk, gd(0.4))
 
 
 def test_halting_times_definitions():
@@ -276,7 +286,7 @@ def test_first_halting_step_over_the_last_axis():
 def scratch_predict(kernel, gsa, lam, steps, policy=DEFAULT_POLICY):
     """The recursion with the whole history re-assembled and re-conditioned
     at every step; returns (f_limit, gamma, sigma_w)."""
-    start = limit_init(kernel, lam)
+    start = predict(kernel, gsa, lam, 0)
     d = start.gamma.shape[1]
     width = d + steps
     f = np.zeros(steps + 1)
@@ -304,13 +314,11 @@ def scratch_predict(kernel, gsa, lam, steps, policy=DEFAULT_POLICY):
 
 
 def drive(kernel, gsa, lam, steps, policy=DEFAULT_POLICY, **kw):
-    """Yield (curve, state) after limit_init and after every limit_step."""
-    curve = limit_init(kernel, lam)
-    state = limit_state(curve, kernel, policy)
-    yield curve, state
-    for _ in range(steps):
-        curve = limit_step(curve, state, gsa, **kw)
-        yield curve, state
+    """Yield (curve, state) after every limit_step, step 0 included."""
+    walk = SpanWalk(kernel, lam, steps, policy)
+    for _ in range(steps + 1):
+        limit_step(walk, gsa, **kw)
+        yield walk.curve(), walk.state
 
 
 @pytest.mark.parametrize("gsa", [gd(0.4), heavy_ball(0.4, 0.5), fr_cg(0.3)],
@@ -399,8 +407,10 @@ def test_exhausted_ladder_switches_to_pseudo_inverse():
 
 def test_limit_step_rejects_state_of_another_curve():
     kernel = lift_stationary(SE_MIX)
-    curve = limit_init(kernel, 1.0)
-    state = limit_state(curve, kernel)
-    limit_step(curve, state, gd(0.4))
+    walk, other = SpanWalk(kernel, 1.0, 3), SpanWalk(kernel, 1.0, 3)
+    limit_step(walk, gd(0.4))
+    limit_step(other, gd(0.4))
+    limit_step(other, gd(0.4))
+    walk.state = other.state        # two points against the walk's one
     with pytest.raises(ValueError):
-        limit_step(curve, state, gd(0.4))
+        limit_step(walk, gd(0.4))

@@ -17,6 +17,7 @@ from grfspan.algorithms import (
 from grfspan.assembly import SpanState
 from grfspan.errors import KernelDomainError
 from grfspan.gaussianops import ConditionPolicy
+from grfspan.limits import predict
 from grfspan.kernels import (
     SchoenbergMixture,
     SpinGlassMixture,
@@ -258,6 +259,26 @@ def test_corner_chi_square_moments():
     want = (N - 1) / N
     se = math.sqrt(2 * (N - 1)) / N / math.sqrt(M)
     assert abs(sq.mean() - want) < 4 * se
+
+
+# ---------------------------------------------------------------------------
+# the limit as the N → ∞ member of the same recursion
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("gsa", [gd(0.4), HB, fr_cg(0.3)], ids=lambda g: g.name)
+def test_paths_converge_to_the_limit_at_rate_root_n(gsa):
+    # every sampled path, not only the mean, is within O(N^{-1/2}) of predict:
+    # the scaled deviation neither grows (the two recursions agree) nor
+    # shrinks (the noise is there) over eight decades of N; f(x₀) carries the
+    # block's noise alone, the Gram also the corner's
+    curve = predict(SE, gsa, 1.0, 6)
+    for N in (10 ** 12, 10 ** 16, 10 ** 20):
+        records = simulate_info_paths(SE, gsa, 1.0, N, 6, range(20), 5)
+        f0_dev = max(abs(r.f_values[0] - curve.f_limit[0]) for r in records)
+        f_dev = max(np.max(np.abs(r.f_values - curve.f_limit)) for r in records)
+        gram_dev = max(np.max(np.abs(r.grad_gram - curve.grad_gram_limit)) for r in records)
+        for dev in (f0_dev, f_dev, gram_dev):
+            assert 1.0 <= math.sqrt(N) * dev <= 10.0
 
 
 # ---------------------------------------------------------------------------
