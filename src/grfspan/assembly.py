@@ -288,7 +288,7 @@ class SpanState:
             Wt = np.swapaxes(W, 1, 2)
             cond_mean = mean[live] + (Wt @ self._z[live][:, :, None])[:, :, 0]
             cond_cov = S_nn[live] - Wt @ W
-            L_nn = self._factor(cond_cov, live)
+            L_nn = self._factor(cond_cov, live, f"step {n}: the new point's rows")
             if L_nn is not None:
                 break
         observed = cond_mean
@@ -339,7 +339,7 @@ class SpanState:
         observed[:, -1] = values
         while True:
             live = self._live()
-            L_k = self._factor(K[live], live)
+            L_k = self._factor(K[live], live, f"step {self.points - 1}: the κ₃ block")
             if L_k is not None:
                 break
         self._append(K, observed, np.full(self.points, D + 1), np.arange(self.points),
@@ -390,11 +390,12 @@ class SpanState:
             X[:, a:b] = blk.inv[members] @ rhs
         return X
 
-    def _factor(self, C, live):
+    def _factor(self, C, live, block):
         """chol(C + j·I) of the live members, each at its own jitter j.
 
         Returns None when some member fails to factor, after escalating every
-        member that failed; the caller then repeats the step.
+        member that failed; the caller then repeats the step.  ``block``
+        names C in the NotPsdError raised past the last rung.
         """
         j = self.jitter[live]
         A = C
@@ -409,17 +410,19 @@ class SpanState:
             try:
                 np.linalg.cholesky(slab)
             except np.linalg.LinAlgError:
-                self._escalate(b)
+                self._escalate(b, f"{block} ({len(slab)}×{len(slab)})")
         return None
 
-    def _escalate(self, b):
+    def _escalate(self, b, block):
         """Re-factor member b's history at the next ladder jitter that succeeds."""
         try:
             L, self.jitter[b] = cholesky_psd(self._covariance(b), self.policy,
                                              above=self.jitter[b])
         except NotPsdError:
             if not self.policy.pseudo_fallback:
-                raise
+                raise NotPsdError(
+                    f"{block} not positive definite within jitter ladder "
+                    f"(start={self.policy.jitter_start}, max={self.policy.jitter_max})") from None
             self.jitter[b] = math.inf
             return
         for blk in self._blocks:

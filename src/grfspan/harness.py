@@ -1,7 +1,8 @@
 """Experiment orchestration: configs, Monte Carlo fan-out, CSV reports.
 
 A single config file describes the field, the optimizer, and the run
-parameters; every experiment mode consumes the same config so the predicted
+parameters, each section read through one table that names every type and
+key once; every experiment mode consumes the same config so the predicted
 limit curve and the simulated trajectories can never disagree about what is
 being run.  Reports are flat CSV — the columns carry enough raw statistics
 that every derived quantity (gaps, slopes, medians, frequencies) can be
@@ -55,22 +56,6 @@ from .trajectories import simulate_info_path  # not called here: bench/layers.py
 WORKERS_ENV = "GRFSPAN_WORKERS"
 FLOAT_FMT = "%.17g"
 
-_KERNEL_TYPES = ("stationary_schoenberg", "spin_glass", "quadratic")
-_KERNEL_KEYS = {
-    "stationary_schoenberg": {"atoms", "mean_level"},
-    "spin_glass": {"coeffs"},
-    "quadratic": {"sigma_A", "sigma_eta", "R"},
-}
-_KERNEL_REQUIRED = {
-    "stationary_schoenberg": {"atoms"},
-    "spin_glass": {"coeffs"},
-    "quadratic": {"sigma_A", "sigma_eta", "R"},
-}
-_ALG_TYPES = ("gd", "heavy_ball", "nesterov", "fr_cg")
-_ALG_MOMENTUM = ("heavy_ball", "nesterov")
-_RUN_KEYS = {"lambda", "N_list", "steps", "replications", "epsilons",
-             "master_seed", "out", "rank_stall", "pseudo_inverse"}
-
 #: epsilon thresholds are moved at least this relative distance away from
 #: every limiting gradient-diagonal value before halting times are compared
 EPSILON_MARGIN = 0.01
@@ -106,6 +91,13 @@ class ExperimentConfig:
         return DEFAULT_POLICY
 
 
+# Each parser turns the raw text of one key into its value, (section, key,
+# raw) → value, and raises ConfigError naming both when it cannot.
+
+def _as_text(section, key, raw):
+    return raw
+
+
 def _as_float(section, key, raw):
     try:
         value = float(raw)
@@ -132,14 +124,14 @@ def _as_bool(section, key, raw):
     raise ConfigError(f"[{section}] {key}: expected true/false, got {raw!r}")
 
 
-def _as_json_list(section, key, raw):
+def _as_json_list(section, key, raw) -> tuple:
     try:
         value = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"[{section}] {key}: not a valid JSON list ({exc})") from None
+    except json.JSONDecodeError:
+        value = None
     if not isinstance(value, list):
         raise ConfigError(f"[{section}] {key}: expected a JSON list, got {raw!r}")
-    return value
+    return tuple(value)
 
 
 def _is_number(value) -> bool:
@@ -149,77 +141,111 @@ def _is_number(value) -> bool:
             and abs(value) <= sys.float_info.max)
 
 
-def _parse_kernel(items):
-    if "type" not in items:
-        raise ConfigError("[kernel] missing required key 'type'")
-    kind = items["type"]
-    if kind not in _KERNEL_TYPES:
-        raise ConfigError(
-            f"[kernel] type must be one of {_KERNEL_TYPES}, got {kind!r}")
-    allowed = _KERNEL_KEYS[kind] | {"type"}
-    unknown = set(items) - allowed
+def _as_numbers(section, key, raw) -> tuple:
+    values = _as_json_list(section, key, raw)
+    if not all(map(_is_number, values)):
+        raise ConfigError(f"[{section}] {key} must be a list of numbers, got {raw!r}")
+    return tuple(map(float, values))
+
+
+def _as_atoms(section, key, raw) -> tuple:
+    atoms = _as_json_list(section, key, raw)
+    if not all(isinstance(a, list) and len(a) == 2 and all(map(_is_number, a)) for a in atoms):
+        raise ConfigError(f"[{section}] {key} entries must be [weight, rate] number pairs")
+    return tuple((float(w), float(t)) for w, t in atoms)
+
+
+def _checked(parse, ok, must):
+    """``parse``, then a ConfigError saying what the value ``must`` be
+    unless ``ok(value)``."""
+    def parse_checked(section, key, raw):
+        value = parse(section, key, raw)
+        if not ok(value):
+            raise ConfigError(f"[{section}] {key} must be {must}, got {raw!r}")
+        return value
+    return parse_checked
+
+
+#: a positive integer: [run] steps, and the GRFSPAN_WORKERS variable
+_as_count = _checked(_as_int, lambda n: n >= 1, ">= 1")
+
+_STEP_SIZE = {"alpha": (_as_float, None)}
+_MOMENTUM = {**_STEP_SIZE, "beta": (_as_float, None)}
+_RADIUS = {"radius": (_as_float, None)}
+
+#: [kernel] type, [algorithm] type and [algorithm] projection → (builder,
+#: {key: (parser, default)}), where a default of None makes the key
+#: required; a builder takes the spec's values of its keys as keyword
+#: arguments, and a projection's builder wraps the optimizer
+_KERNELS = {
+    "stationary_schoenberg": (
+        lambda atoms, **level: lift_stationary(SchoenbergMixture(atoms=atoms), **level),
+        {"atoms": (_as_atoms, None), "mean_level": (_as_float, 0.0)}),
+    "spin_glass": (lambda coeffs: spin_glass_kernel(SpinGlassMixture(coeffs=coeffs)),
+                   {"coeffs": (_as_numbers, None)}),
+    "quadratic": (quadratic_kernel,
+                  dict.fromkeys(("sigma_A", "sigma_eta", "R"), (_as_float, None))),
+}
+_ALGORITHMS = {
+    "gd": (gd, _STEP_SIZE),
+    "heavy_ball": (heavy_ball, _MOMENTUM),
+    "nesterov": (nesterov, _MOMENTUM),
+    "fr_cg": (fr_cg, _STEP_SIZE),
+}
+_PROJECTIONS = {
+    "sphere": (with_sphere_projection, _RADIUS),
+    "ball": (with_ball_projection, _RADIUS),
+}
+
+#: [kernel] and [algorithm] → the choices _parse_section reads
+_SECTIONS = {"kernel": (("type", _KERNELS, None),),
+             "algorithm": (("type", _ALGORITHMS, None), ("projection", _PROJECTIONS, "none"))}
+
+#: [run] key → (ExperimentConfig field, parser)
+_RUN = {
+    "lambda": ("lam", _checked(_as_float, lambda x: x >= 0, "nonnegative")),
+    "N_list": ("N_list", _checked(_as_json_list, lambda ns: ns and all(
+        type(n) is int and 1 <= n <= sys.float_info.max for n in ns) and all(
+        a < b for a, b in zip(ns, ns[1:])),
+        "a strictly increasing nonempty list of positive integers within float range")),
+    "steps": ("steps", _as_count),
+    "replications": ("replications", _checked(_as_int, lambda n: n >= 2, ">= 2")),
+    "epsilons": ("epsilons", _checked(_as_numbers, lambda xs: all(x > 0 for x in xs),
+                                      "positive numbers")),
+    "master_seed": ("master_seed", _as_int),
+    "out": ("out", _as_text),
+    "rank_stall": ("rank_stall", _checked(_as_text, lambda v: v in ("error", "freeze"),
+                                          "error or freeze")),
+    "pseudo_inverse": ("pseudo_inverse", _as_bool),
+}
+
+
+def _parse_section(section, items, *choices) -> dict:
+    """The spec dict of a [kernel] or [algorithm] section.
+
+    Each choice (key, table, default) reads the section's ``key``, or
+    ``default`` when it is left out, and picks that entry of ``table``; a
+    default of None makes the key required, and any other default picks no
+    entry.  The keys of the picked entries, {key: (parser, default)}, are
+    the only others the section may give: again a default of None makes one
+    required, and the others are filled in.
+    """
+    spec, keys = {}, {}
+    for key, table, default in choices:
+        kind = items.get(key, default)
+        allowed = [default] * (default is not None) + list(table)
+        if kind not in allowed:
+            raise ConfigError(f"[{section}] {key} must be one of {allowed}, got {kind!r}")
+        spec[key] = kind
+        keys.update(table.get(kind, (None, {}))[1])
+    picked = ", ".join(f"{key} {kind}" for key, kind in spec.items())
+    unknown = set(items) - set(spec) - set(keys)
     if unknown:
-        raise ConfigError(
-            f"[kernel] keys {sorted(unknown)} not allowed for type {kind}")
-    missing = _KERNEL_REQUIRED[kind] - set(items)
-    if missing:
-        raise ConfigError(f"[kernel] type {kind} requires keys {sorted(missing)}")
-
-    spec = {"type": kind}
-    if kind == "stationary_schoenberg":
-        atoms = _as_json_list("kernel", "atoms", items["atoms"])
-        for entry in atoms:
-            if not (isinstance(entry, list) and len(entry) == 2
-                    and all(_is_number(x) for x in entry)):
-                raise ConfigError("[kernel] atoms entries must be [weight, rate] number pairs")
-        spec["atoms"] = tuple((float(w), float(t)) for w, t in atoms)
-        spec["mean_level"] = _as_float("kernel", "mean_level",
-                                       items.get("mean_level", "0"))
-    elif kind == "spin_glass":
-        coeffs = _as_json_list("kernel", "coeffs", items["coeffs"])
-        if not all(_is_number(c) for c in coeffs):
-            raise ConfigError("[kernel] coeffs must be numbers")
-        spec["coeffs"] = tuple(float(c) for c in coeffs)
-    else:
-        for key in ("sigma_A", "sigma_eta", "R"):
-            spec[key] = _as_float("kernel", key, items[key])
-    return spec
-
-
-def _parse_algorithm(items):
-    if "type" not in items:
-        raise ConfigError("[algorithm] missing required key 'type'")
-    kind = items["type"]
-    if kind not in _ALG_TYPES:
-        raise ConfigError(
-            f"[algorithm] type must be one of {_ALG_TYPES}, got {kind!r}")
-    allowed = {"type", "alpha", "projection", "radius"}
-    if kind in _ALG_MOMENTUM:
-        allowed.add("beta")
-    unknown = set(items) - allowed
-    if unknown:
-        raise ConfigError(
-            f"[algorithm] keys {sorted(unknown)} not allowed for type {kind}")
-    if "alpha" not in items:
-        raise ConfigError("[algorithm] missing required key 'alpha'")
-
-    spec = {"type": kind, "alpha": _as_float("algorithm", "alpha", items["alpha"])}
-    if kind in _ALG_MOMENTUM:
-        if "beta" not in items:
-            raise ConfigError(f"[algorithm] type {kind} requires key 'beta'")
-        spec["beta"] = _as_float("algorithm", "beta", items["beta"])
-    projection = items.get("projection", "none")
-    if projection not in ("none", "sphere", "ball"):
-        raise ConfigError(
-            f"[algorithm] projection must be none/sphere/ball, got {projection!r}")
-    if projection == "none":
-        if "radius" in items:
-            raise ConfigError("[algorithm] radius given but projection is none")
-    else:
-        if "radius" not in items:
-            raise ConfigError(f"[algorithm] projection {projection} requires 'radius'")
-        spec["radius"] = _as_float("algorithm", "radius", items["radius"])
-    spec["projection"] = projection
+        raise ConfigError(f"[{section}] keys {sorted(unknown)} not allowed for {picked}")
+    for key, (parse, default) in keys.items():
+        if key not in items and default is None:
+            raise ConfigError(f"[{section}] {picked} requires key {key!r}")
+        spec[key] = parse(section, key, items[key]) if key in items else default
     return spec
 
 
@@ -239,61 +265,19 @@ def load_config(path) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from None
 
-    unknown = set(parser.sections()) - {"kernel", "algorithm", "run"}
+    unknown = set(parser.sections()) - {*_SECTIONS, "run"}
     if unknown:
         raise ConfigError(f"unknown config sections {sorted(unknown)}")
     if "kernel" not in parser:
         raise ConfigError("config must have a [kernel] section")
 
-    kernel_spec = _parse_kernel(dict(parser["kernel"]))
-    algorithm_spec = None
-    if "algorithm" in parser:
-        algorithm_spec = _parse_algorithm(dict(parser["algorithm"]))
-
-    fields = {"kernel": kernel_spec, "algorithm": algorithm_spec}
-    if "run" in parser:
-        items = dict(parser["run"])
-        unknown = set(items) - _RUN_KEYS
-        if unknown:
-            raise ConfigError(f"[run] unknown keys {sorted(unknown)}")
-        if "lambda" in items:
-            fields["lam"] = _as_float("run", "lambda", items["lambda"])
-            if fields["lam"] < 0:
-                raise ConfigError("[run] lambda must be nonnegative")
-        if "N_list" in items:
-            ns = _as_json_list("run", "N_list", items["N_list"])
-            if not ns or any(type(n) is not int or not 1 <= n <= sys.float_info.max for n in ns):
-                raise ConfigError("[run] N_list must be a nonempty list of positive integers "
-                                  "within float range")
-            if any(b <= a for a, b in zip(ns, ns[1:])):
-                raise ConfigError("[run] N_list must be strictly increasing")
-            fields["N_list"] = tuple(ns)
-        if "steps" in items:
-            steps = _as_int("run", "steps", items["steps"])
-            if steps < 1:
-                raise ConfigError(f"[run] steps must be >= 1, got {steps}")
-            fields["steps"] = steps
-        if "replications" in items:
-            m = _as_int("run", "replications", items["replications"])
-            if m < 2:
-                raise ConfigError(f"[run] replications must be >= 2, got {m}")
-            fields["replications"] = m
-        if "epsilons" in items:
-            eps = _as_json_list("run", "epsilons", items["epsilons"])
-            if any(not _is_number(e) or e <= 0 for e in eps):
-                raise ConfigError("[run] epsilons must be positive numbers")
-            fields["epsilons"] = tuple(float(e) for e in eps)
-        if "master_seed" in items:
-            fields["master_seed"] = _as_int("run", "master_seed", items["master_seed"])
-        if "out" in items:
-            fields["out"] = items["out"]
-        if "rank_stall" in items:
-            if items["rank_stall"] not in ("error", "freeze"):
-                raise ConfigError("[run] rank_stall must be 'error' or 'freeze'")
-            fields["rank_stall"] = items["rank_stall"]
-        if "pseudo_inverse" in items:
-            fields["pseudo_inverse"] = _as_bool("run", "pseudo_inverse",
-                                                items["pseudo_inverse"])
+    fields = {section: _parse_section(section, dict(parser[section]), *choices)
+              for section, choices in _SECTIONS.items() if section in parser}
+    for key, raw in (dict(parser["run"]) if "run" in parser else {}).items():
+        if key not in _RUN:
+            raise ConfigError(f"[run] unknown key {key!r}")
+        name, parse = _RUN[key]
+        fields[name] = parse("run", key, raw)
 
     config = ExperimentConfig(**fields)
     build_kernel(config.kernel)       # eager parameter validation
@@ -302,44 +286,30 @@ def load_config(path) -> ExperimentConfig:
     return config
 
 
+def _build(section, table, kind, spec, *inner):
+    """The builder of ``table[kind]`` called on ``inner`` and the spec's
+    values of its keys."""
+    if kind not in table:
+        raise ConfigError(f"unknown {section} type {kind!r}")
+    build, keys = table[kind]
+    try:
+        return build(*inner, **{key: spec[key] for key in keys if key in spec})
+    except ValueError as exc:
+        raise ConfigError(f"invalid {section} parameters: {exc}") from None
+
+
 def build_kernel(spec: dict) -> KernelModel:
     """Construct the field model from a parameter dict."""
-    kind = spec["type"]
-    try:
-        if kind == "stationary_schoenberg":
-            mixture = SchoenbergMixture(atoms=spec["atoms"])
-            return lift_stationary(mixture, spec.get("mean_level", 0.0))
-        if kind == "spin_glass":
-            return spin_glass_kernel(SpinGlassMixture(coeffs=spec["coeffs"]))
-        if kind == "quadratic":
-            return quadratic_kernel(spec["sigma_A"], spec["sigma_eta"], spec["R"])
-    except ValueError as exc:
-        raise ConfigError(f"invalid kernel parameters: {exc}") from None
-    raise ConfigError(f"unknown kernel type {kind!r}")
+    return _build("kernel", _KERNELS, spec["type"], spec)
 
 
 def build_gsa(spec: dict) -> GsaSpec:
-    """Construct the optimizer from a parameter dict."""
-    kind = spec["type"]
-    try:
-        if kind == "gd":
-            base = gd(spec["alpha"])
-        elif kind == "heavy_ball":
-            base = heavy_ball(spec["alpha"], spec["beta"])
-        elif kind == "nesterov":
-            base = nesterov(spec["alpha"], spec["beta"])
-        elif kind == "fr_cg":
-            base = fr_cg(spec["alpha"])
-        else:
-            raise ConfigError(f"unknown algorithm type {kind!r}")
-        projection = spec.get("projection", "none")
-        if projection == "sphere":
-            base = with_sphere_projection(base, spec["radius"])
-        elif projection == "ball":
-            base = with_ball_projection(base, spec["radius"])
-    except ValueError as exc:
-        raise ConfigError(f"invalid algorithm parameters: {exc}") from None
-    return base
+    """Construct the optimizer from a parameter dict; a projection that is
+    not in the table leaves it unwrapped."""
+    gsa = _build("algorithm", _ALGORITHMS, spec["type"], spec)
+    projection = spec.get("projection")
+    return _build("algorithm", _PROJECTIONS, projection, spec, gsa) \
+        if projection in _PROJECTIONS else gsa
 
 
 # ---------------------------------------------------------------------------
@@ -349,17 +319,11 @@ def build_gsa(spec: dict) -> GsaSpec:
 def worker_count() -> int:
     """GRFSPAN_WORKERS, else the number of CPUs this process may run on."""
     raw = os.environ.get(WORKERS_ENV)
-    if raw is None:
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ConfigError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
-    if workers < 1:
-        raise ConfigError(f"{WORKERS_ENV} must be >= 1, got {workers}")
-    return workers
+    if raw is not None:
+        return _as_count("environment", WORKERS_ENV, raw)
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 #: streams per pool task.  A constant, not a setting: it trades the work per
@@ -398,18 +362,15 @@ def _collect_trajectories(config: ExperimentConfig,
             np.concatenate([g for _, g in results]).reshape(shape))
 
 
+#: what a mode may need from the config, and how the error names it
+_NEEDS = {"algorithm": "an [algorithm] section",
+          **{name: f"[run] {key}" for key, (name, _) in _RUN.items()}}
+
+
 def _require(config: ExperimentConfig, *names):
     for name in names:
-        if name == "algorithm" and config.algorithm is None:
-            raise ConfigError("config needs an [algorithm] section for this mode")
-        if name == "N_list" and not config.N_list:
-            raise ConfigError("config needs [run] N_list for this mode")
-        if name == "steps" and config.steps is None:
-            raise ConfigError("config needs [run] steps for this mode")
-        if name == "replications" and config.replications is None:
-            raise ConfigError("config needs [run] replications for this mode")
-        if name == "epsilons" and not config.epsilons:
-            raise ConfigError("config needs [run] epsilons for this mode")
+        if getattr(config, name) in (None, ()):
+            raise ConfigError(f"config needs {_NEEDS[name]} for this mode")
     if config.steps is not None:
         for N in config.N_list:
             if N <= config.steps + 2:
@@ -486,6 +447,13 @@ class _Report:
 
     def write(self, handle):
         _write_table(handle, *self._table())
+
+
+def _saved(report, out):
+    """The report, after writing it to ``out`` if the config names a path."""
+    if out:
+        report.to_csv(out)
+    return report
 
 
 def write_limit_curve(curve: LimitCurve, handle):
@@ -601,7 +569,7 @@ def run_verify(config: ExperimentConfig) -> ConvergenceReport:
     M = config.replications
     f_vals, grad_diag = _collect_trajectories(config, M)
     root_m = math.sqrt(M)
-    report = ConvergenceReport(
+    return _saved(ConvergenceReport(
         N_list=config.N_list, steps=config.steps,
         mean_f=f_vals.mean(axis=1),
         sd_f=f_vals.std(axis=1, ddof=1),
@@ -611,10 +579,7 @@ def run_verify(config: ExperimentConfig) -> ConvergenceReport:
         se_grad=grad_diag.std(axis=1, ddof=1) / root_m,
         f_limit=curve.f_limit.copy(),
         grad_limit=np.diagonal(curve.grad_gram_limit).copy(),
-    )
-    if config.out:
-        report.to_csv(config.out)
-    return report
+    ), config.out)
 
 
 # ---------------------------------------------------------------------------
@@ -669,11 +634,8 @@ def run_two_init(config: ExperimentConfig) -> TwoInitReport:
     M = config.replications
     f_vals, _ = _collect_trajectories(config, 2 * M)
     gaps = np.abs(f_vals[:, 0::2, :] - f_vals[:, 1::2, :])
-    report = TwoInitReport(N_list=config.N_list, steps=config.steps,
-                           step_gaps=gaps)
-    if config.out:
-        report.to_csv(config.out)
-    return report
+    return _saved(TwoInitReport(N_list=config.N_list, steps=config.steps, step_gaps=gaps),
+                  config.out)
 
 
 # ---------------------------------------------------------------------------
@@ -740,13 +702,10 @@ def run_halting(config: ExperimentConfig) -> HaltingReport:
     _, grad_diag = _collect_trajectories(config, M)
     freq = np.stack([np.mean(first_halting_step(grad_diag, eps) == tau, axis=1)
                      for eps, tau in zip(epsilons, tau_limit)], axis=1)
-    report = HaltingReport(
+    return _saved(HaltingReport(
         N_list=config.N_list, epsilons=epsilons,
         requested_epsilons=config.epsilons, tau_limit=tau_limit,
-        frequencies=freq, replications=M)
-    if config.out:
-        report.to_csv(config.out)
-    return report
+        frequencies=freq, replications=M), config.out)
 
 
 # ---------------------------------------------------------------------------
@@ -781,9 +740,6 @@ def run_simulate(config: ExperimentConfig) -> SimulationTable:
     _require(config, "algorithm", "N_list", "steps", "replications")
     M = config.replications
     f_vals, grad_diag = _collect_trajectories(config, M)
-    table = SimulationTable(N_list=config.N_list, steps=config.steps,
-                            epsilons=config.epsilons, f_values=f_vals,
-                            grad_diag=grad_diag)
-    if config.out:
-        table.to_csv(config.out)
-    return table
+    return _saved(SimulationTable(N_list=config.N_list, steps=config.steps,
+                                  epsilons=config.epsilons, f_values=f_vals,
+                                  grad_diag=grad_diag), config.out)

@@ -151,13 +151,73 @@ pseudo_inverse = true
     ("epsilons = [0.5]", "epsilons = [1e400]"),             # JSON reads it as inf
     ("epsilons = [0.5]", "epsilons = [1" + "0" * 400 + "]"),  # an int past every float
     ("N_list = [16, 32]", "N_list = [16, 1" + "0" * 400 + "]"),
-], ids=lambda m: m[1].replace("\n", ";")[:34])
+    ("type = gd", "type = heavy_ball"),                     # momentum without beta
+    ("type = stationary_schoenberg\natoms = [[1.0, 1.0]]",
+     "type = quadratic\nsigma_A = 1.0\nsigma_eta = 0.5"),   # quadratic without R
+    ("type = stationary_schoenberg", "type = spin_glass\ncoeffs = [0.0, 1.0]"),  # keeps atoms
+    ("alpha = 0.4", "alpha = 0.4\nprojection = sphere"),    # sphere without radius
+    ("alpha = 0.4", "alpha = 0.4\nprojection = cone\nradius = 1.0"),
+    ("type = gd\nalpha = 0.4", "type = gd"),                # no alpha
+    ("type = gd\n", ""),                                     # [algorithm] without type
+    ("type = stationary_schoenberg\n", ""),                  # [kernel] without type
+], ids=lambda m: (m[1] or "-" + m[0].strip()).replace("\n", ";")[:34])
 def test_load_config_rejects(tmp_path, mutation):
     old, new = mutation
     assert old in BASE_CONFIG
     path = _write(tmp_path, BASE_CONFIG.replace(old, new))
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+#: one minimal section per table entry: its text, the spec dict load_config
+#: gives for it, and the label or name of the model built from that spec
+_KERNEL_SECTIONS = [
+    ("type = stationary_schoenberg\natoms = [[1.0, 1.0]]",
+     {"type": "stationary_schoenberg", "atoms": ((1.0, 1.0),), "mean_level": 0.0},
+     "stationary-lift"),
+    ("type = stationary_schoenberg\natoms = [[0.5, 1.0], [0.5, 2]]\nmean_level = -1.5",
+     {"type": "stationary_schoenberg", "atoms": ((0.5, 1.0), (0.5, 2.0)), "mean_level": -1.5},
+     "stationary-lift"),
+    ("type = spin_glass\ncoeffs = [0.0, 0.0, 1]",
+     {"type": "spin_glass", "coeffs": (0.0, 0.0, 1.0)}, "spin-glass"),
+    ("type = quadratic\nsigma_A = 1.0\nsigma_eta = 0.5\nR = 2",
+     {"type": "quadratic", "sigma_A": 1.0, "sigma_eta": 0.5, "R": 2.0}, "quadratic"),
+]
+_ALGORITHM_SECTIONS = [
+    ("type = gd\nalpha = 0.4", {"type": "gd", "alpha": 0.4, "projection": "none"}, "gd"),
+    ("type = heavy_ball\nalpha = 0.3\nbeta = 0.5",
+     {"type": "heavy_ball", "alpha": 0.3, "beta": 0.5, "projection": "none"}, "heavy_ball"),
+    ("type = nesterov\nalpha = 0.3\nbeta = 0.25",
+     {"type": "nesterov", "alpha": 0.3, "beta": 0.25, "projection": "none"}, "nesterov"),
+    ("type = fr_cg\nalpha = 0.2", {"type": "fr_cg", "alpha": 0.2, "projection": "none"},
+     "fr_cg"),
+    ("type = gd\nalpha = 0.4\nprojection = none",
+     {"type": "gd", "alpha": 0.4, "projection": "none"}, "gd"),
+    ("type = gd\nalpha = 0.4\nprojection = sphere\nradius = 1.5",
+     {"type": "gd", "alpha": 0.4, "radius": 1.5, "projection": "sphere"}, "gd+sphere"),
+    ("type = heavy_ball\nalpha = 0.3\nbeta = 0.5\nprojection = ball\nradius = 2",
+     {"type": "heavy_ball", "alpha": 0.3, "beta": 0.5, "radius": 2.0, "projection": "ball"},
+     "heavy_ball+ball"),
+]
+
+
+@pytest.mark.parametrize("section", _KERNEL_SECTIONS, ids=lambda c: c[2])
+def test_kernel_section_spec_and_model(tmp_path, section):
+    text, spec, label = section
+    config = load_config(_write(tmp_path, f"[kernel]\n{text}\n"))
+    assert config.kernel == spec and config.algorithm is None
+    assert build_kernel(config.kernel).label == label
+
+
+@pytest.mark.parametrize("section", _ALGORITHM_SECTIONS, ids=lambda c: c[2])
+def test_algorithm_section_spec_and_model(tmp_path, section):
+    text, spec, name = section
+    config = load_config(_write(tmp_path, BASE_CONFIG.replace(
+        "type = gd\nalpha = 0.4", text)))
+    assert config.algorithm == spec
+    gsa = build_gsa(config.algorithm)
+    assert gsa.name == name
+    assert gsa.parameters == {k: v for k, v in spec.items() if k not in ("type", "projection")}
 
 
 def test_load_config_missing_file(tmp_path):

@@ -405,6 +405,15 @@ def test_exhausted_ladder_switches_to_pseudo_inverse():
                 policy=ConditionPolicy(jitter_start=None))
 
 
+def test_exhausted_ladder_error_names_the_failing_block():
+    # the new point's rows fail to factor at step 0, where the history it
+    # is conditioned on is still empty
+    with pytest.raises(NotPsdError, match=r"^step 0: the new point's rows \(2×2\) not "
+                                          r"positive definite within jitter ladder"):
+        predict(quadratic_kernel(1.0, 0.0, 1.0), gd(0.3), 1.0, 2, on_rank_stall="freeze",
+                policy=ConditionPolicy(jitter_start=None))
+
+
 def test_limit_step_rejects_state_of_another_curve():
     kernel = lift_stationary(SE_MIX)
     walk, other = SpanWalk(kernel, 1.0, 3), SpanWalk(kernel, 1.0, 3)

@@ -126,9 +126,9 @@ def escalations(monkeypatch):
     seen = []
     escalate = SpanState._escalate
 
-    def spy(self, b):
+    def spy(self, b, block):
         rows = self._resid.shape[1]
-        escalate(self, b)
+        escalate(self, b, block)
         seen.append((self.batch, int(b), rows, bool(self.pseudo[b])))
 
     monkeypatch.setattr(SpanState, "_escalate", spy)
