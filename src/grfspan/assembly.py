@@ -180,8 +180,9 @@ class _Arrival:
     its factor, (B, k, left + k), from column ``start − left`` through the
     block's own diagonal columns.  A block uncorrelated with every older row
     stores no left part (left = 0).  ``inv`` (B, k, k) inverts the factor's
-    diagonal block.  The ``L`` and ``inv`` slices of a member whose solves
-    have switched to the pseudo-inverse are stale and never read.
+    diagonal block.  A member whose solves have switched to the
+    pseudo-inverse holds placeholders in every block appended after the
+    switch: the identity as diagonal block and inverse, and zeros left of it.
     """
 
     start: int
@@ -203,7 +204,7 @@ class SpanState:
     with rows in arrival order, its lower factor L = chol(S + j·I), and the
     whitened innovation z = L⁻¹·(observed − mean), each stacked over the
     batch.  Every path of a batch has the same rows; only their values
-    differ.
+    differ, and every member is stepped in the one stack.
 
     Each step calls ``extend`` with the new points, then ``residual_variance``
     and ``open_direction`` unless the span did not grow.  L is extended by
@@ -215,8 +216,11 @@ class SpanState:
     step's history is a leading block of the next one's.  Past the last rung
     the run raises NotPsdError, or with ``pseudo_fallback`` sets j = +inf and
     conditions every later step of that member through ``condition`` on the
-    eigenvalue-thresholded pseudo-inverse of its stored S.  A member's
-    results are bitwise those of the same path stepped alone.
+    eigenvalue-thresholded pseudo-inverse of its stored S.  Such a member
+    stays in the stack: its later factor rows are placeholders (see
+    ``_Arrival``), its rows of L⁻¹·S_hn are zeroed, so its z adds nothing,
+    and the factor's draw skips it.  A member's results are bitwise those
+    of the same path stepped alone.
     """
 
     def __init__(self, kernel, policy: ConditionPolicy = DEFAULT_POLICY, batch: int = 1):
@@ -230,8 +234,7 @@ class SpanState:
         self._at = np.empty(0, dtype=int)       # point of each row
         self._resid = np.empty((batch, 0))      # observed − mean
         self._z = np.empty((batch, 0))
-        self._Y = None                          # rows of the last extend
-        self._K = None                          # their κ₃ matrix, once built
+        self._K = None                          # κ₃ matrix of the last extend
 
     @property
     def pseudo(self) -> np.ndarray:
@@ -280,48 +283,48 @@ class SpanState:
         S_hn = col[:, self._types * (n + 1) + self._at]
         S_nn = col[:, np.arange(D + 1) * (n + 1) + n]
         S_rows = np.concatenate([np.swapaxes(S_hn, 1, 2), S_nn], axis=2)
-        self._Y, self._K = Y, None
 
         while True:
-            live = self._live()
-            W = self._forward(S_hn[live], live)
+            W = self._forward(S_hn)
+            W[self.pseudo] = 0.0
             Wt = np.swapaxes(W, 1, 2)
-            cond_mean = mean[live] + (Wt @ self._z[live][:, :, None])[:, :, 0]
-            cond_cov = S_nn[live] - Wt @ W
-            L_nn = self._factor(cond_cov, live, f"step {n}: the new point's rows")
+            cond_mean = mean + (Wt @ self._z[:, :, None])[:, :, 0]
+            cond_cov = S_nn - Wt @ W
+            L_nn = self._factor(cond_cov, f"step {n}: the new point's rows")
             if L_nn is not None:
                 break
         observed = cond_mean
         if rngs is not None:
-            drawn = np.any(cond_cov, axis=(1, 2))
-            members = np.arange(self.batch)[live]
+            drawn = np.any(cond_cov, axis=(1, 2)) & ~self.pseudo
             xi = np.zeros(cond_mean.shape)
-            for k in np.flatnonzero(drawn):
-                xi[k] = rngs[members[k]].standard_normal(D + 1)
+            for b in np.flatnonzero(drawn):
+                xi[b] = rngs[b].standard_normal(D + 1)
             noise = (L_nn @ xi[:, :, None])[:, :, 0] / math.sqrt(N)
             observed = np.where(drawn[:, None], cond_mean + noise, cond_mean)
-        value = self._scatter(live, observed)
 
         pseudo = np.flatnonzero(self.pseudo)
         if pseudo.size:
             res = condition(np.zeros(self._resid[pseudo].shape), mean[pseudo],
                             self._covariance(pseudo), S_hn[pseudo], S_nn[pseudo],
                             self._resid[pseudo], policy=replace(self.policy, jitter_start=None))
-            value[pseudo] = res.cond_mean if rngs is None else [
+            observed[pseudo] = res.cond_mean if rngs is None else [
                 sample_mvn(mean_b, cov_b / N, rngs[b], self.policy)
                 for b, mean_b, cov_b in zip(pseudo, res.cond_mean, res.cond_cov)]
 
-        self._append(S_rows, value - mean, np.arange(D + 1), np.full(D + 1, n),
-                     live, np.concatenate([Wt, L_nn], axis=2), observed - cond_mean)
+        self._append(S_rows, observed - mean, np.arange(D + 1), np.full(D + 1, n),
+                     np.concatenate([Wt, L_nn], axis=2), observed - cond_mean)
+        self._K = k3_matrix(self.kernel, Y)
         self.points += 1
-        return value
+        return observed
 
     def residual_variance(self) -> np.ndarray:
         """Variance of each new point's gradient component outside the
         visited span, (B,): the Schur complement of the newest entry in the
-        κ₃ matrix of the last extended points.  That matrix is built once
-        per step and is the covariance ``open_direction`` appends."""
-        return _last_schur(self._k3(), self.policy)
+        κ₃ matrix of the last extended points.  ``extend`` builds that matrix
+        once per step; it is the covariance ``open_direction`` appends."""
+        if self._K is None:
+            raise ValueError("no extended points: call extend first")
+        return _last_schur(self._K, self.policy)
 
     def open_direction(self, values):
         """Append D_{v_D} at every point so far, where v_D is the direction
@@ -331,55 +334,30 @@ class SpanState:
         These rows are uncorrelated with every older row and have the κ₃
         matrix as covariance.  A step whose span did not grow skips this.
         """
-        if self._Y is None:
+        if self._K is None:
             raise ValueError("open_direction needs a preceding extend")
-        K, D = self._k3(), self._Y.shape[2]
-        self._Y = self._K = None
+        K, self._K = self._K, None
         observed = np.zeros((self.batch, self.points))
         observed[:, -1] = values
-        while True:
-            live = self._live()
-            L_k = self._factor(K[live], live, f"step {self.points - 1}: the κ₃ block")
-            if L_k is not None:
-                break
-        self._append(K, observed, np.full(self.points, D + 1), np.arange(self.points),
-                     live, L_k, observed[live])
+        L_k = None
+        while L_k is None:
+            L_k = self._factor(K, f"step {self.points - 1}: the κ₃ block")
+        self._append(K, observed, np.full(self.points, self._types.max() + 1),
+                     np.arange(self.points), L_k, observed)
 
     # -- factor maintenance ---------------------------------------------------
 
-    def _k3(self):
-        if self._K is None:
-            if self._Y is None:
-                raise ValueError("no extended points: call extend first")
-            self._K = k3_matrix(self.kernel, self._Y)
-        return self._K
-
-    def _live(self):
-        """Index of the members that still solve with their factor."""
-        return slice(None) if not self.pseudo.any() else np.flatnonzero(~self.pseudo)
-
-    def _scatter(self, live, rows):
-        """A (B, …) array holding ``rows`` at the live members, zero elsewhere."""
-        if isinstance(live, slice):
-            return rows
-        out = np.zeros((self.batch,) + rows.shape[1:])
-        out[live] = rows
-        return out
-
-    def _append(self, S_rows, resid, types, at, live, L_rows, innovation):
-        """Append a block of rows; ``L_rows`` and ``innovation`` hold the
-        factor rows and the innovations of the ``live`` members."""
+    def _append(self, S_rows, resid, types, at, L_rows, innovation):
+        """Append a block of rows with their factor rows and innovations."""
         inv = np.linalg.inv(L_rows[:, :, S_rows.shape[2] - S_rows.shape[1]:])
         z = (inv @ innovation[:, :, None])[:, :, 0]
-        self._blocks.append(_Arrival(start=self._resid.shape[1], S=S_rows,
-                                     L=self._scatter(live, L_rows),
-                                     inv=self._scatter(live, inv)))
-        self._z = np.concatenate([self._z, self._scatter(live, z)], axis=1)
+        self._blocks.append(_Arrival(start=self._resid.shape[1], S=S_rows, L=L_rows, inv=inv))
+        self._z = np.concatenate([self._z, z], axis=1)
         self._resid = np.concatenate([self._resid, resid], axis=1)
         self._types = np.concatenate([self._types, types])
         self._at = np.concatenate([self._at, at])
 
-    def _forward(self, B, members):
+    def _forward(self, B, members=slice(None)):
         """L⁻¹·B of the given members by block forward substitution."""
         X = np.empty(B.shape)
         for blk in self._blocks:
@@ -390,23 +368,24 @@ class SpanState:
             X[:, a:b] = blk.inv[members] @ rhs
         return X
 
-    def _factor(self, C, live, block):
-        """chol(C + j·I) of the live members, each at its own jitter j.
+    def _factor(self, C, block):
+        """chol(C + j·I) of every member at its own jitter j, with the
+        identity in place of a pseudo member's block.
 
         Returns None when some member fails to factor, after escalating every
         member that failed; the caller then repeats the step.  ``block``
         names C in the NotPsdError raised past the last rung.
         """
-        j = self.jitter[live]
         A = C
-        if j.any():
-            j = j[:, None, None]
-            A = np.where(j > 0.0, C + j * np.eye(C.shape[1]), C)
+        if self.jitter.any():
+            eye = np.eye(C.shape[1])
+            j = np.where(self.pseudo, 0.0, self.jitter)[:, None, None]
+            A = np.where(self.pseudo[:, None, None], eye, np.where(j > 0.0, C + j * eye, C))
         try:
             return np.linalg.cholesky(A)
         except np.linalg.LinAlgError:
             pass
-        for b, slab in zip(np.arange(self.batch)[live], A):
+        for b, slab in enumerate(A):
             try:
                 np.linalg.cholesky(slab)
             except np.linalg.LinAlgError:

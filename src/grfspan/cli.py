@@ -16,8 +16,9 @@ from . import harness
 from .errors import ConfigError, NumericalError
 from .kernels import SpinGlassMixture, alg_barrier, validate_partials
 
-_COMMANDS = ("predict", "simulate", "verify", "two-init", "halting",
-             "barrier", "check-kernel")
+_REPORTS = {"simulate": harness.run_simulate, "verify": harness.run_verify,
+            "two-init": harness.run_two_init, "halting": harness.run_halting}
+_COMMANDS = ("predict", *_REPORTS, "barrier", "check-kernel")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -45,12 +46,8 @@ def _run(command: str, config: harness.ExperimentConfig) -> None:
         curve = harness.run_predict(config)
         if not config.out:
             harness.write_limit_curve(curve, sys.stdout)
-    elif command in ("simulate", "verify", "two-init", "halting"):
-        runner = {"simulate": harness.run_simulate,
-                  "verify": harness.run_verify,
-                  "two-init": harness.run_two_init,
-                  "halting": harness.run_halting}[command]
-        report = runner(config)
+    elif command in _REPORTS:
+        report = _REPORTS[command](config)
         if not config.out:
             report.write(sys.stdout)
     elif command == "barrier":
@@ -64,6 +61,9 @@ def _run(command: str, config: harness.ExperimentConfig) -> None:
     elif command == "check-kernel":
         report = validate_partials(harness.build_kernel(config.kernel))
         print(report)
+        if config.out:
+            with open(config.out, "w", encoding="utf-8", newline="") as handle:
+                harness._write_table(handle, "", list(report.max_rel_err.items()))
         if not report.passed:
             raise NumericalError(
                 "kernel partials fail finite-difference validation: "

@@ -159,3 +159,33 @@ def test_span_state_pseudo_inverse_conditions_and_draws():
     assert res.rank_deficient
     reference = sample_mvn(res.cond_mean, res.cond_cov / 64, make_rng(4, 0), policy)
     np.testing.assert_allclose(draw, reference, rtol=0, atol=1e-10)
+
+
+def _stepped_state():
+    """A state that has taken step 0 and opened its direction."""
+    state = SpanState(KERNELS[0])
+    state.extend([[[0.8]]])
+    state.open_direction([0.9])
+    return state
+
+
+@pytest.mark.parametrize("calls", [
+    pytest.param(lambda s: s.open_direction([0.9]), id="open-before-extend"),
+    pytest.param(lambda s: s.residual_variance(), id="residual-before-extend"),
+])
+def test_span_state_call_order_on_a_fresh_state(calls):
+    with pytest.raises(ValueError):
+        calls(SpanState(KERNELS[0]))
+
+
+@pytest.mark.parametrize("calls", [
+    pytest.param(lambda s: s.open_direction([0.5]), id="second-open"),
+    pytest.param(lambda s: s.residual_variance(), id="residual-after-open"),
+])
+def test_span_state_call_order_after_open_direction(calls):
+    state = _stepped_state()
+    with pytest.raises(ValueError):
+        calls(state)
+    # the rejected call leaves the state able to take its next step
+    state.extend(np.array([[[0.8, 0.0], [0.3, 0.5]]]))
+    assert state.residual_variance().shape == (1,)

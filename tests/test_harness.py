@@ -25,7 +25,7 @@ from grfspan.harness import (
     run_verify,
     write_limit_curve,
 )
-from grfspan.kernels import SpinGlassMixture, alg_barrier
+from grfspan.kernels import PARTIAL_NAMES, SpinGlassMixture, alg_barrier, validate_partials
 from grfspan.limits import LimitCurve
 from grfspan.trajectories import simulate_info_path
 
@@ -706,4 +706,15 @@ def test_cli_barrier_needs_spin_glass(tmp_path, capsys):
 def test_cli_check_kernel(tmp_path, capsys):
     path = _write(tmp_path, BASE_CONFIG)
     assert cli.main(["check-kernel", "--config", str(path)]) == 0
+    assert "PASS" in capsys.readouterr().out
+
+
+def test_cli_check_kernel_out_file_bytes(tmp_path, capsys):
+    path = _write(tmp_path, BASE_CONFIG)
+    out = tmp_path / "partials.csv"
+    assert cli.main(["check-kernel", "--config", str(path), "--out", str(out)]) == 0
+    report = validate_partials(harness.build_kernel(harness.load_config(path).kernel))
+    expected = (",".join(PARTIAL_NAMES) + "\n"
+                + ",".join("%.17g" % report.max_rel_err[name] for name in PARTIAL_NAMES) + "\n")
+    assert out.read_bytes() == expected.encode()
     assert "PASS" in capsys.readouterr().out

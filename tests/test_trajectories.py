@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from grfspan.algorithms import (
     GsaSpec,
@@ -196,6 +198,41 @@ def test_pseudo_inverse_member_inside_a_batch(escalations):
         assert np.all(np.isfinite(record.f_values)) and np.all(np.isfinite(record.G))
         assert_same_record(record, simulate_info_path(SE, gsa, 1.0, 64, 4, record.stream_id, 3,
                                                       policy=policy))
+
+
+PROPERTY_OPTIMIZERS = {
+    "gd": gd(0.4),
+    "heavy-ball": HB,
+    "nesterov": nesterov(0.3, 0.5),
+    "fr_cg": fr_cg(0.3),
+    "stall": GsaSpec(name="stall", prefactors=_stall_at_first_step),
+}
+PROPERTY_POLICIES = {
+    "default": ConditionPolicy(),
+    "pseudo_inverse": ConditionPolicy(pseudo_fallback=True),
+    "no-jitter pseudo": ConditionPolicy(jitter_start=None, pseudo_fallback=True),
+}
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(optimizer=st.sampled_from(sorted(PROPERTY_OPTIMIZERS)),
+       policy=st.sampled_from(sorted(PROPERTY_POLICIES)),
+       lam=st.sampled_from([1.0, 0.0]), N=st.sampled_from([16, 64, 10 ** 9]),
+       steps=st.integers(0, 6), seed=st.integers(0, 2 ** 16),
+       streams=st.lists(st.integers(0, 50), min_size=1, max_size=6, unique=True))
+# members escalating their jitter at different steps
+@example(optimizer="heavy-ball", policy="default", lam=1.0, N=64, steps=20, seed=3,
+         streams=[7, 2, 5, 0, 3, 6, 1, 4])
+# members switching to the pseudo-inverse beside members that never do
+@example(optimizer="stall", policy="no-jitter pseudo", lam=1.0, N=64, steps=4, seed=3,
+         streams=[6, 1, 4, 0, 7])
+def test_batch_member_is_bitwise_its_lone_run(optimizer, policy, lam, N, steps, seed, streams):
+    gsa, policy = PROPERTY_OPTIMIZERS[optimizer], PROPERTY_POLICIES[policy]
+    batch = simulate_info_paths(SE, gsa, lam, N, steps, streams, seed, policy=policy)
+    assert [r.stream_id for r in batch] == streams
+    for record in batch:
+        assert_same_record(record, simulate_info_path(SE, gsa, lam, N, steps, record.stream_id,
+                                                      seed, policy=policy))
 
 
 def test_pseudo_inverse_run_draws_past_a_singular_history():
