@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kernels
-from .errors import NotPsdError
+from .errors import DegenerateKernelError, KernelDomainError, NotPsdError
 from .gaussianops import DEFAULT_POLICY, ConditionPolicy, cholesky_psd, condition, sample_mvn
 
 
@@ -146,11 +146,8 @@ def flatten_history(values, coord_rows):
     return np.concatenate([np.asarray(values, dtype=float), coord_rows.T.ravel()])
 
 
-def k3_matrix(kernel, reps):
-    """Matrix of κ₃(s_k, s_l, ⟨y_k, y_l⟩) over all point pairs."""
-    reps = np.atleast_2d(np.asarray(reps, dtype=float))
-    s, ip = coordinate_inner_products(reps)
-    kernels.check_domain(s[..., :, None], s[..., None, :], ip)
+def k3_matrix(kernel, s, ip):
+    """κ₃(s_k, s_l, ⟨y_k, y_l⟩) over all point pairs, from norm-halves s and Gram ip."""
     return kernel.k3(s[..., :, None], s[..., None, :], ip)
 
 
@@ -161,7 +158,9 @@ def residual_variance(kernel, reps, policy=DEFAULT_POLICY):
     κ₃(new, new) minus the quadratic form of the history κ₃ block — the
     Schur complement of the newest entry in the κ₃ matrix.
     """
-    return float(_last_schur(k3_matrix(kernel, reps), policy))
+    s, ip = coordinate_inner_products(reps)
+    kernels.check_domain(s[..., :, None], s[..., None, :], ip)
+    return float(_last_schur(k3_matrix(kernel, s, ip), policy))
 
 
 def _last_schur(W, policy):
@@ -206,21 +205,22 @@ class SpanState:
     batch.  Every path of a batch has the same rows; only their values
     differ, and every member is stepped in the one stack.
 
-    Each step calls ``extend`` with the new points, then ``residual_variance``
-    and ``open_direction`` unless the span did not grow.  L is extended by
-    block forward substitution, one arrival block at a time, inverting only
-    the small diagonal blocks.  Each member's jitter j (``jitter``) climbs
-    the policy's ladder only when one of its new diagonal blocks fails to
-    factor, and its S is then re-factored from scratch by ``cholesky_psd``
-    from the first rung above j; it never needs to come down, because each
-    step's history is a leading block of the next one's.  Past the last rung
-    the run raises NotPsdError, or with ``pseudo_fallback`` sets j = +inf and
-    conditions every later step of that member through ``condition`` on the
-    eigenvalue-thresholded pseudo-inverse of its stored S.  Such a member
-    stays in the stack: its later factor rows are placeholders (see
-    ``_Arrival``), its rows of L⁻¹·S_hn are zeroed, so its z adds nothing,
-    and the factor's draw skips it.  A member's results are bitwise those
-    of the same path stepped alone.
+    Each step calls ``extend`` with the new points, which returns their σ_w²
+    too, then ``open_direction`` unless the span did not grow.  L is
+    extended by block forward substitution, one arrival block at a time,
+    inverting only the small diagonal blocks.  Each member's jitter j
+    (``jitter``) climbs the policy's ladder only when one of its new
+    diagonal blocks fails to factor, and its S is then re-factored from
+    scratch by ``cholesky_psd`` from the first rung above j; it never needs
+    to come down, because each step's history is a leading block of the next
+    one's.  Past the last rung the run raises NotPsdError, or with
+    ``pseudo_fallback`` sets j = +inf and conditions every later step of
+    that member through ``condition`` on the eigenvalue-thresholded
+    pseudo-inverse of its stored S.  Such a member stays in the stack: its
+    later factor rows are placeholders (see ``_Arrival``), its rows of
+    L⁻¹·S_hn are zeroed, so its z adds nothing, and the factor's draw skips
+    it.  A member's results are bitwise those of the same path stepped
+    alone.
     """
 
     def __init__(self, kernel, policy: ConditionPolicy = DEFAULT_POLICY, batch: int = 1):
@@ -257,7 +257,7 @@ class SpanState:
             raise ValueError("no factor: solves use the pseudo-inverse")
         return self._dense("L", slice(None))
 
-    def extend(self, Y, rngs=None, N=None) -> np.ndarray:
+    def extend(self, Y, rngs=None, N=None) -> tuple[np.ndarray, np.ndarray]:
         """Condition the (f, D_{v_0..D−1}) rows of the points Y[:, -1] on the
         history and append them; Y (B, n+1, D) holds the history points'
         coordinate rows followed by the new point's.
@@ -266,7 +266,10 @@ class SpanState:
         (one generator per member) and ``N``, at cond_mean + L_nn·ξ/√N with
         ξ = rng.standard_normal(D+1) and L_nn the new diagonal block of the
         member's factor.  A conditional covariance of exactly zero draws
-        nothing.  Returns the observed rows, (B, D+1).
+        nothing.  Returns the observed rows, (B, D+1), and σ_w², (B,): the
+        Schur complement of the new point's entry in the points' κ₃ matrix,
+        which ``open_direction`` then appends.  A new κ₃ ≤ 0 raises
+        DegenerateKernelError before anything is assembled.
         """
         Y = np.asarray(Y, dtype=float)
         n, D = Y.shape[1] - 1, Y.shape[2]
@@ -276,10 +279,15 @@ class SpanState:
             raise ValueError(f"state holds {self.points} points, got {n} history rows")
         s, ip = coordinate_inner_products(Y)
         kernels.check_domain(s[:, n:], s, ip[:, n])
+        K = k3_matrix(self.kernel, s, ip)
+        if np.any(K[:, n, n] <= 0):
+            raise DegenerateKernelError(f"step {n}: κ₃ = {np.min(K[:, n, n]):g} at the new "
+                                        "point; no gradient mass outside the span")
         col = cov_block(self.kernel, Y, s, ip, np.arange(n + 1), [n])
         mean = mean_block(self.kernel, Y, s, [n])
         if not (np.all(np.isfinite(col)) and np.all(np.isfinite(mean))):
-            raise ValueError("non-finite entries in the new point's covariance or mean")
+            raise KernelDomainError(
+                f"step {n}: non-finite entries in the new point's covariance or mean")
         S_hn = col[:, self._types * (n + 1) + self._at]
         S_nn = col[:, np.arange(D + 1) * (n + 1) + n]
         S_rows = np.concatenate([np.swapaxes(S_hn, 1, 2), S_nn], axis=2)
@@ -313,26 +321,17 @@ class SpanState:
 
         self._append(S_rows, observed - mean, np.arange(D + 1), np.full(D + 1, n),
                      np.concatenate([Wt, L_nn], axis=2), observed - cond_mean)
-        self._K = k3_matrix(self.kernel, Y)
+        self._K = K
         self.points += 1
-        return observed
-
-    def residual_variance(self) -> np.ndarray:
-        """Variance of each new point's gradient component outside the
-        visited span, (B,): the Schur complement of the newest entry in the
-        κ₃ matrix of the last extended points.  ``extend`` builds that matrix
-        once per step; it is the covariance ``open_direction`` appends."""
-        if self._K is None:
-            raise ValueError("no extended points: call extend first")
-        return _last_schur(self._K, self.policy)
+        return observed, _last_schur(K, self.policy)
 
     def open_direction(self, values):
         """Append D_{v_D} at every point so far, where v_D is the direction
         the last extended points' gradients opened and ``values`` (B,) those
         gradients' coordinates along it (older points read exactly 0).
 
-        These rows are uncorrelated with every older row and have the κ₃
-        matrix as covariance.  A step whose span did not grow skips this.
+        These rows are uncorrelated with every older row and have ``extend``'s
+        κ₃ matrix as covariance.  A step whose span did not grow skips this.
         """
         if self._K is None:
             raise ValueError("open_direction needs a preceding extend")

@@ -93,6 +93,23 @@ def _pseudo_solve(S11, B):
     return V @ (inv_w[..., None] * (V.swapaxes(-1, -2) @ B))
 
 
+def _jittered_solve(A, B, policy):
+    """(X, j) with (A + jI)·X = B at the first ladder rung j where the solve
+    works as well as the Cholesky (a singular A can factor in floating point);
+    past the ladder, under ``pseudo_fallback``, the pseudo-inverse and +inf."""
+    j = -math.inf
+    while True:
+        try:
+            _, j = cholesky_psd(A, policy, above=j)
+            return np.linalg.solve(A + j * np.eye(len(A)) if j > 0.0 else A, B), j
+        except np.linalg.LinAlgError:
+            continue
+        except NotPsdError:
+            if not policy.pseudo_fallback:
+                raise
+            return _pseudo_solve(A, B), math.inf
+
+
 def condition(mu1, mu2, S11, S12, S22, observed,
               policy: ConditionPolicy = DEFAULT_POLICY) -> ConditioningResult:
     """Condition the block with mean mu2 on the observed block with mean mu1.
@@ -123,18 +140,9 @@ def condition(mu1, mu2, S11, S12, S22, observed,
         X, top = np.linalg.solve(S11, B), 0.0
     except np.linalg.LinAlgError:
         jitter = np.empty(S11.shape[:-2])       # +inf for a pseudo-inverse member
-        for b in np.ndindex(jitter.shape):
-            try:
-                jitter[b] = cholesky_psd(S11[b], policy)[1]
-            except NotPsdError:
-                if not policy.pseudo_fallback:
-                    raise
-                jitter[b] = math.inf
-        ok = np.isfinite(jitter)
-        j, A = jitter[ok][:, None, None], S11[ok]
         X = np.empty(B.shape)
-        X[ok] = np.linalg.solve(np.where(j > 0.0, A + j * np.eye(A.shape[-1]), A), B[ok])
-        X[~ok] = _pseudo_solve(S11[~ok], B[~ok])
+        for b in np.ndindex(jitter.shape):
+            X[b], jitter[b] = _jittered_solve(S11[b], B[b], policy)
         top = float(jitter.max())
 
     S21 = S12.swapaxes(-1, -2)

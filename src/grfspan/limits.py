@@ -24,7 +24,7 @@ from . import gaussianops
 from .algorithms import GsaSpec, InfoView
 from .assembly import SpanState
 from .assembly import joint_blocks, residual_variance  # not called here: bench/layers.py wraps these names
-from .errors import CoincidentPointsError, ConsistencyError, DegenerateKernelError, RankStallError
+from .errors import CoincidentPointsError, ConsistencyError, RankStallError
 from .gaussianops import DEFAULT_POLICY, ConditionPolicy
 from .gaussianops import condition  # not called here: bench/layers.py wraps this name
 from .kernels import KernelModel
@@ -152,19 +152,11 @@ def limit_step(walk: SpanWalk, gsa: GsaSpec, rngs=None, N=None, *,
                 f"(distance {dists[too_close[0]]:.3e})")
         walk.rho[n, :n] = walk.rho[:n, n] = dists
 
-    s_new = 0.5 * np.sum(X[:, n] ** 2, axis=1)
-    k3_here = walk.state.kernel.k3(s_new, s_new, 2.0 * s_new)
-    if np.any(k3_here <= 0):
-        raise DegenerateKernelError(
-            f"step {n}: κ₃ = {np.min(k3_here):g} at the new point; no gradient "
-            "mass outside the span")
-    block = walk.state.extend(X[:, :n + 1, :d], rngs, N)
+    block, sigma_sq = walk.state.extend(X[:, :n + 1, :d], rngs, N)
     walk.f[:, n] = block[:, 0]
     walk.G[:, n, :d] = block[:, 1:]
     walk.dims[n] = d
     walk.n += 1
-
-    sigma_sq = walk.state.residual_variance()
     walk.sigma_w[:, n] = np.sqrt(np.maximum(sigma_sq, 0.0))
     if rngs is None:
         if sigma_sq[0] <= RANK_STALL_TOL:

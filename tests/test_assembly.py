@@ -109,7 +109,9 @@ def test_joint_blocks_shapes_and_symmetry():
 def test_joint_blocks_rejects_non_finite_geometry():
     kernel = KERNELS[0]
     with pytest.raises(KernelDomainError):
-        k3_matrix(kernel, np.array([[1.0, float("nan")]]))
+        joint_blocks(kernel, np.array([[1.0, 0.0]]), np.array([1.0, float("nan")]))
+    with pytest.raises(KernelDomainError):
+        residual_variance(kernel, np.array([[1.0, float("nan")]]))
 
 
 def test_flatten_history_layout():
@@ -122,8 +124,8 @@ def test_k3_matrix_and_residual_variance():
     kernel = lift_stationary(mix)
     rng = np.random.default_rng(3)
     reps = rng.standard_normal((3, 2)) * 0.7
-    W = k3_matrix(kernel, reps)
     s, ip = coordinate_inner_products(reps)
+    W = k3_matrix(kernel, s, ip)
     for k in range(3):
         for l in range(3):
             r = s[k] + s[l] - ip[k, l]
@@ -149,10 +151,10 @@ def test_span_state_pseudo_inverse_conditions_and_draws():
     state.extend([[[0.8]]])
     state.open_direction([0.9])
     Y = np.array([[0.8, 0.0], [0.8, 0.0], [0.3, 0.5]])
-    np.testing.assert_allclose(state.extend(Y[None, :2])[0], [0.0, 0.0, 0.9], atol=1e-12)
+    np.testing.assert_allclose(state.extend(Y[None, :2])[0][0], [0.0, 0.0, 0.9], atol=1e-12)
     assert state.pseudo[0]
 
-    (draw,) = state.extend(Y[None], [make_rng(4, 0)], 64)
+    (draw,), _ = state.extend(Y[None], [make_rng(4, 0)], 64)
     blocks = joint_blocks(kernel, Y[:2], Y[2])
     res = condition(blocks.mean_hist, blocks.mean_new, blocks.S_hh, blocks.S_hn, blocks.S_nn,
                     flatten_history([0.0, 0.0], [[0.0, 0.9], [0.0, 0.9]]), policy=policy)
@@ -171,7 +173,6 @@ def _stepped_state():
 
 @pytest.mark.parametrize("calls", [
     pytest.param(lambda s: s.open_direction([0.9]), id="open-before-extend"),
-    pytest.param(lambda s: s.residual_variance(), id="residual-before-extend"),
 ])
 def test_span_state_call_order_on_a_fresh_state(calls):
     with pytest.raises(ValueError):
@@ -180,12 +181,11 @@ def test_span_state_call_order_on_a_fresh_state(calls):
 
 @pytest.mark.parametrize("calls", [
     pytest.param(lambda s: s.open_direction([0.5]), id="second-open"),
-    pytest.param(lambda s: s.residual_variance(), id="residual-after-open"),
 ])
 def test_span_state_call_order_after_open_direction(calls):
     state = _stepped_state()
     with pytest.raises(ValueError):
         calls(state)
     # the rejected call leaves the state able to take its next step
-    state.extend(np.array([[[0.8, 0.0], [0.3, 0.5]]]))
-    assert state.residual_variance().shape == (1,)
+    observed, sigma_sq = state.extend(np.array([[[0.8, 0.0], [0.3, 0.5]]]))
+    assert observed.shape == (1, 3) and sigma_sq.shape == (1,)

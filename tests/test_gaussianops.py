@@ -103,6 +103,20 @@ def test_condition_pseudo_inverse_path():
     assert res.cond_mean[0] == pytest.approx(0.5, abs=1e-12)
 
 
+def test_condition_steps_past_a_singular_matrix_that_factors():
+    # an exactly singular S11 whose Cholesky factor exists in floating point:
+    # the solve fails at j = 0, so the ladder goes on to the next rung
+    S11 = np.full((2, 2), 1.375)
+    np.linalg.cholesky(S11)
+    args = ([0.0, 0.0], [0.0], S11, [[0.5], [0.5]], [[1.0]], [0.1, 0.1])
+    assert condition(*args).log_jitter_used == -12.0
+    pseudo = condition(*args, policy=ConditionPolicy(jitter_start=None, pseudo_fallback=True))
+    assert pseudo.rank_deficient
+    np.testing.assert_allclose(pseudo.cond_mean, [0.5 * 0.2 / 2.75], rtol=1e-12)
+    with pytest.raises(NotPsdError):
+        condition(*args, policy=ConditionPolicy(jitter_start=None))
+
+
 def test_condition_tower_property():
     """Conditioning in two stages equals conditioning jointly."""
     rng = np.random.default_rng(17)

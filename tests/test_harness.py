@@ -669,6 +669,34 @@ steps = 5
     assert cli.main(["predict", "--config", str(ok)]) == 0
 
 
+DIVERGENT_CONFIG = """\
+[kernel]
+type = spin_glass
+coeffs = [0.0, 1.0, 0.0, 0.0, 0.0, 3.0]
+
+[algorithm]
+type = gd
+alpha = 1.0
+
+[run]
+lambda = 1
+N_list = [64]
+steps = 12
+replications = 2
+"""
+
+
+def test_cli_non_finite_covariance_exits_3(tmp_path, capsys, monkeypatch):
+    # gd with a large step on a degree-5 spin glass overflows the kernel:
+    # a numerical failure, not a traceback
+    monkeypatch.setenv(harness.WORKERS_ENV, "1")
+    path = _write(tmp_path, DIVERGENT_CONFIG)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli.main(["simulate", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith("grfspan: numerical-error: stream 0:")
+
+
 def test_cli_seed_override(tmp_path, monkeypatch):
     monkeypatch.setenv(harness.WORKERS_ENV, "1")
     path = _write(tmp_path, BASE_CONFIG)

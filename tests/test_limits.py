@@ -15,7 +15,13 @@ from grfspan.algorithms import (
     nesterov,
     with_sphere_projection,
 )
-from grfspan.assembly import flatten_history, joint_blocks, k3_matrix
+from grfspan.assembly import (
+    coordinate_inner_products,
+    flatten_history,
+    joint_blocks,
+    k3_matrix,
+    residual_variance,
+)
 from grfspan.errors import CoincidentPointsError, DegenerateKernelError, NotPsdError, RankStallError
 from grfspan.gaussianops import DEFAULT_POLICY, ConditionPolicy, condition
 from grfspan.kernels import (
@@ -33,6 +39,7 @@ from grfspan.limits import (
     limit_step,
     predict,
 )
+from grfspan.trajectories import simulate_info_paths
 
 SE_MIX = SchoenbergMixture(atoms=((1.0, 1.0),))
 
@@ -82,6 +89,18 @@ def test_init_degenerate_two_spin_at_origin():
     kernel = spin_glass_kernel(SpinGlassMixture(coeffs=(0.0, 0.0, 1.0)))
     with pytest.raises(DegenerateKernelError):
         predict(kernel, gd(0.4), 0.0, steps=0)
+
+
+def test_degenerate_kernel_at_a_later_step_on_both_paths():
+    # step 1 jumps to the origin, where ξ'(0) = 0 leaves no gradient mass
+    # outside the span; the limit and the sampler raise the same error
+    kernel = spin_glass_kernel(SpinGlassMixture(coeffs=(0.0, 0.0, 1.0)))
+    origin = GsaSpec(name="origin", prefactors=lambda n, info: PrefactorRow(
+        0.0, np.zeros(info.f_values.shape[:-1] + (n,))))
+    with pytest.raises(DegenerateKernelError, match=r"^step 1: κ₃ = 0 at the new point"):
+        predict(kernel, origin, 1.0, 2)
+    with pytest.raises(DegenerateKernelError, match=r"^stream 5: step 1: κ₃ = 0"):
+        simulate_info_paths(kernel, origin, 1.0, 64, 2, [5, 6], 0)
 
 
 def test_init_rejects_negative_lambda():
@@ -306,7 +325,7 @@ def scratch_predict(kernel, gsa, lam, steps, policy=DEFAULT_POLICY):
         res = condition(blocks.mean_hist, blocks.mean_new, blocks.S_hh, blocks.S_hn,
                         blocks.S_nn, flatten_history(f[:n], G[:n, :d]), policy=policy)
         f[n], G[n, :d] = res.cond_mean[0], res.cond_mean[1:]
-        K = k3_matrix(kernel, Y[:n + 1, :d])
+        K = k3_matrix(kernel, *coordinate_inner_products(Y[:n + 1, :d]))
         sigma[n] = math.sqrt(K[n, n] - K[n, :n] @ np.linalg.solve(K[:n, :n], K[:n, n]))
         G[n, d] = sigma[n]
         d += 1
@@ -376,6 +395,28 @@ def test_state_escalates_once_and_matches_refactored_conditioning():
                                   ConditionPolicy(jitter_start=1e-12, jitter_max=1e-12))
     np.testing.assert_allclose(curve.f_limit, f, rtol=0, atol=1e-6)
     np.testing.assert_allclose(curve.gamma, G, rtol=0, atol=1e-6)
+
+
+SIGMA_CASES = {
+    "heavy-ball": (lift_stationary(SE_MIX), heavy_ball(0.4, 0.5), 25, {}),
+    "fr_cg": (lift_stationary(SE_MIX), fr_cg(0.3), 15, {}),
+    "spin-glass-sphere": (spin_glass_kernel(SpinGlassMixture(coeffs=(0.0, 0.3, 0.7))),
+                          with_sphere_projection(gd(0.4), 1.0), 6, {}),
+    "quadratic-freeze": (quadratic_kernel(1.0, 0.0, 1.0), gd(0.3), 5,
+                         {"on_rank_stall": "freeze"}),
+}
+
+
+@pytest.mark.parametrize("case", SIGMA_CASES)
+def test_sigma_w_is_the_module_residual_variance(case):
+    # the state's σ_w², read off the κ₃ matrix of its own Gram, is bitwise
+    # the stand-alone residual variance of the same points (heavy-ball
+    # escalates its history jitter at step 19; every quadratic step freezes)
+    kernel, gsa, steps, kw = SIGMA_CASES[case]
+    curve = predict(kernel, gsa, 1.0, steps, **kw)
+    for n in range(steps + 1):
+        sigma_sq = residual_variance(kernel, curve.y_reps[:n + 1, :curve.dims[n]])
+        assert curve.sigma_w[n] == np.sqrt(np.maximum(sigma_sq, 0.0)), n
 
 
 def test_frozen_steps_append_no_direction():

@@ -26,6 +26,7 @@ from grfspan.kernels import (
     lift_stationary,
     quadratic_kernel,
     spin_glass_kernel,
+    stationary_direct,
 )
 from grfspan.trajectories import (
     TrajectoryRecord,
@@ -207,6 +208,16 @@ PROPERTY_OPTIMIZERS = {
     "fr_cg": fr_cg(0.3),
     "stall": GsaSpec(name="stall", prefactors=_stall_at_first_step),
 }
+#: kernel family -> (kernel, sphere radius or None)
+PROPERTY_KERNELS = {
+    "lifted SE": (SE, None),
+    "direct 2-atom": (stationary_direct(SchoenbergMixture(atoms=((0.7, 0.5), (0.3, 2.0)))), None),
+    "spin glass + sphere": (spin_glass_kernel(SpinGlassMixture(coeffs=(0.0, 0.3, 0.7))), 1.0),
+    "quadratic": (quadratic_kernel(1.0, 0.5, 1.0), None),
+}
+#: the (kernel family, λ) pairs drawn; a sphere run starts on its sphere
+PROPERTY_STARTS = [(name, lam) for name, (_, radius) in sorted(PROPERTY_KERNELS.items())
+                   for lam in ([radius] if radius else [1.0, 0.0])]
 PROPERTY_POLICIES = {
     "default": ConditionPolicy(),
     "pseudo_inverse": ConditionPolicy(pseudo_fallback=True),
@@ -215,24 +226,28 @@ PROPERTY_POLICIES = {
 
 
 @settings(derandomize=True, database=None, max_examples=25, deadline=None)
-@given(optimizer=st.sampled_from(sorted(PROPERTY_OPTIMIZERS)),
+@given(start=st.sampled_from(PROPERTY_STARTS),
+       optimizer=st.sampled_from(sorted(PROPERTY_OPTIMIZERS)),
        policy=st.sampled_from(sorted(PROPERTY_POLICIES)),
-       lam=st.sampled_from([1.0, 0.0]), N=st.sampled_from([16, 64, 10 ** 9]),
+       N=st.sampled_from([16, 64, 10 ** 9]),
        steps=st.integers(0, 6), seed=st.integers(0, 2 ** 16),
        streams=st.lists(st.integers(0, 50), min_size=1, max_size=6, unique=True))
 # members escalating their jitter at different steps
-@example(optimizer="heavy-ball", policy="default", lam=1.0, N=64, steps=20, seed=3,
-         streams=[7, 2, 5, 0, 3, 6, 1, 4])
+@example(start=("lifted SE", 1.0), optimizer="heavy-ball", policy="default", N=64, steps=20,
+         seed=3, streams=[7, 2, 5, 0, 3, 6, 1, 4])
 # members switching to the pseudo-inverse beside members that never do
-@example(optimizer="stall", policy="no-jitter pseudo", lam=1.0, N=64, steps=4, seed=3,
-         streams=[6, 1, 4, 0, 7])
-def test_batch_member_is_bitwise_its_lone_run(optimizer, policy, lam, N, steps, seed, streams):
+@example(start=("lifted SE", 1.0), optimizer="stall", policy="no-jitter pseudo", N=64,
+         steps=4, seed=3, streams=[6, 1, 4, 0, 7])
+def test_batch_member_is_bitwise_its_lone_run(start, optimizer, policy, N, steps, seed, streams):
+    (kernel, radius), lam = PROPERTY_KERNELS[start[0]], start[1]
     gsa, policy = PROPERTY_OPTIMIZERS[optimizer], PROPERTY_POLICIES[policy]
-    batch = simulate_info_paths(SE, gsa, lam, N, steps, streams, seed, policy=policy)
+    if radius is not None:
+        gsa = with_sphere_projection(gsa, radius)
+    batch = simulate_info_paths(kernel, gsa, lam, N, steps, streams, seed, policy=policy)
     assert [r.stream_id for r in batch] == streams
     for record in batch:
-        assert_same_record(record, simulate_info_path(SE, gsa, lam, N, steps, record.stream_id,
-                                                      seed, policy=policy))
+        assert_same_record(record, simulate_info_path(kernel, gsa, lam, N, steps,
+                                                      record.stream_id, seed, policy=policy))
 
 
 def test_pseudo_inverse_run_draws_past_a_singular_history():
@@ -244,6 +259,14 @@ def test_pseudo_inverse_run_draws_past_a_singular_history():
     assert np.all(np.isfinite(record.x_coords))
     batch = simulate_info_paths(SE, HB, 1.0, 64, 20, [1, 2, 3, 4], 3, policy=policy)
     assert_same_record(batch[2], record)
+
+
+def test_non_finite_covariance_is_a_numerical_error():
+    # gd with a large step on a degree-5 spin glass overflows the kernel
+    kernel = spin_glass_kernel(SpinGlassMixture(coeffs=(0.0, 1.0, 0.0, 0.0, 0.0, 3.0)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(KernelDomainError, match=r"^stream 0: "):
+            simulate_info_paths(kernel, gd(1.0), 1.0, 64, 12, [0, 1], 0)
 
 
 def test_error_inside_a_batch_names_its_stream():
