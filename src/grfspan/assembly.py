@@ -65,9 +65,9 @@ def cov_block(kernel, Y, s, ip, A, B):
     T[..., 0, :, 0, :] = kernel.cov_ff(s_a, s_b, ip_ab)
 
     if D > 0:
-        Ya = Y[..., A, :]                     # (…, na, D)
+        Ya, Yb = Y[..., A, :], Y[..., B, :]   # (…, na, D), (…, nb, D)
         YaT = np.swapaxes(Ya, -1, -2)         # (…, D, na)
-        YbT = np.swapaxes(Y[..., B, :], -1, -2)
+        YbT = np.swapaxes(Yb, -1, -2)
         # D_{v_i} at a against f at b: (…, i, a, b)
         T[..., 1:, :, 0, :] = kernel.cov_df_f(
             s_a[..., None, :, :], s_b[..., None, :, :], ip_ab[..., None, :, :],
@@ -79,14 +79,9 @@ def cov_block(kernel, Y, s, ip, A, B):
             np.swapaxes(ip_ab, -1, -2)[..., None, :, :],
             YbT[..., :, :, None], YaT[..., :, None, :])
         T[..., 0, :, 1:, :] = np.moveaxis(f_df, [-3, -2, -1], [-2, -1, -3])
-        # D_{v_i} at a against D_{v_j} at b: axes (…, i, a, j, b)
-        eye = np.eye(D)[:, None, :, None]
-        T[..., 1:, :, 1:, :] = kernel.cov_df_df(
-            s_a[..., None, :, None, :], s_b[..., None, :, None, :],
-            ip_ab[..., None, :, None, :],
-            YaT[..., :, :, None, None], YbT[..., :, None, None, :],
-            Ya[..., None, :, :, None], YbT[..., None, None, :, :],
-            eye)
+        # D_{v_i} at a against D_{v_j} at b: (…, a, b, i, j) laid out as (…, i, a, j, b)
+        dd = kernel.cov_df_df_block(s_a, s_b, ip_ab, Ya[..., :, None, :], Yb[..., None, :, :])
+        T[..., 1:, :, 1:, :] = np.moveaxis(dd, [-4, -3], [-3, -1])
     return T.reshape(Y.shape[:-2] + ((D + 1) * na, (D + 1) * nb))
 
 
@@ -175,27 +170,26 @@ def _last_schur(W, policy):
 class _Arrival:
     """One block of rows appended to a ``SpanState``, stacked over the batch.
 
-    ``S`` and ``L`` hold the block's rows of the history covariance and of
-    its factor, (B, k, left + k), from column ``start − left`` through the
-    block's own diagonal columns.  A block uncorrelated with every older row
-    stores no left part (left = 0).  ``inv`` (B, k, k) inverts the factor's
-    diagonal block.  A member whose solves have switched to the
-    pseudo-inverse holds placeholders in every block appended after the
-    switch: the identity as diagonal block and inverse, and zeros left of it.
+    ``L`` holds the block's rows of the factor, (B, k, left + k), from column
+    ``start − left`` through the block's own diagonal columns.  A block
+    uncorrelated with every older row stores no left part (left = 0).
+    ``inv`` (B, k, k) inverts the factor's diagonal block.  A member whose
+    solves have switched to the pseudo-inverse holds placeholders in every
+    block appended after the switch: the identity as diagonal block and
+    inverse, and zeros left of it.
     """
 
     start: int
-    S: np.ndarray
     L: np.ndarray
     inv: np.ndarray
 
     @property
     def stop(self) -> int:
-        return self.start + self.S.shape[1]
+        return self.start + self.L.shape[1]
 
     @property
     def left(self) -> int:
-        return self.S.shape[2] - self.S.shape[1]
+        return self.L.shape[2] - self.L.shape[1]
 
 
 class SpanState:
@@ -216,7 +210,10 @@ class SpanState:
     one's.  Past the last rung the run raises NotPsdError, or with
     ``pseudo_fallback`` sets j = +inf and conditions every later step of
     that member through ``condition`` on the eigenvalue-thresholded
-    pseudo-inverse of its stored S.  Such a member stays in the stack: its
+    pseudo-inverse of its S.  S itself is not stored: each step keeps its
+    points' coordinate rows, norm-halves and Gram, and S is rebuilt from
+    them on demand by the calls that step made, so bitwise the rows it
+    conditioned on.  Such a member stays in the stack: its
     later factor rows are placeholders (see ``_Arrival``), its rows of
     L⁻¹·S_hn are zeroed, so its z adds nothing, and the factor's draw skips
     it.  A member's results are bitwise those of the same path stepped
@@ -235,6 +232,7 @@ class SpanState:
         self._resid = np.empty((batch, 0))      # observed − mean
         self._z = np.empty((batch, 0))
         self._K = None                          # κ₃ matrix of the last extend
+        self._geometry = []                     # (Y, s, ip) of each extend
 
     @property
     def pseudo(self) -> np.ndarray:
@@ -249,13 +247,16 @@ class SpanState:
 
     def covariance(self) -> np.ndarray:
         """The history covariances S, (B, m, m), rows and columns in arrival order."""
-        return self._covariance(slice(None))
+        return self._covariance(np.arange(self.batch))
 
     def factor(self) -> np.ndarray:
         """The lower factors L of S + j·I, (B, m, m), in arrival order."""
         if self.pseudo.any():
             raise ValueError("no factor: solves use the pseudo-inverse")
-        return self._dense("L", slice(None))
+        L = np.zeros((self.batch,) + (self._resid.shape[1],) * 2)
+        for blk in self._blocks:
+            L[:, blk.start:blk.stop, blk.start - blk.left:blk.stop] = blk.L
+        return L
 
     def extend(self, Y, rngs=None, N=None) -> tuple[np.ndarray, np.ndarray]:
         """Condition the (f, D_{v_0..D−1}) rows of the points Y[:, -1] on the
@@ -271,7 +272,7 @@ class SpanState:
         which ``open_direction`` then appends.  A new κ₃ ≤ 0 raises
         DegenerateKernelError before anything is assembled.
         """
-        Y = np.asarray(Y, dtype=float)
+        Y = np.array(Y, dtype=float)    # kept for rebuilding S
         n, D = Y.shape[1] - 1, Y.shape[2]
         if Y.shape[0] != self.batch:
             raise ValueError(f"state steps {self.batch} paths, got {Y.shape[0]}")
@@ -283,14 +284,11 @@ class SpanState:
         if np.any(K[:, n, n] <= 0):
             raise DegenerateKernelError(f"step {n}: κ₃ = {np.min(K[:, n, n]):g} at the new "
                                         "point; no gradient mass outside the span")
-        col = cov_block(self.kernel, Y, s, ip, np.arange(n + 1), [n])
+        S_hn, S_nn = self._new_point_rows(Y, s, ip, len(self._types))
         mean = mean_block(self.kernel, Y, s, [n])
-        if not (np.all(np.isfinite(col)) and np.all(np.isfinite(mean))):
+        if not all(np.all(np.isfinite(a)) for a in (S_hn, S_nn, mean)):
             raise KernelDomainError(
                 f"step {n}: non-finite entries in the new point's covariance or mean")
-        S_hn = col[:, self._types * (n + 1) + self._at]
-        S_nn = col[:, np.arange(D + 1) * (n + 1) + n]
-        S_rows = np.concatenate([np.swapaxes(S_hn, 1, 2), S_nn], axis=2)
 
         while True:
             W = self._forward(S_hn)
@@ -306,7 +304,7 @@ class SpanState:
             drawn = np.any(cond_cov, axis=(1, 2)) & ~self.pseudo
             xi = np.zeros(cond_mean.shape)
             for b in np.flatnonzero(drawn):
-                xi[b] = rngs[b].standard_normal(D + 1)
+                rngs[b].standard_normal(out=xi[b])
             noise = (L_nn @ xi[:, :, None])[:, :, 0] / math.sqrt(N)
             observed = np.where(drawn[:, None], cond_mean + noise, cond_mean)
 
@@ -319,8 +317,9 @@ class SpanState:
                 sample_mvn(mean_b, cov_b / N, rngs[b], self.policy)
                 for b, mean_b, cov_b in zip(pseudo, res.cond_mean, res.cond_cov)]
 
-        self._append(S_rows, observed - mean, np.arange(D + 1), np.full(D + 1, n),
+        self._append(observed - mean, np.arange(D + 1), np.full(D + 1, n),
                      np.concatenate([Wt, L_nn], axis=2), observed - cond_mean)
+        self._geometry.append((Y, s, ip))
         self._K = K
         self.points += 1
         return observed, _last_schur(K, self.policy)
@@ -341,16 +340,16 @@ class SpanState:
         L_k = None
         while L_k is None:
             L_k = self._factor(K, f"step {self.points - 1}: the κ₃ block")
-        self._append(K, observed, np.full(self.points, self._types.max() + 1),
+        self._append(observed, np.full(self.points, self._types.max() + 1),
                      np.arange(self.points), L_k, observed)
 
     # -- factor maintenance ---------------------------------------------------
 
-    def _append(self, S_rows, resid, types, at, L_rows, innovation):
+    def _append(self, resid, types, at, L_rows, innovation):
         """Append a block of rows with their factor rows and innovations."""
-        inv = np.linalg.inv(L_rows[:, :, S_rows.shape[2] - S_rows.shape[1]:])
+        inv = np.linalg.inv(L_rows[:, :, L_rows.shape[2] - L_rows.shape[1]:])
         z = (inv @ innovation[:, :, None])[:, :, 0]
-        self._blocks.append(_Arrival(start=self._resid.shape[1], S=S_rows, L=L_rows, inv=inv))
+        self._blocks.append(_Arrival(start=self._resid.shape[1], L=L_rows, inv=inv))
         self._z = np.concatenate([self._z, z], axis=1)
         self._resid = np.concatenate([self._resid, resid], axis=1)
         self._types = np.concatenate([self._types, types])
@@ -394,7 +393,7 @@ class SpanState:
     def _escalate(self, b, block):
         """Re-factor member b's history at the next ladder jitter that succeeds."""
         try:
-            L, self.jitter[b] = cholesky_psd(self._covariance(b), self.policy,
+            L, self.jitter[b] = cholesky_psd(self._covariance([b])[0], self.policy,
                                              above=self.jitter[b])
         except NotPsdError:
             if not self.policy.pseudo_fallback:
@@ -409,13 +408,29 @@ class SpanState:
             blk.inv[b] = np.linalg.inv(L[lo:hi, lo:hi])
         self._z[b] = self._forward(self._resid[[b], :, None], [b])[0, :, 0]
 
-    def _covariance(self, members):
-        S = self._dense("S", members)
-        return np.tril(S) + np.swapaxes(np.tril(S, -1), -1, -2)
+    def _new_point_rows(self, Y, s, ip, history):
+        """(S_hn, S_nn): covariances of the (f, D_{v_0..D−1}) rows of the
+        newest of the points Y with the first ``history`` stored rows,
+        (B, history, D+1), and with themselves, (B, D+1, D+1), read off one
+        ``cov_block`` column."""
+        n, D = Y.shape[1] - 1, Y.shape[2]
+        col = cov_block(self.kernel, Y, s, ip, np.arange(n + 1), [n])
+        return (col[:, self._types[:history] * (n + 1) + self._at[:history]],
+                col[:, np.arange(D + 1) * (n + 1) + n])
 
-    def _dense(self, name, members):
-        out = np.zeros(self._resid[members].shape[:-1] + (self._resid.shape[1],) * 2)
+    def _covariance(self, members):
+        """The history covariances S of the given members, rebuilt block by
+        block from the geometry of the step that appended it."""
+        m = self._resid.shape[1]
+        S = np.zeros((len(members), m, m))
         for blk in self._blocks:
-            out[..., blk.start:blk.stop, blk.start - blk.left:blk.stop] = \
-                getattr(blk, name)[members]
-        return out
+            point = self._at[blk.stop - 1]      # the step that appended the block
+            Y, s, ip = (a[members] for a in self._geometry[point])
+            if self._types[blk.start] == 0:     # that step's new point
+                S_hn, S_nn = self._new_point_rows(Y, s, ip, blk.start)
+                rows = np.concatenate([np.swapaxes(S_hn, 1, 2), S_nn], axis=2)
+            else:                               # the direction it opened
+                rows = k3_matrix(self.kernel, s, ip)
+            S[:, blk.start:blk.stop, blk.start - blk.left:blk.stop] = rows
+        lower = np.arange(m)[:, None] >= np.arange(m)
+        return np.where(lower, S, np.swapaxes(S, 1, 2))

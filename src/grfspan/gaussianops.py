@@ -74,9 +74,12 @@ def cholesky_psd(A, policy: ConditionPolicy = DEFAULT_POLICY, above: float = -ma
     for j in policy.ladder():
         if j <= above:
             continue
+        shifted = A
+        if j > 0.0:
+            shifted = A.copy()
+            shifted.flat[::n + 1] += j
         try:
-            L = np.linalg.cholesky(A if j == 0.0 else A + j * np.eye(n))
-            return L, j
+            return np.linalg.cholesky(shifted), j
         except np.linalg.LinAlgError:
             continue
     raise NotPsdError(

@@ -326,9 +326,11 @@ def worker_count() -> int:
     return os.cpu_count() or 1
 
 
-#: streams per pool task.  A constant, not a setting: it trades the work per
-#: task against the memory of a worker's stacked arrays, and changes no bits
-_BATCH = 25
+#: streams per pool task.  A constant, not a setting: it trades the per-step
+#: Python cost a batch shares against the memory of a worker's stacked
+#: arrays, and changes no bits.  50 gives 16 tasks on the 800-trajectory
+#: acceptance config, so two workers stay busy
+_BATCH = 50
 
 
 def _batch_task(task):

@@ -166,6 +166,25 @@ class KernelModel:
                 + k33 * ip_yv * ip_xw
                 + k3 * ip_vw)
 
+    def cov_df_df_block(self, s_x, s_y, ip_xy, x, y):
+        """``cov_df_df`` over every pair (v_i, v_j) of an orthonormal system,
+        from the coordinate rows x, y (…, D) of the two points; (…, D, D).
+
+        The bilinear form is the rank-2 product [x y]·[κ₁₂y + κ₁₃x, κ₂₃y + κ₃₃x]ᵀ
+        plus κ₃·I, from one ``partials`` call per point pair.
+        """
+        _, _, k3, k12, k13, k23, k33 = (np.asarray(k)[..., None]
+                                        for k in self.partials(s_x, s_y, ip_xy))
+        u, w = k12 * y + k13 * x, k23 * y + k33 * x
+        # filled in place, which broadcasts x and y without np.stack's copies
+        xy = np.empty(u.shape + (2,))
+        xy[..., 0], xy[..., 1] = x, y
+        uw = np.empty(u.shape[:-1] + (2,) + u.shape[-1:])
+        uw[..., 0, :], uw[..., 1, :] = u, w
+        out = xy @ uw
+        _diagonal(out)[...] += k3
+        return out
+
 
 class _DirectStationaryModel(KernelModel):
     """Stationary covariances evaluated through the squared distance.
@@ -198,6 +217,19 @@ class _DirectStationaryModel(KernelModel):
         dv = ip_xv - ip_yv
         dw = ip_xw - ip_yw
         return -(ddc * dv * dw + dc * ip_vw)
+
+    def cov_df_df_block(self, s_x, s_y, ip_xy, x, y):
+        _, dc, ddc = self._mixture.derivatives(s_x + s_y - ip_xy)
+        delta = x - y
+        out = (delta[..., :, None] @ delta[..., None, :]) * np.asarray(ddc)[..., None, None]
+        _diagonal(out)[...] += np.asarray(dc)[..., None]
+        return np.negative(out, out=out)
+
+
+def _diagonal(M):
+    """Writable view of the diagonals of a contiguous stack M (…, D, D)."""
+    D = M.shape[-1]
+    return M.reshape(M.shape[:-2] + (D * D,))[..., ::D + 1]
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from . import gaussianops
 from .algorithms import GsaSpec, InfoView
 from .assembly import SpanState
 from .assembly import joint_blocks, residual_variance  # not called here: bench/layers.py wraps these names
-from .errors import CoincidentPointsError, ConsistencyError, RankStallError
+from .errors import CoincidentPointsError, ConsistencyError, KernelDomainError, RankStallError
 from .gaussianops import DEFAULT_POLICY, ConditionPolicy
 from .gaussianops import condition  # not called here: bench/layers.py wraps this name
 from .kernels import KernelModel
@@ -130,10 +130,22 @@ def limit_step(walk: SpanWalk, gsa: GsaSpec, rngs=None, N=None, *,
     Without them (the N→∞ limit, a batch of one) the rows are observed at
     their conditional mean and the corner is σ_w; only the limit rejects
     coincident points and applies the rank-stall rule: σ²_w ≤ RANK_STALL_TOL
-    raises RankStallError, or under "freeze" opens no direction.
+    raises RankStallError, or under "freeze" opens no direction.  A
+    floating-point overflow, invalid operation or division by zero anywhere
+    in the step raises KernelDomainError; underflow is ignored.
     """
     if on_rank_stall not in ("error", "freeze"):
         raise ValueError(f"on_rank_stall must be 'error' or 'freeze', got {on_rank_stall!r}")
+    n = walk.n
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        try:
+            _step(walk, gsa, rngs, N, on_rank_stall)
+        except FloatingPointError as exc:
+            raise KernelDomainError(f"step {n}: floating-point {exc}") from None
+
+
+def _step(walk, gsa, rngs, N, on_rank_stall):
+    """``limit_step`` without its floating-point error handling."""
     n, d, X = walk.n, walk.d, walk.X
     if n > walk.steps:
         raise ValueError(f"walk has steps 0..{walk.steps}, all taken")

@@ -348,6 +348,20 @@ def test_worker_count_does_not_change_bytes(tmp_path, monkeypatch):
         assert outputs[0] == outputs[1]
 
 
+def test_batch_size_does_not_change_bytes(tmp_path, monkeypatch):
+    # 53 streams per N: two ragged tasks per N at 25 streams a task, one at 50
+    path = _write(tmp_path, BASE_CONFIG.replace("replications = 6", "replications = 53"))
+    outputs = set()
+    for batch in (25, 50):
+        monkeypatch.setattr(harness, "_BATCH", batch)
+        for workers in ("1", "2"):
+            monkeypatch.setenv(harness.WORKERS_ENV, workers)
+            out = tmp_path / f"b{batch}-w{workers}.csv"
+            run_verify(load_config(path)).to_csv(out)
+            outputs.add(out.read_bytes())
+    assert len(outputs) == 1
+
+
 def test_worker_env_validation(monkeypatch):
     monkeypatch.setenv(harness.WORKERS_ENV, "zero")
     with pytest.raises(ConfigError):
@@ -686,15 +700,16 @@ replications = 2
 """
 
 
-def test_cli_non_finite_covariance_exits_3(tmp_path, capsys, monkeypatch):
+def test_cli_non_finite_covariance_exits_3(tmp_path, capsys, monkeypatch, recwarn):
     # gd with a large step on a degree-5 spin glass overflows the kernel:
     # a numerical failure, not a traceback
     monkeypatch.setenv(harness.WORKERS_ENV, "1")
     path = _write(tmp_path, DIVERGENT_CONFIG)
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert cli.main(["simulate", "--config", str(path)]) == 3
-    err = capsys.readouterr().err
-    assert err.splitlines()[-1].startswith("grfspan: numerical-error: stream 0:")
+    assert cli.main(["simulate", "--config", str(path)]) == 3
+    # the one machine-parsable line, with no floating-point warning before it
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("grfspan: numerical-error: stream 0: step ")
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_cli_seed_override(tmp_path, monkeypatch):

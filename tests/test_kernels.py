@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grfspan.errors import KernelDomainError
 from grfspan.kernels import (
@@ -313,6 +315,41 @@ def test_swap_symmetry_of_derivative_covariance(make):
         p = _inner_products(x, y, v, w)
         q = _inner_products(y, x, w, v)
         assert float(k.cov_df_df(**p)) == pytest.approx(float(k.cov_df_df(**q)), rel=1e-13, abs=1e-14)
+
+
+BLOCK_KERNELS = {
+    "lifted SE": lift_stationary(SE),
+    "direct 2-atom": stationary_direct(SchoenbergMixture(atoms=((0.7, 0.5), (0.3, 2.0)))),
+    "spin glass": spin_glass_kernel(SpinGlassMixture(coeffs=(0.0, 0.3, 0.7, 0.2))),
+    "quadratic": quadratic_kernel(1.0, 0.5, 1.0),
+}
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(BLOCK_KERNELS)), D=st.sampled_from([0, 1, 5]),
+       batch=st.sampled_from([(), (3,), (2, 4)]), pairs=st.sampled_from(["aligned", "grid"]),
+       seed=st.integers(0, 2 ** 16))
+def test_block_rule_is_the_per_entry_rule(name, D, batch, pairs, seed):
+    # "grid" pairs every point of one axis with every point of another, as
+    # cov_block does, so x and y broadcast against each other
+    kernel = BLOCK_KERNELS[name]
+    rng = np.random.default_rng(seed)
+    if pairs == "aligned":
+        x, y = rng.standard_normal((2,) + batch + (D,)) * 0.6
+    else:
+        x = rng.standard_normal(batch + (3, 1, D)) * 0.6
+        y = rng.standard_normal(batch + (1, 2, D)) * 0.6
+    s_x, s_y = 0.5 * np.sum(x * x, axis=-1), 0.5 * np.sum(y * y, axis=-1)
+    ip = np.sum(x * y, axis=-1)
+    block = kernel.cov_df_df_block(s_x, s_y, ip, x, y)
+    shape = np.broadcast_shapes(x.shape, y.shape)[:-1]
+    assert block.shape == shape + (D, D)
+    for i in range(D):
+        for j in range(D):
+            entry = kernel.cov_df_df(s_x, s_y, ip, x[..., i], y[..., i], x[..., j], y[..., j],
+                                     float(i == j))
+            np.testing.assert_allclose(block[..., i, j], np.broadcast_to(entry, shape),
+                                       rtol=1e-13, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------

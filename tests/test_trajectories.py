@@ -18,8 +18,8 @@ from grfspan.algorithms import (
 )
 from grfspan.assembly import SpanState
 from grfspan.errors import KernelDomainError
-from grfspan.gaussianops import ConditionPolicy
-from grfspan.limits import predict
+from grfspan.gaussianops import ConditionPolicy, make_rng
+from grfspan.limits import SpanWalk, limit_step, predict
 from grfspan.kernels import (
     SchoenbergMixture,
     SpinGlassMixture,
@@ -179,6 +179,28 @@ def test_members_escalating_at_different_steps_match_lone_runs(escalations):
                                                       record.stream_id, 3))
 
 
+def _final_state(kernel, gsa, lam, N, steps, streams, seed):
+    """The conditioning state of a batch of sampled runs after their last step."""
+    walk = SpanWalk(kernel, lam, steps, batch=len(streams))
+    rngs = [make_rng(seed, stream) for stream in streams]
+    for _ in range(steps + 1):
+        limit_step(walk, gsa, rngs, N)
+    return walk.state
+
+
+def test_rebuilt_covariance_is_bitwise_the_lone_runs(escalations):
+    # S is rebuilt from each step's geometry, after members escalated their
+    # jitter at different steps
+    streams = range(50)
+    state = _final_state(SE, HB, 1.0, 64, 20, streams, 3)
+    assert len({rows for size, _, rows, _ in escalations if size == len(streams)}) >= 2
+    assert 0 < np.count_nonzero(state.jitter) < len(streams)
+    S = state.covariance()
+    for b in streams:
+        (lone,) = _final_state(SE, HB, 1.0, 64, 20, [b], 3).covariance()
+        assert np.array_equal(S[b], lone) and np.array_equal(np.signbit(S[b]), np.signbit(lone))
+
+
 def _stall_at_first_step(n, info):
     """gd(0.4), except that a run whose first value is positive repeats x₀
     at step 1, which makes its history singular."""
@@ -264,9 +286,8 @@ def test_pseudo_inverse_run_draws_past_a_singular_history():
 def test_non_finite_covariance_is_a_numerical_error():
     # gd with a large step on a degree-5 spin glass overflows the kernel
     kernel = spin_glass_kernel(SpinGlassMixture(coeffs=(0.0, 1.0, 0.0, 0.0, 0.0, 3.0)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(KernelDomainError, match=r"^stream 0: "):
-            simulate_info_paths(kernel, gd(1.0), 1.0, 64, 12, [0, 1], 0)
+    with pytest.raises(KernelDomainError, match=r"^stream 0: step \d+: floating-point overflow"):
+        simulate_info_paths(kernel, gd(1.0), 1.0, 64, 12, [0, 1], 0)
 
 
 def test_error_inside_a_batch_names_its_stream():
