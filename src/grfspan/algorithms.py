@@ -145,8 +145,6 @@ def heavy_ball(alpha: float, beta: float) -> GsaSpec:
     a, b = float(alpha), float(beta)
 
     def prefactors(n, info):
-        if b == 0.0:
-            return PrefactorRow(1.0, np.full(n, -a))
         powers = b ** (n - np.arange(n))
         return PrefactorRow(1.0, -a * (1.0 - powers) / (1.0 - b))
 

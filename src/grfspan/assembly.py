@@ -56,33 +56,12 @@ def cov_block(kernel, Y, s, ip, A, B):
     A = np.asarray(A, dtype=int)
     B = np.asarray(B, dtype=int)
     D = Y.shape[-1]
-    na, nb = len(A), len(B)
-    s_a = s[..., A][..., :, None]             # (…, na, 1)
-    s_b = s[..., B][..., None, :]             # (…, 1, nb)
-    ip_ab = ip[..., A[:, None], B[None, :]]   # (…, na, nb)
-
-    T = np.empty(Y.shape[:-2] + (D + 1, na, D + 1, nb))
-    T[..., 0, :, 0, :] = kernel.cov_ff(s_a, s_b, ip_ab)
-
-    if D > 0:
-        Ya, Yb = Y[..., A, :], Y[..., B, :]   # (…, na, D), (…, nb, D)
-        YaT = np.swapaxes(Ya, -1, -2)         # (…, D, na)
-        YbT = np.swapaxes(Yb, -1, -2)
-        # D_{v_i} at a against f at b: (…, i, a, b)
-        T[..., 1:, :, 0, :] = kernel.cov_df_f(
-            s_a[..., None, :, :], s_b[..., None, :, :], ip_ab[..., None, :, :],
-            YaT[..., :, :, None], YbT[..., :, None, :])
-        # f at a against D_{v_j} at b: differentiate at b — (…, j, b, a) transposed
-        f_df = kernel.cov_df_f(
-            np.swapaxes(s_b, -1, -2)[..., None, :, :],
-            np.swapaxes(s_a, -1, -2)[..., None, :, :],
-            np.swapaxes(ip_ab, -1, -2)[..., None, :, :],
-            YbT[..., :, :, None], YaT[..., :, None, :])
-        T[..., 0, :, 1:, :] = np.moveaxis(f_df, [-3, -2, -1], [-2, -1, -3])
-        # D_{v_i} at a against D_{v_j} at b: (…, a, b, i, j) laid out as (…, i, a, j, b)
-        dd = kernel.cov_df_df_block(s_a, s_b, ip_ab, Ya[..., :, None, :], Yb[..., None, :, :])
-        T[..., 1:, :, 1:, :] = np.moveaxis(dd, [-4, -3], [-3, -1])
-    return T.reshape(Y.shape[:-2] + ((D + 1) * na, (D + 1) * nb))
+    # one kernel call over the (a, b) grid: (…, a, b, i, j) laid out as (…, i, a, j, b)
+    pairs = kernel.cov_pair_block(s[..., A][..., :, None], s[..., B][..., None, :],
+                                  ip[..., A[:, None], B[None, :]],
+                                  Y[..., A, :][..., :, None, :], Y[..., B, :][..., None, :, :])
+    return np.moveaxis(pairs, [-4, -3], [-3, -1]).reshape(
+        Y.shape[:-2] + ((D + 1) * len(A), (D + 1) * len(B)))
 
 
 def mean_block(kernel, Y, s, A):
@@ -432,5 +411,7 @@ class SpanState:
             else:                               # the direction it opened
                 rows = k3_matrix(self.kernel, s, ip)
             S[:, blk.start:blk.stop, blk.start - blk.left:blk.stop] = rows
-        lower = np.arange(m)[:, None] >= np.arange(m)
-        return np.where(lower, S, np.swapaxes(S, 1, 2))
+        upper = np.triu_indices(m, 1)
+        for slab in S:                          # mirrored in place, one member at a time
+            slab[upper] = slab.T[upper]
+        return S

@@ -205,9 +205,9 @@ _SECTIONS = {"kernel": (("type", _KERNELS, None),),
 _RUN = {
     "lambda": ("lam", _checked(_as_float, lambda x: x >= 0, "nonnegative")),
     "N_list": ("N_list", _checked(_as_json_list, lambda ns: ns and all(
-        type(n) is int and 1 <= n <= sys.float_info.max for n in ns) and all(
+        type(n) is int and 1 <= n <= sys.float_info.max and float(n) == n for n in ns) and all(
         a < b for a, b in zip(ns, ns[1:])),
-        "a strictly increasing nonempty list of positive integers within float range")),
+        "a strictly increasing nonempty list of positive integers that float64 holds exactly")),
     "steps": ("steps", _as_count),
     "replications": ("replications", _checked(_as_int, lambda n: n >= 2, ">= 2")),
     "epsilons": ("epsilons", _checked(_as_numbers, lambda xs: all(x > 0 for x in xs),
@@ -412,12 +412,15 @@ def _read_table(path, header_for, index) -> dict:
 
     ``header_for(width)`` is the report's own header for a file of that many
     columns.  ``index`` names the grid axes, outermost first; the outermost
-    carries values (N), each inner one counts 0, 1, ….  A foreign header or
-    rows that do not cover the grid exactly once, in write order, raise
-    ConfigError.
+    carries values (N), each inner one counts 0, 1, ….  A file cut short
+    (its last line without a newline), a foreign header, or rows that do not
+    cover the grid exactly once, in write order, raise ConfigError.
     """
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        lines = [line.rstrip("\n") for line in handle if not line.startswith("#")]
+        text = handle.read()
+    if not text.endswith("\n"):
+        raise ConfigError(f"{path}: the last line has no newline; the file was cut short")
+    lines = [line for line in text.split("\n")[:-1] if not line.startswith("#")]
     header = lines[0].split(",") if lines else []
     if header != header_for(len(header)):
         raise ConfigError(f"{path}: columns {header}, expected {header_for(len(header))}")

@@ -166,23 +166,27 @@ class KernelModel:
                 + k33 * ip_yv * ip_xw
                 + k3 * ip_vw)
 
-    def cov_df_df_block(self, s_x, s_y, ip_xy, x, y):
-        """``cov_df_df`` over every pair (v_i, v_j) of an orthonormal system,
-        from the coordinate rows x, y (…, D) of the two points; (…, D, D).
+    def cov_pair_block(self, s_x, s_y, ip_xy, x, y):
+        """Covariance of the (f, D_{v_0..D−1}) rows at x with the same rows
+        at y, for an orthonormal system v and the coordinate rows x, y (…, D)
+        of the two points; (…, D+1, D+1).
 
-        The bilinear form is the rank-2 product [x y]·[κ₁₂y + κ₁₃x, κ₂₃y + κ₃₃x]ᵀ
-        plus κ₃·I, from one ``partials`` call per point pair.
+        Entry [0, 0] is κ, column 0 below it κ₁x + κ₃y (``cov_df_f``), row 0
+        right of it κ₂y + κ₃x (``cov_df_f`` with x and y swapped), and the
+        D_v–D_w part the rank-2 product [x y]·[κ₁₂y + κ₁₃x, κ₂₃y + κ₃₃x]ᵀ plus
+        κ₃·I (``cov_df_df``), from one ``kappa`` and one ``partials`` call.
         """
-        _, _, k3, k12, k13, k23, k33 = (np.asarray(k)[..., None]
-                                        for k in self.partials(s_x, s_y, ip_xy))
+        k1, k2, k3, k12, k13, k23, k33 = (np.asarray(k)[..., None]
+                                          for k in self.partials(s_x, s_y, ip_xy))
         u, w = k12 * y + k13 * x, k23 * y + k33 * x
+        out = _pair_block(u.shape, self.kappa(s_x, s_y, ip_xy), k1 * x + k3 * y, k2 * y + k3 * x)
         # filled in place, which broadcasts x and y without np.stack's copies
         xy = np.empty(u.shape + (2,))
         xy[..., 0], xy[..., 1] = x, y
         uw = np.empty(u.shape[:-1] + (2,) + u.shape[-1:])
         uw[..., 0, :], uw[..., 1, :] = u, w
-        out = xy @ uw
-        _diagonal(out)[...] += k3
+        out[..., 1:, 1:] = xy @ uw
+        _diagonal(out)[..., 1:] += k3
         return out
 
 
@@ -194,7 +198,8 @@ class _DirectStationaryModel(KernelModel):
         Cov(D_v f(x), f(y))     ∝  C′(r)⟨Δ, v⟩
         Cov(D_v f(x), D_w f(y)) ∝ −[C″(r)⟨Δ, v⟩⟨Δ, w⟩ + C′(r)⟨v, w⟩]
 
-    rather than the generic κ-partial bilinear form.  Numerically equivalent
+    rather than the generic κ-partial bilinear form; ``cov_pair_block``
+    takes C, C′ and C″ from one ``derivatives`` call.  Numerically equivalent
     to ``lift_stationary`` on the same mixture; kept as a genuinely separate
     code path so the two can be compared.
     """
@@ -218,12 +223,24 @@ class _DirectStationaryModel(KernelModel):
         dw = ip_xw - ip_yw
         return -(ddc * dv * dw + dc * ip_vw)
 
-    def cov_df_df_block(self, s_x, s_y, ip_xy, x, y):
-        _, dc, ddc = self._mixture.derivatives(s_x + s_y - ip_xy)
+    def cov_pair_block(self, s_x, s_y, ip_xy, x, y):
+        c, dc, ddc = self._mixture.derivatives(s_x + s_y - ip_xy)
+        dc = np.asarray(dc)[..., None]
         delta = x - y
-        out = (delta[..., :, None] @ delta[..., None, :]) * np.asarray(ddc)[..., None, None]
-        _diagonal(out)[...] += np.asarray(dc)[..., None]
-        return np.negative(out, out=out)
+        out = _pair_block(delta.shape, c, dc * delta, dc * (y - x))
+        dd = out[..., 1:, 1:]
+        dd[...] = (delta[..., :, None] @ delta[..., None, :]) * np.asarray(ddc)[..., None, None]
+        _diagonal(out)[..., 1:] += dc
+        np.negative(dd, out=dd)
+        return out
+
+
+def _pair_block(shape, ff, df_f, f_df):
+    """A (…, D+1, D+1) pair block, shape = (…, D), with its [0, 0] entry,
+    column 0 and row 0 filled in."""
+    out = np.empty(shape[:-1] + (shape[-1] + 1,) * 2)
+    out[..., 0, 0], out[..., 1:, 0], out[..., 0, 1:] = ff, df_f, f_df
+    return out
 
 
 def _diagonal(M):

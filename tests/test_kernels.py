@@ -341,15 +341,21 @@ def test_block_rule_is_the_per_entry_rule(name, D, batch, pairs, seed):
         y = rng.standard_normal(batch + (1, 2, D)) * 0.6
     s_x, s_y = 0.5 * np.sum(x * x, axis=-1), 0.5 * np.sum(y * y, axis=-1)
     ip = np.sum(x * y, axis=-1)
-    block = kernel.cov_df_df_block(s_x, s_y, ip, x, y)
+    block = kernel.cov_pair_block(s_x, s_y, ip, x, y)
     shape = np.broadcast_shapes(x.shape, y.shape)[:-1]
-    assert block.shape == shape + (D, D)
+    assert block.shape == shape + (D + 1, D + 1)
+
+    def check(got, entry):
+        np.testing.assert_allclose(got, np.broadcast_to(entry, shape), rtol=1e-13, atol=1e-13)
+
+    check(block[..., 0, 0], kernel.cov_ff(s_x, s_y, ip))
     for i in range(D):
+        check(block[..., i + 1, 0], kernel.cov_df_f(s_x, s_y, ip, x[..., i], y[..., i]))
+        check(block[..., 0, i + 1], kernel.cov_df_f(s_y, s_x, ip, y[..., i], x[..., i]))
         for j in range(D):
-            entry = kernel.cov_df_df(s_x, s_y, ip, x[..., i], y[..., i], x[..., j], y[..., j],
-                                     float(i == j))
-            np.testing.assert_allclose(block[..., i, j], np.broadcast_to(entry, shape),
-                                       rtol=1e-13, atol=1e-13)
+            check(block[..., i + 1, j + 1],
+                  kernel.cov_df_df(s_x, s_y, ip, x[..., i], y[..., i], x[..., j], y[..., j],
+                                   float(i == j)))
 
 
 # ---------------------------------------------------------------------------

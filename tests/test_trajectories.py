@@ -1,6 +1,7 @@
 """Tests for the dimension-free sampler and the brute-force oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -199,6 +200,19 @@ def test_rebuilt_covariance_is_bitwise_the_lone_runs(escalations):
     for b in streams:
         (lone,) = _final_state(SE, HB, 1.0, 64, 20, [b], 3).covariance()
         assert np.array_equal(S[b], lone) and np.array_equal(np.signbit(S[b]), np.signbit(lone))
+
+
+def test_rebuilt_covariance_allocates_one_stack():
+    # the mirror of the lower triangle works in place, not on a second stack
+    state = _final_state(SE, HB, 1.0, 64, 14, range(20), 3)
+    tracemalloc.start()
+    try:
+        S = state.covariance()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * S.nbytes
+    assert np.array_equal(S, np.swapaxes(S, 1, 2))
 
 
 def _stall_at_first_step(n, info):
