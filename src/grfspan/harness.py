@@ -408,23 +408,30 @@ def _write_table(handle, comment, columns):
 
 
 def _read_table(path, header_for, index) -> dict:
-    """Every column of a ``_write_table`` file, reshaped to its index grid.
+    """Every column of a report file, reshaped to its index grid.
 
+    The first line is the report's ``# rows: <count>; …`` comment, and
     ``header_for(width)`` is the report's own header for a file of that many
     columns.  ``index`` names the grid axes, outermost first; the outermost
     carries values (N), each inner one counts 0, 1, ….  A file cut short
-    (its last line without a newline), a foreign header, or rows that do not
-    cover the grid exactly once, in write order, raise ConfigError.
+    (its last line without a newline, or fewer rows than it records), a
+    foreign header, or rows that do not cover the grid exactly once, in
+    write order, raise ConfigError.
     """
     with open(path, "r", encoding="utf-8", newline="") as handle:
         text = handle.read()
     if not text.endswith("\n"):
         raise ConfigError(f"{path}: the last line has no newline; the file was cut short")
-    lines = [line for line in text.split("\n")[:-1] if not line.startswith("#")]
+    comment, *lines = text.split("\n")[:-1]
+    count = comment.removeprefix("# rows: ").partition(";")[0]
+    if not (comment.startswith("# rows: ") and count.isdecimal()):
+        raise ConfigError(f"{path}: the first line is not a '# rows: <count>; …' comment")
     header = lines[0].split(",") if lines else []
     if header != header_for(len(header)):
         raise ConfigError(f"{path}: columns {header}, expected {header_for(len(header))}")
     cells = [line.split(",") for line in lines[1:] if line]
+    if len(cells) != int(count):
+        raise ConfigError(f"{path}: {len(cells)} rows, the file records {count}")
     if any(len(row) != len(header) for row in cells):
         raise ConfigError(f"{path}: a row does not have {len(header)} cells")
     try:
@@ -444,14 +451,18 @@ def _read_table(path, header_for, index) -> dict:
 
 class _Report:
     """A report written as one CSV table; subclasses give ``_table()``,
-    the comment line and the (name, array) columns."""
+    the comment and the (name, array) columns.  The comment line starts
+    with the data-row count, which lets a reader tell a file cut at a row
+    boundary from a smaller report."""
 
     def to_csv(self, path):
         with open(path, "w", encoding="utf-8", newline="") as handle:
             self.write(handle)
 
     def write(self, handle):
-        _write_table(handle, *self._table())
+        comment, columns = self._table()
+        rows = math.prod(np.broadcast_shapes(*(np.shape(a) for _, a in columns)))
+        _write_table(handle, f"rows: {rows}; {comment}", columns)
 
 
 def _saved(report, out):
@@ -543,18 +554,14 @@ class ConvergenceReport(_Report):
 
 
 def _loglog_slopes(N_list, sd) -> np.ndarray:
-    """Least-squares slope of log sd vs log N per step; nan where undefined."""
-    if len(N_list) < 2:
+    """Least-squares slope of log sd vs log N per step, (x·y)/(x·x) with x
+    the centred log N; nan where any sd ≤ 0 or fewer than two N are given."""
+    x = np.log(np.asarray(N_list, dtype=float))
+    x -= x.mean()
+    if not x @ x:
         return np.full(sd.shape[1], np.nan)
-    logs_n = np.log(np.asarray(N_list, dtype=float))
-    slopes = np.empty(sd.shape[1])
-    for n in range(sd.shape[1]):
-        col = sd[:, n]
-        if np.any(col <= 0):
-            slopes[n] = np.nan
-            continue
-        slopes[n] = np.polyfit(logs_n, np.log(col), 1)[0]
-    return slopes
+    positive = np.all(sd > 0, axis=0)
+    return np.where(positive, x @ np.log(np.where(positive, sd, 1.0)) / (x @ x), np.nan)
 
 
 def run_predict(config: ExperimentConfig) -> LimitCurve:

@@ -184,7 +184,7 @@ def test_spherical_spin_glass_reachability_barrier():
 def test_kernel_partials_match_finite_differences(kernel):
     """Analytic partials agree with central differences to relative 1e-6 on
     the interior validation grid."""
-    report = validate_partials(kernel, tol=1e-6)
+    report = validate_partials(kernel)
     assert report.passed, report.max_rel_err
 
 

@@ -11,6 +11,7 @@ from grfspan.errors import KernelDomainError
 from grfspan.kernels import (
     KernelModel,
     PARTIAL_NAMES,
+    PARTIALS_TOL,
     SchoenbergMixture,
     SpinGlassMixture,
     alg_barrier,
@@ -423,6 +424,23 @@ def test_alg_barrier_against_quad():
     assert alg_barrier(mix) == pytest.approx(expected, abs=1e-7)
 
 
+@pytest.mark.parametrize("terms", [{3: 1e-6, 50: 10.0}, {100: 1.0}, {2: 1e-4, 40: 1.0}],
+                         ids=["c3-1e-6-c50-10", "pure-100", "c2-1e-4-c40-1"])
+def test_alg_barrier_against_mpmath(terms):
+    # mixtures where √ξ″ is flat near 0 and steep near 1, or ~ √s near 0
+    mpmath = pytest.importorskip("mpmath")
+    coeffs = [0.0] * (max(terms) + 1)
+    for p, c in terms.items():
+        coeffs[p] = c
+    with mpmath.workdps(30):
+        expected = mpmath.quad(
+            lambda s: mpmath.sqrt(sum(mpmath.mpf(c) ** 2 * p * (p - 1) * s ** (p - 2)
+                                      for p, c in terms.items())),
+            mpmath.linspace(0, 1, 41))
+        error = float(alg_barrier(SpinGlassMixture(coeffs=tuple(coeffs))) - expected)
+    assert abs(error) <= 1e-11
+
+
 def test_alg_barrier_rejects_negative_curvature():
     class FakeMix:
         def derivatives(self, s):
@@ -443,22 +461,29 @@ def test_alg_barrier_rejects_negative_curvature():
     lambda: quadratic_kernel(1.0, 0.5, 2.0),
 ])
 def test_validate_partials_passes_for_builtins(make):
-    report = validate_partials(make(), tol=1e-6)
+    report = validate_partials(make())
     assert report.passed, str(report)
 
 
-def test_validate_partials_catches_corrupted_partial():
+@pytest.mark.parametrize("name, everywhere, error", [
+    ("k33", True, 0.1), ("k12", False, 0.1), ("k23", True, math.nan),
+], ids=["k33-everywhere", "k12-at-one-point", "k23-nan"])
+def test_validate_partials_catches_corrupted_partial(name, everywhere, error):
     base = lift_stationary(SE)
+    l1, l2, l3 = default_validation_grid()[62]
+    slot = PARTIAL_NAMES.index(name)
 
-    def partials(l1, l2, l3):
-        *rest, k33 = base.partials(l1, l2, l3)
-        return (*rest, k33 + 0.1)
+    def partials(a, b, c):
+        values = list(base.partials(a, b, c))
+        at = True if everywhere else (a == l1) & (b == l2) & (c == l3)
+        values[slot] = values[slot] + np.where(at, error, 0.0)
+        return tuple(values)
 
     bad = KernelModel(base.mean, base.mean_prime, base.kappa, partials)
-    report = validate_partials(bad, tol=1e-6)
+    report = validate_partials(bad)
     assert not report.passed
-    assert report.max_rel_err["k33"] > 0.05
-    assert report.max_rel_err["k1"] <= 1e-6
+    assert not report.max_rel_err[name] <= 0.05
+    assert [n for n, e in report.max_rel_err.items() if not e <= PARTIALS_TOL] == [name]
 
 
 def test_second_partial_direct_finite_difference():
