@@ -69,10 +69,10 @@ def mean_block(kernel, Y, s, A):
     A = np.asarray(A, dtype=int)
     D = Y.shape[-1]
     m = np.empty(Y.shape[:-2] + (D + 1, len(A)))
-    m[..., 0, :] = kernel.mean(s[..., A])
+    mu, slope = kernel.mean(s[..., A])
+    m[..., 0, :] = mu
     if D > 0:
-        m[..., 1:, :] = (kernel.mean_prime(s[..., A])[..., None, :]
-                         * np.swapaxes(Y[..., A, :], -1, -2))
+        m[..., 1:, :] = slope[..., None, :] * np.swapaxes(Y[..., A, :], -1, -2)
     return m.reshape(Y.shape[:-2] + ((D + 1) * len(A),))
 
 

@@ -8,7 +8,7 @@ with λ₁ = ‖x‖²/2, λ₂ = ‖y‖²/2, λ₃ = ⟨x, y⟩.  The kernel d
 
 Derivative covariances reduce to bilinear forms in inner products:
 
-    N·E[D_v f(x)]              = μ′(λ₁)⟨x,v⟩ · N        (mean_prime, without N)
+    N·E[D_v f(x)]              = μ′(λ₁)⟨x,v⟩ · N        (μ′ of mean, without N)
     N·Cov(D_v f(x), f(y))      = κ₁⟨x,v⟩ + κ₃⟨y,v⟩
     N·Cov(D_v f(x), D_w f(y))  = κ₁₂⟨x,v⟩⟨y,w⟩ + κ₁₃⟨x,v⟩⟨x,w⟩
                                + κ₂₃⟨y,v⟩⟨y,w⟩ + κ₃₃⟨y,v⟩⟨x,w⟩ + κ₃⟨v,w⟩
@@ -121,24 +121,22 @@ class SpinGlassMixture:
 # ---------------------------------------------------------------------------
 
 class KernelModel:
-    """Mean profile, kernel and its seven partials, plus covariance rules.
+    """Mean profile and kernel with its seven partials, plus covariance rules.
 
-    ``partials(λ₁, λ₂, λ₃)`` returns (κ₁, κ₂, κ₃, κ₁₂, κ₁₃, κ₂₃, κ₃₃) — the
-    ``PARTIAL_NAMES`` order — from one call, so a family shares the work its
-    partials have in common.  All callables accept scalars or numpy arrays.
-    Instances are immutable by convention and safe to share across
-    threads/trajectories.
+    ``mean(s)`` returns (μ, μ′) and ``derivatives(λ₁, λ₂, λ₃)`` returns
+    (κ, κ₁, κ₂, κ₃, κ₁₂, κ₁₃, κ₂₃, κ₃₃) — κ, then the ``PARTIAL_NAMES`` order
+    — each from one call, so a family shares the work its values have in
+    common.  Both accept scalars or numpy arrays.  Instances are immutable by
+    convention and safe to share across threads/trajectories.
     """
 
-    def __init__(self, mean, mean_prime, kappa, partials, *, label=""):
-        count = len(partials(1.0, 1.0, 0.0))
-        if count != len(PARTIAL_NAMES):
-            raise ValueError(f"partials must return the {len(PARTIAL_NAMES)} values "
-                             f"{PARTIAL_NAMES}, got {count}")
+    def __init__(self, mean, derivatives, *, label=""):
+        # a one-array mean would be split along its point axis by callers
+        # that unpack (μ, μ′), so both arities are probed here
+        _require_values("mean", mean(np.array([0.0, 0.5, 1.0])), ("mu", "mu'"))
+        _require_values("derivatives", derivatives(1.0, 1.0, 0.0), ("k",) + PARTIAL_NAMES)
         self.mean = mean
-        self.mean_prime = mean_prime
-        self.kappa = kappa
-        self.partials = partials
+        self.derivatives = derivatives
         self.label = label
 
     def __repr__(self):
@@ -146,19 +144,19 @@ class KernelModel:
 
     def k3(self, s_x, s_y, ip_xy):
         """κ₃, the coefficient of ⟨v, w⟩ in Cov(D_v f(x), D_w f(y))."""
-        return self.partials(s_x, s_y, ip_xy)[2]
+        return self.derivatives(s_x, s_y, ip_xy)[3]
 
     # -- covariance rules in inner-product form (no domain checks here) -----
 
     def cov_ff(self, s_x, s_y, ip_xy):
-        return self.kappa(s_x, s_y, ip_xy)
+        return self.derivatives(s_x, s_y, ip_xy)[0]
 
     def cov_df_f(self, s_x, s_y, ip_xy, ip_xv, ip_yv):
-        k1, _, k3, *_ = self.partials(s_x, s_y, ip_xy)
+        _, k1, _, k3, *_ = self.derivatives(s_x, s_y, ip_xy)
         return k1 * ip_xv + k3 * ip_yv
 
     def cov_df_df(self, s_x, s_y, ip_xy, ip_xv, ip_yv, ip_xw, ip_yw, ip_vw):
-        _, _, k3, k12, k13, k23, k33 = self.partials(s_x, s_y, ip_xy)
+        _, _, _, k3, k12, k13, k23, k33 = self.derivatives(s_x, s_y, ip_xy)
         return (k12 * ip_xv * ip_yw
                 + k13 * ip_xv * ip_xw
                 + k23 * ip_yv * ip_yw
@@ -173,12 +171,12 @@ class KernelModel:
         Entry [0, 0] is κ, column 0 below it κ₁x + κ₃y (``cov_df_f``), row 0
         right of it κ₂y + κ₃x (``cov_df_f`` with x and y swapped), and the
         D_v–D_w part the rank-2 product [x y]·[κ₁₂y + κ₁₃x, κ₂₃y + κ₃₃x]ᵀ plus
-        κ₃·I (``cov_df_df``), from one ``kappa`` and one ``partials`` call.
+        κ₃·I (``cov_df_df``), from one ``derivatives`` call.
         """
-        k1, k2, k3, k12, k13, k23, k33 = (np.asarray(k)[..., None]
-                                          for k in self.partials(s_x, s_y, ip_xy))
+        ff, *ks = self.derivatives(s_x, s_y, ip_xy)
+        k1, k2, k3, k12, k13, k23, k33 = (np.asarray(k)[..., None] for k in ks)
         u, w = k12 * y + k13 * x, k23 * y + k33 * x
-        out = _pair_block(u.shape, self.kappa(s_x, s_y, ip_xy), k1 * x + k3 * y, k2 * y + k3 * x)
+        out = _pair_block(u.shape, ff, k1 * x + k3 * y, k2 * y + k3 * x)
         # filled in place, which broadcasts x and y without np.stack's copies
         xy = np.empty(u.shape + (2,))
         xy[..., 0], xy[..., 1] = x, y
@@ -192,35 +190,23 @@ class KernelModel:
 class _DirectStationaryModel(KernelModel):
     """Stationary covariances evaluated through the squared distance.
 
-    Uses C(‖Δ‖²/2) with Δ = x − y and the distance-form derivative rules
+    ``cov_pair_block`` uses C(‖Δ‖²/2) with Δ = x − y and the distance-form
+    derivative rules
 
         Cov(D_v f(x), f(y))     ∝  C′(r)⟨Δ, v⟩
         Cov(D_v f(x), D_w f(y)) ∝ −[C″(r)⟨Δ, v⟩⟨Δ, w⟩ + C′(r)⟨v, w⟩]
 
-    rather than the generic κ-partial bilinear form; ``cov_pair_block``
-    takes C, C′ and C″ from one ``derivatives`` call.  Numerically equivalent
-    to ``lift_stationary`` on the same mixture; kept as a genuinely separate
-    code path so the two can be compared.
+    rather than the generic κ-partial bilinear form, taking C, C′ and C″
+    from one ``derivatives`` call of the mixture.  Numerically equivalent to
+    ``lift_stationary`` on the same mixture; kept as a genuinely separate
+    code path so the two can be compared.  The per-entry rules and ``k3``
+    are the generic ones on the lifted model's ``derivatives``.
     """
 
     def __init__(self, mixture: SchoenbergMixture, mean_level: float):
         self._mixture = mixture
         model = lift_stationary(mixture, mean_level)
-        super().__init__(model.mean, model.mean_prime, model.kappa, model.partials,
-                         label="stationary-direct")
-
-    def cov_ff(self, s_x, s_y, ip_xy):
-        return self._mixture.derivatives(s_x + s_y - ip_xy)[0]
-
-    def cov_df_f(self, s_x, s_y, ip_xy, ip_xv, ip_yv):
-        _, dc, _ = self._mixture.derivatives(s_x + s_y - ip_xy)
-        return dc * (ip_xv - ip_yv)
-
-    def cov_df_df(self, s_x, s_y, ip_xy, ip_xv, ip_yv, ip_xw, ip_yw, ip_vw):
-        _, dc, ddc = self._mixture.derivatives(s_x + s_y - ip_xy)
-        dv = ip_xv - ip_yv
-        dw = ip_xw - ip_yw
-        return -(ddc * dv * dw + dc * ip_vw)
+        super().__init__(model.mean, model.derivatives, label="stationary-direct")
 
     def cov_pair_block(self, s_x, s_y, ip_xy, x, y):
         c, dc, ddc = self._mixture.derivatives(s_x + s_y - ip_xy)
@@ -232,6 +218,15 @@ class _DirectStationaryModel(KernelModel):
         _diagonal(out)[..., 1:] += dc
         np.negative(dd, out=dd)
         return out
+
+
+def _require_values(name, values, names):
+    """Raise ValueError unless a kernel callable returned one value per name;
+    a bare array counts as one value."""
+    count = len(values) if isinstance(values, (tuple, list)) else 1
+    if count != len(names):
+        raise ValueError(f"{name} must return the {len(names)} values "
+                         f"({', '.join(names)}), got {count}")
 
 
 def _pair_block(shape, ff, df_f, f_df):
@@ -260,17 +255,15 @@ def lift_stationary(mixture: SchoenbergMixture, mean_level: float = 0.0) -> Kern
     """
     level = float(mean_level)
 
-    def partials(l1, l2, l3):
-        _, dc, ddc = mixture.derivatives(l1 + l2 - l3)
-        return dc, dc, -dc, ddc, -ddc, -ddc, ddc
+    def mean(s):
+        s = np.asarray(s, dtype=float)
+        return np.full_like(s, level), np.zeros_like(s)
 
-    return KernelModel(
-        mean=lambda s: np.full_like(np.asarray(s, dtype=float), level),
-        mean_prime=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
-        kappa=lambda l1, l2, l3: mixture.derivatives(l1 + l2 - l3)[0],
-        partials=partials,
-        label="stationary-lift",
-    )
+    def derivatives(l1, l2, l3):
+        c, dc, ddc = mixture.derivatives(l1 + l2 - l3)
+        return c, dc, dc, -dc, ddc, -ddc, -ddc, ddc
+
+    return KernelModel(mean, derivatives, label="stationary-lift")
 
 
 def stationary_direct(mixture: SchoenbergMixture, mean_level: float = 0.0) -> KernelModel:
@@ -281,18 +274,16 @@ def stationary_direct(mixture: SchoenbergMixture, mean_level: float = 0.0) -> Ke
 def spin_glass_kernel(mix: SpinGlassMixture) -> KernelModel:
     """Mixed p-spin kernel κ(λ₁,λ₂,λ₃) = ξ(λ₃) with zero mean."""
 
-    def partials(l1, l2, l3):
-        _, d1, d2 = mix.derivatives(l3)
-        zero = np.zeros_like(np.asarray(l3, dtype=float))
-        return zero, zero, d1, zero, zero, zero, d2
+    def mean(s):
+        zero = np.zeros_like(np.asarray(s, dtype=float))
+        return zero, zero
 
-    return KernelModel(
-        mean=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
-        mean_prime=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
-        kappa=lambda l1, l2, l3: mix.derivatives(l3)[0],
-        partials=partials,
-        label="spin-glass",
-    )
+    def derivatives(l1, l2, l3):
+        xi, d1, d2 = mix.derivatives(l3)
+        zero = np.zeros_like(np.asarray(l3, dtype=float))
+        return xi, zero, zero, d1, zero, zero, zero, d2
+
+    return KernelModel(mean, derivatives, label="spin-glass")
 
 
 def quadratic_kernel(sigma_A: float, sigma_eta: float, R: float) -> KernelModel:
@@ -310,18 +301,16 @@ def quadratic_kernel(sigma_A: float, sigma_eta: float, R: float) -> KernelModel:
     k3_const = sa2 * sa2 * float(R) ** 2
     offset = float(sigma_eta) ** 2 / 2.0 + sa2 * float(R) ** 2 / 2.0
 
-    def partials(l1, l2, l3):
+    def mean(s):
+        s = np.asarray(s, dtype=float)
+        return offset + sa2 * s, np.full_like(s, sa2)
+
+    def derivatives(l1, l2, l3):
         l3 = np.asarray(l3, dtype=float)
         zero = np.zeros_like(l3)
-        return zero, zero, np.full_like(l3, k3_const), zero, zero, zero, zero
+        return k3_const * l3, zero, zero, np.full_like(l3, k3_const), zero, zero, zero, zero
 
-    return KernelModel(
-        mean=lambda s: offset + sa2 * np.asarray(s, dtype=float),
-        mean_prime=lambda s: np.full_like(np.asarray(s, dtype=float), sa2),
-        kappa=lambda l1, l2, l3: k3_const * np.asarray(l3, dtype=float),
-        partials=partials,
-        label="quadratic",
-    )
+    return KernelModel(mean, derivatives, label="quadratic")
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +395,8 @@ def default_validation_grid() -> np.ndarray:
 
 def validate_partials(kernel: KernelModel) -> PartialsReport:
     """Check analytic partials against central finite differences on the
-    default validation grid, all points in one call per evaluation.
+    default validation grid: seven ``derivatives`` calls, each over all points,
+    at the grid and at its six shifted copies.
 
     First-order partials are differenced from κ directly; second-order ones
     from the analytic first partials (differencing κ twice at this step size
@@ -415,18 +405,19 @@ def validate_partials(kernel: KernelModel) -> PartialsReport:
     """
     l1, l2, l3 = default_validation_grid().T
     h1, h2, h3 = (1e-5 * np.maximum(1.0, np.abs(l)) for l in (l1, l2, l3))
-    k, p = kernel.kappa, kernel.partials
-    up2, dn2 = p(l1, l2 + h2, l3), p(l1, l2 - h2, l3)
-    up3, dn3 = p(l1, l2, l3 + h3), p(l1, l2, l3 - h3)
+    d = kernel.derivatives
+    up1, dn1 = d(l1 + h1, l2, l3), d(l1 - h1, l2, l3)
+    up2, dn2 = d(l1, l2 + h2, l3), d(l1, l2 - h2, l3)
+    up3, dn3 = d(l1, l2, l3 + h3), d(l1, l2, l3 - h3)
     fd = (
-        (k(l1 + h1, l2, l3) - k(l1 - h1, l2, l3)) / (2 * h1),
-        (k(l1, l2 + h2, l3) - k(l1, l2 - h2, l3)) / (2 * h2),
-        (k(l1, l2, l3 + h3) - k(l1, l2, l3 - h3)) / (2 * h3),
-        (up2[0] - dn2[0]) / (2 * h2),   # κ₁₂ = ∂₂κ₁
-        (up3[0] - dn3[0]) / (2 * h3),   # κ₁₃ = ∂₃κ₁
-        (up3[1] - dn3[1]) / (2 * h3),   # κ₂₃ = ∂₃κ₂
-        (up3[2] - dn3[2]) / (2 * h3),   # κ₃₃ = ∂₃κ₃
+        (up1[0] - dn1[0]) / (2 * h1),
+        (up2[0] - dn2[0]) / (2 * h2),
+        (up3[0] - dn3[0]) / (2 * h3),
+        (up2[1] - dn2[1]) / (2 * h2),   # κ₁₂ = ∂₂κ₁
+        (up3[1] - dn3[1]) / (2 * h3),   # κ₁₃ = ∂₃κ₁
+        (up3[2] - dn3[2]) / (2 * h3),   # κ₂₃ = ∂₃κ₂
+        (up3[3] - dn3[3]) / (2 * h3),   # κ₃₃ = ∂₃κ₃
     )
     return PartialsReport(max_rel_err={
         name: float(np.max(np.abs(analytic - diff) / np.maximum(1.0, np.abs(analytic))))
-        for name, analytic, diff in zip(PARTIAL_NAMES, p(l1, l2, l3), fd)})
+        for name, analytic, diff in zip(PARTIAL_NAMES, d(l1, l2, l3)[1:], fd)})

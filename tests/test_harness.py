@@ -770,6 +770,40 @@ steps = 5
     assert cli.main(["predict", "--config", str(ok)]) == 0
 
 
+# a quadratic field at σ_A = 100: its new point's rows fail every rung of the
+# jitter ladder at step 2, and only the pseudo-inverse carries a run on
+BADLY_SCALED_CONFIG = """\
+[kernel]
+type = quadratic
+sigma_A = 100.0
+sigma_eta = 0.5
+R = 1.0
+
+[algorithm]
+type = gd
+alpha = 0.00003
+
+[run]
+N_list = [16, 1000000000]
+steps = 4
+replications = 3
+epsilons = [0.5]
+rank_stall = freeze
+"""
+
+
+@pytest.mark.parametrize("mode", ["predict", "simulate", "verify", "two-init", "halting"])
+def test_cli_pseudo_inverse_carries_a_badly_scaled_run(mode, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv(harness.WORKERS_ENV, "1")
+    off = _write(tmp_path, BADLY_SCALED_CONFIG, "off.cfg")
+    on = _write(tmp_path, BADLY_SCALED_CONFIG + "pseudo_inverse = true\n", "on.cfg")
+    assert cli.main([mode, "--config", str(off)]) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert "not positive definite within jitter ladder" in line
+    assert cli.main([mode, "--config", str(on), "--out", str(tmp_path / "out.csv")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 DIVERGENT_CONFIG = """\
 [kernel]
 type = spin_glass

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grfspan.assembly import coordinate_inner_products, cov_block
 from grfspan.errors import KernelDomainError
 from grfspan.kernels import (
     KernelModel,
@@ -109,7 +110,7 @@ def _domain_points(n=30):
 
 
 def _assert_partials(kernel, expected, l1, l2, l3):
-    got = kernel.partials(l1, l2, l3)
+    got = kernel.derivatives(l1, l2, l3)[1:]
     assert len(got) == len(PARTIAL_NAMES)
     for name, a, b in zip(PARTIAL_NAMES, got, expected):
         assert np.array_equal(a, b), name
@@ -144,17 +145,20 @@ def test_quadratic_partials_closed_form():
 def test_k3_is_the_third_partial():
     k = lift_stationary(SchoenbergMixture(atoms=((0.6, 0.8), (0.4, 1.7))))
     l1, l2, l3 = _domain_points()
-    assert np.array_equal(k.k3(l1, l2, l3), k.partials(l1, l2, l3)[2])
+    assert np.array_equal(k.k3(l1, l2, l3), k.derivatives(l1, l2, l3)[3])
 
 
-def test_partials_of_the_wrong_length_are_rejected():
-    base = lift_stationary(SE)
-    with pytest.raises(ValueError, match="7 values"):
-        KernelModel(base.mean, base.mean_prime, base.kappa,
-                    lambda l1, l2, l3: base.partials(l1, l2, l3)[:6])
-    with pytest.raises(ValueError, match="7 values"):
-        KernelModel(base.mean, base.mean_prime, base.kappa,
-                    lambda l1, l2, l3: (*base.partials(l1, l2, l3), 0.0))
+_BASE = lift_stationary(SE)
+
+
+@pytest.mark.parametrize("mean, derivatives, error", [
+    (_BASE.mean, lambda l1, l2, l3: _BASE.derivatives(l1, l2, l3)[:7], "8 values"),
+    (_BASE.mean, lambda l1, l2, l3: (*_BASE.derivatives(l1, l2, l3), 0.0), "8 values"),
+    (lambda s: _BASE.mean(s)[0], _BASE.derivatives, "2 values"),
+], ids=["derivatives-7", "derivatives-9", "one-array-mean"])
+def test_partials_of_the_wrong_length_are_rejected(mean, derivatives, error):
+    with pytest.raises(ValueError, match=error):
+        KernelModel(mean, derivatives)
 
 
 # ---------------------------------------------------------------------------
@@ -164,10 +168,10 @@ def test_partials_of_the_wrong_length_are_rejected():
 def test_stationary_lift_spot_values():
     k = lift_stationary(SE)
     # C(0) = sum of weights, and kappa_3 = -C'(0)
-    assert float(k.kappa(0.5, 0.5, 1.0)) == pytest.approx(1.0, abs=1e-15)
+    assert float(k.derivatives(0.5, 0.5, 1.0)[0]) == pytest.approx(1.0, abs=1e-15)
     assert float(k.k3(0.5, 0.5, 1.0)) == pytest.approx(1.0, abs=1e-15)
-    assert float(k.mean(0.7)) == 0.0
-    assert float(k.mean_prime(0.7)) == 0.0
+    assert float(k.mean(0.7)[0]) == 0.0
+    assert float(k.mean(0.7)[1]) == 0.0
 
 
 def test_stationary_lift_exchange_symmetry():
@@ -175,23 +179,24 @@ def test_stationary_lift_exchange_symmetry():
     rng = np.random.default_rng(7)
     for _ in range(20):
         a, b, c = random_domain_point(rng)
-        assert float(k.kappa(a, b, c)) == pytest.approx(float(k.kappa(b, a, c)), rel=1e-14)
+        assert float(k.derivatives(a, b, c)[0]) == pytest.approx(
+            float(k.derivatives(b, a, c)[0]), rel=1e-14)
 
 
 def test_spin_glass_spot_values():
     k = spin_glass_kernel(TWO_SPIN)
     assert float(k.k3(0.3, 0.9, 0.5)) == pytest.approx(1.0, abs=1e-15)   # xi'(0.5) = 2*0.5
-    assert float(k.partials(0.3, 0.9, 0.5)[0]) == 0.0   # κ₁
+    assert float(k.derivatives(0.3, 0.9, 0.5)[1]) == 0.0   # κ₁
     k3spin = spin_glass_kernel(THREE_SPIN)
-    k33 = k3spin.partials(0.5, 0.5, 1.0)[6]
+    k33 = k3spin.derivatives(0.5, 0.5, 1.0)[7]
     assert float(k33) == pytest.approx(6.0, abs=1e-14)  # xi''(1) = 6
 
 
 def test_quadratic_spot_values():
     k = quadratic_kernel(sigma_A=1.0, sigma_eta=0.0, R=1.0)
-    assert float(k.mean(0.5)) == pytest.approx(1.0, abs=1e-15)
+    assert float(k.mean(0.5)[0]) == pytest.approx(1.0, abs=1e-15)
     assert float(k.k3(0.2, 0.2, 0.1)) == pytest.approx(1.0, abs=1e-15)
-    assert float(k.partials(0.2, 0.2, 0.1)[6]) == 0.0   # κ₃₃
+    assert float(k.derivatives(0.2, 0.2, 0.1)[7]) == 0.0   # κ₃₃
     with pytest.raises(ValueError):
         quadratic_kernel(sigma_A=0.0, sigma_eta=1.0, R=1.0)
     with pytest.raises(ValueError):
@@ -229,11 +234,11 @@ def test_cov_df_df_spot_values():
 
 def test_mean_ops():
     # E[D_v f(x)] = μ′(‖x‖²/2)·⟨x,v⟩ and E[f(x)] = μ(‖x‖²/2)
-    assert float(lift_stationary(SE).mean_prime(0.5) * 3.0) == 0.0
+    assert float(lift_stationary(SE).mean(0.5)[1] * 3.0) == 0.0
     kq = quadratic_kernel(1.0, 0.0, 1.0)
-    assert float(kq.mean_prime(0.5) * 1.0) == pytest.approx(1.0)
+    assert float(kq.mean(0.5)[1] * 1.0) == pytest.approx(1.0)
     kq2 = quadratic_kernel(1.0, 1.0, 1.0)
-    assert float(kq2.mean(0.0)) == pytest.approx(1.0)
+    assert float(kq2.mean(0.0)[0]) == pytest.approx(1.0)
 
 
 def test_domain_check():
@@ -289,17 +294,11 @@ def test_direct_stationary_model_matches_lift():
     direct = stationary_direct(mix, mean_level=0.3)
     rng = np.random.default_rng(11)
     for _ in range(25):
-        x, y, v, w = rng.standard_normal((4, 4))
-        p = _inner_products(x, y, v, w)
-        args3 = (p["s_x"], p["s_y"], p["ip_xy"])
-        assert float(direct.cov_ff(*args3)) == pytest.approx(float(lifted.cov_ff(*args3)), rel=1e-12)
-        a = float(direct.cov_df_f(*args3, p["ip_xv"], p["ip_yv"]))
-        b = float(lifted.cov_df_f(*args3, p["ip_xv"], p["ip_yv"]))
-        assert a == pytest.approx(b, rel=1e-12, abs=1e-13)
-        a = float(direct.cov_df_df(**p))
-        b = float(lifted.cov_df_df(**p))
-        assert a == pytest.approx(b, rel=1e-12, abs=1e-13)
-    assert float(direct.mean(2.0)) == pytest.approx(0.3)
+        x, y = rng.standard_normal((2, 4))
+        args = (x @ x / 2.0, y @ y / 2.0, x @ y, x, y)
+        np.testing.assert_allclose(direct.cov_pair_block(*args), lifted.cov_pair_block(*args),
+                                   rtol=1e-12, atol=1e-13)
+    assert float(direct.mean(2.0)[0]) == pytest.approx(0.3)
 
 
 @pytest.mark.parametrize("make", [
@@ -363,18 +362,32 @@ def test_block_rule_is_the_per_entry_rule(name, D, batch, pairs, seed):
 # positive semi-definiteness of assembled covariance matrices
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("make", [
+PSD_KERNELS = [
     lambda: lift_stationary(SchoenbergMixture(atoms=((0.6, 1.0), (0.4, 0.5)))),
     lambda: stationary_direct(SchoenbergMixture(atoms=((1.0, 1.2),))),
     lambda: spin_glass_kernel(SpinGlassMixture(coeffs=(0.1, 0.4, 0.6, 0.2))),
     lambda: quadratic_kernel(0.8, 0.3, 1.5),
-])
-def test_assembled_covariance_is_psd(make):
-    """Joint covariance of values and derivatives at explicit R^3 points."""
-    k = make()
+]
+
+
+def _psd_points():
+    """Five points in R^3 and two random directions at each."""
     rng = np.random.default_rng(19)
-    pts = rng.standard_normal((5, 3)) * 0.7
-    dirs = rng.standard_normal((5, 2, 3))
+    return rng.standard_normal((5, 3)) * 0.7, rng.standard_normal((5, 2, 3))
+
+
+def _assert_psd(M):
+    np.testing.assert_allclose(M, M.T, atol=1e-12)
+    eigs = np.linalg.eigvalsh(0.5 * (M + M.T))
+    assert eigs.min() >= -1e-10
+
+
+@pytest.mark.parametrize("make", PSD_KERNELS)
+def test_assembled_covariance_is_psd(make):
+    """Joint covariance of values and derivatives at explicit R^3 points,
+    entry by entry through the per-entry rules."""
+    k = make()
+    pts, dirs = _psd_points()
     rows = []
     for a in range(len(pts)):
         rows.append(("f", a, None))
@@ -396,9 +409,20 @@ def test_assembled_covariance_is_psd(make):
             else:
                 M[i, j] = k.cov_df_df(s_a, s_b, ip, xa @ va, xb @ va,
                                       xa @ vb, xb @ vb, va @ vb)
-    np.testing.assert_allclose(M, M.T, atol=1e-12)
-    eigs = np.linalg.eigvalsh(0.5 * (M + M.T))
-    assert eigs.min() >= -1e-10
+    _assert_psd(M)
+
+
+@pytest.mark.parametrize("make", PSD_KERNELS)
+def test_block_covariance_is_psd(make):
+    """The same points through ``cov_block``, the rule the recursion runs
+    (the direct model's distance form included): the value and the three
+    coordinate derivatives at each point, the axes of R^3 being an
+    orthonormal system."""
+    k = make()
+    pts, _ = _psd_points()
+    s, ip = coordinate_inner_products(pts)
+    A = np.arange(len(pts))
+    _assert_psd(cov_block(k, pts, s, ip, A, A))
 
 
 # ---------------------------------------------------------------------------
@@ -471,15 +495,15 @@ def test_validate_partials_passes_for_builtins(make):
 def test_validate_partials_catches_corrupted_partial(name, everywhere, error):
     base = lift_stationary(SE)
     l1, l2, l3 = default_validation_grid()[62]
-    slot = PARTIAL_NAMES.index(name)
+    slot = 1 + PARTIAL_NAMES.index(name)
 
-    def partials(a, b, c):
-        values = list(base.partials(a, b, c))
+    def derivatives(a, b, c):
+        values = list(base.derivatives(a, b, c))
         at = True if everywhere else (a == l1) & (b == l2) & (c == l3)
         values[slot] = values[slot] + np.where(at, error, 0.0)
         return tuple(values)
 
-    bad = KernelModel(base.mean, base.mean_prime, base.kappa, partials)
+    bad = KernelModel(base.mean, derivatives)
     report = validate_partials(bad)
     assert not report.passed
     assert not report.max_rel_err[name] <= 0.05
