@@ -25,6 +25,11 @@ older rows.  Extending the Cholesky factor by k rows costs O(m²k) for m
 history rows, where re-assembling and re-factoring the history would cost
 O(m³).  One state steps a batch of B paths that share this row structure —
 the same number of points and directions — as stacked (B, ·, ·) arrays.
+
+In the N→∞ limit the new point's rows are observed at their conditional
+mean, so their innovation is exactly 0 and they can never move a later mean.
+The limit therefore stores only the direction rows: a block diagonal history
+of κ₃ matrices, which it conditions on without factoring any point block.
 """
 
 from __future__ import annotations
@@ -69,7 +74,8 @@ def mean_block(kernel, Y, s, A):
     A = np.asarray(A, dtype=int)
     D = Y.shape[-1]
     m = np.empty(Y.shape[:-2] + (D + 1, len(A)))
-    mu, slope = kernel.mean(s[..., A])
+    # a mean may return μ or μ′ as a constant scalar
+    mu, slope = np.broadcast_arrays(*kernel.mean(s[..., A]), s[..., A])[:2]
     m[..., 0, :] = mu
     if D > 0:
         m[..., 1:, :] = slope[..., None, :] * np.swapaxes(Y[..., A, :], -1, -2)
@@ -176,7 +182,9 @@ class SpanState:
     with rows in arrival order, its lower factor L = chol(S + j·I), and the
     whitened innovation z = L⁻¹·(observed − mean), each stacked over the
     batch.  Every path of a batch has the same rows; only their values
-    differ, and every member is stepped in the one stack.
+    differ, and every member is stepped in the one stack.  A state stepped
+    without generators (the N→∞ limit) stores the direction rows only, so
+    there S, L and z hold the κ₃ blocks of the opened directions.
 
     Each step calls ``extend`` with the new points, which returns their σ_w²
     too, then ``open_direction`` unless the span did not grow.  L is
@@ -210,7 +218,7 @@ class SpanState:
         self._at = np.empty(0, dtype=int)       # point of each row
         self._resid = np.empty((batch, 0))      # observed − mean
         self._z = np.empty((batch, 0))
-        self._K = None                          # κ₃ matrix of the last extend
+        self._opens = None                      # (κ₃ matrix, row type) the last extend can open
         self._geometry = []                     # (Y, s, ip) of each extend
 
     @property
@@ -221,15 +229,18 @@ class SpanState:
     @property
     def labels(self):
         """(derivative type, point) of each stored row in arrival order;
-        type 0 is f and type i + 1 is D_{v_i}."""
+        type 0 is f and type i + 1 is D_{v_i}.  The limit stores direction
+        rows only, so it has no type 0."""
         return self._types.copy(), self._at.copy()
 
     def covariance(self) -> np.ndarray:
-        """The history covariances S, (B, m, m), rows and columns in arrival order."""
+        """The history covariances S, (B, m, m), rows and columns in arrival
+        order; in the limit, the direction rows' block diagonal of κ₃ matrices."""
         return self._covariance(np.arange(self.batch))
 
     def factor(self) -> np.ndarray:
-        """The lower factors L of S + j·I, (B, m, m), in arrival order."""
+        """The lower factors L of S + j·I, (B, m, m), in arrival order; in the
+        limit, of the direction rows only."""
         if self.pseudo.any():
             raise ValueError("no factor: solves use the pseudo-inverse")
         L = np.zeros((self.batch,) + (self._resid.shape[1],) * 2)
@@ -239,17 +250,19 @@ class SpanState:
 
     def extend(self, Y, rngs=None, N=None) -> tuple[np.ndarray, np.ndarray]:
         """Condition the (f, D_{v_0..D−1}) rows of the points Y[:, -1] on the
-        history and append them; Y (B, n+1, D) holds the history points'
-        coordinate rows followed by the new point's.
+        history; Y (B, n+1, D) holds the history points' coordinate rows
+        followed by the new point's.
 
-        The rows are observed at their conditional mean, or, given ``rngs``
-        (one generator per member) and ``N``, at cond_mean + L_nn·ξ/√N with
-        ξ = rng.standard_normal(D+1) and L_nn the new diagonal block of the
-        member's factor.  A conditional covariance of exactly zero draws
-        nothing.  Returns the observed rows, (B, D+1), and σ_w², (B,): the
-        Schur complement of the new point's entry in the points' κ₃ matrix,
-        which ``open_direction`` then appends.  A new κ₃ ≤ 0 raises
-        DegenerateKernelError before anything is assembled.
+        Given ``rngs`` (one generator per member) and ``N``, the rows are
+        observed at cond_mean + L_nn·ξ/√N with ξ = rng.standard_normal(D+1)
+        and L_nn the new diagonal block of the member's factor, and appended
+        to the history.  A conditional covariance of exactly zero draws
+        nothing.  Without them (the N→∞ limit) the rows are observed at
+        their conditional mean, given the direction rows alone, and neither
+        factored nor appended.  Returns the observed rows, (B, D+1), and
+        σ_w², (B,): the Schur complement of the new point's entry in the
+        points' κ₃ matrix, which ``open_direction`` then appends.  A new
+        κ₃ ≤ 0 raises DegenerateKernelError before anything is assembled.
         """
         Y = np.array(Y, dtype=float)    # kept for rebuilding S
         n, D = Y.shape[1] - 1, Y.shape[2]
@@ -274,6 +287,8 @@ class SpanState:
             W[self.pseudo] = 0.0
             Wt = np.swapaxes(W, 1, 2)
             cond_mean = mean + (Wt @ self._z[:, :, None])[:, :, 0]
+            if rngs is None:            # the limit: nothing to factor
+                break
             cond_cov = S_nn - Wt @ W
             L_nn = self._factor(cond_cov, f"step {n}: the new point's rows")
             if L_nn is not None:
@@ -296,10 +311,11 @@ class SpanState:
                 sample_mvn(mean_b, cov_b / N, rngs[b], self.policy)
                 for b, mean_b, cov_b in zip(pseudo, res.cond_mean, res.cond_cov)]
 
-        self._append(observed - mean, np.arange(D + 1), np.full(D + 1, n),
-                     np.concatenate([Wt, L_nn], axis=2), observed - cond_mean)
+        if rngs is not None:
+            self._append(observed - mean, np.arange(D + 1), np.full(D + 1, n),
+                         np.concatenate([Wt, L_nn], axis=2), observed - cond_mean)
         self._geometry.append((Y, s, ip))
-        self._K = K
+        self._opens = K, D + 1
         self.points += 1
         return observed, _last_schur(K, self.policy)
 
@@ -311,16 +327,16 @@ class SpanState:
         These rows are uncorrelated with every older row and have ``extend``'s
         κ₃ matrix as covariance.  A step whose span did not grow skips this.
         """
-        if self._K is None:
+        if self._opens is None:
             raise ValueError("open_direction needs a preceding extend")
-        K, self._K = self._K, None
+        (K, row_type), self._opens = self._opens, None
         observed = np.zeros((self.batch, self.points))
         observed[:, -1] = values
         L_k = None
         while L_k is None:
             L_k = self._factor(K, f"step {self.points - 1}: the κ₃ block")
-        self._append(observed, np.full(self.points, self._types.max() + 1),
-                     np.arange(self.points), L_k, observed)
+        self._append(observed, np.full(self.points, row_type), np.arange(self.points),
+                     L_k, observed)
 
     # -- factor maintenance ---------------------------------------------------
 

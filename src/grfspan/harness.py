@@ -86,6 +86,7 @@ class ExperimentConfig:
     pseudo_inverse: bool = False
 
     def policy(self) -> ConditionPolicy:
+        """The sampling modes' conditioning policy; the limit takes none."""
         if self.pseudo_inverse:
             return ConditionPolicy(pseudo_fallback=True)
         return DEFAULT_POLICY
@@ -383,8 +384,7 @@ def _require(config: ExperimentConfig, *names):
 def _limit_curve(config: ExperimentConfig) -> LimitCurve:
     kernel = build_kernel(config.kernel)
     gsa = build_gsa(config.algorithm)
-    return predict(kernel, gsa, config.lam, config.steps,
-                   on_rank_stall=config.rank_stall, policy=config.policy())
+    return predict(kernel, gsa, config.lam, config.steps, on_rank_stall=config.rank_stall)
 
 
 # ---------------------------------------------------------------------------

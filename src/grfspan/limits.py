@@ -10,8 +10,10 @@ Given a generator per run and N it is the exact finite-N sampler of
 ``trajectories``: the block is drawn with its conditional covariance over N
 and the corner is √(σ²_w·χ²_{N−d}/N).  Without them it is the N→∞ member of
 the same recursion: the covariance vanishes, the block is observed at its
-conditional mean, and χ²_{N−d}/N → 1 leaves σ_w as the corner.  ``predict``
-steps a batch of one that way, from step 0, and reads off the limit curve."""
+conditional mean, and χ²_{N−d}/N → 1 leaves σ_w as the corner.  Such a block
+carries no innovation, so the limit's state keeps the direction rows alone.
+``predict`` steps a batch of one that way, from step 0, and reads off the
+limit curve."""
 
 from __future__ import annotations
 
@@ -128,7 +130,8 @@ def limit_step(walk: SpanWalk, gsa: GsaSpec, rngs=None, N=None, *,
     Given a generator per run and N, the new point's rows are drawn with the
     conditional covariance over N, then the corner √(σ²_w·χ²_{N−d}/N).
     Without them (the N→∞ limit, a batch of one) the rows are observed at
-    their conditional mean and the corner is σ_w; only the limit rejects
+    their conditional mean given the direction rows, which are all the
+    state stores, and the corner is σ_w; only the limit rejects
     coincident points and applies the rank-stall rule: σ²_w ≤ RANK_STALL_TOL
     raises RankStallError, or under "freeze" opens no direction.  A
     floating-point overflow, invalid operation or division by zero anywhere
@@ -192,10 +195,14 @@ def _step(walk, gsa, rngs, N, on_rank_stall):
 
 
 def predict(kernel: KernelModel, gsa: GsaSpec, lam: float, steps: int, *,
-            on_rank_stall: str = "error",
-            policy: ConditionPolicy = DEFAULT_POLICY) -> LimitCurve:
-    """Limit curve of `steps` optimizer steps from a start of norm `lam`."""
-    walk = SpanWalk(kernel, lam, steps, policy)
+            on_rank_stall: str = "error") -> LimitCurve:
+    """Limit curve of `steps` optimizer steps from a start of norm `lam`.
+
+    The limit conditions each new point on the opened directions' rows
+    alone and factors only their κ₃ blocks; its jitter ladder is the default
+    one, which it climbs only if such a block fails to factor.
+    """
+    walk = SpanWalk(kernel, lam, steps)
     for _ in range(steps + 1):
         limit_step(walk, gsa, on_rank_stall=on_rank_stall)
     return walk.curve()

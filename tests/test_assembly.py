@@ -148,18 +148,21 @@ def test_span_state_pseudo_inverse_conditions_and_draws():
     kernel = KERNELS[0]
     policy = ConditionPolicy(jitter_start=None, pseudo_fallback=True)
     state = SpanState(kernel, policy)
-    state.extend([[[0.8]]])
+    rng = make_rng(4, 0)
+    (first,), _ = state.extend([[[0.8]]], [rng], 64)
     state.open_direction([0.9])
     Y = np.array([[0.8, 0.0], [0.8, 0.0], [0.3, 0.5]])
-    np.testing.assert_allclose(state.extend(Y[None, :2])[0][0], [0.0, 0.0, 0.9], atol=1e-12)
+    (again,), _ = state.extend(Y[None, :2], [rng], 64)
     assert state.pseudo[0]
+    np.testing.assert_allclose(again, [*first, 0.9], rtol=0, atol=1e-8)
 
-    (draw,), _ = state.extend(Y[None], [make_rng(4, 0)], 64)
+    (draw,), _ = state.extend(Y[None], [make_rng(4, 1)], 64)
     blocks = joint_blocks(kernel, Y[:2], Y[2])
+    observed = flatten_history([first[0], again[0]], [[first[1], 0.9], again[1:]])
     res = condition(blocks.mean_hist, blocks.mean_new, blocks.S_hh, blocks.S_hn, blocks.S_nn,
-                    flatten_history([0.0, 0.0], [[0.0, 0.9], [0.0, 0.9]]), policy=policy)
+                    observed, policy=policy)
     assert res.rank_deficient
-    reference = sample_mvn(res.cond_mean, res.cond_cov / 64, make_rng(4, 0), policy)
+    reference = sample_mvn(res.cond_mean, res.cond_cov / 64, make_rng(4, 1), policy)
     np.testing.assert_allclose(draw, reference, rtol=0, atol=1e-10)
 
 

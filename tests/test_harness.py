@@ -770,8 +770,9 @@ steps = 5
     assert cli.main(["predict", "--config", str(ok)]) == 0
 
 
-# a quadratic field at σ_A = 100: its new point's rows fail every rung of the
-# jitter ladder at step 2, and only the pseudo-inverse carries a run on
+# a quadratic field at σ_A = 100: a sampled run's new point's rows fail every
+# rung of the jitter ladder at step 2, and only the pseudo-inverse carries it
+# on; the limit factors no point rows and needs neither
 BADLY_SCALED_CONFIG = """\
 [kernel]
 type = quadratic
@@ -797,6 +798,12 @@ def test_cli_pseudo_inverse_carries_a_badly_scaled_run(mode, tmp_path, capsys, m
     monkeypatch.setenv(harness.WORKERS_ENV, "1")
     off = _write(tmp_path, BADLY_SCALED_CONFIG, "off.cfg")
     on = _write(tmp_path, BADLY_SCALED_CONFIG + "pseudo_inverse = true\n", "on.cfg")
+    if mode == "predict":
+        for config, out in ((off, "off.csv"), (on, "on.csv")):
+            assert cli.main([mode, "--config", str(config), "--out", str(tmp_path / out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "off.csv").read_bytes() == (tmp_path / "on.csv").read_bytes()
+        return
     assert cli.main([mode, "--config", str(off)]) == 3
     (line,) = capsys.readouterr().err.splitlines()
     assert "not positive definite within jitter ladder" in line

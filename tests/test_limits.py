@@ -1,10 +1,16 @@
 """Limit recursion: frozen start values, oracles, and structural invariants."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import grfspan
+from grfspan import assembly, gaussianops
 from grfspan.algorithms import (
     GsaSpec,
     InfoView,
@@ -16,15 +22,20 @@ from grfspan.algorithms import (
     with_sphere_projection,
 )
 from grfspan.assembly import (
+    SpanState,
     coordinate_inner_products,
+    cov_block,
     flatten_history,
     joint_blocks,
     k3_matrix,
+    mean_block,
     residual_variance,
 )
 from grfspan.errors import CoincidentPointsError, DegenerateKernelError, NotPsdError, RankStallError
-from grfspan.gaussianops import DEFAULT_POLICY, ConditionPolicy, condition
+from grfspan.gaussianops import DEFAULT_POLICY, ConditionPolicy, condition, make_rng
+from grfspan.harness import build_gsa, build_kernel, load_config
 from grfspan.kernels import (
+    KernelModel,
     SchoenbergMixture,
     SpinGlassMixture,
     lift_stationary,
@@ -40,6 +51,7 @@ from grfspan.limits import (
     predict,
 )
 from grfspan.trajectories import simulate_info_paths
+from limit_reference import max_deviation, reference_curve
 
 SE_MIX = SchoenbergMixture(atoms=((1.0, 1.0),))
 
@@ -364,8 +376,9 @@ STATE_CASES = {
 @pytest.mark.parametrize("lam", [1.0, 0.0])
 @pytest.mark.parametrize("case", STATE_CASES)
 def test_state_is_permuted_history_block(case, lam):
-    # the stored arrival-order S is the row-major history block of the next
-    # step, rows and columns permuted: old entries never change
+    # the limit stores the direction rows of the row-major history block of
+    # the next step, each once, in arrival order: D_{v_D} at points 0..k for
+    # each step k that opened v_D; old entries never change
     kernel, gsa, kw = STATE_CASES[case]
     for curve, state in drive(kernel, gsa, lam, 6, **kw):
         n = curve.steps + 1
@@ -373,28 +386,71 @@ def test_state_is_permuted_history_block(case, lam):
         S_hh = joint_blocks(kernel, curve.y_reps[:n, :d], np.zeros(d)).S_hh
         types, at = state.labels
         order = types * n + at
-        np.testing.assert_array_equal(np.sort(order), np.arange(len(S_hh)))
+        opened = [k for k in range(n) if k not in curve.frozen_steps]
+        np.testing.assert_array_equal(
+            types, np.concatenate([np.full(k + 1, curve.dims[k] + 1) for k in opened]))
+        np.testing.assert_array_equal(at, np.concatenate([np.arange(k + 1) for k in opened]))
         np.testing.assert_allclose(state.covariance()[0], S_hh[np.ix_(order, order)],
                                    rtol=0, atol=1e-13)
 
 
+def _replayed_draws(kernel, walk, jitters, N, rng):
+    """Largest deviation of a sampled run of one from its draws replayed from
+    scratch: at each step, one Cholesky factor of the arrival-order joint
+    block of all points plus the step's jitter, and the run's own normals."""
+    types, at = walk.state.labels
+    X, f, G = walk.X[0], walk.f[0], walk.G[0]
+    worst = 0.0
+    for n in range(walk.n):
+        d = walk.dims[n]
+        before = (at < n) & (types <= d)     # the rows stored before step n
+        order = np.concatenate([types[before] * (n + 1) + at[before],
+                                np.arange(d + 1) * (n + 1) + n])
+        Y = X[:n + 1, :d]
+        s, ip = coordinate_inner_products(Y)
+        S = cov_block(kernel, Y, s, ip, np.arange(n + 1), np.arange(n + 1))[np.ix_(order, order)]
+        resid = (flatten_history(f[:n + 1], G[:n + 1, :d])
+                 - mean_block(kernel, Y, s, np.arange(n + 1)))[order]
+        L = np.linalg.cholesky(S + jitters[n] * np.eye(len(S)))
+        h = len(S) - d - 1
+        xi = rng.standard_normal(d + 1)
+        noise = L[h:, :h] @ np.linalg.solve(L[:h, :h], resid[:h]) + L[h:, h:] @ xi / math.sqrt(N)
+        rng.gamma((N - d) / 2.0, 2.0)       # the corner's chi-square
+        worst = max(worst, np.max(np.abs(resid[h:] - noise)))
+    return worst
+
+
 def test_state_escalates_once_and_matches_refactored_conditioning():
-    kernel, gsa = lift_stationary(SE_MIX), heavy_ball(0.4, 0.5)
-    jitters = []
-    for curve, state in drive(kernel, gsa, 1.0, 20):
+    # a sampled run keeps the history factor: at N = 1e9 its heavy-ball
+    # history escalates once, to the ladder's first rung
+    kernel, gsa, N = lift_stationary(SE_MIX), heavy_ball(0.4, 0.5), 10 ** 9
+    walk = SpanWalk(kernel, 1.0, 20)
+    state, extend, jitters = walk.state, walk.state.extend, []
+
+    def recorded(*args):            # the jitter each step's rows were drawn at
+        out = extend(*args)
         jitters.append(state.jitter[0])
+        return out
+
+    state.extend = recorded
+    rngs = [make_rng(3, 0)]
+    for _ in range(21):
+        limit_step(walk, gsa, rngs, N)
     assert jitters[0] == 0.0 and jitters[-1] == 1e-12
     assert sum(a != b for a, b in zip(jitters, jitters[1:])) == 1
     (S,) = state.covariance()
     (L,) = state.factor()
     assert np.all(L == np.tril(L))
     np.testing.assert_allclose(L @ L.T, S + 1e-12 * np.eye(len(S)), rtol=0, atol=1e-13)
-    # the same regularised matrices, solved from scratch each step; at T = 20
-    # that route's lifted and direct kernels already disagree by about 1e-7
-    f, G, sigma = scratch_predict(kernel, gsa, 1.0, 20,
-                                  ConditionPolicy(jitter_start=1e-12, jitter_max=1e-12))
-    np.testing.assert_allclose(curve.f_limit, f, rtol=0, atol=1e-6)
-    np.testing.assert_allclose(curve.gamma, G, rtol=0, atol=1e-6)
+    # the same regularised matrices, factored from scratch at each step
+    assert _replayed_draws(kernel, walk, jitters, N, make_rng(3, 0)) < 1e-6
+
+    # the limit factors its κ₃ blocks only, and those never need the ladder
+    for curve, limit_state in drive(kernel, gsa, 1.0, 20):
+        assert limit_state.jitter[0] == 0.0
+    (S,) = limit_state.covariance()
+    (L,) = limit_state.factor()
+    np.testing.assert_allclose(L @ L.T, S, rtol=0, atol=1e-13)
 
 
 SIGMA_CASES = {
@@ -410,8 +466,8 @@ SIGMA_CASES = {
 @pytest.mark.parametrize("case", SIGMA_CASES)
 def test_sigma_w_is_the_module_residual_variance(case):
     # the state's σ_w², read off the κ₃ matrix of its own Gram, is bitwise
-    # the stand-alone residual variance of the same points (heavy-ball
-    # escalates its history jitter at step 19; every quadratic step freezes)
+    # the stand-alone residual variance of the same points (every quadratic
+    # step freezes)
     kernel, gsa, steps, kw = SIGMA_CASES[case]
     curve = predict(kernel, gsa, 1.0, steps, **kw)
     for n in range(steps + 1):
@@ -425,34 +481,44 @@ def test_frozen_steps_append_no_direction():
         pass
     assert curve.frozen_steps == (1, 2, 3, 4, 5)
     types, at = state.labels
-    # step 0: (f, D_{v_0}) then D_{v_1}; every later step only (f, D_{v_0}, D_{v_1})
-    np.testing.assert_array_equal(types, [0, 1, 2] + [0, 1, 2] * 5)
-    np.testing.assert_array_equal(at, [0, 0, 0] + [k for k in range(1, 6) for _ in range(3)])
+    # the limit stores no point rows: step 0 opens D_{v_1}, and no later step
+    # opens anything
+    np.testing.assert_array_equal(types, [2])
+    np.testing.assert_array_equal(at, [0])
     np.testing.assert_allclose(curve.f_limit, quadratic_gd_oracle(0.3, 5), atol=1e-8)
 
 
 def test_exhausted_ladder_switches_to_pseudo_inverse():
-    kernel = quadratic_kernel(1.0, 0.0, 1.0)
-    policy = ConditionPolicy(jitter_start=None, pseudo_fallback=True)
-    for curve, state in drive(kernel, gd(0.3), 1.0, 20, policy=policy,
-                              on_rank_stall="freeze"):
-        pass
-    assert state.pseudo[0] and state.jitter[0] == math.inf
+    # the quadratic field's (f, D_{v_0}) rows are singular: a sampled run
+    # without jitter switches to the pseudo-inverse, or raises without it
+    kernel, N = quadratic_kernel(1.0, 0.0, 1.0), 10 ** 9
+    walk = SpanWalk(kernel, 1.0, 20, ConditionPolicy(jitter_start=None, pseudo_fallback=True))
+    rngs = [make_rng(3, 0)]
+    for _ in range(21):
+        limit_step(walk, gd(0.3), rngs, N)
+    assert walk.state.pseudo[0] and walk.state.jitter[0] == math.inf
     with pytest.raises(ValueError):
-        state.factor()
-    np.testing.assert_allclose(curve.f_limit, quadratic_gd_oracle(0.3, 20), atol=1e-8)
+        walk.state.factor()
+    # within ten times the 1/√N scale of the draws
+    np.testing.assert_allclose(walk.f[0], quadratic_gd_oracle(0.3, 20), atol=10 / math.sqrt(N))
     with pytest.raises(NotPsdError):
-        predict(kernel, gd(0.3), 1.0, 2, on_rank_stall="freeze",
-                policy=ConditionPolicy(jitter_start=None))
+        simulate_info_paths(kernel, gd(0.3), 1.0, N, 2, [0], 3,
+                            policy=ConditionPolicy(jitter_start=None))
+    # the limit factors no point rows, so it needs neither
+    for curve, state in drive(kernel, gd(0.3), 1.0, 20, on_rank_stall="freeze"):
+        assert not state.pseudo[0] and state.jitter[0] == 0.0
+    np.testing.assert_allclose(curve.f_limit, quadratic_gd_oracle(0.3, 20), atol=1e-8)
 
 
 def test_exhausted_ladder_error_names_the_failing_block():
     # the new point's rows fail to factor at step 0, where the history it
     # is conditioned on is still empty
-    with pytest.raises(NotPsdError, match=r"^step 0: the new point's rows \(2×2\) not "
-                                          r"positive definite within jitter ladder"):
-        predict(quadratic_kernel(1.0, 0.0, 1.0), gd(0.3), 1.0, 2, on_rank_stall="freeze",
-                policy=ConditionPolicy(jitter_start=None))
+    with pytest.raises(NotPsdError, match=r"^stream 0: step 0: the new point's rows \(2×2\) "
+                                          r"not positive definite within jitter ladder"):
+        simulate_info_paths(quadratic_kernel(1.0, 0.0, 1.0), gd(0.3), 1.0, 64, 2, [0], 3,
+                            policy=ConditionPolicy(jitter_start=None))
+    curve = predict(quadratic_kernel(1.0, 0.0, 1.0), gd(0.3), 1.0, 2, on_rank_stall="freeze")
+    np.testing.assert_allclose(curve.f_limit, quadratic_gd_oracle(0.3, 2), atol=1e-8)
 
 
 def test_limit_step_rejects_state_of_another_curve():
@@ -464,3 +530,78 @@ def test_limit_step_rejects_state_of_another_curve():
     walk.state = other.state        # two points against the walk's one
     with pytest.raises(ValueError):
         limit_step(walk, gd(0.4))
+
+
+def test_limit_factors_no_point_block(monkeypatch):
+    # predict-t30: the limit factors one κ₃ block per step and never reaches
+    # the jitter ladder
+    config = load_config(Path(__file__).parents[1] / "bench" / "configs" / "predict-t30.cfg")
+    factored, ladder = [], []
+    factor, ladder_walk = SpanState._factor, gaussianops.cholesky_psd
+
+    def spy_factor(self, C, block):
+        factored.append(block)
+        return factor(self, C, block)
+
+    def spy_ladder(*args, **kwargs):
+        ladder.append(args)
+        return ladder_walk(*args, **kwargs)
+
+    monkeypatch.setattr(SpanState, "_factor", spy_factor)
+    monkeypatch.setattr(gaussianops, "cholesky_psd", spy_ladder)
+    monkeypatch.setattr(assembly, "cholesky_psd", spy_ladder)
+    curve = predict(build_kernel(config.kernel), build_gsa(config.algorithm), config.lam,
+                    config.steps)
+    assert factored == [f"step {n}: the κ₃ block" for n in range(curve.steps + 1)]
+    assert ladder == []
+
+
+# ---------------------------------------------------------------------------
+# a custom mean profile
+# ---------------------------------------------------------------------------
+
+def test_constant_mean_slope_is_broadcast():
+    # a mean may return μ′ (or μ) as a Python float
+    lifted = lift_stationary(SE_MIX)
+    zero = KernelModel(lambda s: (0.0, 0.0), lifted.derivatives)
+    a = predict(zero, heavy_ball(0.4, 0.5), 1.0, 8)
+    b = predict(lifted, heavy_ball(0.4, 0.5), 1.0, 8)
+    assert a.f_limit.tobytes() == b.f_limit.tobytes()
+    assert a.grad_gram_limit.tobytes() == b.grad_gram_limit.tobytes()
+    quadratic = quadratic_kernel(1.0, 0.5, 1.0)        # μ(s) = 0.625 + s
+    affine = KernelModel(lambda s: (0.625 + s, 1.0), quadratic.derivatives)
+    a = predict(affine, gd(0.3), 1.0, 6, on_rank_stall="freeze")
+    b = predict(quadratic, gd(0.3), 1.0, 6, on_rank_stall="freeze")
+    assert a.f_limit.tobytes() == b.f_limit.tobytes()
+    assert a.grad_gram_limit.tobytes() == b.grad_gram_limit.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the 50-digit reference and the BLAS thread count
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("make", [lift_stationary, stationary_direct], ids=["lifted", "direct"])
+@pytest.mark.parametrize("alpha, beta, steps, tol", [(0.4, 0.5, 20, 1e-10), (0.4, 0.0, 16, 1e-9)],
+                         ids=["heavy-ball-t20", "gd-t16"])
+def test_predict_matches_the_50_digit_reference(make, alpha, beta, steps, tol):
+    gsa = heavy_ball(alpha, beta) if beta else gd(alpha)
+    curve = predict(make(SE_MIX), gsa, 1.0, steps)
+    assert max_deviation(curve, reference_curve(alpha, beta, 1.0, steps)) <= tol
+
+
+_THREADED_PREDICT = """
+from grfspan import SchoenbergMixture, heavy_ball, lift_stationary, predict
+c = predict(lift_stationary(SchoenbergMixture(atoms=((1.0, 1.0),))), heavy_ball(0.4, 0.5), 1, 30)
+print((c.f_limit.tobytes() + c.grad_gram_limit.tobytes() + c.sigma_w.tobytes()).hex())
+"""
+
+
+def test_predict_bits_do_not_depend_on_the_blas_thread_count():
+    src = str(Path(grfspan.__file__).parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        outputs.append(subprocess.run([sys.executable, "-c", _THREADED_PREDICT], env=env,
+                                      check=True, capture_output=True, text=True).stdout)
+    assert outputs[0] and outputs[0] == outputs[1]
