@@ -220,6 +220,7 @@ class SpanState:
         self._z = np.empty((batch, 0))
         self._opens = None                      # (κ₃ matrix, row type) the last extend can open
         self._geometry = []                     # (Y, s, ip) of each extend
+        self._sampled = None                    # whether the extends draw, once one has
 
     @property
     def pseudo(self) -> np.ndarray:
@@ -259,10 +260,12 @@ class SpanState:
         to the history.  A conditional covariance of exactly zero draws
         nothing.  Without them (the N→∞ limit) the rows are observed at
         their conditional mean, given the direction rows alone, and neither
-        factored nor appended.  Returns the observed rows, (B, D+1), and
-        σ_w², (B,): the Schur complement of the new point's entry in the
-        points' κ₃ matrix, which ``open_direction`` then appends.  A new
-        κ₃ ≤ 0 raises DegenerateKernelError before anything is assembled.
+        factored nor appended, so a state's extends are all sampled or all
+        limit ones: switching raises ValueError.  Returns the observed rows,
+        (B, D+1), and σ_w², (B,): the Schur complement of the new point's
+        entry in the points' κ₃ matrix, which ``open_direction`` then
+        appends.  A new κ₃ ≤ 0 raises DegenerateKernelError before anything
+        is assembled.
         """
         Y = np.array(Y, dtype=float)    # kept for rebuilding S
         n, D = Y.shape[1] - 1, Y.shape[2]
@@ -270,6 +273,9 @@ class SpanState:
             raise ValueError(f"state steps {self.batch} paths, got {Y.shape[0]}")
         if n != self.points:
             raise ValueError(f"state holds {self.points} points, got {n} history rows")
+        if self._sampled is not None and self._sampled != (rngs is not None):
+            raise ValueError("a state's extends are all sampled or all limit ones; "
+                             f"this one is {'sampled' if rngs is not None else 'a limit one'}")
         s, ip = coordinate_inner_products(Y)
         kernels.check_domain(s[:, n:], s, ip[:, n])
         K = k3_matrix(self.kernel, s, ip)
@@ -315,6 +321,7 @@ class SpanState:
             self._append(observed - mean, np.arange(D + 1), np.full(D + 1, n),
                          np.concatenate([Wt, L_nn], axis=2), observed - cond_mean)
         self._geometry.append((Y, s, ip))
+        self._sampled = rngs is not None
         self._opens = K, D + 1
         self.points += 1
         return observed, _last_schur(K, self.policy)

@@ -22,7 +22,7 @@ Every step costs O(n²) operations, so T = 30 takes well under a second.
 
 Run as a script, it checks ``grfspan.predict`` on a config file against the
 reference and exits 1 when f_limit or grad_gram_limit is further away than
-the tolerance:
+``TOL``:
 
     PYTHONPATH=src python tests/limit_reference.py bench/configs/predict-t30.cfg
 """
@@ -35,6 +35,7 @@ import sys
 from mpmath import mp, mpf
 
 DIGITS = 50
+TOL = 1e-8      # largest |Δ| the script accepts
 
 
 def reference_curve(alpha, beta, lam, steps):
@@ -112,17 +113,15 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("config", help="an experiment config with [kernel], [algorithm], "
                                        "lambda and steps")
-    parser.add_argument("--tol", type=float, default=1e-8,
-                        help="largest |Δ| allowed (default 1e-8)")
     args = parser.parse_args(argv)
     config = load_config(args.config)
     reference = _reference_of(config)
     curve = predict(build_kernel(config.kernel), build_gsa(config.algorithm), config.lam,
                     config.steps, on_rank_stall=config.rank_stall)
     deviation = max_deviation(curve, reference)
-    verdict = "PASS" if deviation <= args.tol else "FAIL"
+    verdict = "PASS" if deviation <= TOL else "FAIL"
     print(f"{args.config}: max |Δ| of f_limit and grad_gram_limit = {deviation:.3e}, "
-          f"tolerance {args.tol:g}: {verdict}")
+          f"tolerance {TOL:g}: {verdict}")
     return 0 if verdict == "PASS" else 1
 
 

@@ -32,7 +32,7 @@ from grfspan.assembly import (
     residual_variance,
 )
 from grfspan.errors import CoincidentPointsError, DegenerateKernelError, NotPsdError, RankStallError
-from grfspan.gaussianops import DEFAULT_POLICY, ConditionPolicy, condition, make_rng
+from grfspan.gaussianops import ConditionPolicy, condition, make_rng
 from grfspan.harness import build_gsa, build_kernel, load_config
 from grfspan.kernels import (
     KernelModel,
@@ -51,7 +51,6 @@ from grfspan.limits import (
     predict,
 )
 from grfspan.trajectories import simulate_info_paths
-from limit_reference import max_deviation, reference_curve
 
 SE_MIX = SchoenbergMixture(atoms=((1.0, 1.0),))
 
@@ -245,11 +244,11 @@ def test_sphere_projected_spin_glass_runs():
 # limiting information and halting
 # ---------------------------------------------------------------------------
 
-def walk_to(kernel, gsa, lam, steps, policy=DEFAULT_POLICY, **kw):
+def walk_to(kernel, gsa, lam, steps):
     """A limit walk after steps 0..steps."""
-    walk = SpanWalk(kernel, lam, steps, policy)
+    walk = SpanWalk(kernel, lam, steps)
     for _ in range(steps + 1):
-        limit_step(walk, gsa, **kw)
+        limit_step(walk, gsa)
     return walk
 
 
@@ -314,7 +313,7 @@ def test_first_halting_step_over_the_last_axis():
 # the incremental conditioning state against from-scratch conditioning
 # ---------------------------------------------------------------------------
 
-def scratch_predict(kernel, gsa, lam, steps, policy=DEFAULT_POLICY):
+def scratch_predict(kernel, gsa, lam, steps):
     """The recursion with the whole history re-assembled and re-conditioned
     at every step; returns (f_limit, gamma, sigma_w)."""
     start = predict(kernel, gsa, lam, 0)
@@ -335,7 +334,7 @@ def scratch_predict(kernel, gsa, lam, steps, policy=DEFAULT_POLICY):
         Y[n, 0] += row.h_x * lam
         blocks = joint_blocks(kernel, Y[:n, :d], Y[n, :d])
         res = condition(blocks.mean_hist, blocks.mean_new, blocks.S_hh, blocks.S_hn,
-                        blocks.S_nn, flatten_history(f[:n], G[:n, :d]), policy=policy)
+                        blocks.S_nn, flatten_history(f[:n], G[:n, :d]))
         f[n], G[n, :d] = res.cond_mean[0], res.cond_mean[1:]
         K = k3_matrix(kernel, *coordinate_inner_products(Y[:n + 1, :d]))
         sigma[n] = math.sqrt(K[n, n] - K[n, :n] @ np.linalg.solve(K[:n, :n], K[:n, n]))
@@ -344,9 +343,9 @@ def scratch_predict(kernel, gsa, lam, steps, policy=DEFAULT_POLICY):
     return f, G, sigma
 
 
-def drive(kernel, gsa, lam, steps, policy=DEFAULT_POLICY, **kw):
+def drive(kernel, gsa, lam, steps, **kw):
     """Yield (curve, state) after every limit_step, step 0 included."""
-    walk = SpanWalk(kernel, lam, steps, policy)
+    walk = SpanWalk(kernel, lam, steps)
     for _ in range(steps + 1):
         limit_step(walk, gsa, **kw)
         yield walk.curve(), walk.state
@@ -584,6 +583,8 @@ def test_constant_mean_slope_is_broadcast():
 @pytest.mark.parametrize("alpha, beta, steps, tol", [(0.4, 0.5, 20, 1e-10), (0.4, 0.0, 16, 1e-9)],
                          ids=["heavy-ball-t20", "gd-t16"])
 def test_predict_matches_the_50_digit_reference(make, alpha, beta, steps, tol):
+    pytest.importorskip("mpmath")
+    from limit_reference import max_deviation, reference_curve
     gsa = heavy_ball(alpha, beta) if beta else gd(alpha)
     curve = predict(make(SE_MIX), gsa, 1.0, steps)
     assert max_deviation(curve, reference_curve(alpha, beta, 1.0, steps)) <= tol
