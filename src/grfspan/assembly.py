@@ -28,8 +28,12 @@ the same number of points and directions — as stacked (B, ·, ·) arrays.
 
 In the N→∞ limit the new point's rows are observed at their conditional
 mean, so their innovation is exactly 0 and they can never move a later mean.
-The limit therefore stores only the direction rows: a block diagonal history
-of κ₃ matrices, which it conditions on without factoring any point block.
+Only the direction rows do, and each direction's covariance, the κ₃ matrix
+of the points so far, is a leading block of the next one's.  The limit
+therefore keeps one lower factor L of the κ₃ matrix, grown by one row per
+opened direction, and a fixed weight vector u against the stored direction
+rows: a step solves the new κ₃ column through L, reads σ_w² off the new
+pivot, and forms its conditional mean as one gathered product.
 """
 
 from __future__ import annotations
@@ -182,9 +186,17 @@ class SpanState:
     with rows in arrival order, its lower factor L = chol(S + j·I), and the
     whitened innovation z = L⁻¹·(observed − mean), each stacked over the
     batch.  Every path of a batch has the same rows; only their values
-    differ, and every member is stepped in the one stack.  A state stepped
-    without generators (the N→∞ limit) stores the direction rows only, so
-    there S, L and z hold the κ₃ blocks of the opened directions.
+    differ, and every member is stepped in the one stack.
+
+    A state stepped without generators (the N→∞ limit) stores the direction
+    rows only, and none of S, L or z: it keeps one lower factor of the κ₃
+    matrix over the points whose step opened a direction, grown by one row
+    per opened direction, and the weights u = S⁻¹·(observed − mean) of the
+    stored rows, so that a new point's conditional mean is its mean plus
+    S_hnᵀ·u.  Each direction's weights are fixed when it opens: those of
+    the direction opened at point n are L⁻ᵀ·e_n scaled by its observed
+    value over the pivot.  A point whose step opened nothing never enters
+    the factor, and its rows carry weight 0.  The limit needs no jitter.
 
     Each step calls ``extend`` with the new points, which returns their σ_w²
     too, then ``open_direction`` unless the span did not grow.  L is
@@ -218,9 +230,12 @@ class SpanState:
         self._at = np.empty(0, dtype=int)       # point of each row
         self._resid = np.empty((batch, 0))      # observed − mean
         self._z = np.empty((batch, 0))
-        self._opens = None                      # (κ₃ matrix, row type) the last extend can open
+        self._opens = None                      # what the last extend's direction would append
         self._geometry = []                     # (Y, s, ip) of each extend
         self._sampled = None                    # whether the extends draw, once one has
+        self._k3_factor = np.empty((batch, 0, 0))   # the limit's κ₃ factor ...
+        self._k3_points = np.empty(0, dtype=int)    # ... over these points
+        self._u = np.empty((batch, 0))              # the limit's weight of each stored row
 
     @property
     def pseudo(self) -> np.ndarray:
@@ -240,13 +255,20 @@ class SpanState:
         return self._covariance(np.arange(self.batch))
 
     def factor(self) -> np.ndarray:
-        """The lower factors L of S + j·I, (B, m, m), in arrival order; in the
-        limit, of the direction rows only."""
+        """The lower factors L of S + j·I, (B, m, m), in arrival order.  In
+        the limit, the block diagonal of the κ₃ factor's leading blocks, one
+        per direction, with zero rows and columns at the points whose step
+        opened nothing."""
         if self.pseudo.any():
             raise ValueError("no factor: solves use the pseudo-inverse")
-        L = np.zeros((self.batch,) + (self._resid.shape[1],) * 2)
-        for blk in self._blocks:
-            L[:, blk.start:blk.stop, blk.start - blk.left:blk.stop] = blk.L
+        L = np.zeros((self.batch,) + (len(self._types),) * 2)
+        if self._sampled:
+            for blk in self._blocks:
+                L[:, blk.start:blk.stop, blk.start - blk.left:blk.stop] = blk.L
+            return L
+        for start, stop, _ in self._row_blocks():
+            rows = start + self._k3_points[self._k3_points < stop - start]
+            L[:, rows[:, None], rows] = self._k3_factor[:, :len(rows), :len(rows)]
         return L
 
     def extend(self, Y, rngs=None, N=None) -> tuple[np.ndarray, np.ndarray]:
@@ -259,13 +281,15 @@ class SpanState:
         and L_nn the new diagonal block of the member's factor, and appended
         to the history.  A conditional covariance of exactly zero draws
         nothing.  Without them (the N→∞ limit) the rows are observed at
-        their conditional mean, given the direction rows alone, and neither
-        factored nor appended, so a state's extends are all sampled or all
-        limit ones: switching raises ValueError.  Returns the observed rows,
-        (B, D+1), and σ_w², (B,): the Schur complement of the new point's
-        entry in the points' κ₃ matrix, which ``open_direction`` then
-        appends.  A new κ₃ ≤ 0 raises DegenerateKernelError before anything
-        is assembled.
+        their conditional mean, mean + S_hnᵀ·u given the direction rows
+        alone, and neither factored nor appended, so a state's extends are
+        all sampled or all limit ones: switching raises ValueError.  Returns
+        the observed rows, (B, D+1), and σ_w², (B,): the Schur complement of
+        the new point's entry in the points' κ₃ matrix, which
+        ``open_direction`` then appends.  The limit evaluates only the new
+        κ₃ column, over the κ₃ factor's points, solves it through the factor
+        and takes σ_w² as the squared pivot that row would have.  A new
+        κ₃ ≤ 0 raises DegenerateKernelError before anything is assembled.
         """
         Y = np.array(Y, dtype=float)    # kept for rebuilding S
         n, D = Y.shape[1] - 1, Y.shape[2]
@@ -278,52 +302,54 @@ class SpanState:
                              f"this one is {'sampled' if rngs is not None else 'a limit one'}")
         s, ip = coordinate_inner_products(Y)
         kernels.check_domain(s[:, n:], s, ip[:, n])
-        K = k3_matrix(self.kernel, s, ip)
-        if np.any(K[:, n, n] <= 0):
-            raise DegenerateKernelError(f"step {n}: κ₃ = {np.min(K[:, n, n]):g} at the new "
+        if rngs is None:                # the new κ₃ column: the factor's points, then the new point
+            at = np.append(self._k3_points, n)
+            k = self.kernel.k3(s[:, at], s[:, n:], ip[:, at, n])
+            kappa = k[:, -1]
+        else:
+            K = k3_matrix(self.kernel, s, ip)
+            kappa = K[:, n, n]
+        if np.any(kappa <= 0):
+            raise DegenerateKernelError(f"step {n}: κ₃ = {np.min(kappa):g} at the new "
                                         "point; no gradient mass outside the span")
         S_hn, S_nn = self._new_point_rows(Y, s, ip, len(self._types))
         mean = mean_block(self.kernel, Y, s, [n])
         if not all(np.all(np.isfinite(a)) for a in (S_hn, S_nn, mean)):
             raise KernelDomainError(
                 f"step {n}: non-finite entries in the new point's covariance or mean")
+        if rngs is None:
+            l = np.linalg.solve(self._k3_factor, k[:, :-1, None])[:, :, 0]
+            sigma_sq = kappa - np.sum(l * l, axis=1)
+            self._stepped(Y, s, ip, sampled=False, opens=(l, sigma_sq, D + 1))
+            return mean + (self._u[:, None, :] @ S_hn)[:, 0], sigma_sq
 
         while True:
             W = self._forward(S_hn)
             W[self.pseudo] = 0.0
             Wt = np.swapaxes(W, 1, 2)
             cond_mean = mean + (Wt @ self._z[:, :, None])[:, :, 0]
-            if rngs is None:            # the limit: nothing to factor
-                break
             cond_cov = S_nn - Wt @ W
             L_nn = self._factor(cond_cov, f"step {n}: the new point's rows")
             if L_nn is not None:
                 break
-        observed = cond_mean
-        if rngs is not None:
-            drawn = np.any(cond_cov, axis=(1, 2)) & ~self.pseudo
-            xi = np.zeros(cond_mean.shape)
-            for b in np.flatnonzero(drawn):
-                rngs[b].standard_normal(out=xi[b])
-            noise = (L_nn @ xi[:, :, None])[:, :, 0] / math.sqrt(N)
-            observed = np.where(drawn[:, None], cond_mean + noise, cond_mean)
+        drawn = np.any(cond_cov, axis=(1, 2)) & ~self.pseudo
+        xi = np.zeros(cond_mean.shape)
+        for b in np.flatnonzero(drawn):
+            rngs[b].standard_normal(out=xi[b])
+        noise = (L_nn @ xi[:, :, None])[:, :, 0] / math.sqrt(N)
+        observed = np.where(drawn[:, None], cond_mean + noise, cond_mean)
 
         pseudo = np.flatnonzero(self.pseudo)
         if pseudo.size:
             res = condition(np.zeros(self._resid[pseudo].shape), mean[pseudo],
                             self._covariance(pseudo), S_hn[pseudo], S_nn[pseudo],
                             self._resid[pseudo], policy=replace(self.policy, jitter_start=None))
-            observed[pseudo] = res.cond_mean if rngs is None else [
-                sample_mvn(mean_b, cov_b / N, rngs[b], self.policy)
-                for b, mean_b, cov_b in zip(pseudo, res.cond_mean, res.cond_cov)]
+            observed[pseudo] = [sample_mvn(mean_b, cov_b / N, rngs[b], self.policy)
+                                for b, mean_b, cov_b in zip(pseudo, res.cond_mean, res.cond_cov)]
 
-        if rngs is not None:
-            self._append(observed - mean, np.arange(D + 1), np.full(D + 1, n),
-                         np.concatenate([Wt, L_nn], axis=2), observed - cond_mean)
-        self._geometry.append((Y, s, ip))
-        self._sampled = rngs is not None
-        self._opens = K, D + 1
-        self.points += 1
+        self._append(observed - mean, np.arange(D + 1), np.full(D + 1, n),
+                     np.concatenate([Wt, L_nn], axis=2), observed - cond_mean)
+        self._stepped(Y, s, ip, sampled=True, opens=(K, D + 1))
         return observed, _last_schur(K, self.policy)
 
     def open_direction(self, values):
@@ -333,9 +359,33 @@ class SpanState:
 
         These rows are uncorrelated with every older row and have ``extend``'s
         κ₃ matrix as covariance.  A step whose span did not grow skips this.
+        In the limit the κ₃ factor gains the new point's row [l, √σ_w²], and
+        the direction's rows their weights L⁻ᵀ·e_n·values/√σ_w², found by one
+        solve; a σ_w² ≤ 0 has no such row and raises ValueError.
         """
         if self._opens is None:
             raise ValueError("open_direction needs a preceding extend")
+        if not self._sampled:
+            l, sigma_sq, row_type = self._opens
+            if np.any(sigma_sq <= 0):
+                raise ValueError(f"no direction to open: σ_w² = {np.min(sigma_sq):.3e} ≤ 0")
+            self._opens = None
+            p = l.shape[1]
+            L = np.zeros((self.batch, p + 1, p + 1))
+            L[:, :p, :p] = self._k3_factor
+            L[:, p, :p] = l
+            L[:, p, p] = pivot = np.sqrt(sigma_sq)
+            last = np.zeros((self.batch, p + 1, 1))
+            last[:, p] = 1.0
+            self._k3_factor = L
+            self._k3_points = np.append(self._k3_points, self.points - 1)
+            u = np.zeros((self.batch, self.points))
+            u[:, self._k3_points] = (np.linalg.solve(np.swapaxes(L, 1, 2), last)[:, :, 0]
+                                     * (np.asarray(values) / pivot)[:, None])
+            self._u = np.concatenate([self._u, u], axis=1)
+            self._types = np.concatenate([self._types, np.full(self.points, row_type)])
+            self._at = np.concatenate([self._at, np.arange(self.points)])
+            return
         (K, row_type), self._opens = self._opens, None
         observed = np.zeros((self.batch, self.points))
         observed[:, -1] = values
@@ -410,6 +460,14 @@ class SpanState:
             blk.inv[b] = np.linalg.inv(L[lo:hi, lo:hi])
         self._z[b] = self._forward(self._resid[[b], :, None], [b])[0, :, 0]
 
+    def _stepped(self, Y, s, ip, sampled, opens):
+        """Record a finished extend: its geometry, its kind, and what its
+        direction would append."""
+        self._geometry.append((Y, s, ip))
+        self._sampled = sampled
+        self._opens = opens
+        self.points += 1
+
     def _new_point_rows(self, Y, s, ip, history):
         """(S_hn, S_nn): covariances of the (f, D_{v_0..D−1}) rows of the
         newest of the points Y with the first ``history`` stored rows,
@@ -420,20 +478,28 @@ class SpanState:
         return (col[:, self._types[:history] * (n + 1) + self._at[:history]],
                 col[:, np.arange(D + 1) * (n + 1) + n])
 
+    def _row_blocks(self):
+        """(start, stop, left) of each appended block of rows: the sampler's
+        arrivals, or the limit's directions, each from point 0 on."""
+        if self._sampled:
+            return [(blk.start, blk.stop, blk.left) for blk in self._blocks]
+        starts = np.flatnonzero(self._at == 0).tolist()
+        return [(a, b, 0) for a, b in zip(starts, starts[1:] + [len(self._at)])]
+
     def _covariance(self, members):
         """The history covariances S of the given members, rebuilt block by
         block from the geometry of the step that appended it."""
-        m = self._resid.shape[1]
+        m = len(self._types)
         S = np.zeros((len(members), m, m))
-        for blk in self._blocks:
-            point = self._at[blk.stop - 1]      # the step that appended the block
+        for start, stop, left in self._row_blocks():
+            point = self._at[stop - 1]          # the step that appended the block
             Y, s, ip = (a[members] for a in self._geometry[point])
-            if self._types[blk.start] == 0:     # that step's new point
-                S_hn, S_nn = self._new_point_rows(Y, s, ip, blk.start)
+            if self._types[start] == 0:         # that step's new point
+                S_hn, S_nn = self._new_point_rows(Y, s, ip, start)
                 rows = np.concatenate([np.swapaxes(S_hn, 1, 2), S_nn], axis=2)
             else:                               # the direction it opened
                 rows = k3_matrix(self.kernel, s, ip)
-            S[:, blk.start:blk.stop, blk.start - blk.left:blk.stop] = rows
+            S[:, start:stop, start - left:stop] = rows
         upper = np.triu_indices(m, 1)
         for slab in S:                          # mirrored in place, one member at a time
             slab[upper] = slab.T[upper]

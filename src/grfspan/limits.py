@@ -11,9 +11,10 @@ Given a generator per run and N it is the exact finite-N sampler of
 and the corner is √(σ²_w·χ²_{N−d}/N).  Without them it is the N→∞ member of
 the same recursion: the covariance vanishes, the block is observed at its
 conditional mean, and χ²_{N−d}/N → 1 leaves σ_w as the corner.  Such a block
-carries no innovation, so the limit's state keeps the direction rows alone.
-``predict`` steps a batch of one that way, from step 0, and reads off the
-limit curve."""
+carries no innovation, so the limit's state keeps the direction rows alone,
+weighted through one Cholesky factor of the points' κ₃ matrix that grows by
+a row per opened direction; σ²_w is that row's pivot squared.  ``predict``
+steps a batch of one that way, from step 0, and reads off the limit curve."""
 
 from __future__ import annotations
 
@@ -133,7 +134,8 @@ def limit_step(walk: SpanWalk, gsa: GsaSpec, rngs=None, N=None, *,
     their conditional mean given the direction rows, which are all the
     state stores, and the corner is σ_w; only the limit rejects
     coincident points and applies the rank-stall rule: σ²_w ≤ RANK_STALL_TOL
-    raises RankStallError, or under "freeze" opens no direction.  A
+    raises RankStallError, or under "freeze" opens no direction.  A negative
+    σ²_w is a κ₃ pivot with no float64 digit left, and its error says so.  A
     floating-point overflow, invalid operation or division by zero anywhere
     in the step raises KernelDomainError; underflow is ignored.
     """
@@ -176,6 +178,11 @@ def _step(walk, gsa, rngs, N, on_rank_stall):
     if rngs is None:
         if sigma_sq[0] <= RANK_STALL_TOL:
             if on_rank_stall == "error":
+                if sigma_sq[0] < 0:
+                    raise RankStallError(
+                        f"step {n}: residual variance σ²_w = {sigma_sq[0]:.3e} < 0; the κ₃ "
+                        "pivot has run out of float64 digits, so whether the gradient span "
+                        "still grows is not resolved")
                 raise RankStallError(
                     f"step {n}: residual variance σ²_w = {sigma_sq[0]:.3e} ≤ "
                     f"{RANK_STALL_TOL:g}; gradient span stopped growing")
@@ -199,8 +206,10 @@ def predict(kernel: KernelModel, gsa: GsaSpec, lam: float, steps: int, *,
     """Limit curve of `steps` optimizer steps from a start of norm `lam`.
 
     The limit conditions each new point on the opened directions' rows
-    alone and factors only their κ₃ blocks; its jitter ladder is the default
-    one, which it climbs only if such a block fails to factor.
+    alone: per step, it solves the new point's κ₃ column through one growing
+    κ₃ factor, forms the conditional mean as one product with fixed weights,
+    and on opening a direction makes one more solve for its weights.  It
+    factors no block and takes no jitter.
     """
     walk = SpanWalk(kernel, lam, steps)
     for _ in range(steps + 1):

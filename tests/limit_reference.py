@@ -15,7 +15,7 @@ recursion is written out here by hand in mpmath, independent of
   Cov(f(y), D_{v_{j+1}} f(y_a)) = e_a·y[j+1] and
   Cov(D_{v_i} f(y), D_{v_{j+1}} f(y_a)) = e_a·(δ_{i,j+1} − (y[i] − y_a[i])·y[j+1]),
   with e_a = e^{−‖y − y_a‖²/2}.
-* σ_w² is the new pivot of the Cholesky factor L of the points' κ₃ matrix,
+* σ_w is the new pivot of the Cholesky factor L of the points' κ₃ matrix,
   which grows by one row per step.
 
 Every step costs O(n²) operations, so T = 30 takes well under a second.
@@ -35,17 +35,18 @@ import sys
 from mpmath import mp, mpf
 
 DIGITS = 50
-TOL = 1e-8      # largest |Δ| the script accepts
+TOL = 1e-11     # largest |Δ| the script accepts
 
 
 def reference_curve(alpha, beta, lam, steps):
-    """(f_limit, grad_gram_limit) of heavy-ball(alpha, beta) on the SE field,
-    steps 0..steps from ‖x₀‖ = lam > 0, as nested lists of mpf; beta = 0 is
-    gradient descent.  The float inputs are taken at their exact binary value."""
+    """(f_limit, grad_gram_limit, sigma_w) of heavy-ball(alpha, beta) on the
+    SE field, steps 0..steps from ‖x₀‖ = lam > 0, as nested lists of mpf;
+    sigma_w holds the pivots σ_n, and beta = 0 is gradient descent.  The float
+    inputs are taken at their exact binary value."""
     with mp.workdps(DIGITS):
         alpha, beta, lam = mpf(alpha), mpf(beta), mpf(lam)
         width = steps + 2
-        Y, G, f = [], [], []     # point and gradient coordinate rows, values
+        Y, G, f, pivots = [], [], [], []   # point and gradient coordinate rows, values, σ_n
         L, U = [], []            # factor rows of the κ₃ matrix; u_j of each direction
         for n in range(steps + 1):
             y = [lam] + [mpf(0)] * (width - 1)
@@ -75,15 +76,16 @@ def reference_curve(alpha, beta, lam, steps):
             Y.append(y)
             G.append(g)
             f.append(f_n)
+            pivots.append(sigma)
             U.append(u)
         gram = [[sum(a * b for a, b in zip(G[k], G[l])) for l in range(steps + 1)]
                 for k in range(steps + 1)]
-    return f, gram
+    return f, gram, pivots
 
 
 def max_deviation(curve, reference):
     """max |Δ| of a LimitCurve's f_limit and grad_gram_limit from a reference."""
-    f, gram = reference
+    f, gram, _ = reference
     n = len(f)
     return max(max(abs(float(curve.f_limit[k] - f[k])) for k in range(n)),
                max(abs(float(curve.grad_gram_limit[k, l] - gram[k][l]))

@@ -1,5 +1,6 @@
 """Limit recursion: frozen start values, oracles, and structural invariants."""
 
+import functools
 import math
 import os
 import subprocess
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import grfspan
-from grfspan import assembly, gaussianops
+from grfspan import assembly, gaussianops, limits
 from grfspan.algorithms import (
     GsaSpec,
     InfoView,
@@ -44,6 +45,7 @@ from grfspan.kernels import (
     stationary_direct,
 )
 from grfspan.limits import (
+    RANK_STALL_TOL,
     first_halting_step,
     SpanWalk,
     halting_times,
@@ -464,14 +466,33 @@ SIGMA_CASES = {
 
 @pytest.mark.parametrize("case", SIGMA_CASES)
 def test_sigma_w_is_the_module_residual_variance(case):
-    # the state's σ_w², read off the κ₃ matrix of its own Gram, is bitwise
-    # the stand-alone residual variance of the same points (every quadratic
-    # step freezes)
+    # the state's σ_w², the squared pivot of its grown κ₃ factor, against the
+    # stand-alone residual variance, which conditions the whole κ₃ matrix K
+    # of the same points from scratch: on a step that opens a direction the
+    # two agree to (n+1)·ε·cond(K)·κ₃(new, new), and on a frozen step (every
+    # quadratic step after step 0) both are at the stall level
     kernel, gsa, steps, kw = SIGMA_CASES[case]
-    curve = predict(kernel, gsa, 1.0, steps, **kw)
+    walk = SpanWalk(kernel, 1.0, steps)
+    state, extend, sigma_sq = walk.state, walk.state.extend, []
+
+    def recorded(*args):
+        out = extend(*args)
+        sigma_sq.append(out[1][0])
+        return out
+
+    state.extend = recorded
+    for _ in range(steps + 1):
+        limit_step(walk, gsa, **kw)
+    curve = walk.curve()
     for n in range(steps + 1):
-        sigma_sq = residual_variance(kernel, curve.y_reps[:n + 1, :curve.dims[n]])
-        assert curve.sigma_w[n] == np.sqrt(np.maximum(sigma_sq, 0.0)), n
+        Y = curve.y_reps[:n + 1, :curve.dims[n]]
+        other = residual_variance(kernel, Y)
+        if n in curve.frozen_steps:
+            assert sigma_sq[n] <= RANK_STALL_TOL and other <= RANK_STALL_TOL, n
+            continue
+        K = k3_matrix(kernel, *coordinate_inner_products(Y))
+        bound = (n + 1) * np.finfo(float).eps * np.linalg.cond(K) * K[n, n]
+        assert abs(sigma_sq[n] - other) <= bound, n
 
 
 def test_frozen_steps_append_no_direction():
@@ -532,27 +553,46 @@ def test_limit_step_rejects_state_of_another_curve():
 
 
 def test_limit_factors_no_point_block(monkeypatch):
-    # predict-t30: the limit factors one κ₃ block per step and never reaches
-    # the jitter ladder
+    # predict-t30: the limit grows one κ₃ factor by a row per step, so step n
+    # evaluates κ₃ on the new point's n + 1 pairs alone, and no step
+    # conditions a block, factors one or climbs the jitter ladder
     config = load_config(Path(__file__).parents[1] / "bench" / "configs" / "predict-t30.cfg")
-    factored, ladder = [], []
-    factor, ladder_walk = SpanState._factor, gaussianops.cholesky_psd
+    calls, pairs, k3 = [], [], KernelModel.k3
 
-    def spy_factor(self, C, block):
-        factored.append(block)
-        return factor(self, C, block)
+    def spy(name, original):
+        def spied(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return spied
 
-    def spy_ladder(*args, **kwargs):
-        ladder.append(args)
-        return ladder_walk(*args, **kwargs)
+    def spy_k3(self, *args):
+        out = k3(self, *args)
+        pairs.append(np.size(out))
+        return out
 
-    monkeypatch.setattr(SpanState, "_factor", spy_factor)
-    monkeypatch.setattr(gaussianops, "cholesky_psd", spy_ladder)
-    monkeypatch.setattr(assembly, "cholesky_psd", spy_ladder)
+    monkeypatch.setattr(KernelModel, "k3", spy_k3)
+    for module in (gaussianops, assembly, limits):
+        monkeypatch.setattr(module, "condition", spy("condition", gaussianops.condition))
+    for module in (gaussianops, assembly):
+        monkeypatch.setattr(module, "cholesky_psd", spy("cholesky_psd", gaussianops.cholesky_psd))
+    monkeypatch.setattr(SpanState, "_factor", spy("_factor", SpanState._factor))
     curve = predict(build_kernel(config.kernel), build_gsa(config.algorithm), config.lam,
                     config.steps)
-    assert factored == [f"step {n}: the κ₃ block" for n in range(curve.steps + 1)]
-    assert ladder == []
+    assert curve.steps == 30 and curve.frozen_steps == ()
+    assert calls == []
+    assert sum(pairs) == sum(n + 1 for n in range(31)) == 496
+
+
+def test_negative_sigma_w_reports_lost_digits():
+    # gd(0.4) on SE: σ_w² halves every step, and before it reaches
+    # RANK_STALL_TOL (at step 34 in 50-digit arithmetic) the float64 κ₃ pivot
+    # has no correct digit left and reads negative
+    with pytest.raises(RankStallError, match=r"^step \d+: residual variance σ²_w = -\d\.\d{3}e-\d+ < 0; "
+                                             r"the κ₃ pivot has run out of float64 digits"):
+        predict(lift_stationary(SE_MIX), gd(0.4), 1.0, 40)
+    # under "freeze" the same step opens no direction
+    curve = predict(lift_stationary(SE_MIX), gd(0.4), 1.0, 40, on_rank_stall="freeze")
+    assert curve.frozen_steps
 
 
 # ---------------------------------------------------------------------------
@@ -579,15 +619,37 @@ def test_constant_mean_slope_is_broadcast():
 # the 50-digit reference and the BLAS thread count
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def _reference(alpha, beta, steps):
+    """The 50-digit (f_limit, grad_gram_limit, sigma_w) of heavy-ball(alpha,
+    beta) on SE from λ = 1, computed once per session."""
+    from limit_reference import reference_curve
+    return reference_curve(alpha, beta, 1.0, steps)
+
+
 @pytest.mark.parametrize("make", [lift_stationary, stationary_direct], ids=["lifted", "direct"])
-@pytest.mark.parametrize("alpha, beta, steps, tol", [(0.4, 0.5, 20, 1e-10), (0.4, 0.0, 16, 1e-9)],
-                         ids=["heavy-ball-t20", "gd-t16"])
+@pytest.mark.parametrize("alpha, beta, steps, tol", [
+    (0.4, 0.5, 20, 1e-12), (0.4, 0.0, 16, 1e-12), (0.4, 0.5, 30, 5e-12), (0.4, 0.0, 20, 1e-11),
+], ids=["heavy-ball-t20", "gd-t16", "heavy-ball-t30", "gd-t20"])
 def test_predict_matches_the_50_digit_reference(make, alpha, beta, steps, tol):
     pytest.importorskip("mpmath")
-    from limit_reference import max_deviation, reference_curve
+    from limit_reference import max_deviation
     gsa = heavy_ball(alpha, beta) if beta else gd(alpha)
     curve = predict(make(SE_MIX), gsa, 1.0, steps)
-    assert max_deviation(curve, reference_curve(alpha, beta, 1.0, steps)) <= tol
+    assert max_deviation(curve, _reference(alpha, beta, steps)) <= tol
+
+
+@pytest.mark.parametrize("make", [lift_stationary, stationary_direct], ids=["lifted", "direct"])
+@pytest.mark.parametrize("alpha, beta, steps", [(0.4, 0.5, 20), (0.4, 0.0, 16)],
+                         ids=["heavy-ball-t20", "gd-t16"])
+def test_sigma_w_matches_the_50_digit_reference(make, alpha, beta, steps):
+    # σ_w is the pivot √σ_w², so an error δ in σ_w² moves it by δ/(2σ_w),
+    # and σ_w falls to 4.9e-4 by gd step 16
+    pytest.importorskip("mpmath")
+    gsa = heavy_ball(alpha, beta) if beta else gd(alpha)
+    curve = predict(make(SE_MIX), gsa, 1.0, steps)
+    pivots = [float(sigma) for sigma in _reference(alpha, beta, steps)[2]]
+    np.testing.assert_allclose(curve.sigma_w, pivots, rtol=0, atol=5e-9)
 
 
 _THREADED_PREDICT = """
