@@ -1,11 +1,11 @@
-"""Shared covariance-matrix assembly and the conditioning state of a path.
+"""Shared covariance-matrix assembly and the conditioning states of a path.
 
 Both the N→∞ predictor and the finite-N simulator condition the block of
 (function value, directional derivatives) at a new point on the same block at
 all previous points.  The only difference between them is where the point
 coordinates come from — limiting representation vectors versus realized
-previsible coordinates — so the matrix assembly and the conditioning state
-live here once and are fed coordinate rows.
+previsible coordinates — so the matrix assembly lives here once, fed
+coordinate rows, next to the conditioning states.
 
 Coordinates are with respect to an orthonormal direction system v_0, …,
 v_{D−1}: a point with coordinate row y has ⟨y, v_i⟩ = y[i], ⟨y, y'⟩ = y·y',
@@ -16,24 +16,28 @@ dimension-free scale; the 1/N covariance factor is applied by callers.  The
 coordinate rows may carry leading batch axes, one entry per path, and every
 output then carries them too.
 
-``SpanState`` keeps the history in arrival order instead: every visited point
-has a zero coordinate along each direction opened after it, so the history
-block of one step is a leading block of the next one's, and a step only
-appends rows — the new point's (f, D_{v_0..D−1}) rows, then the D_{v_D} rows
-of the newly opened direction at every point, which are uncorrelated with all
-older rows.  Extending the Cholesky factor by k rows costs O(m²k) for m
-history rows, where re-assembling and re-factoring the history would cost
-O(m³).  One state steps a batch of B paths that share this row structure —
-the same number of points and directions — as stacked (B, ·, ·) arrays.
+Two conditioning states step a path with these blocks, one per recursion.
+``SpanState``, the finite-N sampler's, keeps the history in arrival order
+instead: every visited point has a zero coordinate along each direction
+opened after it, so the history block of one step is a leading block of the
+next one's, and a step only appends rows — the new point's (f, D_{v_0..D−1})
+rows, then the D_{v_D} rows of the newly opened direction at every point,
+which are uncorrelated with all older rows.  Extending the Cholesky factor by
+k rows costs O(m²k) for m history rows, where re-assembling and re-factoring
+the history would cost O(m³).  One state steps a batch of B paths that share
+this row structure — the same number of points and directions — as stacked
+(B, ·, ·) arrays.
 
-In the N→∞ limit the new point's rows are observed at their conditional
-mean, so their innovation is exactly 0 and they can never move a later mean.
-Only the direction rows do, and each direction's covariance, the κ₃ matrix
-of the points so far, is a leading block of the next one's.  The limit
-therefore keeps one lower factor L of the κ₃ matrix, grown by one row per
-opened direction, and a fixed weight vector u against the stored direction
-rows: a step solves the new κ₃ column through L, reads σ_w² off the new
-pivot, and forms its conditional mean as one gathered product.
+``LimitState`` steps the N→∞ limit.  There the new point's rows are observed
+at their conditional mean, so their innovation is exactly 0 and they can
+never move a later mean.  Only the direction rows do, and each direction's
+covariance, the κ₃ matrix of the points so far, is a leading block of the
+next one's.  The limit therefore keeps one lower factor L of the κ₃ matrix,
+grown by one row per opened direction, and a fixed weight vector u against
+the stored direction rows: a step solves the new κ₃ column through L, reads
+σ_w² off the new pivot, and forms its conditional mean as one gathered
+product.  Both states share the checks of a new point and the one
+``cov_block`` column that relates it to the stored rows.
 """
 
 from __future__ import annotations
@@ -181,22 +185,149 @@ class _Arrival:
         return self.L.shape[2] - self.L.shape[1]
 
 
-class SpanState:
-    """Conditioning state of a batch of B paths: the history covariance S
-    with rows in arrival order, its lower factor L = chol(S + j·I), and the
-    whitened innovation z = L⁻¹·(observed − mean), each stacked over the
-    batch.  Every path of a batch has the same rows; only their values
-    differ, and every member is stepped in the one stack.
+class _State:
+    """What both conditioning states keep and check for a batch of B paths:
+    the labels of their stored rows, and the part of ``extend`` that does not
+    depend on how the new point's rows are observed.  ``_checked`` tests the
+    batch size, the point count and the new point against the kernel's
+    domain; ``_new_point`` requires κ₃ > 0 at the new point and reads its
+    covariances with every stored row, and its mean, off one ``cov_block``
+    column, which must be finite."""
 
-    A state stepped without generators (the N→∞ limit) stores the direction
-    rows only, and none of S, L or z: it keeps one lower factor of the κ₃
-    matrix over the points whose step opened a direction, grown by one row
-    per opened direction, and the weights u = S⁻¹·(observed − mean) of the
-    stored rows, so that a new point's conditional mean is its mean plus
+    def __init__(self, kernel, batch):
+        self.kernel = kernel
+        self.batch = batch
+        self.points = 0
+        self._types = np.empty(0, dtype=int)    # 0 for f, i + 1 for D_{v_i}
+        self._at = np.empty(0, dtype=int)       # point of each row
+        self._opens = None                      # what the last extend's direction would append
+
+    @property
+    def labels(self):
+        """(derivative type, point) of each stored row in arrival order;
+        type 0 is f and type i + 1 is D_{v_i}."""
+        return self._types.copy(), self._at.copy()
+
+    def _checked(self, Y):
+        """(n, D, s, ip) of the points Y, (B, n+1, D), the new point last:
+        its index, the width, and their norm-halves and Gram, once it passes
+        the checks every ``extend`` makes."""
+        n, D = Y.shape[1] - 1, Y.shape[2]
+        if Y.shape[0] != self.batch:
+            raise ValueError(f"state steps {self.batch} paths, got {Y.shape[0]}")
+        if n != self.points:
+            raise ValueError(f"state holds {self.points} points, got {n} history rows")
+        s, ip = coordinate_inner_products(Y)
+        kernels.check_domain(s[:, n:], s, ip[:, n])
+        return n, D, s, ip
+
+    def _new_point(self, Y, s, ip, n, kappa):
+        """(S_hn, S_nn, mean) of the (f, D_{v_0..D−1}) rows of the new point
+        n, given its κ₃ (B,); a κ₃ ≤ 0 raises DegenerateKernelError before
+        anything is assembled."""
+        if np.any(kappa <= 0):
+            raise DegenerateKernelError(f"step {n}: κ₃ = {np.min(kappa):g} at the new "
+                                        "point; no gradient mass outside the span")
+        S_hn, S_nn = self._new_point_rows(Y, s, ip, len(self._types))
+        mean = mean_block(self.kernel, Y, s, [n])
+        if not all(np.all(np.isfinite(a)) for a in (S_hn, S_nn, mean)):
+            raise KernelDomainError(
+                f"step {n}: non-finite entries in the new point's covariance or mean")
+        return S_hn, S_nn, mean
+
+    def _new_point_rows(self, Y, s, ip, history):
+        """(S_hn, S_nn): covariances of the (f, D_{v_0..D−1}) rows of the
+        newest of the points Y with the first ``history`` stored rows,
+        (B, history, D+1), and with themselves, (B, D+1, D+1), read off one
+        ``cov_block`` column."""
+        n, D = Y.shape[1] - 1, Y.shape[2]
+        col = cov_block(self.kernel, Y, s, ip, np.arange(n + 1), [n])
+        return (col[:, self._types[:history] * (n + 1) + self._at[:history]],
+                col[:, np.arange(D + 1) * (n + 1) + n])
+
+
+class LimitState(_State):
+    """Conditioning state of one path in the N→∞ limit.
+
+    There every new point's rows are observed at their conditional mean, so
+    their innovation is 0 and they never move a later mean: the state
+    stores the direction rows alone (no type 0 in ``labels``).  It keeps
+    ``k3_factor``, the lower factor (1, p, p) of the κ₃ matrix over the p
+    points ``k3_points`` whose step opened a direction, grown by one row per
+    opened direction, and the weights u = S⁻¹·(observed − mean) of the
+    stored rows, S their covariance, so that a new point's conditional mean is its mean plus
     S_hnᵀ·u.  Each direction's weights are fixed when it opens: those of
-    the direction opened at point n are L⁻ᵀ·e_n scaled by its observed
-    value over the pivot.  A point whose step opened nothing never enters
-    the factor, and its rows carry weight 0.  The limit needs no jitter.
+    the direction opened at point n are L⁻ᵀ·e_n scaled by its observed value
+    over the pivot.  A point whose step opened nothing never enters the
+    factor, and its rows carry weight 0.  The limit factors no point block,
+    so it needs no jitter.
+
+    Each step calls ``extend`` with the new point, which returns its σ_w²
+    too, then ``open_direction`` unless the span did not grow.
+    """
+
+    def __init__(self, kernel):
+        super().__init__(kernel, 1)
+        self.k3_factor = np.empty((1, 0, 0))
+        self.k3_points = np.empty(0, dtype=int)
+        self._u = np.empty((1, 0))              # weight of each stored row
+
+    def extend(self, Y) -> tuple[np.ndarray, np.ndarray]:
+        """Observe the (f, D_{v_0..D−1}) rows of the point Y[:, -1] at their
+        conditional mean given the stored direction rows, mean + S_hnᵀ·u;
+        Y (1, n+1, D) holds the history points' coordinate rows followed by
+        the new point's.  Returns those rows, (1, D+1), and σ_w², (1,): the
+        new κ₃ column, evaluated over the factor's points only, is solved
+        through the factor, and σ_w² is the squared pivot that row would
+        have.  Nothing is appended until ``open_direction``.
+        """
+        Y = np.asarray(Y, dtype=float)
+        n, D, s, ip = self._checked(Y)
+        at = np.append(self.k3_points, n)       # the factor's points, then the new point
+        k = self.kernel.k3(s[:, at], s[:, n:], ip[:, at, n])
+        S_hn, _, mean = self._new_point(Y, s, ip, n, k[:, -1])
+        l = np.linalg.solve(self.k3_factor, k[:, :-1, None])[:, :, 0]
+        sigma_sq = k[:, -1] - np.sum(l * l, axis=1)
+        self._opens = (l, sigma_sq, D + 1)
+        self.points += 1
+        return mean + (self._u[:, None, :] @ S_hn)[:, 0], sigma_sq
+
+    def open_direction(self, values):
+        """Append D_{v_D} at every point so far, where v_D is the direction
+        the last extended point's gradient opened and ``values`` (1,) its
+        coordinate along it.  The κ₃ factor gains the new point's row
+        [l, √σ_w²], and the direction's rows their weights
+        L⁻ᵀ·e_n·values/√σ_w², found by one solve; a σ_w² ≤ 0 has no such
+        row and raises ValueError.  A step whose span did not grow skips this.
+        """
+        if self._opens is None:
+            raise ValueError("open_direction needs a preceding extend")
+        l, sigma_sq, row_type = self._opens
+        if np.any(sigma_sq <= 0):
+            raise ValueError(f"no direction to open: σ_w² = {np.min(sigma_sq):.3e} ≤ 0")
+        self._opens = None
+        p = l.shape[1]
+        L = np.zeros((1, p + 1, p + 1))
+        L[:, :p, :p] = self.k3_factor
+        L[:, p, :p] = l
+        L[:, p, p] = pivot = np.sqrt(sigma_sq)
+        last = np.eye(p + 1)[None, :, p:]       # e_p
+        self.k3_factor = L
+        self.k3_points = np.append(self.k3_points, self.points - 1)
+        u = np.zeros((1, self.points))
+        u[:, self.k3_points] = (np.linalg.solve(np.swapaxes(L, 1, 2), last)[:, :, 0]
+                                * (np.asarray(values) / pivot)[:, None])
+        self._u = np.concatenate([self._u, u], axis=1)
+        self._types = np.concatenate([self._types, np.full(self.points, row_type)])
+        self._at = np.concatenate([self._at, np.arange(self.points)])
+
+
+class SpanState(_State):
+    """Conditioning state of a batch of B sampled paths: the history
+    covariance S with rows in arrival order, its lower factor
+    L = chol(S + j·I), and the whitened innovation z = L⁻¹·(observed − mean),
+    each stacked over the batch.  Every path of a batch has the same rows;
+    only their values differ, and every member is stepped in the one stack.
 
     Each step calls ``extend`` with the new points, which returns their σ_w²
     too, then ``open_direction`` unless the span did not grow.  L is
@@ -220,109 +351,49 @@ class SpanState:
     """
 
     def __init__(self, kernel, policy: ConditionPolicy = DEFAULT_POLICY, batch: int = 1):
-        self.kernel = kernel
+        super().__init__(kernel, batch)
         self.policy = policy
-        self.batch = batch
-        self.points = 0
         self.jitter = np.zeros(batch)           # +inf after a pseudo switch
         self._blocks: list[_Arrival] = []
-        self._types = np.empty(0, dtype=int)    # 0 for f, i + 1 for D_{v_i}
-        self._at = np.empty(0, dtype=int)       # point of each row
         self._resid = np.empty((batch, 0))      # observed − mean
         self._z = np.empty((batch, 0))
-        self._opens = None                      # what the last extend's direction would append
         self._geometry = []                     # (Y, s, ip) of each extend
-        self._sampled = None                    # whether the extends draw, once one has
-        self._k3_factor = np.empty((batch, 0, 0))   # the limit's κ₃ factor ...
-        self._k3_points = np.empty(0, dtype=int)    # ... over these points
-        self._u = np.empty((batch, 0))              # the limit's weight of each stored row
 
     @property
     def pseudo(self) -> np.ndarray:
         """Whether each member's solves have switched to the pseudo-inverse."""
         return np.isinf(self.jitter)
 
-    @property
-    def labels(self):
-        """(derivative type, point) of each stored row in arrival order;
-        type 0 is f and type i + 1 is D_{v_i}.  The limit stores direction
-        rows only, so it has no type 0."""
-        return self._types.copy(), self._at.copy()
-
     def covariance(self) -> np.ndarray:
-        """The history covariances S, (B, m, m), rows and columns in arrival
-        order; in the limit, the direction rows' block diagonal of κ₃ matrices."""
+        """The history covariances S, (B, m, m), rows and columns in arrival order."""
         return self._covariance(np.arange(self.batch))
 
     def factor(self) -> np.ndarray:
-        """The lower factors L of S + j·I, (B, m, m), in arrival order.  In
-        the limit, the block diagonal of the κ₃ factor's leading blocks, one
-        per direction, with zero rows and columns at the points whose step
-        opened nothing."""
+        """The lower factors L of S + j·I, (B, m, m), in arrival order."""
         if self.pseudo.any():
             raise ValueError("no factor: solves use the pseudo-inverse")
         L = np.zeros((self.batch,) + (len(self._types),) * 2)
-        if self._sampled:
-            for blk in self._blocks:
-                L[:, blk.start:blk.stop, blk.start - blk.left:blk.stop] = blk.L
-            return L
-        for start, stop, _ in self._row_blocks():
-            rows = start + self._k3_points[self._k3_points < stop - start]
-            L[:, rows[:, None], rows] = self._k3_factor[:, :len(rows), :len(rows)]
+        for blk in self._blocks:
+            L[:, blk.start:blk.stop, blk.start - blk.left:blk.stop] = blk.L
         return L
 
-    def extend(self, Y, rngs=None, N=None) -> tuple[np.ndarray, np.ndarray]:
+    def extend(self, Y, rngs, N) -> tuple[np.ndarray, np.ndarray]:
         """Condition the (f, D_{v_0..D−1}) rows of the points Y[:, -1] on the
         history; Y (B, n+1, D) holds the history points' coordinate rows
         followed by the new point's.
 
-        Given ``rngs`` (one generator per member) and ``N``, the rows are
-        observed at cond_mean + L_nn·ξ/√N with ξ = rng.standard_normal(D+1)
+        The rows are observed at cond_mean + L_nn·ξ/√N with
+        ξ = rng.standard_normal(D+1) from the member's generator in ``rngs``
         and L_nn the new diagonal block of the member's factor, and appended
         to the history.  A conditional covariance of exactly zero draws
-        nothing.  Without them (the N→∞ limit) the rows are observed at
-        their conditional mean, mean + S_hnᵀ·u given the direction rows
-        alone, and neither factored nor appended, so a state's extends are
-        all sampled or all limit ones: switching raises ValueError.  Returns
-        the observed rows, (B, D+1), and σ_w², (B,): the Schur complement of
-        the new point's entry in the points' κ₃ matrix, which
-        ``open_direction`` then appends.  The limit evaluates only the new
-        κ₃ column, over the κ₃ factor's points, solves it through the factor
-        and takes σ_w² as the squared pivot that row would have.  A new
-        κ₃ ≤ 0 raises DegenerateKernelError before anything is assembled.
+        nothing.  Returns the observed rows, (B, D+1), and σ_w², (B,): the
+        Schur complement of the new point's entry in the points' κ₃ matrix,
+        which ``open_direction`` then appends.
         """
         Y = np.array(Y, dtype=float)    # kept for rebuilding S
-        n, D = Y.shape[1] - 1, Y.shape[2]
-        if Y.shape[0] != self.batch:
-            raise ValueError(f"state steps {self.batch} paths, got {Y.shape[0]}")
-        if n != self.points:
-            raise ValueError(f"state holds {self.points} points, got {n} history rows")
-        if self._sampled is not None and self._sampled != (rngs is not None):
-            raise ValueError("a state's extends are all sampled or all limit ones; "
-                             f"this one is {'sampled' if rngs is not None else 'a limit one'}")
-        s, ip = coordinate_inner_products(Y)
-        kernels.check_domain(s[:, n:], s, ip[:, n])
-        if rngs is None:                # the new κ₃ column: the factor's points, then the new point
-            at = np.append(self._k3_points, n)
-            k = self.kernel.k3(s[:, at], s[:, n:], ip[:, at, n])
-            kappa = k[:, -1]
-        else:
-            K = k3_matrix(self.kernel, s, ip)
-            kappa = K[:, n, n]
-        if np.any(kappa <= 0):
-            raise DegenerateKernelError(f"step {n}: κ₃ = {np.min(kappa):g} at the new "
-                                        "point; no gradient mass outside the span")
-        S_hn, S_nn = self._new_point_rows(Y, s, ip, len(self._types))
-        mean = mean_block(self.kernel, Y, s, [n])
-        if not all(np.all(np.isfinite(a)) for a in (S_hn, S_nn, mean)):
-            raise KernelDomainError(
-                f"step {n}: non-finite entries in the new point's covariance or mean")
-        if rngs is None:
-            l = np.linalg.solve(self._k3_factor, k[:, :-1, None])[:, :, 0]
-            sigma_sq = kappa - np.sum(l * l, axis=1)
-            self._stepped(Y, s, ip, sampled=False, opens=(l, sigma_sq, D + 1))
-            return mean + (self._u[:, None, :] @ S_hn)[:, 0], sigma_sq
-
+        n, D, s, ip = self._checked(Y)
+        K = k3_matrix(self.kernel, s, ip)
+        S_hn, S_nn, mean = self._new_point(Y, s, ip, n, K[:, n, n])
         while True:
             W = self._forward(S_hn)
             W[self.pseudo] = 0.0
@@ -349,7 +420,9 @@ class SpanState:
 
         self._append(observed - mean, np.arange(D + 1), np.full(D + 1, n),
                      np.concatenate([Wt, L_nn], axis=2), observed - cond_mean)
-        self._stepped(Y, s, ip, sampled=True, opens=(K, D + 1))
+        self._geometry.append((Y, s, ip))
+        self._opens = (K, D + 1)
+        self.points += 1
         return observed, _last_schur(K, self.policy)
 
     def open_direction(self, values):
@@ -359,33 +432,9 @@ class SpanState:
 
         These rows are uncorrelated with every older row and have ``extend``'s
         κ₃ matrix as covariance.  A step whose span did not grow skips this.
-        In the limit the κ₃ factor gains the new point's row [l, √σ_w²], and
-        the direction's rows their weights L⁻ᵀ·e_n·values/√σ_w², found by one
-        solve; a σ_w² ≤ 0 has no such row and raises ValueError.
         """
         if self._opens is None:
             raise ValueError("open_direction needs a preceding extend")
-        if not self._sampled:
-            l, sigma_sq, row_type = self._opens
-            if np.any(sigma_sq <= 0):
-                raise ValueError(f"no direction to open: σ_w² = {np.min(sigma_sq):.3e} ≤ 0")
-            self._opens = None
-            p = l.shape[1]
-            L = np.zeros((self.batch, p + 1, p + 1))
-            L[:, :p, :p] = self._k3_factor
-            L[:, p, :p] = l
-            L[:, p, p] = pivot = np.sqrt(sigma_sq)
-            last = np.zeros((self.batch, p + 1, 1))
-            last[:, p] = 1.0
-            self._k3_factor = L
-            self._k3_points = np.append(self._k3_points, self.points - 1)
-            u = np.zeros((self.batch, self.points))
-            u[:, self._k3_points] = (np.linalg.solve(np.swapaxes(L, 1, 2), last)[:, :, 0]
-                                     * (np.asarray(values) / pivot)[:, None])
-            self._u = np.concatenate([self._u, u], axis=1)
-            self._types = np.concatenate([self._types, np.full(self.points, row_type)])
-            self._at = np.concatenate([self._at, np.arange(self.points)])
-            return
         (K, row_type), self._opens = self._opens, None
         observed = np.zeros((self.batch, self.points))
         observed[:, -1] = values
@@ -460,38 +509,13 @@ class SpanState:
             blk.inv[b] = np.linalg.inv(L[lo:hi, lo:hi])
         self._z[b] = self._forward(self._resid[[b], :, None], [b])[0, :, 0]
 
-    def _stepped(self, Y, s, ip, sampled, opens):
-        """Record a finished extend: its geometry, its kind, and what its
-        direction would append."""
-        self._geometry.append((Y, s, ip))
-        self._sampled = sampled
-        self._opens = opens
-        self.points += 1
-
-    def _new_point_rows(self, Y, s, ip, history):
-        """(S_hn, S_nn): covariances of the (f, D_{v_0..D−1}) rows of the
-        newest of the points Y with the first ``history`` stored rows,
-        (B, history, D+1), and with themselves, (B, D+1, D+1), read off one
-        ``cov_block`` column."""
-        n, D = Y.shape[1] - 1, Y.shape[2]
-        col = cov_block(self.kernel, Y, s, ip, np.arange(n + 1), [n])
-        return (col[:, self._types[:history] * (n + 1) + self._at[:history]],
-                col[:, np.arange(D + 1) * (n + 1) + n])
-
-    def _row_blocks(self):
-        """(start, stop, left) of each appended block of rows: the sampler's
-        arrivals, or the limit's directions, each from point 0 on."""
-        if self._sampled:
-            return [(blk.start, blk.stop, blk.left) for blk in self._blocks]
-        starts = np.flatnonzero(self._at == 0).tolist()
-        return [(a, b, 0) for a, b in zip(starts, starts[1:] + [len(self._at)])]
-
     def _covariance(self, members):
         """The history covariances S of the given members, rebuilt block by
         block from the geometry of the step that appended it."""
         m = len(self._types)
         S = np.zeros((len(members), m, m))
-        for start, stop, left in self._row_blocks():
+        for blk in self._blocks:
+            start, stop = blk.start, blk.stop
             point = self._at[stop - 1]          # the step that appended the block
             Y, s, ip = (a[members] for a in self._geometry[point])
             if self._types[start] == 0:         # that step's new point
@@ -499,7 +523,7 @@ class SpanState:
                 rows = np.concatenate([np.swapaxes(S_hn, 1, 2), S_nn], axis=2)
             else:                               # the direction it opened
                 rows = k3_matrix(self.kernel, s, ip)
-            S[:, start:stop, start - left:stop] = rows
+            S[:, start:stop, start - blk.left:stop] = rows
         upper = np.triu_indices(m, 1)
         for slab in S:                          # mirrored in place, one member at a time
             slab[upper] = slab.T[upper]

@@ -9,6 +9,7 @@ each with a single machine-parsable line on standard error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -79,6 +80,9 @@ def main(argv=None) -> int:
             config = replace(config, master_seed=args.seed)
         if args.out is not None:
             config = replace(config, out=args.out)
+        if config.out and (os.path.isdir(config.out) or not os.access(
+                os.path.dirname(os.path.abspath(config.out)), os.W_OK)):
+            raise ConfigError(f"cannot write {config.out}: not a file in a writable directory")
         _run(args.command, config)
     except ConfigError as exc:
         print(f"grfspan: config-error: {' '.join(str(exc).split())}",

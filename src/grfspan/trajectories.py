@@ -29,6 +29,7 @@ import numpy as np
 
 from .algorithms import GsaSpec, InfoView
 from .assembly import (
+    SpanState,
     cov_block,
     coordinate_inner_products,
     flatten_history,
@@ -99,7 +100,7 @@ def simulate_info_paths(kernel: KernelModel, gsa: GsaSpec, lam: float, N: int,
     stream it happened on.
     """
     stream_ids = [int(sid) for sid in stream_ids]
-    walk = SpanWalk(kernel, lam, steps, policy, len(stream_ids))
+    walk = SpanWalk(SpanState(kernel, policy, len(stream_ids)), lam, steps)
     if N <= steps + 2:
         raise ValueError(f"need N > steps + 2, got N={N}, steps={steps}")
     rngs = [make_rng(master_seed, sid) for sid in stream_ids]

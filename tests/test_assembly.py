@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from grfspan.assembly import (
+    LimitState,
     SpanState,
     coordinate_inner_products,
     cov_block,
@@ -166,27 +167,9 @@ def test_span_state_pseudo_inverse_conditions_and_draws():
     np.testing.assert_allclose(draw, reference, rtol=0, atol=1e-10)
 
 
-@pytest.mark.parametrize("sampled_first", [False, True], ids=["limit-then-sampled",
-                                                               "sampled-then-limit"])
-def test_span_state_rejects_switching_between_limit_and_sampled_extends(sampled_first):
-    # a limit extend appends no point rows, so a sampled one after it would
-    # condition on a history with rows missing
-    def extend(state, Y, sampled):
-        return state.extend(Y, [make_rng(4, 0)], 64) if sampled else state.extend(Y)
-
-    state = SpanState(KERNELS[0])
-    extend(state, [[[0.8]]], sampled_first)
-    state.open_direction([0.9])
-    Y = np.array([[[0.8, 0.0], [0.3, 0.5]]])
-    with pytest.raises(ValueError, match="all sampled or all limit"):
-        extend(state, Y, not sampled_first)
-    observed, _ = extend(state, Y, sampled_first)
-    assert observed.shape == (1, 3) and state.points == 2
-
-
 def _stepped_state():
-    """A state that has taken step 0 and opened its direction."""
-    state = SpanState(KERNELS[0])
+    """A limit state that has taken step 0 and opened its direction."""
+    state = LimitState(KERNELS[0])
     state.extend([[[0.8]]])
     state.open_direction([0.9])
     return state

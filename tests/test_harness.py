@@ -744,6 +744,19 @@ def test_cli_missing_config_exits_2(tmp_path, capsys):
     assert err.startswith("grfspan: config-error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+@pytest.mark.parametrize("mode", ["predict", "verify"])
+def test_cli_unwritable_out_path_exits_2(mode, where, tmp_path, capsys):
+    # checked before the run, so verify spends no Monte Carlo on it
+    path = _write(tmp_path, BASE_CONFIG)
+    out = tmp_path / "missing" / "x.csv" if where == "missing-directory" else tmp_path
+    assert cli.main([mode, "--config", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("grfspan: config-error: ") and str(out) in captured.err
+    assert not (tmp_path / "missing").exists()
+
+
 def test_cli_numerical_error_exits_3(tmp_path, capsys, monkeypatch):
     # a quadratic field exhausts the span after one step; with the stall set
     # to raise, predict must exit 3

@@ -23,6 +23,7 @@ from grfspan.algorithms import (
     with_sphere_projection,
 )
 from grfspan.assembly import (
+    LimitState,
     SpanState,
     coordinate_inner_products,
     cov_block,
@@ -248,7 +249,7 @@ def test_sphere_projected_spin_glass_runs():
 
 def walk_to(kernel, gsa, lam, steps):
     """A limit walk after steps 0..steps."""
-    walk = SpanWalk(kernel, lam, steps)
+    walk = SpanWalk(LimitState(kernel), lam, steps)
     for _ in range(steps + 1):
         limit_step(walk, gsa)
     return walk
@@ -347,7 +348,7 @@ def scratch_predict(kernel, gsa, lam, steps):
 
 def drive(kernel, gsa, lam, steps, **kw):
     """Yield (curve, state) after every limit_step, step 0 included."""
-    walk = SpanWalk(kernel, lam, steps)
+    walk = SpanWalk(LimitState(kernel), lam, steps)
     for _ in range(steps + 1):
         limit_step(walk, gsa, **kw)
         yield walk.curve(), walk.state
@@ -379,20 +380,25 @@ STATE_CASES = {
 def test_state_is_permuted_history_block(case, lam):
     # the limit stores the direction rows of the row-major history block of
     # the next step, each once, in arrival order: D_{v_D} at points 0..k for
-    # each step k that opened v_D; old entries never change
+    # each step k that opened v_D; old entries never change, and each such
+    # block, over the points that opened a direction, is a leading block of
+    # the κ₃ factor's product
     kernel, gsa, kw = STATE_CASES[case]
     for curve, state in drive(kernel, gsa, lam, 6, **kw):
         n = curve.steps + 1
         d = curve.gamma_width(n - 1)
         S_hh = joint_blocks(kernel, curve.y_reps[:n, :d], np.zeros(d)).S_hh
         types, at = state.labels
-        order = types * n + at
         opened = [k for k in range(n) if k not in curve.frozen_steps]
         np.testing.assert_array_equal(
             types, np.concatenate([np.full(k + 1, curve.dims[k] + 1) for k in opened]))
         np.testing.assert_array_equal(at, np.concatenate([np.arange(k + 1) for k in opened]))
-        np.testing.assert_allclose(state.covariance()[0], S_hh[np.ix_(order, order)],
-                                   rtol=0, atol=1e-13)
+        (L,) = state.k3_factor
+        for k in opened:
+            rows = (curve.dims[k] + 1) * n + state.k3_points[state.k3_points <= k]
+            p = len(rows)
+            np.testing.assert_allclose((L @ L.T)[:p, :p], S_hh[np.ix_(rows, rows)],
+                                       rtol=0, atol=1e-13)
 
 
 def _replayed_draws(kernel, walk, jitters, N, rng):
@@ -425,7 +431,7 @@ def test_state_escalates_once_and_matches_refactored_conditioning():
     # a sampled run keeps the history factor: at N = 1e9 its heavy-ball
     # history escalates once, to the ladder's first rung
     kernel, gsa, N = lift_stationary(SE_MIX), heavy_ball(0.4, 0.5), 10 ** 9
-    walk = SpanWalk(kernel, 1.0, 20)
+    walk = SpanWalk(SpanState(kernel), 1.0, 20)
     state, extend, jitters = walk.state, walk.state.extend, []
 
     def recorded(*args):            # the jitter each step's rows were drawn at
@@ -446,12 +452,12 @@ def test_state_escalates_once_and_matches_refactored_conditioning():
     # the same regularised matrices, factored from scratch at each step
     assert _replayed_draws(kernel, walk, jitters, N, make_rng(3, 0)) < 1e-6
 
-    # the limit factors its κ₃ blocks only, and those never need the ladder
-    for curve, limit_state in drive(kernel, gsa, 1.0, 20):
-        assert limit_state.jitter[0] == 0.0
-    (S,) = limit_state.covariance()
-    (L,) = limit_state.factor()
-    np.testing.assert_allclose(L @ L.T, S, rtol=0, atol=1e-13)
+    # the limit factors its κ₃ matrix only, and that never needs the ladder
+    limit = walk_to(kernel, gsa, 1.0, 20)
+    (L,) = limit.state.k3_factor
+    Y = limit.curve().y_reps[limit.state.k3_points]
+    np.testing.assert_allclose(L @ L.T, k3_matrix(kernel, *coordinate_inner_products(Y)),
+                               rtol=0, atol=1e-13)
 
 
 SIGMA_CASES = {
@@ -472,7 +478,7 @@ def test_sigma_w_is_the_module_residual_variance(case):
     # two agree to (n+1)·ε·cond(K)·κ₃(new, new), and on a frozen step (every
     # quadratic step after step 0) both are at the stall level
     kernel, gsa, steps, kw = SIGMA_CASES[case]
-    walk = SpanWalk(kernel, 1.0, steps)
+    walk = SpanWalk(LimitState(kernel), 1.0, steps)
     state, extend, sigma_sq = walk.state, walk.state.extend, []
 
     def recorded(*args):
@@ -512,7 +518,8 @@ def test_exhausted_ladder_switches_to_pseudo_inverse():
     # the quadratic field's (f, D_{v_0}) rows are singular: a sampled run
     # without jitter switches to the pseudo-inverse, or raises without it
     kernel, N = quadratic_kernel(1.0, 0.0, 1.0), 10 ** 9
-    walk = SpanWalk(kernel, 1.0, 20, ConditionPolicy(jitter_start=None, pseudo_fallback=True))
+    walk = SpanWalk(SpanState(kernel, ConditionPolicy(jitter_start=None, pseudo_fallback=True)),
+                    1.0, 20)
     rngs = [make_rng(3, 0)]
     for _ in range(21):
         limit_step(walk, gd(0.3), rngs, N)
@@ -525,8 +532,7 @@ def test_exhausted_ladder_switches_to_pseudo_inverse():
         simulate_info_paths(kernel, gd(0.3), 1.0, N, 2, [0], 3,
                             policy=ConditionPolicy(jitter_start=None))
     # the limit factors no point rows, so it needs neither
-    for curve, state in drive(kernel, gd(0.3), 1.0, 20, on_rank_stall="freeze"):
-        assert not state.pseudo[0] and state.jitter[0] == 0.0
+    curve = predict(kernel, gd(0.3), 1.0, 20, on_rank_stall="freeze")
     np.testing.assert_allclose(curve.f_limit, quadratic_gd_oracle(0.3, 20), atol=1e-8)
 
 
@@ -543,13 +549,28 @@ def test_exhausted_ladder_error_names_the_failing_block():
 
 def test_limit_step_rejects_state_of_another_curve():
     kernel = lift_stationary(SE_MIX)
-    walk, other = SpanWalk(kernel, 1.0, 3), SpanWalk(kernel, 1.0, 3)
+    walk, other = SpanWalk(LimitState(kernel), 1.0, 3), SpanWalk(LimitState(kernel), 1.0, 3)
     limit_step(walk, gd(0.4))
     limit_step(other, gd(0.4))
     limit_step(other, gd(0.4))
     walk.state = other.state        # two points against the walk's one
     with pytest.raises(ValueError):
         limit_step(walk, gd(0.4))
+
+
+@pytest.mark.parametrize("make_state, step_args", [
+    pytest.param(LimitState, ([make_rng(4, 0)], 64), id="generators-on-a-limit-state"),
+    pytest.param(SpanState, (), id="no-generators-on-a-span-state"),
+])
+def test_step_kind_must_match_the_state_type(make_state, step_args):
+    # a limit state stores no point rows, and a sampler's state draws every
+    # one: a step of the other kind fails at the state's extend, before the
+    # walk or the state advances
+    state = make_state(lift_stationary(SE_MIX))
+    walk = SpanWalk(state, 1.0, 3)
+    with pytest.raises(TypeError):
+        limit_step(walk, gd(0.4), *step_args)
+    assert walk.n == 0 and state.points == 0
 
 
 def test_limit_factors_no_point_block(monkeypatch):
@@ -652,6 +673,19 @@ def test_sigma_w_matches_the_50_digit_reference(make, alpha, beta, steps):
     np.testing.assert_allclose(curve.sigma_w, pivots, rtol=0, atol=5e-9)
 
 
+def _under_one_and_two_blas_threads(script):
+    """The standard output of ``script``, run in a fresh interpreter under
+    1 and then 2 OpenBLAS threads."""
+    src = str(Path(grfspan.__file__).parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        outputs.append(subprocess.run([sys.executable, "-c", script], env=env,
+                                      check=True, capture_output=True, text=True).stdout)
+    return outputs
+
+
 _THREADED_PREDICT = """
 from grfspan import SchoenbergMixture, heavy_ball, lift_stationary, predict
 c = predict(lift_stationary(SchoenbergMixture(atoms=((1.0, 1.0),))), heavy_ball(0.4, 0.5), 1, 30)
@@ -660,11 +694,25 @@ print((c.f_limit.tobytes() + c.grad_gram_limit.tobytes() + c.sigma_w.tobytes()).
 
 
 def test_predict_bits_do_not_depend_on_the_blas_thread_count():
-    src = str(Path(grfspan.__file__).parents[1])
-    outputs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        outputs.append(subprocess.run([sys.executable, "-c", _THREADED_PREDICT], env=env,
-                                      check=True, capture_output=True, text=True).stdout)
+    outputs = _under_one_and_two_blas_threads(_THREADED_PREDICT)
+    assert outputs[0] and outputs[0] == outputs[1]
+
+
+_THREADED_SIMULATE = f"""
+from grfspan import SchoenbergMixture, gd, lift_stationary, load_config, simulate_info_paths
+from grfspan.harness import build_gsa, build_kernel
+c = load_config({str(Path(__file__).parents[1] / "bench" / "configs" / "simulate-t20.cfg")!r})
+runs = simulate_info_paths(build_kernel(c.kernel), build_gsa(c.algorithm), c.lam, c.N_list[0],
+                           c.steps, [0], 3)
+runs += simulate_info_paths(lift_stationary(SchoenbergMixture(atoms=((1.0, 1.0),))), gd(0.4),
+                            1.0, 64, 8, range(50), 3)
+print(b"".join(a.tobytes() for r in runs for a in (r.f_values, r.G, r.x_coords)).hex())
+"""
+
+
+def test_sampler_bits_do_not_depend_on_the_blas_thread_count_without_escalation():
+    # neither run climbs the jitter ladder; a run that does re-factors its
+    # whole history through cholesky_psd, whose bits move with the thread
+    # count (ROADMAP item 9)
+    outputs = _under_one_and_two_blas_threads(_THREADED_SIMULATE)
     assert outputs[0] and outputs[0] == outputs[1]

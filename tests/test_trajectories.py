@@ -182,7 +182,7 @@ def test_members_escalating_at_different_steps_match_lone_runs(escalations):
 
 def _final_state(kernel, gsa, lam, N, steps, streams, seed):
     """The conditioning state of a batch of sampled runs after their last step."""
-    walk = SpanWalk(kernel, lam, steps, batch=len(streams))
+    walk = SpanWalk(SpanState(kernel, batch=len(streams)), lam, steps)
     rngs = [make_rng(seed, stream) for stream in streams]
     for _ in range(steps + 1):
         limit_step(walk, gsa, rngs, N)
