@@ -24,9 +24,11 @@ next one's, and a step only appends rows — the new point's (f, D_{v_0..D−1})
 rows, then the D_{v_D} rows of the newly opened direction at every point,
 which are uncorrelated with all older rows.  Extending the Cholesky factor by
 k rows costs O(m²k) for m history rows, where re-assembling and re-factoring
-the history would cost O(m³).  One state steps a batch of B paths that share
-this row structure — the same number of points and directions — as stacked
-(B, ·, ·) arrays.
+the history would cost O(m³).  The direction rows' covariance is the κ₃
+matrix of the points so far, so each direction block's factor is the last
+one's bordered by one κ₃ row, whose pivot squared is σ_w².  One state steps a
+batch of B paths that share this row structure — the same number of points
+and directions — as stacked (B, ·, ·) arrays.
 
 ``LimitState`` steps the N→∞ limit.  There the new point's rows are observed
 at their conditional mean, so their innovation is exactly 0 and they can
@@ -36,8 +38,9 @@ next one's.  The limit therefore keeps one lower factor L of the κ₃ matrix,
 grown by one row per opened direction, and a fixed weight vector u against
 the stored direction rows: a step solves the new κ₃ column through L, reads
 σ_w² off the new pivot, and forms its conditional mean as one gathered
-product.  Both states share the checks of a new point and the one
-``cov_block`` column that relates it to the stored rows.
+product.  Both states share the checks of a new point, the one
+``cov_block`` column that relates it to the stored rows, and the bordering
+of a κ₃ factor by the new point's κ₃ column.
 """
 
 from __future__ import annotations
@@ -144,19 +147,14 @@ def residual_variance(kernel, reps, policy=DEFAULT_POLICY):
 
     reps: (n+1, D) coordinate rows with the newest point last.  Returns
     κ₃(new, new) minus the quadratic form of the history κ₃ block — the
-    Schur complement of the newest entry in the κ₃ matrix.
+    Schur complement of the newest entry in the κ₃ matrix — conditioned
+    from scratch.
     """
     s, ip = coordinate_inner_products(reps)
     kernels.check_domain(s[..., :, None], s[..., None, :], ip)
-    return float(_last_schur(k3_matrix(kernel, s, ip), policy))
-
-
-def _last_schur(W, policy):
-    """Schur complement of the last diagonal entry of each matrix of the stack W."""
-    n = W.shape[-1] - 1
-    zeros = np.zeros(W.shape[:-2] + (n + 1,))
-    return condition(zeros[..., :n], zeros[..., n:], W[..., :n, :n], W[..., :n, n:],
-                     W[..., n:, n:], zeros[..., :n], policy).cond_cov[..., 0, 0]
+    W, zeros = k3_matrix(kernel, s, ip), np.zeros(len(s))
+    return float(condition(zeros[:-1], zeros[-1:], W[:-1, :-1], W[:-1, -1:], W[-1:, -1:],
+                           zeros[:-1], policy).cond_cov[0, 0])
 
 
 @dataclass
@@ -192,7 +190,8 @@ class _State:
     batch size, the point count and the new point against the kernel's
     domain; ``_new_point`` requires κ₃ > 0 at the new point and reads its
     covariances with every stored row, and its mean, off one ``cov_block``
-    column, which must be finite."""
+    column, which must be finite; ``_bordered`` grows a κ₃ factor by the
+    new point's row."""
 
     def __init__(self, kernel, batch):
         self.kernel = kernel
@@ -245,6 +244,22 @@ class _State:
         return (col[:, self._types[:history] * (n + 1) + self._at[:history]],
                 col[:, np.arange(D + 1) * (n + 1) + n])
 
+    @staticmethod
+    def _bordered(L, k, j):
+        """(F, σ²): the lower factor L (B, p, p) of a κ₃ matrix plus j·I
+        bordered by the new point's κ₃ column k (B, p+1), so that F is
+        [[L, 0], [l, √σ²]] with l = L⁻¹·k[:p] and σ² = k[p] + j − l·l, the
+        Schur complement of the new entry.  A σ² ≤ 0 has no such row, and
+        its pivot reads 0."""
+        p = L.shape[1]
+        l = np.linalg.solve(L, k[:, :p, None])[:, :, 0]
+        sigma_sq = k[:, p] + j - np.sum(l * l, axis=1)
+        F = np.zeros((len(L), p + 1, p + 1))
+        F[:, :p, :p] = L
+        F[:, p, :p] = l
+        F[:, p, p] = np.sqrt(np.maximum(sigma_sq, 0.0))
+        return F, sigma_sq
+
 
 class LimitState(_State):
     """Conditioning state of one path in the N→∞ limit.
@@ -286,9 +301,8 @@ class LimitState(_State):
         at = np.append(self.k3_points, n)       # the factor's points, then the new point
         k = self.kernel.k3(s[:, at], s[:, n:], ip[:, at, n])
         S_hn, _, mean = self._new_point(Y, s, ip, n, k[:, -1])
-        l = np.linalg.solve(self.k3_factor, k[:, :-1, None])[:, :, 0]
-        sigma_sq = k[:, -1] - np.sum(l * l, axis=1)
-        self._opens = (l, sigma_sq, D + 1)
+        F, sigma_sq = self._bordered(self.k3_factor, k, 0.0)
+        self._opens = (F, sigma_sq, D + 1)
         self.points += 1
         return mean + (self._u[:, None, :] @ S_hn)[:, 0], sigma_sq
 
@@ -296,27 +310,24 @@ class LimitState(_State):
         """Append D_{v_D} at every point so far, where v_D is the direction
         the last extended point's gradient opened and ``values`` (1,) its
         coordinate along it.  The κ₃ factor gains the new point's row
-        [l, √σ_w²], and the direction's rows their weights
-        L⁻ᵀ·e_n·values/√σ_w², found by one solve; a σ_w² ≤ 0 has no such
-        row and raises ValueError.  A step whose span did not grow skips this.
+        [l, √σ_w²] that ``extend`` bordered it with, and the direction's rows
+        their weights L⁻ᵀ·e_n·values/√σ_w², found by one solve; a σ_w² ≤ 0
+        has no such row and raises ValueError.  A step whose span did not
+        grow skips this.
         """
         if self._opens is None:
             raise ValueError("open_direction needs a preceding extend")
-        l, sigma_sq, row_type = self._opens
+        L, sigma_sq, row_type = self._opens
         if np.any(sigma_sq <= 0):
             raise ValueError(f"no direction to open: σ_w² = {np.min(sigma_sq):.3e} ≤ 0")
         self._opens = None
-        p = l.shape[1]
-        L = np.zeros((1, p + 1, p + 1))
-        L[:, :p, :p] = self.k3_factor
-        L[:, p, :p] = l
-        L[:, p, p] = pivot = np.sqrt(sigma_sq)
+        p = L.shape[1] - 1
         last = np.eye(p + 1)[None, :, p:]       # e_p
         self.k3_factor = L
         self.k3_points = np.append(self.k3_points, self.points - 1)
         u = np.zeros((1, self.points))
         u[:, self.k3_points] = (np.linalg.solve(np.swapaxes(L, 1, 2), last)[:, :, 0]
-                                * (np.asarray(values) / pivot)[:, None])
+                                * (np.asarray(values) / L[:, p, p])[:, None])
         self._u = np.concatenate([self._u, u], axis=1)
         self._types = np.concatenate([self._types, np.full(self.points, row_type)])
         self._at = np.concatenate([self._at, np.arange(self.points)])
@@ -330,11 +341,13 @@ class SpanState(_State):
     only their values differ, and every member is stepped in the one stack.
 
     Each step calls ``extend`` with the new points, which returns their σ_w²
-    too, then ``open_direction`` unless the span did not grow.  L is
+    too, then ``open_direction``: the sampled span always grows.  L is
     extended by block forward substitution, one arrival block at a time,
-    inverting only the small diagonal blocks.  Each member's jitter j
-    (``jitter``) climbs the policy's ladder only when one of its new
-    diagonal blocks fails to factor, and its S is then re-factored from
+    inverting only the small diagonal blocks.  A direction block's factor
+    rows are the last one's bordered by the new point's κ₃ row, so σ_w² is
+    that row's pivot squared.  Each member's jitter j (``jitter``) climbs
+    the policy's ladder only when its new point block fails to factor or its
+    κ₃ pivot² is ≤ 0, and its S is then re-factored from
     scratch by ``cholesky_psd`` from the first rung above j; it never needs
     to come down, because each step's history is a leading block of the next
     one's.  Past the last rung the run raises NotPsdError, or with
@@ -342,8 +355,10 @@ class SpanState(_State):
     that member through ``condition`` on the eigenvalue-thresholded
     pseudo-inverse of its S.  S itself is not stored: each step keeps its
     points' coordinate rows, norm-halves and Gram, and S is rebuilt from
-    them on demand by the calls that step made, so bitwise the rows it
-    conditioned on.  Such a member stays in the stack: its
+    them on demand, a point block bitwise by the calls its step made, a
+    direction block by ``k3_matrix`` over its step's points, which may
+    differ from the κ₃ rows its factor was bordered with at earlier steps
+    by the rounding of the Gram.  A pseudo-inverse member stays in the stack: its
     later factor rows are placeholders (see ``_Arrival``), its rows of
     L⁻¹·S_hn are zeroed, so its z adds nothing, and the factor's draw skips
     it.  A member's results are bitwise those of the same path stepped
@@ -387,13 +402,22 @@ class SpanState(_State):
         and L_nn the new diagonal block of the member's factor, and appended
         to the history.  A conditional covariance of exactly zero draws
         nothing.  Returns the observed rows, (B, D+1), and σ_w², (B,): the
-        Schur complement of the new point's entry in the points' κ₃ matrix,
-        which ``open_direction`` then appends.
+        Schur complement of the new point's entry in the points' κ₃ matrix
+        plus j·I.  It is the squared pivot of the row that borders the last
+        direction block's factor, chol(K + j·I) over the points before, with
+        the new point's κ₃ column, and ``open_direction`` appends that
+        bordered factor.  A member whose new block or pivot fails escalates
+        its jitter, and the step is repeated; a pseudo-inverse member keeps
+        identity placeholders and takes σ_w² from ``residual_variance``.
+        The last extend must have opened its direction.
         """
         Y = np.array(Y, dtype=float)    # kept for rebuilding S
         n, D, s, ip = self._checked(Y)
-        K = k3_matrix(self.kernel, s, ip)
-        S_hn, S_nn, mean = self._new_point(Y, s, ip, n, K[:, n, n])
+        if n and self._types[self._blocks[-1].start] == 0:     # the last block is a point's
+            raise ValueError("a sampled extend needs the last extend's direction opened")
+        k = self.kernel.k3(s[:, :n + 1], s[:, n:], ip[:, :n + 1, n])
+        S_hn, S_nn, mean = self._new_point(Y, s, ip, n, k[:, n])
+        L_k = self._blocks[-1].L if n else np.empty((self.batch, 0, 0))
         while True:
             W = self._forward(S_hn)
             W[self.pseudo] = 0.0
@@ -401,8 +425,14 @@ class SpanState(_State):
             cond_mean = mean + (Wt @ self._z[:, :, None])[:, :, 0]
             cond_cov = S_nn - Wt @ W
             L_nn = self._factor(cond_cov, f"step {n}: the new point's rows")
-            if L_nn is not None:
+            if L_nn is None:
+                continue
+            F, sigma_sq = self._bordered(L_k, k, np.where(self.pseudo, 0.0, self.jitter))
+            failed = np.flatnonzero(~(sigma_sq > 0.0) & ~self.pseudo)
+            if not failed.size:
                 break
+            for b in failed:
+                self._escalate(b, f"step {n}: the κ₃ block ({n + 1}×{n + 1})")
         drawn = np.any(cond_cov, axis=(1, 2)) & ~self.pseudo
         xi = np.zeros(cond_mean.shape)
         for b in np.flatnonzero(drawn):
@@ -410,37 +440,34 @@ class SpanState(_State):
         noise = (L_nn @ xi[:, :, None])[:, :, 0] / math.sqrt(N)
         observed = np.where(drawn[:, None], cond_mean + noise, cond_mean)
 
-        pseudo = np.flatnonzero(self.pseudo)
-        if pseudo.size:
-            res = condition(np.zeros(self._resid[pseudo].shape), mean[pseudo],
-                            self._covariance(pseudo), S_hn[pseudo], S_nn[pseudo],
-                            self._resid[pseudo], policy=replace(self.policy, jitter_start=None))
-            observed[pseudo] = [sample_mvn(mean_b, cov_b / N, rngs[b], self.policy)
-                                for b, mean_b, cov_b in zip(pseudo, res.cond_mean, res.cond_cov)]
+        for b in np.flatnonzero(self.pseudo):
+            res = condition(np.zeros(self._resid.shape[1]), mean[b], self._covariance([b])[0],
+                            S_hn[b], S_nn[b], self._resid[b], replace(self.policy, jitter_start=None))
+            observed[b] = sample_mvn(res.cond_mean, res.cond_cov / N, rngs[b], self.policy)
+            F[b] = np.eye(n + 1)
+            sigma_sq[b] = residual_variance(self.kernel, Y[b], self.policy)
 
         self._append(observed - mean, np.arange(D + 1), np.full(D + 1, n),
                      np.concatenate([Wt, L_nn], axis=2), observed - cond_mean)
         self._geometry.append((Y, s, ip))
-        self._opens = (K, D + 1)
+        self._opens = (F, D + 1)
         self.points += 1
-        return observed, _last_schur(K, self.policy)
+        return observed, sigma_sq
 
     def open_direction(self, values):
         """Append D_{v_D} at every point so far, where v_D is the direction
         the last extended points' gradients opened and ``values`` (B,) those
         gradients' coordinates along it (older points read exactly 0).
 
-        These rows are uncorrelated with every older row and have ``extend``'s
-        κ₃ matrix as covariance.  A step whose span did not grow skips this.
+        These rows are uncorrelated with every older row and have the
+        points' κ₃ matrix as covariance; their factor rows are the bordered
+        factor that ``extend`` computed.
         """
         if self._opens is None:
             raise ValueError("open_direction needs a preceding extend")
-        (K, row_type), self._opens = self._opens, None
+        (L_k, row_type), self._opens = self._opens, None
         observed = np.zeros((self.batch, self.points))
         observed[:, -1] = values
-        L_k = None
-        while L_k is None:
-            L_k = self._factor(K, f"step {self.points - 1}: the κ₃ block")
         self._append(observed, np.full(self.points, row_type), np.arange(self.points),
                      L_k, observed)
 

@@ -51,10 +51,7 @@ class ConditioningResult:
 
     ``log_jitter_used`` is log10 of the diagonal jitter that made S11
     factorizable: −inf if none was needed, +inf if escalation failed and the
-    pseudo-inverse path was taken.  For a stack, cond_mean and cond_cov carry
-    the stack's leading axes, one law per member, while ``log_jitter_used``
-    is the largest over the members and ``rank_deficient`` says whether any
-    member took the pseudo-inverse; both stay Python scalars.
+    pseudo-inverse path was taken.
     """
 
     cond_mean: np.ndarray
@@ -88,12 +85,11 @@ def cholesky_psd(A, policy: ConditionPolicy = DEFAULT_POLICY, above: float = -ma
 
 
 def _pseudo_solve(S11, B):
-    """Solve S11·X = B through an eigenvalue-thresholded pseudo-inverse,
-    for each matrix of a stack."""
+    """Solve S11·X = B through an eigenvalue-thresholded pseudo-inverse."""
     w, V = np.linalg.eigh(S11)
-    threshold = 1e-10 * np.max(np.abs(w), axis=-1, keepdims=True, initial=0.0)
+    threshold = 1e-10 * np.max(np.abs(w), initial=0.0)
     inv_w = np.where(w > threshold, 1.0 / np.where(w > threshold, w, 1.0), 0.0)
-    return V @ (inv_w[..., None] * (V.swapaxes(-1, -2) @ B))
+    return V @ (inv_w[:, None] * (V.T @ B))
 
 
 def _jittered_solve(A, B, policy):
@@ -120,14 +116,11 @@ def condition(mu1, mu2, S11, S12, S22, observed,
     cond_mean = mu2 + S12ᵀ·S11⁻¹·(observed − mu1)
     cond_cov  = S22 − S12ᵀ·S11⁻¹·S12
 
-    All six arguments may carry the same leading batch axes, one problem per
-    member of a stack.  The whole stack is factored and solved at once when
-    every S11 has a Cholesky factor; otherwise each member picks its jitter
-    from the policy's ladder alone, and on exhaustion either raises
-    NotPsdError or (with ``pseudo_fallback``) switches to the thresholded
-    pseudo-inverse.  A member's result is bitwise the one it gets conditioned
-    alone.  cond_cov is symmetrized and diagonal entries in [−1e−12, 0) are
-    clamped to zero.
+    S11 is factored and solved as is when it has a Cholesky factor;
+    otherwise the jitter comes from the policy's ladder, and on exhaustion
+    the call either raises NotPsdError or (with ``pseudo_fallback``) switches
+    to the thresholded pseudo-inverse.  cond_cov is symmetrized and diagonal
+    entries in [−1e−12, 0) are clamped to zero.
     """
     names = ("mu1", "mu2", "S11", "S12", "S22", "observed")
     arrays = [np.asarray(a, dtype=float) for a in (mu1, mu2, S11, S12, S22, observed)]
@@ -137,27 +130,21 @@ def condition(mu1, mu2, S11, S12, S22, observed,
     mu1, mu2, S11, S12, S22, observed = arrays
 
     # one solve covers both the innovation and S12
-    B = np.concatenate([(observed - mu1)[..., None], S12], axis=-1)
+    B = np.concatenate([(observed - mu1)[:, None], S12], axis=1)
     try:
         np.linalg.cholesky(S11)
-        X, top = np.linalg.solve(S11, B), 0.0
+        X, jitter = np.linalg.solve(S11, B), 0.0
     except np.linalg.LinAlgError:
-        jitter = np.empty(S11.shape[:-2])       # +inf for a pseudo-inverse member
-        X = np.empty(B.shape)
-        for b in np.ndindex(jitter.shape):
-            X[b], jitter[b] = _jittered_solve(S11[b], B[b], policy)
-        top = float(jitter.max())
+        X, jitter = _jittered_solve(S11, B, policy)
 
-    S21 = S12.swapaxes(-1, -2)
-    cond_mean = mu2 + (S21 @ X[..., :1])[..., 0]
-    cond_cov = S22 - S21 @ X[..., 1:]
-    cond_cov = 0.5 * (cond_cov + cond_cov.swapaxes(-1, -2))
-    k = cond_cov.shape[-1]
-    d = cond_cov.reshape(cond_cov.shape[:-2] + (k * k,))[..., ::k + 1]   # diagonals, a view
+    cond_mean = mu2 + (S12.T @ X[:, :1])[:, 0]
+    cond_cov = S22 - S12.T @ X[:, 1:]
+    cond_cov = 0.5 * (cond_cov + cond_cov.T)
+    d = cond_cov.reshape(-1)[::len(cond_cov) + 1]   # the diagonal, a view
     d[(d < 0.0) & (d >= -1e-12)] = 0.0
     return ConditioningResult(cond_mean=cond_mean, cond_cov=cond_cov,
-                              log_jitter_used=math.log10(top) if top > 0.0 else -math.inf,
-                              rank_deficient=top == math.inf)
+                              log_jitter_used=math.log10(jitter) if jitter > 0.0 else -math.inf,
+                              rank_deficient=jitter == math.inf)
 
 
 def sample_mvn(mean, cov, rng, policy: ConditionPolicy = DEFAULT_POLICY):

@@ -142,6 +142,30 @@ def test_infoview_rejects_asymmetric_gram():
                  x0_grad=[0.0, 0.0], x0_norm_sq=1.0)
 
 
+@pytest.mark.parametrize("b", [0.0, -1e-3, 1.0, 1e6])
+@pytest.mark.parametrize("slack", [0.99, 1.01])
+def test_infoview_symmetry_tolerance_is_allclose(b, slack):
+    # |g − gᵀ| ≤ 1e-9 + 1e-5·|gᵀ| entrywise, as np.allclose(g, gᵀ, atol=1e-9)
+    # reads it: an asymmetry just inside passes and one just outside fails,
+    # alone or as one run of a batch
+    g = np.array([[1.0, b + slack * (1e-9 + 1e-5 * abs(b))], [b, 1.0]])
+    inside = slack < 1.0
+    assert np.allclose(g, g.T, atol=1e-9) == inside
+    for gram in (g, np.stack([np.eye(2), g])):
+        zeros = np.zeros(gram.shape[:-1])
+        if inside:
+            InfoView(f_values=zeros, grad_gram=gram, x0_grad=zeros, x0_norm_sq=1.0)
+        else:
+            with pytest.raises(ValueError, match="symmetric"):
+                InfoView(f_values=zeros, grad_gram=gram, x0_grad=zeros, x0_norm_sq=1.0)
+
+
+def test_infoview_rejects_nan_gram():
+    with pytest.raises(ValueError, match="symmetric"):
+        InfoView(f_values=[0.0, 0.0], grad_gram=[[1.0, np.nan], [np.nan, 1.0]],
+                 x0_grad=[0.0, 0.0], x0_norm_sq=1.0)
+
+
 def test_infoview_rejects_cauchy_schwarz_violation():
     with pytest.raises(ValueError, match="Cauchy"):
         InfoView(f_values=[0.0], grad_gram=[[1.0]], x0_grad=[2.0], x0_norm_sq=1.0)

@@ -152,19 +152,32 @@ def test_span_state_pseudo_inverse_conditions_and_draws():
     rng = make_rng(4, 0)
     (first,), _ = state.extend([[[0.8]]], [rng], 64)
     state.open_direction([0.9])
-    Y = np.array([[0.8, 0.0], [0.8, 0.0], [0.3, 0.5]])
-    (again,), _ = state.extend(Y[None, :2], [rng], 64)
+    Y = np.array([[0.8, 0.0, 0.0], [0.8, 0.0, 0.0], [0.3, 0.5, 0.2]])
+    (again,), (sigma_sq,) = state.extend(Y[None, :2, :2], [rng], 64)
     assert state.pseudo[0]
     np.testing.assert_allclose(again, [*first, 0.9], rtol=0, atol=1e-8)
+    # the revisited point's κ₃ row is that of point 0: nothing outside the
+    # span, so the direction it opens reads 0
+    assert abs(sigma_sq) <= 1e-12
+    state.open_direction([0.0])
 
     (draw,), _ = state.extend(Y[None], [make_rng(4, 1)], 64)
     blocks = joint_blocks(kernel, Y[:2], Y[2])
-    observed = flatten_history([first[0], again[0]], [[first[1], 0.9], again[1:]])
+    observed = flatten_history([first[0], again[0]], [[first[1], 0.9, 0.0], [*again[1:], 0.0]])
     res = condition(blocks.mean_hist, blocks.mean_new, blocks.S_hh, blocks.S_hn, blocks.S_nn,
                     observed, policy=policy)
     assert res.rank_deficient
     reference = sample_mvn(res.cond_mean, res.cond_cov / 64, make_rng(4, 1), policy)
     np.testing.assert_allclose(draw, reference, rtol=0, atol=1e-10)
+
+
+def test_sampled_extend_needs_the_last_direction_opened():
+    # a sampled extend borders the last direction block's κ₃ factor, so one
+    # that follows an extend without open_direction has nothing to border
+    state = SpanState(KERNELS[0])
+    state.extend([[[0.8]]], [make_rng(4, 0)], 64)
+    with pytest.raises(ValueError, match="direction opened"):
+        state.extend([[[0.8], [0.3]]], [make_rng(4, 0)], 64)
 
 
 def _stepped_state():

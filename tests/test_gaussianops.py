@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from grfspan.errors import NotPsdError
 from grfspan.gaussianops import (
+    DEFAULT_POLICY,
     ConditionPolicy,
     cholesky_psd,
     condition,
@@ -148,47 +149,26 @@ def test_cond_cov_diagonal_clamped():
     assert res.cond_cov[0, 0] <= 1e-12
 
 
-def _member(kind, n, k, seed):
-    """One conditioning problem whose S11 factors as is ("spd"), fails by
-    1e-14 below rank deficiency ("jitter"), or sits 1e-6 below it, past
-    every ladder rung ("pseudo")."""
-    rng = np.random.default_rng(seed)
-    G = rng.standard_normal((n, n if kind == "spd" else n - 1))
-    S11 = G @ G.T + {"spd": 1.0, "jitter": -1e-14, "pseudo": -1e-6}[kind] * np.eye(n)
-    H = rng.standard_normal((k, k))
-    return (rng.standard_normal(n), rng.standard_normal(k), S11,
-            rng.standard_normal((n, k)), H @ H.T, rng.standard_normal(n))
+def _member(kind, n, seed):
+    """One covariance that factors as is ("spd"), fails by 1e-14 below rank
+    deficiency ("jitter"), or sits 1e-6 below it, past every ladder rung
+    ("pseudo")."""
+    G = np.random.default_rng(seed).standard_normal((n, n if kind == "spd" else n - 1))
+    return G @ G.T + {"spd": 1.0, "jitter": -1e-14, "pseudo": -1e-6}[kind] * np.eye(n)
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
-@given(n=st.integers(1, 5), k=st.integers(1, 3), pseudo_fallback=st.booleans(),
-       members=st.lists(st.tuples(st.sampled_from(["spd", "jitter", "pseudo"]),
-                                  st.integers(0, 2 ** 32 - 1)), min_size=1, max_size=6))
-def test_stacked_condition_is_each_member_conditioned_alone(n, k, pseudo_fallback, members):
-    policy = ConditionPolicy(pseudo_fallback=pseudo_fallback)
-    problems = [_member(kind, n, k, seed) for kind, seed in members
-                if pseudo_fallback or kind != "pseudo"]
-    if not problems:
-        return
-    alone = [condition(*p, policy=policy) for p in problems]
-    stack = [np.stack(arrays) for arrays in zip(*problems)]
-    for shape in ((len(problems),), (1, len(problems))):
-        res = condition(*(a.reshape(shape + a.shape[1:]) for a in stack), policy=policy)
-        assert type(res.log_jitter_used) is float and type(res.rank_deficient) is bool
-        assert res.log_jitter_used == max(r.log_jitter_used for r in alone)
-        assert res.rank_deficient == any(r.rank_deficient for r in alone)
-        for got, want in zip(res.cond_mean.reshape(-1, k), alone):
-            assert np.array_equal(got, want.cond_mean)
-        for got, want in zip(res.cond_cov.reshape(-1, k, k), alone):
-            assert np.array_equal(got, want.cond_cov)
-            assert np.array_equal(np.signbit(got), np.signbit(want.cond_cov))
-    for S11 in stack[2]:
-        for above in policy.ladder():
-            try:
-                _, j = cholesky_psd(S11, policy, above=above)
-            except NotPsdError:
-                continue
-            assert j > above and j in policy.ladder()
+@given(n=st.integers(1, 5), kind=st.sampled_from(["spd", "jitter", "pseudo"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_cholesky_psd_climbs_the_ladder_from_above(n, kind, seed):
+    # from any rung, cholesky_psd returns a higher rung of the same ladder
+    S11 = _member(kind, n, seed)
+    for above in DEFAULT_POLICY.ladder():
+        try:
+            _, j = cholesky_psd(S11, above=above)
+        except NotPsdError:
+            continue
+        assert j > above and j in DEFAULT_POLICY.ladder()
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import grfspan
-from grfspan import assembly, gaussianops, limits
+from grfspan import assembly, gaussianops, limits, trajectories
 from grfspan.algorithms import (
     GsaSpec,
     InfoView,
@@ -470,35 +470,47 @@ SIGMA_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", SIGMA_CASES)
-def test_sigma_w_is_the_module_residual_variance(case):
-    # the state's σ_w², the squared pivot of its grown κ₃ factor, against the
-    # stand-alone residual variance, which conditions the whole κ₃ matrix K
-    # of the same points from scratch: on a step that opens a direction the
-    # two agree to (n+1)·ε·cond(K)·κ₃(new, new), and on a frozen step (every
-    # quadratic step after step 0) both are at the stall level
-    kernel, gsa, steps, kw = SIGMA_CASES[case]
-    walk = SpanWalk(LimitState(kernel), 1.0, steps)
-    state, extend, sigma_sq = walk.state, walk.state.extend, []
+def _recorded_sigma_sq(walk):
+    """The σ_w² and jitter of member 0 after each ``extend`` of the walk's state."""
+    state, extend, out = walk.state, walk.state.extend, []
 
     def recorded(*args):
-        out = extend(*args)
-        sigma_sq.append(out[1][0])
-        return out
+        step = extend(*args)
+        out.append((step[1][0], getattr(state, "jitter", np.zeros(1))[0]))
+        return step
 
     state.extend = recorded
-    for _ in range(steps + 1):
-        limit_step(walk, gsa, **kw)
-    curve = walk.curve()
-    for n in range(steps + 1):
-        Y = curve.y_reps[:n + 1, :curve.dims[n]]
-        other = residual_variance(kernel, Y)
-        if n in curve.frozen_steps:
-            assert sigma_sq[n] <= RANK_STALL_TOL and other <= RANK_STALL_TOL, n
-            continue
-        K = k3_matrix(kernel, *coordinate_inner_products(Y))
-        bound = (n + 1) * np.finfo(float).eps * np.linalg.cond(K) * K[n, n]
-        assert abs(sigma_sq[n] - other) <= bound, n
+    return out
+
+
+@pytest.mark.parametrize("case", SIGMA_CASES)
+def test_sigma_w_is_the_module_residual_variance(case):
+    # the states' σ_w², the squared pivot of a grown κ₃ factor, against the
+    # stand-alone residual variance, which conditions the whole κ₃ matrix K
+    # of the same points from scratch: on a step that opens a direction the
+    # two agree to (n+1)·ε·cond(K)·κ₃(new, new), and on a limit's frozen
+    # step (every quadratic step after step 0) both are at the stall level.
+    # A sampled member whose history is jittered by j reads the pivot of
+    # K + j·I instead, within the same bound.
+    kernel, gsa, steps, kw = SIGMA_CASES[case]
+    eps = np.finfo(float).eps
+    walks = [(SpanWalk(LimitState(kernel), 1.0, steps), None, None)]
+    walks += [(SpanWalk(SpanState(kernel), 1.0, steps), [make_rng(5, 0)], N) for N in (64, 10 ** 9)]
+    for walk, rngs, N in walks:
+        record = _recorded_sigma_sq(walk)
+        for _ in range(steps + 1):
+            limit_step(walk, gsa, rngs, N, **({} if rngs else kw))
+        for n, (sigma_sq, j) in enumerate(record):
+            Y = walk.X[0, :n + 1, :walk.dims[n]]
+            other = residual_variance(kernel, Y)
+            if n in walk.frozen:
+                assert sigma_sq <= RANK_STALL_TOL and other <= RANK_STALL_TOL, n
+                continue
+            K = k3_matrix(kernel, *coordinate_inner_products(Y))
+            if j > 0:
+                other = np.linalg.cholesky(K + j * np.eye(n + 1))[n, n] ** 2
+            bound = (n + 1) * eps * np.linalg.cond(K) * K[n, n]
+            assert abs(sigma_sq - other) <= bound, (N, n)
 
 
 def test_frozen_steps_append_no_direction():
@@ -573,12 +585,16 @@ def test_step_kind_must_match_the_state_type(make_state, step_args):
     assert walk.n == 0 and state.points == 0
 
 
-def test_limit_factors_no_point_block(monkeypatch):
-    # predict-t30: the limit grows one κ₃ factor by a row per step, so step n
-    # evaluates κ₃ on the new point's n + 1 pairs alone, and no step
-    # conditions a block, factors one or climbs the jitter ladder
-    config = load_config(Path(__file__).parents[1] / "bench" / "configs" / "predict-t30.cfg")
+def _spy_calls(monkeypatch, targets):
+    """Spy on ``KernelModel.k3`` and on the attribute ``name`` of each
+    (owner, name) in targets; returns the names called and the number of
+    point pairs of each κ₃ evaluation, both filled as the run goes."""
     calls, pairs, k3 = [], [], KernelModel.k3
+
+    def spy_k3(self, *args):
+        out = k3(self, *args)
+        pairs.append(np.size(out))
+        return out
 
     def spy(name, original):
         def spied(*args, **kwargs):
@@ -586,22 +602,43 @@ def test_limit_factors_no_point_block(monkeypatch):
             return original(*args, **kwargs)
         return spied
 
-    def spy_k3(self, *args):
-        out = k3(self, *args)
-        pairs.append(np.size(out))
-        return out
-
     monkeypatch.setattr(KernelModel, "k3", spy_k3)
-    for module in (gaussianops, assembly, limits):
-        monkeypatch.setattr(module, "condition", spy("condition", gaussianops.condition))
-    for module in (gaussianops, assembly):
-        monkeypatch.setattr(module, "cholesky_psd", spy("cholesky_psd", gaussianops.cholesky_psd))
-    monkeypatch.setattr(SpanState, "_factor", spy("_factor", SpanState._factor))
+    for owner, name in targets:
+        monkeypatch.setattr(owner, name, spy(name, getattr(owner, name)))
+    return calls, pairs
+
+
+def test_limit_factors_no_point_block(monkeypatch):
+    # predict-t30: the limit grows one κ₃ factor by a row per step, so step n
+    # evaluates κ₃ on the new point's n + 1 pairs alone, and no step
+    # conditions a block, factors one or climbs the jitter ladder; the
+    # sampler's state, whose extend factors a point block, never steps
+    config = load_config(Path(__file__).parents[1] / "bench" / "configs" / "predict-t30.cfg")
+    calls, pairs = _spy_calls(monkeypatch, [
+        *((module, "condition") for module in (gaussianops, assembly, limits)),
+        *((module, "cholesky_psd") for module in (gaussianops, assembly)),
+        (SpanState, "extend")])
     curve = predict(build_kernel(config.kernel), build_gsa(config.algorithm), config.lam,
                     config.steps)
     assert curve.steps == 30 and curve.frozen_steps == ()
     assert calls == []
     assert sum(pairs) == sum(n + 1 for n in range(31)) == 496
+
+
+def test_sampler_borders_one_k3_row_per_step(monkeypatch):
+    # simulate-t20: each sampled step borders the last direction block's κ₃
+    # factor with the new point's n + 1 pairs, so no step builds a κ₃ matrix
+    # or conditions one; without escalation nothing is rebuilt either
+    config = load_config(Path(__file__).parents[1] / "bench" / "configs" / "simulate-t20.cfg")
+    calls, pairs = _spy_calls(monkeypatch, [
+        *((module, "condition") for module in (gaussianops, assembly, limits, trajectories)),
+        (assembly, "k3_matrix")])
+    (N,) = config.N_list
+    (record,) = simulate_info_paths(build_kernel(config.kernel), build_gsa(config.algorithm),
+                                    config.lam, N, config.steps, [0], 1)
+    assert record.steps == 20 and np.isfinite(record.f_values).all()
+    assert calls == []
+    assert sum(pairs) == sum(n + 1 for n in range(21)) == 231
 
 
 def test_negative_sigma_w_reports_lost_digits():
