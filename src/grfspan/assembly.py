@@ -35,12 +35,12 @@ at their conditional mean, so their innovation is exactly 0 and they can
 never move a later mean.  Only the direction rows do, and each direction's
 covariance, the κ₃ matrix of the points so far, is a leading block of the
 next one's.  The limit therefore keeps one lower factor L of the κ₃ matrix,
-grown by one row per opened direction, and a fixed weight vector u against
-the stored direction rows: a step solves the new κ₃ column through L, reads
-σ_w² off the new pivot, and forms its conditional mean as one gathered
-product.  Both states share the checks of a new point, the one
-``cov_block`` column that relates it to the stored rows, and the bordering
-of a κ₃ factor by the new point's κ₃ column.
+grown by one row per opened direction, and a fixed weight matrix against
+the direction rows, one column per direction: a step solves the new κ₃
+column through L, reads σ_w² off the new pivot, and forms its conditional
+mean as one ``KernelModel.weighted_rows`` contraction over the history
+points, with no ``cov_block`` column.  Both states share the checks of a
+new point and the bordering of a κ₃ factor by the new point's κ₃ column.
 """
 
 from __future__ import annotations
@@ -185,27 +185,17 @@ class _Arrival:
 
 class _State:
     """What both conditioning states keep and check for a batch of B paths:
-    the labels of their stored rows, and the part of ``extend`` that does not
-    depend on how the new point's rows are observed.  ``_checked`` tests the
-    batch size, the point count and the new point against the kernel's
-    domain; ``_new_point`` requires κ₃ > 0 at the new point and reads its
-    covariances with every stored row, and its mean, off one ``cov_block``
-    column, which must be finite; ``_bordered`` grows a κ₃ factor by the
-    new point's row."""
+    the part of ``extend`` that does not depend on how the new point's rows
+    are observed.  ``_checked`` tests the batch size, the point count and
+    the new point against the kernel's domain; ``_require_mass`` requires
+    κ₃ > 0 at the new point; ``_bordered`` grows a κ₃ factor by the new
+    point's row."""
 
     def __init__(self, kernel, batch):
         self.kernel = kernel
         self.batch = batch
         self.points = 0
-        self._types = np.empty(0, dtype=int)    # 0 for f, i + 1 for D_{v_i}
-        self._at = np.empty(0, dtype=int)       # point of each row
         self._opens = None                      # what the last extend's direction would append
-
-    @property
-    def labels(self):
-        """(derivative type, point) of each stored row in arrival order;
-        type 0 is f and type i + 1 is D_{v_i}."""
-        return self._types.copy(), self._at.copy()
 
     def _checked(self, Y):
         """(n, D, s, ip) of the points Y, (B, n+1, D), the new point last:
@@ -220,29 +210,13 @@ class _State:
         kernels.check_domain(s[:, n:], s, ip[:, n])
         return n, D, s, ip
 
-    def _new_point(self, Y, s, ip, n, kappa):
-        """(S_hn, S_nn, mean) of the (f, D_{v_0..D−1}) rows of the new point
-        n, given its κ₃ (B,); a κ₃ ≤ 0 raises DegenerateKernelError before
-        anything is assembled."""
+    @staticmethod
+    def _require_mass(n, kappa):
+        """Raise DegenerateKernelError unless the κ₃ (B,) of the new point n
+        is positive."""
         if np.any(kappa <= 0):
             raise DegenerateKernelError(f"step {n}: κ₃ = {np.min(kappa):g} at the new "
                                         "point; no gradient mass outside the span")
-        S_hn, S_nn = self._new_point_rows(Y, s, ip, len(self._types))
-        mean = mean_block(self.kernel, Y, s, [n])
-        if not all(np.all(np.isfinite(a)) for a in (S_hn, S_nn, mean)):
-            raise KernelDomainError(
-                f"step {n}: non-finite entries in the new point's covariance or mean")
-        return S_hn, S_nn, mean
-
-    def _new_point_rows(self, Y, s, ip, history):
-        """(S_hn, S_nn): covariances of the (f, D_{v_0..D−1}) rows of the
-        newest of the points Y with the first ``history`` stored rows,
-        (B, history, D+1), and with themselves, (B, D+1, D+1), read off one
-        ``cov_block`` column."""
-        n, D = Y.shape[1] - 1, Y.shape[2]
-        col = cov_block(self.kernel, Y, s, ip, np.arange(n + 1), [n])
-        return (col[:, self._types[:history] * (n + 1) + self._at[:history]],
-                col[:, np.arange(D + 1) * (n + 1) + n])
 
     @staticmethod
     def _bordered(L, k, j):
@@ -265,17 +239,21 @@ class LimitState(_State):
     """Conditioning state of one path in the N→∞ limit.
 
     There every new point's rows are observed at their conditional mean, so
-    their innovation is 0 and they never move a later mean: the state
-    stores the direction rows alone (no type 0 in ``labels``).  It keeps
-    ``k3_factor``, the lower factor (1, p, p) of the κ₃ matrix over the p
-    points ``k3_points`` whose step opened a direction, grown by one row per
-    opened direction, and the weights u = S⁻¹·(observed − mean) of the
-    stored rows, S their covariance, so that a new point's conditional mean is its mean plus
-    S_hnᵀ·u.  Each direction's weights are fixed when it opens: those of
-    the direction opened at point n are L⁻ᵀ·e_n scaled by its observed value
-    over the pivot.  A point whose step opened nothing never enters the
-    factor, and its rows carry weight 0.  The limit factors no point block,
-    so it needs no jitter.
+    their innovation is 0 and they never move a later mean: only the rows
+    D_{v_j} f(y_a) of the opened directions do, at the points a up to the
+    step that opened v_j.  The state keeps ``k3_factor``, the lower factor
+    (1, p, p) of the κ₃ matrix over the p points ``k3_points`` whose step
+    opened a direction, grown by one row per opened direction, and
+    ``weights`` (1, points, width), where weights[0, a, j] is the entry of
+    u = S⁻¹·(observed − mean) at the row D_{v_j} f(y_a), S the covariance
+    of the direction rows.  A new point's conditional mean is then its mean
+    plus Σ_a Σ_j w[a, j]·Cov(D_{v_j} f(y_a), its rows): one
+    ``KernelModel.weighted_rows`` contraction, O(n·D) kernel work for n
+    points.  Each direction's weights are fixed when it opens: those of the
+    direction opened at point n are L⁻ᵀ·e_n scaled by its observed value
+    over the pivot, and its column is 0 at every later point.  A point whose
+    step opened nothing never enters the factor, and its weights are 0.
+    The limit factors no point block, so it needs no jitter.
 
     Each step calls ``extend`` with the new point, which returns its σ_w²
     too, then ``open_direction`` unless the span did not grow.
@@ -285,39 +263,49 @@ class LimitState(_State):
         super().__init__(kernel, 1)
         self.k3_factor = np.empty((1, 0, 0))
         self.k3_points = np.empty(0, dtype=int)
-        self._u = np.empty((1, 0))              # weight of each stored row
+        self.weights = np.empty((1, 0, 0))
 
     def extend(self, Y) -> tuple[np.ndarray, np.ndarray]:
         """Observe the (f, D_{v_0..D−1}) rows of the point Y[:, -1] at their
-        conditional mean given the stored direction rows, mean + S_hnᵀ·u;
-        Y (1, n+1, D) holds the history points' coordinate rows followed by
-        the new point's.  Returns those rows, (1, D+1), and σ_w², (1,): the
-        new κ₃ column, evaluated over the factor's points only, is solved
-        through the factor, and σ_w² is the squared pivot that row would
-        have.  Nothing is appended until ``open_direction``.
+        conditional mean given the direction rows, the mean plus their
+        ``weighted_rows``; Y (1, n+1, D) holds the history points'
+        coordinate rows followed by the new point's.  Returns those rows,
+        (1, D+1), and σ_w², (1,): the new κ₃ column, evaluated over the
+        factor's points only, is solved through the factor, and σ_w² is the
+        squared pivot that row would have.  A non-finite κ₃ column, mean or
+        conditional mean raises KernelDomainError.  Nothing is appended
+        until ``open_direction``; ``weights`` gains the new point's zero row.
         """
         Y = np.asarray(Y, dtype=float)
         n, D, s, ip = self._checked(Y)
         at = np.append(self.k3_points, n)       # the factor's points, then the new point
         k = self.kernel.k3(s[:, at], s[:, n:], ip[:, at, n])
-        S_hn, _, mean = self._new_point(Y, s, ip, n, k[:, -1])
+        self._require_mass(n, k[:, -1])
+        w = np.zeros((1, n + 1, D))
+        w[:, :n, :self.weights.shape[2]] = self.weights
+        mean = mean_block(self.kernel, Y, s, [n])
+        observed = mean + self.kernel.weighted_rows(s[:, :n], s[:, n], ip[:, :n, n],
+                                                     Y[:, :n], Y[:, n], w[:, :n])
+        if not all(np.all(np.isfinite(a)) for a in (k, mean, observed)):
+            raise KernelDomainError(f"step {n}: non-finite entries in the new point's "
+                                    "κ₃ column, mean or conditional mean")
         F, sigma_sq = self._bordered(self.k3_factor, k, 0.0)
-        self._opens = (F, sigma_sq, D + 1)
+        self._opens = (F, sigma_sq, D)
+        self.weights = w
         self.points += 1
-        return mean + (self._u[:, None, :] @ S_hn)[:, 0], sigma_sq
+        return observed, sigma_sq
 
     def open_direction(self, values):
-        """Append D_{v_D} at every point so far, where v_D is the direction
-        the last extended point's gradient opened and ``values`` (1,) its
-        coordinate along it.  The κ₃ factor gains the new point's row
-        [l, √σ_w²] that ``extend`` bordered it with, and the direction's rows
-        their weights L⁻ᵀ·e_n·values/√σ_w², found by one solve; a σ_w² ≤ 0
-        has no such row and raises ValueError.  A step whose span did not
-        grow skips this.
+        """Open v_D, the direction the last extended point's gradient opened,
+        where ``values`` (1,) is its coordinate along it.  The κ₃ factor
+        gains the new point's row [l, √σ_w²] that ``extend`` bordered it
+        with, and ``weights`` the column D, L⁻ᵀ·e_n·values/√σ_w² at the
+        factor's points, found by one solve; a σ_w² ≤ 0 has no such row and
+        raises ValueError.  A step whose span did not grow skips this.
         """
         if self._opens is None:
             raise ValueError("open_direction needs a preceding extend")
-        L, sigma_sq, row_type = self._opens
+        L, sigma_sq, D = self._opens
         if np.any(sigma_sq <= 0):
             raise ValueError(f"no direction to open: σ_w² = {np.min(sigma_sq):.3e} ≤ 0")
         self._opens = None
@@ -325,12 +313,11 @@ class LimitState(_State):
         last = np.eye(p + 1)[None, :, p:]       # e_p
         self.k3_factor = L
         self.k3_points = np.append(self.k3_points, self.points - 1)
-        u = np.zeros((1, self.points))
-        u[:, self.k3_points] = (np.linalg.solve(np.swapaxes(L, 1, 2), last)[:, :, 0]
-                                * (np.asarray(values) / L[:, p, p])[:, None])
-        self._u = np.concatenate([self._u, u], axis=1)
-        self._types = np.concatenate([self._types, np.full(self.points, row_type)])
-        self._at = np.concatenate([self._at, np.arange(self.points)])
+        w = np.zeros((1, self.points, D + 1))
+        w[:, :, :D] = self.weights
+        w[:, self.k3_points, D] = (np.linalg.solve(np.swapaxes(L, 1, 2), last)[:, :, 0]
+                                   * (np.asarray(values) / L[:, p, p])[:, None])
+        self.weights = w
 
 
 class SpanState(_State):
@@ -367,6 +354,8 @@ class SpanState(_State):
 
     def __init__(self, kernel, policy: ConditionPolicy = DEFAULT_POLICY, batch: int = 1):
         super().__init__(kernel, batch)
+        self._types = np.empty(0, dtype=int)    # 0 for f, i + 1 for D_{v_i}
+        self._at = np.empty(0, dtype=int)       # point of each row
         self.policy = policy
         self.jitter = np.zeros(batch)           # +inf after a pseudo switch
         self._blocks: list[_Arrival] = []
@@ -378,6 +367,12 @@ class SpanState(_State):
     def pseudo(self) -> np.ndarray:
         """Whether each member's solves have switched to the pseudo-inverse."""
         return np.isinf(self.jitter)
+
+    @property
+    def labels(self):
+        """(derivative type, point) of each stored row in arrival order;
+        type 0 is f and type i + 1 is D_{v_i}."""
+        return self._types.copy(), self._at.copy()
 
     def covariance(self) -> np.ndarray:
         """The history covariances S, (B, m, m), rows and columns in arrival order."""
@@ -470,6 +465,28 @@ class SpanState(_State):
         observed[:, -1] = values
         self._append(observed, np.full(self.points, row_type), np.arange(self.points),
                      L_k, observed)
+
+    def _new_point(self, Y, s, ip, n, kappa):
+        """(S_hn, S_nn, mean) of the (f, D_{v_0..D−1}) rows of the new point
+        n, given its κ₃ (B,); a κ₃ ≤ 0 raises DegenerateKernelError before
+        anything is assembled."""
+        self._require_mass(n, kappa)
+        S_hn, S_nn = self._new_point_rows(Y, s, ip, len(self._types))
+        mean = mean_block(self.kernel, Y, s, [n])
+        if not all(np.all(np.isfinite(a)) for a in (S_hn, S_nn, mean)):
+            raise KernelDomainError(
+                f"step {n}: non-finite entries in the new point's covariance or mean")
+        return S_hn, S_nn, mean
+
+    def _new_point_rows(self, Y, s, ip, history):
+        """(S_hn, S_nn): covariances of the (f, D_{v_0..D−1}) rows of the
+        newest of the points Y with the first ``history`` stored rows,
+        (B, history, D+1), and with themselves, (B, D+1, D+1), read off one
+        ``cov_block`` column."""
+        n, D = Y.shape[1] - 1, Y.shape[2]
+        col = cov_block(self.kernel, Y, s, ip, np.arange(n + 1), [n])
+        return (col[:, self._types[:history] * (n + 1) + self._at[:history]],
+                col[:, np.arange(D + 1) * (n + 1) + n])
 
     # -- factor maintenance ---------------------------------------------------
 

@@ -126,8 +126,12 @@ class KernelModel:
     ``mean(s)`` returns (μ, μ′) and ``derivatives(λ₁, λ₂, λ₃)`` returns
     (κ, κ₁, κ₂, κ₃, κ₁₂, κ₁₃, κ₂₃, κ₃₃) — κ, then the ``PARTIAL_NAMES`` order
     — each from one call, so a family shares the work its values have in
-    common.  Both accept scalars or numpy arrays.  Instances are immutable by
-    convention and safe to share across threads/trajectories.
+    common.  Both accept scalars or numpy arrays.  Every covariance rule
+    makes one ``derivatives`` call: per entry (``cov_ff``, ``cov_df_f``,
+    ``cov_df_df``, ``k3``), per point pair (``cov_pair_block``), and the
+    limit's weighted sum of the direction rows of n pair blocks
+    (``weighted_rows``).  Instances are immutable by convention and safe to
+    share across threads/trajectories.
     """
 
     def __init__(self, mean, derivatives, *, label=""):
@@ -186,12 +190,32 @@ class KernelModel:
         _diagonal(out)[..., 1:] += k3
         return out
 
+    def weighted_rows(self, s_y, s_x, ip, y, x, w):
+        """Σ_a Σ_j w[a, j]·Cov(D_{v_j} f(y_a), (f, D_{v_0..D−1}) f(x)) over
+        the points y (…, n, D) against one point x (…, D), with weights
+        w (…, n, D), norm-halves s_y (…, n), s_x (…,) and inner products
+        ip (…, n) = ⟨y_a, x⟩; (…, D+1), from one ``derivatives`` call over
+        the n pairs.
+
+        With U_a = w_a·y_a and V_a = w_a·x the f entry is Σ(κ₁U + κ₃V), and
+        the D_v part x·Σ(κ₁₂U + κ₂₃V) + Σ(κ₁₃U + κ₃₃V)·y_a + Σκ₃·w_a: the
+        rows of ``cov_pair_block(s_y, s_x, ip, y, x)`` contracted with w.
+        """
+        _, k1, _, k3, k12, k13, k23, k33 = self.derivatives(s_y, np.asarray(s_x)[..., None], ip)
+        U, V = np.sum(w * y, axis=-1), (w @ x[..., None])[..., 0]
+        out = np.empty(x.shape[:-1] + (x.shape[-1] + 1,))
+        out[..., 0] = np.sum(k1 * U + k3 * V, axis=-1)
+        out[..., 1:] = (x * np.sum(k12 * U + k23 * V, axis=-1)[..., None]
+                        + np.sum((k13 * U + k33 * V)[..., None] * y
+                                 + np.asarray(k3)[..., None] * w, axis=-2))
+        return out
+
 
 class _DirectStationaryModel(KernelModel):
     """Stationary covariances evaluated through the squared distance.
 
-    ``cov_pair_block`` uses C(‖Δ‖²/2) with Δ = x − y and the distance-form
-    derivative rules
+    ``cov_pair_block`` and ``weighted_rows`` use C(‖Δ‖²/2) with Δ = x − y
+    and the distance-form derivative rules
 
         Cov(D_v f(x), f(y))     ∝  C′(r)⟨Δ, v⟩
         Cov(D_v f(x), D_w f(y)) ∝ −[C″(r)⟨Δ, v⟩⟨Δ, w⟩ + C′(r)⟨v, w⟩]
@@ -217,6 +241,17 @@ class _DirectStationaryModel(KernelModel):
         dd[...] = (delta[..., :, None] @ delta[..., None, :]) * np.asarray(ddc)[..., None, None]
         _diagonal(out)[..., 1:] += dc
         np.negative(dd, out=dd)
+        return out
+
+    def weighted_rows(self, s_y, s_x, ip, y, x, w):
+        # with Δ_a = y_a − x and P_a = w_a·Δ_a: f entry Σ C′P, D_v part
+        # −Σ(C″·P·Δ_a + C′·w_a)
+        _, dc, ddc = self._mixture.derivatives(s_y + np.asarray(s_x)[..., None] - ip)
+        delta = y - x[..., None, :]
+        P = np.sum(w * delta, axis=-1)
+        out = np.empty(x.shape[:-1] + (x.shape[-1] + 1,))
+        out[..., 0] = np.sum(dc * P, axis=-1)
+        out[..., 1:] = -np.sum((ddc * P)[..., None] * delta + dc[..., None] * w, axis=-2)
         return out
 
 

@@ -211,9 +211,10 @@ def predict(kernel: KernelModel, gsa: GsaSpec, lam: float, steps: int, *,
 
     The limit conditions each new point on the opened directions' rows
     alone: per step, it solves the new point's κ₃ column through one growing
-    κ₃ factor, forms the conditional mean as one product with fixed weights,
-    and on opening a direction makes one more solve for its weights.  It
-    factors no block and takes no jitter.
+    κ₃ factor, forms the conditional mean as one kernel contraction with
+    fixed weights over the earlier points, and on opening a direction makes
+    one more solve for its weights.  It builds no covariance block, factors
+    none and takes no jitter.
     """
     walk = SpanWalk(LimitState(kernel), lam, steps)
     for _ in range(steps + 1):

@@ -358,6 +358,34 @@ def test_block_rule_is_the_per_entry_rule(name, D, batch, pairs, seed):
                                    float(i == j)))
 
 
+WEIGHTED_KERNELS = {
+    **BLOCK_KERNELS,
+    "lifted 2-atom, mean 0.3": lift_stationary(SchoenbergMixture(atoms=((0.7, 0.5), (0.3, 2.0))),
+                                               mean_level=0.3),
+}
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("D", [0, 1, 4])
+@pytest.mark.parametrize("name", sorted(WEIGHTED_KERNELS))
+def test_weighted_rows_contract_the_pair_blocks(name, D, batch):
+    # the limit's conditional mean: the direction rows of n pair blocks
+    # against one point, contracted with a weight matrix, to rounding
+    kernel = WEIGHTED_KERNELS[name]
+    rng = np.random.default_rng(29)
+    for n in (1, 6):
+        y = rng.standard_normal((batch, n, D)) * 0.6
+        x = rng.standard_normal((batch, D)) * 0.6
+        w = rng.standard_normal((batch, n, D))
+        s_y, s_x = 0.5 * np.sum(y * y, axis=-1), 0.5 * np.sum(x * x, axis=-1)
+        ip = (y @ x[:, :, None])[:, :, 0]
+        C = kernel.cov_pair_block(s_y, s_x[:, None], ip, y, x[:, None, :])[:, :, 1:, :]
+        got = kernel.weighted_rows(s_y, s_x, ip, y, x, w)
+        assert got.shape == (batch, D + 1)
+        scale = np.einsum("baj,bajk->bk", np.abs(w), np.abs(C))
+        assert np.all(np.abs(got - np.einsum("baj,bajk->bk", w, C)) <= 1e-14 * scale)
+
+
 # ---------------------------------------------------------------------------
 # positive semi-definiteness of assembled covariance matrices
 # ---------------------------------------------------------------------------

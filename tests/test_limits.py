@@ -378,21 +378,26 @@ STATE_CASES = {
 @pytest.mark.parametrize("lam", [1.0, 0.0])
 @pytest.mark.parametrize("case", STATE_CASES)
 def test_state_is_permuted_history_block(case, lam):
-    # the limit stores the direction rows of the row-major history block of
-    # the next step, each once, in arrival order: D_{v_D} at points 0..k for
-    # each step k that opened v_D; old entries never change, and each such
+    # the limit weights the direction rows of the row-major history block of
+    # the next step: D_{v_D} at the factor's points 0..k for each step k that
+    # opened v_D, and no other row; old weights never change, and each such
     # block, over the points that opened a direction, is a leading block of
     # the κ₃ factor's product
     kernel, gsa, kw = STATE_CASES[case]
+    before = np.empty((0, 0))
     for curve, state in drive(kernel, gsa, lam, 6, **kw):
         n = curve.steps + 1
         d = curve.gamma_width(n - 1)
         S_hh = joint_blocks(kernel, curve.y_reps[:n, :d], np.zeros(d)).S_hh
-        types, at = state.labels
+        (w,) = state.weights
         opened = [k for k in range(n) if k not in curve.frozen_steps]
-        np.testing.assert_array_equal(
-            types, np.concatenate([np.full(k + 1, curve.dims[k] + 1) for k in opened]))
-        np.testing.assert_array_equal(at, np.concatenate([np.arange(k + 1) for k in opened]))
+        np.testing.assert_array_equal(state.k3_points, opened)
+        support = np.zeros((n, d), dtype=bool)
+        for k in opened:
+            support[state.k3_points[state.k3_points <= k], curve.dims[k]] = True
+        np.testing.assert_array_equal(w != 0, support)
+        np.testing.assert_array_equal(w[:len(before), :before.shape[1]], before)
+        before = w
         (L,) = state.k3_factor
         for k in opened:
             rows = (curve.dims[k] + 1) * n + state.k3_points[state.k3_points <= k]
@@ -518,11 +523,11 @@ def test_frozen_steps_append_no_direction():
     for curve, state in drive(kernel, gd(0.3), 1.0, 5, on_rank_stall="freeze"):
         pass
     assert curve.frozen_steps == (1, 2, 3, 4, 5)
-    types, at = state.labels
-    # the limit stores no point rows: step 0 opens D_{v_1}, and no later step
-    # opens anything
-    np.testing.assert_array_equal(types, [2])
-    np.testing.assert_array_equal(at, [0])
+    (w,) = state.weights
+    # the limit weights no point rows: step 0 opens v_1, weighted at point 0
+    # alone, and no later step opens anything
+    assert w.shape == (6, 2)
+    np.testing.assert_array_equal(np.argwhere(w), [[0, 1]])
     np.testing.assert_allclose(curve.f_limit, quadratic_gd_oracle(0.3, 5), atol=1e-8)
 
 
@@ -610,19 +615,30 @@ def _spy_calls(monkeypatch, targets):
 
 def test_limit_factors_no_point_block(monkeypatch):
     # predict-t30: the limit grows one κ₃ factor by a row per step, so step n
-    # evaluates κ₃ on the new point's n + 1 pairs alone, and no step
-    # conditions a block, factors one or climbs the jitter ladder; the
-    # sampler's state, whose extend factors a point block, never steps
+    # evaluates κ₃ on the new point's n + 1 pairs, and its conditional mean
+    # is one weighted contraction over the n history pairs; no step builds a
+    # covariance block, conditions one, factors one or climbs the jitter
+    # ladder, and the sampler's state, whose extend factors a point block,
+    # never steps
     config = load_config(Path(__file__).parents[1] / "bench" / "configs" / "predict-t30.cfg")
     calls, pairs = _spy_calls(monkeypatch, [
         *((module, "condition") for module in (gaussianops, assembly, limits)),
         *((module, "cholesky_psd") for module in (gaussianops, assembly)),
-        (SpanState, "extend")])
-    curve = predict(build_kernel(config.kernel), build_gsa(config.algorithm), config.lam,
-                    config.steps)
+        (assembly, "cov_block"), (KernelModel, "cov_pair_block"), (SpanState, "extend")])
+    kernel, evaluated = build_kernel(config.kernel), []
+    derivatives = kernel.derivatives
+
+    def counted(*args):
+        out = derivatives(*args)
+        evaluated.append(np.size(out[0]))
+        return out
+
+    kernel.derivatives = counted
+    curve = predict(kernel, build_gsa(config.algorithm), config.lam, config.steps)
     assert curve.steps == 30 and curve.frozen_steps == ()
     assert calls == []
     assert sum(pairs) == sum(n + 1 for n in range(31)) == 496
+    assert sum(evaluated) == 496 + sum(range(31)) == 961
 
 
 def test_sampler_borders_one_k3_row_per_step(monkeypatch):
