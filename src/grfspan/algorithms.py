@@ -61,16 +61,16 @@ class InfoView:
         g = self.grad_gram
         if g.shape[-1] != g.shape[-2] or g.shape[:-1] != self.x0_grad.shape:
             raise ValueError("inconsistent information sizes")
-        gt = np.swapaxes(g, -1, -2)
+        gt = g.swapaxes(-1, -2)
         # np.allclose(g, gt, atol=1e-9) on finite Grams, without its overhead; NaN fails
-        if not np.all(np.abs(g - gt) <= 1e-9 + 1e-5 * np.abs(gt)):
+        if not (np.abs(g - gt) <= 1e-9 + 1e-5 * np.abs(gt)).all():
             raise ValueError("gradient Gram matrix must be symmetric")
-        diag = np.diagonal(g, axis1=-2, axis2=-1)
-        if np.any(diag < -1e-12):
+        diag = g.diagonal(axis1=-2, axis2=-1)
+        if (diag < -1e-12).any():
             raise ValueError("gradient Gram diagonal must be nonnegative")
         # Cauchy–Schwarz with slack for rounding
-        bound = self.x0_norm_sq * np.clip(diag, 0.0, None)
-        if np.any(self.x0_grad ** 2 > bound + 1e-9 * np.maximum(1.0, bound)):
+        bound = self.x0_norm_sq * np.maximum(diag, 0.0)
+        if (self.x0_grad ** 2 > bound + 1e-9 * np.maximum(1.0, bound)).any():
             raise ValueError("⟨x₀,∇f⟩ violates Cauchy–Schwarz against ‖x₀‖·‖∇f‖")
 
     @property
@@ -90,8 +90,8 @@ class PrefactorRow:
     h_g: np.ndarray
 
     def __post_init__(self):
-        h_x = float(self.h_x) if np.ndim(self.h_x) == 0 else np.asarray(self.h_x, dtype=float)
-        object.__setattr__(self, "h_x", h_x)
+        h_x = np.asarray(self.h_x, dtype=float)
+        object.__setattr__(self, "h_x", h_x if h_x.ndim else float(h_x))
         object.__setattr__(self, "h_g", np.asarray(self.h_g, dtype=float))
 
 
@@ -208,7 +208,7 @@ def fr_cg(alpha: float) -> GsaSpec:
     a = float(alpha)
 
     def prefactors(n, info):
-        diag = np.diagonal(info.grad_gram, axis1=-2, axis2=-1)
+        diag = info.grad_gram.diagonal(axis1=-2, axis2=-1)
         prev = diag[..., :n - 1]
         restart = prev < CG_RESTART_TOL
         beta = np.where(restart, 0.0, diag[..., 1:n] / np.where(restart, 1.0, prev))

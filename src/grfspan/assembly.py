@@ -39,8 +39,10 @@ grown by one row per opened direction, and a fixed weight matrix against
 the direction rows, one column per direction: a step solves the new κ₃
 column through L, reads σ_w² off the new pivot, and forms its conditional
 mean as one ``KernelModel.weighted_rows`` contraction over the history
-points, with no ``cov_block`` column.  Both states share the checks of a
-new point and the bordering of a κ₃ factor by the new point's κ₃ column.
+points, with no ``cov_block`` column; one ``derivatives`` call over the new
+point's pairs gives both the κ₃ column and the contraction's partials.
+Both states share the checks of a new point and the bordering of a κ₃
+factor by the new point's κ₃ column.
 """
 
 from __future__ import annotations
@@ -57,9 +59,11 @@ from .gaussianops import DEFAULT_POLICY, ConditionPolicy, cholesky_psd, conditio
 
 def coordinate_inner_products(reps):
     """Norm-halves s_k = ‖y_k‖²/2 and the Gram ⟨y_k, y_l⟩ of coordinate rows."""
-    Y = np.atleast_2d(np.asarray(reps, dtype=float))
-    ip = Y @ np.swapaxes(Y, -1, -2)
-    return 0.5 * np.diagonal(ip, axis1=-2, axis2=-1).copy(), ip
+    Y = np.asarray(reps, dtype=float)
+    if Y.ndim < 2:
+        Y = np.atleast_2d(Y)
+    ip = Y @ Y.swapaxes(-1, -2)
+    return 0.5 * ip.diagonal(axis1=-2, axis2=-1), ip
 
 
 def cov_block(kernel, Y, s, ip, A, B):
@@ -76,7 +80,8 @@ def cov_block(kernel, Y, s, ip, A, B):
     pairs = kernel.cov_pair_block(s[..., A][..., :, None], s[..., B][..., None, :],
                                   ip[..., A[:, None], B[None, :]],
                                   Y[..., A, :][..., :, None, :], Y[..., B, :][..., None, :, :])
-    return np.moveaxis(pairs, [-4, -3], [-3, -1]).reshape(
+    lead = pairs.ndim - 4
+    return pairs.transpose(*range(lead), lead + 2, lead, lead + 3, lead + 1).reshape(
         Y.shape[:-2] + ((D + 1) * len(A), (D + 1) * len(B)))
 
 
@@ -85,11 +90,14 @@ def mean_block(kernel, Y, s, A):
     A = np.asarray(A, dtype=int)
     D = Y.shape[-1]
     m = np.empty(Y.shape[:-2] + (D + 1, len(A)))
-    # a mean may return μ or μ′ as a constant scalar
-    mu, slope = np.broadcast_arrays(*kernel.mean(s[..., A]), s[..., A])[:2]
+    # a mean may return μ or μ′ as a constant scalar, which broadcasts as is
+    mu, slope = kernel.mean(s[..., A])
     m[..., 0, :] = mu
     if D > 0:
-        m[..., 1:, :] = slope[..., None, :] * np.swapaxes(Y[..., A, :], -1, -2)
+        slope = np.asarray(slope)
+        if slope.ndim:
+            slope = slope[..., None, :]
+        m[..., 1:, :] = slope * Y[..., A, :].swapaxes(-1, -2)
     return m.reshape(Y.shape[:-2] + ((D + 1) * len(A),))
 
 
@@ -214,8 +222,8 @@ class _State:
     def _require_mass(n, kappa):
         """Raise DegenerateKernelError unless the κ₃ (B,) of the new point n
         is positive."""
-        if np.any(kappa <= 0):
-            raise DegenerateKernelError(f"step {n}: κ₃ = {np.min(kappa):g} at the new "
+        if (kappa <= 0).any():
+            raise DegenerateKernelError(f"step {n}: κ₃ = {kappa.min():g} at the new "
                                         "point; no gradient mass outside the span")
 
     @staticmethod
@@ -227,7 +235,7 @@ class _State:
         its pivot reads 0."""
         p = L.shape[1]
         l = np.linalg.solve(L, k[:, :p, None])[:, :, 0]
-        sigma_sq = k[:, p] + j - np.sum(l * l, axis=1)
+        sigma_sq = k[:, p] + j - (l * l).sum(axis=1)
         F = np.zeros((len(L), p + 1, p + 1))
         F[:, :p, :p] = L
         F[:, p, :p] = l
@@ -270,23 +278,28 @@ class LimitState(_State):
         conditional mean given the direction rows, the mean plus their
         ``weighted_rows``; Y (1, n+1, D) holds the history points'
         coordinate rows followed by the new point's.  Returns those rows,
-        (1, D+1), and σ_w², (1,): the new κ₃ column, evaluated over the
-        factor's points only, is solved through the factor, and σ_w² is the
+        (1, D+1), and σ_w², (1,): one ``derivatives`` call over the pairs of
+        the new point with every point gives the κ₃ column, read at the
+        factor's points and solved through the factor, and the history
+        pairs' partials, which ``weighted_rows`` contracts; σ_w² is the
         squared pivot that row would have.  A non-finite κ₃ column, mean or
         conditional mean raises KernelDomainError.  Nothing is appended
         until ``open_direction``; ``weights`` gains the new point's zero row.
         """
         Y = np.asarray(Y, dtype=float)
         n, D, s, ip = self._checked(Y)
-        at = np.append(self.k3_points, n)       # the factor's points, then the new point
-        k = self.kernel.k3(s[:, at], s[:, n:], ip[:, at, n])
+        parts = self.kernel.derivatives(s[:, :n + 1], s[:, n:], ip[:, :n + 1, n])
+        # κ₃ at the factor's points, then the new point
+        k = parts[3][:, np.concatenate((self.k3_points, [n]))]
         self._require_mass(n, k[:, -1])
         w = np.zeros((1, n + 1, D))
         w[:, :n, :self.weights.shape[2]] = self.weights
         mean = mean_block(self.kernel, Y, s, [n])
+        # a partial may be a constant scalar, which broadcasts as is
+        history = [p[..., :n] if getattr(p, "ndim", 0) else p for p in parts]
         observed = mean + self.kernel.weighted_rows(s[:, :n], s[:, n], ip[:, :n, n],
-                                                     Y[:, :n], Y[:, n], w[:, :n])
-        if not all(np.all(np.isfinite(a)) for a in (k, mean, observed)):
+                                                     Y[:, :n], Y[:, n], w[:, :n], history)
+        if not (np.isfinite(k).all() and np.isfinite(mean).all() and np.isfinite(observed).all()):
             raise KernelDomainError(f"step {n}: non-finite entries in the new point's "
                                     "κ₃ column, mean or conditional mean")
         F, sigma_sq = self._bordered(self.k3_factor, k, 0.0)
@@ -306,16 +319,17 @@ class LimitState(_State):
         if self._opens is None:
             raise ValueError("open_direction needs a preceding extend")
         L, sigma_sq, D = self._opens
-        if np.any(sigma_sq <= 0):
-            raise ValueError(f"no direction to open: σ_w² = {np.min(sigma_sq):.3e} ≤ 0")
+        if (sigma_sq <= 0).any():
+            raise ValueError(f"no direction to open: σ_w² = {sigma_sq.min():.3e} ≤ 0")
         self._opens = None
         p = L.shape[1] - 1
-        last = np.eye(p + 1)[None, :, p:]       # e_p
+        last = np.zeros((1, p + 1, 1))           # e_p
+        last[0, p, 0] = 1.0
         self.k3_factor = L
-        self.k3_points = np.append(self.k3_points, self.points - 1)
+        self.k3_points = np.concatenate((self.k3_points, [self.points - 1]))
         w = np.zeros((1, self.points, D + 1))
         w[:, :, :D] = self.weights
-        w[:, self.k3_points, D] = (np.linalg.solve(np.swapaxes(L, 1, 2), last)[:, :, 0]
+        w[:, self.k3_points, D] = (np.linalg.solve(L.swapaxes(1, 2), last)[:, :, 0]
                                    * (np.asarray(values) / L[:, p, p])[:, None])
         self.weights = w
 
@@ -414,28 +428,29 @@ class SpanState(_State):
         S_hn, S_nn, mean = self._new_point(Y, s, ip, n, k[:, n])
         L_k = self._blocks[-1].L if n else np.empty((self.batch, 0, 0))
         while True:
+            pseudo = self.pseudo
             W = self._forward(S_hn)
-            W[self.pseudo] = 0.0
-            Wt = np.swapaxes(W, 1, 2)
+            W[pseudo] = 0.0
+            Wt = W.swapaxes(1, 2)
             cond_mean = mean + (Wt @ self._z[:, :, None])[:, :, 0]
             cond_cov = S_nn - Wt @ W
             L_nn = self._factor(cond_cov, f"step {n}: the new point's rows")
             if L_nn is None:
                 continue
-            F, sigma_sq = self._bordered(L_k, k, np.where(self.pseudo, 0.0, self.jitter))
-            failed = np.flatnonzero(~(sigma_sq > 0.0) & ~self.pseudo)
+            F, sigma_sq = self._bordered(L_k, k, np.where(pseudo, 0.0, self.jitter))
+            failed = (~(sigma_sq > 0.0) & ~pseudo).nonzero()[0]
             if not failed.size:
                 break
             for b in failed:
                 self._escalate(b, f"step {n}: the κ₃ block ({n + 1}×{n + 1})")
-        drawn = np.any(cond_cov, axis=(1, 2)) & ~self.pseudo
+        drawn = cond_cov.any(axis=(1, 2)) & ~pseudo
         xi = np.zeros(cond_mean.shape)
-        for b in np.flatnonzero(drawn):
+        for b in drawn.nonzero()[0]:
             rngs[b].standard_normal(out=xi[b])
         noise = (L_nn @ xi[:, :, None])[:, :, 0] / math.sqrt(N)
         observed = np.where(drawn[:, None], cond_mean + noise, cond_mean)
 
-        for b in np.flatnonzero(self.pseudo):
+        for b in pseudo.nonzero()[0]:
             res = condition(np.zeros(self._resid.shape[1]), mean[b], self._covariance([b])[0],
                             S_hn[b], S_nn[b], self._resid[b], replace(self.policy, jitter_start=None))
             observed[b] = sample_mvn(res.cond_mean, res.cond_cov / N, rngs[b], self.policy)
@@ -473,7 +488,7 @@ class SpanState(_State):
         self._require_mass(n, kappa)
         S_hn, S_nn = self._new_point_rows(Y, s, ip, len(self._types))
         mean = mean_block(self.kernel, Y, s, [n])
-        if not all(np.all(np.isfinite(a)) for a in (S_hn, S_nn, mean)):
+        if not (np.isfinite(S_hn).all() and np.isfinite(S_nn).all() and np.isfinite(mean).all()):
             raise KernelDomainError(
                 f"step {n}: non-finite entries in the new point's covariance or mean")
         return S_hn, S_nn, mean

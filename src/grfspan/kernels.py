@@ -130,8 +130,10 @@ class KernelModel:
     makes one ``derivatives`` call: per entry (``cov_ff``, ``cov_df_f``,
     ``cov_df_df``, ``k3``), per point pair (``cov_pair_block``), and the
     limit's weighted sum of the direction rows of n pair blocks
-    (``weighted_rows``).  Instances are immutable by convention and safe to
-    share across threads/trajectories.
+    (``weighted_rows``), which makes none when its caller passes the
+    partials of those pairs as ``parts``: the limit's step evaluates them
+    once, with its κ₃ column.  Instances are immutable by convention and
+    safe to share across threads/trajectories.
     """
 
     def __init__(self, mean, derivatives, *, label=""):
@@ -190,24 +192,27 @@ class KernelModel:
         _diagonal(out)[..., 1:] += k3
         return out
 
-    def weighted_rows(self, s_y, s_x, ip, y, x, w):
+    def weighted_rows(self, s_y, s_x, ip, y, x, w, parts=None):
         """Σ_a Σ_j w[a, j]·Cov(D_{v_j} f(y_a), (f, D_{v_0..D−1}) f(x)) over
         the points y (…, n, D) against one point x (…, D), with weights
         w (…, n, D), norm-halves s_y (…, n), s_x (…,) and inner products
         ip (…, n) = ⟨y_a, x⟩; (…, D+1), from one ``derivatives`` call over
-        the n pairs.
+        the n pairs, or none when the caller passes that call's values as
+        ``parts``.
 
         With U_a = w_a·y_a and V_a = w_a·x the f entry is Σ(κ₁U + κ₃V), and
         the D_v part x·Σ(κ₁₂U + κ₂₃V) + Σ(κ₁₃U + κ₃₃V)·y_a + Σκ₃·w_a: the
         rows of ``cov_pair_block(s_y, s_x, ip, y, x)`` contracted with w.
         """
-        _, k1, _, k3, k12, k13, k23, k33 = self.derivatives(s_y, np.asarray(s_x)[..., None], ip)
-        U, V = np.sum(w * y, axis=-1), (w @ x[..., None])[..., 0]
+        if parts is None:
+            parts = self.derivatives(s_y, np.asarray(s_x)[..., None], ip)
+        _, k1, _, k3, k12, k13, k23, k33 = parts
+        U, V = (w * y).sum(axis=-1), (w @ x[..., None])[..., 0]
         out = np.empty(x.shape[:-1] + (x.shape[-1] + 1,))
-        out[..., 0] = np.sum(k1 * U + k3 * V, axis=-1)
-        out[..., 1:] = (x * np.sum(k12 * U + k23 * V, axis=-1)[..., None]
-                        + np.sum((k13 * U + k33 * V)[..., None] * y
-                                 + np.asarray(k3)[..., None] * w, axis=-2))
+        out[..., 0] = (k1 * U + k3 * V).sum(axis=-1)
+        out[..., 1:] = (x * (k12 * U + k23 * V).sum(axis=-1)[..., None]
+                        + ((k13 * U + k33 * V)[..., None] * y
+                           + np.asarray(k3)[..., None] * w).sum(axis=-2))
         return out
 
 
@@ -221,10 +226,12 @@ class _DirectStationaryModel(KernelModel):
         Cov(D_v f(x), D_w f(y)) ∝ −[C″(r)⟨Δ, v⟩⟨Δ, w⟩ + C′(r)⟨v, w⟩]
 
     rather than the generic κ-partial bilinear form, taking C, C′ and C″
-    from one ``derivatives`` call of the mixture.  Numerically equivalent to
-    ``lift_stationary`` on the same mixture; kept as a genuinely separate
-    code path so the two can be compared.  The per-entry rules and ``k3``
-    are the generic ones on the lifted model's ``derivatives``.
+    from one ``derivatives`` call of the mixture, or C′ and C″ from the
+    ``parts`` handed to ``weighted_rows``, the lifted partials at the same
+    r.  Numerically equivalent to ``lift_stationary`` on the same mixture;
+    kept as a genuinely separate code path so the two can be compared.  The
+    per-entry rules and ``k3`` are the generic ones on the lifted model's
+    ``derivatives``.
     """
 
     def __init__(self, mixture: SchoenbergMixture, mean_level: float):
@@ -243,15 +250,19 @@ class _DirectStationaryModel(KernelModel):
         np.negative(dd, out=dd)
         return out
 
-    def weighted_rows(self, s_y, s_x, ip, y, x, w):
+    def weighted_rows(self, s_y, s_x, ip, y, x, w, parts=None):
         # with Δ_a = y_a − x and P_a = w_a·Δ_a: f entry Σ C′P, D_v part
-        # −Σ(C″·P·Δ_a + C′·w_a)
-        _, dc, ddc = self._mixture.derivatives(s_y + np.asarray(s_x)[..., None] - ip)
+        # −Σ(C″·P·Δ_a + C′·w_a); the lifted partials κ₁ and κ₁₂ are C′ and
+        # C″ at the same r = s_y + s_x − ip, bit for bit
+        if parts is None:
+            _, dc, ddc = self._mixture.derivatives(s_y + np.asarray(s_x)[..., None] - ip)
+        else:
+            dc, ddc = parts[1], parts[4]
         delta = y - x[..., None, :]
-        P = np.sum(w * delta, axis=-1)
+        P = (w * delta).sum(axis=-1)
         out = np.empty(x.shape[:-1] + (x.shape[-1] + 1,))
-        out[..., 0] = np.sum(dc * P, axis=-1)
-        out[..., 1:] = -np.sum((ddc * P)[..., None] * delta + dc[..., None] * w, axis=-2)
+        out[..., 0] = (dc * P).sum(axis=-1)
+        out[..., 1:] = -((ddc * P)[..., None] * delta + dc[..., None] * w).sum(axis=-2)
         return out
 
 
@@ -357,14 +368,13 @@ def check_domain(s_x, s_y, ip_xy):
     s_x = np.asarray(s_x, dtype=float)
     s_y = np.asarray(s_y, dtype=float)
     ip_xy = np.asarray(ip_xy, dtype=float)
-    if not (np.all(np.isfinite(s_x)) and np.all(np.isfinite(s_y))
-            and np.all(np.isfinite(ip_xy))):
+    if not (np.isfinite(s_x).all() and np.isfinite(s_y).all() and np.isfinite(ip_xy).all()):
         raise KernelDomainError("non-finite kernel arguments")
-    if np.any(s_x < 0) or np.any(s_y < 0):
+    if (s_x < 0).any() or (s_y < 0).any():
         raise KernelDomainError("norm arguments λ₁, λ₂ must be nonnegative")
     bound = 2.0 * np.sqrt(s_x * s_y) * (1.0 + DOMAIN_RTOL)
-    if np.any(np.abs(ip_xy) > bound):
-        worst = float(np.max(np.abs(ip_xy) - bound))
+    if (np.abs(ip_xy) > bound).any():
+        worst = float((np.abs(ip_xy) - bound).max())
         raise KernelDomainError(
             f"inner product outside kernel domain by {worst:.3e} "
             "(|λ₃| ≤ 2√(λ₁λ₂) violated)")

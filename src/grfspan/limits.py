@@ -111,7 +111,7 @@ class SpanWalk:
     def info(self) -> InfoView:
         """Every run's information through the last step taken."""
         G = self.G[:, :self.n, :self.d]
-        return InfoView(f_values=self.f[:, :self.n], grad_gram=G @ np.swapaxes(G, 1, 2),
+        return InfoView(f_values=self.f[:, :self.n], grad_gram=G @ G.swapaxes(1, 2),
                         x0_grad=self.lam * G[:, :, 0] if self.lam > 0 else np.zeros(G.shape[:2]),
                         x0_norm_sq=self.lam * self.lam)
 
@@ -161,11 +161,13 @@ def _step(walk, gsa, rngs, N, on_rank_stall):
         row = gsa.row(n, walk.info())
         # a contiguous copy keeps the product's bits independent of the width W
         G = np.ascontiguousarray(walk.G[:, :n, :d])
-        X[:, n, :d] = (np.swapaxes(G, 1, 2) @ row.h_g[..., None])[:, :, 0]
+        X[:, n, :d] = (G.swapaxes(1, 2) @ row.h_g[..., None])[:, :, 0]
         X[:, n, 0] += row.h_x * walk.lam
     if rngs is None:
-        dists = np.linalg.norm(X[0, :n, :d] - X[0, n, :d], axis=1)
-        too_close = np.nonzero(dists <= COINCIDENT_TOL)[0]
+        # the reduction np.linalg.norm(·, axis=1) runs on real input
+        diff = X[0, :n, :d] - X[0, n, :d]
+        dists = np.sqrt(np.add.reduce(diff * diff, axis=1))
+        too_close = (dists <= COINCIDENT_TOL).nonzero()[0]
         if too_close.size:
             raise CoincidentPointsError(
                 f"step {n} revisits step {too_close[0]}: limiting points coincide "
@@ -194,9 +196,9 @@ def _step(walk, gsa, rngs, N, on_rank_stall):
             return
         corner = walk.sigma_w[:, n]
     else:
-        if np.any(sigma_sq < NEGATIVE_RESIDUAL_TOL):
+        if (sigma_sq < NEGATIVE_RESIDUAL_TOL).any():
             raise ConsistencyError(
-                f"step {n}: plug-in residual variance {np.min(sigma_sq):.3e} < "
+                f"step {n}: plug-in residual variance {sigma_sq.min():.3e} < "
                 f"{NEGATIVE_RESIDUAL_TOL:g}")
         chi = np.array([gaussianops.sample_chi_square(N - d, rng) for rng in rngs])
         corner = np.sqrt((np.maximum(sigma_sq, 0.0) / N) * chi)
@@ -210,11 +212,12 @@ def predict(kernel: KernelModel, gsa: GsaSpec, lam: float, steps: int, *,
     """Limit curve of `steps` optimizer steps from a start of norm `lam`.
 
     The limit conditions each new point on the opened directions' rows
-    alone: per step, it solves the new point's κ₃ column through one growing
-    κ₃ factor, forms the conditional mean as one kernel contraction with
-    fixed weights over the earlier points, and on opening a direction makes
-    one more solve for its weights.  It builds no covariance block, factors
-    none and takes no jitter.
+    alone: per step, it evaluates the kernel's partials once over the new
+    point's pairs with every point, solves the new point's κ₃ column through
+    one growing κ₃ factor, forms the conditional mean as one contraction of
+    those partials with fixed weights over the earlier points, and on
+    opening a direction makes one more solve for its weights.  It builds no
+    covariance block, factors none and takes no jitter.
     """
     walk = SpanWalk(LimitState(kernel), lam, steps)
     for _ in range(steps + 1):

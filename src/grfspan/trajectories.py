@@ -111,7 +111,7 @@ def simulate_info_paths(kernel: KernelModel, gsa: GsaSpec, lam: float, N: int,
         raise _blame(exc, kernel, gsa, walk.lam, N, n, stream_ids, master_seed, policy) from exc
 
     lam, G = walk.lam, walk.G
-    grad_gram = G @ np.swapaxes(G, 1, 2)
+    grad_gram = G @ G.swapaxes(1, 2)
     return [TrajectoryRecord(
         N=N, lam=lam, f_values=walk.f[b], grad_gram=grad_gram[b],
         x0_grad=lam * G[b, :, 0] if lam > 0 else np.zeros(steps + 1),

@@ -1,0 +1,98 @@
+"""Print sha256 digests of grfspan's outputs on the benchmark configs.
+
+A refactor that claims to leave every output byte unchanged shows it by
+printing the same digests before and after.  The digests cover:
+
+* the ``predict`` curve of each config under ``bench/configs``, with the
+  lifted and the direct stationary kernel;
+* the ``simulate_info_path`` records of streams 0–7 of ``simulate-t20`` at
+  master seed 1;
+* the report CSV of ``run_verify`` on ``verify-t8`` at master seed 1, under
+  1 and under 2 workers.
+
+The digests depend on the BLAS kernel numpy runs on, so they are compared
+between two trees on one machine, not with stored values.  The BLAS thread
+count is pinned to 1 before numpy loads.  Exits 1 when the two ``verify``
+CSVs differ, since report bytes must not depend on the worker count.
+
+Usage: PYTHONPATH=src python tests/output_digest.py
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import hashlib
+import sys
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
+from grfspan import harness, kernels, limits, trajectories
+
+CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
+CURVE_FIELDS = ("f_limit", "gamma", "y_reps", "sigma_w", "dims", "grad_gram_limit", "rho")
+RECORD_FIELDS = ("f_values", "grad_gram", "x0_grad", "G", "x_coords", "dims")
+SEED = 1
+STREAMS = range(8)
+
+
+def digest(arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def curve_digests(config):
+    """{route: digest} of the predict curve under the lifted and direct kernel."""
+    spec = config.kernel
+    direct = kernels.stationary_direct(kernels.SchoenbergMixture(atoms=spec["atoms"]),
+                                       spec.get("mean_level", 0.0))
+    gsa = harness.build_gsa(config.algorithm)
+    out = {}
+    for route, kernel in (("lifted", harness.build_kernel(spec)), ("direct", direct)):
+        curve = limits.predict(kernel, gsa, config.lam, config.steps)
+        out[route] = digest(getattr(curve, f) for f in CURVE_FIELDS)
+    return out
+
+
+def simulate_digest(config) -> str:
+    kernel, gsa = harness.build_kernel(config.kernel), harness.build_gsa(config.algorithm)
+    (N,) = config.N_list
+    records = [trajectories.simulate_info_path(kernel, gsa, config.lam, N, config.steps,
+                                               stream_id=sid, master_seed=SEED)
+               for sid in STREAMS]
+    return digest(getattr(r, f) for r in records for f in RECORD_FIELDS)
+
+
+def verify_csv(config, workers, directory) -> bytes:
+    path = Path(directory) / f"verify-{workers}.csv"
+    os.environ[harness.WORKERS_ENV] = str(workers)
+    harness.run_verify(replace(config, master_seed=SEED, out=str(path)))
+    return path.read_bytes()
+
+
+def main() -> int:
+    status = 0
+    for path in sorted(CONFIGS.glob("*.cfg")):
+        for route, value in curve_digests(harness.load_config(path)).items():
+            print(f"predict {path.stem:13s} {route:6s} {value}")
+    config = harness.load_config(CONFIGS / "simulate-t20.cfg")
+    print(f"simulate {'simulate-t20':12s} {'s0-7':6s} {simulate_digest(config)}")
+    config = harness.load_config(CONFIGS / "verify-t8.cfg")
+    with tempfile.TemporaryDirectory() as directory:
+        csvs = {w: verify_csv(config, w, directory) for w in (1, 2)}
+    for workers, data in csvs.items():
+        print(f"verify {'verify-t8':14s} {f'w{workers}':6s} {hashlib.sha256(data).hexdigest()}")
+    if csvs[1] != csvs[2]:
+        print("verify CSV bytes differ between 1 and 2 workers", file=sys.stderr)
+        status = 1
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -615,11 +615,12 @@ def _spy_calls(monkeypatch, targets):
 
 def test_limit_factors_no_point_block(monkeypatch):
     # predict-t30: the limit grows one κ₃ factor by a row per step, so step n
-    # evaluates κ₃ on the new point's n + 1 pairs, and its conditional mean
-    # is one weighted contraction over the n history pairs; no step builds a
-    # covariance block, conditions one, factors one or climbs the jitter
-    # ladder, and the sampler's state, whose extend factors a point block,
-    # never steps
+    # evaluates the kernel's partials once, on the new point's n + 1 pairs:
+    # its κ₃ column comes from them, and its conditional mean is one weighted
+    # contraction of the n history pairs' partials, with no KernelModel.k3
+    # call; no step builds a covariance block, conditions one, factors one or
+    # climbs the jitter ladder, and the sampler's state, whose extend factors
+    # a point block, never steps
     config = load_config(Path(__file__).parents[1] / "bench" / "configs" / "predict-t30.cfg")
     calls, pairs = _spy_calls(monkeypatch, [
         *((module, "condition") for module in (gaussianops, assembly, limits)),
@@ -636,9 +637,9 @@ def test_limit_factors_no_point_block(monkeypatch):
     kernel.derivatives = counted
     curve = predict(kernel, build_gsa(config.algorithm), config.lam, config.steps)
     assert curve.steps == 30 and curve.frozen_steps == ()
-    assert calls == []
-    assert sum(pairs) == sum(n + 1 for n in range(31)) == 496
-    assert sum(evaluated) == 496 + sum(range(31)) == 961
+    assert calls == [] and pairs == []
+    assert len(evaluated) == 31
+    assert sum(evaluated) == sum(n + 1 for n in range(31)) == 496
 
 
 def test_sampler_borders_one_k3_row_per_step(monkeypatch):
@@ -655,6 +656,42 @@ def test_sampler_borders_one_k3_row_per_step(monkeypatch):
     assert record.steps == 20 and np.isfinite(record.f_values).all()
     assert calls == []
     assert sum(pairs) == sum(n + 1 for n in range(21)) == 231
+
+
+#: numpy's Python-level wrappers that a step of either recursion replaces by
+#: the ndarray method or ufunc running the same C loop
+_NUMPY_WRAPPERS = [(np, name) for name in (
+    "any", "all", "sum", "swapaxes", "diagonal", "moveaxis", "flatnonzero",
+    "broadcast_arrays", "atleast_2d", "append", "eye", "clip")] + [(np.linalg, "norm")]
+
+
+def test_steps_call_no_numpy_python_wrapper(monkeypatch):
+    # on arrays of a few dozen entries a step's time is call overhead, so
+    # the step path of predict-t30 and of a simulate-t20 batch (neither
+    # escalates) calls none of these wrappers from a grfspan module
+    called = []
+
+    def spy(name, original):
+        def spied(*args, **kwargs):
+            if sys._getframe(1).f_globals.get("__name__", "").startswith("grfspan"):
+                called.append(name)
+            return original(*args, **kwargs)
+        return spied
+
+    for owner, name in [*_NUMPY_WRAPPERS, (SpanState, "_escalate")]:
+        monkeypatch.setattr(owner, name, spy(name, getattr(owner, name)))
+    configs = Path(__file__).parents[1] / "bench" / "configs"
+    config = load_config(configs / "predict-t30.cfg")
+    curve = predict(build_kernel(config.kernel), build_gsa(config.algorithm), config.lam,
+                    config.steps)
+    config = load_config(configs / "simulate-t20.cfg")
+    (N,) = config.N_list
+    records = simulate_info_paths(build_kernel(config.kernel), build_gsa(config.algorithm),
+                                  config.lam, N, config.steps, range(4), 1)
+    assert curve.steps == 30 and [r.steps for r in records] == [20] * 4
+    assert called == []
+    halting_times(curve, 0.1)       # the spies see a call outside the step path
+    assert called == ["diagonal"]
 
 
 def test_negative_sigma_w_reports_lost_digits():
@@ -684,6 +721,22 @@ def test_constant_mean_slope_is_broadcast():
     quadratic = quadratic_kernel(1.0, 0.5, 1.0)        # μ(s) = 0.625 + s
     affine = KernelModel(lambda s: (0.625 + s, 1.0), quadratic.derivatives)
     a = predict(affine, gd(0.3), 1.0, 6, on_rank_stall="freeze")
+    b = predict(quadratic, gd(0.3), 1.0, 6, on_rank_stall="freeze")
+    assert a.f_limit.tobytes() == b.f_limit.tobytes()
+    assert a.grad_gram_limit.tobytes() == b.grad_gram_limit.tobytes()
+
+
+def test_constant_partials_are_broadcast():
+    # derivatives may return a partial as a Python float; the limit slices
+    # the partials it evaluates once per step, and leaves such a one as is
+    quadratic = quadratic_kernel(1.0, 0.5, 1.0)
+
+    def derivatives(l1, l2, l3):
+        k, _, _, k3, *_ = quadratic.derivatives(l1, l2, l3)
+        return k, 0.0, 0.0, k3, 0.0, 0.0, 0.0, 0.0
+
+    scalars = KernelModel(quadratic.mean, derivatives)
+    a = predict(scalars, gd(0.3), 1.0, 6, on_rank_stall="freeze")
     b = predict(quadratic, gd(0.3), 1.0, 6, on_rank_stall="freeze")
     assert a.f_limit.tobytes() == b.f_limit.tobytes()
     assert a.grad_gram_limit.tobytes() == b.grad_gram_limit.tobytes()
