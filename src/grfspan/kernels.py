@@ -130,10 +130,10 @@ class KernelModel:
     makes one ``derivatives`` call: per entry (``cov_ff``, ``cov_df_f``,
     ``cov_df_df``, ``k3``), per point pair (``cov_pair_block``), and the
     limit's weighted sum of the direction rows of n pair blocks
-    (``weighted_rows``), which makes none when its caller passes the
-    partials of those pairs as ``parts``: the limit's step evaluates them
-    once, with its κ₃ column.  Instances are immutable by convention and
-    safe to share across threads/trajectories.
+    (``weighted_rows``), which makes none: its caller passes the partials
+    of those pairs as ``parts``, since the limit's step evaluates them once,
+    with its κ₃ column.  Instances are immutable by convention and safe to
+    share across threads/trajectories.
     """
 
     def __init__(self, mean, derivatives, *, label=""):
@@ -192,20 +192,17 @@ class KernelModel:
         _diagonal(out)[..., 1:] += k3
         return out
 
-    def weighted_rows(self, s_y, s_x, ip, y, x, w, parts=None):
+    def weighted_rows(self, s_y, s_x, ip, y, x, w, parts):
         """Σ_a Σ_j w[a, j]·Cov(D_{v_j} f(y_a), (f, D_{v_0..D−1}) f(x)) over
         the points y (…, n, D) against one point x (…, D), with weights
         w (…, n, D), norm-halves s_y (…, n), s_x (…,) and inner products
-        ip (…, n) = ⟨y_a, x⟩; (…, D+1), from one ``derivatives`` call over
-        the n pairs, or none when the caller passes that call's values as
-        ``parts``.
+        ip (…, n) = ⟨y_a, x⟩; (…, D+1), from ``parts``, the values of
+        ``derivatives(s_y, s_x[..., None], ip)`` over the n pairs.
 
         With U_a = w_a·y_a and V_a = w_a·x the f entry is Σ(κ₁U + κ₃V), and
         the D_v part x·Σ(κ₁₂U + κ₂₃V) + Σ(κ₁₃U + κ₃₃V)·y_a + Σκ₃·w_a: the
         rows of ``cov_pair_block(s_y, s_x, ip, y, x)`` contracted with w.
         """
-        if parts is None:
-            parts = self.derivatives(s_y, np.asarray(s_x)[..., None], ip)
         _, k1, _, k3, k12, k13, k23, k33 = parts
         U, V = (w * y).sum(axis=-1), (w @ x[..., None])[..., 0]
         out = np.empty(x.shape[:-1] + (x.shape[-1] + 1,))
@@ -225,10 +222,10 @@ class _DirectStationaryModel(KernelModel):
         Cov(D_v f(x), f(y))     ∝  C′(r)⟨Δ, v⟩
         Cov(D_v f(x), D_w f(y)) ∝ −[C″(r)⟨Δ, v⟩⟨Δ, w⟩ + C′(r)⟨v, w⟩]
 
-    rather than the generic κ-partial bilinear form, taking C, C′ and C″
-    from one ``derivatives`` call of the mixture, or C′ and C″ from the
-    ``parts`` handed to ``weighted_rows``, the lifted partials at the same
-    r.  Numerically equivalent to ``lift_stationary`` on the same mixture;
+    rather than the generic κ-partial bilinear form: ``cov_pair_block``
+    takes C, C′ and C″ from one ``derivatives`` call of the mixture, and
+    ``weighted_rows`` takes C′ and C″ from the lifted partials handed to it
+    as ``parts``, which are the same values at the same r.  Numerically equivalent to ``lift_stationary`` on the same mixture;
     kept as a genuinely separate code path so the two can be compared.  The
     per-entry rules and ``k3`` are the generic ones on the lifted model's
     ``derivatives``.
@@ -250,14 +247,11 @@ class _DirectStationaryModel(KernelModel):
         np.negative(dd, out=dd)
         return out
 
-    def weighted_rows(self, s_y, s_x, ip, y, x, w, parts=None):
+    def weighted_rows(self, s_y, s_x, ip, y, x, w, parts):
         # with Δ_a = y_a − x and P_a = w_a·Δ_a: f entry Σ C′P, D_v part
         # −Σ(C″·P·Δ_a + C′·w_a); the lifted partials κ₁ and κ₁₂ are C′ and
         # C″ at the same r = s_y + s_x − ip, bit for bit
-        if parts is None:
-            _, dc, ddc = self._mixture.derivatives(s_y + np.asarray(s_x)[..., None] - ip)
-        else:
-            dc, ddc = parts[1], parts[4]
+        dc, ddc = parts[1], parts[4]
         delta = y - x[..., None, :]
         P = (w * delta).sum(axis=-1)
         out = np.empty(x.shape[:-1] + (x.shape[-1] + 1,))

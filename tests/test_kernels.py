@@ -380,7 +380,8 @@ def test_weighted_rows_contract_the_pair_blocks(name, D, batch):
         s_y, s_x = 0.5 * np.sum(y * y, axis=-1), 0.5 * np.sum(x * x, axis=-1)
         ip = (y @ x[:, :, None])[:, :, 0]
         C = kernel.cov_pair_block(s_y, s_x[:, None], ip, y, x[:, None, :])[:, :, 1:, :]
-        got = kernel.weighted_rows(s_y, s_x, ip, y, x, w)
+        parts = kernel.derivatives(s_y, s_x[:, None], ip)
+        got = kernel.weighted_rows(s_y, s_x, ip, y, x, w, parts)
         assert got.shape == (batch, D + 1)
         scale = np.einsum("baj,bajk->bk", np.abs(w), np.abs(C))
         assert np.all(np.abs(got - np.einsum("baj,bajk->bk", w, C)) <= 1e-14 * scale)
