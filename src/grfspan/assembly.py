@@ -26,7 +26,10 @@ which are uncorrelated with all older rows.  Extending the Cholesky factor by
 k rows costs O(m²k) for m history rows, where re-assembling and re-factoring
 the history would cost O(m³).  The direction rows' covariance is the κ₃
 matrix of the points so far, so each direction block's factor is the last
-one's bordered by one κ₃ row, whose pivot squared is σ_w².  One state steps a
+one's bordered by one κ₃ row, whose pivot squared is σ_w².  A run's jitter
+acts on its point rows only, so the direction blocks' factors carry none;
+each block keeps its rows of S beside its rows of the factor, and a jitter
+escalation re-runs the point blocks from those rows.  One state steps a
 batch of B paths that share this row structure — the same number of points
 and directions — as stacked (B, ·, ·) arrays.
 
@@ -54,7 +57,14 @@ import numpy as np
 
 from . import kernels
 from .errors import DegenerateKernelError, KernelDomainError, NotPsdError
-from .gaussianops import DEFAULT_POLICY, ConditionPolicy, cholesky_psd, condition, sample_mvn
+from .gaussianops import DEFAULT_POLICY, ConditionPolicy, condition, sample_mvn
+
+#: τ, the floor of a sampled κ₃ pivot² relative to κ₃(new, new): below it the
+#: new point's κ₃ row is numerically in the span of the earlier ones (Higham,
+#: "Analysis of the Cholesky decomposition of a semi-definite matrix", 1990),
+#: and the floor keeps the bordered factor nonsingular, so a rank-deficient κ₃
+#: matrix such as the quadratic kernel's rank-one one still opens a direction
+PIVOT_FLOOR = 1e-12
 
 
 def coordinate_inner_products(reps):
@@ -169,16 +179,19 @@ def residual_variance(kernel, reps, policy=DEFAULT_POLICY):
 class _Arrival:
     """One block of rows appended to a ``SpanState``, stacked over the batch.
 
-    ``L`` holds the block's rows of the factor, (B, k, left + k), from column
-    ``start − left`` through the block's own diagonal columns.  A block
-    uncorrelated with every older row stores no left part (left = 0).
-    ``inv`` (B, k, k) inverts the factor's diagonal block.  A member whose
-    solves have switched to the pseudo-inverse holds placeholders in every
-    block appended after the switch: the identity as diagonal block and
-    inverse, and zeros left of it.
+    ``S`` holds the block's rows of the history covariance, (B, k, left + k),
+    from column ``start − left`` through the block's own diagonal columns,
+    of which only the part on and below the diagonal is read; ``L`` holds the
+    same rows of the factor.  A block uncorrelated with every older row
+    stores no left part (left = 0).  ``inv`` (B, k, k) inverts the factor's
+    diagonal block.  A member whose solves have switched to the
+    pseudo-inverse holds placeholders in the factor rows of every point block
+    appended after the switch: the identity as diagonal block and inverse,
+    and zeros left of it.
     """
 
     start: int
+    S: np.ndarray
     L: np.ndarray
     inv: np.ndarray
 
@@ -227,15 +240,15 @@ class _State:
                                         "point; no gradient mass outside the span")
 
     @staticmethod
-    def _bordered(L, k, j):
-        """(F, σ²): the lower factor L (B, p, p) of a κ₃ matrix plus j·I
-        bordered by the new point's κ₃ column k (B, p+1), so that F is
-        [[L, 0], [l, √σ²]] with l = L⁻¹·k[:p] and σ² = k[p] + j − l·l, the
+    def _bordered(L, k):
+        """(F, σ²): the lower factor L (B, p, p) of a κ₃ matrix bordered by
+        the new point's κ₃ column k (B, p+1), so that F is
+        [[L, 0], [l, √σ²]] with l = L⁻¹·k[:p] and σ² = k[p] − l·l, the
         Schur complement of the new entry.  A σ² ≤ 0 has no such row, and
         its pivot reads 0."""
         p = L.shape[1]
         l = np.linalg.solve(L, k[:, :p, None])[:, :, 0]
-        sigma_sq = k[:, p] + j - (l * l).sum(axis=1)
+        sigma_sq = k[:, p] - (l * l).sum(axis=1)
         F = np.zeros((len(L), p + 1, p + 1))
         F[:, :p, :p] = L
         F[:, p, :p] = l
@@ -302,7 +315,7 @@ class LimitState(_State):
         if not (np.isfinite(k).all() and np.isfinite(mean).all() and np.isfinite(observed).all()):
             raise KernelDomainError(f"step {n}: non-finite entries in the new point's "
                                     "κ₃ column, mean or conditional mean")
-        F, sigma_sq = self._bordered(self.k3_factor, k, 0.0)
+        F, sigma_sq = self._bordered(self.k3_factor, k)
         self._opens = (F, sigma_sq, D)
         self.weights = w
         self.points += 1
@@ -337,33 +350,31 @@ class LimitState(_State):
 class SpanState(_State):
     """Conditioning state of a batch of B sampled paths: the history
     covariance S with rows in arrival order, its lower factor
-    L = chol(S + j·I), and the whitened innovation z = L⁻¹·(observed − mean),
-    each stacked over the batch.  Every path of a batch has the same rows;
-    only their values differ, and every member is stepped in the one stack.
+    L = chol(S + j·P), where P is the diagonal indicator of the point rows,
+    and the whitened innovation z = L⁻¹·(observed − mean), each stacked
+    over the batch.  Every path of a batch has the same rows; only their
+    values differ, and every member is stepped in the one stack.
 
     Each step calls ``extend`` with the new points, which returns their σ_w²
-    too, then ``open_direction``: the sampled span always grows.  L is
+    too, then ``open_direction``: the sampled span always grows.  S and L
+    are kept as the rows of each arrival block (see ``_Arrival``), and L is
     extended by block forward substitution, one arrival block at a time,
     inverting only the small diagonal blocks.  A direction block's factor
-    rows are the last one's bordered by the new point's κ₃ row, so σ_w² is
-    that row's pivot squared.  Each member's jitter j (``jitter``) climbs
-    the policy's ladder only when its new point block fails to factor or its
-    κ₃ pivot² is ≤ 0, and its S is then re-factored from
-    scratch by ``cholesky_psd`` from the first rung above j; it never needs
-    to come down, because each step's history is a leading block of the next
-    one's.  Past the last rung the run raises NotPsdError, or with
-    ``pseudo_fallback`` sets j = +inf and conditions every later step of
-    that member through ``condition`` on the eigenvalue-thresholded
-    pseudo-inverse of its S.  S itself is not stored: each step keeps its
-    points' coordinate rows, norm-halves and Gram, and S is rebuilt from
-    them on demand, a point block bitwise by the calls its step made, a
-    direction block by ``k3_matrix`` over its step's points, which may
-    differ from the κ₃ rows its factor was bordered with at earlier steps
-    by the rounding of the Gram.  A pseudo-inverse member stays in the stack: its
-    later factor rows are placeholders (see ``_Arrival``), its rows of
-    L⁻¹·S_hn are zeroed, so its z adds nothing, and the factor's draw skips
-    it.  A member's results are bitwise those of the same path stepped
-    alone.
+    rows are the last one's bordered by the new point's κ₃ row and carry no
+    jitter, so σ_w² is that row's pivot squared, floored at
+    PIVOT_FLOOR·κ₃(new, new).  Each member's jitter j (``jitter``) climbs
+    the policy's ladder only when its new point block fails to factor: from
+    the first rung above j, ``_escalate`` re-factors the member's point
+    blocks in arrival order from their stored S rows, and leaves its
+    direction blocks as they are.  It never needs to come down, because each
+    step's history is a leading block of the next one's.  Past the last
+    rung the run raises NotPsdError, or with ``pseudo_fallback`` sets
+    j = +inf and draws every later point block of that member through
+    ``condition`` on the eigenvalue-thresholded pseudo-inverse of its S.  A
+    pseudo-inverse member stays in the stack: its later point blocks' factor
+    rows are placeholders (see ``_Arrival``), its rows of L⁻¹·S_hn are
+    zeroed, so its z adds nothing, and the factor's draw skips it.  A
+    member's results are bitwise those of the same path stepped alone.
     """
 
     def __init__(self, kernel, policy: ConditionPolicy = DEFAULT_POLICY, batch: int = 1):
@@ -375,7 +386,6 @@ class SpanState(_State):
         self._blocks: list[_Arrival] = []
         self._resid = np.empty((batch, 0))      # observed − mean
         self._z = np.empty((batch, 0))
-        self._geometry = []                     # (Y, s, ip) of each extend
 
     @property
     def pseudo(self) -> np.ndarray:
@@ -393,7 +403,7 @@ class SpanState(_State):
         return self._covariance(np.arange(self.batch))
 
     def factor(self) -> np.ndarray:
-        """The lower factors L of S + j·I, (B, m, m), in arrival order."""
+        """The lower factors L of S + j·P, (B, m, m), in arrival order."""
         if self.pseudo.any():
             raise ValueError("no factor: solves use the pseudo-inverse")
         L = np.zeros((self.batch,) + (len(self._types),) * 2)
@@ -412,21 +422,20 @@ class SpanState(_State):
         to the history.  A conditional covariance of exactly zero draws
         nothing.  Returns the observed rows, (B, D+1), and σ_w², (B,): the
         Schur complement of the new point's entry in the points' κ₃ matrix
-        plus j·I.  It is the squared pivot of the row that borders the last
-        direction block's factor, chol(K + j·I) over the points before, with
-        the new point's κ₃ column, and ``open_direction`` appends that
-        bordered factor.  A member whose new block or pivot fails escalates
-        its jitter, and the step is repeated; a pseudo-inverse member keeps
-        identity placeholders and takes σ_w² from ``residual_variance``.
-        The last extend must have opened its direction.
+        K, floored at PIVOT_FLOOR·κ₃(new, new).  It is the squared pivot of
+        the row that borders the last direction block's factor, chol(K) over
+        the points before, with the new point's κ₃ column, and
+        ``open_direction`` appends that bordered factor.  A member whose new
+        block fails to factor escalates its jitter, and the step is
+        repeated; a pseudo-inverse member draws its rows through
+        ``condition``.  The last extend must have opened its direction.
         """
-        Y = np.array(Y, dtype=float)    # kept for rebuilding S
+        Y = np.asarray(Y, dtype=float)
         n, D, s, ip = self._checked(Y)
         if n and self._types[self._blocks[-1].start] == 0:     # the last block is a point's
             raise ValueError("a sampled extend needs the last extend's direction opened")
         k = self.kernel.k3(s[:, :n + 1], s[:, n:], ip[:, :n + 1, n])
-        S_hn, S_nn, mean = self._new_point(Y, s, ip, n, k[:, n])
-        L_k = self._blocks[-1].L if n else np.empty((self.batch, 0, 0))
+        S_hn, S_nn, mean = self._new_point(Y, s, ip, n, k)
         while True:
             pseudo = self.pseudo
             W = self._forward(S_hn)
@@ -435,14 +444,8 @@ class SpanState(_State):
             cond_mean = mean + (Wt @ self._z[:, :, None])[:, :, 0]
             cond_cov = S_nn - Wt @ W
             L_nn = self._factor(cond_cov, f"step {n}: the new point's rows")
-            if L_nn is None:
-                continue
-            F, sigma_sq = self._bordered(L_k, k, np.where(pseudo, 0.0, self.jitter))
-            failed = (~(sigma_sq > 0.0) & ~pseudo).nonzero()[0]
-            if not failed.size:
+            if L_nn is not None:
                 break
-            for b in failed:
-                self._escalate(b, f"step {n}: the κ₃ block ({n + 1}×{n + 1})")
         drawn = cond_cov.any(axis=(1, 2)) & ~pseudo
         xi = np.zeros(cond_mean.shape)
         for b in drawn.nonzero()[0]:
@@ -454,13 +457,18 @@ class SpanState(_State):
             res = condition(np.zeros(self._resid.shape[1]), mean[b], self._covariance([b])[0],
                             S_hn[b], S_nn[b], self._resid[b], replace(self.policy, jitter_start=None))
             observed[b] = sample_mvn(res.cond_mean, res.cond_cov / N, rngs[b], self.policy)
-            F[b] = np.eye(n + 1)
-            sigma_sq[b] = residual_variance(self.kernel, Y[b], self.policy)
 
+        # the κ₃ matrix K of the points and its factor, bordered by the new point
+        L_k = self._blocks[-1].L if n else np.empty((self.batch, 0, 0))
+        K = np.zeros((self.batch, n + 1, n + 1))
+        K[:, :n, :n], K[:, n] = self._blocks[-1].S if n else 0.0, k
+        F, sigma_sq = self._bordered(L_k, k)
+        sigma_sq = np.maximum(sigma_sq, PIVOT_FLOOR * k[:, n])
+        F[:, n, n] = np.sqrt(sigma_sq)
         self._append(observed - mean, np.arange(D + 1), np.full(D + 1, n),
+                     np.concatenate([S_hn.swapaxes(1, 2), S_nn], axis=2),
                      np.concatenate([Wt, L_nn], axis=2), observed - cond_mean)
-        self._geometry.append((Y, s, ip))
-        self._opens = (F, D + 1)
+        self._opens = (K, F, D + 1)
         self.points += 1
         return observed, sigma_sq
 
@@ -475,51 +483,50 @@ class SpanState(_State):
         """
         if self._opens is None:
             raise ValueError("open_direction needs a preceding extend")
-        (L_k, row_type), self._opens = self._opens, None
+        (K, F, row_type), self._opens = self._opens, None
         observed = np.zeros((self.batch, self.points))
         observed[:, -1] = values
         self._append(observed, np.full(self.points, row_type), np.arange(self.points),
-                     L_k, observed)
+                     K, F, observed)
 
-    def _new_point(self, Y, s, ip, n, kappa):
+    def _new_point(self, Y, s, ip, n, k):
         """(S_hn, S_nn, mean) of the (f, D_{v_0..D−1}) rows of the new point
-        n, given its κ₃ (B,); a κ₃ ≤ 0 raises DegenerateKernelError before
-        anything is assembled."""
-        self._require_mass(n, kappa)
-        S_hn, S_nn = self._new_point_rows(Y, s, ip, len(self._types))
+        n: their covariances with the stored rows, (B, m, D+1), and with
+        themselves, (B, D+1, D+1), read off one ``cov_block`` column, and
+        their mean.  Given the κ₃ column k (B, n+1) of the new point, a
+        κ₃ ≤ 0 at the new point raises DegenerateKernelError before anything
+        is assembled, and a non-finite entry of k or of the blocks
+        KernelDomainError."""
+        self._require_mass(n, k[:, n])
+        col = cov_block(self.kernel, Y, s, ip, np.arange(n + 1), [n])
+        S_hn = col[:, self._types * (n + 1) + self._at]
+        S_nn = col[:, np.arange(Y.shape[2] + 1) * (n + 1) + n]
         mean = mean_block(self.kernel, Y, s, [n])
-        if not (np.isfinite(S_hn).all() and np.isfinite(S_nn).all() and np.isfinite(mean).all()):
+        if not all(np.isfinite(a).all() for a in (k, S_hn, S_nn, mean)):
             raise KernelDomainError(
                 f"step {n}: non-finite entries in the new point's covariance or mean")
         return S_hn, S_nn, mean
 
-    def _new_point_rows(self, Y, s, ip, history):
-        """(S_hn, S_nn): covariances of the (f, D_{v_0..D−1}) rows of the
-        newest of the points Y with the first ``history`` stored rows,
-        (B, history, D+1), and with themselves, (B, D+1, D+1), read off one
-        ``cov_block`` column."""
-        n, D = Y.shape[1] - 1, Y.shape[2]
-        col = cov_block(self.kernel, Y, s, ip, np.arange(n + 1), [n])
-        return (col[:, self._types[:history] * (n + 1) + self._at[:history]],
-                col[:, np.arange(D + 1) * (n + 1) + n])
-
     # -- factor maintenance ---------------------------------------------------
 
-    def _append(self, resid, types, at, L_rows, innovation):
-        """Append a block of rows with their factor rows and innovations."""
+    def _append(self, resid, types, at, S_rows, L_rows, innovation):
+        """Append a block of rows with their S rows, factor rows and innovations."""
         inv = np.linalg.inv(L_rows[:, :, L_rows.shape[2] - L_rows.shape[1]:])
         z = (inv @ innovation[:, :, None])[:, :, 0]
-        self._blocks.append(_Arrival(start=self._resid.shape[1], L=L_rows, inv=inv))
+        self._blocks.append(_Arrival(start=self._resid.shape[1], S=S_rows, L=L_rows, inv=inv))
         self._z = np.concatenate([self._z, z], axis=1)
         self._resid = np.concatenate([self._resid, resid], axis=1)
         self._types = np.concatenate([self._types, types])
         self._at = np.concatenate([self._at, at])
 
     def _forward(self, B, members=slice(None)):
-        """L⁻¹·B of the given members by block forward substitution."""
+        """L⁻¹·B of the given members by block forward substitution, over
+        the blocks of B's rows, a leading set of the stored ones."""
         X = np.empty(B.shape)
         for blk in self._blocks:
             a, b, left = blk.start, blk.stop, blk.left
+            if a == B.shape[1]:
+                break
             rhs = B[:, a:b]
             if left:
                 rhs = rhs - blk.L[members][:, :, :left] @ X[:, a - left:a]
@@ -551,38 +558,42 @@ class SpanState(_State):
         return None
 
     def _escalate(self, b, block):
-        """Re-factor member b's history at the next ladder jitter that succeeds."""
-        try:
-            L, self.jitter[b] = cholesky_psd(self._covariance([b])[0], self.policy,
-                                             above=self.jitter[b])
-        except NotPsdError:
-            if not self.policy.pseudo_fallback:
-                raise NotPsdError(
-                    f"{block} not positive definite within jitter ladder "
-                    f"(start={self.policy.jitter_start}, max={self.policy.jitter_max})") from None
-            self.jitter[b] = math.inf
+        """Move member b to the first ladder rung j above its jitter at which
+        all of its point blocks factor, and re-whiten its innovations.  At
+        each rung the point blocks are re-run in arrival order from their
+        stored S rows, as ``extend`` ran them: W = L⁻¹·S_hn through the
+        factor rows before the block, then chol(S_nn − WᵀW + j·I), which
+        rewrites the block's factor rows.  The direction blocks carry no
+        jitter and stay; a rung that fails leaves the blocks before the
+        failing one rewritten, for the next rung to replace."""
+        point_blocks = [blk for blk in self._blocks if self._types[blk.start] == 0]
+        for j in [rung for rung in self.policy.ladder() if rung > self.jitter[b]]:
+            try:
+                for blk in point_blocks:
+                    rows, a = blk.S[[b]], blk.start
+                    Wt = self._forward(rows[:, :, :a].swapaxes(1, 2), [b]).swapaxes(1, 2)
+                    L_nn = np.linalg.cholesky(rows[:, :, a:] - Wt @ Wt.swapaxes(1, 2)
+                                              + j * np.eye(rows.shape[1]))
+                    blk.L[b] = np.concatenate([Wt, L_nn], axis=2)[0]
+                    blk.inv[b] = np.linalg.inv(L_nn[0])
+            except np.linalg.LinAlgError:
+                continue
+            self.jitter[b] = j
+            self._z[b] = self._forward(self._resid[[b], :, None], [b])[0, :, 0]
             return
-        for blk in self._blocks:
-            lo, hi = blk.start, blk.stop
-            blk.L[b] = L[lo:hi, lo - blk.left:hi]
-            blk.inv[b] = np.linalg.inv(L[lo:hi, lo:hi])
-        self._z[b] = self._forward(self._resid[[b], :, None], [b])[0, :, 0]
+        if not self.policy.pseudo_fallback:
+            raise NotPsdError(
+                f"{block} not positive definite within jitter ladder "
+                f"(start={self.policy.jitter_start}, max={self.policy.jitter_max})")
+        self.jitter[b] = math.inf
 
     def _covariance(self, members):
-        """The history covariances S of the given members, rebuilt block by
-        block from the geometry of the step that appended it."""
+        """The history covariances S of the given members, laid out from
+        each block's stored rows."""
         m = len(self._types)
         S = np.zeros((len(members), m, m))
         for blk in self._blocks:
-            start, stop = blk.start, blk.stop
-            point = self._at[stop - 1]          # the step that appended the block
-            Y, s, ip = (a[members] for a in self._geometry[point])
-            if self._types[start] == 0:         # that step's new point
-                S_hn, S_nn = self._new_point_rows(Y, s, ip, start)
-                rows = np.concatenate([np.swapaxes(S_hn, 1, 2), S_nn], axis=2)
-            else:                               # the direction it opened
-                rows = k3_matrix(self.kernel, s, ip)
-            S[:, start:stop, start - blk.left:stop] = rows
+            S[:, blk.start:blk.stop, blk.start - blk.left:blk.stop] = blk.S[members]
         upper = np.triu_indices(m, 1)
         for slab in S:                          # mirrored in place, one member at a time
             slab[upper] = slab.T[upper]

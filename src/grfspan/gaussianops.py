@@ -62,7 +62,7 @@ class ConditioningResult:
 
 def cholesky_psd(A, policy: ConditionPolicy = DEFAULT_POLICY, above: float = -math.inf):
     """Lower-triangular L with LLᵀ = A + jI for the smallest ladder jitter
-    j > ``above``; the one place that walks the policy's ladder.
+    j > ``above``.
 
     Returns (L, j).  Raises NotPsdError when every such ladder entry fails.
     """
@@ -116,8 +116,8 @@ def condition(mu1, mu2, S11, S12, S22, observed,
     cond_mean = mu2 + S12ᵀ·S11⁻¹·(observed − mu1)
     cond_cov  = S22 − S12ᵀ·S11⁻¹·S12
 
-    S11 is factored and solved as is when it has a Cholesky factor;
-    otherwise the jitter comes from the policy's ladder, and on exhaustion
+    S11 + jI is solved at the first rung j of the policy's ladder, from
+    j = 0, where it has a Cholesky factor and the solve works; on exhaustion
     the call either raises NotPsdError or (with ``pseudo_fallback``) switches
     to the thresholded pseudo-inverse.  cond_cov is symmetrized and diagonal
     entries in [−1e−12, 0) are clamped to zero.
@@ -131,11 +131,7 @@ def condition(mu1, mu2, S11, S12, S22, observed,
 
     # one solve covers both the innovation and S12
     B = np.concatenate([(observed - mu1)[:, None], S12], axis=1)
-    try:
-        np.linalg.cholesky(S11)
-        X, jitter = np.linalg.solve(S11, B), 0.0
-    except np.linalg.LinAlgError:
-        X, jitter = _jittered_solve(S11, B, policy)
+    X, jitter = _jittered_solve(S11, B, policy)
 
     cond_mean = mu2 + (S12.T @ X[:, :1])[:, 0]
     cond_cov = S22 - S12.T @ X[:, 1:]

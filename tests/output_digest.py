@@ -7,6 +7,9 @@ printing the same digests before and after.  The digests cover:
   lifted and the direct stationary kernel;
 * the ``simulate_info_path`` records of streams 0–7 of ``simulate-t20`` at
   master seed 1;
+* the records of streams 0–7 of heavy-ball(0.4, 0.5) on the SE kernel at
+  N = 64, T = 20 and master seed 3, a batch whose members climb the jitter
+  ladder at different steps, so that a change to escalation shows here;
 * the report CSV of ``run_verify`` on ``verify-t8`` at master seed 1, under
   1 and under 2 workers.
 
@@ -31,7 +34,7 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
-from grfspan import harness, kernels, limits, trajectories
+from grfspan import algorithms, harness, kernels, limits, trajectories
 
 CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
 CURVE_FIELDS = ("f_limit", "gamma", "y_reps", "sigma_w", "dims", "grad_gram_limit", "rho")
@@ -69,6 +72,13 @@ def simulate_digest(config) -> str:
     return digest(getattr(r, f) for r in records for f in RECORD_FIELDS)
 
 
+def escalating_digest() -> str:
+    kernel = kernels.lift_stationary(kernels.SchoenbergMixture(atoms=((1.0, 1.0),)))
+    records = trajectories.simulate_info_paths(kernel, algorithms.heavy_ball(0.4, 0.5), 1.0, 64,
+                                               20, STREAMS, master_seed=3)
+    return digest(getattr(r, f) for r in records for f in RECORD_FIELDS)
+
+
 def verify_csv(config, workers, directory) -> bytes:
     path = Path(directory) / f"verify-{workers}.csv"
     os.environ[harness.WORKERS_ENV] = str(workers)
@@ -83,6 +93,7 @@ def main() -> int:
             print(f"predict {path.stem:13s} {route:6s} {value}")
     config = harness.load_config(CONFIGS / "simulate-t20.cfg")
     print(f"simulate {'simulate-t20':12s} {'s0-7':6s} {simulate_digest(config)}")
+    print(f"simulate {'hb-N64-t20':12s} {'s0-7':6s} {escalating_digest()}")
     config = harness.load_config(CONFIGS / "verify-t8.cfg")
     with tempfile.TemporaryDirectory() as directory:
         csvs = {w: verify_csv(config, w, directory) for w in (1, 2)}

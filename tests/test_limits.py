@@ -406,10 +406,17 @@ def test_state_is_permuted_history_block(case, lam):
                                        rtol=0, atol=1e-13)
 
 
+def _point_rows(walk, types, at):
+    """Whether each row (type t, point a) is one of point a's own rows,
+    t ≤ dims[a], rather than a direction opened at or after step a."""
+    return types <= walk.dims[at]
+
+
 def _replayed_draws(kernel, walk, jitters, N, rng):
     """Largest deviation of a sampled run of one from its draws replayed from
     scratch: at each step, one Cholesky factor of the arrival-order joint
-    block of all points plus the step's jitter, and the run's own normals."""
+    block of all points plus the step's jitter on the point rows, and the
+    run's own normals."""
     types, at = walk.state.labels
     X, f, G = walk.X[0], walk.f[0], walk.G[0]
     worst = 0.0
@@ -418,12 +425,14 @@ def _replayed_draws(kernel, walk, jitters, N, rng):
         before = (at < n) & (types <= d)     # the rows stored before step n
         order = np.concatenate([types[before] * (n + 1) + at[before],
                                 np.arange(d + 1) * (n + 1) + n])
+        points = np.concatenate([_point_rows(walk, types[before], at[before]),
+                                 np.ones(d + 1, dtype=bool)])
         Y = X[:n + 1, :d]
         s, ip = coordinate_inner_products(Y)
         S = cov_block(kernel, Y, s, ip, np.arange(n + 1), np.arange(n + 1))[np.ix_(order, order)]
         resid = (flatten_history(f[:n + 1], G[:n + 1, :d])
                  - mean_block(kernel, Y, s, np.arange(n + 1)))[order]
-        L = np.linalg.cholesky(S + jitters[n] * np.eye(len(S)))
+        L = np.linalg.cholesky(S + jitters[n] * np.diag(points.astype(float)))
         h = len(S) - d - 1
         xi = rng.standard_normal(d + 1)
         noise = L[h:, :h] @ np.linalg.solve(L[:h, :h], resid[:h]) + L[h:, h:] @ xi / math.sqrt(N)
@@ -453,7 +462,9 @@ def test_state_escalates_once_and_matches_refactored_conditioning():
     (S,) = state.covariance()
     (L,) = state.factor()
     assert np.all(L == np.tril(L))
-    np.testing.assert_allclose(L @ L.T, S + 1e-12 * np.eye(len(S)), rtol=0, atol=1e-13)
+    # the jitter sits on the point rows only: L·Lᵀ = S + j·P
+    P = np.diag(_point_rows(walk, *state.labels).astype(float))
+    np.testing.assert_allclose(L @ L.T, S + 1e-12 * P, rtol=0, atol=1e-13)
     # the same regularised matrices, factored from scratch at each step
     assert _replayed_draws(kernel, walk, jitters, N, make_rng(3, 0)) < 1e-6
 
@@ -463,6 +474,22 @@ def test_state_escalates_once_and_matches_refactored_conditioning():
     Y = limit.curve().y_reps[limit.state.k3_points]
     np.testing.assert_allclose(L @ L.T, k3_matrix(kernel, *coordinate_inner_products(Y)),
                                rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("gsa", [gd(0.4), heavy_ball(0.4, 0.5), nesterov(0.3, 0.5), fr_cg(0.3)],
+                         ids=lambda g: g.name)
+def test_sampler_approaches_the_limit_as_n_grows(gsa):
+    # every sampled run concentrates on the limit curve at the 1/√N rate of
+    # its draws, down to a float64 floor, also after its point rows escalate
+    # their jitter: the jitter never touches the direction rows, whose part
+    # of the conditional mean is not damped by 1/√N
+    kernel = lift_stationary(SE_MIX)
+    curve = predict(kernel, gsa, 1.0, 20)
+    for N in (10 ** 12, 10 ** 15, 10 ** 18):
+        bound = 10 / math.sqrt(N) + 1e-10
+        for run in simulate_info_paths(kernel, gsa, 1.0, N, 20, range(8), 1):
+            assert np.abs(run.f_values - curve.f_limit).max() <= bound, N
+            assert np.abs(run.grad_gram - curve.grad_gram_limit).max() <= bound, N
 
 
 SIGMA_CASES = {
@@ -476,15 +503,15 @@ SIGMA_CASES = {
 
 
 def _recorded_sigma_sq(walk):
-    """The σ_w² and jitter of member 0 after each ``extend`` of the walk's state."""
-    state, extend, out = walk.state, walk.state.extend, []
+    """The σ_w² of member 0 after each ``extend`` of the walk's state."""
+    extend, out = walk.state.extend, []
 
     def recorded(*args):
         step = extend(*args)
-        out.append((step[1][0], getattr(state, "jitter", np.zeros(1))[0]))
+        out.append(step[1][0])
         return step
 
-    state.extend = recorded
+    walk.state.extend = recorded
     return out
 
 
@@ -495,8 +522,8 @@ def test_sigma_w_is_the_module_residual_variance(case):
     # of the same points from scratch: on a step that opens a direction the
     # two agree to (n+1)·ε·cond(K)·κ₃(new, new), and on a limit's frozen
     # step (every quadratic step after step 0) both are at the stall level.
-    # A sampled member whose history is jittered by j reads the pivot of
-    # K + j·I instead, within the same bound.
+    # A sampled member's jitter sits on its point rows only, so its σ_w² is
+    # the pivot of K as well.
     kernel, gsa, steps, kw = SIGMA_CASES[case]
     eps = np.finfo(float).eps
     walks = [(SpanWalk(LimitState(kernel), 1.0, steps), None, None)]
@@ -505,15 +532,13 @@ def test_sigma_w_is_the_module_residual_variance(case):
         record = _recorded_sigma_sq(walk)
         for _ in range(steps + 1):
             limit_step(walk, gsa, rngs, N, **({} if rngs else kw))
-        for n, (sigma_sq, j) in enumerate(record):
+        for n, sigma_sq in enumerate(record):
             Y = walk.X[0, :n + 1, :walk.dims[n]]
             other = residual_variance(kernel, Y)
             if n in walk.frozen:
                 assert sigma_sq <= RANK_STALL_TOL and other <= RANK_STALL_TOL, n
                 continue
             K = k3_matrix(kernel, *coordinate_inner_products(Y))
-            if j > 0:
-                other = np.linalg.cholesky(K + j * np.eye(n + 1))[n, n] ** 2
             bound = (n + 1) * eps * np.linalg.cond(K) * K[n, n]
             assert abs(sigma_sq - other) <= bound, (N, n)
 
@@ -624,7 +649,7 @@ def test_limit_factors_no_point_block(monkeypatch):
     config = load_config(Path(__file__).parents[1] / "bench" / "configs" / "predict-t30.cfg")
     calls, pairs = _spy_calls(monkeypatch, [
         *((module, "condition") for module in (gaussianops, assembly, limits)),
-        *((module, "cholesky_psd") for module in (gaussianops, assembly)),
+        (gaussianops, "cholesky_psd"),
         (assembly, "cov_block"), (KernelModel, "cov_pair_block"), (SpanState, "extend")])
     kernel, evaluated = build_kernel(config.kernel), []
     derivatives = kernel.derivatives
@@ -645,7 +670,7 @@ def test_limit_factors_no_point_block(monkeypatch):
 def test_sampler_borders_one_k3_row_per_step(monkeypatch):
     # simulate-t20: each sampled step borders the last direction block's κ₃
     # factor with the new point's n + 1 pairs, so no step builds a κ₃ matrix
-    # or conditions one; without escalation nothing is rebuilt either
+    # or conditions one
     config = load_config(Path(__file__).parents[1] / "bench" / "configs" / "simulate-t20.cfg")
     calls, pairs = _spy_calls(monkeypatch, [
         *((module, "condition") for module in (gaussianops, assembly, limits, trajectories)),
@@ -811,20 +836,23 @@ def test_predict_bits_do_not_depend_on_the_blas_thread_count():
 
 
 _THREADED_SIMULATE = f"""
-from grfspan import SchoenbergMixture, gd, lift_stationary, load_config, simulate_info_paths
+from grfspan import (SchoenbergMixture, gd, heavy_ball, lift_stationary, load_config,
+                     simulate_info_paths)
 from grfspan.harness import build_gsa, build_kernel
 c = load_config({str(Path(__file__).parents[1] / "bench" / "configs" / "simulate-t20.cfg")!r})
+se = lift_stationary(SchoenbergMixture(atoms=((1.0, 1.0),)))
 runs = simulate_info_paths(build_kernel(c.kernel), build_gsa(c.algorithm), c.lam, c.N_list[0],
                            c.steps, [0], 3)
-runs += simulate_info_paths(lift_stationary(SchoenbergMixture(atoms=((1.0, 1.0),))), gd(0.4),
-                            1.0, 64, 8, range(50), 3)
+runs += simulate_info_paths(se, gd(0.4), 1.0, 64, 8, range(50), 3)
+runs += simulate_info_paths(se, heavy_ball(0.4, 0.5), 1.0, 64, 20, range(8), 3)
 print(b"".join(a.tobytes() for r in runs for a in (r.f_values, r.G, r.x_coords)).hex())
 """
 
 
-def test_sampler_bits_do_not_depend_on_the_blas_thread_count_without_escalation():
-    # neither run climbs the jitter ladder; a run that does re-factors its
-    # whole history through cholesky_psd, whose bits move with the thread
-    # count (ROADMAP item 9)
+def test_sampler_bits_do_not_depend_on_the_blas_thread_count():
+    # the heavy-ball batch climbs the jitter ladder at different steps, and
+    # an escalation re-runs the member's point blocks through the same small
+    # forward substitutions and factors as its steps, not a dense factor of
+    # the whole history, whose bits would move with the thread count
     outputs = _under_one_and_two_blas_threads(_THREADED_SIMULATE)
     assert outputs[0] and outputs[0] == outputs[1]

@@ -18,7 +18,7 @@ from grfspan.algorithms import (
     with_sphere_projection,
 )
 from grfspan.assembly import SpanState
-from grfspan.errors import KernelDomainError
+from grfspan.errors import KernelDomainError, NotPsdError
 from grfspan.gaussianops import ConditionPolicy, make_rng
 from grfspan.limits import SpanWalk, limit_step, predict
 from grfspan.kernels import (
@@ -190,8 +190,8 @@ def _final_state(kernel, gsa, lam, N, steps, streams, seed):
 
 
 def test_rebuilt_covariance_is_bitwise_the_lone_runs(escalations):
-    # S is rebuilt from each step's geometry, after members escalated their
-    # jitter at different steps
+    # S is laid out from each block's stored rows, after members escalated
+    # their jitter at different steps
     streams = range(50)
     state = _final_state(SE, HB, 1.0, 64, 20, streams, 3)
     assert len({rows for size, _, rows, _ in escalations if size == len(streams)}) >= 2
@@ -298,9 +298,13 @@ def test_pseudo_inverse_run_draws_past_a_singular_history():
 
 
 def test_non_finite_covariance_is_a_numerical_error():
-    # gd with a large step on a degree-5 spin glass overflows the kernel
+    # gd with a large step on a degree-5 spin glass overflows the kernel; the
+    # default ladder runs out on a point block one step before that
     kernel = spin_glass_kernel(SpinGlassMixture(coeffs=(0.0, 1.0, 0.0, 0.0, 0.0, 3.0)))
     with pytest.raises(KernelDomainError, match=r"^stream 0: step \d+: floating-point overflow"):
+        simulate_info_paths(kernel, gd(1.0), 1.0, 64, 12, [0, 1], 0,
+                            policy=ConditionPolicy(pseudo_fallback=True))
+    with pytest.raises(NotPsdError, match=r"^stream 0: step 3: the new point's rows"):
         simulate_info_paths(kernel, gd(1.0), 1.0, 64, 12, [0, 1], 0)
 
 
