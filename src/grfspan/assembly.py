@@ -22,16 +22,19 @@ instead: every visited point has a zero coordinate along each direction
 opened after it, so the history block of one step is a leading block of the
 next one's, and a step only appends rows — the new point's (f, D_{v_0..D−1})
 rows, then the D_{v_D} rows of the newly opened direction at every point,
-which are uncorrelated with all older rows.  Extending the Cholesky factor by
-k rows costs O(m²k) for m history rows, where re-assembling and re-factoring
-the history would cost O(m³).  The direction rows' covariance is the κ₃
-matrix of the points so far, so each direction block's factor is the last
-one's bordered by one κ₃ row, whose pivot squared is σ_w².  A run's jitter
-acts on its point rows only, so the direction blocks' factors carry none;
-each block keeps its rows of S beside its rows of the factor, and a jitter
-escalation re-runs the point blocks from those rows.  One state steps a
-batch of B paths that share this row structure — the same number of points
-and directions — as stacked (B, ·, ·) arrays.
+which are uncorrelated with all older rows.  Extending the factor by k rows
+costs O(m²k) for m history rows, where re-assembling and re-factoring the
+history would cost O(m³).  The direction rows' covariance is the κ₃ matrix
+of the points so far, so each direction block's factor is the last one's
+bordered by one κ₃ row, whose pivot squared is σ_w².  The state keeps only
+the factor's rows: a run's jitter acts on its point rows only, and a jitter
+escalation reads the history covariance back off the factor it is leaving.
+A member past the jitter ladder factors its point blocks by their
+eigen-factors and whitens them by their pseudo-inverses, in the same block
+recursion (the generalised Schur complement of a positive semi-definite
+matrix; Albert, SIAM J. Appl. Math. 1969).  One state steps a batch of B
+paths that share this row structure — the same number of points and
+directions — as stacked (B, ·, ·) arrays.
 
 ``LimitState`` steps the N→∞ limit.  There the new point's rows are observed
 at their conditional mean, so their innovation is exactly 0 and they can
@@ -51,13 +54,13 @@ factor by the new point's κ₃ column.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
 from .errors import DegenerateKernelError, KernelDomainError, NotPsdError
-from .gaussianops import DEFAULT_POLICY, ConditionPolicy, condition, sample_mvn
+from .gaussianops import DEFAULT_POLICY, PSEUDO_RTOL, ConditionPolicy, condition
 
 #: τ, the floor of a sampled κ₃ pivot² relative to κ₃(new, new): below it the
 #: new point's κ₃ row is numerically in the span of the earlier ones (Higham,
@@ -179,19 +182,15 @@ def residual_variance(kernel, reps, policy=DEFAULT_POLICY):
 class _Arrival:
     """One block of rows appended to a ``SpanState``, stacked over the batch.
 
-    ``S`` holds the block's rows of the history covariance, (B, k, left + k),
-    from column ``start − left`` through the block's own diagonal columns,
-    of which only the part on and below the diagonal is read; ``L`` holds the
-    same rows of the factor.  A block uncorrelated with every older row
-    stores no left part (left = 0).  ``inv`` (B, k, k) inverts the factor's
-    diagonal block.  A member whose solves have switched to the
-    pseudo-inverse holds placeholders in the factor rows of every point block
-    appended after the switch: the identity as diagonal block and inverse,
-    and zeros left of it.
+    ``L`` holds the block's rows of the factor, (B, k, left + k), from
+    column ``start − left`` through the block's own diagonal columns; a
+    block uncorrelated with every older row stores no left part (left = 0).
+    ``inv`` (B, k, k) inverts the factor's diagonal block.  The diagonal
+    block of a pseudo-inverse member's point block is the eigen-factor of
+    its conditional covariance, and ``inv`` its pseudo-inverse.
     """
 
     start: int
-    S: np.ndarray
     L: np.ndarray
     inv: np.ndarray
 
@@ -348,32 +347,32 @@ class LimitState(_State):
 
 
 class SpanState(_State):
-    """Conditioning state of a batch of B sampled paths: the history
-    covariance S with rows in arrival order, its lower factor
-    L = chol(S + j·P), where P is the diagonal indicator of the point rows,
-    and the whitened innovation z = L⁻¹·(observed − mean), each stacked
-    over the batch.  Every path of a batch has the same rows; only their
-    values differ, and every member is stepped in the one stack.
+    """Conditioning state of a batch of B sampled paths: the lower factor L
+    of S + j·P, where S is the history covariance with rows in arrival
+    order and P the diagonal indicator of the point rows, and the whitened
+    innovation z = L⁻¹·(observed − mean), each stacked over the batch.
+    Every path of a batch has the same rows; only their values differ, and
+    every member is stepped in the one stack.
 
     Each step calls ``extend`` with the new points, which returns their σ_w²
-    too, then ``open_direction``: the sampled span always grows.  S and L
-    are kept as the rows of each arrival block (see ``_Arrival``), and L is
-    extended by block forward substitution, one arrival block at a time,
-    inverting only the small diagonal blocks.  A direction block's factor
-    rows are the last one's bordered by the new point's κ₃ row and carry no
-    jitter, so σ_w² is that row's pivot squared, floored at
-    PIVOT_FLOOR·κ₃(new, new).  Each member's jitter j (``jitter``) climbs
-    the policy's ladder only when its new point block fails to factor: from
-    the first rung above j, ``_escalate`` re-factors the member's point
-    blocks in arrival order from their stored S rows, and leaves its
+    too, then ``open_direction``: the sampled span always grows.  L is kept
+    as the rows of each arrival block (see ``_Arrival``) and extended by
+    block forward substitution, one arrival block at a time, inverting only
+    the small diagonal blocks.  A direction block's factor rows are the last
+    one's bordered by the new point's κ₃ row and carry no jitter, so σ_w² is
+    that row's pivot squared, floored at PIVOT_FLOOR·κ₃(new, new).  Each
+    member's jitter j (``jitter``) climbs the policy's ladder only when its
+    new point block fails to factor: ``_escalate`` reads the member's
+    S + j·P off its factor and replays its point blocks in arrival order at
+    the first rung above j at which all of them factor, leaving its
     direction blocks as they are.  It never needs to come down, because each
-    step's history is a leading block of the next one's.  Past the last
-    rung the run raises NotPsdError, or with ``pseudo_fallback`` sets
-    j = +inf and draws every later point block of that member through
-    ``condition`` on the eigenvalue-thresholded pseudo-inverse of its S.  A
-    pseudo-inverse member stays in the stack: its later point blocks' factor
-    rows are placeholders (see ``_Arrival``), its rows of L⁻¹·S_hn are
-    zeroed, so its z adds nothing, and the factor's draw skips it.  A
+    step's history is a leading block of the next one's.  Past the last rung
+    the run raises NotPsdError, or with ``pseudo_fallback`` takes j = +inf as
+    the last rung: from then on the member's point blocks are factored by
+    the eigen-factor V·√w of their conditional covariance, dropping the
+    eigenvalues w at or below PSEUDO_RTOL times the largest diagonal entry
+    of the block's S_nn, and whitened by its pseudo-inverse, so L·Lᵀ is S
+    with those directions removed and L is block lower triangular.  A
     member's results are bitwise those of the same path stepped alone.
     """
 
@@ -398,17 +397,13 @@ class SpanState(_State):
         type 0 is f and type i + 1 is D_{v_i}."""
         return self._types.copy(), self._at.copy()
 
-    def covariance(self) -> np.ndarray:
-        """The history covariances S, (B, m, m), rows and columns in arrival order."""
-        return self._covariance(np.arange(self.batch))
-
-    def factor(self) -> np.ndarray:
-        """The lower factors L of S + j·P, (B, m, m), in arrival order."""
-        if self.pseudo.any():
-            raise ValueError("no factor: solves use the pseudo-inverse")
-        L = np.zeros((self.batch,) + (len(self._types),) * 2)
+    def factor(self, members=slice(None)) -> np.ndarray:
+        """The factors L of S + j·P of the given members, (B, m, m), in
+        arrival order; block lower triangular for a pseudo-inverse member."""
+        m = len(self._types)
+        L = np.zeros((len(self.jitter[members]), m, m))
         for blk in self._blocks:
-            L[:, blk.start:blk.stop, blk.start - blk.left:blk.stop] = blk.L
+            L[:, blk.start:blk.stop, blk.start - blk.left:blk.stop] = blk.L[members]
         return L
 
     def extend(self, Y, rngs, N) -> tuple[np.ndarray, np.ndarray]:
@@ -427,8 +422,7 @@ class SpanState(_State):
         the points before, with the new point's κ₃ column, and
         ``open_direction`` appends that bordered factor.  A member whose new
         block fails to factor escalates its jitter, and the step is
-        repeated; a pseudo-inverse member draws its rows through
-        ``condition``.  The last extend must have opened its direction.
+        repeated.  The last extend must have opened its direction.
         """
         Y = np.asarray(Y, dtype=float)
         n, D, s, ip = self._checked(Y)
@@ -437,38 +431,28 @@ class SpanState(_State):
         k = self.kernel.k3(s[:, :n + 1], s[:, n:], ip[:, :n + 1, n])
         S_hn, S_nn, mean = self._new_point(Y, s, ip, n, k)
         while True:
-            pseudo = self.pseudo
             W = self._forward(S_hn)
-            W[pseudo] = 0.0
             Wt = W.swapaxes(1, 2)
             cond_mean = mean + (Wt @ self._z[:, :, None])[:, :, 0]
             cond_cov = S_nn - Wt @ W
-            L_nn = self._factor(cond_cov, f"step {n}: the new point's rows")
-            if L_nn is not None:
+            factored = self._factor(cond_cov, S_nn, f"step {n}: the new point's rows")
+            if factored is not None:
                 break
-        drawn = cond_cov.any(axis=(1, 2)) & ~pseudo
+        L_nn, inv = factored
+        drawn = cond_cov.any(axis=(1, 2))
         xi = np.zeros(cond_mean.shape)
         for b in drawn.nonzero()[0]:
             rngs[b].standard_normal(out=xi[b])
         noise = (L_nn @ xi[:, :, None])[:, :, 0] / math.sqrt(N)
         observed = np.where(drawn[:, None], cond_mean + noise, cond_mean)
 
-        for b in pseudo.nonzero()[0]:
-            res = condition(np.zeros(self._resid.shape[1]), mean[b], self._covariance([b])[0],
-                            S_hn[b], S_nn[b], self._resid[b], replace(self.policy, jitter_start=None))
-            observed[b] = sample_mvn(res.cond_mean, res.cond_cov / N, rngs[b], self.policy)
-
-        # the κ₃ matrix K of the points and its factor, bordered by the new point
-        L_k = self._blocks[-1].L if n else np.empty((self.batch, 0, 0))
-        K = np.zeros((self.batch, n + 1, n + 1))
-        K[:, :n, :n], K[:, n] = self._blocks[-1].S if n else 0.0, k
-        F, sigma_sq = self._bordered(L_k, k)
+        # the last direction block's factor, chol(K), bordered by the new point
+        F, sigma_sq = self._bordered(self._blocks[-1].L if n else np.empty((self.batch, 0, 0)), k)
         sigma_sq = np.maximum(sigma_sq, PIVOT_FLOOR * k[:, n])
         F[:, n, n] = np.sqrt(sigma_sq)
         self._append(observed - mean, np.arange(D + 1), np.full(D + 1, n),
-                     np.concatenate([S_hn.swapaxes(1, 2), S_nn], axis=2),
-                     np.concatenate([Wt, L_nn], axis=2), observed - cond_mean)
-        self._opens = (K, F, D + 1)
+                     np.concatenate([Wt, L_nn], axis=2), inv, observed - cond_mean)
+        self._opens = (F, D + 1)
         self.points += 1
         return observed, sigma_sq
 
@@ -483,11 +467,11 @@ class SpanState(_State):
         """
         if self._opens is None:
             raise ValueError("open_direction needs a preceding extend")
-        (K, F, row_type), self._opens = self._opens, None
+        (F, row_type), self._opens = self._opens, None
         observed = np.zeros((self.batch, self.points))
         observed[:, -1] = values
         self._append(observed, np.full(self.points, row_type), np.arange(self.points),
-                     K, F, observed)
+                     F, np.linalg.inv(F), observed)
 
     def _new_point(self, Y, s, ip, n, k):
         """(S_hn, S_nn, mean) of the (f, D_{v_0..D−1}) rows of the new point
@@ -509,11 +493,11 @@ class SpanState(_State):
 
     # -- factor maintenance ---------------------------------------------------
 
-    def _append(self, resid, types, at, S_rows, L_rows, innovation):
-        """Append a block of rows with their S rows, factor rows and innovations."""
-        inv = np.linalg.inv(L_rows[:, :, L_rows.shape[2] - L_rows.shape[1]:])
+    def _append(self, resid, types, at, L_rows, inv, innovation):
+        """Append a block of rows with their factor rows, the inverse of
+        its diagonal block and their innovations."""
         z = (inv @ innovation[:, :, None])[:, :, 0]
-        self._blocks.append(_Arrival(start=self._resid.shape[1], S=S_rows, L=L_rows, inv=inv))
+        self._blocks.append(_Arrival(start=self._resid.shape[1], L=L_rows, inv=inv))
         self._z = np.concatenate([self._z, z], axis=1)
         self._resid = np.concatenate([self._resid, resid], axis=1)
         self._types = np.concatenate([self._types, types])
@@ -533,68 +517,85 @@ class SpanState(_State):
             X[:, a:b] = blk.inv[members] @ rhs
         return X
 
-    def _factor(self, C, block):
-        """chol(C + j·I) of every member at its own jitter j, with the
-        identity in place of a pseudo member's block.
+    def _factor(self, C, S_nn, block):
+        """(L, L⁻¹) of every member's point block: L = chol(C + j·I) at the
+        member's own jitter j, or for a pseudo member the eigen-factor of C
+        and its pseudo-inverse (see ``_eigen_factor``), thresholded against
+        the block's covariance S_nn.
 
         Returns None when some member fails to factor, after escalating every
         member that failed; the caller then repeats the step.  ``block``
         names C in the NotPsdError raised past the last rung.
         """
+        pseudo = self.pseudo
         A = C
         if self.jitter.any():
             eye = np.eye(C.shape[1])
-            j = np.where(self.pseudo, 0.0, self.jitter)[:, None, None]
-            A = np.where(self.pseudo[:, None, None], eye, np.where(j > 0.0, C + j * eye, C))
+            j = np.where(pseudo, 0.0, self.jitter)[:, None, None]
+            A = np.where(pseudo[:, None, None], eye, np.where(j > 0.0, C + j * eye, C))
         try:
-            return np.linalg.cholesky(A)
+            L = np.linalg.cholesky(A)
         except np.linalg.LinAlgError:
-            pass
-        for b, slab in enumerate(A):
-            try:
-                np.linalg.cholesky(slab)
-            except np.linalg.LinAlgError:
-                self._escalate(b, f"{block} ({len(slab)}×{len(slab)})")
-        return None
+            for b, slab in enumerate(A):
+                try:
+                    np.linalg.cholesky(slab)
+                except np.linalg.LinAlgError:
+                    self._escalate(b, f"{block} ({len(slab)}×{len(slab)})")
+            return None
+        inv = np.linalg.inv(L)
+        for b in pseudo.nonzero()[0]:
+            L[b], inv[b] = _eigen_factor(C[b], S_nn[b])
+        return L, inv
 
     def _escalate(self, b, block):
-        """Move member b to the first ladder rung j above its jitter at which
-        all of its point blocks factor, and re-whiten its innovations.  At
-        each rung the point blocks are re-run in arrival order from their
-        stored S rows, as ``extend`` ran them: W = L⁻¹·S_hn through the
-        factor rows before the block, then chol(S_nn − WᵀW + j·I), which
-        rewrites the block's factor rows.  The direction blocks carry no
-        jitter and stay; a rung that fails leaves the blocks before the
-        failing one rewritten, for the next rung to replace."""
-        point_blocks = [blk for blk in self._blocks if self._types[blk.start] == 0]
-        for j in [rung for rung in self.policy.ladder() if rung > self.jitter[b]]:
+        """Move member b to the first rung j above its jitter at which all
+        of its point blocks factor, and re-whiten its innovations.  The
+        rungs are the policy's ladder, then +inf under ``pseudo_fallback``.
+        The member's S + j·P is read off its factor once, and its jitter
+        taken off the point rows; the point-block rows of that product are S,
+        also where a κ₃ pivot was floored.  At each rung the point blocks are
+        re-run from it in arrival order, as ``extend`` ran them:
+        W = L⁻¹·S_hn through the factor rows before the block, then
+        chol(S_nn − WᵀW + j·I), or at +inf the eigen-factor, which rewrites
+        the block's factor rows.  The direction blocks carry no jitter and
+        stay; a rung that fails leaves the blocks before the failing one
+        rewritten, for the next rung to replace."""
+        (L,) = self.factor([b])
+        S = L @ L.T
+        points = (self._types == 0).nonzero()[0]
+        S[points, points] -= self.jitter[b]
+        rungs = [rung for rung in self.policy.ladder() if rung > self.jitter[b]]
+        for j in rungs + [math.inf] * self.policy.pseudo_fallback:
             try:
-                for blk in point_blocks:
-                    rows, a = blk.S[[b]], blk.start
-                    Wt = self._forward(rows[:, :, :a].swapaxes(1, 2), [b]).swapaxes(1, 2)
-                    L_nn = np.linalg.cholesky(rows[:, :, a:] - Wt @ Wt.swapaxes(1, 2)
-                                              + j * np.eye(rows.shape[1]))
-                    blk.L[b] = np.concatenate([Wt, L_nn], axis=2)[0]
-                    blk.inv[b] = np.linalg.inv(L_nn[0])
+                for blk in self._blocks:
+                    a, c = blk.start, blk.stop
+                    if self._types[a]:
+                        continue                # a direction block
+                    rows = S[a:c, :c]
+                    Wt = self._forward(rows[None, :, :a].swapaxes(1, 2), [b])[0].T
+                    C = rows[:, a:] - Wt @ Wt.T
+                    if j == math.inf:
+                        L_nn, inv = _eigen_factor(C, rows[:, a:])
+                    else:
+                        L_nn = np.linalg.cholesky(C + j * np.eye(len(C)))
+                        inv = np.linalg.inv(L_nn)
+                    blk.L[b] = np.concatenate([Wt, L_nn], axis=1)
+                    blk.inv[b] = inv
             except np.linalg.LinAlgError:
                 continue
             self.jitter[b] = j
             self._z[b] = self._forward(self._resid[[b], :, None], [b])[0, :, 0]
             return
-        if not self.policy.pseudo_fallback:
-            raise NotPsdError(
-                f"{block} not positive definite within jitter ladder "
-                f"(start={self.policy.jitter_start}, max={self.policy.jitter_max})")
-        self.jitter[b] = math.inf
+        raise NotPsdError(
+            f"{block} not positive definite within jitter ladder "
+            f"(start={self.policy.jitter_start}, max={self.policy.jitter_max})")
 
-    def _covariance(self, members):
-        """The history covariances S of the given members, laid out from
-        each block's stored rows."""
-        m = len(self._types)
-        S = np.zeros((len(members), m, m))
-        for blk in self._blocks:
-            S[:, blk.start:blk.stop, blk.start - blk.left:blk.stop] = blk.S[members]
-        upper = np.triu_indices(m, 1)
-        for slab in S:                          # mirrored in place, one member at a time
-            slab[upper] = slab.T[upper]
-        return S
+
+def _eigen_factor(C, S_nn):
+    """(F, F⁺): the eigen-factor F = V·√w of one symmetric conditional
+    covariance C (k, k), with the eigenpairs (w, V) of w at or below
+    PSEUDO_RTOL·max diag S_nn dropped, and its pseudo-inverse."""
+    w, V = np.linalg.eigh(C)
+    keep = w > PSEUDO_RTOL * S_nn.diagonal().max()
+    root = np.sqrt(np.where(keep, w, 1.0))
+    return V * (root * keep), (V / root * keep).T

@@ -1,9 +1,12 @@
 """Conditional Gaussian linear algebra and sampling primitives.
 
-Everything the limit recursion and the finite-N sampler share: conditioning a
-Gaussian block on observed blocks, Cholesky factorization with a jitter
-escalation ladder, multivariate-normal and chi-square draws, and reproducible
-per-trajectory random streams.
+``ConditionPolicy`` and its jitter ladder, which the finite-N sampler in
+``assembly`` walks over its own point blocks; ``condition``, which conditions
+one Gaussian block on one observed block from scratch, solving through
+``cholesky_psd`` at the first rung that works, for the brute-force oracle and
+``assembly.residual_variance``; the brute-force oracle's multivariate-normal
+draw ``sample_mvn``; chi-square draws; and reproducible per-trajectory random
+streams.
 """
 
 from __future__ import annotations
@@ -18,14 +21,18 @@ from .errors import NotPsdError
 
 @dataclass(frozen=True)
 class ConditionPolicy:
-    """How to factorize/solve the observed-block covariance S11.
+    """How to factorize/solve an observed-block covariance.
 
     ``jitter_start``/``jitter_max`` define the escalation ladder
     {0, start, 10·start, …, max}; ``jitter_start=None`` disables jitter (the
     ladder is just {0}).  When the ladder is exhausted: raise unless
     ``pseudo_fallback`` is set, in which case solves go through an
-    eigenvalue-thresholded pseudo-inverse (threshold 1e−10·‖S11‖) and the
-    result is flagged ``rank_deficient``.
+    eigenvalue-thresholded pseudo-inverse.  Both thresholds are relative,
+    with factor PSEUDO_RTOL = 1e−10: ``condition`` drops the eigenvalues of
+    S11 at or below 1e−10 times its largest |eigenvalue| and flags the result
+    ``rank_deficient``; the sampler drops those of a point block's
+    conditional covariance at or below 1e−10 times the largest diagonal
+    entry of the block's covariance S_nn.
     """
 
     jitter_start: float | None = 1e-12
@@ -43,6 +50,9 @@ class ConditionPolicy:
 
 
 DEFAULT_POLICY = ConditionPolicy()
+
+#: the relative eigenvalue threshold of both pseudo-inverses (see ConditionPolicy)
+PSEUDO_RTOL = 1e-10
 
 
 @dataclass
@@ -87,7 +97,7 @@ def cholesky_psd(A, policy: ConditionPolicy = DEFAULT_POLICY, above: float = -ma
 def _pseudo_solve(S11, B):
     """Solve S11·X = B through an eigenvalue-thresholded pseudo-inverse."""
     w, V = np.linalg.eigh(S11)
-    threshold = 1e-10 * np.max(np.abs(w), initial=0.0)
+    threshold = PSEUDO_RTOL * np.max(np.abs(w), initial=0.0)
     inv_w = np.where(w > threshold, 1.0 / np.where(w > threshold, w, 1.0), 0.0)
     return V @ (inv_w[:, None] * (V.T @ B))
 

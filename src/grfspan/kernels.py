@@ -225,8 +225,9 @@ class _DirectStationaryModel(KernelModel):
     rather than the generic κ-partial bilinear form: ``cov_pair_block``
     takes C, C′ and C″ from one ``derivatives`` call of the mixture, and
     ``weighted_rows`` takes C′ and C″ from the lifted partials handed to it
-    as ``parts``, which are the same values at the same r.  Numerically equivalent to ``lift_stationary`` on the same mixture;
-    kept as a genuinely separate code path so the two can be compared.  The
+    as ``parts``, which are the same values at the same r.  Numerically
+    equivalent to ``lift_stationary`` on the same mixture; kept as a
+    genuinely separate code path so the two can be compared.  The
     per-entry rules and ``k3`` are the generic ones on the lifted model's
     ``derivatives``.
     """

@@ -10,6 +10,10 @@ printing the same digests before and after.  The digests cover:
 * the records of streams 0–7 of heavy-ball(0.4, 0.5) on the SE kernel at
   N = 64, T = 20 and master seed 3, a batch whose members climb the jitter
   ladder at different steps, so that a change to escalation shows here;
+* the records of streams 0–7 of gd(0.3/70²) on the quadratic kernel with
+  σ_A = 70 at N = 64, T = 8 and master seed 1 under ``pseudo_inverse``, a
+  batch whose members climb the whole ladder at step 0 and most switch to
+  the pseudo-inverse later, so that a change to that route shows here;
 * the report CSV of ``run_verify`` on ``verify-t8`` at master seed 1, under
   1 and under 2 workers.
 
@@ -35,6 +39,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from grfspan import algorithms, harness, kernels, limits, trajectories
+from grfspan.gaussianops import ConditionPolicy
 
 CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
 CURVE_FIELDS = ("f_limit", "gamma", "y_reps", "sigma_w", "dims", "grad_gram_limit", "rho")
@@ -79,6 +84,13 @@ def escalating_digest() -> str:
     return digest(getattr(r, f) for r in records for f in RECORD_FIELDS)
 
 
+def pseudo_digest() -> str:
+    records = trajectories.simulate_info_paths(
+        kernels.quadratic_kernel(70.0, 0.5, 1.0), algorithms.gd(0.3 / 70 ** 2), 1.0, 64, 8,
+        STREAMS, master_seed=SEED, policy=ConditionPolicy(pseudo_fallback=True))
+    return digest(getattr(r, f) for r in records for f in RECORD_FIELDS)
+
+
 def verify_csv(config, workers, directory) -> bytes:
     path = Path(directory) / f"verify-{workers}.csv"
     os.environ[harness.WORKERS_ENV] = str(workers)
@@ -94,6 +106,7 @@ def main() -> int:
     config = harness.load_config(CONFIGS / "simulate-t20.cfg")
     print(f"simulate {'simulate-t20':12s} {'s0-7':6s} {simulate_digest(config)}")
     print(f"simulate {'hb-N64-t20':12s} {'s0-7':6s} {escalating_digest()}")
+    print(f"simulate {'quad70-pinv':12s} {'s0-7':6s} {pseudo_digest()}")
     config = harness.load_config(CONFIGS / "verify-t8.cfg")
     with tempfile.TemporaryDirectory() as directory:
         csvs = {w: verify_csv(config, w, directory) for w in (1, 2)}

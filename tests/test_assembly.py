@@ -15,7 +15,7 @@ from grfspan.assembly import (
     residual_variance,
 )
 from grfspan.errors import KernelDomainError
-from grfspan.gaussianops import ConditionPolicy, condition, make_rng, sample_mvn
+from grfspan.gaussianops import ConditionPolicy, condition, make_rng
 from grfspan.kernels import (
     SchoenbergMixture,
     SpinGlassMixture,
@@ -143,9 +143,18 @@ def test_residual_variance_single_point():
     assert val == pytest.approx(float(kernel.k3(0.5, 0.5, 1.0)))
 
 
+class _ZeroNormal:
+    """A generator whose standard normals all read 0, so a draw is ξ = 0."""
+
+    def standard_normal(self, out):
+        out[...] = 0.0
+        return out
+
+
 def test_span_state_pseudo_inverse_conditions_and_draws():
     # revisiting point 0 makes the history singular; with no jitter ladder
-    # every later solve goes through the pseudo-inverse of the stored S
+    # the member switches to the pseudo-inverse, block by block, and its
+    # conditional law is that of the pseudo-inverse of the whole history
     kernel = KERNELS[0]
     policy = ConditionPolicy(jitter_start=None, pseudo_fallback=True)
     state = SpanState(kernel, policy)
@@ -161,14 +170,17 @@ def test_span_state_pseudo_inverse_conditions_and_draws():
     assert abs(sigma_sq) <= 1e-12
     state.open_direction([0.0])
 
-    (draw,), _ = state.extend(Y[None], [make_rng(4, 1)], 64)
+    m = len(state.labels[0])
+    (mean,), _ = state.extend(Y[None], [_ZeroNormal()], 64)
+    (L,) = state.factor()
+    L_nn = L[m:, m:]
     blocks = joint_blocks(kernel, Y[:2], Y[2])
     observed = flatten_history([first[0], again[0]], [[first[1], 0.9, 0.0], [*again[1:], 0.0]])
     res = condition(blocks.mean_hist, blocks.mean_new, blocks.S_hh, blocks.S_hn, blocks.S_nn,
                     observed, policy=policy)
     assert res.rank_deficient
-    reference = sample_mvn(res.cond_mean, res.cond_cov / 64, make_rng(4, 1), policy)
-    np.testing.assert_allclose(draw, reference, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(mean, res.cond_mean, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(L_nn @ L_nn.T, res.cond_cov, rtol=0, atol=1e-14)
 
 
 def test_sampled_extend_needs_the_last_direction_opened():

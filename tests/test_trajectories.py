@@ -1,7 +1,6 @@
 """Tests for the dimension-free sampler and the brute-force oracle."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,8 +18,8 @@ from grfspan.algorithms import (
 )
 from grfspan.assembly import SpanState
 from grfspan.errors import KernelDomainError, NotPsdError
-from grfspan.gaussianops import ConditionPolicy, make_rng
-from grfspan.limits import SpanWalk, limit_step, predict
+from grfspan.gaussianops import ConditionPolicy
+from grfspan.limits import predict
 from grfspan.kernels import (
     SchoenbergMixture,
     SpinGlassMixture,
@@ -126,14 +125,14 @@ def assert_same_record(a, b):
 
 @pytest.fixture
 def escalations(monkeypatch):
-    """(member, history rows, pseudo afterwards) of every jitter escalation."""
+    """(batch size, member, step, jitter afterwards) of every jitter
+    escalation; a pseudo-inverse switch reads jitter +inf."""
     seen = []
     escalate = SpanState._escalate
 
     def spy(self, b, block):
-        rows = self._resid.shape[1]
         escalate(self, b, block)
-        seen.append((self.batch, int(b), rows, bool(self.pseudo[b])))
+        seen.append((self.batch, int(b), self.points, float(self.jitter[b])))
 
     monkeypatch.setattr(SpanState, "_escalate", spy)
     return seen
@@ -171,48 +170,13 @@ def test_stream_bits_do_not_depend_on_batch_composition(case):
 def test_members_escalating_at_different_steps_match_lone_runs(escalations):
     streams = range(8)
     batch = simulate_info_paths(SE, HB, 1.0, 64, 20, streams, 3)
-    in_batch = [(b, rows) for size, b, rows, _ in escalations if size == len(streams)]
+    in_batch = [(b, step) for size, b, step, _ in escalations if size == len(streams)]
     # some members escalate, at different steps, and some never do
-    assert len({rows for _, rows in in_batch}) >= 2
+    assert len({step for _, step in in_batch}) >= 2
     assert {b for b, _ in in_batch} < set(streams)
     for record in batch:
         assert_same_record(record, simulate_info_path(SE, HB, 1.0, 64, 20,
                                                       record.stream_id, 3))
-
-
-def _final_state(kernel, gsa, lam, N, steps, streams, seed):
-    """The conditioning state of a batch of sampled runs after their last step."""
-    walk = SpanWalk(SpanState(kernel, batch=len(streams)), lam, steps)
-    rngs = [make_rng(seed, stream) for stream in streams]
-    for _ in range(steps + 1):
-        limit_step(walk, gsa, rngs, N)
-    return walk.state
-
-
-def test_rebuilt_covariance_is_bitwise_the_lone_runs(escalations):
-    # S is laid out from each block's stored rows, after members escalated
-    # their jitter at different steps
-    streams = range(50)
-    state = _final_state(SE, HB, 1.0, 64, 20, streams, 3)
-    assert len({rows for size, _, rows, _ in escalations if size == len(streams)}) >= 2
-    assert 0 < np.count_nonzero(state.jitter) < len(streams)
-    S = state.covariance()
-    for b in streams:
-        (lone,) = _final_state(SE, HB, 1.0, 64, 20, [b], 3).covariance()
-        assert np.array_equal(S[b], lone) and np.array_equal(np.signbit(S[b]), np.signbit(lone))
-
-
-def test_rebuilt_covariance_allocates_one_stack():
-    # the mirror of the lower triangle works in place, not on a second stack
-    state = _final_state(SE, HB, 1.0, 64, 14, range(20), 3)
-    tracemalloc.start()
-    try:
-        S = state.covariance()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * S.nbytes
-    assert np.array_equal(S, np.swapaxes(S, 1, 2))
 
 
 def _stall_at_first_step(n, info):
@@ -229,12 +193,42 @@ def test_pseudo_inverse_member_inside_a_batch(escalations):
     policy = ConditionPolicy(jitter_start=None, pseudo_fallback=True)
     batch = simulate_info_paths(SE, gsa, 1.0, 64, 4, range(8), 3, policy=policy)
     stalled = {b for b, record in enumerate(batch) if record.f_values[0] > 0}
-    switched = {b for size, b, _, pseudo in escalations if size == 8 and pseudo}
+    switched = {b for size, b, _, jitter in escalations if size == 8 and math.isinf(jitter)}
     assert switched == stalled and 0 < len(stalled) < 8
     for record in batch:
         assert np.all(np.isfinite(record.f_values)) and np.all(np.isfinite(record.G))
         assert_same_record(record, simulate_info_path(SE, gsa, 1.0, 64, 4, record.stream_id, 3,
                                                       policy=policy))
+
+
+def test_ladder_then_pseudo_inverse_inside_a_batch(escalations):
+    # σ_A = 70 scales the quadratic field's rows apart: every member climbs
+    # the whole jitter ladder at step 0, and most later pass its top rung
+    # and switch to the pseudo-inverse, each at its own step, beside
+    # members that are still jittered
+    kernel, gsa = quadratic_kernel(70.0, 0.5, 1.0), gd(0.3 / 70 ** 2)
+    policy, streams = ConditionPolicy(pseudo_fallback=True), range(8)
+    batch = simulate_info_paths(kernel, gsa, 1.0, 64, 8, streams, 1, policy=policy)
+    ladder = list(policy.ladder())[1:]
+    switched = set()
+    for b in streams:
+        seen = [(step, j) for size, member, step, j in escalations
+                if size == len(streams) and member == b]
+        assert seen[:len(ladder)] == [(0, j) for j in ladder]
+        later = seen[len(ladder):]
+        assert len(later) <= 1 and all(step > 0 and j == math.inf for step, j in later)
+        switched |= {(b, step) for step, _ in later}
+    assert 0 < len(switched) < len(streams) and len({step for _, step in switched}) >= 2
+    for record in batch:
+        assert np.all(np.isfinite(record.f_values)) and np.all(np.isfinite(record.G))
+        assert_same_record(record, simulate_info_path(kernel, gsa, 1.0, 64, 8, record.stream_id,
+                                                      1, policy=policy))
+    # the pseudo-inverse draws the same law: at large N the runs approach the limit
+    N = 10 ** 9
+    f_limit = predict(kernel, gsa, 1.0, 8, on_rank_stall="freeze").f_limit
+    bound = 3 * np.abs(f_limit).max() / math.sqrt(N)
+    for record in simulate_info_paths(kernel, gsa, 1.0, N, 8, streams, 1, policy=policy):
+        assert np.abs(record.f_values - f_limit).max() <= bound
 
 
 PROPERTY_OPTIMIZERS = {
