@@ -31,7 +31,6 @@ from .algorithms import (
 from .errors import (
     CoincidentPointsError,
     ConfigError,
-    ConsistencyError,
     DegenerateKernelError,
     DegenerateProjectionError,
     KernelDomainError,
@@ -90,6 +89,6 @@ __all__ = [
     "run_halting", "run_simulate",
     "ConfigError", "NumericalError", "KernelDomainError",
     "DegenerateKernelError", "NotPsdError", "RankStallError",
-    "CoincidentPointsError", "ConsistencyError", "DegenerateProjectionError",
+    "CoincidentPointsError", "DegenerateProjectionError",
     "__version__",
 ]

@@ -16,13 +16,17 @@ dimension-free scale; the 1/N covariance factor is applied by callers.  The
 coordinate rows may carry leading batch axes, one entry per path, and every
 output then carries them too.
 
-Two conditioning states step a path with these blocks, one per recursion.
-``SpanState``, the finite-N sampler's, keeps the history in arrival order
-instead: every visited point has a zero coordinate along each direction
-opened after it, so the history block of one step is a leading block of the
-next one's, and a step only appends rows — the new point's (f, D_{v_0..D−1})
-rows, then the D_{v_D} rows of the newly opened direction at every point,
-which are uncorrelated with all older rows.  Extending the factor by k rows
+Two conditioning states step a path with these blocks, one per recursion,
+and each takes a whole step in one ``extend(Y)``: it observes the new
+point's rows, reads σ_w² off a grown κ₃ factor, and opens the direction the
+point's gradient opens, returning (rows, σ_w², corner), where the corner is
+the gradient's coordinate along that direction.  ``SpanState``, the
+finite-N sampler's, keeps the history in arrival order instead: every
+visited point has a zero coordinate along each direction opened after it,
+so the history block of one step is a leading block of the next one's, and
+a step only appends rows — the new point's (f, D_{v_0..D−1}) rows, then the
+D_{v_D} rows of the newly opened direction at every point, which are
+uncorrelated with all older rows.  Extending the factor by k rows
 costs O(m²k) for m history rows, where re-assembling and re-factoring the
 history would cost O(m³).  The direction rows' covariance is the κ₃ matrix
 of the points so far, so each direction block's factor is the last one's
@@ -47,6 +51,8 @@ column through L, reads σ_w² off the new pivot, and forms its conditional
 mean as one ``KernelModel.weighted_rows`` contraction over the history
 points, with no ``cov_block`` column; one ``derivatives`` call over the new
 point's pairs gives both the κ₃ column and the contraction's partials.
+The limit alone checks that its points stay apart and applies the
+rank-stall rule, under which a step may open no direction.
 Both states share the checks of a new point and the bordering of a κ₃
 factor by the new point's κ₃ column.
 """
@@ -58,8 +64,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
-from .errors import DegenerateKernelError, KernelDomainError, NotPsdError
+from . import gaussianops, kernels
+from .errors import (
+    CoincidentPointsError,
+    DegenerateKernelError,
+    KernelDomainError,
+    NotPsdError,
+    RankStallError,
+)
 from .gaussianops import DEFAULT_POLICY, PSEUDO_RTOL, ConditionPolicy, condition
 
 #: τ, the floor of a sampled κ₃ pivot² relative to κ₃(new, new): below it the
@@ -68,6 +80,10 @@ from .gaussianops import DEFAULT_POLICY, PSEUDO_RTOL, ConditionPolicy, condition
 #: and the floor keeps the bordered factor nonsingular, so a rank-deficient κ₃
 #: matrix such as the quadratic kernel's rank-one one still opens a direction
 PIVOT_FLOOR = 1e-12
+#: a limit σ_w² at or below this is a span-dimension stall
+RANK_STALL_TOL = 1e-12
+#: limiting evaluation points closer than this violate the distinctness claim
+COINCIDENT_TOL = 1e-10
 
 
 def coordinate_inner_products(reps):
@@ -215,7 +231,6 @@ class _State:
         self.kernel = kernel
         self.batch = batch
         self.points = 0
-        self._opens = None                      # what the last extend's direction would append
 
     def _checked(self, Y):
         """(n, D, s, ip) of the points Y, (B, n+1, D), the new point last:
@@ -270,35 +285,58 @@ class LimitState(_State):
     plus Σ_a Σ_j w[a, j]·Cov(D_{v_j} f(y_a), its rows): one
     ``KernelModel.weighted_rows`` contraction, O(n·D) kernel work for n
     points.  Each direction's weights are fixed when it opens: those of the
-    direction opened at point n are L⁻ᵀ·e_n scaled by its observed value
-    over the pivot, and its column is 0 at every later point.  A point whose
-    step opened nothing never enters the factor, and its weights are 0.
-    The limit factors no point block, so it needs no jitter.
+    direction opened at point n are L⁻ᵀ·e_n, since its coordinate there,
+    the corner, is the new pivot √σ_w², and its column is 0 at every later
+    point.  A point whose step opened nothing never enters the factor, and
+    its weights are 0.  The limit factors no point block, so it needs no
+    jitter.
 
-    Each step calls ``extend`` with the new point, which returns its σ_w²
-    too, then ``open_direction`` unless the span did not grow.
+    The limit also keeps what only it checks: ``dists``, each point's
+    distances to the points before it, and ``frozen``, the steps whose
+    rank stall ``on_rank_stall="freeze"`` absorbed.
     """
 
-    def __init__(self, kernel):
+    def __init__(self, kernel, on_rank_stall: str = "error"):
+        if on_rank_stall not in ("error", "freeze"):
+            raise ValueError(f"on_rank_stall must be 'error' or 'freeze', got {on_rank_stall!r}")
         super().__init__(kernel, 1)
+        self.on_rank_stall = on_rank_stall
         self.k3_factor = np.empty((1, 0, 0))
         self.k3_points = np.empty(0, dtype=int)
         self.weights = np.empty((1, 0, 0))
+        self.dists = []
+        self.frozen = []
 
-    def extend(self, Y) -> tuple[np.ndarray, np.ndarray]:
-        """Observe the (f, D_{v_0..D−1}) rows of the point Y[:, -1] at their
-        conditional mean given the direction rows, the mean plus their
-        ``weighted_rows``; Y (1, n+1, D) holds the history points'
-        coordinate rows followed by the new point's.  Returns those rows,
-        (1, D+1), and σ_w², (1,): one ``derivatives`` call over the pairs of
-        the new point with every point gives the κ₃ column, read at the
-        factor's points and solved through the factor, and the history
-        pairs' partials, which ``weighted_rows`` contracts; σ_w² is the
-        squared pivot that row would have.  A non-finite κ₃ column, mean or
-        conditional mean raises KernelDomainError.  Nothing is appended
-        until ``open_direction``; ``weights`` gains the new point's zero row.
+    def extend(self, Y):
+        """Take the step of the point Y[:, -1]; Y (1, n+1, D) holds the
+        history points' coordinate rows followed by the new point's.
+
+        A point within COINCIDENT_TOL of an earlier one raises
+        CoincidentPointsError.  The (f, D_{v_0..D−1}) rows are observed at
+        their conditional mean given the direction rows, the mean plus their
+        ``weighted_rows``: one ``derivatives`` call over the pairs of the
+        new point with every point gives the κ₃ column, read at the factor's
+        points and solved through the factor, and the history pairs'
+        partials, which ``weighted_rows`` contracts; σ_w² is the squared
+        pivot that the κ₃ row would have.  A non-finite κ₃ column, mean or
+        conditional mean raises KernelDomainError.
+
+        Returns the rows (1, D+1), σ_w² (1,) and the corner (1,), √σ_w²,
+        after opening v_D: the κ₃ factor gains the new point's row and
+        ``weights`` the column D.  At σ_w² ≤ RANK_STALL_TOL the span has
+        stopped growing: that raises RankStallError, or under "freeze" opens
+        nothing and returns the corner None.  Nothing changes on an error.
         """
         Y = np.asarray(Y, dtype=float)
+        n = Y.shape[1] - 1
+        # the reduction np.linalg.norm(·, axis=1) runs on real input
+        diff = Y[0, :n] - Y[0, n]
+        dists = np.sqrt(np.add.reduce(diff * diff, axis=1))
+        too_close = (dists <= COINCIDENT_TOL).nonzero()[0]
+        if too_close.size:
+            raise CoincidentPointsError(
+                f"step {n} revisits step {too_close[0]}: limiting points coincide "
+                f"(distance {dists[too_close[0]]:.3e})")
         n, D, s, ip = self._checked(Y)
         parts = self.kernel.derivatives(s[:, :n + 1], s[:, n:], ip[:, :n + 1, n])
         # κ₃ at the factor's points, then the new point
@@ -315,53 +353,51 @@ class LimitState(_State):
             raise KernelDomainError(f"step {n}: non-finite entries in the new point's "
                                     "κ₃ column, mean or conditional mean")
         F, sigma_sq = self._bordered(self.k3_factor, k)
-        self._opens = (F, sigma_sq, D)
-        self.weights = w
+        stalled = sigma_sq[0] <= RANK_STALL_TOL
+        if stalled and self.on_rank_stall == "error":
+            if sigma_sq[0] < 0:
+                raise RankStallError(
+                    f"step {n}: residual variance σ²_w = {sigma_sq[0]:.3e} < 0; the κ₃ "
+                    "pivot has run out of float64 digits, so whether the gradient span "
+                    "still grows is not resolved")
+            raise RankStallError(
+                f"step {n}: residual variance σ²_w = {sigma_sq[0]:.3e} ≤ "
+                f"{RANK_STALL_TOL:g}; gradient span stopped growing")
         self.points += 1
-        return observed, sigma_sq
-
-    def open_direction(self, values):
-        """Open v_D, the direction the last extended point's gradient opened,
-        where ``values`` (1,) is its coordinate along it.  The κ₃ factor
-        gains the new point's row [l, √σ_w²] that ``extend`` bordered it
-        with, and ``weights`` the column D, L⁻ᵀ·e_n·values/√σ_w² at the
-        factor's points, found by one solve; a σ_w² ≤ 0 has no such row and
-        raises ValueError.  A step whose span did not grow skips this.
-        """
-        if self._opens is None:
-            raise ValueError("open_direction needs a preceding extend")
-        L, sigma_sq, D = self._opens
-        if (sigma_sq <= 0).any():
-            raise ValueError(f"no direction to open: σ_w² = {sigma_sq.min():.3e} ≤ 0")
-        self._opens = None
-        p = L.shape[1] - 1
+        self.dists.append(dists)
+        if stalled:
+            self.frozen.append(n)
+            self.weights = w
+            return observed, sigma_sq, None
+        p = F.shape[1] - 1
         last = np.zeros((1, p + 1, 1))           # e_p
         last[0, p, 0] = 1.0
-        self.k3_factor = L
-        self.k3_points = np.concatenate((self.k3_points, [self.points - 1]))
-        w = np.zeros((1, self.points, D + 1))
-        w[:, :, :D] = self.weights
-        w[:, self.k3_points, D] = (np.linalg.solve(L.swapaxes(1, 2), last)[:, :, 0]
-                                   * (np.asarray(values) / L[:, p, p])[:, None])
-        self.weights = w
+        self.k3_factor = F
+        self.k3_points = np.concatenate((self.k3_points, [n]))
+        self.weights = np.zeros((1, n + 1, D + 1))
+        self.weights[:, :, :D] = w
+        self.weights[:, self.k3_points, D] = np.linalg.solve(F.swapaxes(1, 2), last)[:, :, 0]
+        return observed, sigma_sq, F[:, p, p]       # the corner: the new pivot √σ_w²
 
 
 class SpanState(_State):
-    """Conditioning state of a batch of B sampled paths: the lower factor L
-    of S + j·P, where S is the history covariance with rows in arrival
-    order and P the diagonal indicator of the point rows, and the whitened
-    innovation z = L⁻¹·(observed − mean), each stacked over the batch.
-    Every path of a batch has the same rows; only their values differ, and
-    every member is stepped in the one stack.
+    """Conditioning state of a batch of sampled paths at dimension N, one
+    per generator in ``rngs``: the lower factor L of S + j·P, where S is the
+    history covariance with rows in arrival order and P the diagonal
+    indicator of the point rows, and the whitened innovation
+    z = L⁻¹·(observed − mean), each stacked over the batch.  Every path of
+    a batch has the same rows; only their values differ, and every member is
+    stepped in the one stack.
 
-    Each step calls ``extend`` with the new points, which returns their σ_w²
-    too, then ``open_direction``: the sampled span always grows.  L is kept
+    Each ``extend`` appends the new point's block, then the block of the
+    direction its gradient opens: the sampled span always grows.  L is kept
     as the rows of each arrival block (see ``_Arrival``) and extended by
     block forward substitution, one arrival block at a time, inverting only
     the small diagonal blocks.  A direction block's factor rows are the last
     one's bordered by the new point's κ₃ row and carry no jitter, so σ_w² is
-    that row's pivot squared, floored at PIVOT_FLOOR·κ₃(new, new).  Each
-    member's jitter j (``jitter``) climbs the policy's ladder only when its
+    that row's pivot squared, floored at PIVOT_FLOOR·κ₃(new, new).  A point
+    block is factored in ``_point_block`` at each member's jitter j
+    (``jitter``), which climbs the policy's ladder only when the member's
     new point block fails to factor: ``_escalate`` reads the member's
     S + j·P off its factor and replays its point blocks in arrival order at
     the first rung above j at which all of them factor, leaving its
@@ -376,20 +412,16 @@ class SpanState(_State):
     member's results are bitwise those of the same path stepped alone.
     """
 
-    def __init__(self, kernel, policy: ConditionPolicy = DEFAULT_POLICY, batch: int = 1):
-        super().__init__(kernel, batch)
+    def __init__(self, kernel, rngs, N, policy: ConditionPolicy = DEFAULT_POLICY):
+        super().__init__(kernel, len(rngs))
+        self.rngs, self.N = rngs, N
         self._types = np.empty(0, dtype=int)    # 0 for f, i + 1 for D_{v_i}
         self._at = np.empty(0, dtype=int)       # point of each row
         self.policy = policy
-        self.jitter = np.zeros(batch)           # +inf after a pseudo switch
+        self.jitter = np.zeros(self.batch)      # +inf after a pseudo switch
         self._blocks: list[_Arrival] = []
-        self._resid = np.empty((batch, 0))      # observed − mean
-        self._z = np.empty((batch, 0))
-
-    @property
-    def pseudo(self) -> np.ndarray:
-        """Whether each member's solves have switched to the pseudo-inverse."""
-        return np.isinf(self.jitter)
+        self._resid = np.empty((self.batch, 0))     # observed − mean
+        self._z = np.empty((self.batch, 0))
 
     @property
     def labels(self):
@@ -406,44 +438,47 @@ class SpanState(_State):
             L[:, blk.start:blk.stop, blk.start - blk.left:blk.stop] = blk.L[members]
         return L
 
-    def extend(self, Y, rngs, N) -> tuple[np.ndarray, np.ndarray]:
-        """Condition the (f, D_{v_0..D−1}) rows of the points Y[:, -1] on the
-        history; Y (B, n+1, D) holds the history points' coordinate rows
-        followed by the new point's.
+    def extend(self, Y):
+        """Take the step of the points Y[:, -1]; Y (B, n+1, D) holds the
+        history points' coordinate rows followed by the new point's.
 
-        The rows are observed at cond_mean + L_nn·ξ/√N with
-        ξ = rng.standard_normal(D+1) from the member's generator in ``rngs``
-        and L_nn the new diagonal block of the member's factor, and appended
-        to the history.  A conditional covariance of exactly zero draws
-        nothing.  Returns the observed rows, (B, D+1), and σ_w², (B,): the
-        Schur complement of the new point's entry in the points' κ₃ matrix
-        K, floored at PIVOT_FLOOR·κ₃(new, new).  It is the squared pivot of
-        the row that borders the last direction block's factor, chol(K) over
-        the points before, with the new point's κ₃ column, and
-        ``open_direction`` appends that bordered factor.  A member whose new
-        block fails to factor escalates its jitter, and the step is
-        repeated.  The last extend must have opened its direction.
+        The (f, D_{v_0..D−1}) rows are conditioned on the history and
+        observed at cond_mean + L_nn·ξ/√N with ξ = rng.standard_normal(D+1)
+        from the member's generator and L_nn the new point block's diagonal
+        factor; a conditional covariance of exactly zero draws nothing.  A
+        member whose new block fails to factor escalates its jitter, and the
+        block is factored again.  σ_w² is the Schur complement of the new
+        point's entry in the points' κ₃ matrix K, floored at
+        PIVOT_FLOOR·κ₃(new, new): the squared pivot of the row that borders
+        the last direction block's factor, chol(K) over the points before,
+        with the new point's κ₃ column.  Then each member draws
+        χ² = sample_chi_square(N − D, rng), and v_D opens with the corner
+        √(σ_w²·χ²/N): its rows D_{v_D} at every point, which read 0 at the
+        older points, are uncorrelated with every older row and have the
+        bordered factor as their factor rows.
+
+        Returns the rows (B, D+1), σ_w² (B,) and the corner (B,).
         """
         Y = np.asarray(Y, dtype=float)
         n, D, s, ip = self._checked(Y)
-        if n and self._types[self._blocks[-1].start] == 0:     # the last block is a point's
-            raise ValueError("a sampled extend needs the last extend's direction opened")
         k = self.kernel.k3(s[:, :n + 1], s[:, n:], ip[:, :n + 1, n])
         S_hn, S_nn, mean = self._new_point(Y, s, ip, n, k)
         while True:
-            W = self._forward(S_hn)
-            Wt = W.swapaxes(1, 2)
-            cond_mean = mean + (Wt @ self._z[:, :, None])[:, :, 0]
-            cond_cov = S_nn - Wt @ W
-            factored = self._factor(cond_cov, S_nn, f"step {n}: the new point's rows")
-            if factored is not None:
+            try:
+                Wt, C, L_nn, inv = self._point_block(S_hn, S_nn, self.jitter)
                 break
-        L_nn, inv = factored
-        drawn = cond_cov.any(axis=(1, 2))
+            except np.linalg.LinAlgError:
+                for b in range(self.batch):
+                    try:
+                        self._point_block(S_hn[[b]], S_nn[[b]], self.jitter[[b]], [b])
+                    except np.linalg.LinAlgError:
+                        self._escalate(b, f"step {n}: the new point's rows ({D + 1}×{D + 1})")
+        cond_mean = mean + (Wt @ self._z[:, :, None])[:, :, 0]
+        drawn = C.any(axis=(1, 2))
         xi = np.zeros(cond_mean.shape)
         for b in drawn.nonzero()[0]:
-            rngs[b].standard_normal(out=xi[b])
-        noise = (L_nn @ xi[:, :, None])[:, :, 0] / math.sqrt(N)
+            self.rngs[b].standard_normal(out=xi[b])
+        noise = (L_nn @ xi[:, :, None])[:, :, 0] / math.sqrt(self.N)
         observed = np.where(drawn[:, None], cond_mean + noise, cond_mean)
 
         # the last direction block's factor, chol(K), bordered by the new point
@@ -452,26 +487,14 @@ class SpanState(_State):
         F[:, n, n] = np.sqrt(sigma_sq)
         self._append(observed - mean, np.arange(D + 1), np.full(D + 1, n),
                      np.concatenate([Wt, L_nn], axis=2), inv, observed - cond_mean)
-        self._opens = (F, D + 1)
         self.points += 1
-        return observed, sigma_sq
-
-    def open_direction(self, values):
-        """Append D_{v_D} at every point so far, where v_D is the direction
-        the last extended points' gradients opened and ``values`` (B,) those
-        gradients' coordinates along it (older points read exactly 0).
-
-        These rows are uncorrelated with every older row and have the
-        points' κ₃ matrix as covariance; their factor rows are the bordered
-        factor that ``extend`` computed.
-        """
-        if self._opens is None:
-            raise ValueError("open_direction needs a preceding extend")
-        (F, row_type), self._opens = self._opens, None
-        observed = np.zeros((self.batch, self.points))
-        observed[:, -1] = values
-        self._append(observed, np.full(self.points, row_type), np.arange(self.points),
-                     F, np.linalg.inv(F), observed)
+        chi = np.array([gaussianops.sample_chi_square(self.N - D, rng) for rng in self.rngs])
+        corner = np.sqrt((sigma_sq / self.N) * chi)
+        values = np.zeros((self.batch, self.points))       # 0 at the older points
+        values[:, n] = corner
+        self._append(values, np.full(self.points, D + 1), np.arange(self.points),
+                     F, np.linalg.inv(F), values)
+        return observed, sigma_sq, corner
 
     def _new_point(self, Y, s, ip, n, k):
         """(S_hn, S_nn, mean) of the (f, D_{v_0..D−1}) rows of the new point
@@ -517,35 +540,29 @@ class SpanState(_State):
             X[:, a:b] = blk.inv[members] @ rhs
         return X
 
-    def _factor(self, C, S_nn, block):
-        """(L, L⁻¹) of every member's point block: L = chol(C + j·I) at the
-        member's own jitter j, or for a pseudo member the eigen-factor of C
-        and its pseudo-inverse (see ``_eigen_factor``), thresholded against
-        the block's covariance S_nn.
-
-        Returns None when some member fails to factor, after escalating every
-        member that failed; the caller then repeats the step.  ``block``
-        names C in the NotPsdError raised past the last rung.
-        """
-        pseudo = self.pseudo
+    def _point_block(self, S_hn, S_nn, jitter, members=slice(None)):
+        """(Wᵀ, C, L_nn, L_nn⁻¹) of a point block of the given members, whose
+        rows have covariances S_hn (B, m, k) with the m stored rows before
+        it and S_nn (B, k, k) with themselves: W = L⁻¹·S_hn through those
+        rows' factor, the conditional covariance C = S_nn − WᵀW, and its
+        factor at each member's rung j in ``jitter`` (B,), chol(C + j·I), or
+        at j = +inf the eigen-factor of C and its pseudo-inverse (see
+        ``_eigen_factor``), thresholded against S_nn.  The block's factor
+        rows are [Wᵀ, L_nn].  Raises LinAlgError when some member's
+        C + j·I does not factor."""
+        Wt = self._forward(S_hn, members).swapaxes(1, 2)
+        C = S_nn - Wt @ Wt.swapaxes(1, 2)
+        pseudo = np.isinf(jitter)
         A = C
-        if self.jitter.any():
+        if jitter.any():
             eye = np.eye(C.shape[1])
-            j = np.where(pseudo, 0.0, self.jitter)[:, None, None]
+            j = np.where(pseudo, 0.0, jitter)[:, None, None]
             A = np.where(pseudo[:, None, None], eye, np.where(j > 0.0, C + j * eye, C))
-        try:
-            L = np.linalg.cholesky(A)
-        except np.linalg.LinAlgError:
-            for b, slab in enumerate(A):
-                try:
-                    np.linalg.cholesky(slab)
-                except np.linalg.LinAlgError:
-                    self._escalate(b, f"{block} ({len(slab)}×{len(slab)})")
-            return None
+        L = np.linalg.cholesky(A)
         inv = np.linalg.inv(L)
         for b in pseudo.nonzero()[0]:
             L[b], inv[b] = _eigen_factor(C[b], S_nn[b])
-        return L, inv
+        return Wt, C, L, inv
 
     def _escalate(self, b, block):
         """Move member b to the first rung j above its jitter at which all
@@ -554,12 +571,12 @@ class SpanState(_State):
         The member's S + j·P is read off its factor once, and its jitter
         taken off the point rows; the point-block rows of that product are S,
         also where a κ₃ pivot was floored.  At each rung the point blocks are
-        re-run from it in arrival order, as ``extend`` ran them:
-        W = L⁻¹·S_hn through the factor rows before the block, then
-        chol(S_nn − WᵀW + j·I), or at +inf the eigen-factor, which rewrites
-        the block's factor rows.  The direction blocks carry no jitter and
-        stay; a rung that fails leaves the blocks before the failing one
-        rewritten, for the next rung to replace."""
+        re-run from it through ``_point_block`` in arrival order, as
+        ``extend`` ran them, which rewrites their factor rows.  The direction
+        blocks carry no jitter and stay; a rung that fails leaves the blocks
+        before the failing one rewritten, for the next rung to replace.
+        ``block`` names the failing block in the NotPsdError raised past the
+        last rung."""
         (L,) = self.factor([b])
         S = L @ L.T
         points = (self._types == 0).nonzero()[0]
@@ -571,16 +588,11 @@ class SpanState(_State):
                     a, c = blk.start, blk.stop
                     if self._types[a]:
                         continue                # a direction block
-                    rows = S[a:c, :c]
-                    Wt = self._forward(rows[None, :, :a].swapaxes(1, 2), [b])[0].T
-                    C = rows[:, a:] - Wt @ Wt.T
-                    if j == math.inf:
-                        L_nn, inv = _eigen_factor(C, rows[:, a:])
-                    else:
-                        L_nn = np.linalg.cholesky(C + j * np.eye(len(C)))
-                        inv = np.linalg.inv(L_nn)
-                    blk.L[b] = np.concatenate([Wt, L_nn], axis=1)
-                    blk.inv[b] = inv
+                    rows = S[None, a:c, :c]
+                    Wt, _, L_nn, inv = self._point_block(
+                        rows[:, :, :a].swapaxes(1, 2), rows[:, :, a:], np.array([j]), [b])
+                    blk.L[b] = np.concatenate([Wt[0], L_nn[0]], axis=1)
+                    blk.inv[b] = inv[0]
             except np.linalg.LinAlgError:
                 continue
             self.jitter[b] = j

@@ -34,9 +34,5 @@ class CoincidentPointsError(NumericalError):
     """Two limiting evaluation points collided (ρ ≤ tolerance)."""
 
 
-class ConsistencyError(NumericalError):
-    """A quantity that must be nonnegative came out significantly negative."""
-
-
 class DegenerateProjectionError(NumericalError):
     """Sphere projection hit an (asymptotically impossible) zero-norm iterate."""

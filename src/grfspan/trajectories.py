@@ -100,13 +100,13 @@ def simulate_info_paths(kernel: KernelModel, gsa: GsaSpec, lam: float, N: int,
     stream it happened on.
     """
     stream_ids = [int(sid) for sid in stream_ids]
-    walk = SpanWalk(SpanState(kernel, policy, len(stream_ids)), lam, steps)
+    rngs = [make_rng(master_seed, sid) for sid in stream_ids]
+    walk = SpanWalk(SpanState(kernel, rngs, N, policy), lam, steps)
     if N <= steps + 2:
         raise ValueError(f"need N > steps + 2, got N={N}, steps={steps}")
-    rngs = [make_rng(master_seed, sid) for sid in stream_ids]
     try:
         for n in range(steps + 1):
-            limit_step(walk, gsa, rngs, N)
+            limit_step(walk, gsa)
     except (NumericalError, ValueError) as exc:
         raise _blame(exc, kernel, gsa, walk.lam, N, n, stream_ids, master_seed, policy) from exc
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from grfspan.assembly import (
-    LimitState,
     SpanState,
     coordinate_inner_products,
     cov_block,
@@ -144,11 +143,15 @@ def test_residual_variance_single_point():
 
 
 class _ZeroNormal:
-    """A generator whose standard normals all read 0, so a draw is ξ = 0."""
+    """A generator whose standard normals and gamma draws all read 0, so a
+    draw is ξ = 0 and a χ² corner is 0."""
 
     def standard_normal(self, out):
         out[...] = 0.0
         return out
+
+    def gamma(self, shape, scale):
+        return 0.0
 
 
 def test_span_state_pseudo_inverse_conditions_and_draws():
@@ -157,64 +160,28 @@ def test_span_state_pseudo_inverse_conditions_and_draws():
     # conditional law is that of the pseudo-inverse of the whole history
     kernel = KERNELS[0]
     policy = ConditionPolicy(jitter_start=None, pseudo_fallback=True)
-    state = SpanState(kernel, policy)
-    rng = make_rng(4, 0)
-    (first,), _ = state.extend([[[0.8]]], [rng], 64)
-    state.open_direction([0.9])
+    state = SpanState(kernel, [make_rng(4, 0)], 64, policy)
+    (first,), _, (corner,) = state.extend([[[0.8]]])
+    # from step 1 on nothing is drawn, so step 1's corner is exactly 0: a
+    # drawn one would be whitened by the floored κ₃ pivot, a direction that
+    # the pseudo-inverse below drops
+    state.rngs = [_ZeroNormal()]
     Y = np.array([[0.8, 0.0, 0.0], [0.8, 0.0, 0.0], [0.3, 0.5, 0.2]])
-    (again,), (sigma_sq,) = state.extend(Y[None, :2, :2], [rng], 64)
-    assert state.pseudo[0]
-    np.testing.assert_allclose(again, [*first, 0.9], rtol=0, atol=1e-8)
+    (again,), (sigma_sq,), (zero,) = state.extend(Y[None, :2, :2])
+    assert np.isinf(state.jitter[0])
+    np.testing.assert_allclose(again, [*first, corner], rtol=0, atol=1e-8)
     # the revisited point's κ₃ row is that of point 0: nothing outside the
     # span, so the direction it opens reads 0
-    assert abs(sigma_sq) <= 1e-12
-    state.open_direction([0.0])
+    assert abs(sigma_sq) <= 1e-12 and zero == 0.0
 
     m = len(state.labels[0])
-    (mean,), _ = state.extend(Y[None], [_ZeroNormal()], 64)
+    (mean,), _, _ = state.extend(Y[None])
     (L,) = state.factor()
-    L_nn = L[m:, m:]
+    L_nn = L[m:m + 4, m:m + 4]
     blocks = joint_blocks(kernel, Y[:2], Y[2])
-    observed = flatten_history([first[0], again[0]], [[first[1], 0.9, 0.0], [*again[1:], 0.0]])
+    observed = flatten_history([first[0], again[0]], [[first[1], corner, 0.0], [*again[1:], 0.0]])
     res = condition(blocks.mean_hist, blocks.mean_new, blocks.S_hh, blocks.S_hn, blocks.S_nn,
                     observed, policy=policy)
     assert res.rank_deficient
     np.testing.assert_allclose(mean, res.cond_mean, rtol=0, atol=1e-14)
     np.testing.assert_allclose(L_nn @ L_nn.T, res.cond_cov, rtol=0, atol=1e-14)
-
-
-def test_sampled_extend_needs_the_last_direction_opened():
-    # a sampled extend borders the last direction block's κ₃ factor, so one
-    # that follows an extend without open_direction has nothing to border
-    state = SpanState(KERNELS[0])
-    state.extend([[[0.8]]], [make_rng(4, 0)], 64)
-    with pytest.raises(ValueError, match="direction opened"):
-        state.extend([[[0.8], [0.3]]], [make_rng(4, 0)], 64)
-
-
-def _stepped_state():
-    """A limit state that has taken step 0 and opened its direction."""
-    state = LimitState(KERNELS[0])
-    state.extend([[[0.8]]])
-    state.open_direction([0.9])
-    return state
-
-
-@pytest.mark.parametrize("calls", [
-    pytest.param(lambda s: s.open_direction([0.9]), id="open-before-extend"),
-])
-def test_span_state_call_order_on_a_fresh_state(calls):
-    with pytest.raises(ValueError):
-        calls(SpanState(KERNELS[0]))
-
-
-@pytest.mark.parametrize("calls", [
-    pytest.param(lambda s: s.open_direction([0.5]), id="second-open"),
-])
-def test_span_state_call_order_after_open_direction(calls):
-    state = _stepped_state()
-    with pytest.raises(ValueError):
-        calls(state)
-    # the rejected call leaves the state able to take its next step
-    observed, sigma_sq = state.extend(np.array([[[0.8, 0.0], [0.3, 0.5]]]))
-    assert observed.shape == (1, 3) and sigma_sq.shape == (1,)

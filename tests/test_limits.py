@@ -23,6 +23,7 @@ from grfspan.algorithms import (
     with_sphere_projection,
 )
 from grfspan.assembly import (
+    RANK_STALL_TOL,
     LimitState,
     SpanState,
     coordinate_inner_products,
@@ -46,7 +47,6 @@ from grfspan.kernels import (
     stationary_direct,
 )
 from grfspan.limits import (
-    RANK_STALL_TOL,
     first_halting_step,
     SpanWalk,
     halting_times,
@@ -223,6 +223,11 @@ def test_predict_zero_steps():
     assert len(curve.f_limit) == 1
 
 
+def test_predict_rejects_an_unknown_rank_stall_rule():
+    with pytest.raises(ValueError, match=r"'error' or 'freeze'"):
+        predict(lift_stationary(SE_MIX), gd(0.4), 1.0, 2, on_rank_stall="panic")
+
+
 def test_coincident_points_detected():
     # an "algorithm" that re-emits x₀ forever: the second step revisits y₀
     stay = GsaSpec(name="stay",
@@ -348,9 +353,9 @@ def scratch_predict(kernel, gsa, lam, steps):
 
 def drive(kernel, gsa, lam, steps, **kw):
     """Yield (curve, state) after every limit_step, step 0 included."""
-    walk = SpanWalk(LimitState(kernel), lam, steps)
+    walk = SpanWalk(LimitState(kernel, **kw), lam, steps)
     for _ in range(steps + 1):
-        limit_step(walk, gsa, **kw)
+        limit_step(walk, gsa)
         yield walk.curve(), walk.state
 
 
@@ -445,7 +450,7 @@ def test_state_escalates_once_and_matches_refactored_conditioning():
     # a sampled run keeps the history factor: at N = 1e9 its heavy-ball
     # history escalates once, to the ladder's first rung
     kernel, gsa, N = lift_stationary(SE_MIX), heavy_ball(0.4, 0.5), 10 ** 9
-    walk = SpanWalk(SpanState(kernel), 1.0, 20)
+    walk = SpanWalk(SpanState(kernel, [make_rng(3, 0)], N), 1.0, 20)
     state, extend, jitters = walk.state, walk.state.extend, []
 
     def recorded(*args):            # the jitter each step's rows were drawn at
@@ -454,9 +459,8 @@ def test_state_escalates_once_and_matches_refactored_conditioning():
         return out
 
     state.extend = recorded
-    rngs = [make_rng(3, 0)]
     for _ in range(21):
-        limit_step(walk, gsa, rngs, N)
+        limit_step(walk, gsa)
     assert jitters[0] == 0.0 and jitters[-1] == 1e-12
     assert sum(a != b for a, b in zip(jitters, jitters[1:])) == 1
     # the history covariance, assembled from scratch in arrival order
@@ -532,16 +536,17 @@ def test_sigma_w_is_the_module_residual_variance(case):
     # the pivot of K as well.
     kernel, gsa, steps, kw = SIGMA_CASES[case]
     eps = np.finfo(float).eps
-    walks = [(SpanWalk(LimitState(kernel), 1.0, steps), None, None)]
-    walks += [(SpanWalk(SpanState(kernel), 1.0, steps), [make_rng(5, 0)], N) for N in (64, 10 ** 9)]
-    for walk, rngs, N in walks:
+    walks = [(SpanWalk(LimitState(kernel, **kw), 1.0, steps), None)]
+    walks += [(SpanWalk(SpanState(kernel, [make_rng(5, 0)], N), 1.0, steps), N) for N in (64, 10 ** 9)]
+    for walk, N in walks:
         record = _recorded_sigma_sq(walk)
         for _ in range(steps + 1):
-            limit_step(walk, gsa, rngs, N, **({} if rngs else kw))
+            limit_step(walk, gsa)
+        frozen = walk.state.frozen if N is None else []
         for n, sigma_sq in enumerate(record):
             Y = walk.X[0, :n + 1, :walk.dims[n]]
             other = residual_variance(kernel, Y)
-            if n in walk.frozen:
+            if n in frozen:
                 assert sigma_sq <= RANK_STALL_TOL and other <= RANK_STALL_TOL, n
                 continue
             K = k3_matrix(kernel, *coordinate_inner_products(Y))
@@ -566,12 +571,11 @@ def test_exhausted_ladder_switches_to_pseudo_inverse():
     # the quadratic field's (f, D_{v_0}) rows are singular: a sampled run
     # without jitter switches to the pseudo-inverse, or raises without it
     kernel, N = quadratic_kernel(1.0, 0.0, 1.0), 10 ** 9
-    walk = SpanWalk(SpanState(kernel, ConditionPolicy(jitter_start=None, pseudo_fallback=True)),
-                    1.0, 20)
-    rngs = [make_rng(3, 0)]
+    policy = ConditionPolicy(jitter_start=None, pseudo_fallback=True)
+    walk = SpanWalk(SpanState(kernel, [make_rng(3, 0)], N, policy), 1.0, 20)
     for _ in range(21):
-        limit_step(walk, gd(0.3), rngs, N)
-    assert walk.state.pseudo[0] and walk.state.jitter[0] == math.inf
+        limit_step(walk, gd(0.3))
+    assert walk.state.jitter[0] == math.inf
     # within ten times the 1/√N scale of the draws
     np.testing.assert_allclose(walk.f[0], quadratic_gd_oracle(0.3, 20), atol=10 / math.sqrt(N))
     with pytest.raises(NotPsdError):
@@ -602,21 +606,6 @@ def test_limit_step_rejects_state_of_another_curve():
     walk.state = other.state        # two points against the walk's one
     with pytest.raises(ValueError):
         limit_step(walk, gd(0.4))
-
-
-@pytest.mark.parametrize("make_state, step_args", [
-    pytest.param(LimitState, ([make_rng(4, 0)], 64), id="generators-on-a-limit-state"),
-    pytest.param(SpanState, (), id="no-generators-on-a-span-state"),
-])
-def test_step_kind_must_match_the_state_type(make_state, step_args):
-    # a limit state stores no point rows, and a sampler's state draws every
-    # one: a step of the other kind fails at the state's extend, before the
-    # walk or the state advances
-    state = make_state(lift_stationary(SE_MIX))
-    walk = SpanWalk(state, 1.0, 3)
-    with pytest.raises(TypeError):
-        limit_step(walk, gd(0.4), *step_args)
-    assert walk.n == 0 and state.points == 0
 
 
 def _spy_calls(monkeypatch, targets):
