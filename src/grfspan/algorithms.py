@@ -12,7 +12,9 @@ both the N→∞ limit recursion and the dimension-free sampler possible.
 
 Built-ins: plain gradient descent, heavy-ball momentum, Nesterov momentum in
 its look-ahead form, and Fletcher–Reeves conjugate gradient with a fixed step
-size, plus sphere/ball projection wrappers.
+size, plus sphere/ball projection wrappers.  The first three have fixed
+coefficients and read none of the information; the stepping core builds an
+``InfoView`` only when a row reads one of its fields.
 
 The information and the rows may carry a leading batch axis, one entry per
 run of a batch stepped together: an ``InfoView`` of f_values (B, n+1),
@@ -101,6 +103,9 @@ class GsaSpec:
 
     ``prefactors(n, info)`` must return the PrefactorRow for iterate n ≥ 1
     given the information through step n−1, for a single run or a batch.
+    Inside ``limits.limit_step``, ``info`` reads like an ``InfoView`` but is
+    built and validated on its first field read, so a schedule that never
+    reads it costs the step nothing; it may be kept past the step.
     """
 
     name: str
@@ -168,8 +173,8 @@ def _nesterov_coeffs(n, alpha, beta):
     zg_prev = np.zeros(0)   # z_j in terms of g_0..g_{j-1}
     yg = np.zeros(0)        # y_j likewise
     for j in range(n):
-        zg_next = np.append(yg, -alpha)                     # z_{j+1}
-        yg = (1.0 + beta) * zg_next - beta * np.append(zg_prev, 0.0)
+        zg_next = np.concatenate((yg, (-alpha,)))           # z_{j+1}
+        yg = (1.0 + beta) * zg_next - beta * np.concatenate((zg_prev, (0.0,)))
         zg_prev = zg_next
     return yg
 
@@ -239,11 +244,11 @@ def _projected(inner: GsaSpec, radius: float, mode: str) -> GsaSpec:
         h_row = h_g[..., None, :]
         norm_sq = (h_x * h_x * info.x0_norm_sq
                    + 2.0 * h_x * (h_row @ info.x0_grad[..., :n, None])[..., 0, 0]
-                   + (h_row @ gram @ np.swapaxes(h_row, -1, -2))[..., 0, 0])
+                   + (h_row @ gram @ h_row.swapaxes(-1, -2))[..., 0, 0])
         if mode == "sphere":
-            if np.any(norm_sq < 1e-20):
+            if (norm_sq < 1e-20).any():
                 raise DegenerateProjectionError(
-                    f"step {n}: iterate norm² = {np.min(norm_sq):.3e}, cannot project to sphere")
+                    f"step {n}: iterate norm² = {norm_sq.min():.3e}, cannot project to sphere")
             scale = r / np.sqrt(norm_sq)
         else:
             scale = r / np.maximum(np.sqrt(np.maximum(norm_sq, 0.0)), r)

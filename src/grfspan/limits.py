@@ -99,10 +99,7 @@ class SpanWalk:
 
     def info(self) -> InfoView:
         """Every run's information through the last step taken."""
-        G = self.G[:, :self.n, :self.d]
-        return InfoView(f_values=self.f[:, :self.n], grad_gram=G @ G.swapaxes(1, 2),
-                        x0_grad=self.lam * G[:, :, 0] if self.lam > 0 else np.zeros(G.shape[:2]),
-                        x0_norm_sq=self.lam * self.lam)
+        return _info(self.f[:, :self.n], self.G[:, :self.n, :self.d], self.lam)
 
     def curve(self) -> LimitCurve:
         """The steps so far of a walk on a ``LimitState`` as a limit curve,
@@ -118,16 +115,45 @@ class SpanWalk:
                           rho=rho, lam=self.lam, frozen_steps=tuple(self.state.frozen))
 
 
+def _info(f, G, lam):
+    """The InfoView of values f (B, n) and gradient coordinates G (B, n, d)
+    from a start of norm lam."""
+    return InfoView(f_values=f, grad_gram=G @ G.swapaxes(1, 2),
+                    x0_grad=lam * G[:, :, 0] if lam > 0 else np.zeros(G.shape[:2]),
+                    x0_norm_sq=lam * lam)
+
+
+class _StepInfo:
+    """One step's information, bound to its slices of the walk's arrays.
+
+    The InfoView is built and validated the first time any field is read,
+    then kept, so a schedule with fixed coefficients never pays for it and a
+    read after the step gives what a read inside it gave: the slices cover
+    rows the walk has taken and never writes again."""
+
+    __slots__ = ("_slices", "_view")
+
+    def __init__(self, f, G, lam):
+        self._slices, self._view = (f, G, lam), None
+
+    def __getattr__(self, name):
+        if self._view is None:
+            self._view = _info(*self._slices)
+        return getattr(self._view, name)
+
+
 def limit_step(walk: SpanWalk, gsa: GsaSpec) -> None:
     """Take the next step n of every run of ``walk``, in place.
 
-    The optimizer places each run's point from its information so far, and
-    the walk's state takes the step in one ``extend`` call: it observes the
-    point's rows, returns σ²_w and opens the new direction at the corner it
-    returns (see ``LimitState.extend`` and ``SpanState.extend``).  A corner
-    of None, a limit's frozen rank stall, opens no direction.  A
-    floating-point overflow, invalid operation or division by zero anywhere
-    in the step raises KernelDomainError; underflow is ignored.
+    The optimizer places each run's point from its information so far,
+    which the step assembles and validates only if the optimizer's row
+    reads it, and the walk's state takes the step in one ``extend`` call: it
+    observes the point's rows, returns σ²_w and opens the new direction at
+    the corner it returns (see ``LimitState.extend`` and
+    ``SpanState.extend``).  A corner of None, a limit's frozen rank stall,
+    opens no direction.  A floating-point overflow, invalid operation or
+    division by zero anywhere in the step raises KernelDomainError;
+    underflow is ignored.
     """
     n = walk.n
     with np.errstate(over="raise", invalid="raise", divide="raise"):
@@ -143,9 +169,10 @@ def _step(walk, gsa):
     if n > walk.steps:
         raise ValueError(f"walk has steps 0..{walk.steps}, all taken")
     if n > 0:
-        row = gsa.row(n, walk.info())
+        G = walk.G[:, :n, :d]
+        row = gsa.row(n, _StepInfo(walk.f[:, :n], G, walk.lam))
         # a contiguous copy keeps the product's bits independent of the width W
-        G = np.ascontiguousarray(walk.G[:, :n, :d])
+        G = np.ascontiguousarray(G)
         X[:, n, :d] = (G.swapaxes(1, 2) @ row.h_g[..., None])[:, :, 0]
         X[:, n, 0] += row.h_x * walk.lam
     block, sigma_sq, corner = walk.state.extend(X[:, :n + 1, :d])
@@ -169,8 +196,11 @@ def predict(kernel: KernelModel, gsa: GsaSpec, lam: float, steps: int, *,
     one growing κ₃ factor, forms the conditional mean as one contraction of
     those partials with fixed weights over the earlier points, and on
     opening a direction makes one more solve for its weights.  It builds no
-    covariance block, factors none and takes no jitter.  ``on_rank_stall``
-    is the limit state's rank-stall rule, "error" or "freeze".
+    covariance block, factors none and takes no jitter, and builds the
+    optimizer's information only for a row that reads it (``fr_cg`` and the
+    projections do; ``gd``, ``heavy_ball`` and ``nesterov`` do not).
+    ``on_rank_stall`` is the limit state's rank-stall rule, "error" or
+    "freeze".
     """
     walk = SpanWalk(LimitState(kernel, on_rank_stall), lam, steps)
     for _ in range(steps + 1):

@@ -1,11 +1,13 @@
 """Count the function calls per step of the two recursions.
 
-Runs one ``predict`` curve on ``bench/configs/predict-t30.cfg`` and one
-``simulate_info_path`` record on ``bench/configs/simulate-t20.cfg`` under
-cProfile, after one untimed warm-up call each, and prints the calls cProfile
-counts (Python functions and the C functions they call) divided by the
-number of steps, T + 1.  On arrays of a few dozen entries a step's time is
-mostly call overhead, so this number tracks it.
+Runs one ``predict`` curve on ``bench/configs/predict-t30.cfg``, one
+``simulate_info_path`` record on ``bench/configs/simulate-t20.cfg`` and one
+``simulate_info_paths`` batch of 50 streams at N = 64 on
+``bench/configs/verify-t8.cfg`` (the shape of one task of the verify pool)
+under cProfile, after one untimed warm-up call each, and prints the calls
+cProfile counts (Python functions and the C functions they call) divided by
+the number of steps, T + 1.  On arrays of a few dozen entries a step's time
+is mostly call overhead, so this number tracks it.
 
 Usage: PYTHONPATH=src python tests/step_calls.py
 """
@@ -41,6 +43,11 @@ def main() -> int:
     per_step = calls_per_step(lambda: trajectories.simulate_info_path(
         kernel, gsa, c.lam, N, c.steps, stream_id=0, master_seed=1), c.steps)
     print(f"{'simulate-t20':14s} {per_step:7.1f} calls/step")
+    c = harness.load_config(CONFIGS / "verify-t8.cfg")
+    kernel, gsa = harness.build_kernel(c.kernel), harness.build_gsa(c.algorithm)
+    per_step = calls_per_step(lambda: trajectories.simulate_info_paths(
+        kernel, gsa, c.lam, c.N_list[0], c.steps, range(50), master_seed=1), c.steps)
+    print(f"{'verify-t8':14s} {per_step:7.1f} calls/step")
     return 0
 
 

@@ -20,6 +20,7 @@ from grfspan.algorithms import (
     gd,
     heavy_ball,
     nesterov,
+    with_ball_projection,
     with_sphere_projection,
 )
 from grfspan.assembly import (
@@ -275,6 +276,92 @@ def test_limiting_info_contents():
     assert np.all(origin.info().x0_grad == 0.0)
     with pytest.raises(ValueError):
         limit_step(walk, gd(0.4))
+
+
+def _count_info_views(monkeypatch):
+    """Spy on ``InfoView.__init__``; returns the list each built view is
+    appended to."""
+    built, init = [], InfoView.__init__
+
+    def spied(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(InfoView, "__init__", spied)
+    return built
+
+
+@pytest.mark.parametrize("gsa, reads", [
+    (gd(0.4), False), (heavy_ball(0.4, 0.5), False), (nesterov(0.3, 0.5), False),
+    (fr_cg(0.3), True), (with_sphere_projection(gd(0.1), 1.0), True),
+], ids=["gd", "heavy-ball", "nesterov", "fr_cg", "sphere-gd"])
+@pytest.mark.parametrize("route", ["predict", "sampled"])
+def test_step_builds_the_information_only_when_the_row_reads_it(monkeypatch, gsa, reads, route):
+    # fixed-coefficient schedules never read the information, so no step
+    # builds it; a reading row gets it built once per step n >= 1, for the
+    # whole batch
+    built = _count_info_views(monkeypatch)
+    kernel, steps = lift_stationary(SE_MIX), 8
+    if route == "predict":
+        assert predict(kernel, gsa, 1.0, steps).steps == steps
+    else:
+        records = simulate_info_paths(kernel, gsa, 1.0, 64, steps, range(5), 1)
+        assert [r.steps for r in records] == [steps] * 5
+    assert len(built) == (steps if reads else 0)
+
+
+def test_a_reading_row_gives_the_fixed_row_curve():
+    inner, shapes = gd(0.4), []
+
+    def prefactors(n, info):
+        shapes.append(info.f_values.shape)
+        return inner.row(n, info)
+
+    kernel = lift_stationary(SE_MIX)
+    reading = predict(kernel, GsaSpec("gd-reading", inner.parameters, prefactors), 1.0, 8)
+    fixed = predict(kernel, inner, 1.0, 8)
+    assert shapes == [(1, n) for n in range(1, 9)]
+    for name in ("f_limit", "gamma", "y_reps", "sigma_w", "dims", "grad_gram_limit", "rho"):
+        assert np.array_equal(getattr(reading, name), getattr(fixed, name)), name
+
+
+def test_a_reading_row_still_validates_the_information():
+    # a NaN in a gradient's coordinates leaves the Gram's row and column of
+    # that gradient unequal to each other: the view built inside the step
+    # runs InfoView's checks, as walk.info() does
+    walk = SpanWalk(LimitState(lift_stationary(SE_MIX)), 1.0, 4)
+    for _ in range(3):
+        limit_step(walk, gd(0.4))
+    walk.G[0, 1, 1] = np.nan
+    for build in (walk.info, lambda: limit_step(walk, fr_cg(0.3))):
+        with pytest.raises(ValueError, match="gradient Gram matrix must be symmetric"):
+            build()
+
+
+def test_information_kept_past_its_step_is_unchanged():
+    # every step's view is kept; the odd steps' are read inside the step, the
+    # even steps' only after the walk has gone on, and both read what the
+    # walk's information was at their step
+    inner, kept, expected = gd(0.4), [], []
+    walk = SpanWalk(LimitState(lift_stationary(SE_MIX)), 1.0, 6)
+
+    def fields(info):
+        return [info.f_values.copy(), info.grad_gram.copy(), info.x0_grad.copy(),
+                info.x0_norm_sq, info.steps]
+
+    def prefactors(n, info):
+        kept.append(info)
+        expected.append(fields(walk.info()))
+        if n % 2:
+            assert all(np.array_equal(a, b) for a, b in zip(fields(info), expected[-1]))
+        return inner.row(n, info)
+
+    spec = GsaSpec("gd-keeping", inner.parameters, prefactors)
+    for _ in range(7):
+        limit_step(walk, spec)
+    assert len(kept) == 6
+    for info, want in zip(kept, expected):
+        assert all(np.array_equal(a, b) for a, b in zip(fields(info), want))
 
 
 def test_halting_times_definitions():
@@ -685,8 +772,9 @@ _NUMPY_WRAPPERS = [(np, name) for name in (
 
 def test_steps_call_no_numpy_python_wrapper(monkeypatch):
     # on arrays of a few dozen entries a step's time is call overhead, so
-    # the step path of predict-t30 and of a simulate-t20 batch (neither
-    # escalates) calls none of these wrappers from a grfspan module
+    # the step path of predict-t30, of a simulate-t20 batch (neither
+    # escalates) and of every built-in schedule calls none of these wrappers
+    # from a grfspan module
     called = []
 
     def spy(name, original):
@@ -707,6 +795,10 @@ def test_steps_call_no_numpy_python_wrapper(monkeypatch):
     records = simulate_info_paths(build_kernel(config.kernel), build_gsa(config.algorithm),
                                   config.lam, N, config.steps, range(4), 1)
     assert curve.steps == 30 and [r.steps for r in records] == [20] * 4
+    # and every other built-in schedule's row, on the SE kernel to T = 8
+    for gsa in (gd(0.4), nesterov(0.3, 0.5), with_sphere_projection(gd(0.1), 1.0),
+                with_ball_projection(gd(0.1), 1.0)):
+        assert predict(lift_stationary(SE_MIX), gsa, 1.0, 8).steps == 8
     assert called == []
     # the spies are live: each counts a call made from a grfspan module
     probe = eval("lambda f, args: f(*args)", {"__name__": "grfspan._probe"})
