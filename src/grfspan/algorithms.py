@@ -159,32 +159,19 @@ def heavy_ball(alpha: float, beta: float) -> GsaSpec:
                    prefactors=prefactors)
 
 
-def _nesterov_coeffs(n, alpha, beta):
-    """Gradient coefficients of the n-th look-ahead point y_n.
-
-    Two-sequence scheme with z the gradient-step iterates and y the emitted
-    (look-ahead) evaluation points:
-
-        z_{j+1} = y_j − α∇f(y_j),   y_{j+1} = z_{j+1} + β(z_{j+1} − z_j)
-
-    both started at x₀.  The x₀-coefficient of every y_j is identically 1,
-    so only the gradient coefficients need tracking.
-    """
-    zg_prev = np.zeros(0)   # z_j in terms of g_0..g_{j-1}
-    yg = np.zeros(0)        # y_j likewise
-    for j in range(n):
-        zg_next = np.concatenate((yg, (-alpha,)))           # z_{j+1}
-        yg = (1.0 + beta) * zg_next - beta * np.concatenate((zg_prev, (0.0,)))
-        zg_prev = zg_next
-    return yg
-
-
 def nesterov(alpha: float, beta: float) -> GsaSpec:
     """Nesterov momentum with gradients queried at the look-ahead points.
 
-    The emitted iterates are the points where gradients are actually
-    evaluated, which keeps the scheme inside the gradient-span form.
-    Coefficients are recomputed from scratch per step (pure function).
+    Two sequences, z the gradient-step iterates and y the emitted
+    look-ahead points, where gradients are evaluated, which keeps the
+    scheme inside the gradient-span form:
+
+        z_{j+1} = y_j − α∇f(y_j),   y_{j+1} = z_{j+1} + β(z_{j+1} − z_j),
+
+    both started at x₀.  The x₀-coefficient of every y_n is 1, and
+    unrolling gives the gradient coefficients in closed form,
+    h_g[k] = −α·(1 − β^{n−k+1})/(1 − β): heavy-ball's partial geometric
+    sums with one more term.  β = 0 recovers gradient descent.
     """
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
@@ -193,7 +180,8 @@ def nesterov(alpha: float, beta: float) -> GsaSpec:
     a, b = float(alpha), float(beta)
 
     def prefactors(n, info):
-        return PrefactorRow(1.0, _nesterov_coeffs(n, a, b))
+        powers = b ** (n + 1 - np.arange(n))
+        return PrefactorRow(1.0, -a * (1.0 - powers) / (1.0 - b))
 
     return GsaSpec(name="nesterov", parameters={"alpha": a, "beta": b},
                    prefactors=prefactors)

@@ -194,29 +194,23 @@ def residual_variance(kernel, reps, policy=DEFAULT_POLICY):
                            zeros[:-1], policy).cond_cov[0, 0])
 
 
-@dataclass
 class _Arrival:
     """One block of rows appended to a ``SpanState``, stacked over the batch.
 
     ``L`` holds the block's rows of the factor, (B, k, left + k), from
-    column ``start − left`` through the block's own diagonal columns; a
-    block uncorrelated with every older row stores no left part (left = 0).
-    ``inv`` (B, k, k) inverts the factor's diagonal block.  The diagonal
-    block of a pseudo-inverse member's point block is the eigen-factor of
-    its conditional covariance, and ``inv`` its pseudo-inverse.
+    column ``start − left`` through the block's own diagonal columns, up to
+    ``stop`` = start + k; a block uncorrelated with every older row stores
+    no left part (left = 0).  ``inv`` (B, k, k) inverts the factor's
+    diagonal block.  The diagonal block of a pseudo-inverse member's point
+    block is the eigen-factor of its conditional covariance, and ``inv`` its
+    pseudo-inverse.  An escalation rewrites L and inv in place, so their
+    shapes, and ``stop`` and ``left``, stay fixed.
     """
 
-    start: int
-    L: np.ndarray
-    inv: np.ndarray
-
-    @property
-    def stop(self) -> int:
-        return self.start + self.L.shape[1]
-
-    @property
-    def left(self) -> int:
-        return self.L.shape[2] - self.L.shape[1]
+    def __init__(self, start, L, inv):
+        self.start, self.L, self.inv = start, L, inv
+        self.stop = start + L.shape[1]
+        self.left = L.shape[2] - L.shape[1]
 
 
 class _State:
@@ -536,7 +530,7 @@ class SpanState(_State):
                 break
             rhs = B[:, a:b]
             if left:
-                rhs = rhs - blk.L[members][:, :, :left] @ X[:, a - left:a]
+                rhs = rhs - blk.L[members, :, :left] @ X[:, a - left:a]
             X[:, a:b] = blk.inv[members] @ rhs
         return X
 

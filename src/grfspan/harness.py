@@ -12,10 +12,12 @@ Trajectory replications run in batches: a batch is a run of consecutive
 streams of one N, of a fixed size, stepped together by
 ``simulate_info_paths``.  The batches fan out over a process pool sized by
 the GRFSPAN_WORKERS environment variable (default: the CPUs the process may
-run on).  Neither the batch a stream lands in nor the worker that runs it
-changes a stream's bits, and results are keyed by (N, replication), so
-identical config + master seed produce byte-identical CSV files regardless
-of worker count.
+run on).  Only a pooled run loads the pool's modules, and the parent loads
+``numpy.random`` before the workers fork, so each worker starts with it
+instead of importing it at its first draw.  Neither the batch a stream
+lands in nor the worker that runs it changes a stream's bits, and results
+are keyed by (N, replication), so identical config + master seed produce
+byte-identical CSV files regardless of worker count.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -355,6 +356,12 @@ def _collect_trajectories(config: ExperimentConfig,
              for i, N in enumerate(config.N_list) for start in range(0, reps_per_n, _BATCH)]
     workers = min(worker_count(), len(tasks))
     if workers > 1:
+        # the pool loads concurrent.futures and multiprocessing, so only a
+        # pooled run pays for them
+        from concurrent.futures import ProcessPoolExecutor
+        # every task draws from numpy.random, which `import grfspan` does not
+        # load: loaded here, before the fork, the workers inherit it
+        import numpy.random
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_batch_task, tasks))
     else:

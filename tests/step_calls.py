@@ -3,10 +3,11 @@
 Runs one ``predict`` curve on ``bench/configs/predict-t30.cfg``, one
 ``simulate_info_path`` record on ``bench/configs/simulate-t20.cfg`` and one
 ``simulate_info_paths`` batch of 50 streams at N = 64 on
-``bench/configs/verify-t8.cfg`` (the shape of one task of the verify pool)
-under cProfile, after one untimed warm-up call each, and prints the calls
-cProfile counts (Python functions and the C functions they call) divided by
-the number of steps, T + 1.  On arrays of a few dozen entries a step's time
+``bench/configs/verify-t8.cfg`` (the shape of one task of the verify pool),
+and one ``predict`` curve of nesterov(0.3, 0.5) on the same SE kernel to
+T = 30, under cProfile, after one untimed warm-up call each, and prints the
+calls cProfile counts (Python functions and the C functions they call)
+divided by the number of steps, T + 1.  On arrays of a few dozen entries a step's time
 is mostly call overhead, so this number tracks it.
 
 Usage: PYTHONPATH=src python tests/step_calls.py
@@ -19,7 +20,7 @@ import pstats
 import sys
 from pathlib import Path
 
-from grfspan import harness, limits, trajectories
+from grfspan import algorithms, harness, kernels, limits, trajectories
 
 CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
 
@@ -48,6 +49,10 @@ def main() -> int:
     per_step = calls_per_step(lambda: trajectories.simulate_info_paths(
         kernel, gsa, c.lam, c.N_list[0], c.steps, range(50), master_seed=1), c.steps)
     print(f"{'verify-t8':14s} {per_step:7.1f} calls/step")
+    kernel = kernels.lift_stationary(kernels.SchoenbergMixture(atoms=((1.0, 1.0),)))
+    gsa = algorithms.nesterov(0.3, 0.5)
+    per_step = calls_per_step(lambda: limits.predict(kernel, gsa, 1.0, 30), 30)
+    print(f"{'nesterov-t30':14s} {per_step:7.1f} calls/step")
     return 0
 
 

@@ -1,5 +1,7 @@
 """Prefactor schedules vs textbook optimizer recursions."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,21 @@ def test_nesterov_beta_zero_is_gd():
     ns, g = nesterov(0.3, 0.0), gd(0.3)
     info = make_info(np.zeros(2), np.zeros((4, 2)), [0.0] * 4)
     np.testing.assert_allclose(ns.row(4, info).h_g, g.row(4, info).h_g, atol=1e-15)
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.3, 0.5), (0.1, 0.9), (0.1, 0.99), (0.3, -0.5)])
+def test_nesterov_closed_form_matches_the_exact_recursion(alpha, beta):
+    """The closed-form row against the two-sequence recursion evaluated in
+    exact rationals at the same float α and β, for every n ≤ 60."""
+    spec, qa, qb = nesterov(alpha, beta), Fraction(alpha), Fraction(beta)
+    zg_prev, yg = [], []        # gradient coefficients of z_j and y_j
+    for n in range(1, 61):
+        zg = yg + [-qa]
+        yg = [(1 + qb) * z - qb * p for z, p in zip(zg, zg_prev + [0])]
+        zg_prev = zg
+        h_g = spec.row(n, make_info(np.zeros(2), np.zeros((n, 2)), [0.0] * n)).h_g
+        exact = np.array([float(y) for y in yg])
+        assert np.abs(h_g / exact - 1.0).max() <= 4e-15, n
 
 
 def test_fr_cg_first_step():

@@ -3,6 +3,8 @@
 import io
 import math
 import os
+import subprocess
+import sys
 from dataclasses import fields, replace
 
 import numpy as np
@@ -386,6 +388,47 @@ def test_default_worker_count_follows_cpu_affinity(monkeypatch):
     assert harness.worker_count() == 2
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert harness.worker_count() == 1
+
+
+def _fresh_interpreter(script, *args, **env):
+    """Run ``script`` in a fresh interpreter that imports this grfspan; the
+    completed process, its output captured."""
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True)
+
+
+_WARM_WORKERS = """
+import sys
+from grfspan import harness
+
+task = harness._batch_task
+
+def warm_task(batch):
+    if "numpy.random" not in sys.modules:
+        raise AssertionError("a pool worker started without numpy.random")
+    return task(batch)
+
+harness._batch_task = warm_task
+harness.run_verify(harness.load_config(sys.argv[1]))
+"""
+
+
+def test_pool_workers_start_with_numpy_random(tmp_path):
+    # two tasks, so two workers; the parent loads numpy.random before they fork
+    done = _fresh_interpreter(_WARM_WORKERS, str(_write(tmp_path, BASE_CONFIG)),
+                              **{harness.WORKERS_ENV: "2"})
+    assert done.returncode == 0, done.stderr
+
+
+def test_import_loads_neither_numpy_random_nor_the_pool():
+    done = _fresh_interpreter(
+        "import sys, grfspan, grfspan.cli\n"
+        "print(sorted({'numpy.random', 'concurrent.futures'} & set(sys.modules)))")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 # ---------------------------------------------------------------------------
