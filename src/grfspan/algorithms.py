@@ -145,18 +145,7 @@ def heavy_ball(alpha: float, beta: float) -> GsaSpec:
     Unrolling gives h_g[k] = −α·(1 − β^{n−k})/(1 − β) (partial geometric
     sums); β = 0 recovers gradient descent.
     """
-    if alpha == 0:
-        raise ValueError("alpha must be nonzero")
-    if not abs(beta) < 1:
-        raise ValueError(f"need |beta| < 1, got {beta}")
-    a, b = float(alpha), float(beta)
-
-    def prefactors(n, info):
-        powers = b ** (n - np.arange(n))
-        return PrefactorRow(1.0, -a * (1.0 - powers) / (1.0 - b))
-
-    return GsaSpec(name="heavy_ball", parameters={"alpha": a, "beta": b},
-                   prefactors=prefactors)
+    return _geometric("heavy_ball", alpha, beta, 0)
 
 
 def nesterov(alpha: float, beta: float) -> GsaSpec:
@@ -173,6 +162,12 @@ def nesterov(alpha: float, beta: float) -> GsaSpec:
     h_g[k] = −α·(1 − β^{n−k+1})/(1 − β): heavy-ball's partial geometric
     sums with one more term.  β = 0 recovers gradient descent.
     """
+    return _geometric("nesterov", alpha, beta, 1)
+
+
+def _geometric(name, alpha, beta, extra):
+    """The momentum schedule ``name``: h_x = 1 and the partial geometric
+    sums h_g[k] = −α·(1 − β^{n−k+extra})/(1 − β)."""
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
     if not abs(beta) < 1:
@@ -180,11 +175,10 @@ def nesterov(alpha: float, beta: float) -> GsaSpec:
     a, b = float(alpha), float(beta)
 
     def prefactors(n, info):
-        powers = b ** (n + 1 - np.arange(n))
+        powers = b ** (n + extra - np.arange(n))
         return PrefactorRow(1.0, -a * (1.0 - powers) / (1.0 - b))
 
-    return GsaSpec(name="nesterov", parameters={"alpha": a, "beta": b},
-                   prefactors=prefactors)
+    return GsaSpec(name=name, parameters={"alpha": a, "beta": b}, prefactors=prefactors)
 
 
 def fr_cg(alpha: float) -> GsaSpec:

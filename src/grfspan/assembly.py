@@ -53,8 +53,10 @@ points, with no ``cov_block`` column; one ``derivatives`` call over the new
 point's pairs gives both the κ₃ column and the contraction's partials.
 The limit alone checks that its points stay apart and applies the
 rank-stall rule, under which a step may open no direction.
-Both states share the checks of a new point and the bordering of a κ₃
-factor by the new point's κ₃ column.
+Both states open a step in ``_State._open``, which checks the new point,
+evaluates the kernel's partials once over its pairs with every point, reads
+its κ₃ column off them, requires κ₃ > 0 at the new point and forms its
+mean, and both border a κ₃ factor by that column in ``_State._bordered``.
 """
 
 from __future__ import annotations
@@ -89,8 +91,6 @@ COINCIDENT_TOL = 1e-10
 def coordinate_inner_products(reps):
     """Norm-halves s_k = ‖y_k‖²/2 and the Gram ⟨y_k, y_l⟩ of coordinate rows."""
     Y = np.asarray(reps, dtype=float)
-    if Y.ndim < 2:
-        Y = np.atleast_2d(Y)
     ip = Y @ Y.swapaxes(-1, -2)
     return 0.5 * ip.diagonal(axis1=-2, axis2=-1), ip
 
@@ -176,10 +176,10 @@ def flatten_history(values, coord_rows):
 
 def k3_matrix(kernel, s, ip):
     """κ₃(s_k, s_l, ⟨y_k, y_l⟩) over all point pairs, from norm-halves s and Gram ip."""
-    return kernel.k3(s[..., :, None], s[..., None, :], ip)
+    return kernel.derivatives(s[..., :, None], s[..., None, :], ip)[3]
 
 
-def residual_variance(kernel, reps, policy=DEFAULT_POLICY):
+def residual_variance(kernel, reps):
     """Variance of the new point's gradient component outside the visited span.
 
     reps: (n+1, D) coordinate rows with the newest point last.  Returns
@@ -191,7 +191,7 @@ def residual_variance(kernel, reps, policy=DEFAULT_POLICY):
     kernels.check_domain(s[..., :, None], s[..., None, :], ip)
     W, zeros = k3_matrix(kernel, s, ip), np.zeros(len(s))
     return float(condition(zeros[:-1], zeros[-1:], W[:-1, :-1], W[:-1, -1:], W[-1:, -1:],
-                           zeros[:-1], policy).cond_cov[0, 0])
+                           zeros[:-1], DEFAULT_POLICY).cond_cov[0, 0])
 
 
 class _Arrival:
@@ -216,20 +216,23 @@ class _Arrival:
 class _State:
     """What both conditioning states keep and check for a batch of B paths:
     the part of ``extend`` that does not depend on how the new point's rows
-    are observed.  ``_checked`` tests the batch size, the point count and
-    the new point against the kernel's domain; ``_require_mass`` requires
-    κ₃ > 0 at the new point; ``_bordered`` grows a κ₃ factor by the new
-    point's row."""
+    are observed.  ``_open`` checks the new point and reads what both
+    states need of it; ``_bordered`` grows a κ₃ factor by the new point's
+    row."""
 
     def __init__(self, kernel, batch):
         self.kernel = kernel
         self.batch = batch
         self.points = 0
 
-    def _checked(self, Y):
-        """(n, D, s, ip) of the points Y, (B, n+1, D), the new point last:
-        its index, the width, and their norm-halves and Gram, once it passes
-        the checks every ``extend`` makes."""
+    def _open(self, Y):
+        """(n, D, s, ip, parts, k, mean) of the points Y, (B, n+1, D), the
+        new point last: its index, the width, their norm-halves and Gram,
+        the kernel's partials over the new point's n + 1 pairs, their κ₃
+        column k (B, n+1), a constant κ₃ broadcast over the pairs, and the
+        new point's mean.  Checks the batch size, the point count and the
+        new point against the kernel's domain, and raises
+        DegenerateKernelError unless κ₃ > 0 at the new point."""
         n, D = Y.shape[1] - 1, Y.shape[2]
         if Y.shape[0] != self.batch:
             raise ValueError(f"state steps {self.batch} paths, got {Y.shape[0]}")
@@ -237,15 +240,12 @@ class _State:
             raise ValueError(f"state holds {self.points} points, got {n} history rows")
         s, ip = coordinate_inner_products(Y)
         kernels.check_domain(s[:, n:], s, ip[:, n])
-        return n, D, s, ip
-
-    @staticmethod
-    def _require_mass(n, kappa):
-        """Raise DegenerateKernelError unless the κ₃ (B,) of the new point n
-        is positive."""
-        if (kappa <= 0).any():
-            raise DegenerateKernelError(f"step {n}: κ₃ = {kappa.min():g} at the new "
+        parts = self.kernel.derivatives(s[:, :n + 1], s[:, n:], ip[:, :n + 1, n])
+        k = parts[3] if getattr(parts[3], "ndim", 0) else np.full((self.batch, n + 1), parts[3])
+        if (k[:, n] <= 0).any():
+            raise DegenerateKernelError(f"step {n}: κ₃ = {k[:, n].min():g} at the new "
                                         "point; no gradient mass outside the span")
+        return n, D, s, ip, parts, k, mean_block(self.kernel, Y, s, [n])
 
     @staticmethod
     def _bordered(L, k):
@@ -331,14 +331,10 @@ class LimitState(_State):
             raise CoincidentPointsError(
                 f"step {n} revisits step {too_close[0]}: limiting points coincide "
                 f"(distance {dists[too_close[0]]:.3e})")
-        n, D, s, ip = self._checked(Y)
-        parts = self.kernel.derivatives(s[:, :n + 1], s[:, n:], ip[:, :n + 1, n])
-        # κ₃ at the factor's points, then the new point
-        k = parts[3][:, np.concatenate((self.k3_points, [n]))]
-        self._require_mass(n, k[:, -1])
+        n, D, s, ip, parts, k, mean = self._open(Y)
+        k = k[:, np.concatenate((self.k3_points, [n]))]     # at the factor's points, then n
         w = np.zeros((1, n + 1, D))
         w[:, :n, :self.weights.shape[2]] = self.weights
-        mean = mean_block(self.kernel, Y, s, [n])
         # a partial may be a constant scalar, which broadcasts as is
         history = [p[..., :n] if getattr(p, "ndim", 0) else p for p in parts]
         observed = mean + self.kernel.weighted_rows(s[:, :n], s[:, n], ip[:, :n, n],
@@ -454,9 +450,8 @@ class SpanState(_State):
         Returns the rows (B, D+1), σ_w² (B,) and the corner (B,).
         """
         Y = np.asarray(Y, dtype=float)
-        n, D, s, ip = self._checked(Y)
-        k = self.kernel.k3(s[:, :n + 1], s[:, n:], ip[:, :n + 1, n])
-        S_hn, S_nn, mean = self._new_point(Y, s, ip, n, k)
+        n, D, s, ip, _, k, mean = self._open(Y)
+        S_hn, S_nn = self._new_point(Y, s, ip, n, k, mean)
         while True:
             try:
                 Wt, C, L_nn, inv = self._point_block(S_hn, S_nn, self.jitter)
@@ -490,23 +485,19 @@ class SpanState(_State):
                      F, np.linalg.inv(F), values)
         return observed, sigma_sq, corner
 
-    def _new_point(self, Y, s, ip, n, k):
-        """(S_hn, S_nn, mean) of the (f, D_{v_0..D−1}) rows of the new point
-        n: their covariances with the stored rows, (B, m, D+1), and with
-        themselves, (B, D+1, D+1), read off one ``cov_block`` column, and
-        their mean.  Given the κ₃ column k (B, n+1) of the new point, a
-        κ₃ ≤ 0 at the new point raises DegenerateKernelError before anything
-        is assembled, and a non-finite entry of k or of the blocks
-        KernelDomainError."""
-        self._require_mass(n, k[:, n])
+    def _new_point(self, Y, s, ip, n, k, mean):
+        """(S_hn, S_nn) of the (f, D_{v_0..D−1}) rows of the new point n:
+        their covariances with the stored rows, (B, m, D+1), and with
+        themselves, (B, D+1, D+1), read off one ``cov_block`` column.  A
+        non-finite entry of the blocks, of the κ₃ column k (B, n+1) or of
+        the mean raises KernelDomainError."""
         col = cov_block(self.kernel, Y, s, ip, np.arange(n + 1), [n])
         S_hn = col[:, self._types * (n + 1) + self._at]
         S_nn = col[:, np.arange(Y.shape[2] + 1) * (n + 1) + n]
-        mean = mean_block(self.kernel, Y, s, [n])
         if not all(np.isfinite(a).all() for a in (k, S_hn, S_nn, mean)):
             raise KernelDomainError(
                 f"step {n}: non-finite entries in the new point's covariance or mean")
-        return S_hn, S_nn, mean
+        return S_hn, S_nn
 
     # -- factor maintenance ---------------------------------------------------
 

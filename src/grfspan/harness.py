@@ -697,7 +697,6 @@ class HaltingReport(_Report):
 
     N_list: tuple
     epsilons: tuple
-    requested_epsilons: tuple
     tau_limit: tuple
     frequencies: np.ndarray
     replications: int
@@ -722,8 +721,7 @@ def run_halting(config: ExperimentConfig) -> HaltingReport:
     freq = np.stack([np.mean(first_halting_step(grad_diag, eps) == tau, axis=1)
                      for eps, tau in zip(epsilons, tau_limit)], axis=1)
     return _saved(HaltingReport(
-        N_list=config.N_list, epsilons=epsilons,
-        requested_epsilons=config.epsilons, tau_limit=tau_limit,
+        N_list=config.N_list, epsilons=epsilons, tau_limit=tau_limit,
         frequencies=freq, replications=M), config.out)
 
 

@@ -5,6 +5,8 @@ printing the same digests before and after.  The digests cover:
 
 * the ``predict`` curve of each config under ``bench/configs``, with the
   lifted and the direct stationary kernel;
+* the ``predict`` curve of nesterov(0.3, 0.5) on the lifted SE kernel from
+  λ = 1 to T = 30, the Nesterov row the configs do not run;
 * the ``simulate_info_path`` records of streams 0–7 of ``simulate-t20`` at
   master seed 1;
 * the records of streams 0–7 of heavy-ball(0.4, 0.5) on the SE kernel at
@@ -68,6 +70,12 @@ def curve_digests(config):
     return out
 
 
+def nesterov_digest() -> str:
+    kernel = kernels.lift_stationary(kernels.SchoenbergMixture(atoms=((1.0, 1.0),)))
+    curve = limits.predict(kernel, algorithms.nesterov(0.3, 0.5), 1.0, 30)
+    return digest(getattr(curve, f) for f in CURVE_FIELDS)
+
+
 def simulate_digest(config) -> str:
     kernel, gsa = harness.build_kernel(config.kernel), harness.build_gsa(config.algorithm)
     (N,) = config.N_list
@@ -103,6 +111,7 @@ def main() -> int:
     for path in sorted(CONFIGS.glob("*.cfg")):
         for route, value in curve_digests(harness.load_config(path)).items():
             print(f"predict {path.stem:13s} {route:6s} {value}")
+    print(f"predict {'nesterov-t30':13s} {'lifted':6s} {nesterov_digest()}")
     config = harness.load_config(CONFIGS / "simulate-t20.cfg")
     print(f"simulate {'simulate-t20':12s} {'s0-7':6s} {simulate_digest(config)}")
     print(f"simulate {'hb-N64-t20':12s} {'s0-7':6s} {escalating_digest()}")

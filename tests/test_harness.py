@@ -592,8 +592,7 @@ N,pair,gap_step_0,gap_step_1,gap_step_2,max_gap
 
 
 def test_halting_report_text():
-    report = HaltingReport(N_list=(64, 10**9), epsilons=(0.5, 0.05),
-                           requested_epsilons=(0.5, 0.05), tau_limit=(2.0, math.inf),
+    report = HaltingReport(N_list=(64, 10**9), epsilons=(0.5, 0.05), tau_limit=(2.0, math.inf),
                            frequencies=np.array([[0.25, 1.0], [1.0, 1.0]]),
                            replications=4)
     assert _text(HaltingReport.write, report) == """\

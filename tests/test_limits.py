@@ -35,8 +35,14 @@ from grfspan.assembly import (
     mean_block,
     residual_variance,
 )
-from grfspan.errors import CoincidentPointsError, DegenerateKernelError, NotPsdError, RankStallError
-from grfspan.gaussianops import ConditionPolicy, condition, make_rng
+from grfspan.errors import (
+    CoincidentPointsError,
+    DegenerateKernelError,
+    KernelDomainError,
+    NotPsdError,
+    RankStallError,
+)
+from grfspan.gaussianops import DEFAULT_POLICY, ConditionPolicy, condition, make_rng
 from grfspan.harness import build_gsa, build_kernel, load_config
 from grfspan.kernels import (
     KernelModel,
@@ -654,6 +660,49 @@ def test_frozen_steps_append_no_direction():
     np.testing.assert_allclose(curve.f_limit, quadratic_gd_oracle(0.3, 5), atol=1e-8)
 
 
+def test_rung_failing_during_replay_is_skipped(monkeypatch):
+    # heavy-ball on SE at N = 64: stream 6 climbs from j = 0 at step 17, with
+    # 17 point blocks to replay.  Forcing the first rung above j to fail at
+    # one of them sends the member to the next rung, and where the failure
+    # hits does not matter: that rung rewrites every point block, also those
+    # the failed rung rewrote before it failed
+    kernel, gsa = lift_stationary(SE_MIX), heavy_ball(0.4, 0.5)
+    point_block, escalate = SpanState._point_block, SpanState._escalate
+    ladder = list(DEFAULT_POLICY.ladder())
+
+    def run(fail_at):
+        replay, failed = {}, []
+
+        def spied_escalate(self, b, block):
+            replay.update(rung=next(j for j in ladder if j > self.jitter[b]), seen=0)
+            try:
+                escalate(self, b, block)
+            finally:
+                replay.clear()
+
+        def spied_point_block(self, S_hn, S_nn, jitter, members=slice(None)):
+            if replay and jitter[0] == replay["rung"]:
+                replay["seen"] += 1
+                if replay["seen"] == fail_at:
+                    failed.append((self.points, replay["rung"]))
+                    raise np.linalg.LinAlgError("forced")
+            return point_block(self, S_hn, S_nn, jitter, members)
+
+        monkeypatch.setattr(SpanState, "_escalate", spied_escalate)
+        monkeypatch.setattr(SpanState, "_point_block", spied_point_block)
+        walk = SpanWalk(SpanState(kernel, [make_rng(3, 6)], 64), 1.0, 17)
+        for _ in range(18):
+            limit_step(walk, gsa)
+        assert failed == [(17, ladder[1])]
+        return walk
+
+    third, first = run(3), run(1)
+    assert third.state.jitter[0] == first.state.jitter[0] == ladder[2]
+    assert third.state.factor().tobytes() == first.state.factor().tobytes()
+    for name in ("f", "G", "X", "sigma_w"):
+        assert getattr(third, name).tobytes() == getattr(first, name).tobytes()
+
+
 def test_exhausted_ladder_switches_to_pseudo_inverse():
     # the quadratic field's (f, D_{v_0}) rows are singular: a sampled run
     # without jitter switches to the pseudo-inverse, or raises without it
@@ -696,15 +745,9 @@ def test_limit_step_rejects_state_of_another_curve():
 
 
 def _spy_calls(monkeypatch, targets):
-    """Spy on ``KernelModel.k3`` and on the attribute ``name`` of each
-    (owner, name) in targets; returns the names called and the number of
-    point pairs of each κ₃ evaluation, both filled as the run goes."""
-    calls, pairs, k3 = [], [], KernelModel.k3
-
-    def spy_k3(self, *args):
-        out = k3(self, *args)
-        pairs.append(np.size(out))
-        return out
+    """Spy on the attribute ``name`` of each (owner, name) in targets;
+    returns the names called, filled as the run goes."""
+    calls = []
 
     def spy(name, original):
         def spied(*args, **kwargs):
@@ -712,10 +755,23 @@ def _spy_calls(monkeypatch, targets):
             return original(*args, **kwargs)
         return spied
 
-    monkeypatch.setattr(KernelModel, "k3", spy_k3)
     for owner, name in targets:
         monkeypatch.setattr(owner, name, spy(name, getattr(owner, name)))
-    return calls, pairs
+    return calls
+
+
+def _count_pairs(kernel):
+    """Wrap ``kernel.derivatives`` to count its calls; returns the list of
+    the number of point pairs of each call, filled as the run goes."""
+    evaluated, derivatives = [], kernel.derivatives
+
+    def counted(*args):
+        out = derivatives(*args)
+        evaluated.append(np.size(out[0]))
+        return out
+
+    kernel.derivatives = counted
+    return evaluated
 
 
 def test_limit_factors_no_point_block(monkeypatch):
@@ -727,40 +783,57 @@ def test_limit_factors_no_point_block(monkeypatch):
     # climbs the jitter ladder, and the sampler's state, whose extend factors
     # a point block, never steps
     config = load_config(Path(__file__).parents[1] / "bench" / "configs" / "predict-t30.cfg")
-    calls, pairs = _spy_calls(monkeypatch, [
+    calls = _spy_calls(monkeypatch, [
         *((module, "condition") for module in (gaussianops, assembly, limits)),
-        (gaussianops, "cholesky_psd"),
+        (gaussianops, "cholesky_psd"), (KernelModel, "k3"),
         (assembly, "cov_block"), (KernelModel, "cov_pair_block"), (SpanState, "extend")])
-    kernel, evaluated = build_kernel(config.kernel), []
-    derivatives = kernel.derivatives
-
-    def counted(*args):
-        out = derivatives(*args)
-        evaluated.append(np.size(out[0]))
-        return out
-
-    kernel.derivatives = counted
+    kernel = build_kernel(config.kernel)
+    evaluated = _count_pairs(kernel)
     curve = predict(kernel, build_gsa(config.algorithm), config.lam, config.steps)
     assert curve.steps == 30 and curve.frozen_steps == ()
-    assert calls == [] and pairs == []
-    assert len(evaluated) == 31
-    assert sum(evaluated) == sum(n + 1 for n in range(31)) == 496
+    assert calls == []
+    assert evaluated == [n + 1 for n in range(31)]
+    assert sum(evaluated) == 496
 
 
 def test_sampler_borders_one_k3_row_per_step(monkeypatch):
     # simulate-t20: each sampled step borders the last direction block's κ₃
     # factor with the new point's n + 1 pairs, so no step builds a κ₃ matrix
-    # or conditions one
+    # or conditions one.  Step n evaluates the kernel's partials twice over
+    # those pairs: once when the state opens the point, for its κ₃ column,
+    # and once in the new point's cov_block column
     config = load_config(Path(__file__).parents[1] / "bench" / "configs" / "simulate-t20.cfg")
-    calls, pairs = _spy_calls(monkeypatch, [
+    calls = _spy_calls(monkeypatch, [
         *((module, "condition") for module in (gaussianops, assembly, limits, trajectories)),
-        (assembly, "k3_matrix")])
+        (assembly, "k3_matrix"), (KernelModel, "k3")])
+    kernel = build_kernel(config.kernel)
+    evaluated = _count_pairs(kernel)
     (N,) = config.N_list
-    (record,) = simulate_info_paths(build_kernel(config.kernel), build_gsa(config.algorithm),
+    (record,) = simulate_info_paths(kernel, build_gsa(config.algorithm),
                                     config.lam, N, config.steps, [0], 1)
     assert record.steps == 20 and np.isfinite(record.f_values).all()
     assert calls == []
-    assert sum(pairs) == sum(n + 1 for n in range(21)) == 231
+    assert evaluated == [n + 1 for n in range(21) for _ in range(2)]
+    assert (len(evaluated), sum(evaluated)) == (42, 462)
+
+
+def test_non_finite_k3_raises_a_domain_error():
+    # a κ₃ column of NaN passes the κ₃ > 0 check and raises no floating-point
+    # exception; each state's finite check stops the step, and the sampler's
+    # error names the stream
+    lifted = lift_stationary(SE_MIX)
+
+    def derivatives(l1, l2, l3):
+        k, k1, k2, k3, *rest = lifted.derivatives(l1, l2, l3)
+        return (k, k1, k2, np.full_like(k3, np.nan), *rest)
+
+    kernel = KernelModel(lifted.mean, derivatives)
+    with pytest.raises(KernelDomainError, match=r"^step 0: non-finite entries in the new "
+                                                r"point's κ₃ column, mean or conditional mean"):
+        predict(kernel, gd(0.4), 1.0, 4)
+    with pytest.raises(KernelDomainError, match=r"^stream 0: step 0: non-finite entries in the "
+                                                r"new point's covariance or mean"):
+        simulate_info_paths(kernel, gd(0.4), 1.0, 64, 4, [0], 1)
 
 
 #: numpy's Python-level wrappers that a step of either recursion replaces by
@@ -851,11 +924,22 @@ def test_constant_partials_are_broadcast():
         k, _, _, k3, *_ = quadratic.derivatives(l1, l2, l3)
         return k, 0.0, 0.0, k3, 0.0, 0.0, 0.0, 0.0
 
-    scalars = KernelModel(quadratic.mean, derivatives)
-    a = predict(scalars, gd(0.3), 1.0, 6, on_rank_stall="freeze")
+    def constants(l1, l2, l3):
+        # κ₃ = σ_A⁴R² = 1 too: each state's opening broadcasts it over the pairs
+        return quadratic.derivatives(l1, l2, l3)[0], 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0
+
+    policy = ConditionPolicy(pseudo_fallback=True)
     b = predict(quadratic, gd(0.3), 1.0, 6, on_rank_stall="freeze")
-    assert a.f_limit.tobytes() == b.f_limit.tobytes()
-    assert a.grad_gram_limit.tobytes() == b.grad_gram_limit.tobytes()
+    sampled = simulate_info_paths(quadratic, gd(0.3), 1.0, 64, 6, range(4), 1, policy=policy)
+    for scalars in (derivatives, constants):
+        kernel = KernelModel(quadratic.mean, scalars)
+        a = predict(kernel, gd(0.3), 1.0, 6, on_rank_stall="freeze")
+        assert a.f_limit.tobytes() == b.f_limit.tobytes()
+        assert a.grad_gram_limit.tobytes() == b.grad_gram_limit.tobytes()
+        records = simulate_info_paths(kernel, gd(0.3), 1.0, 64, 6, range(4), 1, policy=policy)
+        for r, s in zip(records, sampled, strict=True):
+            for name in ("f_values", "grad_gram", "x0_grad", "G", "x_coords", "dims"):
+                assert getattr(r, name).tobytes() == getattr(s, name).tobytes()
 
 
 # ---------------------------------------------------------------------------
