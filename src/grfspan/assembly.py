@@ -49,14 +49,18 @@ grown by one row per opened direction, and a fixed weight matrix against
 the direction rows, one column per direction: a step solves the new κ₃
 column through L, reads σ_w² off the new pivot, and forms its conditional
 mean as one ``KernelModel.weighted_rows`` contraction over the history
-points, with no ``cov_block`` column; one ``derivatives`` call over the new
-point's pairs gives both the κ₃ column and the contraction's partials.
-The limit alone checks that its points stay apart and applies the
-rank-stall rule, under which a step may open no direction.
+points, with no ``cov_block`` column.  The limit alone checks that its
+points stay apart and applies the rank-stall rule, under which a step may
+open no direction.
 Both states open a step in ``_State._open``, which checks the new point,
 evaluates the kernel's partials once over its pairs with every point, reads
 its κ₃ column off them, requires κ₃ > 0 at the new point and forms its
 mean, and both border a κ₃ factor by that column in ``_State._bordered``.
+That is the one ``derivatives`` call of a step in either state: the
+sampler's ``cov_block`` column of the new point and the limit's
+``weighted_rows`` contraction read the same partials.  Callers with no
+step, such as ``joint_blocks``, evaluate the partials of their own grid
+once and hand them to ``cov_block``.
 """
 
 from __future__ import annotations
@@ -95,20 +99,23 @@ def coordinate_inner_products(reps):
     return 0.5 * ip.diagonal(axis1=-2, axis2=-1), ip
 
 
-def cov_block(kernel, Y, s, ip, A, B):
+def cov_block(kernel, Y, s, ip, A, B, parts):
     """Covariance between the (f, D_{v_0..D−1}) rows at points A and points B.
 
-    Y holds coordinate rows for all points; s, ip their norm-halves and Gram.
-    Returns shape ((D+1)·|A|, (D+1)·|B|) in the row-major layout, after the
-    leading batch axes of Y.
+    Y holds coordinate rows for all points; s, ip their norm-halves and Gram;
+    ``parts`` the kernel's partials over the (a, b) grid, (…, |A|, |B|) each,
+    as ``KernelModel.cov_pair_block`` reads them.  Returns shape
+    ((D+1)·|A|, (D+1)·|B|) in the row-major layout, after the leading batch
+    axes of Y.
     """
     A = np.asarray(A, dtype=int)
     B = np.asarray(B, dtype=int)
     D = Y.shape[-1]
-    # one kernel call over the (a, b) grid: (…, a, b, i, j) laid out as (…, i, a, j, b)
+    # one pair block per (a, b): (…, a, b, i, j) laid out as (…, i, a, j, b)
     pairs = kernel.cov_pair_block(s[..., A][..., :, None], s[..., B][..., None, :],
                                   ip[..., A[:, None], B[None, :]],
-                                  Y[..., A, :][..., :, None, :], Y[..., B, :][..., None, :, :])
+                                  Y[..., A, :][..., :, None, :], Y[..., B, :][..., None, :, :],
+                                  parts)
     lead = pairs.ndim - 4
     return pairs.transpose(*range(lead), lead + 2, lead, lead + 3, lead + 1).reshape(
         Y.shape[:-2] + ((D + 1) * len(A), (D + 1) * len(B)))
@@ -145,23 +152,24 @@ def joint_blocks(kernel, reps, new_rep) -> AssembledStep:
     """Assemble history/new covariance blocks from coordinate rows.
 
     reps: (n, D) rows of the n history points; new_rep: (D,) row of the new
-    point.  Domain validity of every pairwise configuration is checked once.
+    point.  Domain validity of every pairwise configuration is checked once,
+    and the kernel's partials are evaluated once over all point pairs: the
+    blocks are slices of one ``cov_block`` over the n + 1 points.
     """
     reps = np.atleast_2d(np.asarray(reps, dtype=float))
     new_rep = np.asarray(new_rep, dtype=float)
     n, D = reps.shape
     Y = np.vstack([reps, new_rep[None, :]])
     s, ip = coordinate_inner_products(Y)
-    kernels.check_domain(s[:, None], s[None, :], ip)
-    hist = np.arange(n)
-    new = np.array([n])
-    return AssembledStep(
-        mean_hist=mean_block(kernel, Y, s, hist),
-        mean_new=mean_block(kernel, Y, s, new),
-        S_hh=cov_block(kernel, Y, s, ip, hist, hist),
-        S_hn=cov_block(kernel, Y, s, ip, hist, new),
-        S_nn=cov_block(kernel, Y, s, ip, new, new),
-    )
+    grid = (s[:, None], s[None, :], ip)
+    kernels.check_domain(*grid)
+    points = np.arange(n + 1)
+    S = cov_block(kernel, Y, s, ip, points, points, kernel.derivatives(*grid))
+    mean = mean_block(kernel, Y, s, points)
+    new = np.arange(D + 1) * (n + 1) + n       # the new point's row of each type
+    hist = np.delete(np.arange(len(mean)), new)
+    return AssembledStep(mean_hist=mean[hist], mean_new=mean[new], S_hh=S[np.ix_(hist, hist)],
+                         S_hn=S[np.ix_(hist, new)], S_nn=S[np.ix_(new, new)])
 
 
 def flatten_history(values, coord_rows):
@@ -228,10 +236,11 @@ class _State:
     def _open(self, Y):
         """(n, D, s, ip, parts, k, mean) of the points Y, (B, n+1, D), the
         new point last: its index, the width, their norm-halves and Gram,
-        the kernel's partials over the new point's n + 1 pairs, their κ₃
-        column k (B, n+1), a constant κ₃ broadcast over the pairs, and the
-        new point's mean.  Checks the batch size, the point count and the
-        new point against the kernel's domain, and raises
+        the kernel's partials over the new point's n + 1 pairs, laid out as
+        the (B, n+1, 1) column of the pair grid that ``cov_block`` reads,
+        their κ₃ column k (B, n+1), a constant κ₃ broadcast over the pairs,
+        and the new point's mean.  Checks the batch size, the point count
+        and the new point against the kernel's domain, and raises
         DegenerateKernelError unless κ₃ > 0 at the new point."""
         n, D = Y.shape[1] - 1, Y.shape[2]
         if Y.shape[0] != self.batch:
@@ -240,8 +249,9 @@ class _State:
             raise ValueError(f"state holds {self.points} points, got {n} history rows")
         s, ip = coordinate_inner_products(Y)
         kernels.check_domain(s[:, n:], s, ip[:, n])
-        parts = self.kernel.derivatives(s[:, :n + 1], s[:, n:], ip[:, :n + 1, n])
-        k = parts[3] if getattr(parts[3], "ndim", 0) else np.full((self.batch, n + 1), parts[3])
+        parts = self.kernel.derivatives(s[:, :n + 1, None], s[:, n:, None], ip[:, :n + 1, n:])
+        k = parts[3]
+        k = k[..., 0] if getattr(k, "ndim", 0) else np.full((self.batch, n + 1), k)
         if (k[:, n] <= 0).any():
             raise DegenerateKernelError(f"step {n}: κ₃ = {k[:, n].min():g} at the new "
                                         "point; no gradient mass outside the span")
@@ -336,7 +346,7 @@ class LimitState(_State):
         w = np.zeros((1, n + 1, D))
         w[:, :n, :self.weights.shape[2]] = self.weights
         # a partial may be a constant scalar, which broadcasts as is
-        history = [p[..., :n] if getattr(p, "ndim", 0) else p for p in parts]
+        history = [p[..., :n, 0] if getattr(p, "ndim", 0) else p for p in parts]
         observed = mean + self.kernel.weighted_rows(s[:, :n], s[:, n], ip[:, :n, n],
                                                      Y[:, :n], Y[:, n], w[:, :n], history)
         if not (np.isfinite(k).all() and np.isfinite(mean).all() and np.isfinite(observed).all()):
@@ -432,6 +442,9 @@ class SpanState(_State):
         """Take the step of the points Y[:, -1]; Y (B, n+1, D) holds the
         history points' coordinate rows followed by the new point's.
 
+        The kernel's partials are evaluated once, over the pairs of the new
+        point with every point: the κ₃ column and the new point's
+        ``cov_block`` column both read them.
         The (f, D_{v_0..D−1}) rows are conditioned on the history and
         observed at cond_mean + L_nn·ξ/√N with ξ = rng.standard_normal(D+1)
         from the member's generator and L_nn the new point block's diagonal
@@ -450,8 +463,8 @@ class SpanState(_State):
         Returns the rows (B, D+1), σ_w² (B,) and the corner (B,).
         """
         Y = np.asarray(Y, dtype=float)
-        n, D, s, ip, _, k, mean = self._open(Y)
-        S_hn, S_nn = self._new_point(Y, s, ip, n, k, mean)
+        n, D, s, ip, parts, k, mean = self._open(Y)
+        S_hn, S_nn = self._new_point(Y, s, ip, n, parts, k, mean)
         while True:
             try:
                 Wt, C, L_nn, inv = self._point_block(S_hn, S_nn, self.jitter)
@@ -485,13 +498,15 @@ class SpanState(_State):
                      F, np.linalg.inv(F), values)
         return observed, sigma_sq, corner
 
-    def _new_point(self, Y, s, ip, n, k, mean):
+    def _new_point(self, Y, s, ip, n, parts, k, mean):
         """(S_hn, S_nn) of the (f, D_{v_0..D−1}) rows of the new point n:
         their covariances with the stored rows, (B, m, D+1), and with
-        themselves, (B, D+1, D+1), read off one ``cov_block`` column.  A
-        non-finite entry of the blocks, of the κ₃ column k (B, n+1) or of
-        the mean raises KernelDomainError."""
-        col = cov_block(self.kernel, Y, s, ip, np.arange(n + 1), [n])
+        themselves, (B, D+1, D+1), read off one ``cov_block`` column, fed
+        the partials ``parts`` (B, n+1, 1) that ``_open`` evaluated; a
+        constant scalar partial broadcasts as is.  A non-finite entry of the
+        blocks, of the κ₃ column k (B, n+1) or of the mean raises
+        KernelDomainError."""
+        col = cov_block(self.kernel, Y, s, ip, np.arange(n + 1), [n], parts)
         S_hn = col[:, self._types * (n + 1) + self._at]
         S_nn = col[:, np.arange(Y.shape[2] + 1) * (n + 1) + n]
         if not all(np.isfinite(a).all() for a in (k, S_hn, S_nn, mean)):

@@ -126,14 +126,14 @@ class KernelModel:
     ``mean(s)`` returns (μ, μ′) and ``derivatives(λ₁, λ₂, λ₃)`` returns
     (κ, κ₁, κ₂, κ₃, κ₁₂, κ₁₃, κ₂₃, κ₃₃) — κ, then the ``PARTIAL_NAMES`` order
     — each from one call, so a family shares the work its values have in
-    common.  Both accept scalars or numpy arrays.  Every covariance rule
-    makes one ``derivatives`` call: per entry (``cov_ff``, ``cov_df_f``,
-    ``cov_df_df``, ``k3``), per point pair (``cov_pair_block``), and the
-    limit's weighted sum of the direction rows of n pair blocks
-    (``weighted_rows``), which makes none: its caller passes the partials
-    of those pairs as ``parts``, since the limit's step evaluates them once,
-    with its κ₃ column.  Instances are immutable by convention and safe to
-    share across threads/trajectories.
+    common.  Both accept scalars or numpy arrays.  The per-entry covariance
+    rules (``cov_ff``, ``cov_df_f``, ``cov_df_df``) make one ``derivatives``
+    call each.  The block rules make none: the pair block of each point
+    pair (``cov_pair_block``) and the limit's weighted sum of the direction
+    rows of n pair blocks (``weighted_rows``) read the partials of their
+    pairs from ``parts``, which their caller evaluates once per step, with
+    the new point's κ₃ column.  Instances are immutable by convention and
+    safe to share across threads/trajectories.
     """
 
     def __init__(self, mean, derivatives, *, label=""):
@@ -147,10 +147,6 @@ class KernelModel:
 
     def __repr__(self):
         return f"<KernelModel {self.label or 'custom'}>"
-
-    def k3(self, s_x, s_y, ip_xy):
-        """κ₃, the coefficient of ⟨v, w⟩ in Cov(D_v f(x), D_w f(y))."""
-        return self.derivatives(s_x, s_y, ip_xy)[3]
 
     # -- covariance rules in inner-product form (no domain checks here) -----
 
@@ -169,17 +165,18 @@ class KernelModel:
                 + k33 * ip_yv * ip_xw
                 + k3 * ip_vw)
 
-    def cov_pair_block(self, s_x, s_y, ip_xy, x, y):
+    def cov_pair_block(self, s_x, s_y, ip_xy, x, y, parts):
         """Covariance of the (f, D_{v_0..D−1}) rows at x with the same rows
         at y, for an orthonormal system v and the coordinate rows x, y (…, D)
-        of the two points; (…, D+1, D+1).
+        of the two points; (…, D+1, D+1), from ``parts``, the values of
+        ``derivatives(s_x, s_y, ip_xy)`` over the pairs.
 
         Entry [0, 0] is κ, column 0 below it κ₁x + κ₃y (``cov_df_f``), row 0
         right of it κ₂y + κ₃x (``cov_df_f`` with x and y swapped), and the
         D_v–D_w part the rank-2 product [x y]·[κ₁₂y + κ₁₃x, κ₂₃y + κ₃₃x]ᵀ plus
-        κ₃·I (``cov_df_df``), from one ``derivatives`` call.
+        κ₃·I (``cov_df_df``).
         """
-        ff, *ks = self.derivatives(s_x, s_y, ip_xy)
+        ff, *ks = parts
         k1, k2, k3, k12, k13, k23, k33 = (np.asarray(k)[..., None] for k in ks)
         u, w = k12 * y + k13 * x, k23 * y + k33 * x
         out = _pair_block(u.shape, ff, k1 * x + k3 * y, k2 * y + k3 * x)
@@ -201,7 +198,7 @@ class KernelModel:
 
         With U_a = w_a·y_a and V_a = w_a·x the f entry is Σ(κ₁U + κ₃V), and
         the D_v part x·Σ(κ₁₂U + κ₂₃V) + Σ(κ₁₃U + κ₃₃V)·y_a + Σκ₃·w_a: the
-        rows of ``cov_pair_block(s_y, s_x, ip, y, x)`` contracted with w.
+        rows of ``cov_pair_block(s_y, s_x, ip, y, x, parts)`` contracted with w.
         """
         _, k1, _, k3, k12, k13, k23, k33 = parts
         U, V = (w * y).sum(axis=-1), (w @ x[..., None])[..., 0]
@@ -222,23 +219,21 @@ class _DirectStationaryModel(KernelModel):
         Cov(D_v f(x), f(y))     ∝  C′(r)⟨Δ, v⟩
         Cov(D_v f(x), D_w f(y)) ∝ −[C″(r)⟨Δ, v⟩⟨Δ, w⟩ + C′(r)⟨v, w⟩]
 
-    rather than the generic κ-partial bilinear form: ``cov_pair_block``
-    takes C, C′ and C″ from one ``derivatives`` call of the mixture, and
-    ``weighted_rows`` takes C′ and C″ from the lifted partials handed to it
-    as ``parts``, which are the same values at the same r.  Numerically
-    equivalent to ``lift_stationary`` on the same mixture; kept as a
-    genuinely separate code path so the two can be compared.  The
-    per-entry rules and ``k3`` are the generic ones on the lifted model's
+    rather than the generic κ-partial bilinear form.  Both take C, C′ and
+    C″ from the lifted partials handed to them as ``parts``: κ, κ₁ and κ₁₂
+    are C, C′ and C″ at the same r = λ₁ + λ₂ − λ₃, bit for bit.
+    Numerically equivalent to ``lift_stationary`` on the same mixture; kept
+    as a genuinely separate code path so the two can be compared.  The
+    per-entry rules are the generic ones on the lifted model's
     ``derivatives``.
     """
 
     def __init__(self, mixture: SchoenbergMixture, mean_level: float):
-        self._mixture = mixture
         model = lift_stationary(mixture, mean_level)
         super().__init__(model.mean, model.derivatives, label="stationary-direct")
 
-    def cov_pair_block(self, s_x, s_y, ip_xy, x, y):
-        c, dc, ddc = self._mixture.derivatives(s_x + s_y - ip_xy)
+    def cov_pair_block(self, s_x, s_y, ip_xy, x, y, parts):
+        c, dc, ddc = parts[0], parts[1], parts[4]
         dc = np.asarray(dc)[..., None]
         delta = x - y
         out = _pair_block(delta.shape, c, dc * delta, dc * (y - x))
@@ -250,8 +245,7 @@ class _DirectStationaryModel(KernelModel):
 
     def weighted_rows(self, s_y, s_x, ip, y, x, w, parts):
         # with Δ_a = y_a − x and P_a = w_a·Δ_a: f entry Σ C′P, D_v part
-        # −Σ(C″·P·Δ_a + C′·w_a); the lifted partials κ₁ and κ₁₂ are C′ and
-        # C″ at the same r = s_y + s_x − ip, bit for bit
+        # −Σ(C″·P·Δ_a + C′·w_a)
         dc, ddc = parts[1], parts[4]
         delta = y - x[..., None, :]
         P = (w * delta).sum(axis=-1)

@@ -167,7 +167,7 @@ def brute_force_path(kernel: KernelModel, gsa: GsaSpec, x0, steps: int,
             Y = X[0:1]
             s_vec, ip = coordinate_inner_products(Y)
             mu = mean_block(kernel, Y, s_vec, [0])
-            M = cov_block(kernel, Y, s_vec, ip, [0], [0])
+            M = cov_block(kernel, Y, s_vec, ip, [0], [0], kernel.derivatives(s_vec, s_vec, ip))
             z = sample_mvn(mu, M / N, rng, policy)
         else:
             blocks = joint_blocks(kernel, X[:n], X[n])

@@ -8,7 +8,8 @@ printing the same digests before and after.  The digests cover:
 * the ``predict`` curve of nesterov(0.3, 0.5) on the lifted SE kernel from
   λ = 1 to T = 30, the Nesterov row the configs do not run;
 * the ``simulate_info_path`` records of streams 0–7 of ``simulate-t20`` at
-  master seed 1;
+  master seed 1, with the lifted and the direct stationary kernel, so that
+  a change to either route's pair block shows here;
 * the records of streams 0–7 of heavy-ball(0.4, 0.5) on the SE kernel at
   N = 64, T = 20 and master seed 3, a batch whose members climb the jitter
   ladder at different steps, so that a change to escalation shows here;
@@ -57,14 +58,18 @@ def digest(arrays) -> str:
     return h.hexdigest()
 
 
-def curve_digests(config):
-    """{route: digest} of the predict curve under the lifted and direct kernel."""
-    spec = config.kernel
+def routes(spec):
+    """(route, kernel) of a config's kernel: lifted as built, and direct."""
     direct = kernels.stationary_direct(kernels.SchoenbergMixture(atoms=spec["atoms"]),
                                        spec.get("mean_level", 0.0))
+    return (("lifted", harness.build_kernel(spec)), ("direct", direct))
+
+
+def curve_digests(config):
+    """{route: digest} of the predict curve under the lifted and direct kernel."""
     gsa = harness.build_gsa(config.algorithm)
     out = {}
-    for route, kernel in (("lifted", harness.build_kernel(spec)), ("direct", direct)):
+    for route, kernel in routes(config.kernel):
         curve = limits.predict(kernel, gsa, config.lam, config.steps)
         out[route] = digest(getattr(curve, f) for f in CURVE_FIELDS)
     return out
@@ -76,13 +81,17 @@ def nesterov_digest() -> str:
     return digest(getattr(curve, f) for f in CURVE_FIELDS)
 
 
-def simulate_digest(config) -> str:
-    kernel, gsa = harness.build_kernel(config.kernel), harness.build_gsa(config.algorithm)
+def simulate_digests(config):
+    """{route: digest} of the sampled records under the lifted and direct kernel."""
+    gsa = harness.build_gsa(config.algorithm)
     (N,) = config.N_list
-    records = [trajectories.simulate_info_path(kernel, gsa, config.lam, N, config.steps,
-                                               stream_id=sid, master_seed=SEED)
-               for sid in STREAMS]
-    return digest(getattr(r, f) for r in records for f in RECORD_FIELDS)
+    out = {}
+    for route, kernel in routes(config.kernel):
+        records = [trajectories.simulate_info_path(kernel, gsa, config.lam, N, config.steps,
+                                                   stream_id=sid, master_seed=SEED)
+                   for sid in STREAMS]
+        out[route] = digest(getattr(r, f) for r in records for f in RECORD_FIELDS)
+    return out
 
 
 def escalating_digest() -> str:
@@ -113,7 +122,9 @@ def main() -> int:
             print(f"predict {path.stem:13s} {route:6s} {value}")
     print(f"predict {'nesterov-t30':13s} {'lifted':6s} {nesterov_digest()}")
     config = harness.load_config(CONFIGS / "simulate-t20.cfg")
-    print(f"simulate {'simulate-t20':12s} {'s0-7':6s} {simulate_digest(config)}")
+    for route, value in simulate_digests(config).items():
+        label = "s0-7" if route == "lifted" else route
+        print(f"simulate {'simulate-t20':12s} {label:6s} {value}")
     print(f"simulate {'hb-N64-t20':12s} {'s0-7':6s} {escalating_digest()}")
     print(f"simulate {'quad70-pinv':12s} {'s0-7':6s} {pseudo_digest()}")
     config = harness.load_config(CONFIGS / "verify-t8.cfg")

@@ -66,7 +66,8 @@ def test_cov_block_matches_naive(kernel):
     Y = rng.standard_normal((4, 3)) * 0.6
     s, ip = coordinate_inner_products(Y)
     A, B = [0, 1, 2], [0, 1, 2, 3]
-    fast = cov_block(kernel, Y, s, ip, A, B)
+    fast = cov_block(kernel, Y, s, ip, A, B,
+                     kernel.derivatives(s[A][:, None], s[B][None, :], ip[np.ix_(A, B)]))
     np.testing.assert_allclose(fast, naive_blocks(kernel, Y, A, B),
                                rtol=1e-13, atol=1e-14)
 
@@ -75,7 +76,7 @@ def test_cov_block_no_directions():
     kernel = KERNELS[0]
     Y = np.zeros((2, 0))
     s, ip = coordinate_inner_products(Y)
-    M = cov_block(kernel, Y, s, ip, [0, 1], [0, 1])
+    M = cov_block(kernel, Y, s, ip, [0, 1], [0, 1], kernel.derivatives(s[:, None], s[None, :], ip))
     assert M.shape == (2, 2)
     assert M[0, 0] == pytest.approx(1.0)   # C(0) with unit total weight
 
@@ -139,7 +140,7 @@ def test_k3_matrix_and_residual_variance():
 def test_residual_variance_single_point():
     kernel = KERNELS[0]
     val = residual_variance(kernel, np.array([[1.0, 0.0]]))
-    assert val == pytest.approx(float(kernel.k3(0.5, 0.5, 1.0)))
+    assert val == pytest.approx(float(kernel.derivatives(0.5, 0.5, 1.0)[3]))
 
 
 class _ZeroNormal:

@@ -142,12 +142,6 @@ def test_quadratic_partials_closed_form():
                      l1, l2, l3)
 
 
-def test_k3_is_the_third_partial():
-    k = lift_stationary(SchoenbergMixture(atoms=((0.6, 0.8), (0.4, 1.7))))
-    l1, l2, l3 = _domain_points()
-    assert np.array_equal(k.k3(l1, l2, l3), k.derivatives(l1, l2, l3)[3])
-
-
 _BASE = lift_stationary(SE)
 
 
@@ -169,7 +163,7 @@ def test_stationary_lift_spot_values():
     k = lift_stationary(SE)
     # C(0) = sum of weights, and kappa_3 = -C'(0)
     assert float(k.derivatives(0.5, 0.5, 1.0)[0]) == pytest.approx(1.0, abs=1e-15)
-    assert float(k.k3(0.5, 0.5, 1.0)) == pytest.approx(1.0, abs=1e-15)
+    assert float(k.derivatives(0.5, 0.5, 1.0)[3]) == pytest.approx(1.0, abs=1e-15)
     assert float(k.mean(0.7)[0]) == 0.0
     assert float(k.mean(0.7)[1]) == 0.0
 
@@ -185,7 +179,7 @@ def test_stationary_lift_exchange_symmetry():
 
 def test_spin_glass_spot_values():
     k = spin_glass_kernel(TWO_SPIN)
-    assert float(k.k3(0.3, 0.9, 0.5)) == pytest.approx(1.0, abs=1e-15)   # xi'(0.5) = 2*0.5
+    assert float(k.derivatives(0.3, 0.9, 0.5)[3]) == pytest.approx(1.0, abs=1e-15)   # ξ′(0.5)
     assert float(k.derivatives(0.3, 0.9, 0.5)[1]) == 0.0   # κ₁
     k3spin = spin_glass_kernel(THREE_SPIN)
     k33 = k3spin.derivatives(0.5, 0.5, 1.0)[7]
@@ -195,7 +189,7 @@ def test_spin_glass_spot_values():
 def test_quadratic_spot_values():
     k = quadratic_kernel(sigma_A=1.0, sigma_eta=0.0, R=1.0)
     assert float(k.mean(0.5)[0]) == pytest.approx(1.0, abs=1e-15)
-    assert float(k.k3(0.2, 0.2, 0.1)) == pytest.approx(1.0, abs=1e-15)
+    assert float(k.derivatives(0.2, 0.2, 0.1)[3]) == pytest.approx(1.0, abs=1e-15)
     assert float(k.derivatives(0.2, 0.2, 0.1)[7]) == 0.0   # κ₃₃
     with pytest.raises(ValueError):
         quadratic_kernel(sigma_A=0.0, sigma_eta=1.0, R=1.0)
@@ -296,7 +290,8 @@ def test_direct_stationary_model_matches_lift():
     for _ in range(25):
         x, y = rng.standard_normal((2, 4))
         args = (x @ x / 2.0, y @ y / 2.0, x @ y, x, y)
-        np.testing.assert_allclose(direct.cov_pair_block(*args), lifted.cov_pair_block(*args),
+        np.testing.assert_allclose(direct.cov_pair_block(*args, direct.derivatives(*args[:3])),
+                                   lifted.cov_pair_block(*args, lifted.derivatives(*args[:3])),
                                    rtol=1e-12, atol=1e-13)
     assert float(direct.mean(2.0)[0]) == pytest.approx(0.3)
 
@@ -341,7 +336,7 @@ def test_block_rule_is_the_per_entry_rule(name, D, batch, pairs, seed):
         y = rng.standard_normal(batch + (1, 2, D)) * 0.6
     s_x, s_y = 0.5 * np.sum(x * x, axis=-1), 0.5 * np.sum(y * y, axis=-1)
     ip = np.sum(x * y, axis=-1)
-    block = kernel.cov_pair_block(s_x, s_y, ip, x, y)
+    block = kernel.cov_pair_block(s_x, s_y, ip, x, y, kernel.derivatives(s_x, s_y, ip))
     shape = np.broadcast_shapes(x.shape, y.shape)[:-1]
     assert block.shape == shape + (D + 1, D + 1)
 
@@ -379,8 +374,8 @@ def test_weighted_rows_contract_the_pair_blocks(name, D, batch):
         w = rng.standard_normal((batch, n, D))
         s_y, s_x = 0.5 * np.sum(y * y, axis=-1), 0.5 * np.sum(x * x, axis=-1)
         ip = (y @ x[:, :, None])[:, :, 0]
-        C = kernel.cov_pair_block(s_y, s_x[:, None], ip, y, x[:, None, :])[:, :, 1:, :]
         parts = kernel.derivatives(s_y, s_x[:, None], ip)
+        C = kernel.cov_pair_block(s_y, s_x[:, None], ip, y, x[:, None, :], parts)[:, :, 1:, :]
         got = kernel.weighted_rows(s_y, s_x, ip, y, x, w, parts)
         assert got.shape == (batch, D + 1)
         scale = np.einsum("baj,bajk->bk", np.abs(w), np.abs(C))
@@ -451,7 +446,7 @@ def test_block_covariance_is_psd(make):
     pts, _ = _psd_points()
     s, ip = coordinate_inner_products(pts)
     A = np.arange(len(pts))
-    _assert_psd(cov_block(k, pts, s, ip, A, A))
+    _assert_psd(cov_block(k, pts, s, ip, A, A, k.derivatives(s[:, None], s[None, :], ip)))
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +538,7 @@ def test_second_partial_direct_finite_difference():
     """Cross-check κ₃₃ by differencing ξ′ by hand: ξ(s)=s² gives exactly 2."""
     k = spin_glass_kernel(TWO_SPIN)
     h = 1e-5
-    fd = (k.k3(0.5, 0.5, 0.4 + h) - k.k3(0.5, 0.5, 0.4 - h)) / (2 * h)
+    fd = (k.derivatives(0.5, 0.5, 0.4 + h)[3] - k.derivatives(0.5, 0.5, 0.4 - h)[3]) / (2 * h)
     assert float(fd) == pytest.approx(2.0, abs=1e-9)
 
 

@@ -156,6 +156,27 @@ def test_quadratic_rank_stall_raises_by_default():
 
 
 # ---------------------------------------------------------------------------
+# pure 2-spin closed-form oracle
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("gsa, alpha, c2, lam", [
+    (gd(0.3), 0.3, 1.0, 1.0),
+    (heavy_ball(0.3, 0.5), 0.3, 1.0, 1.0),
+    (gd(0.4), 0.4, 0.7, 1.5),
+], ids=["gd", "heavy-ball", "gd-c0.7-lam1.5"])
+def test_pure_two_spin_sigma_w_is_geometric(gsa, alpha, c2, lam):
+    # ξ(s) = c₂²s² makes κ₃ = 2c₂²⟨x, y⟩, so σ_w²(n) is 2c₂² times the
+    # squared distance of x_n from the span of the earlier points: 2c₂²λ²
+    # at x₀ = λ·v₀.  x_{n+1} leaves that span only through −α times the
+    # gradient's corner √σ_w²(n) (a momentum term stays inside it), so each
+    # step multiplies σ_w² by 2c₂²α².  The float64 recursion holds this to
+    # 1e-9 through step 4; by step 6 its error reaches about 1e-7
+    curve = predict(spin_glass_kernel(SpinGlassMixture((0.0, 0.0, c2))), gsa, lam, 4)
+    exact = 2 * c2 ** 2 * lam ** 2 * (2 * c2 ** 2 * alpha ** 2) ** np.arange(5)
+    np.testing.assert_allclose(curve.sigma_w ** 2, exact, rtol=1e-9, atol=0)
+
+
+# ---------------------------------------------------------------------------
 # two stationary code paths
 # ---------------------------------------------------------------------------
 
@@ -527,7 +548,9 @@ def _replayed_draws(kernel, walk, jitters, N, rng):
                                  np.ones(d + 1, dtype=bool)])
         Y = X[:n + 1, :d]
         s, ip = coordinate_inner_products(Y)
-        S = cov_block(kernel, Y, s, ip, np.arange(n + 1), np.arange(n + 1))[np.ix_(order, order)]
+        grid = kernel.derivatives(s[:, None], s[None, :], ip)
+        S = cov_block(kernel, Y, s, ip, np.arange(n + 1), np.arange(n + 1), grid)[
+            np.ix_(order, order)]
         resid = (flatten_history(f[:n + 1], G[:n + 1, :d])
                  - mean_block(kernel, Y, s, np.arange(n + 1)))[order]
         L = np.linalg.cholesky(S + jitters[n] * np.diag(points.astype(float)))
@@ -561,7 +584,8 @@ def test_state_escalates_once_and_matches_refactored_conditioning():
     Y = walk.X[0, :state.points, :types.max()]
     s, ip = coordinate_inner_products(Y)
     order = types * state.points + at
-    S = cov_block(kernel, Y, s, ip, np.arange(state.points), np.arange(state.points))[
+    grid = kernel.derivatives(s[:, None], s[None, :], ip)
+    S = cov_block(kernel, Y, s, ip, np.arange(state.points), np.arange(state.points), grid)[
         np.ix_(order, order)]
     (L,) = state.factor()
     assert np.all(L == np.tril(L))
@@ -778,15 +802,15 @@ def test_limit_factors_no_point_block(monkeypatch):
     # predict-t30: the limit grows one κ₃ factor by a row per step, so step n
     # evaluates the kernel's partials once, on the new point's n + 1 pairs:
     # its κ₃ column comes from them, and its conditional mean is one weighted
-    # contraction of the n history pairs' partials, with no KernelModel.k3
-    # call; no step builds a covariance block, conditions one, factors one or
-    # climbs the jitter ladder, and the sampler's state, whose extend factors
-    # a point block, never steps
+    # contraction of the n history pairs' partials; no step builds a
+    # covariance block, conditions one, factors one or climbs the jitter
+    # ladder, and the sampler's state, whose extend factors a point block,
+    # never steps
     config = load_config(Path(__file__).parents[1] / "bench" / "configs" / "predict-t30.cfg")
     calls = _spy_calls(monkeypatch, [
         *((module, "condition") for module in (gaussianops, assembly, limits)),
-        (gaussianops, "cholesky_psd"), (KernelModel, "k3"),
-        (assembly, "cov_block"), (KernelModel, "cov_pair_block"), (SpanState, "extend")])
+        (gaussianops, "cholesky_psd"), (assembly, "cov_block"),
+        (KernelModel, "cov_pair_block"), (SpanState, "extend")])
     kernel = build_kernel(config.kernel)
     evaluated = _count_pairs(kernel)
     curve = predict(kernel, build_gsa(config.algorithm), config.lam, config.steps)
@@ -799,22 +823,28 @@ def test_limit_factors_no_point_block(monkeypatch):
 def test_sampler_borders_one_k3_row_per_step(monkeypatch):
     # simulate-t20: each sampled step borders the last direction block's κ₃
     # factor with the new point's n + 1 pairs, so no step builds a κ₃ matrix
-    # or conditions one.  Step n evaluates the kernel's partials twice over
-    # those pairs: once when the state opens the point, for its κ₃ column,
-    # and once in the new point's cov_block column
+    # or conditions one.  Step n evaluates the kernel's partials once over
+    # those pairs, when the state opens the point: its κ₃ column and its
+    # cov_block column both read them.  The same holds on the direct
+    # stationary route, whose pair block holds no mixture of its own, so
+    # each step evaluates the mixture once, inside the kernel's partials
     config = load_config(Path(__file__).parents[1] / "bench" / "configs" / "simulate-t20.cfg")
+    spec = config.kernel
+    routes = (build_kernel(spec),
+              stationary_direct(SchoenbergMixture(atoms=spec["atoms"]), spec.get("mean_level", 0.0)))
     calls = _spy_calls(monkeypatch, [
         *((module, "condition") for module in (gaussianops, assembly, limits, trajectories)),
-        (assembly, "k3_matrix"), (KernelModel, "k3")])
-    kernel = build_kernel(config.kernel)
-    evaluated = _count_pairs(kernel)
+        (assembly, "k3_matrix"), (SchoenbergMixture, "derivatives")])
     (N,) = config.N_list
-    (record,) = simulate_info_paths(kernel, build_gsa(config.algorithm),
-                                    config.lam, N, config.steps, [0], 1)
-    assert record.steps == 20 and np.isfinite(record.f_values).all()
-    assert calls == []
-    assert evaluated == [n + 1 for n in range(21) for _ in range(2)]
-    assert (len(evaluated), sum(evaluated)) == (42, 462)
+    for kernel in routes:
+        evaluated = _count_pairs(kernel)
+        calls.clear()
+        (record,) = simulate_info_paths(kernel, build_gsa(config.algorithm),
+                                        config.lam, N, config.steps, [0], 1)
+        assert record.steps == 20 and np.isfinite(record.f_values).all()
+        assert calls == ["derivatives"] * 21
+        assert evaluated == [n + 1 for n in range(21)]
+        assert (len(evaluated), sum(evaluated)) == (21, 231)
 
 
 def test_non_finite_k3_raises_a_domain_error():
