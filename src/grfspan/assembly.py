@@ -99,42 +99,34 @@ def coordinate_inner_products(reps):
     return 0.5 * ip.diagonal(axis1=-2, axis2=-1), ip
 
 
-def cov_block(kernel, Y, s, ip, A, B, parts):
-    """Covariance between the (f, D_{v_0..D−1}) rows at points A and points B.
+def cov_block(kernel, Ya, Yb, parts):
+    """Covariance between the (f, D_{v_0..D−1}) rows at the points of Ya
+    and those at the points of Yb.
 
-    Y holds coordinate rows for all points; s, ip their norm-halves and Gram;
-    ``parts`` the kernel's partials over the (a, b) grid, (…, |A|, |B|) each,
-    as ``KernelModel.cov_pair_block`` reads them.  Returns shape
-    ((D+1)·|A|, (D+1)·|B|) in the row-major layout, after the leading batch
-    axes of Y.
+    Ya (…, a, D) and Yb (…, b, D) are the two points' coordinate rows;
+    ``parts`` the kernel's partials over the (a, b) grid, (…, a, b) each, as
+    ``KernelModel.cov_pair_block`` reads them.  Returns shape
+    ((D+1)·a, (D+1)·b) in the row-major layout, after the leading batch
+    axes.
     """
-    A = np.asarray(A, dtype=int)
-    B = np.asarray(B, dtype=int)
-    D = Y.shape[-1]
+    (a, D), b = Ya.shape[-2:], Yb.shape[-2]
     # one pair block per (a, b): (…, a, b, i, j) laid out as (…, i, a, j, b)
-    pairs = kernel.cov_pair_block(s[..., A][..., :, None], s[..., B][..., None, :],
-                                  ip[..., A[:, None], B[None, :]],
-                                  Y[..., A, :][..., :, None, :], Y[..., B, :][..., None, :, :],
-                                  parts)
+    pairs = kernel.cov_pair_block(Ya[..., :, None, :], Yb[..., None, :, :], parts)
     lead = pairs.ndim - 4
     return pairs.transpose(*range(lead), lead + 2, lead, lead + 3, lead + 1).reshape(
-        Y.shape[:-2] + ((D + 1) * len(A), (D + 1) * len(B)))
+        pairs.shape[:lead] + ((D + 1) * a, (D + 1) * b))
 
 
-def mean_block(kernel, Y, s, A):
-    """Mean of the flattened (f, D_{v_i}) rows at points A."""
-    A = np.asarray(A, dtype=int)
-    D = Y.shape[-1]
-    m = np.empty(Y.shape[:-2] + (D + 1, len(A)))
+def mean_block(kernel, Y, s):
+    """Mean of the flattened (f, D_{v_i}) rows at every point of Y (…, n, D),
+    with norm-halves s (…, n)."""
+    n, D = Y.shape[-2:]
+    m = np.empty(Y.shape[:-2] + (D + 1, n))
     # a mean may return μ or μ′ as a constant scalar, which broadcasts as is
-    mu, slope = kernel.mean(s[..., A])
+    mu, slope = kernel.mean(s)
     m[..., 0, :] = mu
-    if D > 0:
-        slope = np.asarray(slope)
-        if slope.ndim:
-            slope = slope[..., None, :]
-        m[..., 1:, :] = slope * Y[..., A, :].swapaxes(-1, -2)
-    return m.reshape(Y.shape[:-2] + ((D + 1) * len(A),))
+    m[..., 1:, :] = (np.asarray(slope)[..., None] * Y).swapaxes(-1, -2)
+    return m.reshape(Y.shape[:-2] + ((D + 1) * n,))
 
 
 @dataclass
@@ -163,9 +155,8 @@ def joint_blocks(kernel, reps, new_rep) -> AssembledStep:
     s, ip = coordinate_inner_products(Y)
     grid = (s[:, None], s[None, :], ip)
     kernels.check_domain(*grid)
-    points = np.arange(n + 1)
-    S = cov_block(kernel, Y, s, ip, points, points, kernel.derivatives(*grid))
-    mean = mean_block(kernel, Y, s, points)
+    S = cov_block(kernel, Y, Y, kernel.derivatives(*grid))
+    mean = mean_block(kernel, Y, s)
     new = np.arange(D + 1) * (n + 1) + n       # the new point's row of each type
     hist = np.delete(np.arange(len(mean)), new)
     return AssembledStep(mean_hist=mean[hist], mean_new=mean[new], S_hh=S[np.ix_(hist, hist)],
@@ -234,14 +225,15 @@ class _State:
         self.points = 0
 
     def _open(self, Y):
-        """(n, D, s, ip, parts, k, mean) of the points Y, (B, n+1, D), the
-        new point last: its index, the width, their norm-halves and Gram,
-        the kernel's partials over the new point's n + 1 pairs, laid out as
-        the (B, n+1, 1) column of the pair grid that ``cov_block`` reads,
-        their κ₃ column k (B, n+1), a constant κ₃ broadcast over the pairs,
-        and the new point's mean.  Checks the batch size, the point count
-        and the new point against the kernel's domain, and raises
-        DegenerateKernelError unless κ₃ > 0 at the new point."""
+        """(n, D, parts, k, mean) of the points Y, (B, n+1, D), the new
+        point last: its index, the width, the kernel's partials over the new
+        point's n + 1 pairs, laid out as the (B, n+1, 1) column of the pair
+        grid that ``cov_block`` reads, their κ₃ column k (B, n+1), a
+        constant κ₃ broadcast over the pairs, and the new point's mean.  The
+        points' norm-halves and Gram are formed here and read by nothing
+        else.  Checks the batch size, the point count and the new point
+        against the kernel's domain, and raises DegenerateKernelError unless
+        κ₃ > 0 at the new point."""
         n, D = Y.shape[1] - 1, Y.shape[2]
         if Y.shape[0] != self.batch:
             raise ValueError(f"state steps {self.batch} paths, got {Y.shape[0]}")
@@ -255,7 +247,7 @@ class _State:
         if (k[:, n] <= 0).any():
             raise DegenerateKernelError(f"step {n}: κ₃ = {k[:, n].min():g} at the new "
                                         "point; no gradient mass outside the span")
-        return n, D, s, ip, parts, k, mean_block(self.kernel, Y, s, [n])
+        return n, D, parts, k, mean_block(self.kernel, Y[:, n:], s[:, n:])
 
     @staticmethod
     def _bordered(L, k):
@@ -341,14 +333,13 @@ class LimitState(_State):
             raise CoincidentPointsError(
                 f"step {n} revisits step {too_close[0]}: limiting points coincide "
                 f"(distance {dists[too_close[0]]:.3e})")
-        n, D, s, ip, parts, k, mean = self._open(Y)
+        n, D, parts, k, mean = self._open(Y)
         k = k[:, np.concatenate((self.k3_points, [n]))]     # at the factor's points, then n
         w = np.zeros((1, n + 1, D))
         w[:, :n, :self.weights.shape[2]] = self.weights
         # a partial may be a constant scalar, which broadcasts as is
         history = [p[..., :n, 0] if getattr(p, "ndim", 0) else p for p in parts]
-        observed = mean + self.kernel.weighted_rows(s[:, :n], s[:, n], ip[:, :n, n],
-                                                     Y[:, :n], Y[:, n], w[:, :n], history)
+        observed = mean + self.kernel.weighted_rows(Y[:, :n], Y[:, n], w[:, :n], history)
         if not (np.isfinite(k).all() and np.isfinite(mean).all() and np.isfinite(observed).all()):
             raise KernelDomainError(f"step {n}: non-finite entries in the new point's "
                                     "κ₃ column, mean or conditional mean")
@@ -463,8 +454,8 @@ class SpanState(_State):
         Returns the rows (B, D+1), σ_w² (B,) and the corner (B,).
         """
         Y = np.asarray(Y, dtype=float)
-        n, D, s, ip, parts, k, mean = self._open(Y)
-        S_hn, S_nn = self._new_point(Y, s, ip, n, parts, k, mean)
+        n, D, parts, k, mean = self._open(Y)
+        S_hn, S_nn = self._new_point(Y, n, parts, k, mean)
         while True:
             try:
                 Wt, C, L_nn, inv = self._point_block(S_hn, S_nn, self.jitter)
@@ -498,15 +489,16 @@ class SpanState(_State):
                      F, np.linalg.inv(F), values)
         return observed, sigma_sq, corner
 
-    def _new_point(self, Y, s, ip, n, parts, k, mean):
-        """(S_hn, S_nn) of the (f, D_{v_0..D−1}) rows of the new point n:
-        their covariances with the stored rows, (B, m, D+1), and with
-        themselves, (B, D+1, D+1), read off one ``cov_block`` column, fed
-        the partials ``parts`` (B, n+1, 1) that ``_open`` evaluated; a
-        constant scalar partial broadcasts as is.  A non-finite entry of the
-        blocks, of the κ₃ column k (B, n+1) or of the mean raises
+    def _new_point(self, Y, n, parts, k, mean):
+        """(S_hn, S_nn) of the (f, D_{v_0..D−1}) rows of the new point n of
+        the points Y (B, n+1, D): their covariances with the stored rows,
+        (B, m, D+1), and with themselves, (B, D+1, D+1), read off one
+        ``cov_block`` column of every point against the new one, fed the
+        partials ``parts`` (B, n+1, 1) that ``_open`` evaluated; a constant
+        scalar partial broadcasts as is.  A non-finite entry of the blocks,
+        of the κ₃ column k (B, n+1) or of the mean raises
         KernelDomainError."""
-        col = cov_block(self.kernel, Y, s, ip, np.arange(n + 1), [n], parts)
+        col = cov_block(self.kernel, Y, Y[:, n:], parts)
         S_hn = col[:, self._types * (n + 1) + self._at]
         S_nn = col[:, np.arange(Y.shape[2] + 1) * (n + 1) + n]
         if not all(np.isfinite(a).all() for a in (k, S_hn, S_nn, mean)):

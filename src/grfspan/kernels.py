@@ -31,6 +31,7 @@ Built-in families:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,11 +63,12 @@ class SchoenbergMixture:
         atoms = tuple((float(w), float(t)) for w, t in self.atoms)
         if not atoms:
             raise ValueError("mixture needs at least one atom")
+        # written so that NaN fails too: every comparison with NaN is False
         for w, t in atoms:
-            if w <= 0:
-                raise ValueError(f"atom weight must be positive, got {w}")
-            if t < 0:
-                raise ValueError(f"atom scale must be nonnegative, got {t}")
+            if not 0 < w < math.inf:
+                raise ValueError(f"atom weight must be positive and finite, got {w}")
+            if not 0 <= t < math.inf:
+                raise ValueError(f"atom scale must be nonnegative and finite, got {t}")
         object.__setattr__(self, "atoms", atoms)
 
     @property
@@ -96,8 +98,8 @@ class SpinGlassMixture:
         coeffs = tuple(float(c) for c in self.coeffs)
         if not coeffs:
             raise ValueError("need at least one coefficient")
-        if any(c < 0 for c in coeffs):
-            raise ValueError("spin coefficients must be nonnegative")
+        if not all(0 <= c < math.inf for c in coeffs):
+            raise ValueError(f"spin coefficients must be nonnegative and finite, got {coeffs}")
         object.__setattr__(self, "coeffs", coeffs)
 
     def derivatives(self, s):
@@ -128,12 +130,12 @@ class KernelModel:
     — each from one call, so a family shares the work its values have in
     common.  Both accept scalars or numpy arrays.  The per-entry covariance
     rules (``cov_ff``, ``cov_df_f``, ``cov_df_df``) make one ``derivatives``
-    call each.  The block rules make none: the pair block of each point
-    pair (``cov_pair_block``) and the limit's weighted sum of the direction
-    rows of n pair blocks (``weighted_rows``) read the partials of their
-    pairs from ``parts``, which their caller evaluates once per step, with
-    the new point's κ₃ column.  Instances are immutable by convention and
-    safe to share across threads/trajectories.
+    call each.  The block rules make none and take only coordinate rows:
+    the pair block of each point pair (``cov_pair_block``) and the limit's
+    weighted sum of the direction rows of n pair blocks (``weighted_rows``)
+    read the partials of their pairs from ``parts``, which their caller
+    evaluates once per step, with the new point's κ₃ column.  Instances are
+    immutable by convention and safe to share across threads/trajectories.
     """
 
     def __init__(self, mean, derivatives, *, label=""):
@@ -165,11 +167,11 @@ class KernelModel:
                 + k33 * ip_yv * ip_xw
                 + k3 * ip_vw)
 
-    def cov_pair_block(self, s_x, s_y, ip_xy, x, y, parts):
+    def cov_pair_block(self, x, y, parts):
         """Covariance of the (f, D_{v_0..D−1}) rows at x with the same rows
         at y, for an orthonormal system v and the coordinate rows x, y (…, D)
         of the two points; (…, D+1, D+1), from ``parts``, the values of
-        ``derivatives(s_x, s_y, ip_xy)`` over the pairs.
+        ``derivatives(‖x‖²/2, ‖y‖²/2, ⟨x, y⟩)`` over the pairs.
 
         Entry [0, 0] is κ, column 0 below it κ₁x + κ₃y (``cov_df_f``), row 0
         right of it κ₂y + κ₃x (``cov_df_f`` with x and y swapped), and the
@@ -189,16 +191,15 @@ class KernelModel:
         _diagonal(out)[..., 1:] += k3
         return out
 
-    def weighted_rows(self, s_y, s_x, ip, y, x, w, parts):
+    def weighted_rows(self, y, x, w, parts):
         """Σ_a Σ_j w[a, j]·Cov(D_{v_j} f(y_a), (f, D_{v_0..D−1}) f(x)) over
         the points y (…, n, D) against one point x (…, D), with weights
-        w (…, n, D), norm-halves s_y (…, n), s_x (…,) and inner products
-        ip (…, n) = ⟨y_a, x⟩; (…, D+1), from ``parts``, the values of
-        ``derivatives(s_y, s_x[..., None], ip)`` over the n pairs.
+        w (…, n, D); (…, D+1), from ``parts``, the values of
+        ``derivatives(‖y_a‖²/2, ‖x‖²/2, ⟨y_a, x⟩)`` over the n pairs (…, n).
 
         With U_a = w_a·y_a and V_a = w_a·x the f entry is Σ(κ₁U + κ₃V), and
         the D_v part x·Σ(κ₁₂U + κ₂₃V) + Σ(κ₁₃U + κ₃₃V)·y_a + Σκ₃·w_a: the
-        rows of ``cov_pair_block(s_y, s_x, ip, y, x, parts)`` contracted with w.
+        rows of ``cov_pair_block(y, x, parts)`` contracted with w.
         """
         _, k1, _, k3, k12, k13, k23, k33 = parts
         U, V = (w * y).sum(axis=-1), (w @ x[..., None])[..., 0]
@@ -232,7 +233,7 @@ class _DirectStationaryModel(KernelModel):
         model = lift_stationary(mixture, mean_level)
         super().__init__(model.mean, model.derivatives, label="stationary-direct")
 
-    def cov_pair_block(self, s_x, s_y, ip_xy, x, y, parts):
+    def cov_pair_block(self, x, y, parts):
         c, dc, ddc = parts[0], parts[1], parts[4]
         dc = np.asarray(dc)[..., None]
         delta = x - y
@@ -243,7 +244,7 @@ class _DirectStationaryModel(KernelModel):
         np.negative(dd, out=dd)
         return out
 
-    def weighted_rows(self, s_y, s_x, ip, y, x, w, parts):
+    def weighted_rows(self, y, x, w, parts):
         # with Δ_a = y_a − x and P_a = w_a·Δ_a: f entry Σ C′P, D_v part
         # −Σ(C″·P·Δ_a + C′·w_a)
         dc, ddc = parts[1], parts[4]
@@ -289,6 +290,8 @@ def lift_stationary(mixture: SchoenbergMixture, mean_level: float = 0.0) -> Kern
     κ₁₂ = κ₃₃ = C″, κ₁₃ = κ₂₃ = −C″, all at r = λ₁+λ₂−λ₃.
     """
     level = float(mean_level)
+    if not math.isfinite(level):
+        raise ValueError(f"mean_level must be finite, got {level}")
 
     def mean(s):
         s = np.asarray(s, dtype=float)
@@ -326,12 +329,12 @@ def quadratic_kernel(sigma_A: float, sigma_eta: float, R: float) -> KernelModel:
 
     κ(λ₁,λ₂,λ₃) = σ_A⁴R²·λ₃ and μ(s) = σ_η²/2 + σ_A²R²/2 + σ_A²·s.
     """
-    if sigma_A <= 0:
-        raise ValueError(f"sigma_A must be positive, got {sigma_A}")
-    if sigma_eta < 0:
-        raise ValueError(f"sigma_eta must be nonnegative, got {sigma_eta}")
-    if R <= 0:
-        raise ValueError(f"R must be positive, got {R}")
+    if not 0 < sigma_A < math.inf:
+        raise ValueError(f"sigma_A must be positive and finite, got {sigma_A}")
+    if not 0 <= sigma_eta < math.inf:
+        raise ValueError(f"sigma_eta must be nonnegative and finite, got {sigma_eta}")
+    if not 0 < R < math.inf:
+        raise ValueError(f"R must be positive and finite, got {R}")
     sa2 = float(sigma_A) ** 2
     k3_const = sa2 * sa2 * float(R) ** 2
     offset = float(sigma_eta) ** 2 / 2.0 + sa2 * float(R) ** 2 / 2.0

@@ -165,9 +165,9 @@ def brute_force_path(kernel: KernelModel, gsa: GsaSpec, x0, steps: int,
     for n in range(steps + 1):
         if n == 0:
             Y = X[0:1]
-            s_vec, ip = coordinate_inner_products(Y)
-            mu = mean_block(kernel, Y, s_vec, [0])
-            M = cov_block(kernel, Y, s_vec, ip, [0], [0], kernel.derivatives(s_vec, s_vec, ip))
+            s, ip = coordinate_inner_products(Y)
+            mu = mean_block(kernel, Y, s)
+            M = cov_block(kernel, Y, Y, kernel.derivatives(s, s, ip))
             z = sample_mvn(mu, M / N, rng, policy)
         else:
             blocks = joint_blocks(kernel, X[:n], X[n])

@@ -1,0 +1,163 @@
+"""The exact N→∞ limit curve of fixed-coefficient optimizers on the 1+2-spin field.
+
+For ξ(s) = c₁²·s + c₂²·s², the field f(x) = ⟨b, x⟩ + xᵀMx on ℝ^N, with M
+GOE of off-diagonal variance c₂²/(2N) and b ~ N(0, c₁²/N·I), has
+N·Cov(f(x), f(y)) = ξ(⟨x, y⟩), the law of ``spin_glass_kernel`` on the
+coefficients (0, c₁, c₂).  Its Hessian A = 2M has, as N → ∞, the semicircle
+law μ of variance 2c₂², whose moments are m₂ₖ = Catₖ·(2c₂²)ᵏ and m₂ₖ₊₁ = 0.
+
+An optimizer whose rows read no information (gd, heavy-ball, Nesterov)
+places x_n = P_n(A)·x₀ + Q_n(A)·b.  The gradient at x_k is A·x_k + b, so the
+polynomials follow from the optimizer's own rows ``gsa.row(n, None)``:
+
+    P_0 = 1, Q_0 = 0,   P_n = h_x + Σ_k h_g[k]·t·P_k,   Q_n = Σ_k h_g[k]·(1 + t·Q_k).
+
+By rotation invariance, with ‖x₀‖ = λ,
+
+    𝔣_n  = c₁²∫Q_n dμ + ½λ²∫t·P_n² dμ + ½c₁²∫t·Q_n² dμ,
+    𝔤_ij = λ²∫t²·P_i·P_j dμ + c₁²∫(1 + t·Q_i)(1 + t·Q_j) dμ.
+
+Everything is computed in exact rational arithmetic (``fractions``), with
+each float row coefficient and λ at its exact binary value; no kernel
+partial, κ₃ factor or conditioning enters.  References: the average-case
+analysis of optimizers on random quadratics through their spectral density
+(Pedregosa & Scieur, ICML 2020; Paquette, Lee, Pedregosa & Paquette, COLT
+2021).
+
+Run as a script, it steps ``predict``'s recursion on one such case until the
+recursion raises or reaches --steps, prints the relative error of the curve
+through each step, max|Δ| over max|exact| of f and of the gradient Gram, and
+exits 1 when the recursion stops before step ``CHECKED`` or the curve
+through that step is further than ``TOL`` from the exact one:
+
+    PYTHONPATH=src python tests/semicircle_reference.py gd 0.3 --c1-sq 0.5
+"""
+
+from __future__ import annotations
+
+import argparse
+import math
+import sys
+from fractions import Fraction
+
+TOL = 1e-12     # largest relative error the script accepts through step CHECKED
+CHECKED = 8
+
+
+def _add(p, q):
+    """Sum of two polynomials, coefficient lists from t⁰ up."""
+    if len(p) < len(q):
+        p, q = q, p
+    return [a + b for a, b in zip(p, q)] + p[len(q):]
+
+
+def _mul(p, q):
+    """Product of two polynomials."""
+    out = [Fraction(0)] * max(len(p) + len(q) - 1, 0)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def semicircle_moments(c2_sq, degree):
+    """∫tᵏ dμ for k = 0..degree, μ the semicircle law of variance 2c₂²."""
+    var = 2 * Fraction(c2_sq)
+    return [Fraction(math.comb(k, k // 2), k // 2 + 1) * var ** (k // 2) if k % 2 == 0
+            else Fraction(0) for k in range(degree + 1)]
+
+
+def exact_curve(gsa, c1_sq, c2_sq, lam, steps):
+    """(f, gram) of ``gsa`` on ξ = c₁²s + c₂²s² from ‖x₀‖ = lam, steps
+    0..steps, as a list and a nested list of Fractions; ``gsa``'s rows must
+    read no information."""
+    c1_sq, lam_sq = Fraction(c1_sq), Fraction(lam) ** 2
+    P, Q = [[Fraction(1)]], [[]]
+    for n in range(1, steps + 1):
+        row = gsa.row(n, None)
+        p, q = [Fraction(row.h_x)], []
+        for k, h in enumerate(row.h_g.tolist()):
+            h = Fraction(h)
+            p = _add(p, [h * c for c in [0] + P[k]])
+            q = _add(q, [h * c for c in _add([1], [0] + Q[k])])
+        P.append(p)
+        Q.append(q)
+    m = semicircle_moments(c2_sq, 2 * steps + 2)
+
+    def integral(poly):
+        return sum((c * mk for c, mk in zip(poly, m)), Fraction(0))
+
+    f = [c1_sq * integral(q) + lam_sq / 2 * integral(_mul([0] + p, p))
+         + c1_sq / 2 * integral(_mul([0] + q, q)) for p, q in zip(P, Q)]
+    tP = [[0] + p for p in P]               # the x₀ part of each gradient
+    R = [_add([1], [0] + q) for q in Q]     # its b part
+    gram = [[lam_sq * integral(_mul(tP[i], tP[j])) + c1_sq * integral(_mul(R[i], R[j]))
+             for j in range(steps + 1)] for i in range(steps + 1)]
+    return f, gram
+
+
+def relative_errors(curve, exact):
+    """Per step n, (f error, Gram error) of a LimitCurve through step n:
+    max|Δ| over max|exact| of f_0..f_n and of the Gram's leading
+    (n+1)×(n+1) block; a |Δ| of 0 reads 0."""
+    f, gram = exact
+    out = []
+    for n in range(curve.steps + 1):
+        df = max(abs(float(Fraction(curve.f_limit[k]) - f[k])) for k in range(n + 1))
+        sf = max(abs(float(f[k])) for k in range(n + 1))
+        dg = max(abs(float(Fraction(curve.grad_gram_limit[k, l]) - gram[k][l]))
+                 for k in range(n + 1) for l in range(n + 1))
+        sg = max(abs(float(gram[k][l])) for k in range(n + 1) for l in range(n + 1))
+        out.append((df / sf if df else 0.0, dg / sg if dg else 0.0))
+    return out
+
+
+def main(argv=None):
+    # imported here: the exact curve above needs the standard library alone
+    from grfspan.algorithms import gd, heavy_ball, nesterov
+    from grfspan.assembly import LimitState
+    from grfspan.errors import NumericalError
+    from grfspan.kernels import SpinGlassMixture, spin_glass_kernel
+    from grfspan.limits import SpanWalk, limit_step
+
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("optimizer", choices=("gd", "heavy_ball", "nesterov"))
+    parser.add_argument("alpha", type=float)
+    parser.add_argument("--beta", type=float, help="momentum, for heavy_ball and nesterov")
+    parser.add_argument("--c1-sq", type=Fraction, default=Fraction(0), help="c₁² (default 0)")
+    parser.add_argument("--c2-sq", type=Fraction, default=Fraction(1), help="c₂² (default 1)")
+    parser.add_argument("--lam", type=float, default=1.0, help="‖x₀‖ (default 1)")
+    parser.add_argument("--steps", type=int, default=30, help="largest step taken (default 30)")
+    args = parser.parse_args(argv)
+    if args.optimizer == "gd":
+        gsa = gd(args.alpha)
+    elif args.beta is None:
+        parser.error(f"{args.optimizer} needs --beta")
+    else:
+        gsa = (heavy_ball if args.optimizer == "heavy_ball" else nesterov)(args.alpha, args.beta)
+    coeffs = (0.0, math.sqrt(args.c1_sq), math.sqrt(args.c2_sq))
+    walk = SpanWalk(LimitState(spin_glass_kernel(SpinGlassMixture(coeffs))), args.lam, args.steps)
+    stop = f"predict reached step {args.steps}"
+    try:
+        for _ in range(args.steps + 1):
+            limit_step(walk, gsa)
+    except NumericalError as exc:
+        stop = f"predict raises at step {walk.n}: {type(exc).__name__}: {exc}"
+    curve = walk.curve()
+    errors = relative_errors(curve, exact_curve(gsa, args.c1_sq, args.c2_sq, args.lam,
+                                                curve.steps))
+    print(f"{gsa.name} {gsa.parameters}, c1^2 = {args.c1_sq}, c2^2 = {args.c2_sq}, "
+          f"lambda = {args.lam}")
+    print("step  f rel err  gram rel err")
+    for n, (ef, eg) in enumerate(errors):
+        print(f"{n:4d}  {ef:9.2e}  {eg:12.2e}")
+    print(stop)
+    worst = max(max(e) for e in errors[:CHECKED + 1])
+    passed = curve.steps >= CHECKED and worst <= TOL
+    print(f"through step {CHECKED}: max rel err {worst:.2e}, tolerance {TOL:g}: "
+          f"{'PASS' if passed else 'FAIL'}")
+    return 0 if passed else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -66,7 +66,7 @@ def test_cov_block_matches_naive(kernel):
     Y = rng.standard_normal((4, 3)) * 0.6
     s, ip = coordinate_inner_products(Y)
     A, B = [0, 1, 2], [0, 1, 2, 3]
-    fast = cov_block(kernel, Y, s, ip, A, B,
+    fast = cov_block(kernel, Y[A], Y[B],
                      kernel.derivatives(s[A][:, None], s[B][None, :], ip[np.ix_(A, B)]))
     np.testing.assert_allclose(fast, naive_blocks(kernel, Y, A, B),
                                rtol=1e-13, atol=1e-14)
@@ -76,7 +76,7 @@ def test_cov_block_no_directions():
     kernel = KERNELS[0]
     Y = np.zeros((2, 0))
     s, ip = coordinate_inner_products(Y)
-    M = cov_block(kernel, Y, s, ip, [0, 1], [0, 1], kernel.derivatives(s[:, None], s[None, :], ip))
+    M = cov_block(kernel, Y, Y, kernel.derivatives(s[:, None], s[None, :], ip))
     assert M.shape == (2, 2)
     assert M[0, 0] == pytest.approx(1.0)   # C(0) with unit total weight
 
@@ -85,7 +85,7 @@ def test_mean_block_quadratic():
     kernel = quadratic_kernel(1.0, 0.0, 1.0)
     Y = np.array([[1.0, 0.0], [0.5, 0.5]])
     s, _ = coordinate_inner_products(Y)
-    m = mean_block(kernel, Y, s, [0, 1])
+    m = mean_block(kernel, Y, s)
     # layout: f at both points, then D_{v_0} rows, then D_{v_1} rows
     assert m[0] == pytest.approx(1.0)                  # mu(0.5) = 1
     np.testing.assert_allclose(m[2:4], [1.0, 0.5])     # mu' = 1 times ⟨y, v_0⟩

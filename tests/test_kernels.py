@@ -49,6 +49,24 @@ def test_schoenberg_validation():
         SchoenbergMixture(atoms=((1.0, -2.0),))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("make", [
+    lambda v: SchoenbergMixture(atoms=((v, 1.0),)),
+    lambda v: SchoenbergMixture(atoms=((1.0, v),)),
+    lambda v: SpinGlassMixture(coeffs=(0.0, v)),
+    lambda v: quadratic_kernel(v, 0.5, 1.0),
+    lambda v: quadratic_kernel(1.0, v, 1.0),
+    lambda v: quadratic_kernel(1.0, 0.5, v),
+    lambda v: lift_stationary(SE, mean_level=v),
+    lambda v: stationary_direct(SE, mean_level=v),
+], ids=["atom-weight", "atom-scale", "spin-coeff", "sigma_A", "sigma_eta", "R",
+        "lifted-mean", "direct-mean"])
+def test_non_finite_kernel_parameters_are_rejected(make, bad):
+    # every comparison with NaN is False, so a sign check alone lets it through
+    with pytest.raises(ValueError, match="finite"):
+        make(bad)
+
+
 def test_schoenberg_derivative_is_negative():
     mix = SchoenbergMixture(atoms=((0.7, 0.5), (0.3, 2.0)))
     r = np.linspace(0.0, 5.0, 41)
@@ -289,9 +307,9 @@ def test_direct_stationary_model_matches_lift():
     rng = np.random.default_rng(11)
     for _ in range(25):
         x, y = rng.standard_normal((2, 4))
-        args = (x @ x / 2.0, y @ y / 2.0, x @ y, x, y)
-        np.testing.assert_allclose(direct.cov_pair_block(*args, direct.derivatives(*args[:3])),
-                                   lifted.cov_pair_block(*args, lifted.derivatives(*args[:3])),
+        grid = (x @ x / 2.0, y @ y / 2.0, x @ y)
+        np.testing.assert_allclose(direct.cov_pair_block(x, y, direct.derivatives(*grid)),
+                                   lifted.cov_pair_block(x, y, lifted.derivatives(*grid)),
                                    rtol=1e-12, atol=1e-13)
     assert float(direct.mean(2.0)[0]) == pytest.approx(0.3)
 
@@ -336,7 +354,7 @@ def test_block_rule_is_the_per_entry_rule(name, D, batch, pairs, seed):
         y = rng.standard_normal(batch + (1, 2, D)) * 0.6
     s_x, s_y = 0.5 * np.sum(x * x, axis=-1), 0.5 * np.sum(y * y, axis=-1)
     ip = np.sum(x * y, axis=-1)
-    block = kernel.cov_pair_block(s_x, s_y, ip, x, y, kernel.derivatives(s_x, s_y, ip))
+    block = kernel.cov_pair_block(x, y, kernel.derivatives(s_x, s_y, ip))
     shape = np.broadcast_shapes(x.shape, y.shape)[:-1]
     assert block.shape == shape + (D + 1, D + 1)
 
@@ -375,8 +393,8 @@ def test_weighted_rows_contract_the_pair_blocks(name, D, batch):
         s_y, s_x = 0.5 * np.sum(y * y, axis=-1), 0.5 * np.sum(x * x, axis=-1)
         ip = (y @ x[:, :, None])[:, :, 0]
         parts = kernel.derivatives(s_y, s_x[:, None], ip)
-        C = kernel.cov_pair_block(s_y, s_x[:, None], ip, y, x[:, None, :], parts)[:, :, 1:, :]
-        got = kernel.weighted_rows(s_y, s_x, ip, y, x, w, parts)
+        C = kernel.cov_pair_block(y, x[:, None, :], parts)[:, :, 1:, :]
+        got = kernel.weighted_rows(y, x, w, parts)
         assert got.shape == (batch, D + 1)
         scale = np.einsum("baj,bajk->bk", np.abs(w), np.abs(C))
         assert np.all(np.abs(got - np.einsum("baj,bajk->bk", w, C)) <= 1e-14 * scale)
@@ -445,8 +463,7 @@ def test_block_covariance_is_psd(make):
     k = make()
     pts, _ = _psd_points()
     s, ip = coordinate_inner_products(pts)
-    A = np.arange(len(pts))
-    _assert_psd(cov_block(k, pts, s, ip, A, A, k.derivatives(s[:, None], s[None, :], ip)))
+    _assert_psd(cov_block(k, pts, pts, k.derivatives(s[:, None], s[None, :], ip)))
 
 
 # ---------------------------------------------------------------------------
