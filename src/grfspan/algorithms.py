@@ -16,6 +16,11 @@ size, plus sphere/ball projection wrappers.  The first three have fixed
 coefficients and read none of the information; the stepping core builds an
 ``InfoView`` only when a row reads one of its fields.
 
+Every constructor raises ValueError, naming the parameter, unless the step
+size α is finite and nonzero, the momentum β has |β| < 1 and the radius is
+positive and finite: a NaN or ±inf parameter fails where it is given, not
+later in the kernel.
+
 The information and the rows may carry a leading batch axis, one entry per
 run of a batch stepped together: an ``InfoView`` of f_values (B, n+1),
 grad_gram (B, n+1, n+1) and x0_grad (B, n+1) gives rows whose h_x is a float
@@ -26,6 +31,7 @@ run's.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -127,11 +133,17 @@ class GsaSpec:
 # built-in optimizers
 # ---------------------------------------------------------------------------
 
+def _step_size(alpha) -> float:
+    """α as a float; every constructor takes a finite, nonzero one."""
+    a = float(alpha)
+    if a == 0 or not math.isfinite(a):
+        raise ValueError(f"alpha must be nonzero and finite, got {alpha}")
+    return a
+
+
 def gd(alpha: float) -> GsaSpec:
     """Gradient descent x_n = x_{n−1} − α∇f(x_{n−1}), unrolled."""
-    if alpha == 0:
-        raise ValueError("alpha must be nonzero")
-    a = float(alpha)
+    a = _step_size(alpha)
 
     def prefactors(n, info):
         return PrefactorRow(1.0, np.full(n, -a))
@@ -168,11 +180,10 @@ def nesterov(alpha: float, beta: float) -> GsaSpec:
 def _geometric(name, alpha, beta, extra):
     """The momentum schedule ``name``: h_x = 1 and the partial geometric
     sums h_g[k] = −α·(1 − β^{n−k+extra})/(1 − β)."""
-    if alpha == 0:
-        raise ValueError("alpha must be nonzero")
+    a = _step_size(alpha)
     if not abs(beta) < 1:
         raise ValueError(f"need |beta| < 1, got {beta}")
-    a, b = float(alpha), float(beta)
+    b = float(beta)
 
     def prefactors(n, info):
         powers = b ** (n + extra - np.arange(n))
@@ -190,9 +201,7 @@ def fr_cg(alpha: float) -> GsaSpec:
     recomputed from the InfoView on every call, so the schedule is stateless.
     A vanishing previous gradient norm (< 1e−14) restarts with β_n = 0.
     """
-    if alpha == 0:
-        raise ValueError("alpha must be nonzero")
-    a = float(alpha)
+    a = _step_size(alpha)
 
     def prefactors(n, info):
         diag = info.grad_gram.diagonal(axis1=-2, axis2=-1)
@@ -215,8 +224,8 @@ def fr_cg(alpha: float) -> GsaSpec:
 # ---------------------------------------------------------------------------
 
 def _projected(inner: GsaSpec, radius: float, mode: str) -> GsaSpec:
-    if radius <= 0:
-        raise ValueError(f"radius must be positive, got {radius}")
+    if not 0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
     r = float(radius)
 
     def prefactors(n, info):

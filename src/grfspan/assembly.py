@@ -388,7 +388,7 @@ class SpanState(_State):
     one's bordered by the new point's κ₃ row and carry no jitter, so σ_w² is
     that row's pivot squared, floored at PIVOT_FLOOR·κ₃(new, new).  A point
     block is factored in ``_point_block`` at each member's jitter j
-    (``jitter``), which climbs the policy's ladder only when the member's
+    (``jitter``), which climbs JITTER_LADDER only when the member's
     new point block fails to factor: ``_escalate`` reads the member's
     S + j·P off its factor and replays its point blocks in arrival order at
     the first rung above j at which all of them factor, leaving its
@@ -559,7 +559,7 @@ class SpanState(_State):
     def _escalate(self, b, block):
         """Move member b to the first rung j above its jitter at which all
         of its point blocks factor, and re-whiten its innovations.  The
-        rungs are the policy's ladder, then +inf under ``pseudo_fallback``.
+        rungs are JITTER_LADDER's, then +inf under ``pseudo_fallback``.
         The member's S + j·P is read off its factor once, and its jitter
         taken off the point rows; the point-block rows of that product are S,
         also where a κ₃ pivot was floored.  At each rung the point blocks are
@@ -573,7 +573,7 @@ class SpanState(_State):
         S = L @ L.T
         points = (self._types == 0).nonzero()[0]
         S[points, points] -= self.jitter[b]
-        rungs = [rung for rung in self.policy.ladder() if rung > self.jitter[b]]
+        rungs = [rung for rung in gaussianops.JITTER_LADDER if rung > self.jitter[b]]
         for j in rungs + [math.inf] * self.policy.pseudo_fallback:
             try:
                 for blk in self._blocks:
@@ -590,9 +590,8 @@ class SpanState(_State):
             self.jitter[b] = j
             self._z[b] = self._forward(self._resid[[b], :, None], [b])[0, :, 0]
             return
-        raise NotPsdError(
-            f"{block} not positive definite within jitter ladder "
-            f"(start={self.policy.jitter_start}, max={self.policy.jitter_max})")
+        raise NotPsdError(f"{block} not positive definite within jitter ladder "
+                          f"(top rung {gaussianops.JITTER_LADDER[-1]:g})")
 
 
 def _eigen_factor(C, S_nn):

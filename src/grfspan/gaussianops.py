@@ -1,9 +1,9 @@
 """Conditional Gaussian linear algebra and sampling primitives.
 
-``ConditionPolicy`` and its jitter ladder, which the finite-N sampler in
-``assembly`` walks over its own point blocks; ``condition``, which conditions
-one Gaussian block on one observed block from scratch, solving through
-``cholesky_psd`` at the first rung that works, for the brute-force oracle and
+``JITTER_LADDER``, the diagonal jitters that every conditioning route tries
+in turn, and ``ConditionPolicy``, which says what happens past its last rung;
+``condition``, which conditions one Gaussian block on one observed block from
+scratch, solving at the first rung that works, for the brute-force oracle and
 ``assembly.residual_variance``; the brute-force oracle's multivariate-normal
 draw ``sample_mvn``; chi-square draws; and reproducible per-trajectory random
 streams.
@@ -18,35 +18,32 @@ import numpy as np
 
 from .errors import NotPsdError
 
+#: the diagonal jitters tried in turn, from none to 1e-8.  The last three are
+#: the floats that repeated ×10 from 1e-12 reaches, not the round literals, so
+#: that a run which escalates past 1e-11 keeps its bits.  Readers look it up
+#: at call time, so a test can patch it.
+JITTER_LADDER = (0.0, 1e-12, 1e-11, 9.999999999999999e-11, 9.999999999999999e-10,
+                 9.999999999999999e-09)
+
 
 @dataclass(frozen=True)
 class ConditionPolicy:
-    """How to factorize/solve an observed-block covariance.
-
-    ``jitter_start``/``jitter_max`` define the escalation ladder
-    {0, start, 10·start, …, max}; ``jitter_start=None`` disables jitter (the
-    ladder is just {0}).  When the ladder is exhausted: raise unless
-    ``pseudo_fallback`` is set, in which case solves go through an
-    eigenvalue-thresholded pseudo-inverse.  Both thresholds are relative,
-    with factor PSEUDO_RTOL = 1e−10: ``condition`` drops the eigenvalues of
-    S11 at or below 1e−10 times its largest |eigenvalue| and flags the result
-    ``rank_deficient``; the sampler drops those of a point block's
-    conditional covariance at or below 1e−10 times the largest diagonal
-    entry of the block's covariance S_nn.
+    """What a conditioning route does past the last rung of JITTER_LADDER:
+    raise NotPsdError unless ``pseudo_fallback`` is set, in which case solves
+    go through an eigenvalue-thresholded pseudo-inverse.  Both thresholds are
+    relative, with factor PSEUDO_RTOL = 1e−10: ``condition`` drops the
+    eigenvalues of S11 at or below 1e−10 times its largest |eigenvalue| and
+    flags the result ``rank_deficient``; the sampler drops those of a point
+    block's conditional covariance at or below 1e−10 times the largest
+    diagonal entry of the block's covariance S_nn.
     """
 
-    jitter_start: float | None = 1e-12
-    jitter_max: float = 1e-8
     pseudo_fallback: bool = False
 
     def ladder(self):
-        yield 0.0
-        if self.jitter_start is None:
-            return
-        j = self.jitter_start
-        while j <= self.jitter_max * (1 + 1e-12):
-            yield j
-            j *= 10.0
+        """The rungs, JITTER_LADDER; the benchmark's ``cholesky_psd``
+        counter reads them here."""
+        return JITTER_LADDER
 
 
 DEFAULT_POLICY = ConditionPolicy()
@@ -70,17 +67,15 @@ class ConditioningResult:
     rank_deficient: bool
 
 
-def cholesky_psd(A, policy: ConditionPolicy = DEFAULT_POLICY, above: float = -math.inf):
-    """Lower-triangular L with LLᵀ = A + jI for the smallest ladder jitter
-    j > ``above``.
+def cholesky_psd(A):
+    """Lower-triangular L with LLᵀ = A + jI at the first rung j of
+    JITTER_LADDER where A + jI factors.
 
-    Returns (L, j).  Raises NotPsdError when every such ladder entry fails.
+    Returns (L, j).  Raises NotPsdError past the last rung.
     """
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
-    for j in policy.ladder():
-        if j <= above:
-            continue
+    for j in JITTER_LADDER:
         shifted = A
         if j > 0.0:
             shifted = A.copy()
@@ -89,9 +84,8 @@ def cholesky_psd(A, policy: ConditionPolicy = DEFAULT_POLICY, above: float = -ma
             return np.linalg.cholesky(shifted), j
         except np.linalg.LinAlgError:
             continue
-    raise NotPsdError(
-        f"matrix of size {n} not positive definite within jitter ladder "
-        f"(start={policy.jitter_start}, max={policy.jitter_max})")
+    raise NotPsdError(f"matrix of size {n} not positive definite within jitter ladder "
+                      f"(top rung {JITTER_LADDER[-1]:g})")
 
 
 def _pseudo_solve(S11, B):
@@ -103,20 +97,21 @@ def _pseudo_solve(S11, B):
 
 
 def _jittered_solve(A, B, policy):
-    """(X, j) with (A + jI)·X = B at the first ladder rung j where the solve
-    works as well as the Cholesky (a singular A can factor in floating point);
-    past the ladder, under ``pseudo_fallback``, the pseudo-inverse and +inf."""
-    j = -math.inf
-    while True:
+    """(X, j) with (A + jI)·X = B at the first ladder rung j where A + jI
+    factors and the solve works as well (a singular A can factor in floating
+    point); past the ladder, under ``pseudo_fallback``, the pseudo-inverse
+    and +inf."""
+    for j in JITTER_LADDER:
+        shifted = A + j * np.eye(len(A)) if j > 0.0 else A
         try:
-            _, j = cholesky_psd(A, policy, above=j)
-            return np.linalg.solve(A + j * np.eye(len(A)) if j > 0.0 else A, B), j
+            np.linalg.cholesky(shifted)
+            return np.linalg.solve(shifted, B), j
         except np.linalg.LinAlgError:
             continue
-        except NotPsdError:
-            if not policy.pseudo_fallback:
-                raise
-            return _pseudo_solve(A, B), math.inf
+    if not policy.pseudo_fallback:
+        raise NotPsdError(f"matrix of size {len(A)} not positive definite within jitter ladder "
+                          f"(top rung {JITTER_LADDER[-1]:g})")
+    return _pseudo_solve(A, B), math.inf
 
 
 def condition(mu1, mu2, S11, S12, S22, observed,
@@ -126,11 +121,11 @@ def condition(mu1, mu2, S11, S12, S22, observed,
     cond_mean = mu2 + S12ᵀ·S11⁻¹·(observed − mu1)
     cond_cov  = S22 − S12ᵀ·S11⁻¹·S12
 
-    S11 + jI is solved at the first rung j of the policy's ladder, from
-    j = 0, where it has a Cholesky factor and the solve works; on exhaustion
-    the call either raises NotPsdError or (with ``pseudo_fallback``) switches
-    to the thresholded pseudo-inverse.  cond_cov is symmetrized and diagonal
-    entries in [−1e−12, 0) are clamped to zero.
+    S11 + jI is solved at the first rung j of JITTER_LADDER, from j = 0,
+    where it has a Cholesky factor and the solve works; on exhaustion the call
+    either raises NotPsdError or (with ``pseudo_fallback``) switches to the
+    thresholded pseudo-inverse.  cond_cov is symmetrized and diagonal entries
+    in [−1e−12, 0) are clamped to zero.
     """
     names = ("mu1", "mu2", "S11", "S12", "S22", "observed")
     arrays = [np.asarray(a, dtype=float) for a in (mu1, mu2, S11, S12, S22, observed)]
@@ -165,7 +160,7 @@ def sample_mvn(mean, cov, rng, policy: ConditionPolicy = DEFAULT_POLICY):
     if not np.any(cov):
         return mean.copy()
     try:
-        L, _ = cholesky_psd(cov, policy)
+        L, _ = cholesky_psd(cov)
     except NotPsdError:
         if not policy.pseudo_fallback:
             raise

@@ -83,8 +83,8 @@ class SpanWalk:
 
     def __init__(self, state: LimitState | SpanState, lam: float, steps: int):
         lam = float(lam)
-        if lam < 0:
-            raise ValueError(f"starting norm must be nonnegative, got {lam}")
+        if not 0 <= lam < math.inf:
+            raise ValueError(f"starting norm lam must be nonnegative and finite, got {lam}")
         if steps < 0:
             raise ValueError(f"steps must be nonnegative, got {steps}")
         self.lam, self.steps, self.n = lam, steps, 0
@@ -188,7 +188,7 @@ def _step(walk, gsa):
 
 def predict(kernel: KernelModel, gsa: GsaSpec, lam: float, steps: int, *,
             on_rank_stall: str = "error") -> LimitCurve:
-    """Limit curve of `steps` optimizer steps from a start of norm `lam`.
+    """Limit curve of `steps` optimizer steps from a start of finite norm `lam` ≥ 0.
 
     The limit conditions each new point on the opened directions' rows
     alone: per step, it evaluates the kernel's partials once over the new

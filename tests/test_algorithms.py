@@ -1,5 +1,6 @@
 """Prefactor schedules vs textbook optimizer recursions."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,8 @@ from grfspan.algorithms import (
     with_sphere_projection,
 )
 from grfspan.errors import DegenerateProjectionError
+from grfspan.kernels import SchoenbergMixture, lift_stationary
+from grfspan.limits import predict
 
 
 def make_info(x0, grads, f_values):
@@ -138,6 +141,26 @@ def test_parameter_validation():
         fr_cg(0.0)
     with pytest.raises(ValueError):
         with_sphere_projection(gd(0.1), 0.0)
+
+
+SE = lift_stationary(SchoenbergMixture(atoms=((1.0, 1.0),)))
+
+
+@pytest.mark.parametrize("name, build", [
+    ("alpha", lambda: predict(SE, gd(math.nan), 1.0, 3)),
+    ("alpha", lambda: gd(math.inf)),
+    ("alpha", lambda: fr_cg(math.nan)),
+    ("alpha", lambda: heavy_ball(-math.inf, 0.5)),
+    ("radius", lambda: with_sphere_projection(gd(0.3), math.nan)),
+    ("radius", lambda: with_ball_projection(gd(0.3), math.inf)),
+    ("lam", lambda: predict(SE, gd(0.4), math.nan, 3)),
+    ("lam", lambda: predict(SE, gd(0.4), math.inf, 3)),
+], ids=["gd-nan", "gd-inf", "fr_cg-nan", "heavy_ball-inf", "sphere-nan", "ball-inf",
+        "lam-nan", "lam-inf"])
+def test_non_finite_parameter_is_rejected_where_it_is_given(name, build):
+    # unchecked, each reaches the kernel as a non-finite argument
+    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+        build()
 
 
 def test_row_length_contract():

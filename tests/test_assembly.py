@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from grfspan import gaussianops
 from grfspan.assembly import (
     SpanState,
     coordinate_inner_products,
@@ -155,12 +156,13 @@ class _ZeroNormal:
         return 0.0
 
 
-def test_span_state_pseudo_inverse_conditions_and_draws():
+def test_span_state_pseudo_inverse_conditions_and_draws(monkeypatch):
     # revisiting point 0 makes the history singular; with no jitter ladder
     # the member switches to the pseudo-inverse, block by block, and its
     # conditional law is that of the pseudo-inverse of the whole history
+    monkeypatch.setattr(gaussianops, "JITTER_LADDER", (0.0,))
     kernel = KERNELS[0]
-    policy = ConditionPolicy(jitter_start=None, pseudo_fallback=True)
+    policy = ConditionPolicy(pseudo_fallback=True)
     state = SpanState(kernel, [make_rng(4, 0)], 64, policy)
     (first,), _, (corner,) = state.extend([[[0.8]]])
     # from step 1 on nothing is drawn, so step 1's corner is exactly 0: a

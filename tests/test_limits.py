@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import grfspan
 from grfspan import assembly, gaussianops, limits, trajectories
@@ -187,6 +189,26 @@ def test_predict_matches_the_exact_semicircle_curve(gsa, c1_sq):
     kernel = spin_glass_kernel(SpinGlassMixture((0.0, math.sqrt(c1_sq), 1.0)))
     curve = predict(kernel, gsa, 1.0, 8)
     f, gram = (np.array(a, dtype=float) for a in exact_curve(gsa, c1_sq, 1, 1.0, 8))
+    assert np.abs(curve.f_limit - f).max() <= 1e-12 * np.abs(f).max()
+    assert np.abs(curve.grad_gram_limit - gram).max() <= 1e-12 * np.abs(gram).max()
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(optimizer=st.sampled_from(["gd", "heavy_ball", "nesterov"]),
+       alpha=st.sampled_from([0.125, 0.25, 0.375, 0.5]), beta=st.sampled_from([0.25, 0.5]),
+       c1_sq=st.sampled_from([0.0, 0.25, 0.5, 1.0]), c2_sq=st.sampled_from([0.5, 1.0]),
+       lam=st.sampled_from([1.0, 1.5]))
+def test_predict_matches_the_exact_semicircle_curve_on_drawn_cases(optimizer, alpha, beta,
+                                                                   c1_sq, c2_sq, lam):
+    # the drawn parameters are dyadic rationals, so the exact curve sees the
+    # floats predict steps with; on the whole grid of these draws predict is
+    # within 6e-14 of it through T = 6, and no case raises
+    from semicircle_reference import exact_curve
+    gsa = (gd(alpha) if optimizer == "gd"
+           else {"heavy_ball": heavy_ball, "nesterov": nesterov}[optimizer](alpha, beta))
+    kernel = spin_glass_kernel(SpinGlassMixture((0.0, math.sqrt(c1_sq), math.sqrt(c2_sq))))
+    curve = predict(kernel, gsa, lam, 6)
+    f, gram = (np.array(a, dtype=float) for a in exact_curve(gsa, c1_sq, c2_sq, lam, 6))
     assert np.abs(curve.f_limit - f).max() <= 1e-12 * np.abs(f).max()
     assert np.abs(curve.grad_gram_limit - gram).max() <= 1e-12 * np.abs(gram).max()
 
@@ -739,11 +761,12 @@ def test_rung_failing_during_replay_is_skipped(monkeypatch):
         assert getattr(third, name).tobytes() == getattr(first, name).tobytes()
 
 
-def test_exhausted_ladder_switches_to_pseudo_inverse():
+def test_exhausted_ladder_switches_to_pseudo_inverse(monkeypatch):
     # the quadratic field's (f, D_{v_0}) rows are singular: a sampled run
     # without jitter switches to the pseudo-inverse, or raises without it
+    monkeypatch.setattr(gaussianops, "JITTER_LADDER", (0.0,))
     kernel, N = quadratic_kernel(1.0, 0.0, 1.0), 10 ** 9
-    policy = ConditionPolicy(jitter_start=None, pseudo_fallback=True)
+    policy = ConditionPolicy(pseudo_fallback=True)
     walk = SpanWalk(SpanState(kernel, [make_rng(3, 0)], N, policy), 1.0, 20)
     for _ in range(21):
         limit_step(walk, gd(0.3))
@@ -751,20 +774,19 @@ def test_exhausted_ladder_switches_to_pseudo_inverse():
     # within ten times the 1/√N scale of the draws
     np.testing.assert_allclose(walk.f[0], quadratic_gd_oracle(0.3, 20), atol=10 / math.sqrt(N))
     with pytest.raises(NotPsdError):
-        simulate_info_paths(kernel, gd(0.3), 1.0, N, 2, [0], 3,
-                            policy=ConditionPolicy(jitter_start=None))
+        simulate_info_paths(kernel, gd(0.3), 1.0, N, 2, [0], 3)
     # the limit factors no point rows, so it needs neither
     curve = predict(kernel, gd(0.3), 1.0, 20, on_rank_stall="freeze")
     np.testing.assert_allclose(curve.f_limit, quadratic_gd_oracle(0.3, 20), atol=1e-8)
 
 
-def test_exhausted_ladder_error_names_the_failing_block():
+def test_exhausted_ladder_error_names_the_failing_block(monkeypatch):
     # the new point's rows fail to factor at step 0, where the history it
     # is conditioned on is still empty
+    monkeypatch.setattr(gaussianops, "JITTER_LADDER", (0.0,))
     with pytest.raises(NotPsdError, match=r"^stream 0: step 0: the new point's rows \(2×2\) "
                                           r"not positive definite within jitter ladder"):
-        simulate_info_paths(quadratic_kernel(1.0, 0.0, 1.0), gd(0.3), 1.0, 64, 2, [0], 3,
-                            policy=ConditionPolicy(jitter_start=None))
+        simulate_info_paths(quadratic_kernel(1.0, 0.0, 1.0), gd(0.3), 1.0, 64, 2, [0], 3)
     curve = predict(quadratic_kernel(1.0, 0.0, 1.0), gd(0.3), 1.0, 2, on_rank_stall="freeze")
     np.testing.assert_allclose(curve.f_limit, quadratic_gd_oracle(0.3, 2), atol=1e-8)
 

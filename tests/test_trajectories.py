@@ -1,12 +1,14 @@
 """Tests for the dimension-free sampler and the brute-force oracle."""
 
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from grfspan import gaussianops
 from grfspan.algorithms import (
     GsaSpec,
     PrefactorRow,
@@ -188,9 +190,10 @@ def _stall_at_first_step(n, info):
     return PrefactorRow(1.0, h_g)
 
 
-def test_pseudo_inverse_member_inside_a_batch(escalations):
+def test_pseudo_inverse_member_inside_a_batch(escalations, monkeypatch):
+    monkeypatch.setattr(gaussianops, "JITTER_LADDER", (0.0,))
     gsa = GsaSpec(name="stall", prefactors=_stall_at_first_step)
-    policy = ConditionPolicy(jitter_start=None, pseudo_fallback=True)
+    policy = ConditionPolicy(pseudo_fallback=True)
     batch = simulate_info_paths(SE, gsa, 1.0, 64, 4, range(8), 3, policy=policy)
     stalled = {b for b, record in enumerate(batch) if record.f_values[0] > 0}
     switched = {b for size, b, _, jitter in escalations if size == 8 and math.isinf(jitter)}
@@ -248,10 +251,11 @@ PROPERTY_KERNELS = {
 #: the (kernel family, λ) pairs drawn; a sphere run starts on its sphere
 PROPERTY_STARTS = [(name, lam) for name, (_, radius) in sorted(PROPERTY_KERNELS.items())
                    for lam in ([radius] if radius else [1.0, 0.0])]
+#: policy name -> (policy, jitter ladder)
 PROPERTY_POLICIES = {
-    "default": ConditionPolicy(),
-    "pseudo_inverse": ConditionPolicy(pseudo_fallback=True),
-    "no-jitter pseudo": ConditionPolicy(jitter_start=None, pseudo_fallback=True),
+    "default": (ConditionPolicy(), gaussianops.JITTER_LADDER),
+    "pseudo_inverse": (ConditionPolicy(pseudo_fallback=True), gaussianops.JITTER_LADDER),
+    "no-jitter pseudo": (ConditionPolicy(pseudo_fallback=True), (0.0,)),
 }
 
 
@@ -270,20 +274,22 @@ PROPERTY_POLICIES = {
          steps=4, seed=3, streams=[6, 1, 4, 0, 7])
 def test_batch_member_is_bitwise_its_lone_run(start, optimizer, policy, N, steps, seed, streams):
     (kernel, radius), lam = PROPERTY_KERNELS[start[0]], start[1]
-    gsa, policy = PROPERTY_OPTIMIZERS[optimizer], PROPERTY_POLICIES[policy]
+    gsa, (policy, ladder) = PROPERTY_OPTIMIZERS[optimizer], PROPERTY_POLICIES[policy]
     if radius is not None:
         gsa = with_sphere_projection(gsa, radius)
-    batch = simulate_info_paths(kernel, gsa, lam, N, steps, streams, seed, policy=policy)
-    assert [r.stream_id for r in batch] == streams
-    for record in batch:
-        assert_same_record(record, simulate_info_path(kernel, gsa, lam, N, steps,
-                                                      record.stream_id, seed, policy=policy))
+    with patch.object(gaussianops, "JITTER_LADDER", ladder):
+        batch = simulate_info_paths(kernel, gsa, lam, N, steps, streams, seed, policy=policy)
+        assert [r.stream_id for r in batch] == streams
+        for record in batch:
+            assert_same_record(record, simulate_info_path(kernel, gsa, lam, N, steps,
+                                                          record.stream_id, seed, policy=policy))
 
 
-def test_pseudo_inverse_run_draws_past_a_singular_history():
+def test_pseudo_inverse_run_draws_past_a_singular_history(monkeypatch):
     # heavy-ball on the SE kernel drives the unjittered history singular; the
     # draw's conditional covariance is then rank-deficient as well
-    policy = ConditionPolicy(jitter_start=None, pseudo_fallback=True)
+    monkeypatch.setattr(gaussianops, "JITTER_LADDER", (0.0,))
+    policy = ConditionPolicy(pseudo_fallback=True)
     record = simulate_info_path(SE, HB, 1.0, 64, 20, 3, 3, policy=policy)
     assert np.all(np.isfinite(record.f_values)) and np.all(np.isfinite(record.G))
     assert np.all(np.isfinite(record.x_coords))
