@@ -11,6 +11,7 @@ streams.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -176,9 +177,31 @@ def sample_chi_square(dof, rng):
     return float(rng.gamma(dof / 2.0, 2.0))
 
 
+class _StreamKey:
+    """The seed sequence of one stream: ``generate_state`` returns the
+    stream's Philox key, which Philox asks for as two uint64 words.  Unlike
+    ``SeedSequence()``, it reads no OS entropy.  Module-level, so a generator
+    that holds it pickles."""
+
+    def __init__(self, key):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.key
+
+
+@functools.cache
+def _register_stream_key():
+    """Register _StreamKey as a numpy seed sequence, on the first draw rather
+    than at import: numpy.random.bit_generator loads numpy.random, which
+    `import grfspan` does not."""
+    np.random.bit_generator.ISeedSequence.register(_StreamKey)
+
+
 def make_rng(master_seed: int, stream_id: int) -> np.random.Generator:
     """Independent, reproducible stream: counter-based generator keyed by
-    (master_seed, stream_id).  Same pair ⇒ same sequence; distinct stream ids
-    ⇒ independent sequences."""
+    (master_seed mod 2⁶⁴, stream_id mod 2⁶⁴), from counter 0.  Same pair ⇒
+    same sequence; distinct stream ids ⇒ independent sequences."""
+    _register_stream_key()
     key = np.array([master_seed % 2 ** 64, stream_id % 2 ** 64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(_StreamKey(key)))

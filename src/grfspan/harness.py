@@ -10,14 +10,19 @@ recomputed from the file alone.
 
 Trajectory replications run in batches: a batch is a run of consecutive
 streams of one N, of a fixed size, stepped together by
-``simulate_info_paths``.  The batches fan out over a process pool sized by
-the GRFSPAN_WORKERS environment variable (default: the CPUs the process may
-run on).  Only a pooled run loads the pool's modules, and the parent loads
-``numpy.random`` before the workers fork, so each worker starts with it
-instead of importing it at its first draw.  Neither the batch a stream
-lands in nor the worker that runs it changes a stream's bits, and results
-are keyed by (N, replication), so identical config + master seed produce
-byte-identical CSV files regardless of worker count.
+``simulate_info_paths``.  The batches split into W static stripes, W the
+GRFSPAN_WORKERS environment variable (default: the CPUs the process may run
+on) capped at the batch count, and stripe w holds batches w, w + W, ...
+The calling process counts as one of the W: it forks a child per stripe past
+the first, explicitly with the ``fork`` start method, runs the first stripe
+itself, then takes each child's results over a one-way pipe.  Only a run with
+W > 1 loads ``multiprocessing``, and it loads ``numpy.random`` before the
+fork, so each child starts with it instead of importing it at its first
+draw.  Neither the batch a stream lands in nor the process that runs it
+changes a stream's bits, and results are keyed by batch index, so identical
+config + master seed produce byte-identical CSV files regardless of W; a
+failing run raises the error of its lowest failing batch, also regardless
+of W.
 """
 
 from __future__ import annotations
@@ -70,8 +75,8 @@ EPSILON_MARGIN = 0.01
 class ExperimentConfig:
     """Parsed and validated experiment description.
 
-    kernel and algorithm are plain parameter dicts (picklable, so worker
-    processes can rebuild the models); lam is the starting norm ‖x₀‖.
+    kernel and algorithm are plain parameter dicts, from which each batch
+    of trajectories rebuilds the models; lam is the starting norm ‖x₀‖.
     """
 
     kernel: dict
@@ -328,10 +333,10 @@ def worker_count() -> int:
     return os.cpu_count() or 1
 
 
-#: streams per pool task.  A constant, not a setting: it trades the per-step
-#: Python cost a batch shares against the memory of a worker's stacked
+#: streams per task.  A constant, not a setting: it trades the per-step
+#: Python cost a batch shares against the memory of a process's stacked
 #: arrays, and changes no bits.  50 gives 16 tasks on the 800-trajectory
-#: acceptance config, so two workers stay busy
+#: acceptance config, so two processes stay busy
 _BATCH = 50
 
 
@@ -346,30 +351,83 @@ def _batch_task(task):
             np.array([np.diagonal(r.grad_gram) for r in records]))
 
 
+def _run_stripe(tasks, stripe, stripes):
+    """(task index, result) of tasks[stripe::stripes] in order, up to the
+    first task that raises, which it pairs with the exception."""
+    done = []
+    for i in range(stripe, len(tasks), stripes):
+        try:
+            done.append((i, _batch_task(tasks[i])))
+        except Exception as exc:
+            return done + [(i, exc)]
+    return done
+
+
+def _send_stripe(send, tasks, stripe, stripes):
+    """A forked child's work: run its stripe and send the outcome.  It leaves
+    an interrupt to the parent, which terminates it."""
+    import signal
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    send.send(_run_stripe(tasks, stripe, stripes))
+
+
+def _fork_stripe(tasks, stripe, stripes):
+    """Fork a child that runs one stripe; the child and the receiving end of
+    its pipe.  Forked explicitly, so the child inherits this process's
+    modules whatever the platform's default start method."""
+    # loaded only by a run that forks; numpy.random, which every task draws
+    # from and `import grfspan` does not load, is loaded before the fork so
+    # the child inherits it instead of importing it at its first draw
+    import multiprocessing
+    import numpy.random
+    fork = multiprocessing.get_context("fork")
+    receive, send = fork.Pipe(duplex=False)
+    child = fork.Process(target=_send_stripe, args=(send, tasks, stripe, stripes))
+    child.start()
+    send.close()
+    return child, receive
+
+
 def _collect_trajectories(config: ExperimentConfig,
                           reps_per_n: int) -> tuple[np.ndarray, np.ndarray]:
     """Run reps_per_n trajectories for every N, the rep-th at N_list[i] on
     stream i·reps_per_n + rep, in batches of consecutive streams; returns
-    value and gradient arrays of shape (len(N_list), reps_per_n, steps+1)."""
+    value and gradient arrays of shape (len(N_list), reps_per_n, steps+1).
+
+    The tasks split into W = min(worker_count(), len(tasks)) stripes, stripe w
+    holding tasks w, w + W, ...; this process forks a child for each stripe
+    past the first and runs the first itself.  A failure raises the
+    exception of the lowest failing task, whatever W is."""
     tasks = [(config, N, range(i * reps_per_n + start,
                                i * reps_per_n + min(start + _BATCH, reps_per_n)))
              for i, N in enumerate(config.N_list) for start in range(0, reps_per_n, _BATCH)]
-    workers = min(worker_count(), len(tasks))
-    if workers > 1:
-        # the pool loads concurrent.futures and multiprocessing, so only a
-        # pooled run pays for them
-        from concurrent.futures import ProcessPoolExecutor
-        # every task draws from numpy.random, which `import grfspan` does not
-        # load: loaded here, before the fork, the workers inherit it
-        import numpy.random
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_batch_task, tasks))
-    else:
-        results = [_batch_task(task) for task in tasks]
+    stripes = min(worker_count(), len(tasks))
+    children = []
+    try:
+        for stripe in range(1, stripes):
+            children.append(_fork_stripe(tasks, stripe, stripes))
+        outcomes = _run_stripe(tasks, 0, stripes)
+        for stripe, (child, receive) in enumerate(children, 1):
+            try:
+                outcomes += receive.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(f"worker of stripe {stripe} exited with code "
+                                   f"{child.exitcode}") from None
+            child.join()
+    finally:
+        for child, receive in children:
+            child.terminate()
+            child.join()
+            receive.close()
+    outcomes.sort(key=lambda outcome: outcome[0])
+    for _, out in outcomes:
+        if isinstance(out, Exception):
+            raise out
 
     shape = (len(config.N_list), reps_per_n, config.steps + 1)
-    return (np.concatenate([f for f, _ in results]).reshape(shape),
-            np.concatenate([g for _, g in results]).reshape(shape))
+    return (np.concatenate([f for _, (f, _) in outcomes]).reshape(shape),
+            np.concatenate([g for _, (_, g) in outcomes]).reshape(shape))
 
 
 #: what a mode may need from the config, and how the error names it

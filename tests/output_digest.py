@@ -18,12 +18,13 @@ printing the same digests before and after.  The digests cover:
   batch whose members climb the whole ladder at step 0 and most switch to
   the pseudo-inverse later, so that a change to that route shows here;
 * the report CSV of ``run_verify`` on ``verify-t8`` at master seed 1, under
-  1 and under 2 workers.
+  1, 2 and 3 workers; with 3 its 16 tasks split into stripes of 6, 5 and 5.
 
 The digests depend on the BLAS kernel numpy runs on, so they are compared
 between two trees on one machine, not with stored values.  The BLAS thread
-count is pinned to 1 before numpy loads.  Exits 1 when the two ``verify``
-CSVs differ, since report bytes must not depend on the worker count.
+count is pinned to 1 before numpy loads.  Exits 1 unless the three
+``verify`` CSVs are equal, since report bytes must not depend on the worker
+count.
 
 Usage: PYTHONPATH=src python tests/output_digest.py
 """
@@ -129,11 +130,11 @@ def main() -> int:
     print(f"simulate {'quad70-pinv':12s} {'s0-7':6s} {pseudo_digest()}")
     config = harness.load_config(CONFIGS / "verify-t8.cfg")
     with tempfile.TemporaryDirectory() as directory:
-        csvs = {w: verify_csv(config, w, directory) for w in (1, 2)}
+        csvs = {w: verify_csv(config, w, directory) for w in (1, 2, 3)}
     for workers, data in csvs.items():
         print(f"verify {'verify-t8':14s} {f'w{workers}':6s} {hashlib.sha256(data).hexdigest()}")
-    if csvs[1] != csvs[2]:
-        print("verify CSV bytes differ between 1 and 2 workers", file=sys.stderr)
+    if len(set(csvs.values())) > 1:
+        print("verify CSV bytes differ between 1, 2 and 3 workers", file=sys.stderr)
         status = 1
     return status
 

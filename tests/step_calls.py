@@ -3,7 +3,7 @@
 Runs one ``predict`` curve on ``bench/configs/predict-t30.cfg``, one
 ``simulate_info_path`` record on ``bench/configs/simulate-t20.cfg`` and one
 ``simulate_info_paths`` batch of 50 streams at N = 64 on
-``bench/configs/verify-t8.cfg`` (the shape of one task of the verify pool),
+``bench/configs/verify-t8.cfg`` (the shape of one task of verify's fan-out),
 and one ``predict`` curve of nesterov(0.3, 0.5) on the same SE kernel to
 T = 30, under cProfile, after one untimed warm-up call each, and prints the
 calls cProfile counts (Python functions and the C functions they call)

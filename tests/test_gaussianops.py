@@ -1,6 +1,7 @@
 """Conditioning, jittered Cholesky, and the sampling primitives."""
 
 import math
+import pickle
 from unittest.mock import patch
 
 import numpy as np
@@ -211,3 +212,24 @@ def test_streams_reproducible_and_distinct():
     np.testing.assert_array_equal(a1, a2)
     assert not np.allclose(a1, b)
     assert not np.allclose(a1, c)
+
+
+@pytest.mark.parametrize("master_seed", [0, 7, 2 ** 64 + 5])
+@pytest.mark.parametrize("stream_id", [0, 1, 2 ** 63, 2 ** 64 - 1, -1])
+def test_stream_is_philox_keyed_by_the_pair_mod_2_64(master_seed, stream_id):
+    key = np.array([master_seed % 2 ** 64, stream_id % 2 ** 64], dtype=np.uint64)
+    expected = np.random.Generator(np.random.Philox(key=key))
+    rng = make_rng(master_seed, stream_id)
+    state = rng.bit_generator.state["state"]
+    np.testing.assert_array_equal(state["key"], key)
+    np.testing.assert_array_equal(state["counter"], np.zeros(4, dtype=np.uint64))
+    np.testing.assert_array_equal(rng.standard_normal(16), expected.standard_normal(16))
+    np.testing.assert_array_equal(rng.gamma(3.5, 2.0, size=8), expected.gamma(3.5, 2.0, size=8))
+
+
+def test_pickled_stream_resumes_where_it_stopped():
+    rng = make_rng(11, 2 ** 64 - 1)
+    rng.standard_normal(5)
+    copy = pickle.loads(pickle.dumps(rng))
+    np.testing.assert_array_equal(copy.standard_normal(7), rng.standard_normal(7))
+    np.testing.assert_array_equal(copy.gamma(0.5, size=3), rng.gamma(0.5, size=3))

@@ -1,8 +1,11 @@
 """Tests for config parsing, the experiment runners, and the CLI."""
 
+import contextlib
 import io
 import math
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -14,7 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from grfspan import cli, harness
-from grfspan.errors import ConfigError
+from grfspan.errors import ConfigError, NumericalError
 from grfspan.harness import (
     ConvergenceReport,
     HaltingReport,
@@ -400,15 +403,72 @@ def _fresh_interpreter(script, *args, **env):
                           capture_output=True, text=True)
 
 
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in this process if the block runs past ``seconds``,
+    so that a fan-out that waits forever fails instead of hanging."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# 6 tasks of 2 streams, task i starting at stream 2i: under 2 workers the
+# stripes are (0, 2, 4) and (1, 3, 5), under 3 (0, 3), (1, 4) and (2, 5), the
+# first of them this process's own
+@pytest.mark.parametrize("failing", [(3, 4), (2, 3)])
+def test_failure_raises_the_lowest_failing_task_whatever_the_worker_count(
+        monkeypatch, base_config, failing):
+    monkeypatch.setattr(harness, "_BATCH", 2)
+    task = harness._batch_task
+
+    def failing_task(batch):
+        index = batch[2].start // 2
+        if index in failing:
+            raise NumericalError(f"task {index} failed")
+        return task(batch)
+
+    monkeypatch.setattr(harness, "_batch_task", failing_task)
+    for workers in ("1", "2", "3"):
+        monkeypatch.setenv(harness.WORKERS_ENV, workers)
+        with _deadline(60), pytest.raises(NumericalError) as raised:
+            run_verify(base_config)
+        assert type(raised.value) is NumericalError
+        assert str(raised.value) == f"task {min(failing)} failed"
+        assert multiprocessing.active_children() == []
+
+
+def test_a_worker_that_dies_mid_stripe_is_named_with_its_exit_code(monkeypatch, base_config):
+    monkeypatch.setattr(harness, "_BATCH", 2)
+    parent, task, done = os.getpid(), harness._batch_task, []
+
+    def dying_task(batch):
+        if os.getpid() != parent and done:
+            os._exit(7)
+        done.append(batch)
+        return task(batch)
+
+    monkeypatch.setattr(harness, "_batch_task", dying_task)
+    monkeypatch.setenv(harness.WORKERS_ENV, "2")
+    with _deadline(60), pytest.raises(RuntimeError, match=r"^worker of stripe 1 exited with code 7$"):
+        run_verify(base_config)
+    assert multiprocessing.active_children() == []
+
+
 _WARM_WORKERS = """
-import sys
+import os, sys
 from grfspan import harness
 
 task = harness._batch_task
 
 def warm_task(batch):
-    if "numpy.random" not in sys.modules:
-        raise AssertionError("a pool worker started without numpy.random")
+    with open(sys.argv[2], "a") as log:
+        log.write(f"{os.getpid()} {'numpy.random' in sys.modules}\\n")
     return task(batch)
 
 harness._batch_task = warm_task
@@ -417,16 +477,22 @@ harness.run_verify(harness.load_config(sys.argv[1]))
 
 
 def test_pool_workers_start_with_numpy_random(tmp_path):
-    # two tasks, so two workers; the parent loads numpy.random before they fork
-    done = _fresh_interpreter(_WARM_WORKERS, str(_write(tmp_path, BASE_CONFIG)),
+    # two tasks, so one forked child and this process; the parent loads
+    # numpy.random before it forks, and each process logs its pid per task
+    log = tmp_path / "pids.log"
+    done = _fresh_interpreter(_WARM_WORKERS, str(_write(tmp_path, BASE_CONFIG)), str(log),
                               **{harness.WORKERS_ENV: "2"})
     assert done.returncode == 0, done.stderr
+    loaded = dict(line.split() for line in log.read_text().splitlines())
+    assert len(loaded) >= 2, loaded
+    assert set(loaded.values()) == {"True"}, loaded
 
 
 def test_import_loads_neither_numpy_random_nor_the_pool():
     done = _fresh_interpreter(
         "import sys, grfspan, grfspan.cli\n"
-        "print(sorted({'numpy.random', 'concurrent.futures'} & set(sys.modules)))")
+        "print(sorted({'numpy.random', 'multiprocessing', 'concurrent.futures'}"
+        " & set(sys.modules)))")
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
 
