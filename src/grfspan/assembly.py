@@ -29,10 +29,12 @@ D_{v_D} rows of the newly opened direction at every point, which are
 uncorrelated with all older rows.  Extending the factor by k rows
 costs O(m²k) for m history rows, where re-assembling and re-factoring the
 history would cost O(m³).  The direction rows' covariance is the κ₃ matrix
-of the points so far, so each direction block's factor is the last one's
-bordered by one κ₃ row, whose pivot squared is σ_w².  The state keeps only
-the factor's rows: a run's jitter acts on its point rows only, and a jitter
-escalation reads the history covariance back off the factor it is leaving.
+of the points so far, so each direction block's factor is the state's
+``k3_factor`` bordered by one κ₃ row, whose pivot squared is σ_w², and that
+bordered factor is both the new ``k3_factor`` and the new block's factor
+rows.  The state keeps only the factor's rows: a run's jitter acts on its
+point rows only, and a jitter escalation reads the history covariance back
+off the factor it is leaving.
 A member past the jitter ladder factors its point blocks by their
 eigen-factors and whitens them by their pseudo-inverses, in the same block
 recursion (the generalised Schur complement of a positive semi-definite
@@ -55,7 +57,8 @@ open no direction.
 Both states open a step in ``_State._open``, which checks the new point,
 evaluates the kernel's partials once over its pairs with every point, reads
 its κ₃ column off them, requires κ₃ > 0 at the new point and forms its
-mean, and both border a κ₃ factor by that column in ``_State._bordered``.
+mean, and both border their ``k3_factor`` by that column in
+``_State._bordered``.
 That is the one ``derivatives`` call of a step in either state: the
 sampler's ``cov_block`` column of the new point and the limit's
 ``weighted_rows`` contraction read the same partials.  Callers with no
@@ -216,13 +219,16 @@ class _State:
     """What both conditioning states keep and check for a batch of B paths:
     the part of ``extend`` that does not depend on how the new point's rows
     are observed.  ``_open`` checks the new point and reads what both
-    states need of it; ``_bordered`` grows a κ₃ factor by the new point's
-    row."""
+    states need of it; ``_bordered`` grows ``k3_factor``, the lower factor
+    (B, p, p) of the κ₃ matrix over the points that opened a direction, by
+    the new point's row, and each state assigns the result when its
+    direction opens."""
 
     def __init__(self, kernel, batch):
         self.kernel = kernel
         self.batch = batch
         self.points = 0
+        self.k3_factor = np.empty((batch, 0, 0))
 
     def _open(self, Y):
         """(n, D, parts, k, mean) of the points Y, (B, n+1, D), the new
@@ -249,13 +255,12 @@ class _State:
                                         "point; no gradient mass outside the span")
         return n, D, parts, k, mean_block(self.kernel, Y[:, n:], s[:, n:])
 
-    @staticmethod
-    def _bordered(L, k):
-        """(F, σ²): the lower factor L (B, p, p) of a κ₃ matrix bordered by
-        the new point's κ₃ column k (B, p+1), so that F is
-        [[L, 0], [l, √σ²]] with l = L⁻¹·k[:p] and σ² = k[p] − l·l, the
-        Schur complement of the new entry.  A σ² ≤ 0 has no such row, and
-        its pivot reads 0."""
+    def _bordered(self, k):
+        """(F, σ²): ``k3_factor`` L (B, p, p) bordered by the new point's κ₃
+        column k (B, p+1), so that F is [[L, 0], [l, √σ²]] with
+        l = L⁻¹·k[:p] and σ² = k[p] − l·l, the Schur complement of the new
+        entry.  A σ² ≤ 0 has no such row, and its pivot reads 0."""
+        L = self.k3_factor
         p = L.shape[1]
         l = np.linalg.solve(L, k[:, :p, None])[:, :, 0]
         sigma_sq = k[:, p] - (l * l).sum(axis=1)
@@ -297,7 +302,6 @@ class LimitState(_State):
             raise ValueError(f"on_rank_stall must be 'error' or 'freeze', got {on_rank_stall!r}")
         super().__init__(kernel, 1)
         self.on_rank_stall = on_rank_stall
-        self.k3_factor = np.empty((1, 0, 0))
         self.k3_points = np.empty(0, dtype=int)
         self.weights = np.empty((1, 0, 0))
         self.dists = []
@@ -335,15 +339,15 @@ class LimitState(_State):
                 f"(distance {dists[too_close[0]]:.3e})")
         n, D, parts, k, mean = self._open(Y)
         k = k[:, np.concatenate((self.k3_points, [n]))]     # at the factor's points, then n
-        w = np.zeros((1, n + 1, D))
+        w = np.zeros((1, n + 1, D + 1))        # column D for the direction v_D opens
         w[:, :n, :self.weights.shape[2]] = self.weights
         # a partial may be a constant scalar, which broadcasts as is
         history = [p[..., :n, 0] if getattr(p, "ndim", 0) else p for p in parts]
-        observed = mean + self.kernel.weighted_rows(Y[:, :n], Y[:, n], w[:, :n], history)
+        observed = mean + self.kernel.weighted_rows(Y[:, :n], Y[:, n], w[:, :n, :D], history)
         if not (np.isfinite(k).all() and np.isfinite(mean).all() and np.isfinite(observed).all()):
             raise KernelDomainError(f"step {n}: non-finite entries in the new point's "
                                     "κ₃ column, mean or conditional mean")
-        F, sigma_sq = self._bordered(self.k3_factor, k)
+        F, sigma_sq = self._bordered(k)
         stalled = sigma_sq[0] <= RANK_STALL_TOL
         if stalled and self.on_rank_stall == "error":
             if sigma_sq[0] < 0:
@@ -358,16 +362,15 @@ class LimitState(_State):
         self.dists.append(dists)
         if stalled:
             self.frozen.append(n)
-            self.weights = w
+            self.weights = w[:, :, :D]
             return observed, sigma_sq, None
         p = F.shape[1] - 1
         last = np.zeros((1, p + 1, 1))           # e_p
         last[0, p, 0] = 1.0
         self.k3_factor = F
         self.k3_points = np.concatenate((self.k3_points, [n]))
-        self.weights = np.zeros((1, n + 1, D + 1))
-        self.weights[:, :, :D] = w
-        self.weights[:, self.k3_points, D] = np.linalg.solve(F.swapaxes(1, 2), last)[:, :, 0]
+        w[:, self.k3_points, D] = np.linalg.solve(F.swapaxes(1, 2), last)[:, :, 0]
+        self.weights = w
         return observed, sigma_sq, F[:, p, p]       # the corner: the new pivot √σ_w²
 
 
@@ -384,15 +387,16 @@ class SpanState(_State):
     direction its gradient opens: the sampled span always grows.  L is kept
     as the rows of each arrival block (see ``_Arrival``) and extended by
     block forward substitution, one arrival block at a time, inverting only
-    the small diagonal blocks.  A direction block's factor rows are the last
-    one's bordered by the new point's κ₃ row and carry no jitter, so σ_w² is
-    that row's pivot squared, floored at PIVOT_FLOOR·κ₃(new, new).  A point
-    block is factored in ``_point_block`` at each member's jitter j
-    (``jitter``), which climbs JITTER_LADDER only when the member's
-    new point block fails to factor: ``_escalate`` reads the member's
-    S + j·P off its factor and replays its point blocks in arrival order at
-    the first rung above j at which all of them factor, leaving its
-    direction blocks as they are.  It never needs to come down, because each
+    the small diagonal blocks.  A direction block's factor rows are
+    ``k3_factor``, the κ₃ factor over the points before, bordered by the new
+    point's κ₃ row; they carry no jitter, so σ_w² is that row's pivot
+    squared, floored at PIVOT_FLOOR·κ₃(new, new), and the floored factor
+    becomes ``k3_factor``.  A point block is factored in ``_point_block``
+    at each member's jitter j (``jitter``), which climbs JITTER_LADDER only
+    when the member's new point block fails to factor: ``_escalate`` reads
+    the member's S + j·P off its factor and replays its point blocks in
+    arrival order at the first rung above j at which all of them factor,
+    leaving its direction blocks as they are.  It never needs to come down, because each
     step's history is a leading block of the next one's.  Past the last rung
     the run raises NotPsdError, or with ``pseudo_fallback`` takes j = +inf as
     the last rung: from then on the member's point blocks are factored by
@@ -444,12 +448,12 @@ class SpanState(_State):
         block is factored again.  σ_w² is the Schur complement of the new
         point's entry in the points' κ₃ matrix K, floored at
         PIVOT_FLOOR·κ₃(new, new): the squared pivot of the row that borders
-        the last direction block's factor, chol(K) over the points before,
-        with the new point's κ₃ column.  Then each member draws
-        χ² = sample_chi_square(N − D, rng), and v_D opens with the corner
-        √(σ_w²·χ²/N): its rows D_{v_D} at every point, which read 0 at the
-        older points, are uncorrelated with every older row and have the
-        bordered factor as their factor rows.
+        ``k3_factor``, chol(K) over the points before, with the new point's
+        κ₃ column.  The floored factor becomes ``k3_factor``.  Then each
+        member draws χ² = sample_chi_square(N − D, rng), and v_D opens with
+        the corner √(σ_w²·χ²/N): its rows D_{v_D} at every point, which read
+        0 at the older points, are uncorrelated with every older row and have
+        ``k3_factor`` as their factor rows.
 
         Returns the rows (B, D+1), σ_w² (B,) and the corner (B,).
         """
@@ -474,10 +478,10 @@ class SpanState(_State):
         noise = (L_nn @ xi[:, :, None])[:, :, 0] / math.sqrt(self.N)
         observed = np.where(drawn[:, None], cond_mean + noise, cond_mean)
 
-        # the last direction block's factor, chol(K), bordered by the new point
-        F, sigma_sq = self._bordered(self._blocks[-1].L if n else np.empty((self.batch, 0, 0)), k)
+        F, sigma_sq = self._bordered(k)
         sigma_sq = np.maximum(sigma_sq, PIVOT_FLOOR * k[:, n])
         F[:, n, n] = np.sqrt(sigma_sq)
+        self.k3_factor = F          # and the factor rows of the direction block below
         self._append(observed - mean, np.arange(D + 1), np.full(D + 1, n),
                      np.concatenate([Wt, L_nn], axis=2), inv, observed - cond_mean)
         self.points += 1

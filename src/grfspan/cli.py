@@ -2,8 +2,10 @@
 
 Subcommands map one-to-one onto the experiment modes; every run is described
 by a config file, with --seed and --out as overrides.  Exit codes: 0 success,
-2 configuration problem, 3 numerical failure (rank stall, non-PSD matrix),
-each with a single machine-parsable line on standard error.
+1 standard output closed before the run wrote all of it (as by ``| head``),
+with nothing on standard error, 2 configuration problem, 3 numerical failure
+(rank stall, non-PSD matrix), each of the last two with a single
+machine-parsable line on standard error.
 """
 
 from __future__ import annotations
@@ -84,6 +86,12 @@ def main(argv=None) -> int:
                 os.path.dirname(os.path.abspath(config.out)), os.W_OK)):
             raise ConfigError(f"cannot write {config.out}: not a file in a writable directory")
         _run(args.command, config)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to devnull, so the
+        # flush at interpreter exit does not raise again (Python's signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ConfigError as exc:
         print(f"grfspan: config-error: {' '.join(str(exc).split())}",
               file=sys.stderr)

@@ -46,7 +46,7 @@ from .algorithms import (
     with_sphere_projection,
 )
 from .errors import ConfigError
-from .gaussianops import DEFAULT_POLICY, ConditionPolicy
+from .gaussianops import ConditionPolicy
 from .kernels import (
     KernelModel,
     SchoenbergMixture,
@@ -75,8 +75,10 @@ EPSILON_MARGIN = 0.01
 class ExperimentConfig:
     """Parsed and validated experiment description.
 
-    kernel and algorithm are plain parameter dicts, from which each batch
-    of trajectories rebuilds the models; lam is the starting norm ‖x₀‖.
+    kernel and algorithm are plain parameter dicts, from which each run
+    builds the models once; lam is the starting norm ‖x₀‖, and
+    pseudo_inverse the sampling modes' ``ConditionPolicy.pseudo_fallback``
+    (the limit takes no policy).
     """
 
     kernel: dict
@@ -90,12 +92,6 @@ class ExperimentConfig:
     out: str | None = None
     rank_stall: str = "error"
     pseudo_inverse: bool = False
-
-    def policy(self) -> ConditionPolicy:
-        """The sampling modes' conditioning policy; the limit takes none."""
-        if self.pseudo_inverse:
-            return ConditionPolicy(pseudo_fallback=True)
-        return DEFAULT_POLICY
 
 
 # Each parser turns the raw text of one key into its value, (section, key,
@@ -340,13 +336,12 @@ def worker_count() -> int:
 _BATCH = 50
 
 
-def _batch_task(task):
+def _batch_task(kernel, gsa, config, N, streams):
     """Values and squared gradient norms, (len(streams), steps+1) each, of a
     batch of streams at one N."""
-    config, N, streams = task
-    records = simulate_info_paths(build_kernel(config.kernel), build_gsa(config.algorithm),
-                                  config.lam, N, config.steps, streams, config.master_seed,
-                                  policy=config.policy())
+    records = simulate_info_paths(kernel, gsa, config.lam, N, config.steps, streams,
+                                  config.master_seed,
+                                  policy=ConditionPolicy(pseudo_fallback=config.pseudo_inverse))
     return (np.array([r.f_values for r in records]),
             np.array([np.diagonal(r.grad_gram) for r in records]))
 
@@ -357,7 +352,7 @@ def _run_stripe(tasks, stripe, stripes):
     done = []
     for i in range(stripe, len(tasks), stripes):
         try:
-            done.append((i, _batch_task(tasks[i])))
+            done.append((i, _batch_task(*tasks[i])))
         except Exception as exc:
             return done + [(i, exc)]
     return done
@@ -395,11 +390,13 @@ def _collect_trajectories(config: ExperimentConfig,
     value and gradient arrays of shape (len(N_list), reps_per_n, steps+1).
 
     The tasks split into W = min(worker_count(), len(tasks)) stripes, stripe w
-    holding tasks w, w + W, ...; this process forks a child for each stripe
-    past the first and runs the first itself.  A failure raises the
+    holding tasks w, w + W, ...; this process builds the kernel and the
+    optimizer once, forks a child for each stripe past the first, which
+    inherits them, and runs the first itself.  A failure raises the
     exception of the lowest failing task, whatever W is."""
-    tasks = [(config, N, range(i * reps_per_n + start,
-                               i * reps_per_n + min(start + _BATCH, reps_per_n)))
+    kernel, gsa = build_kernel(config.kernel), build_gsa(config.algorithm)
+    tasks = [(kernel, gsa, config, N, range(i * reps_per_n + start,
+                                            i * reps_per_n + min(start + _BATCH, reps_per_n)))
              for i, N in enumerate(config.N_list) for start in range(0, reps_per_n, _BATCH)]
     stripes = min(worker_count(), len(tasks))
     children = []

@@ -155,27 +155,21 @@ def limit_step(walk: SpanWalk, gsa: GsaSpec) -> None:
     division by zero anywhere in the step raises KernelDomainError;
     underflow is ignored.
     """
-    n = walk.n
-    with np.errstate(over="raise", invalid="raise", divide="raise"):
-        try:
-            _step(walk, gsa)
-        except FloatingPointError as exc:
-            raise KernelDomainError(f"step {n}: floating-point {exc}") from None
-
-
-def _step(walk, gsa):
-    """``limit_step`` without its floating-point error handling."""
     n, d, X = walk.n, walk.d, walk.X
     if n > walk.steps:
         raise ValueError(f"walk has steps 0..{walk.steps}, all taken")
-    if n > 0:
-        G = walk.G[:, :n, :d]
-        row = gsa.row(n, _StepInfo(walk.f[:, :n], G, walk.lam))
-        # a contiguous copy keeps the product's bits independent of the width W
-        G = np.ascontiguousarray(G)
-        X[:, n, :d] = (G.swapaxes(1, 2) @ row.h_g[..., None])[:, :, 0]
-        X[:, n, 0] += row.h_x * walk.lam
-    block, sigma_sq, corner = walk.state.extend(X[:, :n + 1, :d])
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        try:
+            if n > 0:
+                G = walk.G[:, :n, :d]
+                row = gsa.row(n, _StepInfo(walk.f[:, :n], G, walk.lam))
+                # a contiguous copy keeps the product's bits independent of the width W
+                G = np.ascontiguousarray(G)
+                X[:, n, :d] = (G.swapaxes(1, 2) @ row.h_g[..., None])[:, :, 0]
+                X[:, n, 0] += row.h_x * walk.lam
+            block, sigma_sq, corner = walk.state.extend(X[:, :n + 1, :d])
+        except FloatingPointError as exc:
+            raise KernelDomainError(f"step {n}: floating-point {exc}") from None
     walk.f[:, n] = block[:, 0]
     walk.G[:, n, :d] = block[:, 1:]
     walk.dims[n] = d

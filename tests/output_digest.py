@@ -17,6 +17,11 @@ printing the same digests before and after.  The digests cover:
   σ_A = 70 at N = 64, T = 8 and master seed 1 under ``pseudo_inverse``, a
   batch whose members climb the whole ladder at step 0 and most switch to
   the pseudo-inverse later, so that a change to that route shows here;
+* the records of streams 0–7 of heavy-ball(0.3, 0.5) on the 1+2-spin
+  ``SpinGlassMixture((0, √0.5, 1))``, ξ(s) = 0.5·s + s², at λ = 1, N = 16,
+  T = 8 and master seed 1, a batch whose members escalate at steps 1, 6, 7
+  and 8 on the kernel whose exact finite-N means the tests check, so that
+  a change to the ladder there shows here;
 * the report CSV of ``run_verify`` on ``verify-t8`` at master seed 1, under
   1, 2 and 3 workers; with 3 its 16 tasks split into stripes of 6, 5 and 5.
 
@@ -37,6 +42,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import hashlib
+import math
 import sys
 import tempfile
 from dataclasses import replace
@@ -109,6 +115,13 @@ def pseudo_digest() -> str:
     return digest(getattr(r, f) for r in records for f in RECORD_FIELDS)
 
 
+def spin_digest() -> str:
+    kernel = kernels.spin_glass_kernel(kernels.SpinGlassMixture((0.0, math.sqrt(0.5), 1.0)))
+    records = trajectories.simulate_info_paths(kernel, algorithms.heavy_ball(0.3, 0.5), 1.0, 16,
+                                               8, STREAMS, master_seed=SEED)
+    return digest(getattr(r, f) for r in records for f in RECORD_FIELDS)
+
+
 def verify_csv(config, workers, directory) -> bytes:
     path = Path(directory) / f"verify-{workers}.csv"
     os.environ[harness.WORKERS_ENV] = str(workers)
@@ -128,6 +141,7 @@ def main() -> int:
         print(f"simulate {'simulate-t20':12s} {label:6s} {value}")
     print(f"simulate {'hb-N64-t20':12s} {'s0-7':6s} {escalating_digest()}")
     print(f"simulate {'quad70-pinv':12s} {'s0-7':6s} {pseudo_digest()}")
+    print(f"simulate {'spin12-hb-t8':12s} {'s0-7':6s} {spin_digest()}")
     config = harness.load_config(CONFIGS / "verify-t8.cfg")
     with tempfile.TemporaryDirectory() as directory:
         csvs = {w: verify_csv(config, w, directory) for w in (1, 2, 3)}

@@ -24,6 +24,14 @@ analysis of optimizers on random quadratics through their spectral density
 (Pedregosa & Scieur, ICML 2020; Paquette, Lee, Pedregosa & Paquette, COLT
 2021).
 
+The same formulas give the exact means at a finite dimension N, the mean of
+f_n and of ⟨∇f(x_i), ∇f(x_j)⟩ over the field: rotation invariance gives
+E x₀ᵀp(A)x₀ = λ²·E tr p(A)/N and E bᵀp(A)b = c₁²·E tr p(A)/N, and the cross
+terms have mean 0, so μ's moments are replaced by m_k(N) = E tr(Aᵏ)/N.
+With X = √(N/(2c₂²))·A, a GOE matrix of off-diagonal variance 1 and
+diagonal variance 2, m₂ₚ(N) = (2c₂²/N)ᵖ·b_p/N for b_p = E tr X²ᵖ, which
+``goe_trace_moments`` computes, and the odd moments are 0.
+
 Run as a script, it steps ``predict``'s recursion on one such case until the
 recursion raises or reaches --steps, prints the relative error of the curve
 through each step, max|Δ| over max|exact| of f and of the gradient Gram, and
@@ -67,9 +75,34 @@ def semicircle_moments(c2_sq, degree):
             else Fraction(0) for k in range(degree + 1)]
 
 
-def exact_curve(gsa, c1_sq, c2_sq, lam, steps):
+def goe_trace_moments(N, p_max):
+    """b_p = E tr X²ᵖ for p = 0..p_max, X an N×N GOE matrix of off-diagonal
+    variance 1 and diagonal variance 2, as Fractions: four seeds, then the
+    recursion of M. Ledoux, "A recursion formula for the moments of the
+    Gaussian orthogonal ensemble", Ann. Inst. H. Poincaré Probab. Statist.
+    45 (2009)."""
+    b = [Fraction(v) for v in (N, N ** 2 + N, 2 * N ** 3 + 5 * N ** 2 + 5 * N,
+                               5 * N ** 4 + 22 * N ** 3 + 52 * N ** 2 + 41 * N)][:p_max + 1]
+    for p in range(4, p_max + 1):
+        c = (2 * p - 3) * (2 * p - 4) * (2 * p - 5)
+        b.append(((4 * p - 1) * (2 * N - 1) * b[p - 1]
+                  + (2 * p - 3) * (10 * p * p - 9 * p - 8 * N * N + 8 * N) * b[p - 2]
+                  - 5 * c * (2 * N - 1) * b[p - 3]
+                  - 2 * c * (2 * p - 6) * (2 * p - 7) * b[p - 4]) / (p + 1))
+    return b
+
+
+def finite_n_moments(c2_sq, N, degree):
+    """E tr(Aᵏ)/N for k = 0..degree, A the Hessian at dimension N."""
+    var, b = 2 * Fraction(c2_sq) / N, goe_trace_moments(N, degree // 2)
+    return [var ** (k // 2) * b[k // 2] / N if k % 2 == 0 else Fraction(0)
+            for k in range(degree + 1)]
+
+
+def exact_curve(gsa, c1_sq, c2_sq, lam, steps, N=None):
     """(f, gram) of ``gsa`` on ξ = c₁²s + c₂²s² from ‖x₀‖ = lam, steps
-    0..steps, as a list and a nested list of Fractions; ``gsa``'s rows must
+    0..steps, as a list and a nested list of Fractions: the N→∞ limit, or
+    with an integer N the exact means at dimension N.  ``gsa``'s rows must
     read no information."""
     c1_sq, lam_sq = Fraction(c1_sq), Fraction(lam) ** 2
     P, Q = [[Fraction(1)]], [[]]
@@ -82,7 +115,8 @@ def exact_curve(gsa, c1_sq, c2_sq, lam, steps):
             q = _add(q, [h * c for c in _add([1], [0] + Q[k])])
         P.append(p)
         Q.append(q)
-    m = semicircle_moments(c2_sq, 2 * steps + 2)
+    degree = 2 * steps + 2
+    m = semicircle_moments(c2_sq, degree) if N is None else finite_n_moments(c2_sq, N, degree)
 
     def integral(poly):
         return sum((c * mk for c, mk in zip(poly, m)), Fraction(0))

@@ -115,8 +115,7 @@ pseudo_inverse = true
     assert config.algorithm["beta"] == 0.5
     assert config.algorithm["projection"] == "ball"
     assert config.out == "report.csv"
-    assert config.rank_stall == "freeze" and config.pseudo_inverse
-    assert config.policy().pseudo_fallback
+    assert config.rank_stall == "freeze" and config.pseudo_inverse is True
 
 
 @pytest.mark.parametrize("mutation", [
@@ -393,13 +392,18 @@ def test_default_worker_count_follows_cpu_affinity(monkeypatch):
     assert harness.worker_count() == 1
 
 
+def _child_env(**env):
+    """This environment with ``env`` set, in which a fresh interpreter
+    imports this grfspan."""
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    return dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def _fresh_interpreter(script, *args, **env):
     """Run ``script`` in a fresh interpreter that imports this grfspan; the
     completed process, its output captured."""
-    src = os.path.dirname(os.path.dirname(harness.__file__))
-    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", script, *args], env=env,
+    return subprocess.run([sys.executable, "-c", script, *args], env=_child_env(**env),
                           capture_output=True, text=True)
 
 
@@ -427,11 +431,11 @@ def test_failure_raises_the_lowest_failing_task_whatever_the_worker_count(
     monkeypatch.setattr(harness, "_BATCH", 2)
     task = harness._batch_task
 
-    def failing_task(batch):
-        index = batch[2].start // 2
+    def failing_task(kernel, gsa, config, N, streams):
+        index = streams.start // 2
         if index in failing:
             raise NumericalError(f"task {index} failed")
-        return task(batch)
+        return task(kernel, gsa, config, N, streams)
 
     monkeypatch.setattr(harness, "_batch_task", failing_task)
     for workers in ("1", "2", "3"):
@@ -447,11 +451,11 @@ def test_a_worker_that_dies_mid_stripe_is_named_with_its_exit_code(monkeypatch, 
     monkeypatch.setattr(harness, "_BATCH", 2)
     parent, task, done = os.getpid(), harness._batch_task, []
 
-    def dying_task(batch):
+    def dying_task(*batch):
         if os.getpid() != parent and done:
             os._exit(7)
         done.append(batch)
-        return task(batch)
+        return task(*batch)
 
     monkeypatch.setattr(harness, "_batch_task", dying_task)
     monkeypatch.setenv(harness.WORKERS_ENV, "2")
@@ -466,10 +470,10 @@ from grfspan import harness
 
 task = harness._batch_task
 
-def warm_task(batch):
+def warm_task(*batch):
     with open(sys.argv[2], "a") as log:
         log.write(f"{os.getpid()} {'numpy.random' in sys.modules}\\n")
-    return task(batch)
+    return task(*batch)
 
 harness._batch_task = warm_task
 harness.run_verify(harness.load_config(sys.argv[1]))
@@ -972,6 +976,22 @@ def test_cli_seed_override(tmp_path, monkeypatch):
                      "--seed", "12"]) == 0
     assert a.read_bytes() == b.read_bytes()    # same seed as config
     assert a.read_bytes() != c.read_bytes()
+
+
+def test_cli_stdout_closed_early_exits_1_with_empty_stderr(tmp_path):
+    # 2 000 replications of 3 steps write 6 000 rows, about 300 KB of CSV,
+    # more than a pipe holds, so the run is still writing when the reader
+    # closes after one line
+    path = _write(tmp_path, BASE_CONFIG.replace("N_list = [16, 32]", "N_list = [16]")
+                  .replace("replications = 6", "replications = 2000"))
+    run = subprocess.Popen([sys.executable, "-m", "grfspan.cli", "simulate", "--config",
+                            str(path)], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                           env=_child_env(**{harness.WORKERS_ENV: "1"}))
+    assert run.stdout.readline().startswith(b"# rows: 6000;")
+    run.stdout.close()
+    stderr = run.stderr.read()
+    assert run.wait(timeout=60) == 1
+    assert stderr == b""
 
 
 def test_cli_barrier_value(tmp_path, capsys):

@@ -26,6 +26,7 @@ from grfspan.algorithms import (
     with_sphere_projection,
 )
 from grfspan.assembly import (
+    PIVOT_FLOOR,
     RANK_STALL_TOL,
     LimitState,
     SpanState,
@@ -602,11 +603,12 @@ def test_state_escalates_once_and_matches_refactored_conditioning():
     # history escalates once, to the ladder's first rung
     kernel, gsa, N = lift_stationary(SE_MIX), heavy_ball(0.4, 0.5), 10 ** 9
     walk = SpanWalk(SpanState(kernel, [make_rng(3, 0)], N), 1.0, 20)
-    state, extend, jitters = walk.state, walk.state.extend, []
+    state, extend, jitters, factors = walk.state, walk.state.extend, [], []
 
     def recorded(*args):            # the jitter each step's rows were drawn at
         out = extend(*args)
         jitters.append(state.jitter[0])
+        factors.append(state.k3_factor.copy())
         return out
 
     state.extend = recorded
@@ -628,6 +630,14 @@ def test_state_escalates_once_and_matches_refactored_conditioning():
     np.testing.assert_allclose(L @ L.T, S + 1e-12 * P, rtol=0, atol=1e-13)
     # the same regularised matrices, factored from scratch at each step
     assert _replayed_draws(kernel, walk, jitters, N, make_rng(3, 0)) < 1e-6
+    # the sampler's κ₃ factor over all 21 points, no pivot of it floored; a
+    # step, the escalating one too, only borders the factor it found
+    K = k3_matrix(kernel, s, ip)
+    (L,) = state.k3_factor
+    assert (np.diagonal(L) ** 2 / np.diagonal(K)).min() > PIVOT_FLOOR
+    np.testing.assert_allclose(L @ L.T, K, rtol=0, atol=1e-13)
+    for n, (before, after) in enumerate(zip(factors, factors[1:])):
+        assert np.array_equal(after[:, :n + 1, :n + 1], before), n
 
     # the limit factors its κ₃ matrix only, and that never needs the ladder
     limit = walk_to(kernel, gsa, 1.0, 20)

@@ -1,6 +1,8 @@
 """Tests for the dimension-free sampler and the brute-force oracle."""
 
+import itertools
 import math
+from statistics import NormalDist
 from unittest.mock import patch
 
 import numpy as np
@@ -378,6 +380,98 @@ def test_paths_converge_to_the_limit_at_rate_root_n(gsa):
         gram_dev = max(np.max(np.abs(r.grad_gram - curve.grad_gram_limit)) for r in records)
         for dev in (f0_dev, f_dev, gram_dev):
             assert 1.0 <= math.sqrt(N) * dev <= 10.0
+
+
+# ---------------------------------------------------------------------------
+# exact finite-N means on the 1+2-spin
+# ---------------------------------------------------------------------------
+
+def _wick_trace_moment(p):
+    """E tr X²ᵖ, p ≥ 1, of the GOE matrix X of ``goe_trace_moments``, as the
+    coefficients of N⁰..N^(p+1), by Wick's theorem: E X_ij·X_kl =
+    δ_ik·δ_jl + δ_il·δ_jk, so each pairing of the 2p factors X[i_a, i_a+1]
+    (indices cyclic), with each pair straight (i_a = i_b, i_a+1 = i_b+1) or
+    twisted (i_a = i_b+1, i_a+1 = i_b), adds N to the power of its number of
+    free index classes."""
+    k, coeffs = 2 * p, [0] * (p + 2)
+
+    def pairings(items):
+        if not items:
+            yield []
+        for i in range(1, len(items)):
+            for rest in pairings(items[1:i] + items[i + 1:]):
+                yield [(items[0], items[i])] + rest
+
+    def find(root, x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for pairing in pairings(list(range(k))):
+        for twists in itertools.product((False, True), repeat=p):
+            root = list(range(k))
+            for (a, b), twist in zip(pairing, twists):
+                a1, b1 = (a + 1) % k, (b + 1) % k
+                for x, y in ((a, b1), (a1, b)) if twist else ((a, b), (a1, b1)):
+                    root[find(root, x)] = find(root, y)
+            coeffs[sum(find(root, x) == x for x in range(k))] += 1
+    return coeffs
+
+
+def test_goe_trace_moments_match_independent_counts():
+    # Ledoux's recursion against N = 1, where X is one N(0, 2) entry and
+    # E X²ᵖ = 2ᵖ·(2p − 1)!!, and against every Wick term through degree 10
+    from semicircle_reference import goe_trace_moments
+    assert goe_trace_moments(1, 10) == [2 ** p * math.prod(range(1, 2 * p, 2))
+                                        for p in range(11)]
+    wick = [_wick_trace_moment(p) for p in range(1, 6)]
+    for N in range(1, 8):       # more points than a degree-6 polynomial has coefficients
+        assert goe_trace_moments(N, 5)[1:] == [sum(c * N ** j for j, c in enumerate(coeffs))
+                                               for coeffs in wick]
+
+
+def _exact_mean_z(gsa, c1_sq, M, seed):
+    """z = (sample mean − exact mean)/standard error of f_n and ‖∇f_n‖²,
+    (2, T+1), over streams 0..M−1 of ``gsa`` at master seed ``seed`` on
+    ξ(s) = c₁²s + s², λ = 1, N = EXACT_N, T = EXACT_T, default ladder."""
+    from semicircle_reference import exact_curve
+    kernel = spin_glass_kernel(SpinGlassMixture((0.0, math.sqrt(c1_sq), 1.0)))
+    runs = [r for start in range(0, M, 500)
+            for r in simulate_info_paths(kernel, gsa, 1.0, EXACT_N, EXACT_T,
+                                         range(start, min(start + 500, M)), seed)]
+    f, gram = exact_curve(gsa, c1_sq, 1, 1.0, EXACT_T, N=EXACT_N)
+    sampled = np.array([[r.f_values for r in runs], [np.diagonal(r.grad_gram) for r in runs]])
+    exact = np.array([f, [gram[n][n] for n in range(EXACT_T + 1)]], dtype=float)
+    return (sampled.mean(axis=1) - exact) / (sampled.std(axis=1, ddof=1) / math.sqrt(M))
+
+
+#: the exact-mean cases: (optimizer, c₁², master seed), with M = EXACT_M
+#: streams each.  Seeds, M and the threshold were fixed before the first run:
+#: a family-wise false alarm rate of 1e-3, Bonferroni over the 2 cases ×
+#: (T + 1) steps × 2 statistics, which holds however strongly the steps of
+#: a run are correlated
+EXACT_N, EXACT_T, EXACT_M = 16, 5, 4000
+EXACT_CASES = {"heavy-ball": (heavy_ball(0.3, 0.5), 0.5, 19),
+               "nesterov": (nesterov(0.3, 0.5), 0.0, 20)}
+EXACT_Z = NormalDist().inv_cdf(1 - 1e-3 / (2 * len(EXACT_CASES) * (EXACT_T + 1) * 2))
+
+
+@pytest.mark.parametrize("case", EXACT_CASES)
+def test_sampler_means_match_the_exact_finite_n_means(case):
+    # every member escalates on this kernel, so this gates the ladder and its
+    # replay against an oracle that shares no kernel code with the sampler
+    gsa, c1_sq, seed = EXACT_CASES[case]
+    z = _exact_mean_z(gsa, c1_sq, EXACT_M, seed)
+    assert np.abs(z).max() < EXACT_Z, z
+
+
+def test_exact_finite_n_means_catch_a_chi_square_off_by_one(monkeypatch):
+    # the planted defect: each corner drawn with one degree of freedom too
+    # many, a 1/N bias in ‖∇f‖², must fail the same threshold at half the M
+    draw = gaussianops.sample_chi_square
+    monkeypatch.setattr(gaussianops, "sample_chi_square", lambda dof, rng: draw(dof + 1, rng))
+    gsa, c1_sq, _ = EXACT_CASES["heavy-ball"]
+    assert np.abs(_exact_mean_z(gsa, c1_sq, EXACT_M // 2, 21)).max() > EXACT_Z
 
 
 # ---------------------------------------------------------------------------
