@@ -38,7 +38,6 @@ from .errors import (
     NumericalError,
     RankStallError,
 )
-from .gaussianops import DEFAULT_POLICY, ConditionPolicy
 from .harness import (
     ConvergenceReport,
     ExperimentConfig,
@@ -80,7 +79,6 @@ __all__ = [
     "KernelModel", "SchoenbergMixture", "SpinGlassMixture",
     "lift_stationary", "stationary_direct", "spin_glass_kernel",
     "quadratic_kernel", "alg_barrier", "validate_partials",
-    "ConditionPolicy", "DEFAULT_POLICY",
     "LimitCurve", "predict", "halting_times",
     "TrajectoryRecord", "simulate_info_path", "simulate_info_paths", "brute_force_path",
     "empirical_halting_time",

@@ -81,7 +81,7 @@ from .errors import (
     NotPsdError,
     RankStallError,
 )
-from .gaussianops import DEFAULT_POLICY, PSEUDO_RTOL, ConditionPolicy, condition
+from .gaussianops import PSEUDO_RTOL, condition
 
 #: τ, the floor of a sampled κ₃ pivot² relative to κ₃(new, new): below it the
 #: new point's κ₃ row is numerically in the span of the earlier ones (Higham,
@@ -193,7 +193,7 @@ def residual_variance(kernel, reps):
     kernels.check_domain(s[..., :, None], s[..., None, :], ip)
     W, zeros = k3_matrix(kernel, s, ip), np.zeros(len(s))
     return float(condition(zeros[:-1], zeros[-1:], W[:-1, :-1], W[:-1, -1:], W[-1:, -1:],
-                           zeros[:-1], DEFAULT_POLICY).cond_cov[0, 0])
+                           zeros[:-1]).cond_cov[0, 0])
 
 
 class _Arrival:
@@ -398,7 +398,7 @@ class SpanState(_State):
     arrival order at the first rung above j at which all of them factor,
     leaving its direction blocks as they are.  It never needs to come down, because each
     step's history is a leading block of the next one's.  Past the last rung
-    the run raises NotPsdError, or with ``pseudo_fallback`` takes j = +inf as
+    the run raises NotPsdError, or with ``pseudo_inverse`` takes j = +inf as
     the last rung: from then on the member's point blocks are factored by
     the eigen-factor V·√w of their conditional covariance, dropping the
     eigenvalues w at or below PSEUDO_RTOL times the largest diagonal entry
@@ -407,12 +407,12 @@ class SpanState(_State):
     member's results are bitwise those of the same path stepped alone.
     """
 
-    def __init__(self, kernel, rngs, N, policy: ConditionPolicy = DEFAULT_POLICY):
+    def __init__(self, kernel, rngs, N, pseudo_inverse: bool = False):
         super().__init__(kernel, len(rngs))
         self.rngs, self.N = rngs, N
         self._types = np.empty(0, dtype=int)    # 0 for f, i + 1 for D_{v_i}
         self._at = np.empty(0, dtype=int)       # point of each row
-        self.policy = policy
+        self.pseudo_inverse = pseudo_inverse
         self.jitter = np.zeros(self.batch)      # +inf after a pseudo switch
         self._blocks: list[_Arrival] = []
         self._resid = np.empty((self.batch, 0))     # observed − mean
@@ -563,7 +563,7 @@ class SpanState(_State):
     def _escalate(self, b, block):
         """Move member b to the first rung j above its jitter at which all
         of its point blocks factor, and re-whiten its innovations.  The
-        rungs are JITTER_LADDER's, then +inf under ``pseudo_fallback``.
+        rungs are JITTER_LADDER's, then +inf with ``pseudo_inverse``.
         The member's S + j·P is read off its factor once, and its jitter
         taken off the point rows; the point-block rows of that product are S,
         also where a κ₃ pivot was floored.  At each rung the point blocks are
@@ -578,7 +578,7 @@ class SpanState(_State):
         points = (self._types == 0).nonzero()[0]
         S[points, points] -= self.jitter[b]
         rungs = [rung for rung in gaussianops.JITTER_LADDER if rung > self.jitter[b]]
-        for j in rungs + [math.inf] * self.policy.pseudo_fallback:
+        for j in rungs + [math.inf] * self.pseudo_inverse:
             try:
                 for blk in self._blocks:
                     a, c = blk.start, blk.stop

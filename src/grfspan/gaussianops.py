@@ -1,9 +1,10 @@
 """Conditional Gaussian linear algebra and sampling primitives.
 
 ``JITTER_LADDER``, the diagonal jitters that every conditioning route tries
-in turn, and ``ConditionPolicy``, which says what happens past its last rung;
-``condition``, which conditions one Gaussian block on one observed block from
-scratch, solving at the first rung that works, for the brute-force oracle and
+in turn, and ``PSEUDO_RTOL``, the threshold of the pseudo-inverse that a route
+called with ``pseudo_inverse`` takes past its last rung; ``condition``, which
+conditions one Gaussian block on one observed block from scratch, solving at
+the first rung that works, for the brute-force oracle and
 ``assembly.residual_variance``; the brute-force oracle's multivariate-normal
 draw ``sample_mvn``; chi-square draws; and reproducible per-trajectory random
 streams.
@@ -26,30 +27,16 @@ from .errors import NotPsdError
 JITTER_LADDER = (0.0, 1e-12, 1e-11, 9.999999999999999e-11, 9.999999999999999e-10,
                  9.999999999999999e-09)
 
+#: not read here: bench/layers.py imports this name
+DEFAULT_POLICY = False
 
-@dataclass(frozen=True)
-class ConditionPolicy:
-    """What a conditioning route does past the last rung of JITTER_LADDER:
-    raise NotPsdError unless ``pseudo_fallback`` is set, in which case solves
-    go through an eigenvalue-thresholded pseudo-inverse.  Both thresholds are
-    relative, with factor PSEUDO_RTOL = 1e−10: ``condition`` drops the
-    eigenvalues of S11 at or below 1e−10 times its largest |eigenvalue| and
-    flags the result ``rank_deficient``; the sampler drops those of a point
-    block's conditional covariance at or below 1e−10 times the largest
-    diagonal entry of the block's covariance S_nn.
-    """
-
-    pseudo_fallback: bool = False
-
-    def ladder(self):
-        """The rungs, JITTER_LADDER; the benchmark's ``cholesky_psd``
-        counter reads them here."""
-        return JITTER_LADDER
-
-
-DEFAULT_POLICY = ConditionPolicy()
-
-#: the relative eigenvalue threshold of both pseudo-inverses (see ConditionPolicy)
+#: the relative eigenvalue threshold of both pseudo-inverses, the route a
+#: conditioning call with ``pseudo_inverse`` takes past the last rung of
+#: JITTER_LADDER (without it, it raises NotPsdError): ``condition`` drops the
+#: eigenvalues of S11 at or below PSEUDO_RTOL times its largest |eigenvalue|
+#: and flags the result ``rank_deficient``; the sampler drops those of a point
+#: block's conditional covariance at or below PSEUDO_RTOL times the largest
+#: diagonal entry of the block's covariance S_nn
 PSEUDO_RTOL = 1e-10
 
 
@@ -97,10 +84,10 @@ def _pseudo_solve(S11, B):
     return V @ (inv_w[:, None] * (V.T @ B))
 
 
-def _jittered_solve(A, B, policy):
+def _jittered_solve(A, B, pseudo_inverse):
     """(X, j) with (A + jI)·X = B at the first ladder rung j where A + jI
     factors and the solve works as well (a singular A can factor in floating
-    point); past the ladder, under ``pseudo_fallback``, the pseudo-inverse
+    point); past the ladder, with ``pseudo_inverse``, the pseudo-inverse
     and +inf."""
     for j in JITTER_LADDER:
         shifted = A + j * np.eye(len(A)) if j > 0.0 else A
@@ -109,14 +96,14 @@ def _jittered_solve(A, B, policy):
             return np.linalg.solve(shifted, B), j
         except np.linalg.LinAlgError:
             continue
-    if not policy.pseudo_fallback:
+    if not pseudo_inverse:
         raise NotPsdError(f"matrix of size {len(A)} not positive definite within jitter ladder "
                           f"(top rung {JITTER_LADDER[-1]:g})")
     return _pseudo_solve(A, B), math.inf
 
 
 def condition(mu1, mu2, S11, S12, S22, observed,
-              policy: ConditionPolicy = DEFAULT_POLICY) -> ConditioningResult:
+              pseudo_inverse: bool = False) -> ConditioningResult:
     """Condition the block with mean mu2 on the observed block with mean mu1.
 
     cond_mean = mu2 + S12ᵀ·S11⁻¹·(observed − mu1)
@@ -124,7 +111,7 @@ def condition(mu1, mu2, S11, S12, S22, observed,
 
     S11 + jI is solved at the first rung j of JITTER_LADDER, from j = 0,
     where it has a Cholesky factor and the solve works; on exhaustion the call
-    either raises NotPsdError or (with ``pseudo_fallback``) switches to the
+    either raises NotPsdError or (with ``pseudo_inverse``) switches to the
     thresholded pseudo-inverse.  cond_cov is symmetrized and diagonal entries
     in [−1e−12, 0) are clamped to zero.
     """
@@ -137,7 +124,7 @@ def condition(mu1, mu2, S11, S12, S22, observed,
 
     # one solve covers both the innovation and S12
     B = np.concatenate([(observed - mu1)[:, None], S12], axis=1)
-    X, jitter = _jittered_solve(S11, B, policy)
+    X, jitter = _jittered_solve(S11, B, pseudo_inverse)
 
     cond_mean = mu2 + (S12.T @ X[:, :1])[:, 0]
     cond_cov = S22 - S12.T @ X[:, 1:]
@@ -149,10 +136,10 @@ def condition(mu1, mu2, S11, S12, S22, observed,
                               rank_deficient=jitter == math.inf)
 
 
-def sample_mvn(mean, cov, rng, policy: ConditionPolicy = DEFAULT_POLICY):
+def sample_mvn(mean, cov, rng, pseudo_inverse: bool = False):
     """Draw mean + L·z with LLᵀ = cov; cov = 0 returns the mean exactly.
 
-    L is the jittered Cholesky factor, or with ``pseudo_fallback`` after the
+    L is the jittered Cholesky factor, or with ``pseudo_inverse`` after the
     ladder fails, V·√max(w, 0) from the eigenpairs (w, V) of the symmetrised
     cov, so a rank-deficient cov draws along its range from the same z.
     """
@@ -163,7 +150,7 @@ def sample_mvn(mean, cov, rng, policy: ConditionPolicy = DEFAULT_POLICY):
     try:
         L, _ = cholesky_psd(cov)
     except NotPsdError:
-        if not policy.pseudo_fallback:
+        if not pseudo_inverse:
             raise
         w, V = np.linalg.eigh(0.5 * (cov + cov.T))
         L = V * np.sqrt(np.maximum(w, 0.0))

@@ -46,7 +46,6 @@ from .algorithms import (
     with_sphere_projection,
 )
 from .errors import ConfigError
-from .gaussianops import ConditionPolicy
 from .kernels import (
     KernelModel,
     SchoenbergMixture,
@@ -77,8 +76,9 @@ class ExperimentConfig:
 
     kernel and algorithm are plain parameter dicts, from which each run
     builds the models once; lam is the starting norm ‖x₀‖, and
-    pseudo_inverse the sampling modes' ``ConditionPolicy.pseudo_fallback``
-    (the limit takes no policy).
+    pseudo_inverse says whether a sampled run whose point block fails the
+    whole jitter ladder goes on through a pseudo-inverse instead of raising
+    NotPsdError (the limit factors no point block and ignores it).
     """
 
     kernel: dict
@@ -340,8 +340,7 @@ def _batch_task(kernel, gsa, config, N, streams):
     """Values and squared gradient norms, (len(streams), steps+1) each, of a
     batch of streams at one N."""
     records = simulate_info_paths(kernel, gsa, config.lam, N, config.steps, streams,
-                                  config.master_seed,
-                                  policy=ConditionPolicy(pseudo_fallback=config.pseudo_inverse))
+                                  config.master_seed, pseudo_inverse=config.pseudo_inverse)
     return (np.array([r.f_values for r in records]),
             np.array([np.diagonal(r.grad_gram) for r in records]))
 

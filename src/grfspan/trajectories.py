@@ -38,13 +38,7 @@ from .assembly import (
 )
 from .assembly import residual_variance  # not called here: bench/layers.py wraps this name
 from .errors import NumericalError
-from .gaussianops import (
-    DEFAULT_POLICY,
-    ConditionPolicy,
-    condition,
-    make_rng,
-    sample_mvn,
-)
+from .gaussianops import condition, make_rng, sample_mvn
 from .gaussianops import sample_chi_square  # not called here: bench/layers.py wraps this name
 from .kernels import KernelModel
 from .limits import SpanWalk, first_halting_step, limit_step
@@ -78,19 +72,19 @@ class TrajectoryRecord:
 
 def simulate_info_path(kernel: KernelModel, gsa: GsaSpec, lam: float, N: int,
                        steps: int, stream_id: int, master_seed: int, *,
-                       policy: ConditionPolicy = DEFAULT_POLICY) -> TrajectoryRecord:
+                       pseudo_inverse: bool = False) -> TrajectoryRecord:
     """Sample one exact finite-N trajectory in previsible coordinates.
 
     Identical (master_seed, stream_id) and arguments reproduce the record
     bit for bit.
     """
     return simulate_info_paths(kernel, gsa, lam, N, steps, [stream_id], master_seed,
-                               policy=policy)[0]
+                               pseudo_inverse=pseudo_inverse)[0]
 
 
 def simulate_info_paths(kernel: KernelModel, gsa: GsaSpec, lam: float, N: int,
                         steps: int, stream_ids, master_seed: int, *,
-                        policy: ConditionPolicy = DEFAULT_POLICY) -> list[TrajectoryRecord]:
+                        pseudo_inverse: bool = False) -> list[TrajectoryRecord]:
     """Sample one exact finite-N trajectory per stream, stepped as a batch.
 
     Run b draws from make_rng(master_seed, stream_ids[b]) — the normals of
@@ -101,14 +95,15 @@ def simulate_info_paths(kernel: KernelModel, gsa: GsaSpec, lam: float, N: int,
     """
     stream_ids = [int(sid) for sid in stream_ids]
     rngs = [make_rng(master_seed, sid) for sid in stream_ids]
-    walk = SpanWalk(SpanState(kernel, rngs, N, policy), lam, steps)
+    walk = SpanWalk(SpanState(kernel, rngs, N, pseudo_inverse), lam, steps)
     if N <= steps + 2:
         raise ValueError(f"need N > steps + 2, got N={N}, steps={steps}")
     try:
         for n in range(steps + 1):
             limit_step(walk, gsa)
     except (NumericalError, ValueError) as exc:
-        raise _blame(exc, kernel, gsa, walk.lam, N, n, stream_ids, master_seed, policy) from exc
+        raise _blame(exc, kernel, gsa, walk.lam, N, n, stream_ids, master_seed,
+                     pseudo_inverse) from exc
 
     lam, G = walk.lam, walk.G
     grad_gram = G @ G.swapaxes(1, 2)
@@ -120,7 +115,7 @@ def simulate_info_paths(kernel: KernelModel, gsa: GsaSpec, lam: float, N: int,
         for b, sid in enumerate(stream_ids)]
 
 
-def _blame(exc, kernel, gsa, lam, N, step, stream_ids, master_seed, policy):
+def _blame(exc, kernel, gsa, lam, N, step, stream_ids, master_seed, pseudo_inverse):
     """The error of a batch that failed at ``step``, naming its stream.
 
     Runs do not interact, so the stream that broke the batch fails at that
@@ -130,7 +125,8 @@ def _blame(exc, kernel, gsa, lam, N, step, stream_ids, master_seed, policy):
         return type(exc)(f"stream {stream_ids[0]}: {exc}")
     for sid in stream_ids:
         try:
-            simulate_info_paths(kernel, gsa, lam, N, step, [sid], master_seed, policy=policy)
+            simulate_info_paths(kernel, gsa, lam, N, step, [sid], master_seed,
+                                pseudo_inverse=pseudo_inverse)
         except (NumericalError, ValueError) as alone:
             return alone
     return exc
@@ -138,7 +134,7 @@ def _blame(exc, kernel, gsa, lam, N, step, stream_ids, master_seed, policy):
 
 def brute_force_path(kernel: KernelModel, gsa: GsaSpec, x0, steps: int,
                      stream_id: int, master_seed: int, *,
-                     policy: ConditionPolicy = DEFAULT_POLICY) -> TrajectoryRecord:
+                     pseudo_inverse: bool = False) -> TrajectoryRecord:
     """Oracle run with explicit ℝ^N coordinates and full (N+1)-blocks.
 
     Samples (f(X_n), ∂₁f(X_n), …, ∂_N f(X_n)) sequentially from its exact
@@ -168,13 +164,13 @@ def brute_force_path(kernel: KernelModel, gsa: GsaSpec, x0, steps: int,
             s, ip = coordinate_inner_products(Y)
             mu = mean_block(kernel, Y, s)
             M = cov_block(kernel, Y, Y, kernel.derivatives(s, s, ip))
-            z = sample_mvn(mu, M / N, rng, policy)
+            z = sample_mvn(mu, M / N, rng, pseudo_inverse)
         else:
             blocks = joint_blocks(kernel, X[:n], X[n])
             observed = flatten_history(f_values[:n], grads[:n])
             res = condition(blocks.mean_hist, blocks.mean_new, blocks.S_hh,
-                            blocks.S_hn, blocks.S_nn, observed, policy=policy)
-            z = sample_mvn(res.cond_mean, res.cond_cov / N, rng, policy)
+                            blocks.S_hn, blocks.S_nn, observed, pseudo_inverse)
+            z = sample_mvn(res.cond_mean, res.cond_cov / N, rng, pseudo_inverse)
         f_values[n] = z[0]
         grads[n] = z[1:]
         if n < steps:

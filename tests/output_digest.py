@@ -49,7 +49,6 @@ from dataclasses import replace
 from pathlib import Path
 
 from grfspan import algorithms, harness, kernels, limits, trajectories
-from grfspan.gaussianops import ConditionPolicy
 
 CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
 CURVE_FIELDS = ("f_limit", "gamma", "y_reps", "sigma_w", "dims", "grad_gram_limit", "rho")
@@ -111,7 +110,7 @@ def escalating_digest() -> str:
 def pseudo_digest() -> str:
     records = trajectories.simulate_info_paths(
         kernels.quadratic_kernel(70.0, 0.5, 1.0), algorithms.gd(0.3 / 70 ** 2), 1.0, 64, 8,
-        STREAMS, master_seed=SEED, policy=ConditionPolicy(pseudo_fallback=True))
+        STREAMS, master_seed=SEED, pseudo_inverse=True)
     return digest(getattr(r, f) for r in records for f in RECORD_FIELDS)
 
 

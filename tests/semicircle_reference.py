@@ -1,4 +1,4 @@
-"""The exact N→∞ limit curve of fixed-coefficient optimizers on the 1+2-spin field.
+"""Exact N→∞ limit curves and finite-N means of optimizers on the 1+2-spin field.
 
 For ξ(s) = c₁²·s + c₂²·s², the field f(x) = ⟨b, x⟩ + xᵀMx on ℝ^N, with M
 GOE of off-diagonal variance c₂²/(2N) and b ~ N(0, c₁²/N·I), has
@@ -32,24 +32,46 @@ With X = √(N/(2c₂²))·A, a GOE matrix of off-diagonal variance 1 and
 diagonal variance 2, m₂ₚ(N) = (2c₂²/N)ᵖ·b_p/N for b_p = E tr X²ᵖ, which
 ``goe_trace_moments`` computes, and the odd moments are 0.
 
+On the pure 2-spin (c₁ = 0) the information of a run is deterministic in
+the limit, so rows that read it have an exact curve too:
+``exact_reading_curve`` gives it for ``fr_cg``, in fractions, and for gd
+projected on the unit sphere, in DIGITS-digit mpmath, since the projection
+takes a square root.
+
 Run as a script, it steps ``predict``'s recursion on one such case until the
 recursion raises or reaches --steps, prints the relative error of the curve
 through each step, max|Δ| over max|exact| of f and of the gradient Gram, and
-exits 1 when the recursion stops before step ``CHECKED`` or the curve
-through that step is further than ``TOL`` from the exact one:
+exits 1 when the recursion stops before step --checked (default
+``CHECKED``) or the curve through that step is further than ``TOL`` from
+the exact one:
 
     PYTHONPATH=src python tests/semicircle_reference.py gd 0.3 --c1-sq 0.5
+    PYTHONPATH=src python tests/semicircle_reference.py gd 0.3 --sphere --checked 7
+    PYTHONPATH=src python tests/semicircle_reference.py fr_cg 0.3 --checked 6
+
+With --finite-n N it samples RUNS runs of ``simulate_info_paths`` at
+dimension N and master seed --seed (default 1) instead, and prints per
+step, for f and for ‖∇f‖², N·(mean − exact) against
+``exact_curve(..., N=N)`` and N times the standard error of the mean.  The
+steps of a run are strongly correlated, so a chance deviation at step 0
+carries through the later steps (seed 1 reads about 2 standard errors at
+step 0 and 3 from step 1 on the case below):
+
+    PYTHONPATH=src python tests/semicircle_reference.py gd 0.3 --c1-sq 0.5 --finite-n 16 --steps 5
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from fractions import Fraction
 
 TOL = 1e-12     # largest relative error the script accepts through step CHECKED
 CHECKED = 8
+DIGITS = 50     # mpmath's working digits where a row takes a square root
+RUNS = 4000     # runs sampled by --finite-n
 
 
 def _add(p, q):
@@ -61,10 +83,23 @@ def _add(p, q):
 
 def _mul(p, q):
     """Product of two polynomials."""
-    out = [Fraction(0)] * max(len(p) + len(q) - 1, 0)
+    out = [0] * max(len(p) + len(q) - 1, 0)
     for i, a in enumerate(p):
         for j, b in enumerate(q):
             out[i + j] += a * b
+    return out
+
+
+def _gram(polys, m):
+    """The matrix of ∫p_i·p_j dμ over a list of polynomials, μ of moments m:
+    each p_j is multiplied once by the Hankel matrix (m_{k+l}), and each
+    pair takes one dot product with it, by symmetry the upper triangle only."""
+    size = max(map(len, polys))
+    H = [[sum(c * m[i + k] for k, c in enumerate(p)) for i in range(size)] for p in polys]
+    out = [[0] * len(polys) for _ in polys]
+    for i, p in enumerate(polys):
+        for j in range(i, len(polys)):
+            out[i][j] = out[j][i] = sum(c * h for c, h in zip(p, H[j]))
     return out
 
 
@@ -125,9 +160,64 @@ def exact_curve(gsa, c1_sq, c2_sq, lam, steps, N=None):
          + c1_sq / 2 * integral(_mul([0] + q, q)) for p, q in zip(P, Q)]
     tP = [[0] + p for p in P]               # the x₀ part of each gradient
     R = [_add([1], [0] + q) for q in Q]     # its b part
-    gram = [[lam_sq * integral(_mul(tP[i], tP[j])) + c1_sq * integral(_mul(R[i], R[j]))
-             for j in range(steps + 1)] for i in range(steps + 1)]
+    x0_part, b_part = _gram(tP, m), _gram(R, m)
+    gram = [[lam_sq * x0_part[i][j] + c1_sq * b_part[i][j] for j in range(steps + 1)]
+            for i in range(steps + 1)]
     return f, gram
+
+
+def exact_reading_curve(gsa, c2_sq, steps):
+    """(f, gram) of ``gsa`` in the N→∞ limit on the pure 2-spin ξ = c₂²s²
+    from ‖x₀‖ = 1, steps 0..steps, as Fractions, for two rows that read the
+    information: ``fr_cg``, in exact rational arithmetic, and gd inside
+    ``with_sphere_projection`` of radius 1, in DIGITS-digit mpmath, whose
+    values are returned as exact Fractions.
+
+    With b = 0, x_n = X_n(A)·x₀ and the information is deterministic:
+    f_n = ½∫t·X_n² dμ and 𝔤_ij = ∫t²·X_i·X_j dμ.  The sphere rescales the
+    inner row's whole iterate: X_n = Y_n/√∫Y_n² dμ with
+    Y_n = 1 − αt·Σ_{k<n} X_k, a square root.  ``fr_cg`` steps
+    X_{n+1} = X_n + α·d_n, with d_0 = −t·X_0, d_n = −t·X_n + β_n·d_{n−1}
+    and β_n = 𝔤_nn/𝔤_{n−1,n−1}, a ratio of Gram entries.
+    """
+    sphere = gsa.name == "gd+sphere" and gsa.parameters["radius"] == 1
+    if not (sphere or gsa.name == "fr_cg"):
+        raise ValueError(f"no exact reading curve for {gsa.name} {gsa.parameters}")
+    import mpmath
+    m = semicircle_moments(c2_sq, 2 * steps + 2)
+    with mpmath.workdps(DIGITS):
+        if sphere:
+            m = [mpmath.mpf(v.numerator) / v.denominator for v in m]
+            alpha = mpmath.mpf(gsa.parameters["alpha"])
+        else:
+            alpha = Fraction(gsa.parameters["alpha"])
+
+        def integral(poly):
+            return sum(c * mk for c, mk in zip(poly, m))
+
+        X, norms = [[1]], []
+        for _ in range(steps):
+            if sphere:
+                y = _add([1], [0] + [-alpha * c for c in functools.reduce(_add, X)])
+                X.append([c / mpmath.sqrt(integral(_mul(y, y))) for c in y])
+                continue
+            grad = [0] + X[-1]
+            norms.append(integral(_mul(grad, grad)))
+            d = [-c for c in grad] if len(norms) == 1 else _add(
+                [-c for c in grad], [norms[-1] / norms[-2] * c for c in d])
+            X.append(_add(X[-1], [alpha * c for c in d]))
+        tX = [[0] + x for x in X]
+        f = [integral(_mul(t, x)) / 2 for t, x in zip(tX, X)]
+        gram = _gram(tX, m)
+    if sphere:
+        f, gram = [_rational(v) for v in f], [[_rational(v) for v in row] for row in gram]
+    return f, gram
+
+
+def _rational(v):
+    """The exact value of an mpf as a Fraction."""
+    man, exp = v.man_exp        # man is |mantissa|
+    return Fraction(-man if v < 0 else man) * Fraction(2) ** exp
 
 
 def relative_errors(curve, exact):
@@ -147,30 +237,51 @@ def relative_errors(curve, exact):
 
 
 def main(argv=None):
-    # imported here: the exact curve above needs the standard library alone
-    from grfspan.algorithms import gd, heavy_ball, nesterov
+    # imported here: the exact curves above need no grfspan code
+    from grfspan.algorithms import fr_cg, gd, heavy_ball, nesterov, with_sphere_projection
     from grfspan.assembly import LimitState
     from grfspan.errors import NumericalError
     from grfspan.kernels import SpinGlassMixture, spin_glass_kernel
     from grfspan.limits import SpanWalk, limit_step
 
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("optimizer", choices=("gd", "heavy_ball", "nesterov"))
+    parser.add_argument("optimizer", choices=("gd", "heavy_ball", "nesterov", "fr_cg"))
     parser.add_argument("alpha", type=float)
     parser.add_argument("--beta", type=float, help="momentum, for heavy_ball and nesterov")
+    parser.add_argument("--sphere", action="store_true",
+                        help="project gd's iterates on the sphere of radius 1")
     parser.add_argument("--c1-sq", type=Fraction, default=Fraction(0), help="c₁² (default 0)")
     parser.add_argument("--c2-sq", type=Fraction, default=Fraction(1), help="c₂² (default 1)")
     parser.add_argument("--lam", type=float, default=1.0, help="‖x₀‖ (default 1)")
     parser.add_argument("--steps", type=int, default=30, help="largest step taken (default 30)")
+    parser.add_argument("--checked", type=int, default=CHECKED,
+                        help=f"the step through which the curve must hold (default {CHECKED})")
+    parser.add_argument("--finite-n", type=int, metavar="N",
+                        help=f"instead print N·(mean − exact) of {RUNS} runs at dimension N")
+    parser.add_argument("--seed", type=int, default=1,
+                        help="master seed of the runs --finite-n samples (default 1)")
     args = parser.parse_args(argv)
-    if args.optimizer == "gd":
-        gsa = gd(args.alpha)
-    elif args.beta is None:
-        parser.error(f"{args.optimizer} needs --beta")
-    else:
+    if args.optimizer in ("heavy_ball", "nesterov"):
+        if args.beta is None:
+            parser.error(f"{args.optimizer} needs --beta")
         gsa = (heavy_ball if args.optimizer == "heavy_ball" else nesterov)(args.alpha, args.beta)
+    else:
+        gsa = (gd if args.optimizer == "gd" else fr_cg)(args.alpha)
+    if args.sphere:
+        if args.optimizer != "gd":
+            parser.error("--sphere projects gd only")
+        gsa = with_sphere_projection(gsa, 1.0)
+    reads = args.sphere or args.optimizer == "fr_cg"
+    if reads and (args.c1_sq or args.lam != 1 or args.finite_n):
+        parser.error(f"{gsa.name} has an exact curve only in the limit at c1^2 = 0, lambda = 1")
     coeffs = (0.0, math.sqrt(args.c1_sq), math.sqrt(args.c2_sq))
-    walk = SpanWalk(LimitState(spin_glass_kernel(SpinGlassMixture(coeffs))), args.lam, args.steps)
+    kernel = spin_glass_kernel(SpinGlassMixture(coeffs))
+    print(f"{gsa.name} {gsa.parameters}, c1^2 = {args.c1_sq}, c2^2 = {args.c2_sq}, "
+          f"lambda = {args.lam}")
+    if args.finite_n:
+        return _finite_n_gaps(kernel, gsa, args)
+
+    walk = SpanWalk(LimitState(kernel), args.lam, args.steps)
     stop = f"predict reached step {args.steps}"
     try:
         for _ in range(args.steps + 1):
@@ -178,19 +289,42 @@ def main(argv=None):
     except NumericalError as exc:
         stop = f"predict raises at step {walk.n}: {type(exc).__name__}: {exc}"
     curve = walk.curve()
-    errors = relative_errors(curve, exact_curve(gsa, args.c1_sq, args.c2_sq, args.lam,
-                                                curve.steps))
-    print(f"{gsa.name} {gsa.parameters}, c1^2 = {args.c1_sq}, c2^2 = {args.c2_sq}, "
-          f"lambda = {args.lam}")
+    exact = (exact_reading_curve(gsa, args.c2_sq, curve.steps) if reads
+             else exact_curve(gsa, args.c1_sq, args.c2_sq, args.lam, curve.steps))
+    errors = relative_errors(curve, exact)
     print("step  f rel err  gram rel err")
     for n, (ef, eg) in enumerate(errors):
         print(f"{n:4d}  {ef:9.2e}  {eg:12.2e}")
     print(stop)
-    worst = max(max(e) for e in errors[:CHECKED + 1])
-    passed = curve.steps >= CHECKED and worst <= TOL
-    print(f"through step {CHECKED}: max rel err {worst:.2e}, tolerance {TOL:g}: "
+    worst = max(max(e) for e in errors[:args.checked + 1])
+    passed = curve.steps >= args.checked and worst <= TOL
+    print(f"through step {args.checked}: max rel err {worst:.2e}, tolerance {TOL:g}: "
           f"{'PASS' if passed else 'FAIL'}")
     return 0 if passed else 1
+
+
+def _finite_n_gaps(kernel, gsa, args):
+    """Print, per step, N·(mean − exact) of f and of ‖∇f‖² over RUNS sampled
+    runs at N = ``args.finite_n`` and master seed ``args.seed``, with N times
+    its standard error, where the exact means are ``exact_curve(..., N=N)``."""
+    import numpy as np
+
+    from grfspan.trajectories import simulate_info_paths
+
+    N, steps = args.finite_n, args.steps
+    runs = [r for start in range(0, RUNS, 500)
+            for r in simulate_info_paths(kernel, gsa, args.lam, N, steps,
+                                         range(start, start + 500), args.seed)]
+    f, gram = exact_curve(gsa, args.c1_sq, args.c2_sq, args.lam, steps, N=N)
+    sampled = np.array([[r.f_values for r in runs], [np.diagonal(r.grad_gram) for r in runs]])
+    exact = np.array([f, [gram[n][n] for n in range(steps + 1)]], dtype=float)
+    gap = N * (sampled.mean(axis=1) - exact)
+    se = N * sampled.std(axis=1, ddof=1) / math.sqrt(RUNS)
+    print(f"N = {N}, {RUNS} runs, master seed {args.seed}")
+    print("step  f: N*(mean-exact)    N*SE  |grad f|^2: N*(mean-exact)    N*SE")
+    for n in range(steps + 1):
+        print(f"{n:4d}  {gap[0, n]:17.4g}  {se[0, n]:6.3g}  {gap[1, n]:26.4g}  {se[1, n]:6.3g}")
+    return 0
 
 
 if __name__ == "__main__":

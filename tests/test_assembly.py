@@ -15,7 +15,7 @@ from grfspan.assembly import (
     residual_variance,
 )
 from grfspan.errors import KernelDomainError
-from grfspan.gaussianops import ConditionPolicy, condition, make_rng
+from grfspan.gaussianops import condition, make_rng
 from grfspan.kernels import (
     SchoenbergMixture,
     SpinGlassMixture,
@@ -162,8 +162,7 @@ def test_span_state_pseudo_inverse_conditions_and_draws(monkeypatch):
     # conditional law is that of the pseudo-inverse of the whole history
     monkeypatch.setattr(gaussianops, "JITTER_LADDER", (0.0,))
     kernel = KERNELS[0]
-    policy = ConditionPolicy(pseudo_fallback=True)
-    state = SpanState(kernel, [make_rng(4, 0)], 64, policy)
+    state = SpanState(kernel, [make_rng(4, 0)], 64, pseudo_inverse=True)
     (first,), _, (corner,) = state.extend([[[0.8]]])
     # from step 1 on nothing is drawn, so step 1's corner is exactly 0: a
     # drawn one would be whitened by the floored κ₃ pivot, a direction that
@@ -184,7 +183,7 @@ def test_span_state_pseudo_inverse_conditions_and_draws(monkeypatch):
     blocks = joint_blocks(kernel, Y[:2], Y[2])
     observed = flatten_history([first[0], again[0]], [[first[1], corner, 0.0], [*again[1:], 0.0]])
     res = condition(blocks.mean_hist, blocks.mean_new, blocks.S_hh, blocks.S_hn, blocks.S_nn,
-                    observed, policy=policy)
+                    observed, pseudo_inverse=True)
     assert res.rank_deficient
     np.testing.assert_allclose(mean, res.cond_mean, rtol=0, atol=1e-14)
     np.testing.assert_allclose(L_nn @ L_nn.T, res.cond_cov, rtol=0, atol=1e-14)

@@ -10,7 +10,6 @@ import pytest
 from grfspan import gaussianops
 from grfspan.errors import NotPsdError
 from grfspan.gaussianops import (
-    ConditionPolicy,
     cholesky_psd,
     condition,
     make_rng,
@@ -92,11 +91,10 @@ def test_condition_rejects_non_finite():
 
 def test_condition_pseudo_inverse_path(monkeypatch):
     monkeypatch.setattr(gaussianops, "JITTER_LADDER", (0.0,))
-    policy = ConditionPolicy(pseudo_fallback=True)
     res = condition(mu1=[0.0, 0.0], mu2=[0.0],
                     S11=[[1.0, 1.0], [1.0, 1.0]],
                     S12=[[0.5], [0.5]], S22=[[1.0]],
-                    observed=[1.0, 1.0], policy=policy)
+                    observed=[1.0, 1.0], pseudo_inverse=True)
     assert res.rank_deficient
     assert res.log_jitter_used == math.inf
     assert np.all(np.isfinite(res.cond_mean))
@@ -114,7 +112,7 @@ def test_condition_steps_past_a_singular_matrix_that_factors():
     args = ([0.0, 0.0], [0.0], S11, [[0.5], [0.5]], [[1.0]], [0.1, 0.1])
     assert condition(*args).log_jitter_used == -12.0
     with patch.object(gaussianops, "JITTER_LADDER", (0.0,)):
-        pseudo = condition(*args, policy=ConditionPolicy(pseudo_fallback=True))
+        pseudo = condition(*args, pseudo_inverse=True)
         with pytest.raises(NotPsdError):
             condition(*args)
     assert pseudo.rank_deficient
@@ -176,9 +174,8 @@ def test_sample_mvn_identity_moments():
 def test_sample_mvn_rank_deficient_draws_along_the_range(monkeypatch):
     monkeypatch.setattr(gaussianops, "JITTER_LADDER", (0.0,))
     cov = np.array([[1.0, 1.0], [1.0, 1.0]])
-    policy = ConditionPolicy(pseudo_fallback=True)
     rng = make_rng(5, 0)
-    draws = np.array([sample_mvn(np.zeros(2), cov, rng, policy) for _ in range(20_000)])
+    draws = np.array([sample_mvn(np.zeros(2), cov, rng, pseudo_inverse=True) for _ in range(20_000)])
     np.testing.assert_allclose(draws[:, 0], draws[:, 1], rtol=0.0, atol=1e-12)
     se = 4.0 * math.sqrt(2.0 / 20_000)
     assert abs(np.var(draws[:, 0]) - 1.0) < se

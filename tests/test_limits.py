@@ -45,7 +45,7 @@ from grfspan.errors import (
     NotPsdError,
     RankStallError,
 )
-from grfspan.gaussianops import DEFAULT_POLICY, ConditionPolicy, condition, make_rng
+from grfspan.gaussianops import condition, make_rng
 from grfspan.harness import build_gsa, build_kernel, load_config
 from grfspan.kernels import (
     KernelModel,
@@ -212,6 +212,39 @@ def test_predict_matches_the_exact_semicircle_curve_on_drawn_cases(optimizer, al
     f, gram = (np.array(a, dtype=float) for a in exact_curve(gsa, c1_sq, c2_sq, lam, 6))
     assert np.abs(curve.f_limit - f).max() <= 1e-12 * np.abs(f).max()
     assert np.abs(curve.grad_gram_limit - gram).max() <= 1e-12 * np.abs(gram).max()
+
+
+@pytest.mark.parametrize("gsa", [with_sphere_projection(gd(0.3), 1.0), fr_cg(0.3)],
+                         ids=lambda g: g.name)
+def test_predict_matches_the_exact_reading_curve(gsa):
+    # rows that read the information, on the pure 2-spin with λ = r = 1:
+    # the sphere's rescaling takes a square root, so its exact curve is in
+    # 50-digit mpmath, and fr_cg's β_n is a ratio of Gram entries, exact in
+    # fractions.  Through each step n ≤ 6, relative to the largest exact
+    # value through n, predict is within 3e-16 (f) and 9e-16 (Gram) of the
+    # sphere's curve and within 4e-15 of fr_cg's, whose f reaches −5e17
+    from semicircle_reference import exact_reading_curve, relative_errors
+    curve = predict(spin_glass_kernel(SpinGlassMixture((0.0, 0.0, 1.0))), gsa, 1.0, 6)
+    errors = relative_errors(curve, exact_reading_curve(gsa, 1, 6))
+    assert max(map(max, errors)) <= 1e-12, errors
+
+
+@pytest.mark.parametrize("gsa", [gd(0.1), gd(0.3), heavy_ball(0.3, 0.5), nesterov(0.3, 0.5)],
+                         ids=lambda g: f"{g.name}-{g.parameters['alpha']}")
+def test_rank_stall_freeze_stays_near_the_exact_curve(gsa):
+    # on the pure 2-spin the exact span never stops growing, but predict's
+    # κ₃ pivot runs out of float64 digits first (the README's 2-spin horizon
+    # table); under "freeze" it goes on with the span frozen from there.  To
+    # T = 16 its worst per-step relative error is 4e-8, in gd(0.1)'s ‖∇f‖²
+    # (frozen from step 9); the bounds are the errors measured at T = 24
+    from semicircle_reference import exact_curve
+    curve = predict(spin_glass_kernel(SpinGlassMixture((0.0, 0.0, 1.0))), gsa, 1.0, 16,
+                    on_rank_stall="freeze")
+    f, gram = exact_curve(gsa, 0, 1, 1.0, 16)
+    f, grad_sq = np.array(f, dtype=float), np.array([gram[n][n] for n in range(17)], dtype=float)
+    assert curve.frozen_steps
+    assert (np.abs(curve.f_limit - f) <= 1e-6 * np.abs(f)).all()
+    assert (np.abs(np.diagonal(curve.grad_gram_limit) - grad_sq) <= 2e-6 * grad_sq).all()
 
 
 # ---------------------------------------------------------------------------
@@ -736,7 +769,7 @@ def test_rung_failing_during_replay_is_skipped(monkeypatch):
     # the failed rung rewrote before it failed
     kernel, gsa = lift_stationary(SE_MIX), heavy_ball(0.4, 0.5)
     point_block, escalate = SpanState._point_block, SpanState._escalate
-    ladder = list(DEFAULT_POLICY.ladder())
+    ladder = list(gaussianops.JITTER_LADDER)
 
     def run(fail_at):
         replay, failed = {}, []
@@ -776,8 +809,7 @@ def test_exhausted_ladder_switches_to_pseudo_inverse(monkeypatch):
     # without jitter switches to the pseudo-inverse, or raises without it
     monkeypatch.setattr(gaussianops, "JITTER_LADDER", (0.0,))
     kernel, N = quadratic_kernel(1.0, 0.0, 1.0), 10 ** 9
-    policy = ConditionPolicy(pseudo_fallback=True)
-    walk = SpanWalk(SpanState(kernel, [make_rng(3, 0)], N, policy), 1.0, 20)
+    walk = SpanWalk(SpanState(kernel, [make_rng(3, 0)], N, pseudo_inverse=True), 1.0, 20)
     for _ in range(21):
         limit_step(walk, gd(0.3))
     assert walk.state.jitter[0] == math.inf
@@ -1002,15 +1034,16 @@ def test_constant_partials_are_broadcast():
         # κ₃ = σ_A⁴R² = 1 too: each state's opening broadcasts it over the pairs
         return quadratic.derivatives(l1, l2, l3)[0], 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0
 
-    policy = ConditionPolicy(pseudo_fallback=True)
     b = predict(quadratic, gd(0.3), 1.0, 6, on_rank_stall="freeze")
-    sampled = simulate_info_paths(quadratic, gd(0.3), 1.0, 64, 6, range(4), 1, policy=policy)
+    sampled = simulate_info_paths(quadratic, gd(0.3), 1.0, 64, 6, range(4), 1,
+                                  pseudo_inverse=True)
     for scalars in (derivatives, constants):
         kernel = KernelModel(quadratic.mean, scalars)
         a = predict(kernel, gd(0.3), 1.0, 6, on_rank_stall="freeze")
         assert a.f_limit.tobytes() == b.f_limit.tobytes()
         assert a.grad_gram_limit.tobytes() == b.grad_gram_limit.tobytes()
-        records = simulate_info_paths(kernel, gd(0.3), 1.0, 64, 6, range(4), 1, policy=policy)
+        records = simulate_info_paths(kernel, gd(0.3), 1.0, 64, 6, range(4), 1,
+                                      pseudo_inverse=True)
         for r, s in zip(records, sampled, strict=True):
             for name in ("f_values", "grad_gram", "x0_grad", "G", "x_coords", "dims"):
                 assert getattr(r, name).tobytes() == getattr(s, name).tobytes()

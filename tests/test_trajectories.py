@@ -22,7 +22,6 @@ from grfspan.algorithms import (
 )
 from grfspan.assembly import SpanState
 from grfspan.errors import KernelDomainError, NotPsdError
-from grfspan.gaussianops import ConditionPolicy
 from grfspan.limits import predict
 from grfspan.kernels import (
     SchoenbergMixture,
@@ -195,15 +194,14 @@ def _stall_at_first_step(n, info):
 def test_pseudo_inverse_member_inside_a_batch(escalations, monkeypatch):
     monkeypatch.setattr(gaussianops, "JITTER_LADDER", (0.0,))
     gsa = GsaSpec(name="stall", prefactors=_stall_at_first_step)
-    policy = ConditionPolicy(pseudo_fallback=True)
-    batch = simulate_info_paths(SE, gsa, 1.0, 64, 4, range(8), 3, policy=policy)
+    batch = simulate_info_paths(SE, gsa, 1.0, 64, 4, range(8), 3, pseudo_inverse=True)
     stalled = {b for b, record in enumerate(batch) if record.f_values[0] > 0}
     switched = {b for size, b, _, jitter in escalations if size == 8 and math.isinf(jitter)}
     assert switched == stalled and 0 < len(stalled) < 8
     for record in batch:
         assert np.all(np.isfinite(record.f_values)) and np.all(np.isfinite(record.G))
         assert_same_record(record, simulate_info_path(SE, gsa, 1.0, 64, 4, record.stream_id, 3,
-                                                      policy=policy))
+                                                      pseudo_inverse=True))
 
 
 def test_ladder_then_pseudo_inverse_inside_a_batch(escalations):
@@ -212,9 +210,9 @@ def test_ladder_then_pseudo_inverse_inside_a_batch(escalations):
     # and switch to the pseudo-inverse, each at its own step, beside
     # members that are still jittered
     kernel, gsa = quadratic_kernel(70.0, 0.5, 1.0), gd(0.3 / 70 ** 2)
-    policy, streams = ConditionPolicy(pseudo_fallback=True), range(8)
-    batch = simulate_info_paths(kernel, gsa, 1.0, 64, 8, streams, 1, policy=policy)
-    ladder = list(policy.ladder())[1:]
+    streams = range(8)
+    batch = simulate_info_paths(kernel, gsa, 1.0, 64, 8, streams, 1, pseudo_inverse=True)
+    ladder = list(gaussianops.JITTER_LADDER)[1:]
     switched = set()
     for b in streams:
         seen = [(step, j) for size, member, step, j in escalations
@@ -227,12 +225,12 @@ def test_ladder_then_pseudo_inverse_inside_a_batch(escalations):
     for record in batch:
         assert np.all(np.isfinite(record.f_values)) and np.all(np.isfinite(record.G))
         assert_same_record(record, simulate_info_path(kernel, gsa, 1.0, 64, 8, record.stream_id,
-                                                      1, policy=policy))
+                                                      1, pseudo_inverse=True))
     # the pseudo-inverse draws the same law: at large N the runs approach the limit
     N = 10 ** 9
     f_limit = predict(kernel, gsa, 1.0, 8, on_rank_stall="freeze").f_limit
     bound = 3 * np.abs(f_limit).max() / math.sqrt(N)
-    for record in simulate_info_paths(kernel, gsa, 1.0, N, 8, streams, 1, policy=policy):
+    for record in simulate_info_paths(kernel, gsa, 1.0, N, 8, streams, 1, pseudo_inverse=True):
         assert np.abs(record.f_values - f_limit).max() <= bound
 
 
@@ -253,49 +251,52 @@ PROPERTY_KERNELS = {
 #: the (kernel family, λ) pairs drawn; a sphere run starts on its sphere
 PROPERTY_STARTS = [(name, lam) for name, (_, radius) in sorted(PROPERTY_KERNELS.items())
                    for lam in ([radius] if radius else [1.0, 0.0])]
-#: policy name -> (policy, jitter ladder)
-PROPERTY_POLICIES = {
-    "default": (ConditionPolicy(), gaussianops.JITTER_LADDER),
-    "pseudo_inverse": (ConditionPolicy(pseudo_fallback=True), gaussianops.JITTER_LADDER),
-    "no-jitter pseudo": (ConditionPolicy(pseudo_fallback=True), (0.0,)),
+#: conditioning name -> (pseudo_inverse, jitter ladder)
+PROPERTY_CONDITIONINGS = {
+    "default": (False, gaussianops.JITTER_LADDER),
+    "pseudo_inverse": (True, gaussianops.JITTER_LADDER),
+    "no-jitter pseudo": (True, (0.0,)),
 }
 
 
 @settings(derandomize=True, database=None, max_examples=25, deadline=None)
 @given(start=st.sampled_from(PROPERTY_STARTS),
        optimizer=st.sampled_from(sorted(PROPERTY_OPTIMIZERS)),
-       policy=st.sampled_from(sorted(PROPERTY_POLICIES)),
+       conditioning=st.sampled_from(sorted(PROPERTY_CONDITIONINGS)),
        N=st.sampled_from([16, 64, 10 ** 9]),
        steps=st.integers(0, 6), seed=st.integers(0, 2 ** 16),
        streams=st.lists(st.integers(0, 50), min_size=1, max_size=6, unique=True))
 # members escalating their jitter at different steps
-@example(start=("lifted SE", 1.0), optimizer="heavy-ball", policy="default", N=64, steps=20,
-         seed=3, streams=[7, 2, 5, 0, 3, 6, 1, 4])
+@example(start=("lifted SE", 1.0), optimizer="heavy-ball", conditioning="default", N=64,
+         steps=20, seed=3, streams=[7, 2, 5, 0, 3, 6, 1, 4])
 # members switching to the pseudo-inverse beside members that never do
-@example(start=("lifted SE", 1.0), optimizer="stall", policy="no-jitter pseudo", N=64,
+@example(start=("lifted SE", 1.0), optimizer="stall", conditioning="no-jitter pseudo", N=64,
          steps=4, seed=3, streams=[6, 1, 4, 0, 7])
-def test_batch_member_is_bitwise_its_lone_run(start, optimizer, policy, N, steps, seed, streams):
+def test_batch_member_is_bitwise_its_lone_run(start, optimizer, conditioning, N, steps, seed,
+                                              streams):
     (kernel, radius), lam = PROPERTY_KERNELS[start[0]], start[1]
-    gsa, (policy, ladder) = PROPERTY_OPTIMIZERS[optimizer], PROPERTY_POLICIES[policy]
+    gsa = PROPERTY_OPTIMIZERS[optimizer]
+    pseudo_inverse, ladder = PROPERTY_CONDITIONINGS[conditioning]
     if radius is not None:
         gsa = with_sphere_projection(gsa, radius)
     with patch.object(gaussianops, "JITTER_LADDER", ladder):
-        batch = simulate_info_paths(kernel, gsa, lam, N, steps, streams, seed, policy=policy)
+        batch = simulate_info_paths(kernel, gsa, lam, N, steps, streams, seed,
+                                    pseudo_inverse=pseudo_inverse)
         assert [r.stream_id for r in batch] == streams
         for record in batch:
             assert_same_record(record, simulate_info_path(kernel, gsa, lam, N, steps,
-                                                          record.stream_id, seed, policy=policy))
+                                                          record.stream_id, seed,
+                                                          pseudo_inverse=pseudo_inverse))
 
 
 def test_pseudo_inverse_run_draws_past_a_singular_history(monkeypatch):
     # heavy-ball on the SE kernel drives the unjittered history singular; the
     # draw's conditional covariance is then rank-deficient as well
     monkeypatch.setattr(gaussianops, "JITTER_LADDER", (0.0,))
-    policy = ConditionPolicy(pseudo_fallback=True)
-    record = simulate_info_path(SE, HB, 1.0, 64, 20, 3, 3, policy=policy)
+    record = simulate_info_path(SE, HB, 1.0, 64, 20, 3, 3, pseudo_inverse=True)
     assert np.all(np.isfinite(record.f_values)) and np.all(np.isfinite(record.G))
     assert np.all(np.isfinite(record.x_coords))
-    batch = simulate_info_paths(SE, HB, 1.0, 64, 20, [1, 2, 3, 4], 3, policy=policy)
+    batch = simulate_info_paths(SE, HB, 1.0, 64, 20, [1, 2, 3, 4], 3, pseudo_inverse=True)
     assert_same_record(batch[2], record)
 
 
@@ -304,8 +305,7 @@ def test_non_finite_covariance_is_a_numerical_error():
     # default ladder runs out on a point block one step before that
     kernel = spin_glass_kernel(SpinGlassMixture(coeffs=(0.0, 1.0, 0.0, 0.0, 0.0, 3.0)))
     with pytest.raises(KernelDomainError, match=r"^stream 0: step \d+: floating-point overflow"):
-        simulate_info_paths(kernel, gd(1.0), 1.0, 64, 12, [0, 1], 0,
-                            policy=ConditionPolicy(pseudo_fallback=True))
+        simulate_info_paths(kernel, gd(1.0), 1.0, 64, 12, [0, 1], 0, pseudo_inverse=True)
     with pytest.raises(NotPsdError, match=r"^stream 0: step 3: the new point's rows"):
         simulate_info_paths(kernel, gd(1.0), 1.0, 64, 12, [0, 1], 0)
 
