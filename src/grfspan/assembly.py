@@ -81,7 +81,7 @@ from .errors import (
     NotPsdError,
     RankStallError,
 )
-from .gaussianops import PSEUDO_RTOL, condition
+from .gaussianops import condition
 
 #: τ, the floor of a sampled κ₃ pivot² relative to κ₃(new, new): below it the
 #: new point's κ₃ row is numerically in the span of the earlier ones (Higham,
@@ -402,9 +402,11 @@ class SpanState(_State):
     the last rung: from then on the member's point blocks are factored by
     the eigen-factor V·√w of their conditional covariance, dropping the
     eigenvalues w at or below PSEUDO_RTOL times the largest diagonal entry
-    of the block's S_nn, and whitened by its pseudo-inverse, so L·Lᵀ is S
-    with those directions removed and L is block lower triangular.  A
-    member's results are bitwise those of the same path stepped alone.
+    of the block's S_nn (``gaussianops.eigen_factor``, the pseudo-inverse
+    rule ``condition`` and ``sample_mvn`` share), and whitened by its
+    pseudo-inverse, so L·Lᵀ is S with those directions removed and L is
+    block lower triangular.  A member's results are bitwise those of the
+    same path stepped alone.
     """
 
     def __init__(self, kernel, rngs, N, pseudo_inverse: bool = False):
@@ -542,10 +544,10 @@ class SpanState(_State):
         it and S_nn (B, k, k) with themselves: W = L⁻¹·S_hn through those
         rows' factor, the conditional covariance C = S_nn − WᵀW, and its
         factor at each member's rung j in ``jitter`` (B,), chol(C + j·I), or
-        at j = +inf the eigen-factor of C and its pseudo-inverse (see
-        ``_eigen_factor``), thresholded against S_nn.  The block's factor
-        rows are [Wᵀ, L_nn].  Raises LinAlgError when some member's
-        C + j·I does not factor."""
+        at j = +inf the eigen-factor of C and its pseudo-inverse,
+        ``gaussianops.eigen_factor`` thresholded against max diag S_nn.  The
+        block's factor rows are [Wᵀ, L_nn].  Raises LinAlgError when some
+        member's C + j·I does not factor."""
         Wt = self._forward(S_hn, members).swapaxes(1, 2)
         C = S_nn - Wt @ Wt.swapaxes(1, 2)
         pseudo = np.isinf(jitter)
@@ -557,7 +559,7 @@ class SpanState(_State):
         L = np.linalg.cholesky(A)
         inv = np.linalg.inv(L)
         for b in pseudo.nonzero()[0]:
-            L[b], inv[b] = _eigen_factor(C[b], S_nn[b])
+            L[b], inv[b] = gaussianops.eigen_factor(C[b], S_nn[b].diagonal().max())
         return Wt, C, L, inv
 
     def _escalate(self, b, block):
@@ -596,13 +598,3 @@ class SpanState(_State):
             return
         raise NotPsdError(f"{block} not positive definite within jitter ladder "
                           f"(top rung {gaussianops.JITTER_LADDER[-1]:g})")
-
-
-def _eigen_factor(C, S_nn):
-    """(F, F⁺): the eigen-factor F = V·√w of one symmetric conditional
-    covariance C (k, k), with the eigenpairs (w, V) of w at or below
-    PSEUDO_RTOL·max diag S_nn dropped, and its pseudo-inverse."""
-    w, V = np.linalg.eigh(C)
-    keep = w > PSEUDO_RTOL * S_nn.diagonal().max()
-    root = np.sqrt(np.where(keep, w, 1.0))
-    return V * (root * keep), (V / root * keep).T

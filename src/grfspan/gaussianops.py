@@ -2,12 +2,13 @@
 
 ``JITTER_LADDER``, the diagonal jitters that every conditioning route tries
 in turn, and ``PSEUDO_RTOL``, the threshold of the pseudo-inverse that a route
-called with ``pseudo_inverse`` takes past its last rung; ``condition``, which
-conditions one Gaussian block on one observed block from scratch, solving at
-the first rung that works, for the brute-force oracle and
-``assembly.residual_variance``; the brute-force oracle's multivariate-normal
-draw ``sample_mvn``; chi-square draws; and reproducible per-trajectory random
-streams.
+called with ``pseudo_inverse`` takes past its last rung: one walk over the
+ladder and one ``eigen_factor``, which the sampler's point blocks,
+``condition`` and ``sample_mvn`` all call; ``condition``, which conditions one
+Gaussian block on one observed block from scratch, for the brute-force
+oracle and ``assembly.residual_variance``; the brute-force oracle's
+multivariate-normal draw ``sample_mvn``; chi-square draws; and reproducible
+per-trajectory random streams.
 """
 
 from __future__ import annotations
@@ -30,13 +31,13 @@ JITTER_LADDER = (0.0, 1e-12, 1e-11, 9.999999999999999e-11, 9.999999999999999e-10
 #: not read here: bench/layers.py imports this name
 DEFAULT_POLICY = False
 
-#: the relative eigenvalue threshold of both pseudo-inverses, the route a
-#: conditioning call with ``pseudo_inverse`` takes past the last rung of
-#: JITTER_LADDER (without it, it raises NotPsdError): ``condition`` drops the
-#: eigenvalues of S11 at or below PSEUDO_RTOL times its largest |eigenvalue|
-#: and flags the result ``rank_deficient``; the sampler drops those of a point
-#: block's conditional covariance at or below PSEUDO_RTOL times the largest
-#: diagonal entry of the block's covariance S_nn
+#: the relative eigenvalue threshold of the one pseudo-inverse rule,
+#: ``eigen_factor``, the route a conditioning call with ``pseudo_inverse``
+#: takes past the last rung of JITTER_LADDER (without it, it raises
+#: NotPsdError): it drops the eigenvalues at or below PSEUDO_RTOL times the
+#: largest diagonal entry of the covariance the caller thresholds against,
+#: S_nn for the sampler's point blocks, S11 for ``condition``, which flags
+#: the result ``rank_deficient``, and cov for ``sample_mvn``
 PSEUDO_RTOL = 1e-10
 
 
@@ -55,51 +56,41 @@ class ConditioningResult:
     rank_deficient: bool
 
 
-def cholesky_psd(A):
-    """Lower-triangular L with LLᵀ = A + jI at the first rung j of
-    JITTER_LADDER where A + jI factors.
-
-    Returns (L, j).  Raises NotPsdError past the last rung.
-    """
-    A = np.asarray(A, dtype=float)
-    n = A.shape[0]
+def _first_rung(attempt, A):
+    """(attempt(A + jI), j) at the first rung j of JITTER_LADDER where
+    ``attempt`` raises no LinAlgError.  Raises NotPsdError past the last
+    rung."""
+    n = len(A)
     for j in JITTER_LADDER:
         shifted = A
         if j > 0.0:
             shifted = A.copy()
             shifted.flat[::n + 1] += j
         try:
-            return np.linalg.cholesky(shifted), j
+            return attempt(shifted), j
         except np.linalg.LinAlgError:
             continue
     raise NotPsdError(f"matrix of size {n} not positive definite within jitter ladder "
                       f"(top rung {JITTER_LADDER[-1]:g})")
 
 
-def _pseudo_solve(S11, B):
-    """Solve S11·X = B through an eigenvalue-thresholded pseudo-inverse."""
-    w, V = np.linalg.eigh(S11)
-    threshold = PSEUDO_RTOL * np.max(np.abs(w), initial=0.0)
-    inv_w = np.where(w > threshold, 1.0 / np.where(w > threshold, w, 1.0), 0.0)
-    return V @ (inv_w[:, None] * (V.T @ B))
+def cholesky_psd(A):
+    """Lower-triangular L with LLᵀ = A + jI at the first rung j of
+    JITTER_LADDER where A + jI factors.
+
+    Returns (L, j).  Raises NotPsdError past the last rung.
+    """
+    return _first_rung(np.linalg.cholesky, np.asarray(A, dtype=float))
 
 
-def _jittered_solve(A, B, pseudo_inverse):
-    """(X, j) with (A + jI)·X = B at the first ladder rung j where A + jI
-    factors and the solve works as well (a singular A can factor in floating
-    point); past the ladder, with ``pseudo_inverse``, the pseudo-inverse
-    and +inf."""
-    for j in JITTER_LADDER:
-        shifted = A + j * np.eye(len(A)) if j > 0.0 else A
-        try:
-            np.linalg.cholesky(shifted)
-            return np.linalg.solve(shifted, B), j
-        except np.linalg.LinAlgError:
-            continue
-    if not pseudo_inverse:
-        raise NotPsdError(f"matrix of size {len(A)} not positive definite within jitter ladder "
-                          f"(top rung {JITTER_LADDER[-1]:g})")
-    return _pseudo_solve(A, B), math.inf
+def eigen_factor(C, scale):
+    """(F, F⁺): the eigen-factor F = V·√w of a symmetric C (k, k), with the
+    eigenpairs (w, V) of w at or below PSEUDO_RTOL·scale dropped, and its
+    pseudo-inverse, so that F⁺ᵀ·F⁺ is the pseudo-inverse of C."""
+    w, V = np.linalg.eigh(C)
+    keep = w > PSEUDO_RTOL * scale
+    root = np.sqrt(np.where(keep, w, 1.0))
+    return V * (root * keep), (V / root * keep).T
 
 
 def condition(mu1, mu2, S11, S12, S22, observed,
@@ -111,9 +102,10 @@ def condition(mu1, mu2, S11, S12, S22, observed,
 
     S11 + jI is solved at the first rung j of JITTER_LADDER, from j = 0,
     where it has a Cholesky factor and the solve works; on exhaustion the call
-    either raises NotPsdError or (with ``pseudo_inverse``) switches to the
-    thresholded pseudo-inverse.  cond_cov is symmetrized and diagonal entries
-    in [−1e−12, 0) are clamped to zero.
+    either raises NotPsdError or (with ``pseudo_inverse``) solves through the
+    pseudo-inverse of ``eigen_factor``, thresholded against max diag S11.
+    cond_cov is symmetrized and diagonal entries in [−1e−12, 0) are clamped
+    to zero.
     """
     names = ("mu1", "mu2", "S11", "S12", "S22", "observed")
     arrays = [np.asarray(a, dtype=float) for a in (mu1, mu2, S11, S12, S22, observed)]
@@ -124,7 +116,18 @@ def condition(mu1, mu2, S11, S12, S22, observed,
 
     # one solve covers both the innovation and S12
     B = np.concatenate([(observed - mu1)[:, None], S12], axis=1)
-    X, jitter = _jittered_solve(S11, B, pseudo_inverse)
+
+    def solve(A):
+        np.linalg.cholesky(A)   # a singular A can factor in floating point: then the solve fails
+        return np.linalg.solve(A, B)
+
+    try:
+        X, jitter = _first_rung(solve, S11)
+    except NotPsdError:
+        if not pseudo_inverse:
+            raise
+        _, pinv = eigen_factor(S11, S11.diagonal().max())
+        X, jitter = pinv.T @ (pinv @ B), math.inf
 
     cond_mean = mu2 + (S12.T @ X[:, :1])[:, 0]
     cond_cov = S22 - S12.T @ X[:, 1:]
@@ -140,8 +143,9 @@ def sample_mvn(mean, cov, rng, pseudo_inverse: bool = False):
     """Draw mean + L·z with LLᵀ = cov; cov = 0 returns the mean exactly.
 
     L is the jittered Cholesky factor, or with ``pseudo_inverse`` after the
-    ladder fails, V·√max(w, 0) from the eigenpairs (w, V) of the symmetrised
-    cov, so a rank-deficient cov draws along its range from the same z.
+    ladder fails, the ``eigen_factor`` of the symmetrised cov, thresholded
+    against max diag cov, so a rank-deficient cov draws along its range from
+    the same z.
     """
     mean = np.asarray(mean, dtype=float)
     cov = np.asarray(cov, dtype=float)
@@ -152,8 +156,7 @@ def sample_mvn(mean, cov, rng, pseudo_inverse: bool = False):
     except NotPsdError:
         if not pseudo_inverse:
             raise
-        w, V = np.linalg.eigh(0.5 * (cov + cov.T))
-        L = V * np.sqrt(np.maximum(w, 0.0))
+        L, _ = eigen_factor(0.5 * (cov + cov.T), cov.diagonal().max())
     return mean + L @ rng.standard_normal(mean.shape[0])
 
 

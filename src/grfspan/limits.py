@@ -206,7 +206,10 @@ def first_halting_step(diag, epsilon):
     """The halting rule: the first n ≥ 1 with diag[..., n] ≤ epsilon, where
     the last axis of diag holds squared gradient norms of steps 0..T;
     math.inf if there is none.  A 1-D diag gives an int (or math.inf), more
-    axes a float array of one step per leading index."""
+    axes a float array of one step per leading index.  A NaN epsilon raises
+    ValueError."""
+    if math.isnan(epsilon):
+        raise ValueError(f"epsilon must be a number, got {epsilon}")
     hit = np.asarray(diag)[..., 1:] <= epsilon
     steps = np.where(hit, np.arange(1, hit.shape[-1] + 1), math.inf)
     first = steps.min(axis=-1, initial=math.inf)

@@ -28,15 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algorithms import GsaSpec, InfoView
-from .assembly import (
-    SpanState,
-    cov_block,
-    coordinate_inner_products,
-    flatten_history,
-    joint_blocks,
-    mean_block,
-)
-from .assembly import residual_variance  # not called here: bench/layers.py wraps this name
+from .assembly import SpanState, flatten_history, joint_blocks
+from .assembly import cov_block, mean_block, residual_variance  # not called here: bench/layers.py wraps these names
 from .errors import NumericalError
 from .gaussianops import condition, make_rng, sample_mvn
 from .gaussianops import sample_chi_square  # not called here: bench/layers.py wraps this name
@@ -96,8 +89,8 @@ def simulate_info_paths(kernel: KernelModel, gsa: GsaSpec, lam: float, N: int,
     stream_ids = [int(sid) for sid in stream_ids]
     rngs = [make_rng(master_seed, sid) for sid in stream_ids]
     walk = SpanWalk(SpanState(kernel, rngs, N, pseudo_inverse), lam, steps)
-    if N <= steps + 2:
-        raise ValueError(f"need N > steps + 2, got N={N}, steps={steps}")
+    if not float(N).is_integer() or N <= steps + 2:
+        raise ValueError(f"need an integer N > steps + 2, got N={N}, steps={steps}")
     try:
         for n in range(steps + 1):
             limit_step(walk, gsa)
@@ -159,18 +152,12 @@ def brute_force_path(kernel: KernelModel, gsa: GsaSpec, x0, steps: int,
     X[0] = x0
 
     for n in range(steps + 1):
-        if n == 0:
-            Y = X[0:1]
-            s, ip = coordinate_inner_products(Y)
-            mu = mean_block(kernel, Y, s)
-            M = cov_block(kernel, Y, Y, kernel.derivatives(s, s, ip))
-            z = sample_mvn(mu, M / N, rng, pseudo_inverse)
-        else:
-            blocks = joint_blocks(kernel, X[:n], X[n])
-            observed = flatten_history(f_values[:n], grads[:n])
-            res = condition(blocks.mean_hist, blocks.mean_new, blocks.S_hh,
-                            blocks.S_hn, blocks.S_nn, observed, pseudo_inverse)
-            z = sample_mvn(res.cond_mean, res.cond_cov / N, rng, pseudo_inverse)
+        # step 0 conditions on an empty history, through 0×0 blocks
+        blocks = joint_blocks(kernel, X[:n], X[n])
+        observed = flatten_history(f_values[:n], grads[:n])
+        res = condition(blocks.mean_hist, blocks.mean_new, blocks.S_hh,
+                        blocks.S_hn, blocks.S_nn, observed, pseudo_inverse)
+        z = sample_mvn(res.cond_mean, res.cond_cov / N, rng, pseudo_inverse)
         f_values[n] = z[0]
         grads[n] = z[1:]
         if n < steps:

@@ -34,9 +34,9 @@ diagonal variance 2, m₂ₚ(N) = (2c₂²/N)ᵖ·b_p/N for b_p = E tr X²ᵖ, w
 
 On the pure 2-spin (c₁ = 0) the information of a run is deterministic in
 the limit, so rows that read it have an exact curve too:
-``exact_reading_curve`` gives it for ``fr_cg``, in fractions, and for gd
-projected on the unit sphere, in DIGITS-digit mpmath, since the projection
-takes a square root.
+``exact_reading_curve`` gives it for ``fr_cg``, in fractions, and for gd,
+heavy-ball and Nesterov projected on the unit sphere (--sphere) or ball
+(--ball), in DIGITS-digit mpmath, since the projection takes a square root.
 
 Run as a script, it steps ``predict``'s recursion on one such case until the
 recursion raises or reaches --steps, prints the relative error of the curve
@@ -63,7 +63,6 @@ step 0 and 3 from step 1 on the case below):
 from __future__ import annotations
 
 import argparse
-import functools
 import math
 import sys
 from fractions import Fraction
@@ -168,27 +167,34 @@ def exact_curve(gsa, c1_sq, c2_sq, lam, steps, N=None):
 
 def exact_reading_curve(gsa, c2_sq, steps):
     """(f, gram) of ``gsa`` in the N→∞ limit on the pure 2-spin ξ = c₂²s²
-    from ‖x₀‖ = 1, steps 0..steps, as Fractions, for two rows that read the
-    information: ``fr_cg``, in exact rational arithmetic, and gd inside
-    ``with_sphere_projection`` of radius 1, in DIGITS-digit mpmath, whose
+    from ‖x₀‖ = 1, steps 0..steps, as Fractions, for rows that read the
+    information: ``fr_cg``, in exact rational arithmetic, and gd, heavy-ball
+    or Nesterov inside ``with_sphere_projection`` or
+    ``with_ball_projection`` of radius 1, in DIGITS-digit mpmath, whose
     values are returned as exact Fractions.
 
     With b = 0, x_n = X_n(A)·x₀ and the information is deterministic:
-    f_n = ½∫t·X_n² dμ and 𝔤_ij = ∫t²·X_i·X_j dμ.  The sphere rescales the
-    inner row's whole iterate: X_n = Y_n/√∫Y_n² dμ with
-    Y_n = 1 − αt·Σ_{k<n} X_k, a square root.  ``fr_cg`` steps
-    X_{n+1} = X_n + α·d_n, with d_0 = −t·X_0, d_n = −t·X_n + β_n·d_{n−1}
-    and β_n = 𝔤_nn/𝔤_{n−1,n−1}, a ratio of Gram entries.
+    f_n = ½∫t·X_n² dμ and 𝔤_ij = ∫t²·X_i·X_j dμ.  A projection rescales
+    the inner row's whole iterate: X_n = s_n·Y_n with
+    Y_n = h_x + t·Σ_k h_g[k]·X_k from the inner row ``row(n, None)``, and
+    s_n = 1/√∫Y_n² dμ on the sphere or 1/max(√∫Y_n² dμ, 1) on the ball, a
+    square root.  ``fr_cg`` steps X_{n+1} = X_n + α·d_n, with
+    d_0 = −t·X_0, d_n = −t·X_n + β_n·d_{n−1} and β_n = 𝔤_nn/𝔤_{n−1,n−1},
+    a ratio of Gram entries.
     """
-    sphere = gsa.name == "gd+sphere" and gsa.parameters["radius"] == 1
-    if not (sphere or gsa.name == "fr_cg"):
+    from grfspan import algorithms
+    inner, _, mode = gsa.name.partition("+")
+    params = {k: v for k, v in gsa.parameters.items() if k != "radius"}
+    projected = (mode in ("sphere", "ball") and gsa.parameters["radius"] == 1
+                 and inner in ("gd", "heavy_ball", "nesterov"))
+    if not (projected or gsa.name == "fr_cg"):
         raise ValueError(f"no exact reading curve for {gsa.name} {gsa.parameters}")
     import mpmath
     m = semicircle_moments(c2_sq, 2 * steps + 2)
     with mpmath.workdps(DIGITS):
-        if sphere:
+        if projected:
             m = [mpmath.mpf(v.numerator) / v.denominator for v in m]
-            alpha = mpmath.mpf(gsa.parameters["alpha"])
+            inner = getattr(algorithms, inner)(**params)
         else:
             alpha = Fraction(gsa.parameters["alpha"])
 
@@ -196,10 +202,14 @@ def exact_reading_curve(gsa, c2_sq, steps):
             return sum(c * mk for c, mk in zip(poly, m))
 
         X, norms = [[1]], []
-        for _ in range(steps):
-            if sphere:
-                y = _add([1], [0] + [-alpha * c for c in functools.reduce(_add, X)])
-                X.append([c / mpmath.sqrt(integral(_mul(y, y))) for c in y])
+        for n in range(1, steps + 1):
+            if projected:
+                row = inner.row(n, None)
+                y = [mpmath.mpf(row.h_x)]
+                for h, x in zip(row.h_g.tolist(), X):
+                    y = _add(y, [mpmath.mpf(h) * c for c in [0] + x])
+                norm = mpmath.sqrt(integral(_mul(y, y)))
+                X.append([c / (norm if mode == "sphere" else max(norm, 1)) for c in y])
                 continue
             grad = [0] + X[-1]
             norms.append(integral(_mul(grad, grad)))
@@ -209,7 +219,7 @@ def exact_reading_curve(gsa, c2_sq, steps):
         tX = [[0] + x for x in X]
         f = [integral(_mul(t, x)) / 2 for t, x in zip(tX, X)]
         gram = _gram(tX, m)
-    if sphere:
+    if projected:
         f, gram = [_rational(v) for v in f], [[_rational(v) for v in row] for row in gram]
     return f, gram
 
@@ -238,7 +248,14 @@ def relative_errors(curve, exact):
 
 def main(argv=None):
     # imported here: the exact curves above need no grfspan code
-    from grfspan.algorithms import fr_cg, gd, heavy_ball, nesterov, with_sphere_projection
+    from grfspan.algorithms import (
+        fr_cg,
+        gd,
+        heavy_ball,
+        nesterov,
+        with_ball_projection,
+        with_sphere_projection,
+    )
     from grfspan.assembly import LimitState
     from grfspan.errors import NumericalError
     from grfspan.kernels import SpinGlassMixture, spin_glass_kernel
@@ -248,8 +265,10 @@ def main(argv=None):
     parser.add_argument("optimizer", choices=("gd", "heavy_ball", "nesterov", "fr_cg"))
     parser.add_argument("alpha", type=float)
     parser.add_argument("--beta", type=float, help="momentum, for heavy_ball and nesterov")
-    parser.add_argument("--sphere", action="store_true",
-                        help="project gd's iterates on the sphere of radius 1")
+    parser.add_argument("--sphere", dest="projection", action="store_const", const="sphere",
+                        help="project the iterates on the sphere of radius 1")
+    parser.add_argument("--ball", dest="projection", action="store_const", const="ball",
+                        help="project the iterates on the ball of radius 1")
     parser.add_argument("--c1-sq", type=Fraction, default=Fraction(0), help="c₁² (default 0)")
     parser.add_argument("--c2-sq", type=Fraction, default=Fraction(1), help="c₂² (default 1)")
     parser.add_argument("--lam", type=float, default=1.0, help="‖x₀‖ (default 1)")
@@ -267,11 +286,12 @@ def main(argv=None):
         gsa = (heavy_ball if args.optimizer == "heavy_ball" else nesterov)(args.alpha, args.beta)
     else:
         gsa = (gd if args.optimizer == "gd" else fr_cg)(args.alpha)
-    if args.sphere:
-        if args.optimizer != "gd":
-            parser.error("--sphere projects gd only")
-        gsa = with_sphere_projection(gsa, 1.0)
-    reads = args.sphere or args.optimizer == "fr_cg"
+    if args.projection:
+        if args.optimizer == "fr_cg":
+            parser.error(f"--{args.projection} projects gd, heavy_ball and nesterov only")
+        project = with_sphere_projection if args.projection == "sphere" else with_ball_projection
+        gsa = project(gsa, 1.0)
+    reads = args.projection or args.optimizer == "fr_cg"
     if reads and (args.c1_sq or args.lam != 1 or args.finite_n):
         parser.error(f"{gsa.name} has an exact curve only in the limit at c1^2 = 0, lambda = 1")
     coeffs = (0.0, math.sqrt(args.c1_sq), math.sqrt(args.c2_sq))

@@ -183,6 +183,22 @@ def test_sample_mvn_rank_deficient_draws_along_the_range(monkeypatch):
         sample_mvn(np.zeros(2), cov, rng)
 
 
+def test_one_pseudo_inverse_rule_drops_eigenvalues_below_the_diagonal_scale(monkeypatch):
+    # cov = Q·diag(2, 5e-11, −1e-13)·Qᵀ fails the ladder; its largest
+    # diagonal entry is at least trace/3 ≈ 2/3, so PSEUDO_RTOL times it is
+    # above 5e-11: sample_mvn draws nothing along that eigenvector, and
+    # condition, on the same rule, reports the pseudo-inverse
+    monkeypatch.setattr(gaussianops, "JITTER_LADDER", (0.0,))
+    Q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))
+    cov = (Q * [2.0, 5e-11, -1e-13]) @ Q.T
+    rng = make_rng(9, 0)
+    draws = np.array([sample_mvn(np.zeros(3), cov, rng, pseudo_inverse=True)
+                      for _ in range(500)])
+    assert np.std(draws @ Q[:, 1]) <= 1e-12
+    assert condition(np.zeros(3), [0.0], cov, np.ones((3, 1)), [[1.0]], np.zeros(3),
+                     pseudo_inverse=True).rank_deficient
+
+
 @pytest.mark.parametrize("dof", [3.0, 997.5, 1e9])
 def test_chi_square_moments(dof):
     rng = make_rng(7, 42)

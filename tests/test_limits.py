@@ -214,15 +214,18 @@ def test_predict_matches_the_exact_semicircle_curve_on_drawn_cases(optimizer, al
     assert np.abs(curve.grad_gram_limit - gram).max() <= 1e-12 * np.abs(gram).max()
 
 
-@pytest.mark.parametrize("gsa", [with_sphere_projection(gd(0.3), 1.0), fr_cg(0.3)],
+@pytest.mark.parametrize("gsa", [with_sphere_projection(gd(0.3), 1.0), fr_cg(0.3),
+                                 with_ball_projection(gd(0.3), 1.0),
+                                 with_sphere_projection(heavy_ball(0.3, 0.5), 1.0)],
                          ids=lambda g: g.name)
 def test_predict_matches_the_exact_reading_curve(gsa):
     # rows that read the information, on the pure 2-spin with λ = r = 1:
-    # the sphere's rescaling takes a square root, so its exact curve is in
+    # a projection's rescaling takes a square root, so its exact curve is in
     # 50-digit mpmath, and fr_cg's β_n is a ratio of Gram entries, exact in
     # fractions.  Through each step n ≤ 6, relative to the largest exact
-    # value through n, predict is within 3e-16 (f) and 9e-16 (Gram) of the
-    # sphere's curve and within 4e-15 of fr_cg's, whose f reaches −5e17
+    # value through n, predict is within 5e-16 (f) and 1.5e-15 (Gram) of
+    # the projections' curves and within 4e-15 of fr_cg's, whose f reaches
+    # −5e17.  The ball is active here: its f₆ is −1.015, plain gd's −88.25
     from semicircle_reference import exact_reading_curve, relative_errors
     curve = predict(spin_glass_kernel(SpinGlassMixture((0.0, 0.0, 1.0))), gsa, 1.0, 6)
     errors = relative_errors(curve, exact_reading_curve(gsa, 1, 6))
@@ -500,6 +503,18 @@ def test_first_halting_step_over_the_last_axis():
         assert lone == steps[index] and isinstance(lone, (int, float))
     assert first_halting_step(diag[0, 0], 0.3) == 3
     assert first_halting_step(np.zeros((3, 1)), 1.0).tolist() == [math.inf] * 3
+
+
+def test_halting_rejects_a_nan_epsilon():
+    # a NaN threshold compares false with every norm, which read as "never
+    # halts" in both the limit's and a sampled run's halting time
+    from grfspan.trajectories import empirical_halting_time, simulate_info_path
+    curve = predict(lift_stationary(SE_MIX), gd(0.4), 1.0, 2)
+    record = simulate_info_path(lift_stationary(SE_MIX), gd(0.4), 1.0, 64, 2, 0, 0)
+    for halt in (functools.partial(halting_times, curve),
+                 functools.partial(empirical_halting_time, record)):
+        with pytest.raises(ValueError, match="epsilon"):
+            halt(math.nan)
 
 
 # ---------------------------------------------------------------------------

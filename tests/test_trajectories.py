@@ -542,6 +542,19 @@ def test_spin_glass_trajectory_runs():
     np.testing.assert_allclose(norms, 1.0, atol=1e-10)
 
 
+def test_brute_force_pseudo_inverse_runs_past_the_ladder():
+    # of 1 000 streams on this case, 615 is the one whose oracle run fails
+    # the whole default ladder, in sample_mvn on a 17×17 block; the one
+    # pseudo-inverse rule carries it to finite values
+    kernel = spin_glass_kernel(SpinGlassMixture(coeffs=(0.0, 0.0, 1.0, 0.5)))
+    x0 = np.eye(16)[0]
+    with pytest.raises(NotPsdError, match="size 17"):
+        brute_force_path(kernel, gd(0.1), x0, 4, 615, 1)
+    r = brute_force_path(kernel, gd(0.1), x0, 4, 615, 1, pseudo_inverse=True)
+    assert np.isfinite(r.f_values).all() and np.isfinite(r.grad_gram).all()
+    assert r.f_values[4] == pytest.approx(-0.5994, abs=1e-4)
+
+
 def test_quadratic_kernel_trajectory_runs():
     kernel = quadratic_kernel(sigma_A=1.0, sigma_eta=0.5, R=1.0)
     r = simulate_info_path(kernel, gd(0.1), 1.0, 64, 3, stream_id=0, master_seed=8)
@@ -561,6 +574,13 @@ def test_simulate_argument_errors():
         simulate_info_path(SE, GD, 1.0, 64, -1, 0, 0)
     with pytest.raises(ValueError):
         simulate_info_path(SE, GD, 1.0, 4, 2, 0, 0)   # N <= steps + 2
+
+
+def test_simulate_rejects_a_fractional_dimension():
+    # N is a dimension: a float that holds an integer, such as 1e9, is one
+    with pytest.raises(ValueError, match=r"integer N .* got N=64\.5"):
+        simulate_info_path(SE, GD, 1.0, 64.5, 2, 0, 0)
+    assert simulate_info_path(SE, GD, 1.0, 1e9, 2, 0, 0).N == 1e9
 
 
 def test_brute_force_argument_errors():
