@@ -4,7 +4,9 @@ Subcommands map one-to-one onto the experiment modes; every run is described
 by a config file, with --seed and --out as overrides.  Exit codes: 0 success,
 1 standard output closed before the run wrote all of it (as by ``| head``),
 with nothing on standard error, 2 configuration problem, 3 numerical failure
-(rank stall, non-PSD matrix), each of the last two with a single
+(rank stall, non-positive-definite covariance, degenerate kernel, a
+floating-point overflow, invalid operation or division by zero inside a
+step, a non-finite covariance or mean), each of the last two with a single
 machine-parsable line on standard error.
 """
 

@@ -8,8 +8,8 @@ being run.  Reports are flat CSV — the columns carry enough raw statistics
 that every derived quantity (gaps, slopes, medians, frequencies) can be
 recomputed from the file alone.
 
-Trajectory replications run in batches: a batch is a run of consecutive
-streams of one N, of a fixed size, stepped together by
+Trajectory replications run in batches: a batch is a run of at most
+``_BATCH`` consecutive streams of one N, stepped together by
 ``simulate_info_paths``.  The batches split into W static stripes, W the
 GRFSPAN_WORKERS environment variable (default: the CPUs the process may run
 on) capped at the batch count, and stripe w holds batches w, w + W, ...
@@ -331,9 +331,12 @@ def worker_count() -> int:
 
 #: streams per task.  A constant, not a setting: it trades the per-step
 #: Python cost a batch shares against the memory of a process's stacked
-#: arrays, and changes no bits.  50 gives 16 tasks on the 800-trajectory
-#: acceptance config, so two processes stay busy
-_BATCH = 50
+#: arrays, and changes no bits.  100 gives 8 tasks on the 800-trajectory
+#: acceptance config, 4 for each of two processes.  The gain over 50 is
+#: measured at T = 8 only; at T = 12 a trajectory costs the same at 50 and
+#: 100 streams, so on longer runs the doubled arrays cost memory and gain no
+#: speed.  A host with more CPUs than a run has tasks leaves the rest idle
+_BATCH = 100
 
 
 def _batch_task(kernel, gsa, config, N, streams):
@@ -385,8 +388,9 @@ def _fork_stripe(tasks, stripe, stripes):
 def _collect_trajectories(config: ExperimentConfig,
                           reps_per_n: int) -> tuple[np.ndarray, np.ndarray]:
     """Run reps_per_n trajectories for every N, the rep-th at N_list[i] on
-    stream i·reps_per_n + rep, in batches of consecutive streams; returns
-    value and gradient arrays of shape (len(N_list), reps_per_n, steps+1).
+    stream i·reps_per_n + rep, in batches of up to _BATCH consecutive
+    streams; returns value and gradient arrays of shape (len(N_list),
+    reps_per_n, steps+1).
 
     The tasks split into W = min(worker_count(), len(tasks)) stripes, stripe w
     holding tasks w, w + W, ...; this process builds the kernel and the

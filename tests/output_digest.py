@@ -23,7 +23,7 @@ printing the same digests before and after.  The digests cover:
   and 8 on the kernel whose exact finite-N means the tests check, so that
   a change to the ladder there shows here;
 * the report CSV of ``run_verify`` on ``verify-t8`` at master seed 1, under
-  1, 2 and 3 workers; with 3 its 16 tasks split into stripes of 6, 5 and 5.
+  1, 2 and 3 workers; with 3 its 8 tasks split into stripes of 3, 3 and 2.
 
 The digests depend on the BLAS kernel numpy runs on, so they are compared
 between two trees on one machine, not with stored values.  The BLAS thread

@@ -1,10 +1,11 @@
 """Count the function calls per step of the two recursions.
 
 Runs one ``predict`` curve on ``bench/configs/predict-t30.cfg``, one
-``simulate_info_path`` record on ``bench/configs/simulate-t20.cfg`` and one
-``simulate_info_paths`` batch of 50 streams at N = 64 on
-``bench/configs/verify-t8.cfg`` (the shape of one task of verify's fan-out),
-and one ``predict`` curve of nesterov(0.3, 0.5) on the same SE kernel to
+``simulate_info_path`` record on ``bench/configs/simulate-t20.cfg``, one
+``simulate_info_paths`` batch on ``bench/configs/verify-t8.cfg``, the first
+task of verify's fan-out (``harness._BATCH`` streams, 100, at N = 64, so
+the line follows the fan-out's task size), and one ``predict`` curve of
+nesterov(0.3, 0.5) on the same SE kernel to
 T = 30, under cProfile, after one untimed warm-up call each, and prints the
 calls cProfile counts (Python functions and the C functions they call)
 divided by the number of steps, T + 1.  On arrays of a few dozen entries a step's time
@@ -46,8 +47,9 @@ def main() -> int:
     print(f"{'simulate-t20':14s} {per_step:7.1f} calls/step")
     c = harness.load_config(CONFIGS / "verify-t8.cfg")
     kernel, gsa = harness.build_kernel(c.kernel), harness.build_gsa(c.algorithm)
+    streams = range(min(harness._BATCH, c.replications))
     per_step = calls_per_step(lambda: trajectories.simulate_info_paths(
-        kernel, gsa, c.lam, c.N_list[0], c.steps, range(50), master_seed=1), c.steps)
+        kernel, gsa, c.lam, c.N_list[0], c.steps, streams, master_seed=1), c.steps)
     print(f"{'verify-t8':14s} {per_step:7.1f} calls/step")
     kernel = kernels.lift_stationary(kernels.SchoenbergMixture(atoms=((1.0, 1.0),)))
     gsa = algorithms.nesterov(0.3, 0.5)

@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,6 +63,10 @@ def base_config(tmp_path, monkeypatch):
     path = tmp_path / "base.cfg"
     path.write_text(BASE_CONFIG)
     return load_config(path)
+
+
+#: the acceptance config, the README's example and the bench's verify-t8
+ACCEPTANCE = Path(__file__).resolve().parents[1] / "bench" / "configs" / "verify-t8.cfg"
 
 
 def _write(tmp_path, text, name="exp.cfg"):
@@ -357,10 +362,10 @@ def test_worker_count_does_not_change_bytes(tmp_path, monkeypatch):
 
 
 def test_batch_size_does_not_change_bytes(tmp_path, monkeypatch):
-    # 53 streams per N: two ragged tasks per N at 25 streams a task, one at 50
+    # 53 streams per N: tasks of 25 + 25 + 3, 50 + 3 and 53 streams
     path = _write(tmp_path, BASE_CONFIG.replace("replications = 6", "replications = 53"))
     outputs = set()
-    for batch in (25, 50):
+    for batch in (25, 50, 100):
         monkeypatch.setattr(harness, "_BATCH", batch)
         for workers in ("1", "2"):
             monkeypatch.setenv(harness.WORKERS_ENV, workers)
@@ -368,6 +373,44 @@ def test_batch_size_does_not_change_bytes(tmp_path, monkeypatch):
             run_verify(load_config(path)).to_csv(out)
             outputs.add(out.read_bytes())
     assert len(outputs) == 1
+
+
+def _planned_tasks(monkeypatch, config, reps_per_n):
+    """(N, streams) of each task the fan-out hands out, in order, recorded
+    in one process with every task stubbed out."""
+    planned = []
+
+    def record(kernel, gsa, config, N, streams):
+        planned.append((N, streams))
+        return (np.zeros((len(streams), config.steps + 1)),) * 2
+
+    monkeypatch.setattr(harness, "_batch_task", record)
+    monkeypatch.setenv(harness.WORKERS_ENV, "1")
+    harness._collect_trajectories(config, reps_per_n)
+    return planned
+
+
+def test_acceptance_config_runs_as_tasks_of_batch_streams(monkeypatch):
+    config = load_config(ACCEPTANCE)
+    tasks = _planned_tasks(monkeypatch, config, config.replications)
+    assert len(tasks) == len(config.N_list) * config.replications // harness._BATCH == 8
+    for N, streams in tasks:
+        assert len(streams) == harness._BATCH
+        assert N == config.N_list[streams.start // config.replications]
+        assert N == config.N_list[(streams.stop - 1) // config.replications]
+
+
+@given(n_count=st.integers(1, 4), reps=st.integers(1, 250))
+@settings(max_examples=40, deadline=None)
+def test_tasks_cover_every_stream_once_in_order(n_count, reps):
+    config = load_config(ACCEPTANCE)
+    config = replace(config, N_list=config.N_list[:n_count])
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        tasks = _planned_tasks(monkeypatch, config, reps)
+    assert [s for _, streams in tasks for s in streams] == list(range(n_count * reps))
+    for N, streams in tasks:
+        assert 0 < len(streams) <= harness._BATCH
+        assert {config.N_list[s // reps] for s in streams} == {N}
 
 
 def test_worker_env_validation(monkeypatch):
