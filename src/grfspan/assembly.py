@@ -78,7 +78,6 @@ from .errors import (
     CoincidentPointsError,
     DegenerateKernelError,
     KernelDomainError,
-    NotPsdError,
     RankStallError,
 )
 from .gaussianops import condition
@@ -392,14 +391,15 @@ class SpanState(_State):
     point's κ₃ row; they carry no jitter, so σ_w² is that row's pivot
     squared, floored at PIVOT_FLOOR·κ₃(new, new), and the floored factor
     becomes ``k3_factor``.  A point block is factored in ``_point_block``
-    at each member's jitter j (``jitter``), which climbs JITTER_LADDER only
-    when the member's new point block fails to factor: ``_escalate`` reads
-    the member's S + j·P off its factor and replays its point blocks in
-    arrival order at the first rung above j at which all of them factor,
-    leaving its direction blocks as they are.  It never needs to come down, because each
-    step's history is a leading block of the next one's.  Past the last rung
-    the run raises NotPsdError, or with ``pseudo_inverse`` takes j = +inf as
-    the last rung: from then on the member's point blocks are factored by
+    at each member's jitter j (``jitter``), which climbs the jitter ladder
+    only when the member's new point block fails to factor: ``_escalate``
+    reads the member's S + j·P off its factor and replays its point blocks
+    in arrival order at the first rung above j at which all of them factor,
+    leaving its direction blocks as they are.  It never needs to come down,
+    because each step's history is a leading block of the next one's.  The
+    walk is ``gaussianops.first_rung``: past the last rung the run raises
+    NotPsdError, or with ``pseudo_inverse`` takes j = +inf as the last
+    rung: from then on the member's point blocks are factored by
     the eigen-factor V·√w of their conditional covariance, dropping the
     eigenvalues w at or below PSEUDO_RTOL times the largest diagonal entry
     of the block's S_nn (``gaussianops.eigen_factor``, the pseudo-inverse
@@ -564,37 +564,31 @@ class SpanState(_State):
 
     def _escalate(self, b, block):
         """Move member b to the first rung j above its jitter at which all
-        of its point blocks factor, and re-whiten its innovations.  The
-        rungs are JITTER_LADDER's, then +inf with ``pseudo_inverse``.
-        The member's S + j·P is read off its factor once, and its jitter
-        taken off the point rows; the point-block rows of that product are S,
-        also where a κ₃ pivot was floored.  At each rung the point blocks are
-        re-run from it through ``_point_block`` in arrival order, as
-        ``extend`` ran them, which rewrites their factor rows.  The direction
-        blocks carry no jitter and stay; a rung that fails leaves the blocks
-        before the failing one rewritten, for the next rung to replace.
-        ``block`` names the failing block in the NotPsdError raised past the
-        last rung."""
+        of its point blocks factor, and re-whiten its innovations.  The walk
+        over the rungs, the jitter ladder's and then +inf with
+        ``pseudo_inverse``, is ``gaussianops.first_rung``; ``block`` names
+        the failing block in the NotPsdError it raises past the last rung.
+        The member's S + j·P is read off its factor once.  At each rung the
+        point blocks are re-run from that product through ``_point_block``
+        in arrival order, as ``extend`` ran them, with the old j taken off
+        the diagonal of each block, its f row and its derivative rows alike,
+        so that they read S, also where a κ₃ pivot was floored; this
+        rewrites their factor rows.  The direction blocks carry no jitter
+        and stay; a rung that fails leaves the blocks before the failing one
+        rewritten, for the next rung to replace."""
         (L,) = self.factor([b])
-        S = L @ L.T
-        points = (self._types == 0).nonzero()[0]
-        S[points, points] -= self.jitter[b]
-        rungs = [rung for rung in gaussianops.JITTER_LADDER if rung > self.jitter[b]]
-        for j in rungs + [math.inf] * self.pseudo_inverse:
-            try:
-                for blk in self._blocks:
-                    a, c = blk.start, blk.stop
-                    if self._types[a]:
-                        continue                # a direction block
-                    rows = S[None, a:c, :c]
-                    Wt, _, L_nn, inv = self._point_block(
-                        rows[:, :, :a].swapaxes(1, 2), rows[:, :, a:], np.array([j]), [b])
-                    blk.L[b] = np.concatenate([Wt[0], L_nn[0]], axis=1)
-                    blk.inv[b] = inv[0]
-            except np.linalg.LinAlgError:
-                continue
-            self.jitter[b] = j
-            self._z[b] = self._forward(self._resid[[b], :, None], [b])[0, :, 0]
-            return
-        raise NotPsdError(f"{block} not positive definite within jitter ladder "
-                          f"(top rung {gaussianops.JITTER_LADDER[-1]:g})")
+        S, old = L @ L.T, self.jitter[b]
+        points = [blk for blk in self._blocks if self._types[blk.start] == 0]
+
+        def replay(j):
+            for blk in points:
+                a, c = blk.start, blk.stop
+                S_nn = S[None, a:c, a:c] - old * np.eye(c - a)
+                Wt, _, L_nn, inv = self._point_block(
+                    S[None, a:c, :a].swapaxes(1, 2), S_nn, np.array([j]), [b])
+                blk.L[b] = np.concatenate([Wt[0], L_nn[0]], axis=1)
+                blk.inv[b] = inv[0]
+
+        _, self.jitter[b] = gaussianops.first_rung(replay, block, above=old,
+                                                   pseudo_inverse=self.pseudo_inverse)
+        self._z[b] = self._forward(self._resid[[b], :, None], [b])[0, :, 0]

@@ -2,13 +2,15 @@
 
 ``JITTER_LADDER``, the diagonal jitters that every conditioning route tries
 in turn, and ``PSEUDO_RTOL``, the threshold of the pseudo-inverse that a route
-called with ``pseudo_inverse`` takes past its last rung: one walk over the
-ladder and one ``eigen_factor``, which the sampler's point blocks,
-``condition`` and ``sample_mvn`` all call; ``condition``, which conditions one
-Gaussian block on one observed block from scratch, for the brute-force
-oracle and ``assembly.residual_variance``; the brute-force oracle's
-multivariate-normal draw ``sample_mvn``; chi-square draws; and reproducible
-per-trajectory random streams.
+called with ``pseudo_inverse`` takes past its last rung.  ``first_rung`` is
+the one walk over the ladder, and the pseudo-inverse rung after it, for
+every route: the sampler's point-block replay in ``assembly``, and
+``cholesky_psd``, ``condition`` and ``sample_mvn`` here, which pass it an
+attempt at a given jitter; ``eigen_factor`` is the one pseudo-inverse rule.
+``condition`` conditions one Gaussian block on one observed block from
+scratch, for the brute-force oracle and ``assembly.residual_variance``;
+``sample_mvn`` is the brute-force oracle's multivariate-normal draw.  Then
+chi-square draws and reproducible per-trajectory random streams.
 """
 
 from __future__ import annotations
@@ -32,12 +34,13 @@ JITTER_LADDER = (0.0, 1e-12, 1e-11, 9.999999999999999e-11, 9.999999999999999e-10
 DEFAULT_POLICY = False
 
 #: the relative eigenvalue threshold of the one pseudo-inverse rule,
-#: ``eigen_factor``, the route a conditioning call with ``pseudo_inverse``
-#: takes past the last rung of JITTER_LADDER (without it, it raises
-#: NotPsdError): it drops the eigenvalues at or below PSEUDO_RTOL times the
-#: largest diagonal entry of the covariance the caller thresholds against,
-#: S_nn for the sampler's point blocks, S11 for ``condition``, which flags
-#: the result ``rank_deficient``, and cov for ``sample_mvn``
+#: ``eigen_factor``, the rung j = +inf that ``first_rung`` tries past the
+#: last rung of JITTER_LADDER for a call with ``pseudo_inverse`` (without
+#: it, the walk raises NotPsdError there): it drops the eigenvalues at or
+#: below PSEUDO_RTOL times the largest diagonal entry of the covariance the
+#: caller thresholds against, S_nn for the sampler's point blocks, S11 for
+#: ``condition``, which flags the result ``rank_deficient``, and cov for
+#: ``sample_mvn``
 PSEUDO_RTOL = 1e-10
 
 
@@ -56,31 +59,37 @@ class ConditioningResult:
     rank_deficient: bool
 
 
-def _first_rung(attempt, A):
-    """(attempt(A + jI), j) at the first rung j of JITTER_LADDER where
-    ``attempt`` raises no LinAlgError.  Raises NotPsdError past the last
-    rung."""
-    n = len(A)
-    for j in JITTER_LADDER:
-        shifted = A
-        if j > 0.0:
-            shifted = A.copy()
-            shifted.flat[::n + 1] += j
+def first_rung(attempt, what, above=-math.inf, pseudo_inverse: bool = False):
+    """(attempt(j), j) at the first rung j where ``attempt`` raises no
+    LinAlgError: each rung of JITTER_LADDER above ``above``, then j = +inf
+    with ``pseudo_inverse``.  Past the last rung raises NotPsdError, naming
+    ``what``.  JITTER_LADDER is read at each call, so a test can patch it."""
+    for j in [rung for rung in JITTER_LADDER if rung > above] + [math.inf] * pseudo_inverse:
         try:
-            return attempt(shifted), j
+            return attempt(j), j
         except np.linalg.LinAlgError:
             continue
-    raise NotPsdError(f"matrix of size {n} not positive definite within jitter ladder "
+    raise NotPsdError(f"{what} not positive definite within jitter ladder "
                       f"(top rung {JITTER_LADDER[-1]:g})")
+
+
+def _shifted(A, j):
+    """A + jI: A itself at j = 0, else a shifted copy."""
+    if j == 0.0:
+        return A
+    A = A.copy()
+    A.flat[::len(A) + 1] += j
+    return A
 
 
 def cholesky_psd(A):
     """Lower-triangular L with LLᵀ = A + jI at the first rung j of
-    JITTER_LADDER where A + jI factors.
+    JITTER_LADDER where A + jI factors, through ``first_rung``.
 
     Returns (L, j).  Raises NotPsdError past the last rung.
     """
-    return _first_rung(np.linalg.cholesky, np.asarray(A, dtype=float))
+    A = np.asarray(A, dtype=float)
+    return first_rung(lambda j: np.linalg.cholesky(_shifted(A, j)), f"matrix of size {len(A)}")
 
 
 def eigen_factor(C, scale):
@@ -100,10 +109,12 @@ def condition(mu1, mu2, S11, S12, S22, observed,
     cond_mean = mu2 + S12ᵀ·S11⁻¹·(observed − mu1)
     cond_cov  = S22 − S12ᵀ·S11⁻¹·S12
 
-    S11 + jI is solved at the first rung j of JITTER_LADDER, from j = 0,
-    where it has a Cholesky factor and the solve works; on exhaustion the call
-    either raises NotPsdError or (with ``pseudo_inverse``) solves through the
-    pseudo-inverse of ``eigen_factor``, thresholded against max diag S11.
+    ``first_rung`` walks the ladder: S11 + jI is solved at the first rung j
+    of JITTER_LADDER, from j = 0, where it has a Cholesky factor and the
+    solve works.  Past the last rung the walk raises NotPsdError, or with
+    ``pseudo_inverse`` solves at j = +inf through the pseudo-inverse of
+    ``eigen_factor``, thresholded against max diag S11, and the result is
+    flagged ``rank_deficient``.
     cond_cov is symmetrized and diagonal entries in [−1e−12, 0) are clamped
     to zero.
     """
@@ -117,17 +128,15 @@ def condition(mu1, mu2, S11, S12, S22, observed,
     # one solve covers both the innovation and S12
     B = np.concatenate([(observed - mu1)[:, None], S12], axis=1)
 
-    def solve(A):
+    def solve(j):
+        if j == math.inf:
+            _, pinv = eigen_factor(S11, S11.diagonal().max())
+            return pinv.T @ (pinv @ B)
+        A = _shifted(S11, j)
         np.linalg.cholesky(A)   # a singular A can factor in floating point: then the solve fails
         return np.linalg.solve(A, B)
 
-    try:
-        X, jitter = _first_rung(solve, S11)
-    except NotPsdError:
-        if not pseudo_inverse:
-            raise
-        _, pinv = eigen_factor(S11, S11.diagonal().max())
-        X, jitter = pinv.T @ (pinv @ B), math.inf
+    X, jitter = first_rung(solve, f"matrix of size {len(S11)}", pseudo_inverse=pseudo_inverse)
 
     cond_mean = mu2 + (S12.T @ X[:, :1])[:, 0]
     cond_cov = S22 - S12.T @ X[:, 1:]
@@ -142,21 +151,23 @@ def condition(mu1, mu2, S11, S12, S22, observed,
 def sample_mvn(mean, cov, rng, pseudo_inverse: bool = False):
     """Draw mean + L·z with LLᵀ = cov; cov = 0 returns the mean exactly.
 
-    L is the jittered Cholesky factor, or with ``pseudo_inverse`` after the
-    ladder fails, the ``eigen_factor`` of the symmetrised cov, thresholded
+    ``first_rung`` walks the ladder: L is the Cholesky factor of cov + jI at
+    the first rung j where it factors, or with ``pseudo_inverse``, past the
+    last rung, the ``eigen_factor`` of the symmetrised cov, thresholded
     against max diag cov, so a rank-deficient cov draws along its range from
-    the same z.
+    the same z.  Raises NotPsdError past the last rung otherwise.
     """
     mean = np.asarray(mean, dtype=float)
     cov = np.asarray(cov, dtype=float)
     if not np.any(cov):
         return mean.copy()
-    try:
-        L, _ = cholesky_psd(cov)
-    except NotPsdError:
-        if not pseudo_inverse:
-            raise
-        L, _ = eigen_factor(0.5 * (cov + cov.T), cov.diagonal().max())
+
+    def factor(j):
+        if j == math.inf:
+            return eigen_factor(0.5 * (cov + cov.T), cov.diagonal().max())[0]
+        return np.linalg.cholesky(_shifted(cov, j))
+
+    L, _ = first_rung(factor, f"matrix of size {len(cov)}", pseudo_inverse=pseudo_inverse)
     return mean + L @ rng.standard_normal(mean.shape[0])
 
 

@@ -13,6 +13,10 @@ printing the same digests before and after.  The digests cover:
 * the records of streams 0–7 of heavy-ball(0.4, 0.5) on the SE kernel at
   N = 64, T = 20 and master seed 3, a batch whose members climb the jitter
   ladder at different steps, so that a change to escalation shows here;
+* the records of streams 0–7 of gd(0.4) on the SE kernel at N = 64, T = 30
+  and master seed 1, a batch whose members all climb to 1e-12 and five of
+  whose members climb again later, one of them twice, so that a change to a
+  later climb, which takes the old jitter off the point rows, shows here;
 * the records of streams 0–7 of gd(0.3/70²) on the quadratic kernel with
   σ_A = 70 at N = 64, T = 8 and master seed 1 under ``pseudo_inverse``, a
   batch whose members climb the whole ladder at step 0 and most switch to
@@ -55,6 +59,7 @@ CURVE_FIELDS = ("f_limit", "gamma", "y_reps", "sigma_w", "dims", "grad_gram_limi
 RECORD_FIELDS = ("f_values", "grad_gram", "x0_grad", "G", "x_coords", "dims")
 SEED = 1
 STREAMS = range(8)
+SE = kernels.lift_stationary(kernels.SchoenbergMixture(atoms=((1.0, 1.0),)))
 
 
 def digest(arrays) -> str:
@@ -82,8 +87,7 @@ def curve_digests(config):
 
 
 def nesterov_digest() -> str:
-    kernel = kernels.lift_stationary(kernels.SchoenbergMixture(atoms=((1.0, 1.0),)))
-    curve = limits.predict(kernel, algorithms.nesterov(0.3, 0.5), 1.0, 30)
+    curve = limits.predict(SE, algorithms.nesterov(0.3, 0.5), 1.0, 30)
     return digest(getattr(curve, f) for f in CURVE_FIELDS)
 
 
@@ -101,9 +105,14 @@ def simulate_digests(config):
 
 
 def escalating_digest() -> str:
-    kernel = kernels.lift_stationary(kernels.SchoenbergMixture(atoms=((1.0, 1.0),)))
-    records = trajectories.simulate_info_paths(kernel, algorithms.heavy_ball(0.4, 0.5), 1.0, 64,
-                                               20, STREAMS, master_seed=3)
+    records = trajectories.simulate_info_paths(SE, algorithms.heavy_ball(0.4, 0.5), 1.0, 64, 20,
+                                               STREAMS, master_seed=3)
+    return digest(getattr(r, f) for r in records for f in RECORD_FIELDS)
+
+
+def second_climb_digest() -> str:
+    records = trajectories.simulate_info_paths(SE, algorithms.gd(0.4), 1.0, 64, 30, STREAMS,
+                                               master_seed=SEED)
     return digest(getattr(r, f) for r in records for f in RECORD_FIELDS)
 
 
@@ -139,6 +148,7 @@ def main() -> int:
         label = "s0-7" if route == "lifted" else route
         print(f"simulate {'simulate-t20':12s} {label:6s} {value}")
     print(f"simulate {'hb-N64-t20':12s} {'s0-7':6s} {escalating_digest()}")
+    print(f"simulate {'gd-N64-t30':12s} {'s0-7':6s} {second_climb_digest()}")
     print(f"simulate {'quad70-pinv':12s} {'s0-7':6s} {pseudo_digest()}")
     print(f"simulate {'spin12-hb-t8':12s} {'s0-7':6s} {spin_digest()}")
     config = harness.load_config(CONFIGS / "verify-t8.cfg")

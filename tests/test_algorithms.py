@@ -176,6 +176,13 @@ def test_row_length_contract():
 # InfoView validation
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("gram, x0_grad", [([[1.0, 0.0]], [0.0]),          # not square
+                                            ([[1.0, 0.0], [0.0, 1.0]], [0.0])])
+def test_infoview_rejects_inconsistent_sizes(gram, x0_grad):
+    with pytest.raises(ValueError, match="inconsistent information sizes"):
+        InfoView(f_values=[0.0], grad_gram=gram, x0_grad=x0_grad, x0_norm_sq=1.0)
+
+
 def test_infoview_rejects_asymmetric_gram():
     with pytest.raises(ValueError, match="symmetric"):
         InfoView(f_values=[0.0, 0.0], grad_gram=[[1.0, 0.5], [0.2, 1.0]],

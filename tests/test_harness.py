@@ -173,6 +173,7 @@ pseudo_inverse = true
     ("type = gd\nalpha = 0.4", "type = gd"),                # no alpha
     ("type = gd\n", ""),                                     # [algorithm] without type
     ("type = stationary_schoenberg\n", ""),                  # [kernel] without type
+    ("alpha = 0.4", "alpha = 0.4\nalpha = 0.5"),             # malformed: a key twice
 ], ids=lambda m: (m[1] or "-" + m[0].strip()).replace("\n", ";")[:34])
 def test_load_config_rejects(tmp_path, mutation):
     old, new = mutation
@@ -242,6 +243,20 @@ def test_kernel_section_required(tmp_path):
     path = _write(tmp_path, "[algorithm]\ntype = gd\nalpha = 0.1\n")
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+@pytest.mark.parametrize("raw, value", [("Yes", True), ("false", False), ("0", False)])
+def test_load_config_reads_booleans(tmp_path, raw, value):
+    config = load_config(_write(tmp_path, BASE_CONFIG + f"pseudo_inverse = {raw}\n"))
+    assert config.pseudo_inverse is value
+
+
+@pytest.mark.parametrize("build, spec", [(build_kernel, {"type": "mystery"}),
+                                         (build_gsa, {"type": "adam", "alpha": 0.1})])
+def test_build_rejects_an_unknown_type(build, spec):
+    # load_config checks the type first; a dict built by hand reaches _build
+    with pytest.raises(ConfigError, match="unknown .* type"):
+        build(spec)
 
 
 def test_build_factories_roundtrip(base_config):
@@ -590,6 +605,11 @@ def test_adjust_epsilons():
     assert below == 0.5 * 0.99
     (above,) = adjust_epsilons((0.501,), diag)
     assert above == 0.5 * 1.01
+    # a chain of diagonal values 1% apart pushes a threshold down link by
+    # link, past the 32 moves allowed
+    chain = 1.01 ** np.arange(40)
+    with pytest.raises(ConfigError, match="cannot be separated"):
+        adjust_epsilons((chain[-1],), chain)
 
 
 def test_run_halting_report(tmp_path, base_config):
@@ -769,7 +789,7 @@ def test_verify_reader_rejects_a_truncated_csv(tmp_path):
 
 
 @pytest.mark.parametrize("edit", ["repeat", "swap", "header", "empty", "short", "count",
-                                  "no count"])
+                                  "no count", "text"])
 def test_verify_reader_rejects_rows_off_the_grid(tmp_path, edit):
     out = tmp_path / "verify.csv"
     _small_convergence_report().to_csv(out)
@@ -786,6 +806,8 @@ def test_verify_reader_rejects_rows_off_the_grid(tmp_path, edit):
         comment = comment.replace(f"# rows: {len(rows)};", f"# rows: {len(rows) + 1};")
     elif edit == "no count":
         comment = comment.replace(f"rows: {len(rows)}; ", "")
+    elif edit == "text":
+        rows[0] = "x," + rows[0].split(",", 1)[1]
     else:
         rows = []
     out.write_text(comment + header + "".join(rows))

@@ -646,6 +646,17 @@ def _replayed_draws(kernel, walk, jitters, N, rng):
     return worst
 
 
+def _history_covariance(kernel, walk):
+    """The history covariance S of a sampled run of one, assembled from
+    scratch in the arrival order of its state's rows."""
+    types, at = walk.state.labels
+    Y = walk.X[0, :walk.state.points, :types.max()]
+    s, ip = coordinate_inner_products(Y)
+    grid = kernel.derivatives(s[:, None], s[None, :], ip)
+    order = types * walk.state.points + at
+    return cov_block(kernel, Y, Y, grid)[np.ix_(order, order)]
+
+
 def test_state_escalates_once_and_matches_refactored_conditioning():
     # a sampled run keeps the history factor: at N = 1e9 its heavy-ball
     # history escalates once, to the ladder's first rung
@@ -664,13 +675,7 @@ def test_state_escalates_once_and_matches_refactored_conditioning():
         limit_step(walk, gsa)
     assert jitters[0] == 0.0 and jitters[-1] == 1e-12
     assert sum(a != b for a, b in zip(jitters, jitters[1:])) == 1
-    # the history covariance, assembled from scratch in arrival order
-    types, at = state.labels
-    Y = walk.X[0, :state.points, :types.max()]
-    s, ip = coordinate_inner_products(Y)
-    order = types * state.points + at
-    grid = kernel.derivatives(s[:, None], s[None, :], ip)
-    S = cov_block(kernel, Y, Y, grid)[np.ix_(order, order)]
+    S = _history_covariance(kernel, walk)
     (L,) = state.factor()
     assert np.all(L == np.tril(L))
     # the jitter sits on the point rows only: L·Lᵀ = S + j·P
@@ -680,7 +685,8 @@ def test_state_escalates_once_and_matches_refactored_conditioning():
     assert _replayed_draws(kernel, walk, jitters, N, make_rng(3, 0)) < 1e-6
     # the sampler's κ₃ factor over all 21 points, no pivot of it floored; a
     # step, the escalating one too, only borders the factor it found
-    K = k3_matrix(kernel, s, ip)
+    Y = walk.X[0, :state.points, :state.labels[0].max()]
+    K = k3_matrix(kernel, *coordinate_inner_products(Y))
     (L,) = state.k3_factor
     assert (np.diagonal(L) ** 2 / np.diagonal(K)).min() > PIVOT_FLOOR
     np.testing.assert_allclose(L @ L.T, K, rtol=0, atol=1e-13)
@@ -693,6 +699,32 @@ def test_state_escalates_once_and_matches_refactored_conditioning():
     Y = limit.curve().y_reps[limit.state.k3_points]
     np.testing.assert_allclose(L @ L.T, k3_matrix(kernel, *coordinate_inner_products(Y)),
                                rtol=0, atol=1e-13)
+
+
+def test_state_escalating_twice_keeps_one_jitter_on_every_point_row():
+    # gd on SE at N = 64: stream 0 climbs to 1e-12 at step 12 and to 1e-11
+    # at step 28.  The second climb takes the old jitter off every point
+    # row, the D_{v_i} rows of a point block as well as its f row, so each
+    # carries the new jitter alone; a leftover 1e-12 would read 1.1
+    kernel = lift_stationary(SE_MIX)
+    walk = SpanWalk(SpanState(kernel, [make_rng(1, 0)], 64), 1.0, 30)
+    state, extend, jitters = walk.state, walk.state.extend, []
+
+    def recorded(*args):
+        out = extend(*args)
+        jitters.append(state.jitter[0])
+        return out
+
+    state.extend = recorded
+    for _ in range(31):
+        limit_step(walk, gd(0.4))
+    assert [jitters.index(j) for j in (1e-12, 1e-11)] == [12, 28] and jitters[-1] == 1e-11
+    (L,) = state.factor()
+    points = _point_rows(walk, *state.labels)
+    assert (state.labels[0][points] > 0).any()
+    excess = np.diagonal(L @ L.T - _history_covariance(kernel, walk)) / 1e-11
+    np.testing.assert_allclose(excess[points], 1.0, rtol=0, atol=1e-2)
+    np.testing.assert_allclose(excess[~points], 0.0, rtol=0, atol=1e-2)
 
 
 @pytest.mark.parametrize("gsa", [gd(0.4), heavy_ball(0.4, 0.5), nesterov(0.3, 0.5), fr_cg(0.3)],
@@ -856,6 +888,9 @@ def test_limit_step_rejects_state_of_another_curve():
     limit_step(other, gd(0.4))
     walk.state = other.state        # two points against the walk's one
     with pytest.raises(ValueError):
+        limit_step(walk, gd(0.4))
+    walk.state = SpanState(kernel, [make_rng(0, 0), make_rng(0, 1)], 64)    # two paths, not one
+    with pytest.raises(ValueError, match="state steps 2 paths, got 1"):
         limit_step(walk, gd(0.4))
 
 

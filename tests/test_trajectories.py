@@ -234,6 +234,45 @@ def test_ladder_then_pseudo_inverse_inside_a_batch(escalations):
         assert np.abs(record.f_values - f_limit).max() <= bound
 
 
+#: kernel, optimizer, and the number of null rows of the new point block's
+#: conditional covariance at steps 0–6, which the field's identities fix.
+#: ∇f of a degree-2 field is affine with a symmetric Hessian A: the
+#: trapezoid rule f(xₙ) − f(xₙ₋₁) = ½⟨∇f(xₙ) + ∇f(xₙ₋₁), xₙ − xₙ₋₁⟩ and the
+#: symmetry of A between the n − 1 earlier increments and the last give n
+#: rows.  A pure p-spin satisfies Euler's f(x) = ⟨∇f(x), x⟩/p at each point;
+#: on the pure 2-spin, where A's symmetry holds from x₀, that makes n + 1.
+#: On the pure 3-spin, Euler's row is the only one, until gd's crowding
+#: points add a near-null row at step 3.
+NULL_ROW_CASES = {
+    "1+2-spin heavy-ball": (SpinGlassMixture((0.0, math.sqrt(0.5), 1.0)), heavy_ball(0.3, 0.5),
+                            [0, 1, 2, 3, 4, 5, 6]),
+    "2-spin gd": (SpinGlassMixture((0.0, 0.0, 1.0)), gd(0.3), [1, 2, 3, 4, 5, 6, 7]),
+    "3-spin gd": (SpinGlassMixture((0.0, 0.0, 0.0, 1.0)), gd(0.1), [1, 1, 1, 2, 2, 2, 2]),
+}
+
+
+@pytest.mark.parametrize("case", NULL_ROW_CASES)
+def test_point_blocks_see_exactly_the_fields_null_rows(case, monkeypatch):
+    # member 0 of a batch of 4 at N = 16 under the pseudo-inverse.  An
+    # eigenvalue of C counts as null at or below 3e-10·max diag S_nn: the
+    # null ones read at most 5.7e-11 (the 3-spin's crowded row; the exact
+    # ones at most 2.3e-12), the others at least 1.8e-9
+    mixture, gsa, expected = NULL_ROW_CASES[case]
+    point_block, counts = SpanState._point_block, {}
+
+    def spied(self, S_hn, S_nn, jitter, members=slice(None)):
+        out = point_block(self, S_hn, S_nn, jitter, members)
+        if members == slice(None):      # the batch's block, not an escalation's replay
+            w = np.linalg.eigvalsh(out[1][0]) / S_nn[0].diagonal().max()
+            counts[self.points] = int((w <= 3e-10).sum())
+        return out
+
+    monkeypatch.setattr(SpanState, "_point_block", spied)
+    simulate_info_paths(spin_glass_kernel(mixture), gsa, 1.0, 16, 6, range(4), 1,
+                        pseudo_inverse=True)
+    assert [counts[n] for n in range(7)] == expected
+
+
 PROPERTY_OPTIMIZERS = {
     "gd": gd(0.4),
     "heavy-ball": HB,
