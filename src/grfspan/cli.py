@@ -76,6 +76,15 @@ def _run(command: str, config: harness.ExperimentConfig) -> None:
                             if not v <= PARTIALS_TOL))
 
 
+def _writable(path) -> bool:
+    """Whether ``path`` names a writable directory's entry that, if it
+    exists, is writable and no directory (a device such as /dev/null is
+    fine)."""
+    parent = os.path.dirname(os.path.abspath(path))
+    return (os.path.isdir(parent) and os.access(parent, os.W_OK) and not os.path.isdir(path)
+            and (not os.path.exists(path) or os.access(path, os.W_OK)))
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -84,8 +93,7 @@ def main(argv=None) -> int:
             config = replace(config, master_seed=args.seed)
         if args.out is not None:
             config = replace(config, out=args.out)
-        if config.out and (os.path.isdir(config.out) or not os.access(
-                os.path.dirname(os.path.abspath(config.out)), os.W_OK)):
+        if config.out and not _writable(config.out):
             raise ConfigError(f"cannot write {config.out}: not a file in a writable directory")
         _run(args.command, config)
         sys.stdout.flush()

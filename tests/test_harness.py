@@ -701,7 +701,7 @@ def test_convergence_report_text():
         se_grad=np.array([[0.1, 0.05], [5e-5, 1.5e-5]]),
         f_limit=np.array([0.0, -0.4]), grad_limit=np.array([1.0, 0.4]))
     assert _text(ConvergenceReport.write, report) == """\
-# rows: 4; thresholds: gap pass: |mean - limit| <= 3*se + 2/sqrt(N); sd log-log slope target -0.5; ks significance 1e-3
+# rows: 4; thresholds: gap pass: |mean - limit| <= 3*se + 2/sqrt(N); sd log-log slope target -0.5
 N,step,mean_f,sd_f,se_f,mean_grad_norm_sq,sd_grad_norm_sq,se_grad_norm_sq,f_limit,grad_norm_sq_limit,gap_f,gap_grad_norm_sq
 64,0,0,0.5,0.25,1,0.20000000000000001,0.10000000000000001,0,1,0,0
 64,1,-0.5,0.25,0.125,0.5,0.10000000000000001,0.050000000000000003,-0.40000000000000002,0.40000000000000002,0.099999999999999978,0.099999999999999978
@@ -789,7 +789,7 @@ def test_verify_reader_rejects_a_truncated_csv(tmp_path):
 
 
 @pytest.mark.parametrize("edit", ["repeat", "swap", "header", "empty", "short", "count",
-                                  "no count", "text"])
+                                  "no count", "text", "gap", "form"])
 def test_verify_reader_rejects_rows_off_the_grid(tmp_path, edit):
     out = tmp_path / "verify.csv"
     _small_convergence_report().to_csv(out)
@@ -808,6 +808,13 @@ def test_verify_reader_rejects_rows_off_the_grid(tmp_path, edit):
         comment = comment.replace(f"rows: {len(rows)}; ", "")
     elif edit == "text":
         rows[0] = "x," + rows[0].split(",", 1)[1]
+    elif edit == "gap":
+        # a derived column, hand-edited to another number in FLOAT_FMT form
+        *cells, gap = rows[0].split(",")
+        rows[0] = ",".join(cells + [harness.FLOAT_FMT % (float(gap) + 1)]) + "\n"
+    elif edit == "form":
+        # N = 16 written as 16.0: the same number, not the writer's bytes
+        rows[0] = rows[0].replace(",", ".0,", 1)
     else:
         rows = []
     out.write_text(comment + header + "".join(rows))
@@ -871,7 +878,8 @@ def test_report_reader_rejects_a_cut_or_foreign_file(tmp_path, report, edit, dat
         text = text[:data.draw(st.integers(len(text) - len(rows[-1]) + 1, len(text) - 1))]
     elif edit == "other report":
         other = (TwoInitReport._columns(report.steps) if isinstance(report, ConvergenceReport)
-                 else harness._VERIFY_COLUMNS)
+                 else _text(ConvergenceReport.write, _small_convergence_report())
+                 .splitlines()[1].split(","))
         text = comment + ",".join(other) + "\n" + "".join(rows)
     else:
         names = header.rstrip("\n").split(",")
@@ -882,6 +890,22 @@ def test_report_reader_rejects_a_cut_or_foreign_file(tmp_path, report, edit, dat
     out.write_text(text)
     with pytest.raises(ConfigError):
         type(report).from_csv(out)
+
+
+def test_verify_reader_reads_a_file_with_another_thresholds_text(tmp_path):
+    # the comment's text after the row count may change between versions:
+    # here the thresholds line as written before it dropped the KS claim
+    report = _small_convergence_report()
+    out = tmp_path / "verify.csv"
+    report.to_csv(out)
+    comment, rest = out.read_text().split("\n", 1)
+    out.write_text(comment + "; ks significance 1e-3\n" + rest)
+    back = ConvergenceReport.from_csv(out)
+    assert (back.N_list, back.steps) == (report.N_list, report.steps)
+    for f in fields(report):
+        if f.name not in ("N_list", "steps"):
+            a, b = getattr(report, f.name), getattr(back, f.name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), f.name
 
 
 def test_single_n_report_cut_at_a_row_boundary_is_rejected(tmp_path):
@@ -921,12 +945,14 @@ def test_cli_missing_config_exits_2(tmp_path, capsys):
     assert err.startswith("grfspan: config-error:") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory", "under-a-file"])
 @pytest.mark.parametrize("mode", ["predict", "verify"])
 def test_cli_unwritable_out_path_exits_2(mode, where, tmp_path, capsys):
     # checked before the run, so verify spends no Monte Carlo on it
     path = _write(tmp_path, BASE_CONFIG)
-    out = tmp_path / "missing" / "x.csv" if where == "missing-directory" else tmp_path
+    (tmp_path / "a-file").write_text("")
+    out = {"missing-directory": tmp_path / "missing" / "x.csv", "a-directory": tmp_path,
+           "under-a-file": tmp_path / "a-file" / "x.csv"}[where]
     assert cli.main([mode, "--config", str(path), "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
