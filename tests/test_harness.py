@@ -34,7 +34,13 @@ from grfspan.harness import (
     run_verify,
     write_limit_curve,
 )
-from grfspan.kernels import PARTIAL_NAMES, SpinGlassMixture, alg_barrier, validate_partials
+from grfspan.kernels import (
+    PARTIAL_NAMES,
+    KernelModel,
+    SpinGlassMixture,
+    alg_barrier,
+    validate_partials,
+)
 from grfspan.limits import LimitCurve
 from grfspan.trajectories import simulate_info_path
 
@@ -363,17 +369,18 @@ def test_different_seed_different_result(tmp_path, base_config):
 
 
 def test_worker_count_does_not_change_bytes(tmp_path, monkeypatch):
-    # the second case ends every N with a ragged batch of 3 streams
+    # the second case ends every N with a ragged batch of 3 streams, so its
+    # 4 tasks split unevenly over 3 workers: stripes (0, 3), (1) and (2)
     for replications in (10, harness._BATCH + 3):
         path = _write(tmp_path, BASE_CONFIG.replace("replications = 6",
                                                     f"replications = {replications}"))
-        outputs = []
-        for workers in ("1", "2"):
+        outputs = set()
+        for workers in ("1", "2", "3"):
             monkeypatch.setenv(harness.WORKERS_ENV, workers)
             out = tmp_path / f"w{workers}.csv"
             run_verify(load_config(path)).to_csv(out)
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
+            outputs.add(out.read_bytes())
+        assert len(outputs) == 1
 
 
 def test_batch_size_does_not_change_bytes(tmp_path, monkeypatch):
@@ -551,9 +558,10 @@ def test_pool_workers_start_with_numpy_random(tmp_path):
 
 
 def test_import_loads_neither_numpy_random_nor_the_pool():
+    # nor scipy: the runtime stays numpy-only (README, Install)
     done = _fresh_interpreter(
         "import sys, grfspan, grfspan.cli\n"
-        "print(sorted({'numpy.random', 'multiprocessing', 'concurrent.futures'}"
+        "print(sorted({'numpy.random', 'multiprocessing', 'concurrent.futures', 'scipy'}"
         " & set(sys.modules)))")
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
@@ -938,6 +946,18 @@ def test_cli_predict_out_file(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("mode", ["predict", "simulate", "verify", "two-init", "halting",
+                                  "check-kernel"])
+def test_cli_writes_each_mode_to_stdout(mode, tmp_path, capsys, monkeypatch):
+    # with no --out, the report goes to standard output and nothing to stderr
+    monkeypatch.setenv(harness.WORKERS_ENV, "1")
+    path = _write(tmp_path, BASE_CONFIG.replace("N_list = [16, 32]",
+                                                "N_list = [16, 1000000000]"))
+    assert cli.main([mode, "--config", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out and captured.err == ""
+
+
 def test_cli_missing_config_exits_2(tmp_path, capsys):
     code = cli.main(["verify", "--config", str(tmp_path / "none.cfg")])
     assert code == 2
@@ -1086,9 +1106,14 @@ def test_cli_stdout_closed_early_exits_1_with_empty_stderr(tmp_path):
 
 
 def test_cli_barrier_value(tmp_path, capsys):
+    # ξ″ ≡ 2 on the pure 2-spin, so its barrier is √2
     path = _write(tmp_path, "[kernel]\ntype = spin_glass\ncoeffs = [0, 0, 1.0]\n")
     assert cli.main(["barrier", "--config", str(path)]) == 0
     assert capsys.readouterr().out.strip() == "1.414214"
+    path = _write(tmp_path, "[kernel]\ntype = spin_glass\ncoeffs = [0, 0, 1.0, 0.5]\n")
+    assert cli.main(["barrier", "--config", str(path)]) == 0
+    mixed = alg_barrier(SpinGlassMixture(coeffs=(0.0, 0.0, 1.0, 0.5)))
+    assert capsys.readouterr().out == f"{mixed:.6f}\n"
 
 
 def test_cli_barrier_out_file_bytes(tmp_path, capsys):
@@ -1107,9 +1132,35 @@ def test_cli_barrier_needs_spin_glass(tmp_path, capsys):
 
 
 def test_cli_check_kernel(tmp_path, capsys):
+    # SE, the badly scaled quadratic, the 2+3-spin and the pure 2-spin
+    for config in (BASE_CONFIG, BADLY_SCALED_CONFIG,
+                   "[kernel]\ntype = spin_glass\ncoeffs = [0.0, 0.0, 1.0, 0.5]\n",
+                   "[kernel]\ntype = spin_glass\ncoeffs = [0.0, 0.0, 1.0]\n"):
+        path = _write(tmp_path, config)
+        assert cli.main(["check-kernel", "--config", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[-1] == "tolerance 1e-06: PASS", config
+        assert captured.err == ""
+
+
+def test_cli_check_kernel_failure_exits_3(tmp_path, capsys, monkeypatch):
+    # κ₁₂ 1 % off: the table still prints, then the one error line
     path = _write(tmp_path, BASE_CONFIG)
-    assert cli.main(["check-kernel", "--config", str(path)]) == 0
-    assert "PASS" in capsys.readouterr().out
+    base = build_kernel(load_config(path).kernel)
+    slot = 1 + PARTIAL_NAMES.index("k12")
+
+    def derivatives(l1, l2, l3):
+        values = list(base.derivatives(l1, l2, l3))
+        values[slot] = 1.01 * values[slot]
+        return tuple(values)
+
+    monkeypatch.setattr(harness, "build_kernel", lambda spec: KernelModel(base.mean, derivatives))
+    assert cli.main(["check-kernel", "--config", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[-1] == "tolerance 1e-06: FAIL"
+    (line,) = captured.err.splitlines()
+    assert line.startswith("grfspan: numerical-error: kernel partials fail finite-difference "
+                           "validation: k12="), line
 
 
 def test_cli_check_kernel_out_file_bytes(tmp_path, capsys):

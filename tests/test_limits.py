@@ -1,6 +1,7 @@
 """Limit recursion: frozen start values, oracles, and structural invariants."""
 
 import functools
+import importlib
 import math
 import os
 import subprocess
@@ -184,14 +185,14 @@ def test_pure_two_spin_sigma_w_is_geometric(gsa, alpha, c2, lam):
                          ids=lambda g: g.name)
 def test_predict_matches_the_exact_semicircle_curve(gsa, c1_sq):
     # ξ(s) = c₁²s + s² is a random quadratic, whose limit curve is exact in
-    # rational arithmetic from the semicircle law's moments; the float64
-    # recursion is within 4e-14 of it through T = 8 on these cases
-    from semicircle_reference import exact_curve
+    # rational arithmetic from the semicircle law's moments; through each
+    # step n ≤ 8, relative to the largest exact value through n, the float64
+    # recursion is within 4e-14 of it on these cases (pure heavy-ball's Gram)
+    from semicircle_reference import exact_curve, relative_errors
     kernel = spin_glass_kernel(SpinGlassMixture((0.0, math.sqrt(c1_sq), 1.0)))
     curve = predict(kernel, gsa, 1.0, 8)
-    f, gram = (np.array(a, dtype=float) for a in exact_curve(gsa, c1_sq, 1, 1.0, 8))
-    assert np.abs(curve.f_limit - f).max() <= 1e-12 * np.abs(f).max()
-    assert np.abs(curve.grad_gram_limit - gram).max() <= 1e-12 * np.abs(gram).max()
+    errors = relative_errors(curve, exact_curve(gsa, c1_sq, 1, 1.0, 8))
+    assert max(map(max, errors)) <= 1e-12, errors
 
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
@@ -222,13 +223,15 @@ def test_predict_matches_the_exact_reading_curve(gsa):
     # rows that read the information, on the pure 2-spin with λ = r = 1:
     # a projection's rescaling takes a square root, so its exact curve is in
     # 50-digit mpmath, and fr_cg's β_n is a ratio of Gram entries, exact in
-    # fractions.  Through each step n ≤ 6, relative to the largest exact
-    # value through n, predict is within 5e-16 (f) and 1.5e-15 (Gram) of
-    # the projections' curves and within 4e-15 of fr_cg's, whose f reaches
-    # −5e17.  The ball is active here: its f₆ is −1.015, plain gd's −88.25
+    # fractions.  Through each step n ≤ 7, relative to the largest exact
+    # value through n, predict is within 2e-15 of the projections' curves;
+    # fr_cg diverges and predict raises at its step 7, so it is checked
+    # through step 6, within 4e-15 of a curve whose f reaches −5e17.  The
+    # ball is active here: its f₆ is −1.015, plain gd's −88.25
     from semicircle_reference import exact_reading_curve, relative_errors
-    curve = predict(spin_glass_kernel(SpinGlassMixture((0.0, 0.0, 1.0))), gsa, 1.0, 6)
-    errors = relative_errors(curve, exact_reading_curve(gsa, 1, 6))
+    steps = 6 if gsa.name == "fr_cg" else 7
+    curve = predict(spin_glass_kernel(SpinGlassMixture((0.0, 0.0, 1.0))), gsa, 1.0, steps)
+    errors = relative_errors(curve, exact_reading_curve(gsa, 1, steps))
     assert max(map(max, errors)) <= 1e-12, errors
 
 
@@ -1121,6 +1124,28 @@ def test_predict_matches_the_50_digit_reference(make, alpha, beta, steps, tol):
     gsa = heavy_ball(alpha, beta) if beta else gd(alpha)
     curve = predict(make(SE_MIX), gsa, 1.0, steps)
     assert max_deviation(curve, _reference(alpha, beta, steps)) <= tol
+
+
+@pytest.mark.parametrize("script, argv", [
+    ("limit_reference", [str(Path(__file__).parents[1] / "bench" / "configs"
+                             / "predict-t30.cfg")]),
+    ("semicircle_reference", ["gd", "0.3"]),
+    ("semicircle_reference", ["nesterov", "0.3", "--beta", "0.5", "--c1-sq", "0.5"]),
+    ("semicircle_reference", ["heavy_ball", "0.3", "--beta", "0.5"]),
+    ("semicircle_reference", ["heavy_ball", "0.3", "--beta", "0.5", "--c1-sq", "0.5"]),
+    ("semicircle_reference", ["gd", "0.3", "--sphere", "--checked", "7"]),
+    ("semicircle_reference", ["heavy_ball", "0.3", "--beta", "0.5", "--ball", "--checked", "7"]),
+    ("semicircle_reference", ["fr_cg", "0.3", "--checked", "6"]),
+], ids=["limit-predict-t30", "semicircle-gd", "semicircle-nesterov-mixed",
+        "semicircle-heavy-ball", "semicircle-heavy-ball-mixed", "semicircle-gd-sphere",
+        "semicircle-heavy-ball-ball", "semicircle-fr-cg"])
+def test_reference_scripts_pass_as_documented(script, argv, capsys):
+    # each script's command-line check, through its own argument parsing,
+    # config reading and --checked rule
+    pytest.importorskip("mpmath")
+    code = importlib.import_module(script).main(argv)
+    out = capsys.readouterr().out
+    assert code == 0 and out.rstrip().endswith(": PASS"), out
 
 
 @pytest.mark.parametrize("make", [lift_stationary, stationary_direct], ids=["lifted", "direct"])

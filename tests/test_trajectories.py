@@ -365,6 +365,22 @@ def test_error_inside_a_batch_names_its_stream():
         simulate_info_paths(SE, gsa, 1.0, 64, 3, streams, 3)
 
 
+def test_batch_error_that_no_lone_run_repeats_names_no_stream():
+    # a row that fails only on a batch of more than one run: no stream fails
+    # when rerun alone, so the batch raises its own error as it is
+    def prefactors(n, info):
+        if n == 2 and info.f_values.size > n:
+            raise ValueError("fails on a batch")
+        return GD.prefactors(n, info)
+
+    gsa = GsaSpec(name="batch-only", prefactors=prefactors)
+    with pytest.raises(ValueError, match="^fails on a batch$"):
+        simulate_info_paths(SE, gsa, 1.0, 64, 3, [0, 1, 2], 3)
+    for s in (0, 1, 2):
+        (record,) = simulate_info_paths(SE, gsa, 1.0, 64, 3, [s], 3)
+        assert record.f_values.shape == (4,)
+
+
 # ---------------------------------------------------------------------------
 # exact marginals at the start point
 # ---------------------------------------------------------------------------
