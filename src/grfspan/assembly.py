@@ -9,8 +9,9 @@ coordinate rows, next to the conditioning states.
 
 Coordinates are with respect to an orthonormal direction system v_0, …,
 v_{D−1}: a point with coordinate row y has ⟨y, v_i⟩ = y[i], ⟨y, y'⟩ = y·y',
-and ⟨v_i, v_j⟩ = δ_ij.  ``cov_block``/``mean_block`` lay rows out row-major
-over derivative type then point: the flattened vector reads (f at all points,
+and ⟨v_i, v_j⟩ = δ_ij.  ``cov_block`` gives one (D+1, D+1) block per point
+pair; ``row_major`` and ``mean_block`` lay rows out row-major over
+derivative type then point: the flattened vector reads (f at all points,
 D_{v_0} at all points, …, D_{v_{D−1}} at all points).  All outputs are on the
 dimension-free scale; the 1/N covariance factor is applied by callers.  The
 coordinate rows may carry leading batch axes, one entry per path, and every
@@ -103,20 +104,25 @@ def coordinate_inner_products(reps):
 
 def cov_block(kernel, Ya, Yb, parts):
     """Covariance between the (f, D_{v_0..D−1}) rows at the points of Ya
-    and those at the points of Yb.
+    and those at the points of Yb, as one pair block per point pair.
 
     Ya (…, a, D) and Yb (…, b, D) are the two points' coordinate rows;
     ``parts`` the kernel's partials over the (a, b) grid, (…, a, b) each, as
     ``KernelModel.cov_pair_block`` reads them.  Returns shape
-    ((D+1)·a, (D+1)·b) in the row-major layout, after the leading batch
-    axes.
+    (…, a, b, D+1, D+1): entry [a, b, i, j] is the covariance of row type i
+    at point a with row type j at point b.  ``row_major`` lays it out.
     """
-    (a, D), b = Ya.shape[-2:], Yb.shape[-2]
-    # one pair block per (a, b): (…, a, b, i, j) laid out as (…, i, a, j, b)
-    pairs = kernel.cov_pair_block(Ya[..., :, None, :], Yb[..., None, :, :], parts)
-    lead = pairs.ndim - 4
-    return pairs.transpose(*range(lead), lead + 2, lead, lead + 3, lead + 1).reshape(
-        pairs.shape[:lead] + ((D + 1) * a, (D + 1) * b))
+    return kernel.cov_pair_block(Ya[..., :, None, :], Yb[..., None, :, :], parts)
+
+
+def row_major(pairs):
+    """Pair blocks (…, a, b, D+1, D+1) laid out as the ((D+1)·a, (D+1)·b)
+    matrix of the row-major layout, after the leading batch axes."""
+    *lead, a, b, i, j = pairs.shape
+    k = len(lead)
+    # (…, a, b, i, j) laid out as (…, i, a, j, b)
+    return pairs.transpose(*range(k), k + 2, k, k + 3, k + 1).reshape(
+        tuple(lead) + (i * a, j * b))
 
 
 def mean_block(kernel, Y, s):
@@ -148,7 +154,8 @@ def joint_blocks(kernel, reps, new_rep) -> AssembledStep:
     reps: (n, D) rows of the n history points; new_rep: (D,) row of the new
     point.  Domain validity of every pairwise configuration is checked once,
     and the kernel's partials are evaluated once over all point pairs: the
-    blocks are slices of one ``cov_block`` over the n + 1 points.
+    blocks are slices of one ``cov_block`` over the n + 1 points, laid
+    out by ``row_major``.
     """
     reps = np.atleast_2d(np.asarray(reps, dtype=float))
     new_rep = np.asarray(new_rep, dtype=float)
@@ -157,7 +164,7 @@ def joint_blocks(kernel, reps, new_rep) -> AssembledStep:
     s, ip = coordinate_inner_products(Y)
     grid = (s[:, None], s[None, :], ip)
     kernels.check_domain(*grid)
-    S = cov_block(kernel, Y, Y, kernel.derivatives(*grid))
+    S = row_major(cov_block(kernel, Y, Y, kernel.derivatives(*grid)))
     mean = mean_block(kernel, Y, s)
     new = np.arange(D + 1) * (n + 1) + n       # the new point's row of each type
     hist = np.delete(np.arange(len(mean)), new)
@@ -169,7 +176,7 @@ def flatten_history(values, coord_rows):
     """Lay out observed (f values, derivative coordinates) row-major.
 
     values: length-n f values; coord_rows: (n, D) derivative coordinates
-    (structural zeros included).  Order matches cov_block/mean_block.
+    (structural zeros included).  Order matches row_major/mean_block.
     """
     coord_rows = np.atleast_2d(np.asarray(coord_rows, dtype=float))
     return np.concatenate([np.asarray(values, dtype=float), coord_rows.T.ravel()])
@@ -201,17 +208,19 @@ class _Arrival:
     ``L`` holds the block's rows of the factor, (B, k, left + k), from
     column ``start − left`` through the block's own diagonal columns, up to
     ``stop`` = start + k; a block uncorrelated with every older row stores
-    no left part (left = 0).  ``inv`` (B, k, k) inverts the factor's
-    diagonal block.  The diagonal block of a pseudo-inverse member's point
-    block is the eigen-factor of its conditional covariance, and ``inv`` its
-    pseudo-inverse.  An escalation rewrites L and inv in place, so their
-    shapes, and ``stop`` and ``left``, stay fixed.
+    no left part (left = 0), and ``L_left`` is a view of L's left part.
+    ``inv`` (B, k, k) inverts the factor's diagonal block.  The diagonal
+    block of a pseudo-inverse member's point block is the eigen-factor of
+    its conditional covariance, and ``inv`` its pseudo-inverse.  An
+    escalation rewrites L and inv in place, so their shapes, ``stop`` and
+    ``left`` stay fixed, and ``L_left`` reads the rewritten rows.
     """
 
     def __init__(self, start, L, inv):
         self.start, self.L, self.inv = start, L, inv
         self.stop = start + L.shape[1]
         self.left = L.shape[2] - L.shape[1]
+        self.L_left = L[:, :, :self.left]
 
 
 class _State:
@@ -498,19 +507,19 @@ class SpanState(_State):
     def _new_point(self, Y, n, parts, k, mean):
         """(S_hn, S_nn) of the (f, D_{v_0..D−1}) rows of the new point n of
         the points Y (B, n+1, D): their covariances with the stored rows,
-        (B, m, D+1), and with themselves, (B, D+1, D+1), read off one
-        ``cov_block`` column of every point against the new one, fed the
-        partials ``parts`` (B, n+1, 1) that ``_open`` evaluated; a constant
-        scalar partial broadcasts as is.  A non-finite entry of the blocks,
-        of the κ₃ column k (B, n+1) or of the mean raises
-        KernelDomainError."""
-        col = cov_block(self.kernel, Y, Y[:, n:], parts)
-        S_hn = col[:, self._types * (n + 1) + self._at]
-        S_nn = col[:, np.arange(Y.shape[2] + 1) * (n + 1) + n]
-        if not all(np.isfinite(a).all() for a in (k, S_hn, S_nn, mean)):
+        (B, m, D+1), and with themselves, (B, D+1, D+1), read off the pair
+        blocks of every point with the new one, one ``cov_block`` column fed
+        the partials ``parts`` (B, n+1, 1) that ``_open`` evaluated; a
+        constant scalar partial broadcasts as is.  A stored row of type t at
+        point a reads its pair block's row t.  Every history point has its
+        rows of all D+1 types stored by now, so S_hn and S_nn hold every
+        entry of the pair blocks.  A non-finite entry of the blocks, of the
+        κ₃ column k (B, n+1) or of the mean raises KernelDomainError."""
+        pairs = cov_block(self.kernel, Y, Y[:, n:], parts)[:, :, 0]
+        if not (np.isfinite(pairs).all() and np.isfinite(k).all() and np.isfinite(mean).all()):
             raise KernelDomainError(
                 f"step {n}: non-finite entries in the new point's covariance or mean")
-        return S_hn, S_nn
+        return pairs[:, self._at, self._types], pairs[:, n].copy()
 
     # -- factor maintenance ---------------------------------------------------
 
@@ -524,21 +533,25 @@ class SpanState(_State):
         self._types = np.concatenate([self._types, types])
         self._at = np.concatenate([self._at, at])
 
-    def _forward(self, B, members=slice(None)):
-        """L⁻¹·B of the given members by block forward substitution, over
-        the blocks of B's rows, a leading set of the stored ones."""
+    def _forward(self, B, members=None):
+        """L⁻¹·B of the given members, all of them by default, by block
+        forward substitution, over the blocks of B's rows, a leading set of
+        the stored ones."""
         X = np.empty(B.shape)
         for blk in self._blocks:
             a, b, left = blk.start, blk.stop, blk.left
             if a == B.shape[1]:
                 break
+            L_left, inv = blk.L_left, blk.inv
+            if members is not None:
+                L_left, inv = L_left[members], inv[members]
             rhs = B[:, a:b]
             if left:
-                rhs = rhs - blk.L[members, :, :left] @ X[:, a - left:a]
-            X[:, a:b] = blk.inv[members] @ rhs
+                rhs = rhs - L_left @ X[:, a - left:a]
+            np.matmul(inv, rhs, out=X[:, a:b])
         return X
 
-    def _point_block(self, S_hn, S_nn, jitter, members=slice(None)):
+    def _point_block(self, S_hn, S_nn, jitter, members=None):
         """(Wᵀ, C, L_nn, L_nn⁻¹) of a point block of the given members, whose
         rows have covariances S_hn (B, m, k) with the m stored rows before
         it and S_nn (B, k, k) with themselves: W = L⁻¹·S_hn through those
@@ -550,13 +563,14 @@ class SpanState(_State):
         member's C + j·I does not factor."""
         Wt = self._forward(S_hn, members).swapaxes(1, 2)
         C = S_nn - Wt @ Wt.swapaxes(1, 2)
+        if not jitter.any():
+            L = np.linalg.cholesky(C)
+            return Wt, C, L, np.linalg.inv(L)
         pseudo = np.isinf(jitter)
-        A = C
-        if jitter.any():
-            eye = np.eye(C.shape[1])
-            j = np.where(pseudo, 0.0, jitter)[:, None, None]
-            A = np.where(pseudo[:, None, None], eye, np.where(j > 0.0, C + j * eye, C))
-        L = np.linalg.cholesky(A)
+        eye = np.eye(C.shape[1])
+        j = np.where(pseudo, 0.0, jitter)[:, None, None]
+        L = np.linalg.cholesky(np.where(pseudo[:, None, None], eye,
+                                        np.where(j > 0.0, C + j * eye, C)))
         inv = np.linalg.inv(L)
         for b in pseudo.nonzero()[0]:
             L[b], inv[b] = gaussianops.eigen_factor(C[b], S_nn[b].diagonal().max())

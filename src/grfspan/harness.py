@@ -12,9 +12,10 @@ that report writes back to the same bytes.
 
 Trajectory replications run in batches: a batch is a run of at most
 ``_BATCH`` consecutive streams of one N, stepped together by
-``simulate_info_paths``.  The batches split into W static stripes, W the
-GRFSPAN_WORKERS environment variable (default: the CPUs the process may run
-on) capped at the batch count, and stripe w holds batches w, w + W, ...
+``simulate_walk``, whose arrays a batch reads without building records.
+The batches split into W static stripes, W the GRFSPAN_WORKERS environment
+variable (default: the CPUs the process may run on) capped at the batch
+count, and stripe w holds batches w, w + W, ...
 The calling process counts as one of the W: it forks a child per stripe past
 the first, explicitly with the ``fork`` start method, runs the first stripe
 itself, then takes each child's results over a one-way pipe.  Only a run with
@@ -58,7 +59,7 @@ from .kernels import (
     spin_glass_kernel,
 )
 from .limits import LimitCurve, first_halting_step, predict
-from .trajectories import simulate_info_paths
+from .trajectories import simulate_walk
 from .trajectories import simulate_info_path  # not called here: bench/layers.py wraps this name
 
 WORKERS_ENV = "GRFSPAN_WORKERS"
@@ -344,11 +345,12 @@ _BATCH = 100
 
 def _batch_task(kernel, gsa, config, N, streams):
     """Values and squared gradient norms, (len(streams), steps+1) each, of a
-    batch of streams at one N."""
-    records = simulate_info_paths(kernel, gsa, config.lam, N, config.steps, streams,
-                                  config.master_seed, pseudo_inverse=config.pseudo_inverse)
-    return (np.array([r.f_values for r in records]),
-            np.array([np.diagonal(r.grad_gram) for r in records]))
+    batch of streams at one N: bitwise those of the streams'
+    ``simulate_info_paths`` records, the diagonal of the same Gram product."""
+    walk = simulate_walk(kernel, gsa, config.lam, N, config.steps, streams,
+                         config.master_seed, pseudo_inverse=config.pseudo_inverse)
+    G = walk.G
+    return walk.f, (G @ G.swapaxes(1, 2)).diagonal(axis1=1, axis2=2)
 
 
 def _run_stripe(tasks, stripe, stripes):

@@ -287,11 +287,16 @@ def lift_stationary(mixture: SchoenbergMixture, mean_level: float = 0.0) -> Kern
     """Stationary kernel C(r) lifted to κ(λ₁,λ₂,λ₃) = C(λ₁+λ₂−λ₃).
 
     Partials follow by the chain rule: κ₁ = κ₂ = C′, κ₃ = −C′,
-    κ₁₂ = κ₃₃ = C″, κ₁₃ = κ₂₃ = −C″, all at r = λ₁+λ₂−λ₃.
+    κ₁₂ = κ₃₃ = C″, κ₁₃ = κ₂₃ = −C″, all at r = λ₁+λ₂−λ₃.  κ₃ = Σ wⱼtⱼ²e^{−tⱼ²r}
+    is identically 0 unless some atom has tⱼ > 0, and such a mixture, a
+    constant field with no gradient, raises ValueError.
     """
     level = float(mean_level)
     if not math.isfinite(level):
         raise ValueError(f"mean_level must be finite, got {level}")
+    if not any(t > 0 for _, t in mixture.atoms):
+        raise ValueError("mixture needs an atom with scale t > 0: with every t = 0, "
+                         "κ₃ = −C′ is identically 0 and the field has no gradient")
 
     def mean(s):
         s = np.asarray(s, dtype=float)
@@ -305,12 +310,21 @@ def lift_stationary(mixture: SchoenbergMixture, mean_level: float = 0.0) -> Kern
 
 
 def stationary_direct(mixture: SchoenbergMixture, mean_level: float = 0.0) -> KernelModel:
-    """Same law as ``lift_stationary`` but evaluated via squared distances."""
+    """Same law as ``lift_stationary`` but evaluated via squared distances;
+    it refuses the same mixtures."""
     return _DirectStationaryModel(mixture, mean_level)
 
 
 def spin_glass_kernel(mix: SpinGlassMixture) -> KernelModel:
-    """Mixed p-spin kernel κ(λ₁,λ₂,λ₃) = ξ(λ₃) with zero mean."""
+    """Mixed p-spin kernel κ(λ₁,λ₂,λ₃) = ξ(λ₃) with zero mean.
+
+    κ₃ = ξ′ is identically 0 unless some c_p with p ≥ 1 is nonzero, and such
+    a mixture, a constant field with no gradient, raises ValueError.
+    """
+    if not any(mix.coeffs[1:]):
+        raise ValueError(f"spin mixture needs a coefficient c_p > 0 at p ≥ 1, got "
+                         f"{mix.coeffs}: κ₃ = ξ′ is identically 0 and the field has "
+                         "no gradient")
 
     def mean(s):
         zero = np.zeros_like(np.asarray(s, dtype=float))

@@ -10,11 +10,12 @@ orthonormal basis built step by step from x₀ and the observed gradients, so
 the cost is polynomial in the number of steps and free of N; an N = 10⁹ run
 is as cheap (and as exact) as N = 100.
 
-``simulate_info_paths`` steps a batch of runs that share (N, λ, steps)
-together through ``limits.limit_step``, the one span recursion, whose N→∞
-member without draws is ``predict``; each run keeps its own random stream,
-drawn in the order a lone run draws it, so its record is bitwise the same in
-every batch.  ``simulate_info_path`` is its batch of one.
+``simulate_walk`` steps a batch of runs that share (N, λ, steps) together
+through ``limits.limit_step``, the one span recursion, whose N→∞ member
+without draws is ``predict``; each run keeps its own random stream, drawn in
+the order a lone run draws it, so its record is bitwise the same in every
+batch.  ``simulate_info_paths`` reads one record per run off that walk, and
+``simulate_info_path`` is its batch of one.
 
 ``brute_force_path`` is the independent oracle: it maintains explicit
 coordinates in ℝ^N and samples the full (N+1)-dimensional blocks, feasible
@@ -78,13 +79,36 @@ def simulate_info_path(kernel: KernelModel, gsa: GsaSpec, lam: float, N: int,
 def simulate_info_paths(kernel: KernelModel, gsa: GsaSpec, lam: float, N: int,
                         steps: int, stream_ids, master_seed: int, *,
                         pseudo_inverse: bool = False) -> list[TrajectoryRecord]:
-    """Sample one exact finite-N trajectory per stream, stepped as a batch.
+    """Sample one exact finite-N trajectory per stream, stepped as a batch:
+    the records of ``simulate_walk``'s runs, in the order of ``stream_ids``.
+
+    Run b's record is bitwise that of ``simulate_info_path`` on the same
+    stream, whatever else is in the batch.
+    """
+    stream_ids = [int(sid) for sid in stream_ids]
+    walk = simulate_walk(kernel, gsa, lam, N, steps, stream_ids, master_seed,
+                         pseudo_inverse=pseudo_inverse)
+    lam, G = walk.lam, walk.G
+    grad_gram = G @ G.swapaxes(1, 2)
+    return [TrajectoryRecord(
+        N=N, lam=lam, f_values=walk.f[b], grad_gram=grad_gram[b],
+        x0_grad=lam * G[b, :, 0] if lam > 0 else np.zeros(steps + 1),
+        x0_norm_sq=lam * lam, master_seed=master_seed, stream_id=sid,
+        G=G[b], x_coords=walk.X[b], dims=walk.dims.copy())
+        for b, sid in enumerate(stream_ids)]
+
+
+def simulate_walk(kernel: KernelModel, gsa: GsaSpec, lam: float, N: int,
+                  steps: int, stream_ids, master_seed: int, *,
+                  pseudo_inverse: bool = False) -> SpanWalk:
+    """Step one exact finite-N run per stream as a batch through step
+    ``steps``, and return the walk: run b's values, gradient and iterate
+    coordinates are ``walk.f[b]``, ``walk.G[b]`` and ``walk.X[b]``.
 
     Run b draws from make_rng(master_seed, stream_ids[b]) — the normals of
     its new block, then the chi-square of its new direction, step by step —
-    and its record is bitwise that of ``simulate_info_path`` on the same
-    stream, whatever else is in the batch.  A numerical failure names the
-    stream it happened on.
+    and its arrays are bitwise those of the same stream stepped alone.  A
+    numerical failure names the stream it happened on.
     """
     stream_ids = [int(sid) for sid in stream_ids]
     rngs = [make_rng(master_seed, sid) for sid in stream_ids]
@@ -97,15 +121,7 @@ def simulate_info_paths(kernel: KernelModel, gsa: GsaSpec, lam: float, N: int,
     except (NumericalError, ValueError) as exc:
         raise _blame(exc, kernel, gsa, walk.lam, N, n, stream_ids, master_seed,
                      pseudo_inverse) from exc
-
-    lam, G = walk.lam, walk.G
-    grad_gram = G @ G.swapaxes(1, 2)
-    return [TrajectoryRecord(
-        N=N, lam=lam, f_values=walk.f[b], grad_gram=grad_gram[b],
-        x0_grad=lam * G[b, :, 0] if lam > 0 else np.zeros(steps + 1),
-        x0_norm_sq=lam * lam, master_seed=master_seed, stream_id=sid,
-        G=G[b], x_coords=walk.X[b], dims=walk.dims.copy())
-        for b, sid in enumerate(stream_ids)]
+    return walk
 
 
 def _blame(exc, kernel, gsa, lam, N, step, stream_ids, master_seed, pseudo_inverse):
@@ -118,8 +134,8 @@ def _blame(exc, kernel, gsa, lam, N, step, stream_ids, master_seed, pseudo_inver
         return type(exc)(f"stream {stream_ids[0]}: {exc}")
     for sid in stream_ids:
         try:
-            simulate_info_paths(kernel, gsa, lam, N, step, [sid], master_seed,
-                                pseudo_inverse=pseudo_inverse)
+            simulate_walk(kernel, gsa, lam, N, step, [sid], master_seed,
+                          pseudo_inverse=pseudo_inverse)
         except (NumericalError, ValueError) as alone:
             return alone
     return exc

@@ -2,7 +2,7 @@
 
 Runs one ``predict`` curve on ``bench/configs/predict-t30.cfg``, one
 ``simulate_info_path`` record on ``bench/configs/simulate-t20.cfg``, one
-``simulate_info_paths`` batch on ``bench/configs/verify-t8.cfg``, the first
+``harness._batch_task`` on ``bench/configs/verify-t8.cfg``, the first
 task of verify's fan-out (``harness._BATCH`` streams, 100, at N = 64, so
 the line follows the fan-out's task size), and one ``predict`` curve of
 nesterov(0.3, 0.5) on the same SE kernel to
@@ -48,8 +48,8 @@ def main() -> int:
     c = harness.load_config(CONFIGS / "verify-t8.cfg")
     kernel, gsa = harness.build_kernel(c.kernel), harness.build_gsa(c.algorithm)
     streams = range(min(harness._BATCH, c.replications))
-    per_step = calls_per_step(lambda: trajectories.simulate_info_paths(
-        kernel, gsa, c.lam, c.N_list[0], c.steps, streams, master_seed=1), c.steps)
+    per_step = calls_per_step(lambda: harness._batch_task(
+        kernel, gsa, c, c.N_list[0], streams), c.steps)
     print(f"{'verify-t8':14s} {per_step:7.1f} calls/step")
     kernel = kernels.lift_stationary(kernels.SchoenbergMixture(atoms=((1.0, 1.0),)))
     gsa = algorithms.nesterov(0.3, 0.5)

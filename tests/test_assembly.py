@@ -13,6 +13,7 @@ from grfspan.assembly import (
     k3_matrix,
     mean_block,
     residual_variance,
+    row_major,
 )
 from grfspan.errors import KernelDomainError
 from grfspan.gaussianops import condition, make_rng
@@ -67,8 +68,8 @@ def test_cov_block_matches_naive(kernel):
     Y = rng.standard_normal((4, 3)) * 0.6
     s, ip = coordinate_inner_products(Y)
     A, B = [0, 1, 2], [0, 1, 2, 3]
-    fast = cov_block(kernel, Y[A], Y[B],
-                     kernel.derivatives(s[A][:, None], s[B][None, :], ip[np.ix_(A, B)]))
+    fast = row_major(cov_block(kernel, Y[A], Y[B], kernel.derivatives(
+        s[A][:, None], s[B][None, :], ip[np.ix_(A, B)])))
     np.testing.assert_allclose(fast, naive_blocks(kernel, Y, A, B),
                                rtol=1e-13, atol=1e-14)
 
@@ -77,7 +78,7 @@ def test_cov_block_no_directions():
     kernel = KERNELS[0]
     Y = np.zeros((2, 0))
     s, ip = coordinate_inner_products(Y)
-    M = cov_block(kernel, Y, Y, kernel.derivatives(s[:, None], s[None, :], ip))
+    M = row_major(cov_block(kernel, Y, Y, kernel.derivatives(s[:, None], s[None, :], ip)))
     assert M.shape == (2, 2)
     assert M[0, 0] == pytest.approx(1.0)   # C(0) with unit total weight
 

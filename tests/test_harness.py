@@ -42,7 +42,7 @@ from grfspan.kernels import (
     validate_partials,
 )
 from grfspan.limits import LimitCurve
-from grfspan.trajectories import simulate_info_path
+from grfspan.trajectories import simulate_info_path, simulate_info_paths
 
 BASE_CONFIG = """\
 [kernel]
@@ -420,6 +420,20 @@ def test_acceptance_config_runs_as_tasks_of_batch_streams(monkeypatch):
         assert len(streams) == harness._BATCH
         assert N == config.N_list[streams.start // config.replications]
         assert N == config.N_list[(streams.stop - 1) // config.replications]
+
+
+def test_batch_task_reads_the_records_arrays():
+    # a task reads the batch's walk, not one record per stream, and its
+    # arrays are bitwise those the records give
+    config = load_config(ACCEPTANCE)
+    kernel, gsa = build_kernel(config.kernel), build_gsa(config.algorithm)
+    streams = range(3, 10)
+    f, grad_sq = harness._batch_task(kernel, gsa, config, 64, streams)
+    records = simulate_info_paths(kernel, gsa, config.lam, 64, config.steps, streams,
+                                  config.master_seed)
+    assert f.shape == grad_sq.shape == (7, config.steps + 1)
+    assert np.array_equal(f, [r.f_values for r in records])
+    assert np.array_equal(grad_sq, [np.diagonal(r.grad_gram) for r in records])
 
 
 @given(n_count=st.integers(1, 4), reps=st.integers(1, 250))
@@ -963,6 +977,42 @@ def test_cli_missing_config_exits_2(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("grfspan: config-error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kernel", [
+    "type = spin_glass\ncoeffs = [0, 0]",
+    "type = spin_glass\ncoeffs = [1.0]",
+    "type = stationary_schoenberg\natoms = [[1.0, 0.0]]",
+], ids=["spin-zeros", "spin-constant", "schoenberg-t0"])
+def test_cli_kernel_with_zero_k3_exits_2(kernel, tmp_path, capsys):
+    # κ₃ ≡ 0 is a configuration problem: load_config refuses it, where the
+    # run used to fail at step 0 with exit 3
+    path = _write(tmp_path, BASE_CONFIG.replace(
+        "type = stationary_schoenberg\natoms = [[1.0, 1.0]]", kernel))
+    with pytest.raises(ConfigError, match="identically 0"):
+        load_config(path)
+    assert cli.main(["predict", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("grfspan: config-error: invalid kernel parameters: ")
+
+
+def test_cli_read_only_out_file_exits_2(tmp_path, capsys, monkeypatch):
+    # an existing output that is not writable; the tests may run as root,
+    # whom os.access lets write anything, so the check is denied for it
+    path = _write(tmp_path, BASE_CONFIG)
+    out = tmp_path / "taken.csv"
+    out.write_text("kept\n")
+    access = os.access
+    monkeypatch.setattr(os, "access", lambda p, mode, **kw: (
+        False if os.fspath(p) == str(out) and mode & os.W_OK else access(p, mode, **kw)))
+    ran = []
+    monkeypatch.setattr(cli, "_run", lambda *args: ran.append(args))
+    assert cli.main(["predict", "--config", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("grfspan: config-error: ") and str(out) in captured.err
+    assert ran == [] and out.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("where", ["missing-directory", "a-directory", "under-a-file"])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grfspan.assembly import coordinate_inner_products, cov_block
+from grfspan.assembly import coordinate_inner_products, cov_block, row_major
 from grfspan.errors import KernelDomainError
 from grfspan.kernels import (
     KernelModel,
@@ -65,6 +65,27 @@ def test_non_finite_kernel_parameters_are_rejected(make, bad):
     # every comparison with NaN is False, so a sign check alone lets it through
     with pytest.raises(ValueError, match="finite"):
         make(bad)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: spin_glass_kernel(SpinGlassMixture(coeffs=(0.0, 0.0))),
+    lambda: spin_glass_kernel(SpinGlassMixture(coeffs=(1.0,))),
+    lambda: lift_stationary(SchoenbergMixture(atoms=((1.0, 0.0),))),
+    lambda: stationary_direct(SchoenbergMixture(atoms=((1.0, 0.0), (0.5, 0.0)))),
+], ids=["spin-zeros", "spin-constant", "lifted-t0", "direct-t0"])
+def test_kernels_with_zero_k3_are_refused(make):
+    # a constant field: κ₃ is identically 0, so step 0 could never open a
+    # direction, and the run would fail at its first point
+    with pytest.raises(ValueError, match="identically 0"):
+        make()
+
+
+def test_kernels_with_some_k3_mass_are_built():
+    # one coefficient at p ≥ 1, or one atom with t > 0, is enough
+    assert spin_glass_kernel(SpinGlassMixture(coeffs=(2.0, 0.5))).derivatives(0.5, 0.5, 0.0)[3] > 0
+    mix = SchoenbergMixture(atoms=((1.0, 0.0), (0.5, 1.0)))
+    assert lift_stationary(mix).derivatives(0.5, 0.5, 0.0)[3] > 0
+    assert stationary_direct(mix).derivatives(0.5, 0.5, 0.0)[3] > 0
 
 
 def test_schoenberg_derivative_is_negative():
@@ -463,7 +484,7 @@ def test_block_covariance_is_psd(make):
     k = make()
     pts, _ = _psd_points()
     s, ip = coordinate_inner_products(pts)
-    _assert_psd(cov_block(k, pts, pts, k.derivatives(s[:, None], s[None, :], ip)))
+    _assert_psd(row_major(cov_block(k, pts, pts, k.derivatives(s[:, None], s[None, :], ip))))
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from grfspan.assembly import (
     k3_matrix,
     mean_block,
     residual_variance,
+    row_major,
 )
 from grfspan.errors import (
     CoincidentPointsError,
@@ -638,7 +639,7 @@ def _replayed_draws(kernel, walk, jitters, N, rng):
         Y = X[:n + 1, :d]
         s, ip = coordinate_inner_products(Y)
         grid = kernel.derivatives(s[:, None], s[None, :], ip)
-        S = cov_block(kernel, Y, Y, grid)[np.ix_(order, order)]
+        S = row_major(cov_block(kernel, Y, Y, grid))[np.ix_(order, order)]
         resid = (flatten_history(f[:n + 1], G[:n + 1, :d]) - mean_block(kernel, Y, s))[order]
         L = np.linalg.cholesky(S + jitters[n] * np.diag(points.astype(float)))
         h = len(S) - d - 1
@@ -657,7 +658,7 @@ def _history_covariance(kernel, walk):
     s, ip = coordinate_inner_products(Y)
     grid = kernel.derivatives(s[:, None], s[None, :], ip)
     order = types * walk.state.points + at
-    return cov_block(kernel, Y, Y, grid)[np.ix_(order, order)]
+    return row_major(cov_block(kernel, Y, Y, grid))[np.ix_(order, order)]
 
 
 def test_state_escalates_once_and_matches_refactored_conditioning():
@@ -728,6 +729,40 @@ def test_state_escalating_twice_keeps_one_jitter_on_every_point_row():
     excess = np.diagonal(L @ L.T - _history_covariance(kernel, walk)) / 1e-11
     np.testing.assert_allclose(excess[points], 1.0, rtol=0, atol=1e-2)
     np.testing.assert_allclose(excess[~points], 0.0, rtol=0, atol=1e-2)
+
+
+@pytest.mark.parametrize("kernel", [
+    lift_stationary(SE_MIX), stationary_direct(SE_MIX),
+    spin_glass_kernel(SpinGlassMixture(coeffs=(0.0, 0.0, 1.0, 0.5))),
+    quadratic_kernel(1.0, 0.5, 1.0),
+], ids=["lifted-se", "direct-se", "spin-2+3", "quadratic"])
+def test_new_point_reads_the_row_major_column(kernel, monkeypatch):
+    # the new point's covariances are read straight off its pair blocks: a
+    # stored row of type t at point a is row t of the pair block (a, new),
+    # exactly the row t·(n+1) + a of the row-major column, and the new
+    # point's own rows are its own pair block.  Member 1 is escalated after
+    # step 1, so later steps factor a batch with mixed jitters (the
+    # quadratic kernel's members all climb at step 0 on their own)
+    new_point, seen = SpanState._new_point, []
+
+    def checked(self, Y, n, parts, k, mean):
+        S_hn, S_nn = new_point(self, Y, n, parts, k, mean)
+        col = row_major(cov_block(self.kernel, Y, Y[:, n:], parts))
+        types, at = self.labels
+        assert np.array_equal(S_hn, col[:, types * (n + 1) + at])
+        assert np.array_equal(S_nn, col[:, np.arange(Y.shape[2] + 1) * (n + 1) + n])
+        seen.append(self.jitter.copy())
+        return S_hn, S_nn
+
+    monkeypatch.setattr(SpanState, "_new_point", checked)
+    state = SpanState(kernel, [make_rng(5, s) for s in range(3)], 64)
+    walk = SpanWalk(state, 1.0, 5)
+    for n in range(6):
+        if n == 2:
+            state._escalate(1, "forced")
+        limit_step(walk, gd(0.3))
+    assert len(seen) == 6
+    assert all(j[1] > j[0] == j[2] for j in seen[2:])
 
 
 @pytest.mark.parametrize("gsa", [gd(0.4), heavy_ball(0.4, 0.5), nesterov(0.3, 0.5), fr_cg(0.3)],
